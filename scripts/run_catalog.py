@@ -48,7 +48,7 @@ def main() -> int:
             output=str(outdir / f"{name}.json"),
             samples=args.samples,
         )
-        status, reports = cli.run(config)
+        status, reports = cli.run(config, scenario=scenario)
         print(cli.emit_table(config, name, reports))
         worst_status = max(worst_status, status)
     return worst_status

@@ -201,11 +201,16 @@ def emit_table(config: RunConfig, scenario_name: str, reports: list[Verification
     return "\n".join(lines) + "\n"
 
 
-def run(config: RunConfig, verbose: bool = False) -> tuple[int, list[VerificationReport]]:
-    """Execute every requested check; returns (exit status, reports)."""
+def run(config: RunConfig, verbose: bool = False, scenario=None) -> tuple[int, list[VerificationReport]]:
+    """Execute every requested check; returns (exit status, reports).
+
+    ``scenario`` is the already built ``config.scenario``, for callers that
+    needed it to choose the checks; by default it is built here.
+    """
     t0 = time.perf_counter()
     try:
-        scenario = _build_scenario(config.scenario)
+        if scenario is None:
+            scenario = _build_scenario(config.scenario)
         for name in config.checks:
             base, _, arg = name.partition(":")
             if base in ("main", "leaf") and arg and not 0 <= int(arg) <= scenario.n - 1:

@@ -598,19 +598,24 @@ def trace_identity_field_residual(fol: FoliationStructure, r: int, X, p: Point) 
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def trace_identities(fol: FoliationStructure, r: int, p: Point) -> np.ndarray:
-    """Four residuals: the three algebraic trace identities and the field one.
-
-    The field identity is evaluated along every leaf-frame direction and the
-    worst residual is reported.
-    """
+def trace_identities_algebraic(fol: FoliationStructure, r: int, p: Point) -> np.ndarray:
+    """Worst residuals of the three algebraic trace identities over the points."""
     A = shape_operator(fol, p)
-    alg = np.abs(newton.trace_identity_residuals(r, A)).reshape(-1, 3).max(axis=0)
+    return np.abs(newton.trace_identity_residuals(r, A)).reshape(-1, 3).max(axis=0)
+
+
+def trace_identities_field(fol: FoliationStructure, r: int, p: Point) -> float:
+    """Worst residual of the field identity for T_r over every leaf-frame direction."""
     worst = 0.0
     if r + 1 <= fol.n:
         for i in range(fol.n):
             worst = max(worst, trace_identity_field_residual(fol, r + 1, leaf_field(fol, i), p))
-    return np.array([alg[0], alg[1], alg[2], worst])
+    return worst
+
+
+def trace_identities(fol: FoliationStructure, r: int, p: Point) -> np.ndarray:
+    """Four residuals: the three algebraic trace identities and the field one."""
+    return np.append(trace_identities_algebraic(fol, r, p), trace_identities_field(fol, r, p))
 
 
 def integrability_residual(fol: FoliationStructure, p: Point) -> float:

@@ -14,8 +14,8 @@ order-0 jet is a bare value.
 
 The linear-algebra helpers at the bottom operate on matrices represented as
 nested lists whose entries are any mix of floats, ndarrays and jets, which
-lets the same Newton-identity and connection code run on plain numbers,
-batched samples, and jets alike.
+lets the connection and Newton-transformation code carry derivatives through
+jet-valued operator fields.
 """
 
 from __future__ import annotations
@@ -217,21 +217,8 @@ def mat_mul(A, B):
     return [[sum(A[i][x] * B[x][j] for x in range(k)) for j in range(p)] for i in range(n)]
 
 
-def mat_transpose(A):
-    return [list(row) for row in zip(*A)]
-
-
 def mat_trace(A):
     return sum(A[i][i] for i in range(len(A)))
-
-
-def mat_sym(A):
-    n = len(A)
-    return [[(A[i][j] + A[j][i]) * 0.5 for j in range(n)] for i in range(n)]
-
-
-def vec_dot(u, v):
-    return sum(ui * vi for ui, vi in zip(u, v))
 
 
 def metric_inner(g, u, v):

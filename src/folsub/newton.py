@@ -1,11 +1,19 @@
 """Symmetric functions, Newton transformations, and their trace identities.
 
-The workhorse routines are written over nested lists of generic scalars (see
-``jets``), so a single implementation serves three callers: plain matrices,
-batched stacks of matrices, and jet-valued operator fields on a manifold.
 Coefficients of the characteristic polynomial are recovered from power sums
 through Newton's identities; no eigendecomposition is involved, which keeps
 the evaluation deterministic and exact for diagonal input.
+
+There are two implementations of the power sums and of the chain
+T_0..T_n, sharing the Newton-identity step.  The ``*_nested`` functions work
+on nested lists of generic scalars (see ``jets``) and serve the jet-valued
+operator fields of ``foliation.Geometry``, whose derivatives ride along.  The
+ndarray front ends work on batched numpy arrays of shape ``(..., n, n)`` with
+``@`` products.  Their traces add the diagonal in index order, as
+``jets.mat_trace`` does, instead of calling ``np.trace``: numpy sums eight or
+more terms pairwise, which moves the last bits, while the index order keeps
+both paths bit-identical on diagonal input such as the umbilical operator
+H Id.
 """
 
 from __future__ import annotations
@@ -16,17 +24,19 @@ from math import comb, factorial
 
 import numpy as np
 
-from .jets import mat_identity, mat_mul, mat_trace, value_of
+from .jets import mat_identity, mat_mul, mat_trace
 
 
-def _nested(A: np.ndarray) -> list[list]:
-    n = A.shape[-1]
-    return [[A[..., i, j] for j in range(n)] for i in range(n)]
-
-
-def _stacked(nested) -> np.ndarray:
-    rows = [np.stack([np.asarray(value_of(e), dtype=float) for e in row], axis=-1) for row in nested]
-    return np.stack(rows, axis=-2)
+def _newton_identities(taus: list) -> list:
+    """sigma_0..sigma_n from the power sums tau_1..tau_n, over generic scalars."""
+    sig = [1.0]
+    for k in range(1, len(taus) + 1):
+        acc = 0.0
+        for i in range(1, k + 1):
+            term = sig[k - i] * taus[i - 1]
+            acc = acc + (term if i % 2 == 1 else -term)
+        sig.append(acc * (1.0 / k))
+    return sig
 
 
 def power_sums_nested(A) -> list:
@@ -42,16 +52,7 @@ def power_sums_nested(A) -> list:
 
 def sigmas_nested(A) -> list:
     """sigma_0..sigma_n of an n x n operator via Newton's identities."""
-    n = len(A)
-    taus = power_sums_nested(A)
-    sig = [1.0]
-    for k in range(1, n + 1):
-        acc = 0.0
-        for i in range(1, k + 1):
-            term = sig[k - i] * taus[i - 1]
-            acc = acc + (term if i % 2 == 1 else -term)
-        sig.append(acc * (1.0 / k))
-    return sig
+    return _newton_identities(power_sums_nested(A))
 
 
 def newton_transforms_nested(A, sigmas=None) -> list:
@@ -75,12 +76,33 @@ def sigma_entry(sigmas, k: int):
 # -- ndarray front ends ------------------------------------------------------
 
 
+def _trace(M: np.ndarray) -> np.ndarray:
+    """Trace over the last two axes, added in index order like ``jets.mat_trace``."""
+    out = M[..., 0, 0]
+    for i in range(1, M.shape[-1]):
+        out = out + M[..., i, i]
+    return out
+
+
+def _sigmas_from_power_sums(tau: np.ndarray) -> np.ndarray:
+    sig = _newton_identities([tau[..., j] for j in range(tau.shape[-1])])
+    return np.stack(np.broadcast_arrays(*sig), axis=-1)
+
+
 def power_sums(A: np.ndarray) -> np.ndarray:
-    return np.stack([np.asarray(t, dtype=float) for t in power_sums_nested(_nested(np.asarray(A, dtype=float)))], axis=-1)
+    """tau_1..tau_n of a batch of operators, shape (..., n)."""
+    A = np.asarray(A, dtype=float)
+    Ak = A
+    taus = [_trace(A)]
+    for _ in range(1, A.shape[-1]):
+        Ak = Ak @ A
+        taus.append(_trace(Ak))
+    return np.stack(taus, axis=-1)
 
 
 def sigma_values(A: np.ndarray) -> np.ndarray:
-    return np.stack([np.asarray(s, dtype=float) + 0.0 * np.asarray(A, dtype=float)[..., 0, 0] for s in sigmas_nested(_nested(np.asarray(A, dtype=float)))], axis=-1)
+    """sigma_0..sigma_n of a batch of operators, shape (..., n+1)."""
+    return _sigmas_from_power_sums(power_sums(A))
 
 
 def sigma(r: int, A: np.ndarray):
@@ -108,8 +130,25 @@ class SymmetricFunctions:
 
 def symmetric_functions(A: np.ndarray) -> SymmetricFunctions:
     A = np.asarray(A, dtype=float)
+    tau = power_sums(A)
+    sig = _sigmas_from_power_sums(tau)
+    return SymmetricFunctions(sigma=sig, tau=tau, H=sig[..., 1] / A.shape[-1])
+
+
+def newton_transforms(A: np.ndarray, sig: np.ndarray | None = None) -> list[np.ndarray]:
+    """All T_0..T_n of a batch of operators, by T_r = sigma_r Id - A T_{r-1}.
+
+    ``sig`` is ``sigma_values(A)`` when the caller already has it.
+    """
+    A = np.asarray(A, dtype=float)
     n = A.shape[-1]
-    return SymmetricFunctions(sigma=sigma_values(A), tau=power_sums(A), H=sigma_values(A)[..., 1] / n)
+    if sig is None:
+        sig = sigma_values(A)
+    eye = np.eye(n)
+    out = [np.broadcast_to(eye, A.shape).copy()]
+    for r in range(1, n + 1):
+        out.append(sig[..., r, None, None] * eye - A @ out[-1])
+    return out
 
 
 def newton_transform(r: int, A: np.ndarray) -> np.ndarray:
@@ -117,7 +156,7 @@ def newton_transform(r: int, A: np.ndarray) -> np.ndarray:
     n = A.shape[-1]
     if not 0 <= r <= n:
         raise ValueError(f"Newton transformation index {r} outside 0..{n}")
-    return _stacked(newton_transforms_nested(_nested(A))[r]) + 0.0 * A
+    return newton_transforms(A)[r]
 
 
 def newton_transform_explicit(r: int, A: np.ndarray) -> np.ndarray:
@@ -150,11 +189,11 @@ def trace_identity_residuals(r: int, A: np.ndarray) -> np.ndarray:
         raise ValueError(f"trace identity index {r} outside 0..{n - 1}")
     sig = sigma_values(A)
     sget = lambda k: sig[..., k] if k <= n else np.zeros(A.shape[:-2])
-    Tr = newton_transform(r, A)
-    tr = lambda M: np.trace(M, axis1=-2, axis2=-1)
-    r1 = tr(Tr) - (n - r) * sget(r)
-    r2 = tr(A @ Tr) - (r + 1) * sget(r + 1)
-    r3 = tr(A @ A @ Tr) - (sget(1) * sget(r + 1) - (r + 2) * sget(r + 2))
+    Tr = newton_transforms(A, sig)[r]
+    ATr = A @ Tr
+    r1 = _trace(Tr) - (n - r) * sget(r)
+    r2 = _trace(ATr) - (r + 1) * sget(r + 1)
+    r3 = _trace(A @ ATr) - (sget(1) * sget(r + 1) - (r + 2) * sget(r + 2))
     return np.stack([r1, r2, r3], axis=-1)
 
 
@@ -244,7 +283,7 @@ def umbilical_main_integrand(n: int, r: int, H: float, ric_nn: float, ric_zn: fl
     A = H * np.eye(n)
     sig = sigma_values(A)
     sget = lambda k: float(sig[k]) if k <= n else 0.0
-    Ts = [newton_transform(k, A) for k in range(n + 1)]
+    Ts = newton_transforms(A, sig)
     out = (r + 2) * sget(r + 2)
     out -= float(np.trace(Ts[r] @ ((ric_nn / n) * np.eye(n))))
     for j in range(1, r + 1):

@@ -3,10 +3,15 @@
 Everything here deliberately avoids the jet/connection machinery under test:
 finite differences for derivatives, eigenvalue brute force for symmetric
 functions, dense one-dimensional quadrature for reduced integrals, and
-hand-derived closed forms for the warped and tilted example metrics.
+hand-derived closed forms for the warped and tilted example metrics.  The
+one exception is the umbilical integrand reference, which runs the
+nested-list Newton path so the batched ndarray path can be held to it
+bit for bit.
 """
 
 import numpy as np
+
+from folsub.newton import newton_transforms_nested, sigmas_nested
 
 TWO_PI = 2.0 * np.pi
 
@@ -47,6 +52,23 @@ def eig_elementary_symmetric(A):
         coeffs = np.concatenate([coeffs, [0.0]])
         coeffs[1:] += ev * coeffs[:-1].copy()
     return coeffs
+
+
+def umbilical_main_integrand_nested(n, r, H, ric_nn, ric_zn):
+    """Main-formula integrand at A = H Id, on nested lists of Python floats.
+
+    Mirrors ``newton.umbilical_main_integrand`` term by term, including its
+    ``np.trace`` calls, but takes sigma_k and T_k from the jet path.
+    """
+    A = (H * np.eye(n)).tolist()
+    sig = sigmas_nested(A)
+    sget = lambda k: float(sig[k]) if k <= n else 0.0
+    Ts = [np.array(T, dtype=float) for T in newton_transforms_nested(A, sig)]
+    out = (r + 2) * sget(r + 2)
+    out -= float(np.trace(Ts[r] @ ((ric_nn / n) * np.eye(n))))
+    for j in range(1, r + 1):
+        out -= (-1.0) ** (j - 1) * H ** (j - 1) * float(np.trace(Ts[r - j] @ ((ric_zn / n) * np.eye(n))))
+    return out
 
 
 def loop_integral(fn, k=8192):

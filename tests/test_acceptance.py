@@ -159,7 +159,8 @@ def test_criterion_7_umbilical_reduction():
     assert rep.verdict == "pass"
     assert rep.residual <= 1e-11
     elapsed = time.perf_counter() - t0
-    _report("7 (umbilical reduction)", rep.residual, 1e-11, elapsed)
+    assert elapsed < 1.0
+    _report("7 (umbilical reduction)", rep.residual, 1e-11, elapsed, 1)
 
 
 def test_criterion_8_stack_self_calibration(flat, warped3, warped4, tilted):

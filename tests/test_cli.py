@@ -1,9 +1,12 @@
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from folsub import cli
+from folsub import cli, scenarios
 
 
 def test_config_rejects_unknown_check():
@@ -185,3 +188,23 @@ def test_main_entry_run_with_overrides(tmp_path):
 
 def test_main_entry_bad_check_exits_2(tmp_path):
     assert cli.main(["run", "--scenario", "flat_torus", "--checks", "nope"]) == 2
+
+
+def test_run_catalog_builds_each_scenario_once(tmp_path, monkeypatch):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "run_catalog.py"
+    spec = importlib.util.spec_from_file_location("run_catalog", script)
+    run_catalog = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_catalog)
+
+    built = []
+    real_build = scenarios.build
+
+    def counting_build(name):
+        built.append(name)
+        return real_build(name)
+
+    monkeypatch.setattr(scenarios, "build", counting_build)
+    monkeypatch.setattr(sys, "argv", ["run_catalog.py", "--names", "flat_torus", "--outdir", str(tmp_path)])
+    assert run_catalog.main() == 0
+    assert built == ["flat_torus"]
+    assert json.loads((tmp_path / "flat_torus.json").read_text())["scenario"] == "flat_torus"

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from folsub import newton
-from helpers import eig_elementary_symmetric
+from folsub.jets import mat_mul, mat_trace
+from helpers import eig_elementary_symmetric, umbilical_main_integrand_nested
 
 RNG = np.random.default_rng(11)
 
@@ -16,6 +17,92 @@ RNG = np.random.default_rng(11)
 def random_symmetric(rng, n, size=()):
     A = rng.uniform(-1.0, 1.0, size + (n, n))
     return 0.5 * (A + np.swapaxes(A, -1, -2))
+
+
+def nested(A):
+    n = A.shape[-1]
+    return [[A[..., i, j] for j in range(n)] for i in range(n)]
+
+
+def stacked(values, batch, axis=-1):
+    return np.stack([np.broadcast_to(v, batch) for v in values], axis=axis)
+
+
+def jet_path(A):
+    """Power sums, sigmas, T_0..T_n and trace-identity residuals on nested lists."""
+    A_n, batch, n = nested(A), A.shape[:-2], A.shape[-1]
+    sig_n = newton.sigmas_nested(A_n)
+    sig = stacked(sig_n, batch)
+    Ts_n = newton.newton_transforms_nested(A_n, sig_n)
+    sget = lambda k: sig[..., k] if k <= n else 0.0
+    res = []
+    for r in range(n):
+        AT = mat_mul(A_n, Ts_n[r])
+        res.append(
+            stacked(
+                [
+                    mat_trace(Ts_n[r]) - (n - r) * sget(r),
+                    mat_trace(AT) - (r + 1) * sget(r + 1),
+                    mat_trace(mat_mul(A_n, AT)) - (sget(1) * sget(r + 1) - (r + 2) * sget(r + 2)),
+                ],
+                batch,
+            )
+        )
+    Ts = [stacked([stacked(row, batch) for row in T], batch + (n,), axis=-2) for T in Ts_n]
+    return stacked(newton.power_sums_nested(A_n), batch), sig, Ts, res
+
+
+def ndarray_path(A):
+    n = A.shape[-1]
+    sf = newton.symmetric_functions(A)
+    assert np.array_equal(sf.sigma, newton.sigma_values(A))
+    assert np.array_equal(sf.tau, newton.power_sums(A))
+    Ts = newton.newton_transforms(A)
+    for r in range(n + 1):
+        assert np.array_equal(Ts[r], newton.newton_transform(r, A))
+    return sf.tau, sf.sigma, Ts, [newton.trace_identity_residuals(r, A) for r in range(n)]
+
+
+@pytest.mark.parametrize("batch", [(), (7,), (2, 3)])
+def test_front_ends_equal_jet_path_on_umbilical_operators(batch):
+    rng = np.random.default_rng(17)
+    for n in range(1, 9):
+        H = rng.uniform(-1.5, 1.5, batch)
+        A = np.asarray(H)[..., None, None] * np.eye(n)
+        got, want = ndarray_path(A), jet_path(A)
+        for g, w in zip(got[:2], want[:2]):
+            assert g.shape == w.shape == batch + w.shape[-1:]
+            assert np.array_equal(g, w)
+        for g, w in zip(got[2] + got[3], want[2] + want[3]):
+            assert g.shape == w.shape
+            assert np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("batch", [(), (40,), (2, 3)])
+def test_front_ends_match_jet_path_and_eigenvalues_on_random_operators(batch):
+    for n in range(1, 9):
+        A = random_symmetric(RNG, n, batch)
+        got, want = ndarray_path(A), jet_path(A)
+        # relative to the largest sigma of each operator: Newton's identities
+        # cancel, so single entries can sit far below the terms they come from
+        scale = np.maximum(1.0, np.max(np.abs(want[1]), axis=-1))
+        eig = np.stack([eig_elementary_symmetric(a) for a in A.reshape(-1, n, n)]).reshape(want[1].shape)
+        assert np.all(np.abs(got[1] - want[1]) <= 1e-12 * scale[..., None])
+        assert np.all(np.abs(got[1] - eig) <= 1e-12 * scale[..., None])
+        assert np.all(np.abs(got[0] - want[0]) <= 1e-12 * np.maximum(1.0, np.max(np.abs(want[0]), axis=-1))[..., None])
+        for g, w in zip(got[2], want[2]):
+            assert np.all(np.abs(g - w) <= 1e-12 * scale[..., None, None])
+        for g, w in zip(got[3], want[3]):
+            assert np.all(np.abs(g - w) <= 1e-12 * scale[..., None])
+
+
+def test_umbilical_integrand_equals_nested_reference():
+    rng = np.random.default_rng(23)
+    for n in range(2, 9):
+        for r in range(n):
+            for _ in range(5):
+                H, rn, rz = (float(x) for x in rng.uniform(-1, 1, 3))
+                assert newton.umbilical_main_integrand(n, r, H, rn, rz) == umbilical_main_integrand_nested(n, r, H, rn, rz)
 
 
 def test_sigma_examples():
