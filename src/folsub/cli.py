@@ -5,7 +5,8 @@ are the check names used across the package, so runs diff cleanly in CI.
 Exit status separates three situations: 0 when no check failed (hypothesis
 violations exit 0 with a warning count), 1 when a formula failed on a
 scenario satisfying its hypotheses, and 2 when the run itself could not be
-executed (bad config, construction error).
+executed (bad config, grid, sample count or tolerance, construction error,
+non-finite samples, unwritable output).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -20,7 +22,8 @@ from pathlib import Path
 
 from . import scenarios as scn
 from . import verify
-from .errors import ConstructionError, UnsupportedLeafError
+from .errors import ConstructionError, EvaluationError, UnsupportedLeafError
+from .manifolds import InvariantFrameManifold
 from .verify import VerificationReport
 
 KNOWN_CHECKS = (
@@ -38,6 +41,8 @@ KNOWN_CHECKS = (
 )
 
 DEFAULT_CHECKS = ["divergence-selftest", "reeb", "main:0", "pointwise", "codazzi"]
+
+PROFILE_KEYS = ("const", "cos1", "sin1")
 
 
 class ConfigError(ValueError):
@@ -68,6 +73,19 @@ class RunConfig:
                     raise ConfigError(f"check {name!r} needs an integer order") from None
         if self.format not in ("table", "structured"):
             raise ConfigError(f"unknown report format {self.format!r}")
+        if self.grid is not None and not (
+            isinstance(self.grid, (list, tuple)) and all(_positive(k, int) for k in self.grid)
+        ):
+            raise ConfigError(f"grid {self.grid!r} needs a positive integer node count per axis")
+        if not _positive(self.samples, int):
+            raise ConfigError(f"samples {self.samples!r} must be a positive integer")
+        if self.tolerance is not None and not _positive(self.tolerance, (int, float)):
+            raise ConfigError(f"tolerance {self.tolerance!r} must be a finite number > 0")
+
+
+def _positive(value, kind) -> bool:
+    """``value`` is a finite number of type ``kind`` (bools excluded) and > 0."""
+    return isinstance(value, kind) and not isinstance(value, bool) and 0 < value < math.inf
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -75,11 +93,20 @@ def load_config(path: str | Path) -> RunConfig:
         raw = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
     known = {f.name for f in dataclasses.fields(RunConfig)}
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown config fields: {sorted(unknown)}")
     return RunConfig(**raw)
+
+
+def _profile(spec: dict, key: str, default: dict):
+    coeffs = spec.get(key, default)
+    if not isinstance(coeffs, dict) or not set(coeffs) <= set(PROFILE_KEYS):
+        raise ConfigError(f"profile {key!r} must be an object with keys among {', '.join(PROFILE_KEYS)}")
+    return scn.fourier_profile(**coeffs)
 
 
 def _build_scenario(spec):
@@ -91,8 +118,8 @@ def _build_scenario(spec):
     if kind == "warped_torus":
         return scn.build_warped_torus(
             m=int(spec.get("m", 4)),
-            a=scn.fourier_profile(**spec.get("a", {"const": 2.0, "cos1": 1.0})),
-            b=scn.fourier_profile(**spec.get("b", {"const": 2.0, "sin1": 1.0})),
+            a=_profile(spec, "a", {"const": 2.0, "cos1": 1.0}),
+            b=_profile(spec, "b", {"const": 2.0, "sin1": 1.0}),
             name=spec.get("name"),
         )
     if kind == "tilted_torus":
@@ -137,13 +164,10 @@ def _run_check(scenario, name: str, config: RunConfig) -> list[VerificationRepor
     if base == "umbilical":
         if scenario.n < 2:
             return [
-                VerificationReport(
-                    formula_id="umbilical-reduction",
-                    residual=0.0,
-                    tolerance=verify.ALGEBRAIC_TOL,
-                    verdict="precondition-violation",
-                    admissibility_max=scenario.residuals["admissibility_max"],
-                    grid={"scenario": scenario.name, "reason": "needs leaf dimension >= 2"},
+                verify.make_report(
+                    "umbilical-reduction", 0.0, verify.ALGEBRAIC_TOL, time.perf_counter(), scenario,
+                    preconditions_ok=False,
+                    reason="needs leaf dimension >= 2",
                 )
             ]
         return [verify.verify_umbilical_reduction(samples=200)]
@@ -211,6 +235,9 @@ def run(config: RunConfig, verbose: bool = False, scenario=None) -> tuple[int, l
     try:
         if scenario is None:
             scenario = _build_scenario(config.scenario)
+        chart = not isinstance(scenario.manifold, InvariantFrameManifold)
+        if chart and config.grid is not None and len(config.grid) != scenario.manifold.dim:
+            raise ConfigError(f"grid {config.grid} needs {scenario.manifold.dim} node counts for {scenario.name}")
         for name in config.checks:
             base, _, arg = name.partition(":")
             if base in ("main", "leaf") and arg and not 0 <= int(arg) <= scenario.n - 1:
@@ -221,7 +248,7 @@ def run(config: RunConfig, verbose: bool = False, scenario=None) -> tuple[int, l
                 reports.extend(_run_check(scenario, name, config))
             except UnsupportedLeafError as exc:
                 raise ConfigError(f"check {name!r}: {exc}") from exc
-    except (ConfigError, ConstructionError, KeyError) as exc:
+    except (ConfigError, ConstructionError, EvaluationError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, []
 
@@ -232,8 +259,12 @@ def run(config: RunConfig, verbose: bool = False, scenario=None) -> tuple[int, l
     )
     out = Path(config.output)
     tmp = out.with_suffix(out.suffix + ".tmp")
-    tmp.write_text(text)
-    tmp.replace(out)
+    try:
+        tmp.write_text(text)
+        tmp.replace(out)
+    except OSError as exc:
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return 2, []
 
     if verbose:
         print(emit_table(config, scenario.name, reports), end="")
@@ -316,12 +347,11 @@ def main(argv=None) -> int:
             override["output"] = args.output
         if args.format:
             override["format"] = args.format
-        if args.samples:
+        if args.samples is not None:
             override["samples"] = args.samples
         if override:
             config = dataclasses.replace(config, **override)
-            config.__post_init__()
-    except ConfigError as exc:
+    except ValueError as exc:  # a ConfigError, or a --grid count that is not an integer
         print(f"error: {exc}", file=sys.stderr)
         return 2
     status, _ = run(config, verbose=args.verbose)

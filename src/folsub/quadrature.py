@@ -96,27 +96,37 @@ def leaf_density(manifold, leaf, points) -> np.ndarray:
     return np.sqrt(np.linalg.det(gsub))
 
 
+def integrate_terms(manifold, terms, grid: QuadratureGrid, density=None) -> dict:
+    """Integrals of a dict of point functions, evaluated together per chunk.
+
+    ``terms`` maps an (K, m) block of points to a dict of (K,) sample arrays
+    (or scalars).  The density defaults to sqrt(det g); pass
+    :func:`leaf_density` bound to a leaf for leaf integrals.  Each key's
+    samples are accumulated in grid order and reduced with ``fsum`` for a
+    deterministic, chunking-independent result.  A non-finite sample of any
+    key raises :class:`EvaluationError`.
+    """
+    samples: dict[str, list[float]] = {}
+    for start in range(0, grid.count, CHUNK):
+        pts = grid.nodes[start : start + CHUNK]
+        w = grid.weights[start : start + CHUNK]
+        dens = manifold.volume_density(pts) if density is None else density(pts)
+        for key, vals in terms(pts).items():
+            block = (np.asarray(vals, dtype=float) + np.zeros(pts.shape[0])) * dens * w
+            if not np.all(np.isfinite(block)):
+                bad = pts[~np.isfinite(block)][0]
+                raise EvaluationError(f"non-finite {key} sample at point {bad!r}")
+            samples.setdefault(key, []).extend(block.tolist())
+    return {key: math.fsum(vals) for key, vals in samples.items()}
+
+
 def integrate(manifold, field, grid: QuadratureGrid, density=None) -> float:
     """Integral of a scalar point function against the Riemannian volume.
 
-    ``field`` maps an (K, m) block of points to (K,) sample values.  The
-    density defaults to sqrt(det g); pass :func:`leaf_density` bound to a
-    leaf for leaf integrals.  Samples are accumulated in grid order and
-    reduced with ``fsum`` for a deterministic, chunking-independent result.
+    ``field`` maps an (K, m) block of points to (K,) sample values; this is
+    the single-term form of :func:`integrate_terms`.
     """
-    samples: list[float] = []
-    K = grid.count
-    for start in range(0, K, CHUNK):
-        pts = grid.nodes[start : start + CHUNK]
-        w = grid.weights[start : start + CHUNK]
-        vals = np.asarray(field(pts), dtype=float) + np.zeros(pts.shape[0])
-        dens = manifold.volume_density(pts) if density is None else density(pts)
-        block = vals * dens * w
-        if not np.all(np.isfinite(block)):
-            bad = pts[~np.isfinite(block)][0]
-            raise EvaluationError(f"non-finite integrand sample at point {bad!r}")
-        samples.extend(block.tolist())
-    return math.fsum(samples)
+    return integrate_terms(manifold, lambda pts: {"integrand": field(pts)}, grid, density)["integrand"]
 
 
 def total_volume(manifold, grid: QuadratureGrid) -> float:

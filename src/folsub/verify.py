@@ -3,15 +3,21 @@
 Every check produces a :class:`VerificationReport` carrying the residual,
 the tolerance it was judged against, a verdict, the scenario's measured
 admissibility residual, per-term integrals, grid metadata and wall time.
+All of them are built by :func:`make_report`, which owns the one verdict rule:
 
-Verdict policy: a report passes only if the residual meets tolerance AND the
-scenario satisfies the hypotheses the formula's derivation needs.  Formulas
-whose derivation uses the adapted-frame pointwise identity are gated on the
-admissibility residual; scenarios violating it report "inadmissible" (with
-the residual still recorded) rather than "fail", because a hypothesis
-violation is not a defect.  Missing harmonicity reports
-"precondition-violation".  Diagnostics that are not pass/fail gates report
-"info".
+1. a missing hypothesis (harmonicity, a declared curvature constant, a leaf
+   dimension) reports "precondition-violation";
+2. a formula whose derivation uses the adapted-frame pointwise identity, on a
+   scenario whose admissibility residual exceeds ``ADMISSIBLE_TOL``, reports
+   "inadmissible" with the residual still recorded, because a hypothesis
+   violation is not a defect;
+3. a diagnostic judged against an infinite tolerance reports "info";
+4. otherwise the report passes when ``|residual| <= tolerance`` and every
+   exact identity the check carries holds, and fails when not.
+
+Every integral goes through :func:`quadrature.integrate_terms`, so a
+non-finite sample raises :class:`EvaluationError` instead of turning into a
+"fail" verdict.
 
 Integral tolerances are calibrated per scenario and grid: the divergence
 theorem applied to seeded random smooth fields measures the truncation floor
@@ -33,10 +39,10 @@ from . import jets
 from . import newton
 from .foliation import Geometry
 from .manifolds import InvariantFrameManifold, divergence
-from .quadrature import QuadratureGrid, grid_for, integrate, leaf_density, leaf_grid, refined
+from .quadrature import QuadratureGrid, grid_for, integrate, integrate_terms, leaf_density, leaf_grid, refined
+from .scenarios import ADMISSIBLE_TOL
 
 INTEGRAL_FLOOR = 1e-7
-ADMISSIBLE_TOL = 1e-8
 DIFFERENTIAL_TOL = 1e-8
 FIRST_ORDER_TOL = 1e-9
 ALGEBRAIC_TOL = 1e-11
@@ -62,24 +68,59 @@ class VerificationReport:
         return self.verdict == "fail"
 
 
-def _verdict(residual, tolerance, admissibility_max, requires_admissible, harmonic_ok=True):
-    if not harmonic_ok:
-        return "precondition-violation"
-    if requires_admissible and admissibility_max > ADMISSIBLE_TOL:
-        return "inadmissible"
-    return "pass" if abs(residual) <= tolerance else "fail"
+def make_report(
+    formula_id: str,
+    residual: float,
+    tolerance: float,
+    t0: float,
+    scenario=None,
+    grid: QuadratureGrid | None = None,
+    *,
+    terms: dict | None = None,
+    preconditions_ok: bool = True,
+    requires_admissible: bool = False,
+    exact: bool = True,
+    **meta,
+) -> VerificationReport:
+    """Build a report: verdict, admissibility, grid metadata and wall time.
+
+    ``t0`` is the ``perf_counter`` reading at the start of the check.  The
+    grid metadata holds the scenario name, the node layout of ``grid`` when
+    one was integrated over, and ``meta``.  Without a scenario the check is
+    scenario-independent and its admissibility residual is 0.
+    """
+    admissibility_max = 0.0 if scenario is None else scenario.residuals["admissibility_max"]
+    if not preconditions_ok:
+        verdict = "precondition-violation"
+    elif requires_admissible and admissibility_max > ADMISSIBLE_TOL:
+        verdict = "inadmissible"
+    elif math.isinf(tolerance):
+        verdict = "info"
+    else:
+        verdict = "pass" if abs(residual) <= tolerance and exact else "fail"
+    info = {} if scenario is None else {"scenario": scenario.name}
+    if grid is not None:
+        info.update(axes=list(grid.axes), points=grid.count)
+    info.update(meta)
+    return VerificationReport(
+        formula_id=formula_id,
+        residual=residual,
+        tolerance=tolerance,
+        verdict=verdict,
+        admissibility_max=admissibility_max,
+        grid=info,
+        terms=terms or {},
+        wall_time_s=time.perf_counter() - t0,
+    )
 
 
-def _grid(scenario, axes=None) -> QuadratureGrid:
+def _grid(scenario, grid=None) -> QuadratureGrid:
+    """``grid`` as a quadrature grid: kept as is, built from per-axis counts, or the default."""
+    if isinstance(grid, QuadratureGrid):
+        return grid
     if isinstance(scenario.manifold, InvariantFrameManifold):
         return grid_for(scenario.manifold)
-    return grid_for(scenario.manifold, axes or scenario.default_grid)
-
-
-def _grid_meta(scenario, grid: QuadratureGrid, **extra) -> dict:
-    meta = {"scenario": scenario.name, "axes": list(grid.axes), "points": grid.count}
-    meta.update(extra)
-    return meta
+    return grid_for(scenario.manifold, grid or scenario.default_grid)
 
 
 # -- random smooth test fields ---------------------------------------------------
@@ -176,7 +217,7 @@ def calibrate_tolerance(scenario, grid: QuadratureGrid) -> tuple[float, float]:
 def verify_divergence_theorem(scenario, X_field=None, grid=None, tolerance=None) -> VerificationReport:
     """Self-test: the divergence of a smooth field integrates to zero."""
     t0 = time.perf_counter()
-    grid = grid if isinstance(grid, QuadratureGrid) else _grid(scenario, grid)
+    grid = _grid(scenario, grid)
     if X_field is None:
         residual = divergence_selftest_residual(scenario, grid)
     else:
@@ -184,15 +225,7 @@ def verify_divergence_theorem(scenario, X_field=None, grid=None, tolerance=None)
             integrate(scenario.manifold, lambda pts: divergence(scenario.manifold, X_field, pts), grid)
         )
     tol = tolerance if tolerance is not None else FIRST_ORDER_TOL
-    return VerificationReport(
-        formula_id="divergence-selftest",
-        residual=residual,
-        tolerance=tol,
-        verdict="pass" if residual <= tol else "fail",
-        admissibility_max=scenario.residuals["admissibility_max"],
-        grid=_grid_meta(scenario, grid),
-        wall_time_s=time.perf_counter() - t0,
-    )
+    return make_report("divergence-selftest", residual, tol, t0, scenario, grid)
 
 
 # -- integral formulas ----------------------------------------------------------------
@@ -200,31 +233,23 @@ def verify_divergence_theorem(scenario, X_field=None, grid=None, tolerance=None)
 
 def _main_terms(geom, r: int) -> dict:
     """Pointwise terms of the main integral formula, plus diagnostics."""
-    out = {}
-    out["sigma"] = (r + 2) * geom.sigma_arr(r + 2)
-    MN = geom.rp_matrix(geom.Narr)
+    out = {"sigma": (r + 2) * geom.sigma_arr(r + 2)}
+    # The formula's R^P terms, and the same traces with the Riemann tensor
+    # substituted.  The curvature tensors come before T_r, so the Newton jets
+    # are not held across the curvature evaluation, the peak of memory use.
+    operators = (("", geom.RP), ("_riemannian", geom.Rarr))
     Tr = geom.newton_arr(r)
-    out["normal_curvature"] = np.einsum("...ik,...ki->...", Tr, MN)
-    tz = np.zeros(geom.batch)
-    Aj = geom.Z_leaf_arr
-    for j in range(1, r + 1):
-        Xarr = np.einsum("...i,...im->...m", Aj, geom.E)
-        M = geom.rp_matrix(Xarr)
-        tz = tz + (-1.0) ** (j - 1) * np.einsum("...ik,...ki->...", geom.newton_arr(r - j), M)
-        Aj = np.einsum("...ik,...k->...i", geom.A_arr, Aj)
-    out["z_curvature"] = tz
-
-    MN_R = geom.riemann_matrix(geom.Narr)
-    out["normal_curvature_riemannian"] = np.einsum("...ik,...ki->...", Tr, MN_R)
-    tzr = np.zeros(geom.batch)
-    Aj = geom.Z_leaf_arr
-    for j in range(1, r + 1):
-        Xarr = np.einsum("...i,...im->...m", Aj, geom.E)
-        M = geom.riemann_matrix(Xarr)
-        tzr = tzr + (-1.0) ** (j - 1) * np.einsum("...ik,...ki->...", geom.newton_arr(r - j), M)
-        Aj = np.einsum("...ik,...k->...i", geom.A_arr, Aj)
-    out["z_curvature_riemannian"] = tzr
-
+    for suffix, tensor in operators:
+        out["normal_curvature" + suffix] = np.einsum(
+            "...ik,...ki->...", Tr, geom._operator_matrix(tensor, geom.Narr)
+        )
+        tz = np.zeros(geom.batch)
+        Aj = geom.Z_leaf_arr
+        for j in range(1, r + 1):
+            M = geom._operator_matrix(tensor, np.einsum("...i,...im->...m", Aj, geom.E))
+            tz = tz + (-1.0) ** (j - 1) * np.einsum("...ik,...ki->...", geom.newton_arr(r - j), M)
+            Aj = np.einsum("...ik,...k->...i", geom.A_arr, Aj)
+        out["z_curvature" + suffix] = tz
     TZ = np.einsum("...ij,...j->...i", Tr, geom.Z_leaf_arr)
     TZamb = np.einsum("...i,...im->...m", TZ, geom.E)
     out["trz_hperp"] = np.einsum("...m,...mk,...k->...", TZamb, geom.g_arr, geom.Hperp_arr)
@@ -239,46 +264,29 @@ def _check_r(scenario, r: int):
 
 
 def _integrate_terms(scenario, grid: QuadratureGrid, term_fn, density=None) -> dict:
-    """Integrate a dict of pointwise term arrays in one geometry pass per chunk.
+    """:func:`quadrature.integrate_terms` over the scenario's manifold.
 
-    Samples accumulate in grid order per key and reduce with fsum, so the
-    result is deterministic and independent of the chunk size.
+    Kept under this name and signature because ``perfbench/tracing.py``
+    wraps it to time the reduction.
     """
-    from .quadrature import CHUNK
-
-    man = scenario.manifold
-    samples: dict[str, list[float]] = {}
-    for start in range(0, grid.count, CHUNK):
-        pts = grid.nodes[start : start + CHUNK]
-        w = grid.weights[start : start + CHUNK]
-        dens = man.volume_density(pts) if density is None else density(pts)
-        terms = term_fn(pts)
-        for key, vals in terms.items():
-            block = (np.asarray(vals, dtype=float) + np.zeros(pts.shape[0])) * dens * w
-            samples.setdefault(key, []).extend(block.tolist())
-    return {key: math.fsum(vals) for key, vals in samples.items()}
+    return integrate_terms(scenario.manifold, term_fn, grid, density)
 
 
 def verify_reeb(scenario, grid=None, tolerance=None) -> VerificationReport:
     """Total mean curvature vanishes when the orthogonal distribution is harmonic."""
     t0 = time.perf_counter()
-    grid = grid if isinstance(grid, QuadratureGrid) else _grid(scenario, grid)
+    grid = _grid(scenario, grid)
     tol, floor = (tolerance, None) if tolerance is not None else calibrate_tolerance(scenario, grid)
 
     def fld(pts):
         return Geometry(scenario.fol, pts, order=1).sigma_arr(1)
 
     residual = integrate(scenario.manifold, fld, grid)
-    verdict = _verdict(residual, tol, 0.0, False, harmonic_ok=scenario.flags.harmonic_perp)
-    return VerificationReport(
-        formula_id="reeb",
-        residual=residual,
-        tolerance=tol,
-        verdict=verdict,
-        admissibility_max=scenario.residuals["admissibility_max"],
-        grid=_grid_meta(scenario, grid, selftest_floor=floor),
+    return make_report(
+        "reeb", residual, tol, t0, scenario, grid,
         terms={"sigma1_integral": residual},
-        wall_time_s=time.perf_counter() - t0,
+        preconditions_ok=scenario.flags.harmonic_perp,
+        selftest_floor=floor,
     )
 
 
@@ -286,7 +294,7 @@ def verify_main(scenario, r: int, grid=None, tolerance=None) -> VerificationRepo
     """Closed-manifold integral formula at order r, with per-term integrals."""
     t0 = time.perf_counter()
     _check_r(scenario, r)
-    grid = grid if isinstance(grid, QuadratureGrid) else _grid(scenario, grid)
+    grid = _grid(scenario, grid)
     tol, floor = (tolerance, None) if tolerance is not None else calibrate_tolerance(scenario, grid)
 
     integrals = _integrate_terms(
@@ -298,9 +306,6 @@ def verify_main(scenario, r: int, grid=None, tolerance=None) -> VerificationRepo
         - integrals["normal_curvature_riemannian"]
         - integrals["z_curvature_riemannian"]
     )
-    verdict = _verdict(
-        residual, tol, scenario.residuals["admissibility_max"], True, scenario.flags.harmonic_perp
-    )
     terms = {
         "sigma_term": integrals["sigma"],
         "normal_curvature_term": integrals["normal_curvature"],
@@ -309,15 +314,12 @@ def verify_main(scenario, r: int, grid=None, tolerance=None) -> VerificationRepo
         "trz_hperp_coupling": integrals["trz_hperp"],
         "z_norm_sq_integral": integrals["z_norm_sq"],
     }
-    return VerificationReport(
-        formula_id=f"main:{r}",
-        residual=residual,
-        tolerance=tol,
-        verdict=verdict,
-        admissibility_max=scenario.residuals["admissibility_max"],
-        grid=_grid_meta(scenario, grid, selftest_floor=floor),
+    return make_report(
+        f"main:{r}", residual, tol, t0, scenario, grid,
         terms=terms,
-        wall_time_s=time.perf_counter() - t0,
+        preconditions_ok=scenario.flags.harmonic_perp,
+        requires_admissible=True,
+        selftest_floor=floor,
     )
 
 
@@ -348,23 +350,17 @@ def verify_leaf(scenario, r: int, leaf=None, grid_axes=None, tolerance=None) -> 
         )
 
     residual = integrate(man, fld, lgrid, density=lambda pts: leaf_density(man, lf, pts))
-    verdict = _verdict(
-        residual, tol, scenario.residuals["admissibility_max"], True, scenario.flags.harmonic_perp
-    )
-    return VerificationReport(
-        formula_id=f"leaf:{r}",
-        residual=residual,
-        tolerance=tol,
-        verdict=verdict,
-        admissibility_max=scenario.residuals["admissibility_max"],
-        grid=_grid_meta(scenario, lgrid, leaf=lf.name),
-        wall_time_s=time.perf_counter() - t0,
+    return make_report(
+        f"leaf:{r}", residual, tol, t0, scenario, lgrid,
+        preconditions_ok=scenario.flags.harmonic_perp,
+        requires_admissible=True,
+        leaf=lf.name,
     )
 
 
 def total_mean_curvatures(scenario, grid=None) -> np.ndarray:
     """Integrals of sigma_r over the manifold for r = 0..n."""
-    grid = grid if isinstance(grid, QuadratureGrid) else _grid(scenario, grid)
+    grid = _grid(scenario, grid)
 
     def terms(pts):
         geom = Geometry(scenario.fol, pts, order=1)
@@ -377,7 +373,7 @@ def total_mean_curvatures(scenario, grid=None) -> np.ndarray:
 def verify_closed_form_c(scenario, c: float | None = None, grid=None, tolerance=None) -> VerificationReport:
     """Constant-curvature reduction: recursion and closed form for sigma_r totals."""
     t0 = time.perf_counter()
-    grid = grid if isinstance(grid, QuadratureGrid) else _grid(scenario, grid)
+    grid = _grid(scenario, grid)
     tol, floor = (tolerance, None) if tolerance is not None else calibrate_tolerance(scenario, grid)
     c = scenario.flags.pcurv_c if c is None else c
     precondition_ok = bool(scenario.flags.satisfies_pcurv_c and c is not None and scenario.flags.harmonic_perp)
@@ -396,18 +392,13 @@ def verify_closed_form_c(scenario, c: float | None = None, grid=None, tolerance=
     if n % 2 == 0:
         for r in range(0, n + 1, 2):
             residual = max(residual, abs(S[r] - newton.total_curvature_closed_constant(n, r, c, vol)))
-    verdict = _verdict(
-        residual, tol, scenario.residuals["admissibility_max"], True, harmonic_ok=precondition_ok
-    )
-    return VerificationReport(
-        formula_id="closed-form-c",
-        residual=residual,
-        tolerance=tol,
-        verdict=verdict,
-        admissibility_max=scenario.residuals["admissibility_max"],
-        grid=_grid_meta(scenario, grid, selftest_floor=floor, c=c),
+    return make_report(
+        "closed-form-c", residual, tol, t0, scenario, grid,
         terms={f"total_sigma_{r}": float(S[r]) for r in range(n + 1)},
-        wall_time_s=time.perf_counter() - t0,
+        preconditions_ok=precondition_ok,
+        requires_admissible=True,
+        selftest_floor=floor,
+        c=c,
     )
 
 
@@ -434,16 +425,11 @@ def verify_closed_form_einstein(n: int, C: float, vol: float, tolerance: float =
         for r, Tr in enumerate(newton.newton_transforms(A, sig)):
             want = ((n - r) / n) * float(sig[r]) * np.eye(n)
             residual = max(residual, float(np.max(np.abs(Tr - want))))
-    verdict = "pass" if residual <= tolerance and coeff_exact else "fail"
-    return VerificationReport(
-        formula_id="closed-form-einstein",
-        residual=residual,
-        tolerance=tolerance,
-        verdict=verdict,
-        admissibility_max=0.0,
-        grid={"n": n, "C": C, "vol": vol},
+    return make_report(
+        "closed-form-einstein", residual, tolerance, t0,
         terms={"coefficients_exact": float(coeff_exact)},
-        wall_time_s=time.perf_counter() - t0,
+        exact=coeff_exact,
+        n=n, C=C, vol=vol,
     )
 
 
@@ -471,23 +457,18 @@ def verify_umbilical_reduction(samples: int = 1000, seed: int = 4242, tolerance:
         for n in range(2, 13)
         for r in range(1, n)
     )
-    verdict = "pass" if residual <= tolerance and binomial_ok else "fail"
-    return VerificationReport(
-        formula_id="umbilical-reduction",
-        residual=residual,
-        tolerance=tolerance,
-        verdict=verdict,
-        admissibility_max=0.0,
-        grid={"samples": samples},
+    return make_report(
+        "umbilical-reduction", residual, tolerance, t0,
         terms={"binomial_identity_exact": float(binomial_ok)},
-        wall_time_s=time.perf_counter() - t0,
+        exact=binomial_ok,
+        samples=samples,
     )
 
 
 def sigma2_image_diagnostic(scenario, c: float = 0.0, grid=None) -> VerificationReport:
     """Range of sigma_2 over the grid; diagnostic only, never a gate."""
     t0 = time.perf_counter()
-    grid = grid if isinstance(grid, QuadratureGrid) else _grid(scenario, grid)
+    grid = _grid(scenario, grid)
     geom = Geometry(scenario.fol, grid.nodes, order=2)
     s2 = geom.sigma_arr(2)
     ric = geom.ricci_p(geom.Narr)
@@ -498,16 +479,7 @@ def sigma2_image_diagnostic(scenario, c: float = 0.0, grid=None) -> Verification
         "interval_witnessed": float(np.min(s2) <= 0.0 < c < np.max(s2)),
         "ricci_bound_holds": float(np.min(ric) >= 2.0 * c),
     }
-    return VerificationReport(
-        formula_id="sigma2-image",
-        residual=0.0,
-        tolerance=np.inf,
-        verdict="info",
-        admissibility_max=scenario.residuals["admissibility_max"],
-        grid=_grid_meta(scenario, grid, c=c),
-        terms=terms,
-        wall_time_s=time.perf_counter() - t0,
-    )
+    return make_report("sigma2-image", 0.0, np.inf, t0, scenario, grid, terms=terms, c=c)
 
 
 # -- pointwise identity batteries -------------------------------------------------------
@@ -529,15 +501,7 @@ def check_divergence_split(scenario, samples: int = 50, seed: int = 31, toleranc
     for _ in range(4):
         X = random_distribution_field(scenario.fol, rng)
         residual = max(residual, divx_residual(scenario.fol, X, pts))
-    return VerificationReport(
-        formula_id="div-split",
-        residual=residual,
-        tolerance=tolerance,
-        verdict="pass" if residual <= tolerance else "fail",
-        admissibility_max=scenario.residuals["admissibility_max"],
-        grid={"scenario": scenario.name, "samples": samples},
-        wall_time_s=time.perf_counter() - t0,
-    )
+    return make_report("div-split", residual, tolerance, t0, scenario, samples=samples)
 
 
 def check_leaf_divergence_of_normal(scenario, samples: int = 50, seed: int = 37, tolerance: float = FIRST_ORDER_TOL) -> VerificationReport:
@@ -546,15 +510,7 @@ def check_leaf_divergence_of_normal(scenario, samples: int = 50, seed: int = 37,
     pts = _sample_points(scenario, samples, seed)
     geom = Geometry(scenario.fol, pts, order=1)
     residual = float(np.max(np.abs(geom.div_F(geom.N) + geom.sigma_arr(1))))
-    return VerificationReport(
-        formula_id="leafdiv-normal",
-        residual=residual,
-        tolerance=tolerance,
-        verdict="pass" if residual <= tolerance else "fail",
-        admissibility_max=scenario.residuals["admissibility_max"],
-        grid={"scenario": scenario.name, "samples": samples},
-        wall_time_s=time.perf_counter() - t0,
-    )
+    return make_report("leafdiv-normal", residual, tolerance, t0, scenario, samples=samples)
 
 
 def check_newton_div_agreement(scenario, r: int, samples: int = 50, seed: int = 41, tolerance: float = DIFFERENTIAL_TOL) -> VerificationReport:
@@ -564,15 +520,7 @@ def check_newton_div_agreement(scenario, r: int, samples: int = 50, seed: int = 
     pts = _sample_points(scenario, samples, seed)
     geom = Geometry(scenario.fol, pts, order=2)
     residual = float(np.max(np.abs(geom.div_F_newton_direct(r) - geom.div_F_newton_formula(r))))
-    return VerificationReport(
-        formula_id=f"newton-div:{r}",
-        residual=residual,
-        tolerance=tolerance,
-        verdict="pass" if residual <= tolerance else "fail",
-        admissibility_max=scenario.residuals["admissibility_max"],
-        grid={"scenario": scenario.name, "samples": samples},
-        wall_time_s=time.perf_counter() - t0,
-    )
+    return make_report(f"newton-div:{r}", residual, tolerance, t0, scenario, samples=samples)
 
 
 def check_adapted_identity(scenario, samples: int = 50, seed: int = 43, tolerance: float = DIFFERENTIAL_TOL) -> VerificationReport:
@@ -580,16 +528,7 @@ def check_adapted_identity(scenario, samples: int = 50, seed: int = 43, toleranc
     t0 = time.perf_counter()
     pts = _sample_points(scenario, samples, seed)
     residual = Geometry(scenario.fol, pts, order=2).adapted_identity_residual()
-    verdict = _verdict(residual, tolerance, scenario.residuals["admissibility_max"], True)
-    return VerificationReport(
-        formula_id="adapted-identity",
-        residual=residual,
-        tolerance=tolerance,
-        verdict=verdict,
-        admissibility_max=scenario.residuals["admissibility_max"],
-        grid={"scenario": scenario.name, "samples": samples},
-        wall_time_s=time.perf_counter() - t0,
-    )
+    return make_report("adapted-identity", residual, tolerance, t0, scenario, requires_admissible=True, samples=samples)
 
 
 def check_newton_z_divergence(scenario, r: int, samples: int = 50, seed: int = 47, tolerance: float = DIFFERENTIAL_TOL) -> VerificationReport:
@@ -599,16 +538,7 @@ def check_newton_z_divergence(scenario, r: int, samples: int = 50, seed: int = 4
     pts = _sample_points(scenario, samples, seed)
     geom = Geometry(scenario.fol, pts, order=2)
     residual = float(np.max(np.abs(geom.newton_z_divergence_residual(r))))
-    verdict = _verdict(residual, tolerance, scenario.residuals["admissibility_max"], True)
-    return VerificationReport(
-        formula_id=f"newton-z-div:{r}",
-        residual=residual,
-        tolerance=tolerance,
-        verdict=verdict,
-        admissibility_max=scenario.residuals["admissibility_max"],
-        grid={"scenario": scenario.name, "samples": samples},
-        wall_time_s=time.perf_counter() - t0,
-    )
+    return make_report(f"newton-z-div:{r}", residual, tolerance, t0, scenario, requires_admissible=True, samples=samples)
 
 
 def check_codazzi(scenario, samples: int = 50, seed: int = 53, tolerance: float = DIFFERENTIAL_TOL) -> VerificationReport:
@@ -624,15 +554,7 @@ def check_codazzi(scenario, samples: int = 50, seed: int = 53, tolerance: float 
                 residual,
                 codazzi_residual(scenario.fol, leaf_field(scenario.fol, i), leaf_field(scenario.fol, j), pts),
             )
-    return VerificationReport(
-        formula_id="codazzi",
-        residual=residual,
-        tolerance=tolerance,
-        verdict="pass" if residual <= tolerance else "fail",
-        admissibility_max=scenario.residuals["admissibility_max"],
-        grid={"scenario": scenario.name, "samples": samples},
-        wall_time_s=time.perf_counter() - t0,
-    )
+    return make_report("codazzi", residual, tolerance, t0, scenario, samples=samples)
 
 
 def check_trace_identities(scenario, samples: int = 20, seed: int = 59) -> list[VerificationReport]:
@@ -645,27 +567,15 @@ def check_trace_identities(scenario, samples: int = 20, seed: int = 59) -> list[
     pts = _sample_points(scenario, samples, seed)
     t0 = time.perf_counter()
     alg = max(float(np.max(trace_identities_algebraic(scenario.fol, r, pts))) for r in range(scenario.n))
+    algebraic = make_report("trace-identities:algebraic", alg, ALGEBRAIC_TOL, t0, scenario, samples=samples)
     t1 = time.perf_counter()
     fld = max(float(trace_identities_field(scenario.fol, r, pts)) for r in range(scenario.n))
-    t2 = time.perf_counter()
-    mk = lambda fid, resid, tol, dt: VerificationReport(
-        formula_id=fid,
-        residual=resid,
-        tolerance=tol,
-        verdict="pass" if resid <= tol else "fail",
-        admissibility_max=scenario.residuals["admissibility_max"],
-        grid={"scenario": scenario.name, "samples": samples},
-        wall_time_s=dt,
-    )
-    return [
-        mk("trace-identities:algebraic", alg, ALGEBRAIC_TOL, t1 - t0),
-        mk("trace-identities:field", fld, DIFFERENTIAL_TOL, t2 - t1),
-    ]
+    return [algebraic, make_report("trace-identities:field", fld, DIFFERENTIAL_TOL, t1, scenario, samples=samples)]
 
 
 def convergence_gap(scenario, check, grid=None) -> tuple[float, float]:
     """Residuals of a check on a grid and on its doubled refinement."""
-    grid = grid if isinstance(grid, QuadratureGrid) else _grid(scenario, grid)
+    grid = _grid(scenario, grid)
     fine = refined(scenario.manifold, grid)
     coarse_report = check(grid)
     fine_report = check(fine)

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from folsub import cli, scenarios
+from folsub import cli, scenarios, verify
 
 
 def test_config_rejects_unknown_check():
@@ -208,3 +208,56 @@ def test_run_catalog_builds_each_scenario_once(tmp_path, monkeypatch):
     assert run_catalog.main() == 0
     assert built == ["flat_torus"]
     assert json.loads((tmp_path / "flat_torus.json").read_text())["scenario"] == "flat_torus"
+
+
+def _write_config(tmp_path, payload):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--scenario", "warped_torus_4", "--grid", "4,4"],
+        ["--scenario", "warped_torus_4", "--grid", "4,4,4,0"],
+        ["--scenario", "flat_torus", "--grid", "4,x,4"],
+        ["--scenario", "flat_torus", "--samples", "-3"],
+        ["--scenario", "flat_torus", "--samples", "0"],
+        ["--scenario", "flat_torus", "--tolerance", "-1", "--checks", "reeb"],
+        ["--scenario", "flat_torus", "--tolerance", "nan", "--checks", "reeb"],
+        ["--config", lambda tmp: _write_config(tmp, [])],
+        ["--config", lambda tmp: _write_config(tmp, {"scenario": {"builder": "warped_torus", "a": {"bogus": 1}}})],
+        ["--scenario", "flat_torus", "--checks", "reeb", "--grid", "4,4,4", "--output", lambda tmp: str(tmp / "no" / "r.json")],
+    ],
+    ids=[
+        "grid-too-short",
+        "grid-zero-count",
+        "grid-not-integer",
+        "samples-negative",
+        "samples-zero",
+        "tolerance-negative",
+        "tolerance-nan",
+        "config-not-object",
+        "profile-unknown-key",
+        "output-unwritable",
+    ],
+)
+def test_main_entry_rejects_bad_input_with_exit_2(args, tmp_path, capsys):
+    argv = ["run", "--output", str(tmp_path / "r.json")]
+    argv += [a(tmp_path) if callable(a) else a for a in args]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_run_nonfinite_sample_exits_2(tmp_path, monkeypatch, capsys):
+    real_terms = verify._main_terms
+
+    def poisoned(geom, r):
+        return {**real_terms(geom, r), "sigma": np.full(geom.batch, np.nan)}
+
+    monkeypatch.setattr(verify, "_main_terms", poisoned)
+    argv = ["run", "--scenario", "flat_torus", "--checks", "main:0", "--grid", "4,4,4", "--tolerance", "1e-7"]
+    assert cli.main(argv + ["--output", str(tmp_path / "r.json")]) == 2
+    assert "non-finite sigma sample" in capsys.readouterr().err

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from folsub import quadrature as quad
+from folsub import verify
 from folsub.errors import EvaluationError, UnsupportedLeafError
 from folsub.foliation import Geometry
 from helpers import loop_integral, warp_a, warp_b, warp_da, warp_db
@@ -90,9 +91,16 @@ def test_chunking_does_not_change_the_sum(warped4, monkeypatch):
         return np.sin(pts[..., 3]) + np.cos(pts[..., 0]) * np.sin(pts[..., 2])
 
     full = quad.integrate(warped4.manifold, smooth, grid)
+    main = verify.verify_main(warped4, 1, tolerance=1e-7)
     monkeypatch.setattr(quad, "CHUNK", 100)
     chunked = quad.integrate(warped4.manifold, smooth, grid)
     assert full == chunked  # bitwise, thanks to fsum over grid-ordered samples
+
+    # the dict-valued form: every term of a multi-term integral
+    monkeypatch.setattr(quad, "CHUNK", 500)
+    main_chunked = verify.verify_main(warped4, 1, tolerance=1e-7)
+    assert main_chunked.residual == main.residual
+    assert main_chunked.terms == main.terms
 
 
 def test_leaf_grid_and_density(warped4, heisenberg):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from folsub import verify
-from folsub.errors import UnsupportedLeafError
+from folsub.errors import EvaluationError, UnsupportedLeafError
 from folsub.manifolds import constant_field
 from folsub.quadrature import grid_for
 
@@ -71,6 +71,19 @@ def test_main_warped(warped4, warped3):
 def test_main_r_out_of_range(warped3):
     with pytest.raises(ValueError):
         verify.verify_main(warped3, 1)
+
+
+def test_main_nonfinite_term_raises(flat, monkeypatch):
+    real_terms = verify._main_terms
+
+    def poisoned(geom, r):
+        out = real_terms(geom, r)
+        out["normal_curvature"] = np.where(np.arange(geom.batch[0]) == 5, np.nan, out["normal_curvature"])
+        return out
+
+    monkeypatch.setattr(verify, "_main_terms", poisoned)
+    with pytest.raises(EvaluationError, match="normal_curvature"):
+        verify.verify_main(flat, 0, grid=(4, 4, 4), tolerance=1e-7)
 
 
 def test_main_round_s3_inadmissible(round_s3):
