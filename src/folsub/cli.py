@@ -42,7 +42,21 @@ KNOWN_CHECKS = (
 
 DEFAULT_CHECKS = ["divergence-selftest", "reeb", "main:0", "pointwise", "codazzi"]
 
+# Checks that take an argument after a colon, and its type.
+CHECK_ARGS = {"main": int, "leaf": int, "closed-form-einstein": float, "sigma2-image": float}
+
 PROFILE_KEYS = ("const", "cos1", "sin1")
+
+# Arguments each inline builder accepts besides "builder".
+BUILDER_KEYS = {
+    "warped_torus": ("m", "a", "b", "name"),
+    "tilted_torus": ("theta_amplitude",),
+    "flat_torus": ("m", "n"),
+}
+
+# The flat torus's default grid has 4**m nodes, and every geometry array
+# grows with m**4 per node, so larger inline flat tori are refused.
+FLAT_TORUS_MAX_DIM = 6
 
 
 class ConfigError(ValueError):
@@ -62,15 +76,22 @@ class RunConfig:
     samples: int = 50
 
     def __post_init__(self):
+        if not isinstance(self.checks, list) or not all(isinstance(name, str) for name in self.checks):
+            raise ConfigError(f"checks {self.checks!r} must be a list of check names")
         for name in self.checks:
-            base = name.split(":", 1)[0]
+            base, sep, arg = name.partition(":")
             if base not in KNOWN_CHECKS:
                 raise ConfigError(f"unknown check {name!r}; known: {', '.join(KNOWN_CHECKS)}")
-            if base in ("main", "leaf") and ":" in name:
+            kind = CHECK_ARGS.get(base)
+            if sep and kind is not None:
                 try:
-                    int(name.split(":", 1)[1])
+                    finite = math.isfinite(kind(arg))
                 except ValueError:
-                    raise ConfigError(f"check {name!r} needs an integer order") from None
+                    finite = False
+                if not finite:
+                    raise ConfigError(f"check {name!r} needs {'an integer order' if kind is int else 'a finite number'}")
+        if not isinstance(self.output, str) or not self.output:
+            raise ConfigError(f"output {self.output!r} must be a file path")
         if self.format not in ("table", "structured"):
             raise ConfigError(f"unknown report format {self.format!r}")
         if self.grid is not None and not (
@@ -83,9 +104,14 @@ class RunConfig:
             raise ConfigError(f"tolerance {self.tolerance!r} must be a finite number > 0")
 
 
+def _number(value) -> bool:
+    """``value`` is an int or float (bools excluded) that is a finite float."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+
+
 def _positive(value, kind) -> bool:
-    """``value`` is a finite number of type ``kind`` (bools excluded) and > 0."""
-    return isinstance(value, kind) and not isinstance(value, bool) and 0 < value < math.inf
+    """``value`` is a finite number of type ``kind`` and > 0."""
+    return isinstance(value, kind) and _number(value) and value > 0
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -104,9 +130,17 @@ def load_config(path: str | Path) -> RunConfig:
 
 def _profile(spec: dict, key: str, default: dict):
     coeffs = spec.get(key, default)
-    if not isinstance(coeffs, dict) or not set(coeffs) <= set(PROFILE_KEYS):
-        raise ConfigError(f"profile {key!r} must be an object with keys among {', '.join(PROFILE_KEYS)}")
+    if not isinstance(coeffs, dict) or not set(coeffs) <= set(PROFILE_KEYS) or not all(map(_number, coeffs.values())):
+        raise ConfigError(f"profile {key!r} must map keys among {', '.join(PROFILE_KEYS)} to finite numbers")
     return scn.fourier_profile(**coeffs)
+
+
+def _int_arg(spec: dict, key: str, default: int, limit: int | None = None) -> int:
+    value = spec.get(key, default)
+    if not _positive(value, int) or (limit is not None and value > limit):
+        bound = "" if limit is None else f" <= {limit}"
+        raise ConfigError(f"builder argument {key!r} must be a positive integer{bound}, not {value!r}")
+    return value
 
 
 def _build_scenario(spec):
@@ -115,18 +149,28 @@ def _build_scenario(spec):
     if not isinstance(spec, dict):
         raise ConfigError("scenario must be a name or an inline builder object")
     kind = spec.get("builder")
+    if not isinstance(kind, str) or kind not in BUILDER_KEYS:
+        raise ConfigError(f"unknown inline builder {kind!r}; known: {', '.join(BUILDER_KEYS)}")
+    unknown = set(spec) - {"builder", *BUILDER_KEYS[kind]}
+    if unknown:
+        raise ConfigError(f"unknown {kind} builder arguments: {sorted(unknown)}")
     if kind == "warped_torus":
-        return scn.build_warped_torus(
-            m=int(spec.get("m", 4)),
-            a=_profile(spec, "a", {"const": 2.0, "cos1": 1.0}),
-            b=_profile(spec, "b", {"const": 2.0, "sin1": 1.0}),
-            name=spec.get("name"),
-        )
-    if kind == "tilted_torus":
-        return scn.build_tilted_torus(theta=scn.sine_profile(float(spec.get("theta_amplitude", 0.3))))
-    if kind == "flat_torus":
-        return scn.build_flat_torus(m=int(spec.get("m", 3)), n=int(spec.get("n", 1)))
-    raise ConfigError(f"unknown inline builder {kind!r}")
+        name = spec.get("name")
+        if not isinstance(name, (str, type(None))):
+            raise ConfigError(f"builder argument 'name' must be a string, not {name!r}")
+        a = _profile(spec, "a", {"const": 2.0, "cos1": 1.0})
+        kwargs = dict(m=_int_arg(spec, "m", 4), a=a, b=_profile(spec, "b", {"const": 2.0, "sin1": 1.0}), name=name)
+    elif kind == "tilted_torus":
+        amplitude = spec.get("theta_amplitude", 0.3)
+        if not _number(amplitude):
+            raise ConfigError(f"builder argument 'theta_amplitude' must be a finite number, not {amplitude!r}")
+        kwargs = dict(theta=scn.sine_profile(amplitude))
+    else:
+        kwargs = dict(m=_int_arg(spec, "m", 3, FLAT_TORUS_MAX_DIM), n=_int_arg(spec, "n", 1))
+    try:
+        return getattr(scn, f"build_{kind}")(**kwargs)
+    except ValueError as exc:  # a builder's own range check, e.g. m or n out of range
+        raise ConfigError(f"inline {kind} builder: {exc}") from exc
 
 
 def _run_check(scenario, name: str, config: RunConfig) -> list[VerificationReport]:
@@ -258,11 +302,11 @@ def run(config: RunConfig, verbose: bool = False, scenario=None) -> tuple[int, l
         else emit_table(config, scenario.name, reports)
     )
     out = Path(config.output)
-    tmp = out.with_suffix(out.suffix + ".tmp")
     try:
+        tmp = out.with_suffix(out.suffix + ".tmp")
         tmp.write_text(text)
         tmp.replace(out)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a path with no file name or a NUL byte
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return 2, []
 

@@ -12,6 +12,10 @@ after the ambient covariant derivative.  Its curvature is computed two ways:
   verification pipeline uses.
 
 Both agree to rounding; tests certify the field route is extension-invariant.
+The projector is built as jets from the user's frames (``projector_jets``),
+because Z and the field route differentiate it.  The tensor route stacks
+those jets once into value and gradient arrays and computes nabla P, R and
+R^P as values only, with ``einsum`` over the connection arrays.
 """
 
 from __future__ import annotations
@@ -25,9 +29,9 @@ from . import manifolds
 from .errors import DomainError, FrameError
 from .jets import (
     Jet,
-    d_of,
     mat_vec,
     metric_inner,
+    stack_jets,
     stack_values,
     value_of,
 )
@@ -68,34 +72,23 @@ def projector_jets(dist: DistributionSpec, coords, g=None):
     return P
 
 
-def _frame_gram_residual(dist, coords, g, batch) -> float:
-    vs = dist.frame_D(coords)
-    ws = dist.frame_Dperp(coords)
-    allv = vs + ws
-    worst = 0.0
-    for a, va in enumerate(allv):
-        for b, vb in enumerate(allv):
-            ip = value_of(metric_inner(g, va, vb))
-            target = 1.0 if a == b else 0.0
-            worst = max(worst, float(np.max(np.abs(ip - target))))
-    return worst
+def frame_gram_residual(g_arr: np.ndarray, frames: np.ndarray) -> float:
+    """Largest deviation from the identity of the Gram matrix of ``frames`` (..., r, m)."""
+    gram = np.einsum("...am,...mn,...bn->...ab", frames, g_arr, frames)
+    return float(np.max(np.abs(gram - np.eye(frames.shape[-2]))))
 
 
 def orthoprojector(dist: DistributionSpec, p: Point, check_tol: float = 1e-10) -> np.ndarray:
     """Projector matrix onto D at p.  Raises FrameError on a bad frame."""
     p = np.asarray(p, dtype=float)
+    batch, m = p.shape[:-1], dist.manifold.dim
     coords = dist.manifold.seed(p, order=0)
     g = dist.manifold.metric_jets(coords)
-    resid = _frame_gram_residual(dist, coords, g, p.shape[:-1])
+    frames = stack_jets(dist.frame_D(coords) + dist.frame_Dperp(coords), batch, m, 0)[0]
+    resid = frame_gram_residual(stack_jets(g, batch, m, 0)[0], frames)
     if resid > check_tol:
         raise FrameError(f"distribution frame not orthonormal: residual {resid:.3e}")
-    P = projector_jets(dist, coords, g)
-    m = dist.manifold.dim
-    out = np.empty(p.shape[:-1] + (m, m))
-    for i in range(m):
-        for j in range(m):
-            out[..., i, j] = value_of(P[i][j])
-    return out
+    return stack_jets(projector_jets(dist, coords, g), batch, m, 0)[0]
 
 
 class Projector:
@@ -138,21 +131,16 @@ def _as_field(arg, dist, kind: str):
     return section
 
 
-def _check_in_D(dist, coords, g, comps, tol: float, what: str):
-    ws = dist.frame_Dperp(coords)
-    for w in ws:
-        ip = value_of(metric_inner(g, comps, w))
-        if float(np.max(np.abs(ip))) > tol:
-            raise DomainError(f"{what} is not a section of the distribution (residual {float(np.max(np.abs(ip))):.3e})")
-
-
 def _check_argument_in_D(dist, coords, g, arg, tol: float, what: str):
     if callable(arg):
         comps = arg(coords)
     else:
         raw = np.asarray(arg.components if isinstance(arg, TangentVector) else arg, dtype=float)
         comps = [raw[..., k] for k in range(dist.manifold.dim)]
-    _check_in_D(dist, coords, g, comps, tol, what)
+    for w in dist.frame_Dperp(coords):
+        ip = float(np.max(np.abs(value_of(metric_inner(g, comps, w)))))
+        if ip > tol:
+            raise DomainError(f"{what} is not a section of the distribution (residual {ip:.3e})")
 
 
 def nabla_P(dist: DistributionSpec, X, U, p: Point) -> TangentVector:
@@ -212,10 +200,12 @@ def curvature_P(dist: DistributionSpec, X, Y, V, p: Point) -> TangentVector:
 def curvature_P_tensor(dist: DistributionSpec, coords, g=None, gamma=None, P=None, R=None):
     """Pointwise projected-curvature tensor RP[..., l, k, i, j] as ndarrays.
 
-    Acts on sections of D: (R^P(e_i, e_j)V)^l = RP[l, k, i, j] V^k.
+    Acts on sections of D: (R^P(e_i, e_j)V)^l = RP[l, k, i, j] V^k.  Returns
+    ``(RP, P, DP, R)``: the projector values, DP[..., i, a, b] = (nabla_i P)[a, b]
+    and the Riemann tensor, all values only with the batch axes.  They come
+    from the connection arrays and the projector jets stacked once.
     """
     man = dist.manifold
-    m = man.dim
     if g is None:
         g = man.metric_jets(coords)
     if gamma is None:
@@ -225,30 +215,17 @@ def curvature_P_tensor(dist: DistributionSpec, coords, g=None, gamma=None, P=Non
     if R is None:
         R = manifolds.riemann_jets(man, coords, gamma)
 
-    batch = coords[0].value.shape
-    Parr = np.empty(batch + (m, m))
-    DP = np.empty(batch + (m, m, m))
-    Rarr = np.empty(batch + (m, m, m, m))
-    for a in range(m):
-        for b in range(m):
-            Parr[..., a, b] = value_of(P[a][b])
-    for i in range(m):
-        for a in range(m):
-            for b in range(m):
-                acc = d_of(P[a][b], i)
-                for cc in range(m):
-                    acc = acc + gamma[a][i][cc] * P[cc][b] - gamma[cc][i][b] * P[a][cc]
-                DP[..., i, a, b] = value_of(acc)
-    for l in range(m):
-        for k in range(m):
-            for i in range(m):
-                for j in range(m):
-                    Rarr[..., l, k, i, j] = value_of(R[l][k][i][j])
-
-    PR = np.einsum("...lx,...xkij->...lkij", Parr, Rarr)
-    Q = np.einsum("...ax,...ixy,...jyk->...ijak", Parr, DP, DP)
+    Parr, dP = stack_jets(P, coords[0].value.shape, man.dim, 1)
+    G = gamma.gamma
+    DP = (
+        np.moveaxis(dP, -1, -3)
+        + np.einsum("...aic,...cb->...iab", G, Parr)
+        - np.einsum("...cib,...ac->...iab", G, Parr)
+    )
+    PR = np.einsum("...lx,...xkij->...lkij", Parr, R)
+    Q = np.einsum("...ax,...ixy,...jyk->...ijak", Parr, DP, DP, optimize=True)
     RP = PR + np.moveaxis(Q, (-4, -3), (-2, -1)) - np.moveaxis(np.swapaxes(Q, -4, -3), (-4, -3), (-2, -1))
-    return RP, Parr, DP, Rarr
+    return RP, Parr, DP, np.broadcast_to(R, RP.shape)
 
 
 class MeanCurvaturePerp(NamedTuple):

@@ -32,6 +32,7 @@ from .jets import (
     mat_vec,
     metric_inner,
     sin as jsin,
+    stack_jets,
     stack_values,
     value_of,
 )
@@ -69,9 +70,13 @@ class AdaptedFrame:
 class Geometry:
     """Lazy shared evaluation context at a batch of points.
 
-    Order-1 jets are kept for every field that still gets differentiated
-    (shape operator, symmetric functions, Newton transformations, Z); plain
-    ndarrays are used once a quantity is only ever contracted.
+    Jets are kept for every field that still gets differentiated: the
+    metric, the user's frames, the projector, the shape operator, its
+    symmetric functions and Newton transformations, and Z.  The connection
+    (``gamma``) is computed once, as arrays; ``nabla`` reads its jet view and
+    the curvature tensors (``RP``, ``Rarr``) are values only, contracted from
+    the connection arrays and the stacked projector jets.  Plain ndarrays
+    are used once a quantity is only ever contracted.
     """
 
     def __init__(self, fol: FoliationStructure, points, order: int = 2):
@@ -108,7 +113,7 @@ class Geometry:
 
     @cached_property
     def E(self) -> np.ndarray:
-        return np.stack([stack_values(v, self.batch) for v in self.e], axis=-2)
+        return stack_jets(self.e, self.batch, self.m, 0)[0]
 
     @cached_property
     def Narr(self) -> np.ndarray:
@@ -116,8 +121,7 @@ class Geometry:
 
     @cached_property
     def g_arr(self) -> np.ndarray:
-        rows = [stack_values(row, self.batch) for row in self.g]
-        return np.stack(rows, axis=-2)
+        return stack_jets(self.g, self.batch, self.m, 0)[0]
 
     @cached_property
     def E_low(self) -> np.ndarray:
@@ -135,8 +139,13 @@ class Geometry:
     def leaf_components(self, comps) -> list:
         return [self.inner(comps, ei) for ei in self.e]
 
-    def project_D(self, comps) -> list:
-        return mat_vec(self.P, comps)
+    def leaf_part(self, comps) -> list:
+        """Component jets of the leaf-tangent part of an ambient field."""
+        out = [0.0] * self.m
+        for ei in self.e:
+            coeff = self.inner(comps, ei)
+            out = [out[k] + coeff * ei[k] for k in range(self.m)]
+        return out
 
     def div_F(self, field_comps) -> np.ndarray:
         """Leafwise divergence values of an ambient field given as jets."""
@@ -185,19 +194,12 @@ class Geometry:
 
     @cached_property
     def A_asym(self) -> float:
-        raw = self._A_raw
-        worst = 0.0
-        for i in range(self.n):
-            for j in range(self.n):
-                diff = value_of(raw[i][j] - raw[j][i])
-                worst = max(worst, float(np.max(np.abs(diff))))
-        return worst
+        raw = stack_jets(self._A_raw, self.batch, self.m, 0)[0]
+        return float(np.max(np.abs(raw - np.swapaxes(raw, -1, -2))))
 
     @cached_property
     def A_arr(self) -> np.ndarray:
-        return np.stack(
-            [stack_values(row, self.batch) for row in self.A], axis=-2
-        )
+        return stack_jets(self.A, self.batch, self.m, 0)[0]
 
     @cached_property
     def sigmas(self) -> list:
@@ -214,13 +216,7 @@ class Geometry:
         return newton.newton_transforms_nested(self.A, self.sigmas)
 
     def newton_arr(self, r: int) -> np.ndarray:
-        T = self.newtons[r]
-        n = self.n
-        out = np.empty(self.batch + (n, n))
-        for i in range(n):
-            for j in range(n):
-                out[..., i, j] = value_of(T[i][j])
-        return out
+        return stack_jets(self.newtons[r], self.batch, self.m, 0)[0]
 
     @cached_property
     def Z(self) -> list:
@@ -274,38 +270,34 @@ class Geometry:
                 out[k] = out[k] + M[i][j] * self.e[j][k]
         return out
 
+    def _nabla_F_row(self, M: list, i: int, Xc) -> np.ndarray:
+        """Row i of the leaf-frame matrix of the leafwise covariant derivative of M along X."""
+        dfield = self.nabla(Xc, self.leaf_operator_field(M, i))
+        de = self.nabla(Xc, self.e[i])
+        row = []
+        for j in range(self.n):
+            second = 0.0
+            for k in range(self.n):
+                second = second + self.inner(de, self.e[k]) * M[k][j]
+            row.append(self.inner(dfield, self.e[j]) - second)
+        return stack_values(row, self.batch)
+
     def nabla_F_operator(self, M: list, Xc) -> np.ndarray:
         """Leaf-frame matrix of the leafwise covariant derivative of M along X."""
-        n = self.n
-        out = np.empty(self.batch + (n, n))
-        for i in range(n):
-            field = self.leaf_operator_field(M, i)
-            dfield = self.nabla(Xc, field)
-            de = self.nabla(Xc, self.e[i])
-            for j in range(n):
-                first = self.inner(dfield, self.e[j])
-                second = 0.0
-                for k in range(n):
-                    second = second + self.inner(de, self.e[k]) * M[k][j]
-                out[..., i, j] = value_of(first - second)
-        return out
+        return np.stack([self._nabla_F_row(M, i, Xc) for i in range(self.n)], axis=-2)
 
     def div_F_newton_direct(self, r: int) -> np.ndarray:
         """Leaf covector components of the leafwise divergence of T_r, by jets."""
-        n = self.n
-        T = self.newtons[r]
-        out = np.zeros(self.batch + (n,))
-        for i in range(n):
-            field = self.leaf_operator_field(T, i)
-            dfield = self.nabla(self.e[i], field)
-            de = self.nabla(self.e[i], self.e[i])
-            for j in range(n):
-                first = self.inner(dfield, self.e[j])
-                second = 0.0
-                for k in range(n):
-                    second = second + self.inner(de, self.e[k]) * T[k][j]
-                out[..., j] += value_of(first - second)
-        return out
+        rows = (self._nabla_F_row(self.newtons[r], i, self.e[i]) for i in range(self.n))
+        return sum(rows, np.zeros(self.batch + (self.n,)))
+
+    def off_leaf(self, arr: np.ndarray) -> np.ndarray:
+        """Part of ambient vectors (..., m) orthogonal to the leaf bundle."""
+        return arr - np.einsum("...il,...l,...im->...m", self.E_low, arr, self.E)
+
+    def max_norm(self, arr: np.ndarray) -> float:
+        """Largest metric norm of ambient vectors (..., m) over the points."""
+        return float(np.sqrt(max(np.max(np.einsum("...l,...lk,...k->...", arr, self.g_arr, arr)), 0.0)))
 
     def div_F_newton_formula(self, r: int) -> np.ndarray:
         """Same covector through the inductive curvature-trace formula."""
@@ -334,12 +326,8 @@ class Geometry:
         along N plus the Z rank-one term; exact where the adapted-frame
         hypotheses can be met (vanishing admissibility residual).
         """
-        n = self.n
-        lhs = np.empty(self.batch + (n, n))
         dZ = [self.nabla(ei, self.Z) for ei in self.e]
-        for i in range(n):
-            for j in range(n):
-                lhs[..., i, j] = value_of(self.inner(dZ[i], self.e[j]))
+        lhs = stack_jets([self.leaf_components(dZi) for dZi in dZ], self.batch, self.m, 0)[0]
         A2 = self.A_arr @ self.A_arr
         curv = np.swapaxes(self.rp_matrix(self.Narr), -1, -2)
         dNA = self.nabla_F_operator(self.A, self.N)
@@ -418,10 +406,7 @@ def second_fundamental_form(fol: FoliationStructure, X, Y, p: Point) -> TangentV
     Xc = _leaf_input(fol, geom, X, "X")
     Yc = _leaf_input(fol, geom, Y, "Y")
     w = geom.nabla(Xc, Yc)
-    tang = [0.0] * geom.m
-    for ei in geom.e:
-        coeff = geom.inner(w, ei)
-        tang = [tang[k] + coeff * ei[k] for k in range(geom.m)]
+    tang = geom.leaf_part(w)
     comps = stack_values([w[k] - tang[k] for k in range(geom.m)], geom.batch)
     return TangentVector(comps, p)
 
@@ -430,30 +415,13 @@ def _leaf_input(fol, geom, X, what: str):
     """Accept a leaf field evaluator or a pointwise leaf vector; extend the latter."""
     if callable(X):
         comps = X(geom.coords)
-        resid = _off_leaf_residual(geom, comps)
-        if resid > 1e-9:
-            raise DomainError(f"{what} is not tangent to the leaves (residual {resid:.3e})")
-        return comps
-    raw = np.asarray(X.components if isinstance(X, TangentVector) else X, dtype=float)
-    comps = [raw[..., k] for k in range(geom.m)]
-    resid = _off_leaf_residual(geom, comps)
+    else:
+        raw = np.asarray(X.components if isinstance(X, TangentVector) else X, dtype=float)
+        comps = [raw[..., k] for k in range(geom.m)]
+    resid = geom.max_norm(geom.off_leaf(stack_values(comps, geom.batch)))
     if resid > 1e-9:
         raise DomainError(f"{what} is not tangent to the leaves (residual {resid:.3e})")
-    out = [0.0] * geom.m
-    for ei in geom.e:
-        coeff = geom.inner(comps, ei)
-        out = [out[k] + coeff * ei[k] for k in range(geom.m)]
-    return out
-
-
-def _off_leaf_residual(geom, comps) -> float:
-    arr = stack_values(comps, geom.batch)
-    off = arr.copy()
-    for i in range(geom.n):
-        coeff = np.einsum("...l,...l->...", geom.E_low[..., i, :], arr)
-        off = off - coeff[..., None] * geom.E[..., i, :]
-    nrm = np.einsum("...l,...lk,...k->...", off, geom.g_arr, off)
-    return float(np.sqrt(max(np.max(nrm), 0.0)))
+    return comps if callable(X) else geom.leaf_part(comps)
 
 
 def sigma(fol_or_matrix, r: int = None, p: Point = None):
@@ -549,30 +517,13 @@ def codazzi_classic_residual(fol: FoliationStructure, X, Y, U, p: Point) -> floa
             out = [out[k] - coeff * ei[k] for k in range(geom.m)]
         return out
 
-    def perp_of(warr):
-        tang = np.zeros_like(warr)
-        for i in range(geom.n):
-            coeff = np.einsum("...l,...l->...", geom.E_low[..., i, :], warr)
-            tang = tang + coeff[..., None] * geom.E[..., i, :]
-        return warr - tang
-
     def cov_h(Ac, Bc, Cc):
         # (nabla_A h)(B, C) = perp(nabla_A (h(B,C))) - h(nabla^F_A B, C) - h(B, nabla^F_A C)
         hBC = h_field(Bc, Cc)
         d1 = stack_values(geom.nabla(Ac, hBC), geom.batch)
-        out = perp_of(d1)
-        dB = geom.nabla(Ac, Bc)
-        dB_leaf = [0.0] * geom.m
-        for ei in geom.e:
-            c = geom.inner(dB, ei)
-            dB_leaf = [dB_leaf[k] + c * ei[k] for k in range(geom.m)]
-        dC = geom.nabla(Ac, Cc)
-        dC_leaf = [0.0] * geom.m
-        for ei in geom.e:
-            c = geom.inner(dC, ei)
-            dC_leaf = [dC_leaf[k] + c * ei[k] for k in range(geom.m)]
-        out = out - stack_values(h_field(dB_leaf, Cc), geom.batch)
-        out = out - stack_values(h_field(Bc, dC_leaf), geom.batch)
+        out = geom.off_leaf(d1)
+        out = out - stack_values(h_field(geom.leaf_part(geom.nabla(Ac, Bc)), Cc), geom.batch)
+        out = out - stack_values(h_field(Bc, geom.leaf_part(geom.nabla(Ac, Cc))), geom.batch)
         return out
 
     lhs = cov_h(Xc, Yc, Uc) - cov_h(Yc, Xc, Uc)
@@ -580,9 +531,8 @@ def codazzi_classic_residual(fol: FoliationStructure, X, Y, U, p: Point) -> floa
     Yarr = stack_values(Yc, geom.batch)
     Uarr = stack_values(Uc, geom.batch)
     RXYU = np.einsum("...lkab,...k,...a,...b->...l", geom.Rarr, Uarr, Xarr, Yarr)
-    rhs = perp_of(RXYU)
-    resid = lhs - rhs
-    return float(np.max(np.sqrt(np.einsum("...l,...lk,...k->...", resid, geom.g_arr, resid))))
+    rhs = geom.off_leaf(RXYU)
+    return geom.max_norm(lhs - rhs)
 
 
 def trace_identity_field_residual(fol: FoliationStructure, r: int, X, p: Point) -> float:
@@ -624,15 +574,8 @@ def integrability_residual(fol: FoliationStructure, p: Point) -> float:
     worst = 0.0
     for i in range(geom.n):
         for j in range(i + 1, geom.n):
-            br = mfd.lie_bracket(geom.man, geom.e[i], geom.e[j])
-            brarr = stack_values(br, geom.batch)
-            tang = np.zeros_like(brarr)
-            for k in range(geom.n):
-                coeff = np.einsum("...l,...l->...", geom.E_low[..., k, :], brarr)
-                tang = tang + coeff[..., None] * geom.E[..., k, :]
-            off = brarr - tang
-            nrm = np.sqrt(np.einsum("...l,...lk,...k->...", off, geom.g_arr, off))
-            worst = max(worst, float(np.max(nrm)))
+            br = stack_values(mfd.lie_bracket(geom.man, geom.e[i], geom.e[j]), geom.batch)
+            worst = max(worst, geom.max_norm(geom.off_leaf(br)))
     return worst
 
 

@@ -12,10 +12,18 @@ hess ``(K, m, m)``.  Plain numbers and ndarrays mix freely with jets and are
 treated as constants.  Differentiating a jet drops its order by one; an
 order-0 jet is a bare value.
 
+Jets differentiate what the user writes as closures (the metric and the
+frames) and the fields built from them (the shape operator, Z and the
+Newton transformations).  :func:`stack_jets` is where jets end and arrays
+begin: it turns a nested list of jets into value, gradient and Hessian
+arrays, from which the connection and curvature tensors are contracted.
+:func:`jet_view` goes back, giving those arrays a jet face where jet-valued
+fields need them.
+
 The linear-algebra helpers at the bottom operate on matrices represented as
 nested lists whose entries are any mix of floats, ndarrays and jets, which
-lets the connection and Newton-transformation code carry derivatives through
-jet-valued operator fields.
+lets the shape-operator and Newton-transformation code carry derivatives
+through jet-valued operator fields.
 """
 
 from __future__ import annotations
@@ -198,6 +206,46 @@ def stack_values(comps: Sequence, batch_shape: tuple[int, ...]) -> np.ndarray:
     """Stack component values into an ``(..., k)`` float array."""
     cols = [np.broadcast_to(np.asarray(value_of(c), dtype=float), batch_shape) for c in comps]
     return np.stack(cols, axis=-1)
+
+
+def stack_jets(entries, batch_shape: tuple[int, ...], m: int, order: int) -> list[np.ndarray]:
+    """Value, gradient, ... arrays of a nested list of jets and constants.
+
+    Returns ``order + 1`` arrays: values ``batch + shape``, gradients
+    ``batch + shape + (m,)`` and Hessians ``batch + shape + (m, m)``, where
+    ``shape`` is the nesting shape of ``entries``.  Constants and derivatives
+    an entry does not carry are zero.
+    """
+    shape = []
+    probe = entries
+    while isinstance(probe, (list, tuple)):
+        shape.append(len(probe))
+        probe = probe[0]
+    out = [np.zeros(batch_shape + tuple(shape) + (m,) * k) for k in range(order + 1)]
+    for idx in np.ndindex(*shape):
+        x = entries
+        for i in idx:
+            x = x[i]
+        parts = (x.value, x.grad, x.hess) if isinstance(x, Jet) else (x,)
+        for k, (arr, part) in enumerate(zip(out, parts)):
+            if part is not None:
+                arr[(Ellipsis,) + idx + (slice(None),) * k] = part
+    return out
+
+
+def jet_view(value: np.ndarray, grad: np.ndarray | None, ndim: int) -> list:
+    """Nested lists of jets over the ``ndim`` trailing axes of ``value``; undoes :func:`stack_jets`.
+
+    ``grad`` has one more trailing axis, the derivative direction.  Entries
+    are views of the arrays, so no data is copied.
+    """
+    lead = tuple(range(ndim))
+    v = np.moveaxis(value, tuple(range(-ndim, 0)), lead)
+    gr = None if grad is None else np.moveaxis(grad, tuple(range(-ndim - 1, -1)), lead)
+    out = np.empty(v.shape[:ndim], dtype=object)
+    for idx in np.ndindex(out.shape):
+        out[idx] = Jet(v[idx], None if gr is None else gr[idx])
+    return out.tolist()
 
 
 # -- generic small dense linear algebra over nested lists -------------------

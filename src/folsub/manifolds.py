@@ -13,21 +13,29 @@ Two backends cover the example catalog:
 
 Both expose the same small protocol (``seed``, ``metric_jets``,
 ``gamma_jets``, ``structure_constants``), so the connection, curvature and
-divergence routines below are written once.  Index conventions:
-``gamma[k][i][j]`` multiplies direction i and argument j, and the curvature
-components satisfy ``(R(X, Y)V)^l = R[l][k][i][j] V^k X^i Y^j``.
+divergence routines below are written once.
+
+Jets end at the metric: ``gamma_jets`` stacks the metric jets once into
+value, gradient and Hessian arrays with a batch axis and returns a
+:class:`Connection` holding Christoffel symbols and their derivatives as
+arrays, and ``riemann_jets`` contracts those into the Riemann tensor with
+``einsum``.  Covariant derivatives of jet-valued fields (``nabla``,
+``divergence_jets``) read a jet view of the same arrays.  Index conventions:
+``gamma[..., k, i, j]`` multiplies direction i and argument j, and the
+curvature components satisfy ``(R(X, Y)V)^l = R[..., l, k, i, j] V^k X^i Y^j``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import jets
 from .errors import EvaluationError
-from .jets import Jet, d_of, mat_inverse, stack_values, value_of
+from .jets import Jet, d_of, jet_view, mat_inverse, stack_jets, stack_values, value_of
 
 Point = np.ndarray
 
@@ -38,6 +46,25 @@ class TangentVector:
 
     components: np.ndarray
     base: Point
+
+
+@dataclass(frozen=True)
+class Connection:
+    """Levi-Civita coefficients at a batch of points, as arrays.
+
+    ``gamma[..., k, i, j]`` multiplies direction i and argument j, and
+    ``dgamma[..., k, i, j, a]`` is its derivative in direction a, ``None``
+    when the chart seeds carried no Hessian.  The invariant-frame backend's
+    coefficients are constant: no batch axis, and ``dgamma`` is zero.
+    """
+
+    gamma: np.ndarray
+    dgamma: np.ndarray | None = None
+
+    @cached_property
+    def entries(self) -> list:
+        """Jet view ``entries[k][i][j]`` of the same arrays, for the jet-valued nabla."""
+        return jet_view(self.gamma, self.dgamma, 3)
 
 
 @dataclass(frozen=True)
@@ -80,25 +107,30 @@ class ChartManifold:
     def metric_jets(self, coords):
         return self.metric(coords)
 
-    def gamma_jets(self, coords, g=None):
-        m = self.dim
+    def gamma_jets(self, coords, g=None) -> Connection:
         if g is None:
             g = self.metric(coords)
-        ginv = mat_inverse(g)
-        dg = [[[d_of(g[i][j], k) for k in range(m)] for j in range(m)] for i in range(m)]
-        gamma = []
-        for k in range(m):
-            gk = []
-            for i in range(m):
-                row = []
-                for j in range(m):
-                    acc = 0.0
-                    for l in range(m):
-                        acc = acc + ginv[k][l] * (dg[l][j][i] + dg[l][i][j] - dg[i][j][l])
-                    row.append(acc * 0.5)
-                gk.append(row)
-            gamma.append(gk)
-        return gamma
+        order = min(coords[0].order, 2)
+        if order < 1:
+            raise ValueError("connection coefficients need seeds of order >= 1")
+        batch = coords[0].value.shape
+        gv, dg, *hess = stack_jets(g, batch, self.dim, order)
+        # The inverse metric and, with a Hessian, its gradient come from jets, so both
+        # are bit-identical to a jet evaluation of the whole formula.
+        ginv, *dginv = stack_jets(mat_inverse(jet_view(gv, dg if hess else None, 2)), batch, self.dim, order - 1)
+        # S[l, i, j] = d_i g[l, j] + d_j g[l, i] - d_l g[i, j]; dg[..., p, q, r] = d_r g[p, q]
+        S = np.swapaxes(dg, -1, -2) + dg - np.einsum("...ijl->...lij", dg)
+        gamma = 0.5 * np.einsum("...kl,...lij->...kij", ginv, S)
+        if not hess:
+            return Connection(gamma)
+        H = hess.pop()
+        dS = np.swapaxes(H, -3, -2) + H
+        dS -= np.einsum("...ijla->...lija", H)
+        del H
+        dgamma = np.einsum("...kla,...lij->...kija", dginv[0], S)
+        dgamma += np.einsum("...kl,...lija->...kija", ginv, dS)
+        dgamma *= 0.5
+        return Connection(gamma, dgamma)
 
     def volume_density(self, points) -> np.ndarray:
         coords = self.seed(points, order=0)
@@ -154,14 +186,11 @@ class InvariantFrameManifold:
     def metric_jets(self, coords):
         return jets.mat_identity(self.dim)
 
-    def gamma_jets(self, coords, g=None):
-        m = self.dim
+    def gamma_jets(self, coords, g=None) -> Connection:
         c = self.structure_constants
         # Koszul on an orthonormal invariant frame, indices lowered trivially.
-        return [
-            [[0.5 * (c[k, i, j] - c[i, j, k] + c[j, k, i]) for j in range(m)] for i in range(m)]
-            for k in range(m)
-        ]
+        gamma = 0.5 * (c - np.einsum("ijk->kij", c) + np.einsum("jki->kij", c))
+        return Connection(gamma, np.zeros(gamma.shape + (self.dim,)))
 
     def volume_density(self, points) -> np.ndarray:
         return np.ones(np.asarray(points, dtype=float).shape[:-1])
@@ -173,12 +202,11 @@ Manifold = ChartManifold | InvariantFrameManifold
 # -- connection-level helpers over component lists ---------------------------
 
 
-def nabla_dir(manifold, gamma, comps, i: int):
+def nabla_dir(manifold, gamma: Connection, comps, i: int):
     """Covariant derivative of a vector field in frame direction i."""
     m = manifold.dim
-    return [
-        d_of(comps[k], i) + sum(gamma[k][i][j] * comps[j] for j in range(m)) for k in range(m)
-    ]
+    G = gamma.entries
+    return [d_of(comps[k], i) + sum(G[k][i][j] * comps[j] for j in range(m)) for k in range(m)]
 
 
 def nabla(manifold, gamma, Xc, Wc):
@@ -209,40 +237,21 @@ def lie_bracket(manifold, Xc, Yc):
     return out
 
 
-def riemann_jets(manifold, coords, gamma=None):
-    """Curvature components R[l][k][i][j] at the seeded coordinates."""
-    m = manifold.dim
+def riemann_jets(manifold, coords, gamma: Connection | None = None) -> np.ndarray:
+    """Curvature components R[..., l, k, i, j] from the connection arrays."""
     if gamma is None:
         gamma = manifold.gamma_jets(coords)
-    c = manifold.structure_constants
-    R = []
-    for l in range(m):
-        Rl = []
-        for k in range(m):
-            Rlk = []
-            for i in range(m):
-                row = []
-                for j in range(m):
-                    acc = d_of(gamma[l][j][k], i) - d_of(gamma[l][i][k], j)
-                    for a in range(m):
-                        acc = acc + gamma[a][j][k] * gamma[l][i][a] - gamma[a][i][k] * gamma[l][j][a]
-                        cij = c[a, i, j]
-                        if cij != 0.0:
-                            acc = acc - cij * gamma[l][a][k]
-                    row.append(acc)
-                Rlk.append(row)
-            Rl.append(Rlk)
-        R.append(Rl)
-    return R
+    G, dG = gamma.gamma, gamma.dgamma
+    if dG is None:
+        raise ValueError("the Riemann tensor needs seeds of order 2")
+    # A[l, k, i, j] = d_i gamma[l, j, k] + gamma[a, j, k] gamma[l, i, a]; R antisymmetrizes it in (i, j).
+    A = np.einsum("...ljki->...lkij", dG) + np.einsum("...ajk,...lia->...lkij", G, G)
+    return A - np.swapaxes(A, -1, -2) - np.einsum("aij,...lak->...lkij", manifold.structure_constants, G)
 
 
 def divergence_jets(manifold, coords, gamma, Xc):
     """Full divergence: trace of the covariant derivative of X."""
-    m = manifold.dim
-    acc = 0.0
-    for k in range(m):
-        acc = acc + nabla_dir(manifold, gamma, Xc, k)[k]
-    return acc
+    return sum(nabla_dir(manifold, gamma, Xc, k)[k] for k in range(manifold.dim))
 
 
 def coordinate_field(i: int, m: int):
@@ -260,31 +269,20 @@ def constant_field(comps):
 def metric_at(manifold, p: Point) -> np.ndarray:
     """Metric matrix at p; symmetric positive definite by contract."""
     p = np.asarray(p, dtype=float)
-    coords = manifold.seed(p, order=0)
-    g = manifold.metric_jets(coords)
     m = manifold.dim
-    out = np.empty(p.shape[:-1] + (m, m))
-    for i in range(m):
-        for j in range(m):
-            v = np.asarray(value_of(g[i][j]), dtype=float)
-            if not np.all(np.isfinite(v)):
-                raise EvaluationError(f"metric coefficient g[{i}][{j}] is non-finite at {p!r}")
-            out[..., i, j] = v
-    return out
+    g = stack_jets(manifold.metric_jets(manifold.seed(p, order=0)), p.shape[:-1], m, 0)[0]
+    bad = np.argwhere(~np.isfinite(g.reshape(-1, m, m)).all(axis=0))
+    if bad.size:
+        i, j = bad[0]
+        raise EvaluationError(f"metric coefficient g[{i}][{j}] is non-finite at {p!r}")
+    return g
 
 
 def christoffel(manifold, p: Point) -> np.ndarray:
     """Connection coefficients gamma[k, i, j] at p."""
     p = np.asarray(p, dtype=float)
-    coords = manifold.seed(p, order=1)
-    gamma = manifold.gamma_jets(coords)
-    m = manifold.dim
-    out = np.empty(p.shape[:-1] + (m, m, m))
-    for k in range(m):
-        for i in range(m):
-            for j in range(m):
-                out[..., k, i, j] = value_of(gamma[k][i][j])
-    return out
+    gamma = manifold.gamma_jets(manifold.seed(p, order=1)).gamma
+    return np.broadcast_to(gamma, p.shape[:-1] + gamma.shape[-3:])
 
 
 def covariant_derivative(manifold, X_field, Y_field, p: Point) -> TangentVector:
@@ -299,16 +297,8 @@ def covariant_derivative(manifold, X_field, Y_field, p: Point) -> TangentVector:
 def riemann_tensor(manifold, p: Point) -> np.ndarray:
     """Curvature components R[l, k, i, j] at p."""
     p = np.asarray(p, dtype=float)
-    coords = manifold.seed(p, order=2)
-    R = riemann_jets(manifold, coords)
-    m = manifold.dim
-    out = np.empty(p.shape[:-1] + (m, m, m, m))
-    for l in range(m):
-        for k in range(m):
-            for i in range(m):
-                for j in range(m):
-                    out[..., l, k, i, j] = value_of(R[l][k][i][j])
-    return out
+    R = riemann_jets(manifold, manifold.seed(p, order=2))
+    return np.broadcast_to(R, p.shape[:-1] + R.shape[-4:])
 
 
 def _components(v, p) -> np.ndarray:

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from . import jets
-from .distribution import DistributionSpec, admissibility_residual
+from .distribution import DistributionSpec, admissibility_residual, frame_gram_residual
 from .errors import ConstructionError
 from .foliation import FoliationStructure, Geometry, integrability_residual
 from .manifolds import ChartManifold, InvariantFrameManifold
@@ -134,18 +134,6 @@ def _sample_points(manifold, default_grid, extra_random: int = 32) -> np.ndarray
     return np.concatenate([pts, manifold.random_points(rng, extra_random)], axis=0)
 
 
-def _frame_gram_residual(geom) -> float:
-    frames = [geom.E[..., i, :] for i in range(geom.n)] + [geom.Narr]
-    for xi in geom.xis:
-        frames.append(jets.stack_values(xi, geom.batch))
-    worst = 0.0
-    for a, u in enumerate(frames):
-        for b, v in enumerate(frames):
-            ip = np.einsum("...i,...ij,...j->...", u, geom.g_arr, v)
-            worst = max(worst, float(np.max(np.abs(ip - (1.0 if a == b else 0.0)))))
-    return worst
-
-
 def _curvature_invariance_residual(geom) -> float:
     """Max off-leaf norm of R^P(e_i, e_j)e_k over leaf-frame triples."""
     T = np.einsum("...lkab,...Kk,...Ia,...Jb->...KIJl", geom.RP, geom.E, geom.E, geom.E)
@@ -183,7 +171,9 @@ def measure_scenario(fol: FoliationStructure, points, pcurv_c: float | None) -> 
         np.maximum(np.einsum("...i,...ij,...j->...", geom.Hperp_arr, geom.g_arr, geom.Hperp_arr), 0.0)
     )
     out = {
-        "frame_orthonormality": _frame_gram_residual(geom),
+        "frame_orthonormality": frame_gram_residual(
+            geom.g_arr, jets.stack_jets(geom.e + [geom.N] + geom.xis, geom.batch, geom.m, 0)[0]
+        ),
         "integrability": integrability_residual(fol, points),
         "mean_curvature_perp_max": float(np.max(hperp)),
         "admissibility_max": admissibility_residual(fol.dist, fol, points),

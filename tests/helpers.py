@@ -17,13 +17,14 @@ TWO_PI = 2.0 * np.pi
 
 
 def fd_gradient(f, x, h=1e-6):
+    """Central differences; for an array-valued f the derivative axis comes last."""
     x = np.asarray(x, dtype=float)
-    g = np.zeros_like(x)
+    cols = []
     for i in range(x.size):
         e = np.zeros_like(x)
         e[i] = h
-        g[i] = (f(x + e) - f(x - e)) / (2 * h)
-    return g
+        cols.append((np.asarray(f(x + e)) - np.asarray(f(x - e))) / (2 * h))
+    return np.stack(cols, axis=-1)
 
 
 def fd_hessian(f, x, h=1e-4):

@@ -1,10 +1,15 @@
 import importlib.util
+import io
 import json
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from folsub import cli, scenarios, verify
 
@@ -229,6 +234,11 @@ def _write_config(tmp_path, payload):
         ["--config", lambda tmp: _write_config(tmp, [])],
         ["--config", lambda tmp: _write_config(tmp, {"scenario": {"builder": "warped_torus", "a": {"bogus": 1}}})],
         ["--scenario", "flat_torus", "--checks", "reeb", "--grid", "4,4,4", "--output", lambda tmp: str(tmp / "no" / "r.json")],
+        ["--config", lambda tmp: _write_config(tmp, {"scenario": {"builder": "flat_torus", "n": 5}})],
+        ["--config", lambda tmp: _write_config(tmp, {"scenario": {"builder": "warped_torus", "m": 7}})],
+        ["--config", lambda tmp: _write_config(tmp, {"checks": [1]})],
+        ["--config", lambda tmp: _write_config(tmp, {"scenario": {"builder": "flat_torus", "bogus": 1}})],
+        ["--config", lambda tmp: _write_config(tmp, {"checks": ""})],
     ],
     ids=[
         "grid-too-short",
@@ -241,6 +251,11 @@ def _write_config(tmp_path, payload):
         "config-not-object",
         "profile-unknown-key",
         "output-unwritable",
+        "builder-n-out-of-range",
+        "builder-m-out-of-range",
+        "checks-entry-not-string",
+        "builder-unknown-key",
+        "checks-empty-string",
     ],
 )
 def test_main_entry_rejects_bad_input_with_exit_2(args, tmp_path, capsys):
@@ -261,3 +276,47 @@ def test_run_nonfinite_sample_exits_2(tmp_path, monkeypatch, capsys):
     argv = ["run", "--scenario", "flat_torus", "--checks", "main:0", "--grid", "4,4,4", "--tolerance", "1e-7"]
     assert cli.main(argv + ["--output", str(tmp_path / "r.json")]) == 2
     assert "non-finite sigma sample" in capsys.readouterr().err
+
+
+# Junk of every JSON type; numbers stay small so that a junk value that
+# happens to be valid (a grid count, a sample count, m or n) stays cheap.
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+CHECK_NAMES = [*cli.KNOWN_CHECKS, "main:0", "main:1", "leaf:0", "closed-form-einstein:2", "sigma2-image:x"]
+FUZZED_CONFIG = st.fixed_dictionaries(
+    {
+        "scenario": st.sampled_from(["flat_torus", "heisenberg"])
+        | st.fixed_dictionaries(
+            {"builder": st.just("flat_torus")}, optional={"m": st.integers(3, 4) | JUNK, "n": st.integers(1, 2) | JUNK}
+        )
+        | JUNK,
+        "checks": st.lists(st.sampled_from(CHECK_NAMES), max_size=3) | JUNK,
+        "grid": st.none() | st.lists(st.integers(1, 4), min_size=3, max_size=3) | JUNK,
+        "tolerance": st.none() | st.floats(1e-12, 1.0) | JUNK,
+        # report paths are placeholders resolved inside a temporary directory,
+        # so that no junk string becomes a file in the working directory
+        "output": st.sampled_from(["<tmp>", "<missing-dir>", ""]) | JUNK.filter(lambda v: not isinstance(v, str)),
+        "format": st.sampled_from(["table", "structured"]) | JUNK,
+        "samples": st.integers(1, 8) | JUNK,
+    }
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(FUZZED_CONFIG)
+def test_main_exit_contract_holds_for_fuzzed_configs(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        placeholders = {"<tmp>": str(tmp / "r.json"), "<missing-dir>": str(tmp / "no" / "r.json")}
+        if isinstance(config["output"], str):
+            config["output"] = placeholders.get(config["output"], config["output"])
+        path = tmp / "cfg.json"
+        path.write_text(json.dumps(config))
+        err = io.StringIO()
+        with redirect_stderr(err), redirect_stdout(io.StringIO()):
+            status = cli.main(["run", "--config", str(path)])
+    assert status in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()

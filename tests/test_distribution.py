@@ -151,8 +151,8 @@ def test_curvature_p_antisymmetries(catalog):
         assert np.max(np.abs(r_xy + r_vu)) < 1e-9
 
 
-def test_curvature_p_field_route_matches_tensor_route(warped4, tilted, round_s3):
-    for s in (warped4, tilted, round_s3):
+def test_curvature_p_field_route_matches_tensor_route(catalog):
+    for s in catalog.values():
         man = s.manifold
         p = man.random_points(np.random.default_rng(5))
         coords = man.seed(p, order=2)

@@ -4,7 +4,7 @@ import pytest
 from folsub import jets
 from folsub import manifolds as mfd
 from folsub.errors import EvaluationError, LinearSolveError
-from helpers import warp_a, warp_b, warp_d2a, warp_da, warp_db
+from helpers import fd_gradient, warp_a, warp_b, warp_d2a, warp_da, warp_db
 
 RNG = np.random.default_rng(31)
 
@@ -66,12 +66,57 @@ def test_christoffel_singular_metric_raises():
         mfd.christoffel(bad, np.zeros(2))
 
 
-def test_bi_invariant_connection_is_half_bracket(round_s3):
+def _chart_scenarios(catalog):
+    return [s for s in catalog.values() if isinstance(s.manifold, mfd.ChartManifold)]
+
+
+def test_christoffel_matches_finite_difference_koszul(catalog):
+    # Koszul formula on a finite-difference metric gradient, inverted by numpy
+    for s in _chart_scenarios(catalog):
+        man = s.manifold
+        for p in man.random_points(RNG, 3):
+            ginv = np.linalg.inv(mfd.metric_at(man, p))
+            dg = fd_gradient(lambda x: mfd.metric_at(man, x), p)  # dg[a, b, c] = d_c g[a, b]
+            S = np.einsum("lji->lij", dg) + dg - np.einsum("ijl->lij", dg)
+            want = 0.5 * np.einsum("kl,lij->kij", ginv, S)
+            assert np.max(np.abs(mfd.christoffel(man, p) - want)) < 1e-8, s.name
+
+
+def test_riemann_matches_finite_difference_of_christoffel(catalog):
+    # R[l, k, i, j] = d_i G[l, j, k] - d_j G[l, i, k] + G[a, j, k] G[l, i, a] - G[a, i, k] G[l, j, a]
+    for s in _chart_scenarios(catalog):
+        man = s.manifold
+        for p in man.random_points(RNG, 3):
+            G = mfd.christoffel(man, p)
+            dG = fd_gradient(lambda x: mfd.christoffel(man, x), p)  # dG[k, i, j, a] = d_a G[k, i, j]
+            D = np.einsum("ljki->lkij", dG)
+            GG = np.einsum("ajk,lia->lkij", G, G)
+            want = D - np.swapaxes(D, -1, -2) + GG - np.swapaxes(GG, -1, -2)
+            assert np.max(np.abs(mfd.riemann_tensor(man, p) - want)) < 1e-8, s.name
+
+
+def test_bi_invariant_connection_is_half_bracket(round_s3, heisenberg):
     # Koszul oracle: fully antisymmetric structure constants give 1/2 [e_i, e_j]
     man = round_s3.manifold
     G = mfd.christoffel(man, man.base_point())
     c = man.structure_constants
     assert np.max(np.abs(G - 0.5 * np.einsum("kij->kij", c))) < 1e-15
+
+    # Heisenberg [X, Y] = T is not bi-invariant; hand Koszul values: nabla_X Y = T/2,
+    # nabla_Y X = -T/2, nabla_X T = nabla_T X = -Y/2, nabla_Y T = nabla_T Y = X/2
+    want = np.zeros((3, 3, 3))
+    want[2, 0, 1], want[2, 1, 0] = 0.5, -0.5
+    want[1, 0, 2], want[1, 2, 0] = -0.5, -0.5
+    want[0, 1, 2], want[0, 2, 1] = 0.5, 0.5
+    man = heisenberg.manifold
+    assert np.array_equal(mfd.christoffel(man, man.base_point()), want)
+
+    # torsion-free and metric, the two properties that single out Levi-Civita
+    for s in (round_s3, heisenberg):
+        man = s.manifold
+        G = mfd.christoffel(man, man.base_point())
+        assert np.max(np.abs(G - np.swapaxes(G, -1, -2) - man.structure_constants)) < 1e-15
+        assert np.max(np.abs(G + np.einsum("kij->jik", G))) < 1e-15
 
 
 def test_covariant_derivative_examples(flat, warped4):
