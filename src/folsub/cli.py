@@ -24,6 +24,7 @@ from . import scenarios as scn
 from . import verify
 from .errors import ConstructionError, EvaluationError, UnsupportedLeafError
 from .manifolds import InvariantFrameManifold
+from .quadrature import CHUNK
 from .verify import VerificationReport
 
 KNOWN_CHECKS = (
@@ -57,6 +58,14 @@ BUILDER_KEYS = {
 # The flat torus's default grid has 4**m nodes, and every geometry array
 # grows with m**4 per node, so larger inline flat tori are refused.
 FLAT_TORUS_MAX_DIM = 6
+
+# The pointwise checks evaluate all their samples in one batch, so a run may
+# ask for at most one quadrature chunk of them.
+MAX_SAMPLES = CHUNK
+
+# 32 times the largest grid the convergence gates use (the doubled
+# warped_torus_4 grid, 32768 nodes); the node array alone is built in full.
+MAX_GRID_NODES = 2**20
 
 
 class ConfigError(ValueError):
@@ -98,8 +107,10 @@ class RunConfig:
             isinstance(self.grid, (list, tuple)) and all(_positive(k, int) for k in self.grid)
         ):
             raise ConfigError(f"grid {self.grid!r} needs a positive integer node count per axis")
-        if not _positive(self.samples, int):
-            raise ConfigError(f"samples {self.samples!r} must be a positive integer")
+        if self.grid is not None and math.prod(self.grid) > MAX_GRID_NODES:
+            raise ConfigError(f"grid {self.grid!r} has more than {MAX_GRID_NODES} nodes")
+        if not _positive(self.samples, int) or self.samples > MAX_SAMPLES:
+            raise ConfigError(f"samples {self.samples!r} must be a positive integer <= {MAX_SAMPLES}")
         if self.tolerance is not None and not _positive(self.tolerance, (int, float)):
             raise ConfigError(f"tolerance {self.tolerance!r} must be a finite number > 0")
 
@@ -178,14 +189,8 @@ def _run_check(scenario, name: str, config: RunConfig) -> list[VerificationRepor
     grid = None if config.grid is None else tuple(config.grid)
     tol = config.tolerance
     k = config.samples
-    if base == "reeb":
-        return [verify.verify_reeb(scenario, grid, tol)]
-    if base == "main":
-        return [verify.verify_main(scenario, int(arg or 0), grid, tol)]
     if base == "leaf":
         return [verify.verify_leaf(scenario, int(arg or 0), tolerance=tol)]
-    if base == "divergence-selftest":
-        return [verify.verify_divergence_theorem(scenario, grid=grid, tolerance=tol)]
     if base == "codazzi":
         return [verify.check_codazzi(scenario, samples=k)]
     if base == "trace-identities":
@@ -200,8 +205,6 @@ def _run_check(scenario, name: str, config: RunConfig) -> list[VerificationRepor
             out.append(verify.check_newton_div_agreement(scenario, r, samples=k))
             out.append(verify.check_newton_z_divergence(scenario, r, samples=k))
         return out
-    if base == "closed-form-c":
-        return [verify.verify_closed_form_c(scenario, grid=grid, tolerance=tol)]
     if base == "closed-form-einstein":
         C = float(arg) if arg else 1.0
         return [verify.verify_closed_form_einstein(scenario.n, C, scenario.volume)]
@@ -286,10 +289,20 @@ def run(config: RunConfig, verbose: bool = False, scenario=None) -> tuple[int, l
             base, _, arg = name.partition(":")
             if base in ("main", "leaf") and arg and not 0 <= int(arg) <= scenario.n - 1:
                 raise ConfigError(f"check {name!r}: order outside 0..{scenario.n - 1}")
+        # The grid checks of a run share one calibration and one geometry
+        # pass, made where the first of them comes.
+        grid_checks = [name for name in config.checks if name.partition(":")[0] in verify.GRID_CHECKS]
+        grid_reports = None
         reports = []
         for name in config.checks:
             try:
-                reports.extend(_run_check(scenario, name, config))
+                if name in grid_checks:
+                    if grid_reports is None:
+                        grid = None if config.grid is None else tuple(config.grid)
+                        grid_reports = iter(verify.verify_grid_checks(scenario, grid_checks, grid, config.tolerance))
+                    reports.append(next(grid_reports))
+                else:
+                    reports.extend(_run_check(scenario, name, config))
             except UnsupportedLeafError as exc:
                 raise ConfigError(f"check {name!r}: {exc}") from exc
     except (ConfigError, ConstructionError, EvaluationError, KeyError) as exc:

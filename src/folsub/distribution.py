@@ -12,8 +12,9 @@ after the ambient covariant derivative.  Its curvature is computed two ways:
   verification pipeline uses.
 
 Both agree to rounding; tests certify the field route is extension-invariant.
-The projector is built as jets from the user's frames (``projector_jets``),
-because Z and the field route differentiate it.  The tensor route stacks
+The projector is built as first-order jets from the user's frames
+(``projector_jets``), because Z and the field route differentiate it once
+and nothing differentiates it twice.  The tensor route stacks
 those jets once into value and gradient arrays and computes nabla P, R and
 R^P as values only, with ``einsum`` over the connection arrays.
 """
@@ -33,6 +34,7 @@ from .jets import (
     metric_inner,
     stack_jets,
     stack_values,
+    truncate,
     value_of,
 )
 from .manifolds import Manifold, Point, TangentVector, lie_bracket, nabla
@@ -58,11 +60,17 @@ class DistributionSpec:
 
 
 def projector_jets(dist: DistributionSpec, coords, g=None):
-    """P[i][j] = sum_a v_a^i (g v_a)_j over the D-frame."""
+    """P[i][j] = sum_a v_a^i (g v_a)_j over the D-frame, as jets of order at most 1.
+
+    No consumer reads more than ∂P (every product with the connection
+    truncates to first order), so the frame and metric jets are truncated
+    to order 1 first; the value and gradient are those of the full product.
+    """
     m = dist.manifold.dim
     if g is None:
         g = dist.manifold.metric_jets(coords)
-    vs = dist.frame_D(coords)
+    g = truncate(g, 1)
+    vs = truncate(dist.frame_D(coords), 1)
     P = [[0.0 for _ in range(m)] for _ in range(m)]
     for v in vs:
         low = mat_vec(g, v)

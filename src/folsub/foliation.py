@@ -34,6 +34,7 @@ from .jets import (
     sin as jsin,
     stack_jets,
     stack_values,
+    truncate,
     value_of,
 )
 from .manifolds import Point, TangentVector
@@ -70,13 +71,21 @@ class AdaptedFrame:
 class Geometry:
     """Lazy shared evaluation context at a batch of points.
 
-    Jets are kept for every field that still gets differentiated: the
-    metric, the user's frames, the projector, the shape operator, its
-    symmetric functions and Newton transformations, and Z.  The connection
-    (``gamma``) is computed once, as arrays; ``nabla`` reads its jet view and
-    the curvature tensors (``RP``, ``Rarr``) are values only, contracted from
-    the connection arrays and the stacked projector jets.  Plain ndarrays
-    are used once a quantity is only ever contracted.
+    ``order`` is the derivative order the user's frames are seeded at, and
+    so the order every field built from them carries: ``order=1`` gives
+    values of the shape operator, its symmetric functions and Newton
+    transformations, Z, H-perp and the curvature tensors, which is all the
+    grid integrands (``reeb``, ``main:r``, ``closed-form-c``), the
+    ``sigma2-image`` scan, ``ricci_p`` and the scenario flag measurement
+    read; ``order=2`` adds their first derivatives, for the checks that
+    differentiate A, Z or sigma_r (the pointwise battery, Codazzi, the trace
+    identities and ``leaf:r``).  Values are bit-identical at both orders.
+
+    The metric is always seeded at order 2, because the Riemann tensor in
+    ``RP`` and ``Rarr`` needs ∂Γ.  The connection (``gamma``) is evaluated
+    once, as arrays, and computes ∂Γ only when something reads it; ``nabla``
+    multiplies by Γ truncated to ``order - 1``.  Plain ndarrays are used
+    once a quantity is only ever contracted.
     """
 
     def __init__(self, fol: FoliationStructure, points, order: int = 2):
@@ -87,17 +96,24 @@ class Geometry:
         self.batch = self.points.shape[:-1]
         self.m = self.man.dim
         self.n = fol.n
+        self.order = order
         self.coords = self.man.seed(self.points, order)
 
     # -- primitive fields --------------------------------------------------
 
     @cached_property
+    def _metric(self) -> tuple[list, list]:
+        """Order-2 coordinate seeds and the metric jets on them."""
+        coords = self.coords if self.order == 2 else self.man.seed(self.points, 2)
+        return coords, self.man.metric_jets(coords)
+
+    @cached_property
     def g(self):
-        return self.man.metric_jets(self.coords)
+        return truncate(self._metric[1], self.order)
 
     @cached_property
     def gamma(self):
-        return self.man.gamma_jets(self.coords, self.g)
+        return self.man.gamma_jets(*self._metric)
 
     @cached_property
     def e(self) -> list:
@@ -131,7 +147,7 @@ class Geometry:
     # -- derivative helpers --------------------------------------------------
 
     def nabla(self, Xc, Wc):
-        return mfd.nabla(self.man, self.gamma, Xc, Wc)
+        return mfd.nabla(self.man, self.gamma, Xc, Wc, self.order - 1)
 
     def inner(self, u, v):
         return metric_inner(self.g, u, v)
@@ -436,14 +452,14 @@ def sigma(fol_or_matrix, r: int = None, p: Point = None):
 def ricci_p(fol: FoliationStructure, X, p: Point) -> np.ndarray:
     """Leaf-frame trace of V -> R^P(V, X)N for X in D."""
     p = np.asarray(p, dtype=float)
-    geom = Geometry(fol, p, order=2)
+    geom = Geometry(fol, p, order=1)
     Xarr = _ambient_components(geom, X)
     return geom.ricci_p(Xarr)
 
 
 def rp_operator_matrix(fol: FoliationStructure, X, p: Point) -> np.ndarray:
     p = np.asarray(p, dtype=float)
-    geom = Geometry(fol, p, order=2)
+    geom = Geometry(fol, p, order=1)
     return geom.rp_matrix(_ambient_components(geom, X))
 
 

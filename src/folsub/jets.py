@@ -18,7 +18,8 @@ Newton transformations).  :func:`stack_jets` is where jets end and arrays
 begin: it turns a nested list of jets into value, gradient and Hessian
 arrays, from which the connection and curvature tensors are contracted.
 :func:`jet_view` goes back, giving those arrays a jet face where jet-valued
-fields need them.
+fields need them, and :func:`truncate` cuts jets to the derivative order
+their consumers read.
 
 The linear-algebra helpers at the bottom operate on matrices represented as
 nested lists whose entries are any mix of floats, ndarrays and jets, which
@@ -231,6 +232,20 @@ def stack_jets(entries, batch_shape: tuple[int, ...], m: int, order: int) -> lis
             if part is not None:
                 arr[(Ellipsis,) + idx + (slice(None),) * k] = part
     return out
+
+
+def truncate(entries, order: int):
+    """A nested list of jets and constants with every jet cut to ``order``.
+
+    Truncation drops derivatives and never changes the ones kept, so values
+    and gradients computed from the result are bit-identical to those
+    computed from ``entries``.  The arrays are shared, not copied.
+    """
+    if isinstance(entries, (list, tuple)):
+        return [truncate(x, order) for x in entries]
+    if isinstance(entries, Jet) and entries.order > order:
+        return Jet(entries.value, entries.grad if order >= 1 else None)
+    return entries
 
 
 def jet_view(value: np.ndarray, grad: np.ndarray | None, ndim: int) -> list:

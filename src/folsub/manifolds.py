@@ -17,10 +17,14 @@ divergence routines below are written once.
 
 Jets end at the metric: ``gamma_jets`` stacks the metric jets once into
 value, gradient and Hessian arrays with a batch axis and returns a
-:class:`Connection` holding Christoffel symbols and their derivatives as
-arrays, and ``riemann_jets`` contracts those into the Riemann tensor with
+:class:`Connection` holding the Christoffel symbols as an array; their
+derivatives ∂Γ are contracted from the same stacked arrays the first time
+something reads them, so value-only consumers never form them.
+``riemann_jets`` contracts Γ and ∂Γ into the Riemann tensor with
 ``einsum``.  Covariant derivatives of jet-valued fields (``nabla``,
-``divergence_jets``) read a jet view of the same arrays.  Index conventions:
+``divergence_jets``) read a jet view of the same arrays, truncated to the
+order the caller's fields can use: values only for fields known to first
+order, values and ∂Γ for fields known to second order.  Index conventions:
 ``gamma[..., k, i, j]`` multiplies direction i and argument j, and the
 curvature components satisfy ``(R(X, Y)V)^l = R[..., l, k, i, j] V^k X^i Y^j``.
 """
@@ -48,23 +52,39 @@ class TangentVector:
     base: Point
 
 
-@dataclass(frozen=True)
 class Connection:
     """Levi-Civita coefficients at a batch of points, as arrays.
 
     ``gamma[..., k, i, j]`` multiplies direction i and argument j, and
-    ``dgamma[..., k, i, j, a]`` is its derivative in direction a, ``None``
-    when the chart seeds carried no Hessian.  The invariant-frame backend's
-    coefficients are constant: no batch axis, and ``dgamma`` is zero.
+    ``dgamma[..., k, i, j, a]`` is its derivative in direction a, computed
+    on first use and ``None`` when the chart seeds carried no Hessian.
+    Value-only consumers never read it, so they never pay for it.  The
+    invariant-frame backend's coefficients are constant: no batch axis, and
+    ``dgamma`` is zero.
     """
 
-    gamma: np.ndarray
-    dgamma: np.ndarray | None = None
+    def __init__(self, gamma: np.ndarray, dgamma: np.ndarray | Callable[[], np.ndarray] | None = None):
+        self.gamma = gamma
+        self.order = 0 if dgamma is None else 1
+        self._dgamma = dgamma
+        self._views: dict[int, list] = {}
 
     @cached_property
-    def entries(self) -> list:
-        """Jet view ``entries[k][i][j]`` of the same arrays, for the jet-valued nabla."""
-        return jet_view(self.gamma, self.dgamma, 3)
+    def dgamma(self) -> np.ndarray | None:
+        make = self._dgamma
+        value = make() if callable(make) else make
+        self._dgamma = None  # release the stacked metric arrays the builder holds
+        return value
+
+    def entries(self, order: int = 1) -> list:
+        """Jet view ``entries[k][i][j]`` of Γ truncated to ``order``, for the jet-valued nabla.
+
+        Order 0 holds values only; order 1 (when the connection has it) adds ∂Γ.
+        """
+        order = max(0, min(order, self.order))
+        if order not in self._views:
+            self._views[order] = jet_view(self.gamma, self.dgamma if order else None, 3)
+        return self._views[order]
 
 
 @dataclass(frozen=True)
@@ -116,20 +136,24 @@ class ChartManifold:
         batch = coords[0].value.shape
         gv, dg, *hess = stack_jets(g, batch, self.dim, order)
         # The inverse metric and, with a Hessian, its gradient come from jets, so both
-        # are bit-identical to a jet evaluation of the whole formula.
+        # are bit-identical to a jet evaluation of the whole formula.  One solve gives
+        # both: solving again for the gradient alone would repeat every value operation.
         ginv, *dginv = stack_jets(mat_inverse(jet_view(gv, dg if hess else None, 2)), batch, self.dim, order - 1)
         # S[l, i, j] = d_i g[l, j] + d_j g[l, i] - d_l g[i, j]; dg[..., p, q, r] = d_r g[p, q]
         S = np.swapaxes(dg, -1, -2) + dg - np.einsum("...ijl->...lij", dg)
         gamma = 0.5 * np.einsum("...kl,...lij->...kij", ginv, S)
         if not hess:
             return Connection(gamma)
-        H = hess.pop()
-        dS = np.swapaxes(H, -3, -2) + H
-        dS -= np.einsum("...ijla->...lija", H)
-        del H
-        dgamma = np.einsum("...kla,...lij->...kija", dginv[0], S)
-        dgamma += np.einsum("...kl,...lija->...kija", ginv, dS)
-        dgamma *= 0.5
+
+        def dgamma() -> np.ndarray:
+            H = hess[0]
+            dS = np.swapaxes(H, -3, -2) + H
+            dS -= np.einsum("...ijla->...lija", H)
+            out = np.einsum("...kla,...lij->...kija", dginv[0], S)
+            out += np.einsum("...kl,...lija->...kija", ginv, dS)
+            out *= 0.5
+            return out
+
         return Connection(gamma, dgamma)
 
     def volume_density(self, points) -> np.ndarray:
@@ -202,19 +226,25 @@ Manifold = ChartManifold | InvariantFrameManifold
 # -- connection-level helpers over component lists ---------------------------
 
 
-def nabla_dir(manifold, gamma: Connection, comps, i: int):
-    """Covariant derivative of a vector field in frame direction i."""
+def nabla_dir(manifold, gamma: Connection, comps, i: int, order: int = 1):
+    """Covariant derivative of a vector field in frame direction i, with Γ truncated to ``order``."""
     m = manifold.dim
-    G = gamma.entries
+    G = gamma.entries(order)
     return [d_of(comps[k], i) + sum(G[k][i][j] * comps[j] for j in range(m)) for k in range(m)]
 
 
-def nabla(manifold, gamma, Xc, Wc):
-    """Covariant derivative of the field W along the vector X (components)."""
+def nabla(manifold, gamma, Xc, Wc, order: int = 1):
+    """Covariant derivative of the field W along the vector X (components).
+
+    Γ enters truncated to ``order``: a field known to order k has a
+    covariant derivative known to order k - 1 at most, so a caller that
+    carries its fields to order k passes k - 1 and no ∂Γ is formed for
+    value-only results.
+    """
     m = manifold.dim
     out = [0.0] * m
     for i in range(m):
-        Di = nabla_dir(manifold, gamma, Wc, i)
+        Di = nabla_dir(manifold, gamma, Wc, i, order)
         out = [out[k] + Xc[i] * Di[k] for k in range(m)]
     return out
 
@@ -246,7 +276,11 @@ def riemann_jets(manifold, coords, gamma: Connection | None = None) -> np.ndarra
         raise ValueError("the Riemann tensor needs seeds of order 2")
     # A[l, k, i, j] = d_i gamma[l, j, k] + gamma[a, j, k] gamma[l, i, a]; R antisymmetrizes it in (i, j).
     A = np.einsum("...ljki->...lkij", dG) + np.einsum("...ajk,...lia->...lkij", G, G)
-    return A - np.swapaxes(A, -1, -2) - np.einsum("aij,...lak->...lkij", manifold.structure_constants, G)
+    R = A - np.swapaxes(A, -1, -2)
+    c = manifold.structure_constants
+    if np.any(c):  # a coordinate frame (every chart) has no bracket term
+        R -= np.einsum("aij,...lak->...lkij", c, G)
+    return R
 
 
 def divergence_jets(manifold, coords, gamma, Xc):

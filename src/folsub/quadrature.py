@@ -104,9 +104,10 @@ def integrate_terms(manifold, terms, grid: QuadratureGrid, density=None) -> dict
     :func:`leaf_density` bound to a leaf for leaf integrals.  Each key's
     samples are accumulated in grid order and reduced with ``fsum`` for a
     deterministic, chunking-independent result.  A non-finite sample of any
-    key raises :class:`EvaluationError`.
+    key raises :class:`EvaluationError`; a key may be a ``(check, term)``
+    pair, so that the error names both.
     """
-    samples: dict[str, list[float]] = {}
+    samples: dict[object, list[float]] = {}
     for start in range(0, grid.count, CHUNK):
         pts = grid.nodes[start : start + CHUNK]
         w = grid.weights[start : start + CHUNK]
@@ -115,7 +116,8 @@ def integrate_terms(manifold, terms, grid: QuadratureGrid, density=None) -> dict
             block = (np.asarray(vals, dtype=float) + np.zeros(pts.shape[0])) * dens * w
             if not np.all(np.isfinite(block)):
                 bad = pts[~np.isfinite(block)][0]
-                raise EvaluationError(f"non-finite {key} sample at point {bad!r}")
+                term, where = (key[1], f" of {key[0]}") if isinstance(key, tuple) else (key, "")
+                raise EvaluationError(f"non-finite {term} sample{where} at point {bad!r}")
             samples.setdefault(key, []).extend(block.tolist())
     return {key: math.fsum(vals) for key, vals in samples.items()}
 

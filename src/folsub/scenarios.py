@@ -166,7 +166,7 @@ def _umbilical_residual(geom) -> float:
 
 def measure_scenario(fol: FoliationStructure, points, pcurv_c: float | None) -> dict:
     """Numerically measured residuals behind every scenario flag."""
-    geom = Geometry(fol, points, order=2)
+    geom = Geometry(fol, points, order=1)
     hperp = np.sqrt(
         np.maximum(np.einsum("...i,...ij,...j->...", geom.Hperp_arr, geom.g_arr, geom.Hperp_arr), 0.0)
     )

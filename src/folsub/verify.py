@@ -23,6 +23,18 @@ Integral tolerances are calibrated per scenario and grid: the divergence
 theorem applied to seeded random smooth fields measures the truncation floor
 of the differentiation-plus-quadrature stack, and the tolerance is
 max(1e-7, 10x that floor).
+
+The grid checks of one (scenario, grid), ``divergence-selftest``, ``reeb``,
+``main:r`` and ``closed-form-c``, are built by one function,
+:func:`verify_grid_checks`: it calibrates once, only when a report needs the
+floor, and integrates every requested integrand in one pass with one
+value-only ``Geometry(order=1)`` per chunk.  The CLI calls it once per run;
+``verify_reeb``, ``verify_main``, ``verify_closed_form_c`` and
+``verify_divergence_theorem`` call it for their own check.  The time the
+reports of one call share is charged once, to the first of them, so the
+wall times of a run add up to no more than the run took.  The checks that
+differentiate A, Z or sigma_r (``leaf:r``, the pointwise battery, Codazzi
+and the trace identities) build ``Geometry(order=2)``.
 """
 
 from __future__ import annotations
@@ -38,7 +50,7 @@ import numpy as np
 from . import jets
 from . import newton
 from .foliation import Geometry
-from .manifolds import InvariantFrameManifold, divergence
+from .manifolds import InvariantFrameManifold, divergence, divergence_jets
 from .quadrature import QuadratureGrid, grid_for, integrate, integrate_terms, leaf_density, leaf_grid, refined
 from .scenarios import ADMISSIBLE_TOL
 
@@ -199,14 +211,21 @@ def random_leaf_field(fol, rng: np.random.Generator):
 
 
 def divergence_selftest_residual(scenario, grid: QuadratureGrid, seed: int = 1123, fields: int = 3) -> float:
-    """Worst |integral of Div X| over seeded random smooth fields."""
+    """Worst |integral of Div X| over seeded random smooth fields.
+
+    The fields are integrated together, one key each, so they share the
+    seeds, the connection and the density of every chunk.
+    """
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(fields):
-        X = random_ambient_field(scenario.manifold, rng)
-        val = integrate(scenario.manifold, lambda pts: divergence(scenario.manifold, X, pts), grid)
-        worst = max(worst, abs(val))
-    return worst
+    man = scenario.manifold
+    Xs = [random_ambient_field(man, rng) for _ in range(fields)]
+
+    def terms(pts):
+        coords = man.seed(pts, order=1)
+        gamma = man.gamma_jets(coords)
+        return {f"div_{i}": jets.value_of(divergence_jets(man, coords, gamma, X(coords))) for i, X in enumerate(Xs)}
+
+    return max((abs(val) for val in _integrate_terms(scenario, grid, terms).values()), default=0.0)
 
 
 def calibrate_tolerance(scenario, grid: QuadratureGrid) -> tuple[float, float]:
@@ -215,15 +234,16 @@ def calibrate_tolerance(scenario, grid: QuadratureGrid) -> tuple[float, float]:
 
 
 def verify_divergence_theorem(scenario, X_field=None, grid=None, tolerance=None) -> VerificationReport:
-    """Self-test: the divergence of a smooth field integrates to zero."""
+    """Self-test: the divergence of a smooth field integrates to zero.
+
+    Without ``X_field`` the fields are the calibration's seeded random ones
+    (:func:`verify_grid_checks`).
+    """
+    if X_field is None:
+        return verify_grid_checks(scenario, ["divergence-selftest"], grid, tolerance)[0]
     t0 = time.perf_counter()
     grid = _grid(scenario, grid)
-    if X_field is None:
-        residual = divergence_selftest_residual(scenario, grid)
-    else:
-        residual = abs(
-            integrate(scenario.manifold, lambda pts: divergence(scenario.manifold, X_field, pts), grid)
-        )
+    residual = abs(integrate(scenario.manifold, lambda pts: divergence(scenario.manifold, X_field, pts), grid))
     tol = tolerance if tolerance is not None else FIRST_ORDER_TOL
     return make_report("divergence-selftest", residual, tol, t0, scenario, grid)
 
@@ -274,53 +294,12 @@ def _integrate_terms(scenario, grid: QuadratureGrid, term_fn, density=None) -> d
 
 def verify_reeb(scenario, grid=None, tolerance=None) -> VerificationReport:
     """Total mean curvature vanishes when the orthogonal distribution is harmonic."""
-    t0 = time.perf_counter()
-    grid = _grid(scenario, grid)
-    tol, floor = (tolerance, None) if tolerance is not None else calibrate_tolerance(scenario, grid)
-
-    def fld(pts):
-        return Geometry(scenario.fol, pts, order=1).sigma_arr(1)
-
-    residual = integrate(scenario.manifold, fld, grid)
-    return make_report(
-        "reeb", residual, tol, t0, scenario, grid,
-        terms={"sigma1_integral": residual},
-        preconditions_ok=scenario.flags.harmonic_perp,
-        selftest_floor=floor,
-    )
+    return verify_grid_checks(scenario, ["reeb"], grid, tolerance)[0]
 
 
 def verify_main(scenario, r: int, grid=None, tolerance=None) -> VerificationReport:
     """Closed-manifold integral formula at order r, with per-term integrals."""
-    t0 = time.perf_counter()
-    _check_r(scenario, r)
-    grid = _grid(scenario, grid)
-    tol, floor = (tolerance, None) if tolerance is not None else calibrate_tolerance(scenario, grid)
-
-    integrals = _integrate_terms(
-        scenario, grid, lambda pts: _main_terms(Geometry(scenario.fol, pts, order=2), r)
-    )
-    residual = integrals["sigma"] - integrals["normal_curvature"] - integrals["z_curvature"]
-    riemannian = (
-        integrals["sigma"]
-        - integrals["normal_curvature_riemannian"]
-        - integrals["z_curvature_riemannian"]
-    )
-    terms = {
-        "sigma_term": integrals["sigma"],
-        "normal_curvature_term": integrals["normal_curvature"],
-        "z_curvature_term": integrals["z_curvature"],
-        "riemannian_substituted_residual": riemannian,
-        "trz_hperp_coupling": integrals["trz_hperp"],
-        "z_norm_sq_integral": integrals["z_norm_sq"],
-    }
-    return make_report(
-        f"main:{r}", residual, tol, t0, scenario, grid,
-        terms=terms,
-        preconditions_ok=scenario.flags.harmonic_perp,
-        requires_admissible=True,
-        selftest_floor=floor,
-    )
+    return verify_grid_checks(scenario, [f"main:{r}"], grid, tolerance)[0]
 
 
 def verify_leaf(scenario, r: int, leaf=None, grid_axes=None, tolerance=None) -> VerificationReport:
@@ -358,31 +337,118 @@ def verify_leaf(scenario, r: int, leaf=None, grid_axes=None, tolerance=None) -> 
     )
 
 
-def total_mean_curvatures(scenario, grid=None) -> np.ndarray:
-    """Integrals of sigma_r over the manifold for r = 0..n."""
+def verify_closed_form_c(scenario, c: float | None = None, grid=None, tolerance=None) -> VerificationReport:
+    """Constant-curvature reduction: recursion and closed form for sigma_r totals."""
+    return verify_grid_checks(scenario, ["closed-form-c"], grid, tolerance, c)[0]
+
+
+# -- one pass over a grid for every integral formula ------------------------------------
+
+GRID_CHECKS = ("divergence-selftest", "reeb", "main", "closed-form-c")
+
+
+def verify_grid_checks(scenario, checks, grid=None, tolerance=None, c: float | None = None) -> list[VerificationReport]:
+    """Reports of the grid checks ``checks`` on one (scenario, grid), from one pass.
+
+    ``checks`` lists names among ``GRID_CHECKS`` ("main:r", or "main" for
+    r = 0), in any order; one report comes back per entry, in that order.
+    The grid is calibrated once, and only when a report needs the floor:
+    the ``divergence-selftest`` residual is that floor.  Then one
+    ``integrate_terms`` pass, with one ``Geometry(order=1)`` per chunk,
+    emits only the requested integrands: sigma_1 for ``reeb``; sigma_0..
+    sigma_n and the volume for ``closed-form-c``; the main-formula terms
+    for each requested r.  ``c`` overrides the scenario's curvature
+    constant for ``closed-form-c``.
+
+    The time the reports share, calibration and the grid pass, is charged
+    once, to the first report; each later report's ``wall_time_s`` covers
+    only its own assembly.  So the wall times of a run never add up to more
+    than the run took.
+    """
+    t0 = time.perf_counter()
+    parsed = [name.partition(":")[::2] for name in checks]
+    for base, _ in parsed:
+        if base not in GRID_CHECKS:
+            raise ValueError(f"{base!r} is not a grid check; known: {', '.join(GRID_CHECKS)}")
+    bases = {base for base, _ in parsed}
+    orders = sorted({int(arg or 0) for base, arg in parsed if base == "main"})
+    for r in orders:
+        _check_r(scenario, r)
     grid = _grid(scenario, grid)
+
+    tol, floor = tolerance, None
+    if "divergence-selftest" in bases or (tolerance is None and bases - {"divergence-selftest"}):
+        tol, floor = calibrate_tolerance(scenario, grid)
+        if tolerance is not None:
+            tol = tolerance
+    selftest_floor = floor if tolerance is None else None
+    sigmas = set()
+    if "reeb" in bases:
+        sigmas.add(1)
+    if "closed-form-c" in bases:
+        sigmas.update(range(scenario.n + 1))
 
     def terms(pts):
         geom = Geometry(scenario.fol, pts, order=1)
-        return {str(r): geom.sigma_arr(r) for r in range(scenario.n + 1)}
+        out = {f"sigma_{k}": geom.sigma_arr(k) for k in sorted(sigmas)}
+        if "closed-form-c" in bases:
+            out["volume"] = np.ones(pts.shape[0])
+        for r in orders:
+            out.update({(f"main:{r}", key): vals for key, vals in _main_terms(geom, r).items()})
+        return out
 
-    integrals = _integrate_terms(scenario, grid, terms)
-    return np.array([integrals[str(r)] for r in range(scenario.n + 1)])
+    integrals = _integrate_terms(scenario, grid, terms) if sigmas or orders else {}
+    reports = []
+    for base, arg in parsed:
+        if base == "divergence-selftest":
+            selftest_tol = FIRST_ORDER_TOL if tolerance is None else tolerance
+            rep = make_report("divergence-selftest", floor, selftest_tol, t0, scenario, grid)
+        elif base == "reeb":
+            rep = make_report(
+                "reeb", integrals["sigma_1"], tol, t0, scenario, grid,
+                terms={"sigma1_integral": integrals["sigma_1"]},
+                preconditions_ok=scenario.flags.harmonic_perp,
+                selftest_floor=selftest_floor,
+            )
+        elif base == "main":
+            rep = _main_report(scenario, grid, int(arg or 0), integrals, tol, t0, selftest_floor)
+        else:
+            rep = _closed_form_c_report(scenario, grid, integrals, c, tol, t0, selftest_floor)
+        reports.append(rep)
+        t0 = time.perf_counter()
+    return reports
 
 
-def verify_closed_form_c(scenario, c: float | None = None, grid=None, tolerance=None) -> VerificationReport:
-    """Constant-curvature reduction: recursion and closed form for sigma_r totals."""
-    t0 = time.perf_counter()
-    grid = _grid(scenario, grid)
-    tol, floor = (tolerance, None) if tolerance is not None else calibrate_tolerance(scenario, grid)
+def _main_report(scenario, grid, r: int, integrals: dict, tol: float, t0: float, selftest_floor) -> VerificationReport:
+    term = lambda key: integrals[(f"main:{r}", key)]
+    residual = term("sigma") - term("normal_curvature") - term("z_curvature")
+    riemannian = term("sigma") - term("normal_curvature_riemannian") - term("z_curvature_riemannian")
+    terms = {
+        "sigma_term": term("sigma"),
+        "normal_curvature_term": term("normal_curvature"),
+        "z_curvature_term": term("z_curvature"),
+        "riemannian_substituted_residual": riemannian,
+        "trz_hperp_coupling": term("trz_hperp"),
+        "z_norm_sq_integral": term("z_norm_sq"),
+    }
+    return make_report(
+        f"main:{r}", residual, tol, t0, scenario, grid,
+        terms=terms,
+        preconditions_ok=scenario.flags.harmonic_perp,
+        requires_admissible=True,
+        selftest_floor=selftest_floor,
+    )
+
+
+def _closed_form_c_report(scenario, grid, integrals: dict, c, tol: float, t0: float, selftest_floor) -> VerificationReport:
     c = scenario.flags.pcurv_c if c is None else c
     precondition_ok = bool(scenario.flags.satisfies_pcurv_c and c is not None and scenario.flags.harmonic_perp)
     if c is None:
         c = 0.0
 
     n = scenario.n
-    S = total_mean_curvatures(scenario, grid)
-    vol = integrate(scenario.manifold, lambda pts: np.ones(pts.shape[0]), grid)
+    S = np.array([integrals[f"sigma_{r}"] for r in range(n + 1)])
+    vol = integrals["volume"]
     Sget = lambda k: S[k] if k <= n else 0.0
     residual = 0.0
     for r in range(0, n):
@@ -397,7 +463,7 @@ def verify_closed_form_c(scenario, c: float | None = None, grid=None, tolerance=
         terms={f"total_sigma_{r}": float(S[r]) for r in range(n + 1)},
         preconditions_ok=precondition_ok,
         requires_admissible=True,
-        selftest_floor=floor,
+        selftest_floor=selftest_floor,
         c=c,
     )
 
@@ -469,7 +535,7 @@ def sigma2_image_diagnostic(scenario, c: float = 0.0, grid=None) -> Verification
     """Range of sigma_2 over the grid; diagnostic only, never a gate."""
     t0 = time.perf_counter()
     grid = _grid(scenario, grid)
-    geom = Geometry(scenario.fol, grid.nodes, order=2)
+    geom = Geometry(scenario.fol, grid.nodes, order=1)
     s2 = geom.sigma_arr(2)
     ric = geom.ricci_p(geom.Narr)
     terms = {

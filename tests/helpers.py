@@ -4,9 +4,10 @@ Everything here deliberately avoids the jet/connection machinery under test:
 finite differences for derivatives, eigenvalue brute force for symmetric
 functions, dense one-dimensional quadrature for reduced integrals, and
 hand-derived closed forms for the warped and tilted example metrics.  The
-one exception is the umbilical integrand reference, which runs the
-nested-list Newton path so the batched ndarray path can be held to it
-bit for bit.
+two exceptions are references that other code is held to bit for bit: the
+umbilical integrand, which runs the nested-list Newton path for the batched
+ndarray path, and the projector jets at the seeds' full derivative order,
+for the first-order ``distribution.projector_jets``.
 """
 
 import numpy as np
@@ -70,6 +71,18 @@ def umbilical_main_integrand_nested(n, r, H, ric_nn, ric_zn):
     for j in range(1, r + 1):
         out -= (-1.0) ** (j - 1) * H ** (j - 1) * float(np.trace(Ts[r - j] @ ((ric_zn / n) * np.eye(n))))
     return out
+
+
+def projector_jets_full_order(dist, coords, g):
+    """P[i][j] = sum_a v_a^i (g v_a)_j over the D-frame, with no truncation."""
+    m = dist.manifold.dim
+    P = [[0.0 for _ in range(m)] for _ in range(m)]
+    for v in dist.frame_D(coords):
+        low = [sum(g[i][j] * v[j] for j in range(m)) for i in range(m)]
+        for i in range(m):
+            for j in range(m):
+                P[i][j] = P[i][j] + v[i] * low[j]
+    return P
 
 
 def loop_integral(fn, k=8192):

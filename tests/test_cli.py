@@ -3,6 +3,7 @@ import io
 import json
 import sys
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -239,6 +240,9 @@ def _write_config(tmp_path, payload):
         ["--config", lambda tmp: _write_config(tmp, {"checks": [1]})],
         ["--config", lambda tmp: _write_config(tmp, {"scenario": {"builder": "flat_torus", "bogus": 1}})],
         ["--config", lambda tmp: _write_config(tmp, {"checks": ""})],
+        ["--scenario", "flat_torus", "--samples", "4097"],
+        ["--scenario", "flat_torus", "--samples", "1000000000000000"],
+        ["--scenario", "warped_torus_4", "--grid", "1024,1024,1024,1024"],
     ],
     ids=[
         "grid-too-short",
@@ -256,6 +260,9 @@ def _write_config(tmp_path, payload):
         "checks-entry-not-string",
         "builder-unknown-key",
         "checks-empty-string",
+        "samples-over-one-chunk",
+        "samples-huge",
+        "grid-over-node-limit",
     ],
 )
 def test_main_entry_rejects_bad_input_with_exit_2(args, tmp_path, capsys):
@@ -320,3 +327,44 @@ def test_main_exit_contract_holds_for_fuzzed_configs(config):
             status = cli.main(["run", "--config", str(path)])
     assert status in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "scenario_name, checks",
+    [
+        ("warped_torus_4", ["divergence-selftest", "reeb", "main:0", "main:1"]),
+        ("flat_torus", ["reeb", "main:0", "closed-form-c"]),
+    ],
+)
+def test_run_shares_one_calibration_and_one_geometry_per_chunk(scenario_name, checks, tmp_path, monkeypatch):
+    from folsub import foliation, quadrature
+
+    scenario = scenarios.build(scenario_name)
+    monkeypatch.setattr(quadrature, "CHUNK", 512)  # several chunks on the warped grid
+    counts = {"calibrate": 0, "geometry": 0}
+    real_calibrate, real_init = verify.calibrate_tolerance, foliation.Geometry.__init__
+
+    def counting_calibrate(*args):
+        counts["calibrate"] += 1
+        return real_calibrate(*args)
+
+    def counting_init(self, *args, **kwargs):
+        counts["geometry"] += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "calibrate_tolerance", counting_calibrate)
+    monkeypatch.setattr(foliation.Geometry, "__init__", counting_init)
+    config = cli.RunConfig(scenario=scenario_name, checks=checks, output=str(tmp_path / "r.json"))
+    status, reports = cli.run(config, scenario=scenario)
+    assert status == 0 and [r.formula_id for r in reports] == checks
+    chunks = -(-quadrature.grid_for(scenario.manifold, scenario.default_grid).count // 512)
+    assert counts == {"calibrate": 1, "geometry": chunks}
+
+
+def test_run_wall_times_add_up_to_at_most_the_run(warped4, tmp_path):
+    checks = ["divergence-selftest", "reeb", "pointwise", "main:0", "main:1", "closed-form-c", "sigma2-image"]
+    config = cli.RunConfig(scenario="warped_torus_4", checks=checks, output=str(tmp_path / "r.json"), samples=5)
+    t0 = time.perf_counter()
+    _, reports = cli.run(config, scenario=warped4)
+    elapsed = time.perf_counter() - t0
+    assert sum(r.wall_time_s for r in reports) <= elapsed

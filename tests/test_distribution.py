@@ -5,7 +5,7 @@ from folsub import distribution as dst
 from folsub import jets
 from folsub.errors import DomainError, FrameError
 from folsub.manifolds import ChartManifold, constant_field
-from helpers import warp_a, warp_da
+from helpers import projector_jets_full_order, warp_a, warp_da
 
 RNG = np.random.default_rng(47)
 
@@ -34,6 +34,20 @@ def test_projector_invariants_on_catalog(catalog):
         assert np.max(np.abs(PG - np.swapaxes(PG, -1, -2))) <= 1e-12
         comp = dst.Projector(s.dist).complement(pts)
         assert np.max(np.abs(P + comp - np.eye(s.manifold.dim))) == 0.0
+
+
+def test_projector_jets_match_full_order_product(catalog):
+    for s in catalog.values():
+        man = s.manifold
+        pts = man.random_points(np.random.default_rng(12), 40)
+        coords = man.seed(pts, order=2)
+        g = man.metric_jets(coords)
+        got = dst.projector_jets(s.dist, coords, g)
+        want = projector_jets_full_order(s.dist, coords, g)
+        assert all(not isinstance(x, jets.Jet) or x.order <= 1 for row in got for x in row)
+        batch = np.shape(pts)[:-1]
+        for a, b in zip(jets.stack_jets(got, batch, man.dim, 1), jets.stack_jets(want, batch, man.dim, 1)):
+            assert np.array_equal(a, b), s.name
 
 
 def test_projector_rejects_bad_frame():

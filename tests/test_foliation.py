@@ -130,6 +130,19 @@ def test_rp_operator_matrix_tilted_oracle(tilted):
     assert np.max(np.abs(MN)) > 1e-3  # nontrivial content
 
 
+def test_order_one_geometry_values_match_order_two(catalog):
+    from folsub.scenarios import _sample_points
+
+    for s in catalog.values():
+        pts = _sample_points(s.manifold, s.default_grid)
+        first, second = fln.Geometry(s.fol, pts, order=1), fln.Geometry(s.fol, pts, order=2)
+        pairs = [(first.sigma_arr(k), second.sigma_arr(k)) for k in range(s.n + 1)]
+        pairs += [(first.newton_arr(r), second.newton_arr(r)) for r in range(s.n)]
+        pairs += [(getattr(first, name), getattr(second, name)) for name in ("A_arr", "Zarr", "Hperp_arr", "RP", "Rarr")]
+        for a, b in pairs:
+            assert np.array_equal(a, b), s.name
+
+
 def test_leafwise_divergence_and_normal_identity(catalog):
     for s in catalog.values():
         pts = s.manifold.random_points(RNG, 30)

@@ -244,3 +244,23 @@ def test_reports_are_reproducible(warped4):
 def test_convergence_gap(warped3):
     coarse, fine = verify.convergence_gap(warped3, lambda g: verify.verify_reeb(warped3, g))
     assert abs(coarse - fine) < 0.1 * 1e-7
+
+
+@pytest.mark.parametrize("tolerance", [None, 1e-7])
+def test_shared_grid_pass_reports_equal_their_own_checks(catalog, tolerance, tmp_path):
+    from folsub import cli
+
+    strip = lambda rep: {**cli.report_to_dict(rep), "wall_time_s": None}
+    for name in ("warped_torus_4", "tilted_torus_4", "flat_torus", "heisenberg"):
+        s = catalog[name]
+        checks = ["main:0", "divergence-selftest", "closed-form-c", "reeb"] + [f"main:{r}" for r in range(1, s.n)]
+        config = cli.RunConfig(scenario=name, checks=checks, tolerance=tolerance, output=str(tmp_path / "r.json"))
+        status, shared = cli.run(config, scenario=s)
+        assert status == 0
+        alone = [
+            verify.verify_main(s, 0, tolerance=tolerance),
+            verify.verify_divergence_theorem(s, tolerance=tolerance),
+            verify.verify_closed_form_c(s, tolerance=tolerance),
+            verify.verify_reeb(s, tolerance=tolerance),
+        ] + [verify.verify_main(s, r, tolerance=tolerance) for r in range(1, s.n)]
+        assert [strip(r) for r in shared] == [strip(r) for r in alone], name
