@@ -12,11 +12,11 @@ after the ambient covariant derivative.  Its curvature is computed two ways:
   verification pipeline uses.
 
 Both agree to rounding; tests certify the field route is extension-invariant.
-The projector is built as first-order jets from the user's frames
-(``projector_jets``), because Z and the field route differentiate it once
-and nothing differentiates it twice.  The tensor route stacks
-those jets once into value and gradient arrays and computes nabla P, R and
-R^P as values only, with ``einsum`` over the connection arrays.
+The projector is a tensor jet of order at most 1 contracted from the user's
+frames (``projector_jets``), because Z and the field route differentiate it
+once and nothing differentiates it twice.  The tensor route reads its value
+and gradient and computes nabla P, R and R^P as values only, with ``einsum``
+over the connection arrays.
 """
 
 from __future__ import annotations
@@ -28,16 +28,8 @@ import numpy as np
 
 from . import manifolds
 from .errors import DomainError, FrameError
-from .jets import (
-    Jet,
-    mat_vec,
-    metric_inner,
-    stack_jets,
-    stack_values,
-    truncate,
-    value_of,
-)
-from .manifolds import Manifold, Point, TangentVector, lie_bracket, nabla
+from .jets import Jet, einsum, stack
+from .manifolds import Manifold, Point, TangentVector, differential, lie_bracket, nabla
 
 
 @dataclass(frozen=True)
@@ -59,44 +51,33 @@ class DistributionSpec:
             raise ValueError("distribution rank out of range")
 
 
-def projector_jets(dist: DistributionSpec, coords, g=None):
-    """P[i][j] = sum_a v_a^i (g v_a)_j over the D-frame, as jets of order at most 1.
+def projector_jets(dist: DistributionSpec, coords, g=None) -> Jet:
+    """P[..., i, j] = sum_a v_a^i (g v_a)_j over the D-frame, as a jet of order at most 1.
 
-    No consumer reads more than ∂P (every product with the connection
-    truncates to first order), so the frame and metric jets are truncated
-    to order 1 first; the value and gradient are those of the full product.
+    No consumer reads more than ∂P, so the frame and the metric (the
+    closure's list or a jet) enter cut to order 1; the value and gradient
+    are those of the full product.
     """
-    m = dist.manifold.dim
-    if g is None:
-        g = dist.manifold.metric_jets(coords)
-    g = truncate(g, 1)
-    vs = truncate(dist.frame_D(coords), 1)
-    P = [[0.0 for _ in range(m)] for _ in range(m)]
-    for v in vs:
-        low = mat_vec(g, v)
-        for i in range(m):
-            for j in range(m):
-                P[i][j] = P[i][j] + v[i] * low[j]
-    return P
+    g = stack(dist.manifold.metric_jets(coords) if g is None else g, coords).at_order(1)
+    V = stack(dist.frame_D(coords), coords).at_order(1)
+    return einsum("...ai,...aj->...ij", V, einsum("...ij,...aj->...ai", g, V))
 
 
-def frame_gram_residual(g_arr: np.ndarray, frames: np.ndarray) -> float:
+def frame_gram_residual(g: np.ndarray, frames: np.ndarray) -> float:
     """Largest deviation from the identity of the Gram matrix of ``frames`` (..., r, m)."""
-    gram = np.einsum("...am,...mn,...bn->...ab", frames, g_arr, frames)
+    gram = np.einsum("...am,...mn,...bn->...ab", frames, g, frames)
     return float(np.max(np.abs(gram - np.eye(frames.shape[-2]))))
 
 
 def orthoprojector(dist: DistributionSpec, p: Point, check_tol: float = 1e-10) -> np.ndarray:
     """Projector matrix onto D at p.  Raises FrameError on a bad frame."""
-    p = np.asarray(p, dtype=float)
-    batch, m = p.shape[:-1], dist.manifold.dim
-    coords = dist.manifold.seed(p, order=0)
-    g = dist.manifold.metric_jets(coords)
-    frames = stack_jets(dist.frame_D(coords) + dist.frame_Dperp(coords), batch, m, 0)[0]
-    resid = frame_gram_residual(stack_jets(g, batch, m, 0)[0], frames)
+    coords = dist.manifold.seed(np.asarray(p, dtype=float), order=0)
+    g = stack(dist.manifold.metric_jets(coords), coords)
+    frames = stack(dist.frame_D(coords) + dist.frame_Dperp(coords), coords).value
+    resid = frame_gram_residual(g.value, frames)
     if resid > check_tol:
         raise FrameError(f"distribution frame not orthonormal: residual {resid:.3e}")
-    return stack_jets(projector_jets(dist, coords, g), batch, m, 0)[0]
+    return projector_jets(dist, coords, g).value
 
 
 class Projector:
@@ -124,67 +105,57 @@ def _as_field(arg, dist, kind: str):
         return arg
     comps = np.asarray(arg.components if isinstance(arg, TangentVector) else arg, dtype=float)
     if kind == "ambient":
-        return lambda coords: [comps[..., k] for k in range(len(comps))]
+        return lambda coords: [comps[..., k] for k in range(comps.shape[-1])]
 
     def section(coords):
-        vs = dist.frame_D(coords)
-        g = dist.manifold.metric_jets(coords)
-        m = dist.manifold.dim
-        out = [0.0] * m
-        for v in vs:
-            coeff = metric_inner(g, [comps[..., k] for k in range(m)], v)
-            out = [out[k] + coeff * v[k] for k in range(m)]
-        return out
+        V = stack(dist.frame_D(coords), coords)
+        coeff = einsum("...ij,...i,...aj->...a", stack(dist.manifold.metric_jets(coords), coords), comps, V)
+        return einsum("...a,...ak->...k", coeff, V)
 
     return section
 
 
 def _check_argument_in_D(dist, coords, g, arg, tol: float, what: str):
     if callable(arg):
-        comps = arg(coords)
+        comps = stack(arg(coords), coords).value
     else:
-        raw = np.asarray(arg.components if isinstance(arg, TangentVector) else arg, dtype=float)
-        comps = [raw[..., k] for k in range(dist.manifold.dim)]
-    for w in dist.frame_Dperp(coords):
-        ip = float(np.max(np.abs(value_of(metric_inner(g, comps, w)))))
-        if ip > tol:
-            raise DomainError(f"{what} is not a section of the distribution (residual {ip:.3e})")
+        comps = np.asarray(arg.components if isinstance(arg, TangentVector) else arg, dtype=float)
+    W = stack(dist.frame_Dperp(coords), coords).value
+    ip = np.einsum("...ij,...i,...aj->...a", stack(g, coords).value, comps, W)
+    worst = float(np.max(np.abs(ip), initial=0.0))
+    if worst > tol:
+        raise DomainError(f"{what} is not a section of the distribution (residual {worst:.3e})")
 
 
 def nabla_P(dist: DistributionSpec, X, U, p: Point) -> TangentVector:
     """Induced-connection derivative P nabla_X U at p; U must lie in D."""
     p = np.asarray(p, dtype=float)
     coords = dist.manifold.seed(p, order=1)
-    g = dist.manifold.metric_jets(coords)
+    g = stack(dist.manifold.metric_jets(coords), coords)
     gamma = dist.manifold.gamma_jets(coords, g)
     _check_argument_in_D(dist, coords, g, U, 1e-10, "U")
-    Xc = _as_field(X, dist, "ambient")(coords)
-    Uc = _as_field(U, dist, "section")(coords)
-    P = projector_jets(dist, coords, g)
-    w = nabla(dist.manifold, gamma, Xc, Uc)
-    out = mat_vec(P, w)
-    return TangentVector(stack_values(out, p.shape[:-1]), p)
+    Xc = stack(_as_field(X, dist, "ambient")(coords), coords)
+    Uc = stack(_as_field(U, dist, "section")(coords), coords)
+    w = einsum("...ij,...j->...i", projector_jets(dist, coords, g), nabla(gamma, Xc, Uc))
+    return TangentVector(w.value, p)
 
 
-def curvature_P_fields(dist: DistributionSpec, Xf, Yf, Vf, coords):
+def curvature_P_fields(dist: DistributionSpec, Xf, Yf, Vf, coords) -> Jet:
     """Commutator-definition evaluation of the projected curvature on fields.
 
-    Returns component jets of R^P(X, Y)V; ``coords`` must be seeded at
-    order >= 2.
+    Returns R^P(X, Y)V as a jet; ``coords`` must be seeded at order >= 2.
     """
     man = dist.manifold
-    g = man.metric_jets(coords)
+    g = stack(man.metric_jets(coords), coords)
     gamma = man.gamma_jets(coords, g)
     P = projector_jets(dist, coords, g)
-    Xc, Yc, Vc = Xf(coords), Yf(coords), Vf(coords)
+    X, Y, V = (stack(f(coords), coords) for f in (Xf, Yf, Vf))
+    proj = lambda W: einsum("...ij,...j->...i", P, W)
 
-    inner_Y = mat_vec(P, nabla(man, gamma, Yc, Vc))
-    inner_X = mat_vec(P, nabla(man, gamma, Xc, Vc))
-    term1 = mat_vec(P, nabla(man, gamma, Xc, inner_Y))
-    term2 = mat_vec(P, nabla(man, gamma, Yc, inner_X))
-    brk = lie_bracket(man, Xc, Yc)
-    term3 = mat_vec(P, nabla(man, gamma, brk, Vc))
-    return [term1[k] - term2[k] - term3[k] for k in range(man.dim)]
+    term1 = proj(nabla(gamma, X, proj(nabla(gamma, Y, V))))
+    term2 = proj(nabla(gamma, Y, proj(nabla(gamma, X, V))))
+    term3 = proj(nabla(gamma, lie_bracket(man, X, Y), V))
+    return term1 - term2 - term3
 
 
 def curvature_P(dist: DistributionSpec, X, Y, V, p: Point) -> TangentVector:
@@ -202,7 +173,7 @@ def curvature_P(dist: DistributionSpec, X, Y, V, p: Point) -> TangentVector:
     comps = curvature_P_fields(
         dist, _as_field(X, dist, "ambient"), _as_field(Y, dist, "ambient"), Vf, coords
     )
-    return TangentVector(stack_values(comps, p.shape[:-1]), p)
+    return TangentVector(comps.value, p)
 
 
 def curvature_P_tensor(dist: DistributionSpec, coords, g=None, gamma=None, P=None, R=None):
@@ -211,11 +182,10 @@ def curvature_P_tensor(dist: DistributionSpec, coords, g=None, gamma=None, P=Non
     Acts on sections of D: (R^P(e_i, e_j)V)^l = RP[l, k, i, j] V^k.  Returns
     ``(RP, P, DP, R)``: the projector values, DP[..., i, a, b] = (nabla_i P)[a, b]
     and the Riemann tensor, all values only with the batch axes.  They come
-    from the connection arrays and the projector jets stacked once.
+    from the connection arrays and the projector jet.
     """
     man = dist.manifold
-    if g is None:
-        g = man.metric_jets(coords)
+    g = stack(man.metric_jets(coords) if g is None else g, coords)
     if gamma is None:
         gamma = man.gamma_jets(coords, g)
     if P is None:
@@ -223,7 +193,7 @@ def curvature_P_tensor(dist: DistributionSpec, coords, g=None, gamma=None, P=Non
     if R is None:
         R = manifolds.riemann_jets(man, coords, gamma)
 
-    Parr, dP = stack_jets(P, coords[0].value.shape, man.dim, 1)
+    Parr, dP = P.value, P.grad
     G = gamma.gamma
     DP = (
         np.moveaxis(dP, -1, -3)
@@ -242,25 +212,31 @@ class MeanCurvaturePerp(NamedTuple):
     harmonic: bool
 
 
+def mean_curvature_perp_vector(gamma, P: Jet, xis: Jet) -> Jet:
+    """sum_a P nabla_{xi_a} xi_a over the D-perp frame ``xis`` (..., a, m)."""
+    D = differential(gamma, xis, frame=True)
+    w = einsum("...ij,...aj->...ai", P, einsum("...ai,...aki->...ak", xis, D))
+    return einsum("...ai->...i", w)
+
+
+def _perp_setup(dist: DistributionSpec, p: Point):
+    """Order-1 seeds at p with the metric, the connection, the projector and the D-perp frame."""
+    coords = dist.manifold.seed(np.asarray(p, dtype=float), order=1)
+    g = stack(dist.manifold.metric_jets(coords), coords)
+    gamma = dist.manifold.gamma_jets(coords, g)
+    return coords, g.value, gamma, projector_jets(dist, coords, g), stack(dist.frame_Dperp(coords), coords)
+
+
 def mean_curvature_perp(dist: DistributionSpec, p: Point, tol: float = 1e-9) -> MeanCurvaturePerp:
     """Mean curvature vector of the orthogonal distribution, projected into D.
 
     The harmonic flag records whether its norm is below ``tol``.
     """
-    p = np.asarray(p, dtype=float)
-    coords = dist.manifold.seed(p, order=1)
-    g = dist.manifold.metric_jets(coords)
-    gamma = dist.manifold.gamma_jets(coords, g)
-    P = projector_jets(dist, coords, g)
-    m = dist.manifold.dim
-    acc = [0.0] * m
-    for xi in dist.frame_Dperp(coords):
-        w = mat_vec(P, nabla(dist.manifold, gamma, xi, xi))
-        acc = [acc[k] + w[k] for k in range(m)]
-    comps = stack_values(acc, p.shape[:-1])
-    sq = value_of(metric_inner(g, acc, acc))
+    _, g, gamma, P, xis = _perp_setup(dist, p)
+    H = mean_curvature_perp_vector(gamma, P, xis).value
+    sq = np.einsum("...ij,...i,...j->...", g, H, H)
     norm = float(np.max(np.sqrt(np.maximum(sq, 0.0))))
-    return MeanCurvaturePerp(TangentVector(comps, p), norm, norm <= tol)
+    return MeanCurvaturePerp(TangentVector(H, np.asarray(p, dtype=float)), norm, norm <= tol)
 
 
 def admissibility_residual(dist: DistributionSpec, fol, p: Point) -> float:
@@ -269,15 +245,8 @@ def admissibility_residual(dist: DistributionSpec, fol, p: Point) -> float:
     Zero is necessary for the adapted-frame hypotheses of the pointwise
     normal-derivative identity to be satisfiable at p.
     """
-    p = np.asarray(p, dtype=float)
-    coords = dist.manifold.seed(p, order=1)
-    g = dist.manifold.metric_jets(coords)
-    gamma = dist.manifold.gamma_jets(coords, g)
-    P = projector_jets(dist, coords, g)
-    Nc = fol.normal(coords)
-    worst = 0.0
-    for xi in dist.frame_Dperp(coords):
-        w = mat_vec(P, nabla(dist.manifold, gamma, xi, Nc))
-        sq = value_of(metric_inner(g, w, w))
-        worst = max(worst, float(np.max(np.sqrt(np.maximum(sq, 0.0)))))
-    return worst
+    coords, g, gamma, P, xis = _perp_setup(dist, p)
+    dN = differential(gamma, stack(fol.normal(coords), coords))
+    w = einsum("...ij,...aj->...ai", P, einsum("...ai,...ki->...ak", xis, dN)).value
+    sq = np.einsum("...ij,...ai,...aj->...a", g, w, w)
+    return float(np.max(np.sqrt(np.maximum(sq, 0.0)), initial=0.0))

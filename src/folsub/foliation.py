@@ -8,10 +8,15 @@ transformations, the leaf curvature vector Z, and the projected curvature
 tensor at a batch of points.  The context is created per call: evaluators
 are pure functions of (scenario data, point) and safe to use concurrently.
 
-Conventions: ``A[i][j] = <A e_i, e_j>`` in the leaf frame (symmetrized after
-assembly with the asymmetry kept as a residual), operator matrices act as
-``(M v)^i = M[i][j] v^j``, and leafwise covectors are reported through their
-frame components ``<., e_j>``.
+Each user closure is evaluated once on the coordinate seeds and stacked into
+a tensor jet; every quantity after that is an array contraction on those
+jets (``jets.einsum``), so its derivatives come with it to the order the
+frames were seeded at.
+
+Conventions: ``A[..., i, j] = <A e_i, e_j>`` in the leaf frame (symmetrized
+after assembly with the asymmetry kept as a residual), operator matrices act
+as ``(M v)^i = M[i][j] v^j``, and leafwise covectors are reported through
+their frame components ``<., e_j>``.
 """
 
 from __future__ import annotations
@@ -26,17 +31,7 @@ from . import distribution as dst
 from . import manifolds as mfd
 from . import newton
 from .errors import DomainError
-from .jets import (
-    Jet,
-    cos as jcos,
-    mat_vec,
-    metric_inner,
-    sin as jsin,
-    stack_jets,
-    stack_values,
-    truncate,
-    value_of,
-)
+from .jets import Jet, cos as jcos, einsum, sin as jsin, stack, value_of
 from .manifolds import Point, TangentVector
 
 
@@ -71,21 +66,23 @@ class AdaptedFrame:
 class Geometry:
     """Lazy shared evaluation context at a batch of points.
 
-    ``order`` is the derivative order the user's frames are seeded at, and
-    so the order every field built from them carries: ``order=1`` gives
-    values of the shape operator, its symmetric functions and Newton
-    transformations, Z, H-perp and the curvature tensors, which is all the
-    grid integrands (``reeb``, ``main:r``, ``closed-form-c``), the
-    ``sigma2-image`` scan, ``ricci_p`` and the scenario flag measurement
-    read; ``order=2`` adds their first derivatives, for the checks that
-    differentiate A, Z or sigma_r (the pointwise battery, Codazzi, the trace
-    identities and ``leaf:r``).  Values are bit-identical at both orders.
+    ``order`` is the derivative order the user's frames are seeded at.  Every
+    quantity is one tensor jet whose ``.value`` is the array: the frames
+    ``e`` (..., n, m), ``N`` and ``xis`` carry ``order``; the shape operator
+    ``A``, the symmetric functions ``sigma`` (sigma_0..sigma_{n+1}, the last
+    identically zero), the Newton transformations ``T[r]`` and ``Z`` carry
+    one order less.  So ``order=1`` gives their values, which is all the grid
+    integrands (``reeb``, ``main:r``, ``closed-form-c``), the ``sigma2-image``
+    scan, ``ricci_p`` and the scenario flag measurement read; ``order=2``
+    adds their first derivatives, for the checks that differentiate A, Z or
+    sigma_r (the pointwise battery, Codazzi, the trace identities and
+    ``leaf:r``).  Values are bit-identical at both orders.
 
     The metric is always seeded at order 2, because the Riemann tensor in
-    ``RP`` and ``Rarr`` needs ∂Γ.  The connection (``gamma``) is evaluated
-    once, as arrays, and computes ∂Γ only when something reads it; ``nabla``
-    multiplies by Γ truncated to ``order - 1``.  Plain ndarrays are used
-    once a quantity is only ever contracted.
+    ``RP`` and ``R`` needs ∂Γ; ``g`` keeps its derivatives to ``order``.  The connection (``gamma``) is evaluated
+    once, as arrays, and computes ∂Γ only when something reads it.  Values
+    that are only ever contracted (``Hperp``, ``RP``, ``R``) are computed
+    without derivatives.
     """
 
     def __init__(self, fol: FoliationStructure, points, order: int = 2):
@@ -102,78 +99,65 @@ class Geometry:
     # -- primitive fields --------------------------------------------------
 
     @cached_property
-    def _metric(self) -> tuple[list, list]:
-        """Order-2 coordinate seeds and the metric jets on them."""
-        coords = self.coords if self.order == 2 else self.man.seed(self.points, 2)
-        return coords, self.man.metric_jets(coords)
+    def _seeds2(self) -> list:
+        return self.coords if self.order == 2 else self.man.seed(self.points, 2)
 
     @cached_property
-    def g(self):
-        return truncate(self._metric[1], self.order)
+    def _metric(self) -> tuple[Jet, mfd.Connection]:
+        """The metric cut to ``order``, and the connection built from its order-2 jet.
+
+        Only the connection holds the metric Hessian, and only until it forms ∂Γ.
+        """
+        g = stack(self.man.metric_jets(self._seeds2), self._seeds2)
+        return g.at_order(self.order), self.man.gamma_jets(self._seeds2, g)
+
+    @property
+    def g(self) -> Jet:
+        return self._metric[0]
+
+    @property
+    def gamma(self) -> mfd.Connection:
+        return self._metric[1]
 
     @cached_property
-    def gamma(self):
-        return self.man.gamma_jets(*self._metric)
+    def e(self) -> Jet:
+        return stack(self.fol.leaf_frame(self.coords), self.coords)
 
     @cached_property
-    def e(self) -> list:
-        return self.fol.leaf_frame(self.coords)
+    def N(self) -> Jet:
+        return stack(self.fol.normal(self.coords), self.coords)
 
     @cached_property
-    def N(self) -> list:
-        return self.fol.normal(self.coords)
-
-    @cached_property
-    def xis(self) -> list:
-        return self.dist.frame_Dperp(self.coords)
-
-    @cached_property
-    def E(self) -> np.ndarray:
-        return stack_jets(self.e, self.batch, self.m, 0)[0]
-
-    @cached_property
-    def Narr(self) -> np.ndarray:
-        return stack_values(self.N, self.batch)
-
-    @cached_property
-    def g_arr(self) -> np.ndarray:
-        return stack_jets(self.g, self.batch, self.m, 0)[0]
+    def xis(self) -> Jet:
+        return stack(self.dist.frame_Dperp(self.coords), self.coords)
 
     @cached_property
     def E_low(self) -> np.ndarray:
         """Metric-lowered leaf frame, (..., n, m)."""
-        return np.einsum("...im,...am->...ai", self.g_arr, self.E)
+        return np.einsum("...im,...am->...ai", self.g.value, self.e.value)
 
     # -- derivative helpers --------------------------------------------------
 
-    def nabla(self, Xc, Wc):
-        return mfd.nabla(self.man, self.gamma, Xc, Wc, self.order - 1)
+    @cached_property
+    def _dN(self) -> Jet:
+        return mfd.differential(self.gamma, self.N)
 
-    def inner(self, u, v):
-        return metric_inner(self.g, u, v)
-
-    def leaf_components(self, comps) -> list:
-        return [self.inner(comps, ei) for ei in self.e]
-
-    def leaf_part(self, comps) -> list:
-        """Component jets of the leaf-tangent part of an ambient field."""
-        out = [0.0] * self.m
-        for ei in self.e:
-            coeff = self.inner(comps, ei)
-            out = [out[k] + coeff * ei[k] for k in range(self.m)]
-        return out
+    def tangential(self, W):
+        """Leaf-tangent part of an ambient field W: sum_a <W, e_a> e_a."""
+        coeff = einsum("...ij,...i,...aj->...a", self.g, W, self.e)
+        return einsum("...a,...ak->...k", coeff, self.e)
 
     def div_F(self, field_comps) -> np.ndarray:
-        """Leafwise divergence values of an ambient field given as jets."""
-        acc = 0.0
-        for ei in self.e:
-            acc = acc + self.inner(self.nabla(ei, field_comps), ei)
-        return np.asarray(value_of(acc), dtype=float) + np.zeros(self.batch)
+        """Leafwise divergence values of an ambient field, given as a list of jets or a jet."""
+        F = stack(field_comps, self.coords).at_order(1)
+        dF = einsum("...ai,...ki->...ak", self.e, mfd.differential(self.gamma, F))
+        per_leaf = np.einsum("...ij,...ai,...aj->...a", self.g.value, dF.value, self.e.value)
+        return per_leaf.sum(axis=-1) + np.zeros(self.batch)
 
     # -- projector and curvature tensors -------------------------------------
 
     @cached_property
-    def P(self):
+    def P(self) -> Jet:
         return dst.projector_jets(self.dist, self.coords, self.g)
 
     @cached_property
@@ -185,135 +169,108 @@ class Geometry:
         return self._curvature_arrays[0]
 
     @property
-    def Parr(self) -> np.ndarray:
-        return self._curvature_arrays[1]
-
-    @property
-    def Rarr(self) -> np.ndarray:
+    def R(self) -> np.ndarray:
         return self._curvature_arrays[3]
 
     # -- shape data -----------------------------------------------------------
 
     @cached_property
-    def _A_raw(self):
-        rows = []
-        for ei in self.e:
-            dN = self.nabla(ei, self.N)
-            rows.append([-self.inner(dN, ej) for ej in self.e])
-        return rows
+    def A_raw(self) -> Jet:
+        """<A e_i, e_j> = -<nabla_{e_i} N, e_j> before symmetrization."""
+        dN = einsum("...ai,...ki->...ak", self.e, self._dN)
+        return -einsum("...ij,...ai,...bj->...ab", self.g, dN, self.e)
 
     @cached_property
-    def A(self) -> list:
-        raw = self._A_raw
-        n = self.n
-        return [[(raw[i][j] + raw[j][i]) * 0.5 for j in range(n)] for i in range(n)]
+    def A(self) -> Jet:
+        raw = self.A_raw
+        return (raw + einsum("...ij->...ji", raw)) * 0.5
 
     @cached_property
     def A_asym(self) -> float:
-        raw = stack_jets(self._A_raw, self.batch, self.m, 0)[0]
+        raw = self.A_raw.value
         return float(np.max(np.abs(raw - np.swapaxes(raw, -1, -2))))
 
     @cached_property
-    def A_arr(self) -> np.ndarray:
-        return stack_jets(self.A, self.batch, self.m, 0)[0]
+    def sigma(self) -> Jet:
+        A = Ak = self.A
+        taus = [newton._trace(A)]
+        for _ in range(1, self.n):
+            Ak = einsum("...ix,...xj->...ij", Ak, A)
+            taus.append(newton._trace(Ak))
+        return stack(newton._newton_identities(taus) + [0.0], self.coords, A.order)
 
     @cached_property
-    def sigmas(self) -> list:
-        return newton.sigmas_nested(self.A)
-
-    def sigma_jet(self, k: int):
-        return newton.sigma_entry(self.sigmas, k)
-
-    def sigma_arr(self, k: int) -> np.ndarray:
-        return np.asarray(value_of(self.sigma_jet(k)), dtype=float) + np.zeros(self.batch)
-
-    @cached_property
-    def newtons(self) -> list:
-        return newton.newton_transforms_nested(self.A, self.sigmas)
-
-    def newton_arr(self, r: int) -> np.ndarray:
-        return stack_jets(self.newtons[r], self.batch, self.m, 0)[0]
+    def T(self) -> list[Jet]:
+        """T_0..T_n by the recursion T_r = sigma_r Id - A T_{r-1}."""
+        eye = np.eye(self.n)
+        out = [einsum("...,ij->...ij", self.sigma[..., 0], eye)]
+        for r in range(1, self.n + 1):
+            AT = einsum("...ix,...xj->...ij", self.A, out[-1])
+            out.append(einsum("...,ij->...ij", self.sigma[..., r], eye) - AT)
+        return out
 
     @cached_property
-    def Z(self) -> list:
-        return mat_vec(self.P, self.nabla(self.N, self.N))
+    def Z(self) -> Jet:
+        return einsum("...ij,...j->...i", self.P, einsum("...i,...ki->...k", self.N, self._dN))
 
     @cached_property
-    def Zarr(self) -> np.ndarray:
-        return stack_values(self.Z, self.batch)
+    def Z_leaf(self) -> Jet:
+        """Leaf-frame components <Z, e_a>."""
+        return einsum("...ij,...i,...aj->...a", self.g, self.Z, self.e)
 
     @cached_property
-    def Z_leaf(self) -> list:
-        return self.leaf_components(self.Z)
-
-    @cached_property
-    def Z_leaf_arr(self) -> np.ndarray:
-        return stack_values(self.Z_leaf, self.batch)
-
-    @cached_property
-    def Hperp_arr(self) -> np.ndarray:
-        m = self.m
-        acc = [0.0] * m
-        for xi in self.xis:
-            w = mat_vec(self.P, self.nabla(xi, xi))
-            acc = [acc[k] + w[k] for k in range(m)]
-        return stack_values(acc, self.batch)
+    def Hperp(self) -> Jet:
+        return dst.mean_curvature_perp_vector(self.gamma, self.P, self.xis.at_order(1))
 
     # -- curvature operator matrices ------------------------------------------
 
     def _operator_matrix(self, tensor: np.ndarray, Xarr: np.ndarray) -> np.ndarray:
         """Leaf-frame matrix of V -> curvature(V, X)N for a (l,k,i,j) tensor."""
-        w = np.einsum("...lkab,...k,...b->...la", tensor, self.Narr, Xarr)
-        return np.einsum("...il,...la,...ja->...ij", self.E_low, w, self.E)
+        w = np.einsum("...lkab,...k,...b->...la", tensor, self.N.value, Xarr)
+        return np.einsum("...il,...la,...ja->...ij", self.E_low, w, self.e.value)
 
     def rp_matrix(self, Xarr: np.ndarray) -> np.ndarray:
         return self._operator_matrix(self.RP, Xarr)
 
     def riemann_matrix(self, Xarr: np.ndarray) -> np.ndarray:
-        return self._operator_matrix(self.Rarr, Xarr)
+        return self._operator_matrix(self.R, Xarr)
 
     def ricci_p(self, Xarr: np.ndarray) -> np.ndarray:
         return np.trace(self.rp_matrix(Xarr), axis1=-2, axis2=-1)
 
     # -- leafwise tensor derivatives -------------------------------------------
 
-    def leaf_operator_field(self, M: list, i: int) -> list:
-        """Ambient component jets of the field q -> M(q) e_i(q) for a leaf operator."""
-        m, n = self.m, self.n
-        out = [0.0] * m
-        for j in range(n):
-            for k in range(m):
-                out[k] = out[k] + M[i][j] * self.e[j][k]
-        return out
+    def _nabla_F_rows(self, M: Jet, X, paired: bool = False) -> np.ndarray:
+        """Leaf-frame matrix of the leafwise covariant derivative of the operator M along X.
 
-    def _nabla_F_row(self, M: list, i: int, Xc) -> np.ndarray:
-        """Row i of the leaf-frame matrix of the leafwise covariant derivative of M along X."""
-        dfield = self.nabla(Xc, self.leaf_operator_field(M, i))
-        de = self.nabla(Xc, self.e[i])
-        row = []
-        for j in range(self.n):
-            second = 0.0
-            for k in range(self.n):
-                second = second + self.inner(de, self.e[k]) * M[k][j]
-            row.append(self.inner(dfield, self.e[j]) - second)
-        return stack_values(row, self.batch)
+        Row i is <nabla_X (M e_i), e_j> - <nabla_X e_i, e_k> M[k][j]; with
+        ``paired`` the direction of row i is the frame vector X[..., i, :].
+        """
+        x = "...ix" if paired else "...x"
+        e = self.e.at_order(1)
+        Me = einsum("...ij,...jk->...ik", M, e)
+        dMe = einsum(x + ",...ikx->...ik", X, mfd.differential(self.gamma, Me, frame=True))
+        de = einsum(x + ",...ikx->...ik", X, mfd.differential(self.gamma, e, frame=True))
+        g, E = self.g.value, self.e.value
+        first = np.einsum("...pq,...ip,...jq->...ij", g, dMe.value, E)
+        conn = np.einsum("...pq,...ip,...kq->...ik", g, de.value, E)
+        return first - np.einsum("...ik,...kj->...ij", conn, value_of(M))
 
-    def nabla_F_operator(self, M: list, Xc) -> np.ndarray:
-        """Leaf-frame matrix of the leafwise covariant derivative of M along X."""
-        return np.stack([self._nabla_F_row(M, i, Xc) for i in range(self.n)], axis=-2)
+    def nabla_F_operator(self, M: Jet, X) -> np.ndarray:
+        """Leaf-frame matrix of the leafwise covariant derivative of M along the vector X."""
+        return self._nabla_F_rows(M, X)
 
     def div_F_newton_direct(self, r: int) -> np.ndarray:
         """Leaf covector components of the leafwise divergence of T_r, by jets."""
-        rows = (self._nabla_F_row(self.newtons[r], i, self.e[i]) for i in range(self.n))
-        return sum(rows, np.zeros(self.batch + (self.n,)))
+        return self._nabla_F_rows(self.T[r], self.e, paired=True).sum(axis=-2)
 
     def off_leaf(self, arr: np.ndarray) -> np.ndarray:
         """Part of ambient vectors (..., m) orthogonal to the leaf bundle."""
-        return arr - np.einsum("...il,...l,...im->...m", self.E_low, arr, self.E)
+        return arr - np.einsum("...il,...l,...im->...m", self.E_low, arr, self.e.value)
 
     def max_norm(self, arr: np.ndarray) -> float:
         """Largest metric norm of ambient vectors (..., m) over the points."""
-        return float(np.sqrt(max(np.max(np.einsum("...l,...lk,...k->...", arr, self.g_arr, arr)), 0.0)))
+        return float(np.sqrt(max(np.max(np.einsum("...l,...lk,...k->...", arr, self.g.value, arr)), 0.0)))
 
     def div_F_newton_formula(self, r: int) -> np.ndarray:
         """Same covector through the inductive curvature-trace formula."""
@@ -321,18 +278,17 @@ class Geometry:
         out = np.zeros(self.batch + (n,))
         if r == 0:
             return out
-        Aarr = self.A_arr
+        A, E = self.A.value, self.e.value
         for j in range(n):
-            X = self.E[..., j, :]
             Aj = np.zeros(self.batch + (n,))
             Aj[..., j] = 1.0
             for jj in range(1, r + 1):
-                Xarr = np.einsum("...i,...im->...m", Aj, self.E)
+                Xarr = np.einsum("...i,...im->...m", Aj, E)
                 M = self.rp_matrix(Xarr)
                 out[..., j] += (-1.0) ** (jj - 1) * np.einsum(
-                    "...ik,...ki->...", self.newton_arr(r - jj), M
+                    "...ik,...ki->...", self.T[r - jj].value, M
                 )
-                Aj = np.einsum("...ik,...k->...i", Aarr, Aj)
+                Aj = np.einsum("...ik,...k->...i", A, Aj)
         return out
 
     def adapted_identity_residual(self) -> float:
@@ -342,39 +298,57 @@ class Geometry:
         along N plus the Z rank-one term; exact where the adapted-frame
         hypotheses can be met (vanishing admissibility residual).
         """
-        dZ = [self.nabla(ei, self.Z) for ei in self.e]
-        lhs = stack_jets([self.leaf_components(dZi) for dZi in dZ], self.batch, self.m, 0)[0]
-        A2 = self.A_arr @ self.A_arr
-        curv = np.swapaxes(self.rp_matrix(self.Narr), -1, -2)
+        dZ = einsum("...ai,...ki->...ak", self.e, mfd.differential(self.gamma, self.Z))
+        lhs = np.einsum("...ij,...ai,...bj->...ab", self.g.value, dZ.value, self.e.value)
+        A = self.A.value
+        curv = np.swapaxes(self.rp_matrix(self.N.value), -1, -2)
         dNA = self.nabla_F_operator(self.A, self.N)
-        zz = self.Z_leaf_arr[..., :, None] * self.Z_leaf_arr[..., None, :]
-        rhs = A2 + curv - dNA + zz
+        zl = self.Z_leaf.value
+        rhs = A @ A + curv - dNA + zl[..., :, None] * zl[..., None, :]
         return float(np.max(np.abs(lhs - rhs)))
 
     def newton_z_divergence_residual(self, r: int) -> np.ndarray:
         """Residual of the leafwise divergence identity for T_r Z, per point."""
-        n = self.n
-        T = self.newtons[r]
-        TZ_leaf = [sum(T[i][j] * self.Z_leaf[j] for j in range(n)) for i in range(n)]
-        field = [
-            sum(TZ_leaf[i] * self.e[i][k] for i in range(n)) for k in range(self.m)
-        ]
-        lhs = self.div_F(field)
-        divT = self.div_F_newton_formula(r)
-        rhs = np.einsum("...j,...j->...", divT, self.Z_leaf_arr)
-        rhs = rhs + np.einsum("...ik,...ki->...", self.newton_arr(r), self.rp_matrix(self.Narr))
-        TZarr = np.einsum("...ij,...j->...i", self.newton_arr(r), self.Z_leaf_arr)
-        rhs = rhs + np.einsum("...i,...i->...", TZarr, self.Z_leaf_arr)
-        rhs = rhs - (r + 2) * self.sigma_arr(r + 2)
-        rhs = rhs - self.direction_derivative(self.sigma_jet(r + 1), self.Narr)
-        rhs = rhs + self.sigma_arr(1) * self.sigma_arr(r + 1)
+        TZ = einsum("...ij,...j->...i", self.T[r], self.Z_leaf)
+        lhs = self.div_F(einsum("...i,...ik->...k", TZ, self.e))
+        Tr, zl, N = self.T[r].value, self.Z_leaf.value, self.N.value
+        sig, dsig = self.sigma.value, self.sigma.grad
+        rhs = np.einsum("...j,...j->...", self.div_F_newton_formula(r), zl)
+        rhs = rhs + np.einsum("...ik,...ki->...", Tr, self.rp_matrix(N))
+        rhs = rhs + np.einsum("...i,...i->...", TZ.value, zl)
+        rhs = rhs - (r + 2) * sig[..., r + 2]
+        rhs = rhs - np.einsum("...k,...k->...", N, dsig[..., r + 1, :])
+        rhs = rhs + sig[..., 1] * sig[..., r + 1]
         return lhs - rhs
 
-    def direction_derivative(self, scalar_jet, Xarr: np.ndarray) -> np.ndarray:
-        """X(f) for a scalar jet f and an ambient direction array."""
-        if not isinstance(scalar_jet, Jet):
-            return np.zeros(self.batch)
-        return np.einsum("...k,...k->...", Xarr, scalar_jet.grad)
+    # -- Codazzi and the trace identities at this context's points --------------
+
+    def codazzi_residual(self, X: Jet, Y: Jet) -> float:
+        """Norm of (nabla^F_X A)Y - (nabla^F_Y A)X + R^P(X, Y)N for leaf fields X, Y."""
+        Xarr, Yarr = value_of(X), value_of(Y)
+        g, E = self.g.value, self.e.value
+        Xl, Yl = (np.einsum("...ij,...i,...aj->...a", g, V, E) for V in (Xarr, Yarr))
+        v = np.einsum("...ij,...i->...j", self.nabla_F_operator(self.A, X), Yl)
+        v = v - np.einsum("...ij,...i->...j", self.nabla_F_operator(self.A, Y), Xl)
+        w = np.einsum("...lkab,...k,...a,...b->...l", self.RP, self.N.value, Xarr, Yarr)
+        resid = v + np.einsum("...il,...l->...i", self.E_low, w)
+        return float(np.max(np.sqrt(np.sum(resid**2, axis=-1))))
+
+    def trace_identity_field_residual(self, r: int, X) -> float:
+        """Residual of tr(T_{r-1} nabla^F_X A) = X(sigma_r) along a leaf field X."""
+        lhs = np.einsum("...ik,...ki->...", self.T[r - 1].value, self.nabla_F_operator(self.A, X))
+        rhs = np.einsum("...k,...k->...", value_of(X), self.sigma.grad[..., r, :])
+        return float(np.max(np.abs(lhs - rhs)))
+
+    def trace_identities_algebraic(self, r: int) -> np.ndarray:
+        """Worst residuals of the three algebraic trace identities for T_r over the points."""
+        return np.abs(newton.trace_identity_residuals(r, self.A.value)).reshape(-1, 3).max(axis=0)
+
+    def trace_identities_field(self, r: int) -> float:
+        """Worst field-identity residual for T_r over every leaf-frame direction."""
+        if r + 1 > self.n:
+            return 0.0
+        return max(self.trace_identity_field_residual(r + 1, self.e[..., i, :]) for i in range(self.n))
 
 
 # -- public operations ---------------------------------------------------------
@@ -392,17 +366,12 @@ def normal_field(fol: FoliationStructure):
 def adapted_frame(fol: FoliationStructure, p: Point) -> AdaptedFrame:
     p = np.asarray(p, dtype=float)
     geom = Geometry(fol, p, order=0)
-    perp = (
-        np.stack([stack_values(v, geom.batch) for v in geom.xis], axis=-2)
-        if geom.xis
-        else np.zeros(geom.batch + (0, geom.m))
-    )
-    return AdaptedFrame(leaf=geom.E, normal=geom.Narr, perp=perp, base=p)
+    return AdaptedFrame(leaf=geom.e.value, normal=geom.N.value, perp=geom.xis.value, base=p)
 
 
 def shape_operator(fol: FoliationStructure, p: Point) -> np.ndarray:
     """Leaf-frame shape operator matrix at p (symmetrized)."""
-    return Geometry(fol, p, order=1).A_arr
+    return Geometry(fol, p, order=1).A.value
 
 
 def shape_operator_asymmetry(fol: FoliationStructure, p: Point) -> float:
@@ -411,33 +380,28 @@ def shape_operator_asymmetry(fol: FoliationStructure, p: Point) -> float:
 
 def curvature_vector_Z(fol: FoliationStructure, p: Point) -> TangentVector:
     p = np.asarray(p, dtype=float)
-    geom = Geometry(fol, p, order=1)
-    return TangentVector(geom.Zarr, p)
+    return TangentVector(Geometry(fol, p, order=1).Z.value, p)
 
 
 def second_fundamental_form(fol: FoliationStructure, X, Y, p: Point) -> TangentVector:
     """h(X, Y): component of nabla_X Y orthogonal to the leaf bundle."""
     p = np.asarray(p, dtype=float)
     geom = Geometry(fol, p, order=1)
-    Xc = _leaf_input(fol, geom, X, "X")
-    Yc = _leaf_input(fol, geom, Y, "Y")
-    w = geom.nabla(Xc, Yc)
-    tang = geom.leaf_part(w)
-    comps = stack_values([w[k] - tang[k] for k in range(geom.m)], geom.batch)
-    return TangentVector(comps, p)
+    w = mfd.nabla(geom.gamma, _leaf_input(geom, X, "X"), _leaf_input(geom, Y, "Y"))
+    return TangentVector(geom.off_leaf(w.value), p)
 
 
-def _leaf_input(fol, geom, X, what: str):
+def _leaf_input(geom, X, what: str):
     """Accept a leaf field evaluator or a pointwise leaf vector; extend the latter."""
     if callable(X):
-        comps = X(geom.coords)
+        comps = stack(X(geom.coords), geom.coords)
     else:
         raw = np.asarray(X.components if isinstance(X, TangentVector) else X, dtype=float)
-        comps = [raw[..., k] for k in range(geom.m)]
-    resid = geom.max_norm(geom.off_leaf(stack_values(comps, geom.batch)))
+        comps = np.broadcast_to(raw, geom.batch + (geom.m,))
+    resid = geom.max_norm(geom.off_leaf(value_of(comps)))
     if resid > 1e-9:
         raise DomainError(f"{what} is not tangent to the leaves (residual {resid:.3e})")
-    return comps if callable(X) else geom.leaf_part(comps)
+    return comps if callable(X) else geom.tangential(comps)
 
 
 def sigma(fol_or_matrix, r: int = None, p: Point = None):
@@ -453,8 +417,7 @@ def ricci_p(fol: FoliationStructure, X, p: Point) -> np.ndarray:
     """Leaf-frame trace of V -> R^P(V, X)N for X in D."""
     p = np.asarray(p, dtype=float)
     geom = Geometry(fol, p, order=1)
-    Xarr = _ambient_components(geom, X)
-    return geom.ricci_p(Xarr)
+    return geom.ricci_p(_ambient_components(geom, X))
 
 
 def rp_operator_matrix(fol: FoliationStructure, X, p: Point) -> np.ndarray:
@@ -464,11 +427,10 @@ def rp_operator_matrix(fol: FoliationStructure, X, p: Point) -> np.ndarray:
 
 
 def _ambient_components(geom, X) -> np.ndarray:
-    if isinstance(X, TangentVector):
-        return np.broadcast_to(np.asarray(X.components, dtype=float), geom.batch + (geom.m,))
     if callable(X):
-        return stack_values(X(geom.coords), geom.batch)
-    return np.broadcast_to(np.asarray(X, dtype=float), geom.batch + (geom.m,))
+        return stack(X(geom.coords), geom.coords).value
+    raw = X.components if isinstance(X, TangentVector) else X
+    return np.broadcast_to(np.asarray(raw, dtype=float), geom.batch + (geom.m,))
 
 
 def leafwise_divergence(fol: FoliationStructure, X_field, p: Point) -> np.ndarray:
@@ -498,19 +460,7 @@ def nablaF_N_A(fol: FoliationStructure, p: Point) -> np.ndarray:
 def codazzi_residual(fol: FoliationStructure, X, Y, p: Point) -> float:
     """Norm of (nabla^F_X A)Y - (nabla^F_Y A)X + R^P(X, Y)N at p."""
     geom = Geometry(fol, np.asarray(p, dtype=float), order=2)
-    Xc = _leaf_input(fol, geom, X, "X")
-    Yc = _leaf_input(fol, geom, Y, "Y")
-    dXA = geom.nabla_F_operator(geom.A, Xc)
-    dYA = geom.nabla_F_operator(geom.A, Yc)
-    Xl = stack_values(geom.leaf_components(Xc), geom.batch)
-    Yl = stack_values(geom.leaf_components(Yc), geom.batch)
-    v = np.einsum("...ij,...i->...j", dXA, Yl) - np.einsum("...ij,...i->...j", dYA, Xl)
-    Xarr = stack_values(Xc, geom.batch)
-    Yarr = stack_values(Yc, geom.batch)
-    w = np.einsum("...lkab,...k,...a,...b->...l", geom.RP, geom.Narr, Xarr, Yarr)
-    wl = np.einsum("...il,...l->...i", geom.E_low, w)
-    resid = v + wl
-    return float(np.max(np.sqrt(np.sum(resid**2, axis=-1))))
+    return geom.codazzi_residual(_leaf_input(geom, X, "X"), _leaf_input(geom, Y, "Y"))
 
 
 def codazzi_classic_residual(fol: FoliationStructure, X, Y, U, p: Point) -> float:
@@ -521,34 +471,22 @@ def codazzi_classic_residual(fol: FoliationStructure, X, Y, U, p: Point) -> floa
     the leaf bundle.
     """
     geom = Geometry(fol, np.asarray(p, dtype=float), order=2)
-    Xc = _leaf_input(fol, geom, X, "X")
-    Yc = _leaf_input(fol, geom, Y, "Y")
-    Uc = _leaf_input(fol, geom, U, "U")
+    Xc, Yc, Uc = (_leaf_input(geom, V, what) for V, what in ((X, "X"), (Y, "Y"), (U, "U")))
+    nabla = lambda V, W: mfd.nabla(geom.gamma, V, W)
 
     def h_field(Ac, Bc):
-        w = geom.nabla(Ac, Bc)
-        out = list(w)
-        for ei in geom.e:
-            coeff = geom.inner(w, ei)
-            out = [out[k] - coeff * ei[k] for k in range(geom.m)]
-        return out
+        w = nabla(Ac, Bc)
+        return w - geom.tangential(w)
 
     def cov_h(Ac, Bc, Cc):
         # (nabla_A h)(B, C) = perp(nabla_A (h(B,C))) - h(nabla^F_A B, C) - h(B, nabla^F_A C)
-        hBC = h_field(Bc, Cc)
-        d1 = stack_values(geom.nabla(Ac, hBC), geom.batch)
-        out = geom.off_leaf(d1)
-        out = out - stack_values(h_field(geom.leaf_part(geom.nabla(Ac, Bc)), Cc), geom.batch)
-        out = out - stack_values(h_field(Bc, geom.leaf_part(geom.nabla(Ac, Cc))), geom.batch)
-        return out
+        out = geom.off_leaf(nabla(Ac, h_field(Bc, Cc)).value)
+        out = out - h_field(geom.tangential(nabla(Ac, Bc)), Cc).value
+        return out - h_field(Bc, geom.tangential(nabla(Ac, Cc))).value
 
     lhs = cov_h(Xc, Yc, Uc) - cov_h(Yc, Xc, Uc)
-    Xarr = stack_values(Xc, geom.batch)
-    Yarr = stack_values(Yc, geom.batch)
-    Uarr = stack_values(Uc, geom.batch)
-    RXYU = np.einsum("...lkab,...k,...a,...b->...l", geom.Rarr, Uarr, Xarr, Yarr)
-    rhs = geom.off_leaf(RXYU)
-    return geom.max_norm(lhs - rhs)
+    RXYU = np.einsum("...lkab,...k,...a,...b->...l", geom.R, Uc.value, Xc.value, Yc.value)
+    return geom.max_norm(lhs - geom.off_leaf(RXYU))
 
 
 def trace_identity_field_residual(fol: FoliationStructure, r: int, X, p: Point) -> float:
@@ -556,32 +494,23 @@ def trace_identity_field_residual(fol: FoliationStructure, r: int, X, p: Point) 
     if not 1 <= r <= fol.n:
         raise ValueError(f"field trace identity index {r} outside 1..{fol.n}")
     geom = Geometry(fol, np.asarray(p, dtype=float), order=2)
-    Xc = _leaf_input(fol, geom, X, "X")
-    dXA = geom.nabla_F_operator(geom.A, Xc)
-    lhs = np.einsum("...ik,...ki->...", geom.newton_arr(r - 1), dXA)
-    Xarr = stack_values(Xc, geom.batch)
-    rhs = geom.direction_derivative(geom.sigma_jet(r), Xarr)
-    return float(np.max(np.abs(lhs - rhs)))
+    return geom.trace_identity_field_residual(r, _leaf_input(geom, X, "X"))
 
 
 def trace_identities_algebraic(fol: FoliationStructure, r: int, p: Point) -> np.ndarray:
     """Worst residuals of the three algebraic trace identities over the points."""
-    A = shape_operator(fol, p)
-    return np.abs(newton.trace_identity_residuals(r, A)).reshape(-1, 3).max(axis=0)
+    return Geometry(fol, np.asarray(p, dtype=float), order=1).trace_identities_algebraic(r)
 
 
 def trace_identities_field(fol: FoliationStructure, r: int, p: Point) -> float:
     """Worst residual of the field identity for T_r over every leaf-frame direction."""
-    worst = 0.0
-    if r + 1 <= fol.n:
-        for i in range(fol.n):
-            worst = max(worst, trace_identity_field_residual(fol, r + 1, leaf_field(fol, i), p))
-    return worst
+    return Geometry(fol, np.asarray(p, dtype=float), order=2).trace_identities_field(r)
 
 
 def trace_identities(fol: FoliationStructure, r: int, p: Point) -> np.ndarray:
     """Four residuals: the three algebraic trace identities and the field one."""
-    return np.append(trace_identities_algebraic(fol, r, p), trace_identities_field(fol, r, p))
+    geom = Geometry(fol, np.asarray(p, dtype=float), order=2)
+    return np.append(geom.trace_identities_algebraic(r), geom.trace_identities_field(r))
 
 
 def integrability_residual(fol: FoliationStructure, p: Point) -> float:
@@ -590,7 +519,7 @@ def integrability_residual(fol: FoliationStructure, p: Point) -> float:
     worst = 0.0
     for i in range(geom.n):
         for j in range(i + 1, geom.n):
-            br = stack_values(mfd.lie_bracket(geom.man, geom.e[i], geom.e[j]), geom.batch)
+            br = mfd.lie_bracket(geom.man, geom.e[..., i, :], geom.e[..., j, :]).value
             worst = max(worst, geom.max_norm(geom.off_leaf(br)))
     return worst
 
@@ -603,12 +532,11 @@ def divx_residual(fol: FoliationStructure, X_field, p: Point) -> float:
     the class the integral formulas use.
     """
     geom = Geometry(fol, np.asarray(p, dtype=float), order=2)
-    Xc = X_field(geom.coords)
-    full = value_of(mfd.divergence_jets(geom.man, geom.coords, geom.gamma, Xc))
-    leafdiv = geom.div_F(Xc)
-    Xarr = stack_values(Xc, geom.batch)
-    xz = np.einsum("...l,...lk,...k->...", Xarr, geom.g_arr, geom.Zarr)
-    xh = np.einsum("...l,...lk,...k->...", Xarr, geom.g_arr, geom.Hperp_arr)
+    X = stack(X_field(geom.coords), geom.coords).at_order(1)
+    full = mfd.divergence_jets(geom.man, geom.coords, geom.gamma, X).value
+    leafdiv = geom.div_F(X)
+    xz = np.einsum("...l,...lk,...k->...", X.value, geom.g.value, geom.Z.value)
+    xh = np.einsum("...l,...lk,...k->...", X.value, geom.g.value, geom.Hperp.value)
     return float(np.max(np.abs(full - (leafdiv - xz - xh))))
 
 

@@ -1,35 +1,35 @@
-"""Second-order forward jets and small dense linear algebra over them.
+"""Second-order forward jets, scalar or tensor-valued, and their contractions.
 
-A :class:`Jet` carries the value, gradient and Hessian of a scalar quantity
-with respect to the coordinates (or frame directions) of a manifold point.
+A :class:`Jet` carries the value, gradient and Hessian of a quantity with
+respect to the coordinates (or frame directions) of a manifold point.
 Arithmetic propagates derivatives exactly to rounding, so connection and
 curvature formulas built from jets carry no finite-difference truncation.
 Finite differences appear in this package only as a test oracle.
 
-Values are numpy arrays with an arbitrary leading batch shape: a jet of a
-field sampled on K grid points stores value ``(K,)``, grad ``(K, m)`` and
-hess ``(K, m, m)``.  Plain numbers and ndarrays mix freely with jets and are
-treated as constants.  Differentiating a jet drops its order by one; an
-order-0 jet is a bare value.
+A jet is elementwise over an arbitrary value shape: a tensor field sampled
+on K grid points stores value ``(K, *shape)``, grad ``(K, *shape, m)`` and
+hess ``(K, *shape, m, m)``.  Plain numbers and ndarrays mix freely with
+jets and are treated as constants.  Differentiating a jet drops its order
+by one; an order-0 jet is a bare value.
 
-Jets differentiate what the user writes as closures (the metric and the
-frames) and the fields built from them (the shape operator, Z and the
-Newton transformations).  :func:`stack_jets` is where jets end and arrays
-begin: it turns a nested list of jets into value, gradient and Hessian
-arrays, from which the connection and curvature tensors are contracted.
-:func:`jet_view` goes back, giving those arrays a jet face where jet-valued
-fields need them, and :func:`truncate` cuts jets to the derivative order
-their consumers read.
+The user's closures (the metric, the frames, test fields) are written over
+the scalar coordinate seeds of :func:`variables` and return nested lists of
+jets and constants.  :func:`stack` turns such a list into one tensor jet,
+and from there every derived quantity (the Christoffel symbols, covariant
+derivatives, the shape operator, Z, the symmetric functions and the Newton
+transformations) is contracted with :func:`einsum`, which applies the
+product rule to each jet operand at the lowest order among them.
+:func:`mat_inverse` is the metric solve on those arrays.
 
-The linear-algebra helpers at the bottom operate on matrices represented as
-nested lists whose entries are any mix of floats, ndarrays and jets, which
-lets the shape-operator and Newton-transformation code carry derivatives
-through jet-valued operator fields.
+The nested-list helpers at the bottom (``mat_identity``, ``mat_mul``,
+``mat_trace``) serve the scalar reference chain in ``newton``, which the
+tests hold the array path to.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import string
+from typing import Callable
 
 import numpy as np
 
@@ -37,9 +37,12 @@ from .errors import LinearSolveError
 
 
 class Jet:
-    """Truncated Taylor data (value, gradient, Hessian) of a scalar."""
+    """Truncated Taylor data (value, gradient, Hessian), elementwise over the value's shape."""
 
     __slots__ = ("value", "grad", "hess")
+    # ``ndarray <op> Jet`` defers to the jet's reflected operator instead of
+    # building an object array.
+    __array_ufunc__ = None
 
     def __init__(self, value, grad=None, hess=None):
         self.value = np.asarray(value, dtype=float)
@@ -54,11 +57,35 @@ class Jet:
             return 1
         return 0
 
-    def d(self, i: int) -> "Jet":
-        """Partial derivative in direction ``i``; the result has one order less."""
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.value.shape
+
+    def d(self, i: int | None = None) -> "Jet":
+        """Partial derivative in direction ``i``, or all of them along a new last axis.
+
+        The result has one order less.
+        """
         if self.grad is None:
             raise ValueError("cannot differentiate an order-0 jet")
+        if i is None:
+            return Jet(self.grad, self.hess)
         return Jet(self.grad[..., i], None if self.hess is None else self.hess[..., i, :])
+
+    def at_order(self, order: int) -> "Jet":
+        """The same jet without the derivatives above ``order``; the arrays are shared."""
+        return Jet(self.value, self.grad if order >= 1 else None, self.hess if order >= 2 else None)
+
+    def __getitem__(self, idx) -> "Jet":
+        """Index the trailing (tensor) axes of the value, as ``value[..., *idx]`` would."""
+        idx = idx if isinstance(idx, tuple) else (idx,)
+        key = (Ellipsis,) + (idx[1:] if idx and idx[0] is Ellipsis else idx)
+        tail = (slice(None),)
+        return Jet(
+            self.value[key],
+            None if self.grad is None else self.grad[key + tail],
+            None if self.hess is None else self.hess[key + tail * 2],
+        )
 
     # -- arithmetic --------------------------------------------------------
 
@@ -103,10 +130,11 @@ class Jet:
                     + np.swapaxes(cross, -1, -2)
                 )
             return Jet(v, g, h)
+        c = np.asarray(other, dtype=float)
         return Jet(
-            self.value * other,
-            None if self.grad is None else self.grad * other,
-            None if self.hess is None else self.hess * other,
+            self.value * c,
+            None if self.grad is None else self.grad * c[..., None],
+            None if self.hess is None else self.hess * c[..., None, None],
         )
 
     __rmul__ = __mul__
@@ -198,31 +226,29 @@ def value_of(x):
     return x.value if isinstance(x, Jet) else x
 
 
-def d_of(x, i: int):
-    """Partial derivative of a jet entry; constants differentiate to zero."""
-    return x.d(i) if isinstance(x, Jet) else 0.0
+def stack(entries, coords, order: int | None = None) -> Jet:
+    """One tensor jet from a nested list of jets and constants evaluated on ``coords``.
 
-
-def stack_values(comps: Sequence, batch_shape: tuple[int, ...]) -> np.ndarray:
-    """Stack component values into an ``(..., k)`` float array."""
-    cols = [np.broadcast_to(np.asarray(value_of(c), dtype=float), batch_shape) for c in comps]
-    return np.stack(cols, axis=-1)
-
-
-def stack_jets(entries, batch_shape: tuple[int, ...], m: int, order: int) -> list[np.ndarray]:
-    """Value, gradient, ... arrays of a nested list of jets and constants.
-
-    Returns ``order + 1`` arrays: values ``batch + shape``, gradients
-    ``batch + shape + (m,)`` and Hessians ``batch + shape + (m, m)``, where
-    ``shape`` is the nesting shape of ``entries``.  Constants and derivatives
-    an entry does not carry are zero.
+    The value has shape ``batch + shape``, the gradient ``batch + shape +
+    (m,)`` and the Hessian ``batch + shape + (m, m)``, where ``shape`` is the
+    nesting shape of ``entries``; an empty list stacks as a ``(0, m)``
+    frame.  Derivatives are kept up to ``order``, by default the order of the
+    seeds; constants, and derivatives an entry does not carry, are zero.  A
+    jet is returned as it is.
     """
+    if isinstance(entries, Jet):
+        return entries
+    batch, m = coords[0].value.shape, len(coords)
+    order = coords[0].order if order is None else order
     shape = []
     probe = entries
     while isinstance(probe, (list, tuple)):
         shape.append(len(probe))
+        if not probe:
+            shape.append(m)
+            break
         probe = probe[0]
-    out = [np.zeros(batch_shape + tuple(shape) + (m,) * k) for k in range(order + 1)]
+    out = [np.zeros(batch + tuple(shape) + (m,) * k) for k in range(order + 1)]
     for idx in np.ndindex(*shape):
         x = entries
         for i in idx:
@@ -231,48 +257,83 @@ def stack_jets(entries, batch_shape: tuple[int, ...], m: int, order: int) -> lis
         for k, (arr, part) in enumerate(zip(out, parts)):
             if part is not None:
                 arr[(Ellipsis,) + idx + (slice(None),) * k] = part
-    return out
+    return Jet(*out)
 
 
-def truncate(entries, order: int):
-    """A nested list of jets and constants with every jet cut to ``order``.
+def einsum(spec: str, *operands):
+    """``np.einsum`` over jets and ndarrays, with the product rule for the jets.
 
-    Truncation drops derivatives and never changes the ones kept, so values
-    and gradients computed from the result are bit-identical to those
-    computed from ``entries``.  The arrays are shared, not copied.
+    ``spec`` must name its output (``"...->..."``).  The result carries
+    derivatives to the lowest order among the jet operands; the gradient
+    and Hessian axes ride along after the output indices.  Without a jet
+    operand this is ``np.einsum``.  Values are contracted by plain
+    ``np.einsum``, so they sum in the order a scalar jet loop would on the
+    catalog's sparse frames; derivative terms take numpy's optimized
+    contraction path, which is faster and moves only their last bits.
     """
-    if isinstance(entries, (list, tuple)):
-        return [truncate(x, order) for x in entries]
-    if isinstance(entries, Jet) and entries.order > order:
-        return Jet(entries.value, entries.grad if order >= 1 else None)
-    return entries
+    values = [value_of(x) for x in operands]
+    value = np.einsum(spec, *values)
+    jet_at = [k for k, x in enumerate(operands) if isinstance(x, Jet)]
+    if not jet_at:
+        return value
+    order = min(operands[k].order for k in jet_at)
+    inputs, output = spec.split("->")
+    subs = inputs.split(",")
+    a, b = [c for c in string.ascii_letters if c not in spec][:2]
+
+    def term(replace: dict, extra: str) -> np.ndarray:
+        ops = [replace[k][0] if k in replace else v for k, v in enumerate(values)]
+        sub = [s + replace[k][1] if k in replace else s for k, s in enumerate(subs)]
+        return np.einsum(",".join(sub) + "->" + output + extra, *ops, optimize=True)
+
+    grad = hess = None
+    if order >= 1:
+        grad = sum(term({k: (operands[k].grad, a)}, a) for k in jet_at)
+    if order >= 2:
+        hess = sum(term({k: (operands[k].hess, a + b)}, a + b) for k in jet_at)
+        for i, j in ((i, j) for n, i in enumerate(jet_at) for j in jet_at[n + 1 :]):
+            cross = term({i: (operands[i].grad, a), j: (operands[j].grad, b)}, a + b)
+            hess = hess + cross + np.swapaxes(cross, -1, -2)
+    return Jet(value, grad, hess)
 
 
-def jet_view(value: np.ndarray, grad: np.ndarray | None, ndim: int) -> list:
-    """Nested lists of jets over the ``ndim`` trailing axes of ``value``; undoes :func:`stack_jets`.
+def mat_inverse(A):
+    """Gauss-Jordan inverse of a batch of matrices ``(..., n, n)``, a jet or an ndarray.
 
-    ``grad`` has one more trailing axis, the derivative direction.  Entries
-    are views of the arrays, so no data is copied.
+    The elimination runs on whole rows in the textbook order, so every entry
+    sees the operations a scalar elimination would give it, derivatives
+    included.  No pivoting: intended for symmetric positive definite metric
+    matrices, where the unpivoted elimination is stable.
     """
-    lead = tuple(range(ndim))
-    v = np.moveaxis(value, tuple(range(-ndim, 0)), lead)
-    gr = None if grad is None else np.moveaxis(grad, tuple(range(-ndim - 1, -1)), lead)
-    out = np.empty(v.shape[:ndim], dtype=object)
-    for idx in np.ndindex(out.shape):
-        out[idx] = Jet(v[idx], None if gr is None else gr[idx])
-    return out.tolist()
+    value = value_of(A)
+    n = value.shape[-1]
+    scale = max(float(np.max(np.abs(value))), 1.0)
+    work = [A[..., i, :] for i in range(n)]
+    inv = list(np.eye(n))
+    for c in range(n):
+        piv = work[c][..., c]
+        if float(np.min(np.abs(value_of(piv)))) <= 1e-13 * scale:
+            raise LinearSolveError(f"singular pivot in metric solve at column {c}")
+        pinv = (1.0 / piv)[..., None]
+        work[c] = work[c] * pinv
+        inv[c] = inv[c] * pinv
+        for r in range(n):
+            if r == c:
+                continue
+            f = work[r][..., c, None]
+            work[r] = work[r] - f * work[c]
+            inv[r] = inv[r] - f * inv[c]
+    if not isinstance(A, Jet):
+        return np.stack(inv, axis=-2)
+    parts = ([row.value for row in inv], [row.grad for row in inv], [row.hess for row in inv])
+    return Jet(*(np.stack(p, axis=-2 - k) for k, p in enumerate(parts[: A.order + 1])))
 
 
-# -- generic small dense linear algebra over nested lists -------------------
+# -- the scalar reference chain's nested-list matrices ------------------------
 
 
 def mat_identity(n: int) -> list[list[float]]:
     return [[1.0 if i == j else 0.0 for j in range(n)] for i in range(n)]
-
-
-def mat_vec(A, v):
-    n = len(A)
-    return [sum(A[i][j] * v[j] for j in range(len(v))) for i in range(n)]
 
 
 def mat_mul(A, B):
@@ -282,45 +343,3 @@ def mat_mul(A, B):
 
 def mat_trace(A):
     return sum(A[i][i] for i in range(len(A)))
-
-
-def metric_inner(g, u, v):
-    """Inner product sum_ij g[i][j] u^i v^j over generic scalars."""
-    m = len(u)
-    return sum(g[i][j] * u[i] * v[j] for i in range(m) for j in range(m))
-
-
-def _abs_scale(A) -> float:
-    s = 0.0
-    for row in A:
-        for entry in row:
-            s = max(s, float(np.max(np.abs(value_of(entry)))))
-    return s
-
-
-def mat_inverse(A):
-    """Gauss-Jordan inverse over generic scalars.
-
-    No pivoting: intended for symmetric positive definite metric matrices,
-    where the unpivoted elimination is stable.
-    """
-    n = len(A)
-    work = [list(row) for row in A]
-    inv = mat_identity(n)
-    scale = max(_abs_scale(A), 1.0)
-    for c in range(n):
-        piv = work[c][c]
-        if float(np.min(np.abs(value_of(piv)))) <= 1e-13 * scale:
-            raise LinearSolveError(f"singular pivot in metric solve at column {c}")
-        pinv = 1.0 / piv
-        for j in range(n):
-            work[c][j] = work[c][j] * pinv
-            inv[c][j] = inv[c][j] * pinv
-        for r in range(n):
-            if r == c:
-                continue
-            f = work[r][c]
-            for j in range(n):
-                work[r][j] = work[r][j] - f * work[c][j]
-                inv[r][j] = inv[r][j] - f * inv[c][j]
-    return inv

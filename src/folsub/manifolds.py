@@ -15,16 +15,14 @@ Both expose the same small protocol (``seed``, ``metric_jets``,
 ``gamma_jets``, ``structure_constants``), so the connection, curvature and
 divergence routines below are written once.
 
-Jets end at the metric: ``gamma_jets`` stacks the metric jets once into
-value, gradient and Hessian arrays with a batch axis and returns a
-:class:`Connection` holding the Christoffel symbols as an array; their
-derivatives ∂Γ are contracted from the same stacked arrays the first time
-something reads them, so value-only consumers never form them.
-``riemann_jets`` contracts Γ and ∂Γ into the Riemann tensor with
-``einsum``.  Covariant derivatives of jet-valued fields (``nabla``,
-``divergence_jets``) read a jet view of the same arrays, truncated to the
-order the caller's fields can use: values only for fields known to first
-order, values and ∂Γ for fields known to second order.  Index conventions:
+The metric and every field reach this module as tensor jets (see
+``jets``).  ``gamma_jets`` returns a :class:`Connection` holding the
+Christoffel symbols as an array; their derivatives ∂Γ are contracted from
+the same metric arrays the first time something reads them, so value-only
+consumers never form them.  ``riemann_jets`` contracts Γ and ∂Γ into the
+Riemann tensor.  The covariant derivative of a field known to order k,
+``differential``, is known to order k - 1, so it reads ∂Γ only when the
+field carries a Hessian.  Index conventions:
 ``gamma[..., k, i, j]`` multiplies direction i and argument j, and the
 curvature components satisfy ``(R(X, Y)V)^l = R[..., l, k, i, j] V^k X^i Y^j``.
 """
@@ -39,7 +37,7 @@ import numpy as np
 
 from . import jets
 from .errors import EvaluationError
-from .jets import Jet, d_of, jet_view, mat_inverse, stack_jets, stack_values, value_of
+from .jets import Jet, einsum, mat_inverse, stack
 
 Point = np.ndarray
 
@@ -65,9 +63,7 @@ class Connection:
 
     def __init__(self, gamma: np.ndarray, dgamma: np.ndarray | Callable[[], np.ndarray] | None = None):
         self.gamma = gamma
-        self.order = 0 if dgamma is None else 1
         self._dgamma = dgamma
-        self._views: dict[int, list] = {}
 
     @cached_property
     def dgamma(self) -> np.ndarray | None:
@@ -76,15 +72,9 @@ class Connection:
         self._dgamma = None  # release the stacked metric arrays the builder holds
         return value
 
-    def entries(self, order: int = 1) -> list:
-        """Jet view ``entries[k][i][j]`` of Γ truncated to ``order``, for the jet-valued nabla.
-
-        Order 0 holds values only; order 1 (when the connection has it) adds ∂Γ.
-        """
-        order = max(0, min(order, self.order))
-        if order not in self._views:
-            self._views[order] = jet_view(self.gamma, self.dgamma if order else None, 3)
-        return self._views[order]
+    def jet(self, order: int) -> Jet:
+        """Γ as a jet of at most ``order``: ∂Γ is read, and formed, only for order 1."""
+        return Jet(self.gamma, self.dgamma if order >= 1 else None)
 
 
 @dataclass(frozen=True)
@@ -128,29 +118,25 @@ class ChartManifold:
         return self.metric(coords)
 
     def gamma_jets(self, coords, g=None) -> Connection:
-        if g is None:
-            g = self.metric(coords)
-        order = min(coords[0].order, 2)
-        if order < 1:
+        """Levi-Civita connection on the seeds; ``g`` is the metric, as the closure's list or a jet."""
+        g = stack(self.metric(coords) if g is None else g, coords)
+        if g.order < 1:
             raise ValueError("connection coefficients need seeds of order >= 1")
-        batch = coords[0].value.shape
-        gv, dg, *hess = stack_jets(g, batch, self.dim, order)
-        # The inverse metric and, with a Hessian, its gradient come from jets, so both
-        # are bit-identical to a jet evaluation of the whole formula.  One solve gives
-        # both: solving again for the gradient alone would repeat every value operation.
-        ginv, *dginv = stack_jets(mat_inverse(jet_view(gv, dg if hess else None, 2)), batch, self.dim, order - 1)
+        dg, H = g.grad, g.hess
+        # The inverse metric and, with a Hessian, its gradient come from one jet solve,
+        # bit-identical to a scalar jet evaluation of the whole formula.
+        ginv = mat_inverse(g.at_order(g.order - 1))
         # S[l, i, j] = d_i g[l, j] + d_j g[l, i] - d_l g[i, j]; dg[..., p, q, r] = d_r g[p, q]
         S = np.swapaxes(dg, -1, -2) + dg - np.einsum("...ijl->...lij", dg)
-        gamma = 0.5 * np.einsum("...kl,...lij->...kij", ginv, S)
-        if not hess:
+        gamma = 0.5 * np.einsum("...kl,...lij->...kij", ginv.value, S)
+        if H is None:
             return Connection(gamma)
 
         def dgamma() -> np.ndarray:
-            H = hess[0]
             dS = np.swapaxes(H, -3, -2) + H
             dS -= np.einsum("...ijla->...lija", H)
-            out = np.einsum("...kla,...lij->...kija", dginv[0], S)
-            out += np.einsum("...kl,...lija->...kija", ginv, dS)
+            out = np.einsum("...kla,...lij->...kija", ginv.grad, S, optimize=True)
+            out += np.einsum("...kl,...lija->...kija", ginv.value, dS, optimize=True)
             out *= 0.5
             return out
 
@@ -158,11 +144,7 @@ class ChartManifold:
 
     def volume_density(self, points) -> np.ndarray:
         coords = self.seed(points, order=0)
-        g = self.metric(coords)
-        batch = np.asarray(points, dtype=float).shape[:-1]
-        rows = [stack_values(row, batch) for row in g]
-        gval = np.stack(rows, axis=-2)
-        return np.sqrt(np.linalg.det(gval))
+        return np.sqrt(np.linalg.det(stack(self.metric(coords), coords).value))
 
 
 @dataclass(frozen=True)
@@ -223,47 +205,31 @@ class InvariantFrameManifold:
 Manifold = ChartManifold | InvariantFrameManifold
 
 
-# -- connection-level helpers over component lists ---------------------------
+# -- covariant calculus on tensor jets -----------------------------------------
 
 
-def nabla_dir(manifold, gamma: Connection, comps, i: int, order: int = 1):
-    """Covariant derivative of a vector field in frame direction i, with Γ truncated to ``order``."""
-    m = manifold.dim
-    G = gamma.entries(order)
-    return [d_of(comps[k], i) + sum(G[k][i][j] * comps[j] for j in range(m)) for k in range(m)]
+def differential(gamma: Connection, W: Jet, frame: bool = False) -> Jet:
+    """Covariant derivative of a vector field W in every direction, the direction last.
 
-
-def nabla(manifold, gamma, Xc, Wc, order: int = 1):
-    """Covariant derivative of the field W along the vector X (components).
-
-    Γ enters truncated to ``order``: a field known to order k has a
-    covariant derivative known to order k - 1 at most, so a caller that
-    carries its fields to order k passes k - 1 and no ∂Γ is formed for
-    value-only results.
+    ``(∇_i W)^k = ∂_i W^k + Γ^k_ij W^j``, known to one order less than W, so
+    ∂Γ enters only when W carries a Hessian.  A ``frame`` W of shape
+    (..., a, m) gives (..., a, k, i).
     """
-    m = manifold.dim
-    out = [0.0] * m
-    for i in range(m):
-        Di = nabla_dir(manifold, gamma, Wc, i, order)
-        out = [out[k] + Xc[i] * Di[k] for k in range(m)]
-    return out
+    spec = "...kij,...aj->...aki" if frame else "...kij,...j->...ki"
+    return W.d() + einsum(spec, gamma.jet(W.order - 1), W)
 
 
-def lie_bracket(manifold, Xc, Yc):
+def nabla(gamma: Connection, X, W: Jet) -> Jet:
+    """Covariant derivative ∇_X W of the vector field W along the vector X."""
+    return einsum("...i,...ki->...k", X, differential(gamma, W))
+
+
+def lie_bracket(manifold, X: Jet, Y: Jet) -> Jet:
     """[X, Y] components, including the anholonomic frame term."""
-    m = manifold.dim
+    out = einsum("...i,...ki->...k", X, Y.d()) - einsum("...i,...ki->...k", Y, X.d())
     c = manifold.structure_constants
-    out = []
-    for k in range(m):
-        acc = 0.0
-        for i in range(m):
-            acc = acc + Xc[i] * d_of(Yc[k], i) - Yc[i] * d_of(Xc[k], i)
-        for i in range(m):
-            for j in range(m):
-                cij = c[k, i, j]
-                if cij != 0.0:
-                    acc = acc + cij * Xc[i] * Yc[j]
-        out.append(acc)
+    if np.any(c):
+        out = out + einsum("kij,...i,...j->...k", c, X, Y)
     return out
 
 
@@ -275,7 +241,7 @@ def riemann_jets(manifold, coords, gamma: Connection | None = None) -> np.ndarra
     if dG is None:
         raise ValueError("the Riemann tensor needs seeds of order 2")
     # A[l, k, i, j] = d_i gamma[l, j, k] + gamma[a, j, k] gamma[l, i, a]; R antisymmetrizes it in (i, j).
-    A = np.einsum("...ljki->...lkij", dG) + np.einsum("...ajk,...lia->...lkij", G, G)
+    A = np.einsum("...ljki->...lkij", dG) + np.einsum("...ajk,...lia->...lkij", G, G, optimize=True)
     R = A - np.swapaxes(A, -1, -2)
     c = manifold.structure_constants
     if np.any(c):  # a coordinate frame (every chart) has no bracket term
@@ -283,9 +249,9 @@ def riemann_jets(manifold, coords, gamma: Connection | None = None) -> np.ndarra
     return R
 
 
-def divergence_jets(manifold, coords, gamma, Xc):
-    """Full divergence: trace of the covariant derivative of X."""
-    return sum(nabla_dir(manifold, gamma, Xc, k)[k] for k in range(manifold.dim))
+def divergence_jets(manifold, coords, gamma, X) -> Jet:
+    """Full divergence: trace of the covariant derivative of the field X (a list or a jet)."""
+    return einsum("...kk->...", differential(gamma, stack(X, coords)))
 
 
 def coordinate_field(i: int, m: int):
@@ -304,7 +270,8 @@ def metric_at(manifold, p: Point) -> np.ndarray:
     """Metric matrix at p; symmetric positive definite by contract."""
     p = np.asarray(p, dtype=float)
     m = manifold.dim
-    g = stack_jets(manifold.metric_jets(manifold.seed(p, order=0)), p.shape[:-1], m, 0)[0]
+    coords = manifold.seed(p, order=0)
+    g = stack(manifold.metric_jets(coords), coords).value
     bad = np.argwhere(~np.isfinite(g.reshape(-1, m, m)).all(axis=0))
     if bad.size:
         i, j = bad[0]
@@ -324,8 +291,8 @@ def covariant_derivative(manifold, X_field, Y_field, p: Point) -> TangentVector:
     p = np.asarray(p, dtype=float)
     coords = manifold.seed(p, order=1)
     gamma = manifold.gamma_jets(coords)
-    comps = nabla(manifold, gamma, X_field(coords), Y_field(coords))
-    return TangentVector(stack_values(comps, p.shape[:-1]), p)
+    comps = nabla(gamma, stack(X_field(coords), coords), stack(Y_field(coords), coords))
+    return TangentVector(comps.value, p)
 
 
 def riemann_tensor(manifold, p: Point) -> np.ndarray:
@@ -356,4 +323,4 @@ def divergence(manifold, X_field, p: Point):
     p = np.asarray(p, dtype=float)
     coords = manifold.seed(p, order=1)
     gamma = manifold.gamma_jets(coords)
-    return value_of(divergence_jets(manifold, coords, gamma, X_field(coords)))
+    return divergence_jets(manifold, coords, gamma, X_field(coords)).value

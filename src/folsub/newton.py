@@ -4,16 +4,19 @@ Coefficients of the characteristic polynomial are recovered from power sums
 through Newton's identities; no eigendecomposition is involved, which keeps
 the evaluation deterministic and exact for diagonal input.
 
-There are two implementations of the power sums and of the chain
-T_0..T_n, sharing the Newton-identity step.  The ``*_nested`` functions work
-on nested lists of generic scalars (see ``jets``) and serve the jet-valued
-operator fields of ``foliation.Geometry``, whose derivatives ride along.  The
-ndarray front ends work on batched numpy arrays of shape ``(..., n, n)`` with
-``@`` products.  Their traces add the diagonal in index order, as
+The Newton-identity step, :func:`_newton_identities`, runs over generic
+scalars: floats, ndarrays, or the tensor jets of ``foliation.Geometry``,
+which carries the derivatives of sigma_r and T_r along with it.  The ndarray
+front ends work on batched numpy arrays of shape ``(..., n, n)`` with ``@``
+products.  Their traces add the diagonal in index order, as
 ``jets.mat_trace`` does, instead of calling ``np.trace``: numpy sums eight or
 more terms pairwise, which moves the last bits, while the index order keeps
-both paths bit-identical on diagonal input such as the umbilical operator
-H Id.
+them bit-identical to the scalar chain on diagonal input such as the
+umbilical operator H Id.
+
+The ``*_nested`` functions are that scalar chain, on nested lists of
+generic scalars.  Nothing in the package calls them: they are the reference
+the tests hold the batched and jet paths to.
 """
 
 from __future__ import annotations
@@ -66,11 +69,6 @@ def newton_transforms_nested(A, sigmas=None) -> list:
         ATprev = mat_mul(A, out[-1])
         out.append([[sigmas[r] * eye[i][j] - ATprev[i][j] for j in range(n)] for i in range(n)])
     return out
-
-
-def sigma_entry(sigmas, k: int):
-    """sigma_k with indices above n identically zero."""
-    return sigmas[k] if k < len(sigmas) else 0.0
 
 
 # -- ndarray front ends ------------------------------------------------------

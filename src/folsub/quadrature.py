@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvaluationError, UnsupportedLeafError
+from .jets import stack
 from .manifolds import InvariantFrameManifold
 
 CHUNK = 4096
@@ -86,14 +87,9 @@ def leaf_density(manifold, leaf, points) -> np.ndarray:
     if isinstance(manifold, InvariantFrameManifold):
         return np.ones(np.asarray(points).shape[:-1])
     coords = manifold.seed(points, order=0)
-    g = manifold.metric_jets(coords)
-    batch = np.asarray(points).shape[:-1]
-    from .jets import stack_values
-
-    sub = [[g[i][j] for j in leaf.axes] for i in leaf.axes]
-    rows = [stack_values(row, batch) for row in sub]
-    gsub = np.stack(rows, axis=-2)
-    return np.sqrt(np.linalg.det(gsub))
+    g = stack(manifold.metric_jets(coords), coords).value
+    axes = list(leaf.axes)
+    return np.sqrt(np.linalg.det(g[..., axes, :][..., axes]))
 
 
 def integrate_terms(manifold, terms, grid: QuadratureGrid, density=None) -> dict:

@@ -136,17 +136,18 @@ def _sample_points(manifold, default_grid, extra_random: int = 32) -> np.ndarray
 
 def _curvature_invariance_residual(geom) -> float:
     """Max off-leaf norm of R^P(e_i, e_j)e_k over leaf-frame triples."""
-    T = np.einsum("...lkab,...Kk,...Ia,...Jb->...KIJl", geom.RP, geom.E, geom.E, geom.E)
+    E = geom.e.value
+    T = np.einsum("...lkab,...Kk,...Ia,...Jb->...KIJl", geom.RP, E, E, E)
     coeff = np.einsum("...ql,...KIJl->...KIJq", geom.E_low, T)
-    tang = np.einsum("...KIJq,...ql->...KIJl", coeff, geom.E)
+    tang = np.einsum("...KIJq,...ql->...KIJl", coeff, E)
     off = T - tang
-    norms = np.einsum("...KIJl,...lm,...KIJm->...KIJ", off, geom.g_arr, off)
+    norms = np.einsum("...KIJl,...lm,...KIJm->...KIJ", off, geom.g.value, off)
     return float(np.sqrt(max(np.max(norms), 0.0)))
 
 
 def _pcurv_constant_residual(geom, c: float) -> float:
     """Max deviation of R^P on D-frame triples from the constant-curvature form."""
-    F = np.concatenate([geom.E, geom.Narr[..., None, :]], axis=-2)
+    F = np.concatenate([geom.e.value, geom.N.value[..., None, :]], axis=-2)
     T = np.einsum("...lkab,...Kk,...Ia,...Jb->...IJKl", geom.RP, F, F, F)
     d = F.shape[-2]
     eye = np.eye(d)
@@ -154,26 +155,24 @@ def _pcurv_constant_residual(geom, c: float) -> float:
         np.einsum("JK,...Il->...IJKl", eye, F) - np.einsum("IK,...Jl->...IJKl", eye, F)
     )
     diff = T - want
-    norms = np.einsum("...IJKl,...lm,...IJKm->...IJK", diff, geom.g_arr, diff)
+    norms = np.einsum("...IJKl,...lm,...IJKm->...IJK", diff, geom.g.value, diff)
     return float(np.sqrt(max(np.max(norms), 0.0)))
 
 
 def _umbilical_residual(geom) -> float:
-    H = geom.sigma_arr(1) / geom.n
-    dev = geom.A_arr - H[..., None, None] * np.eye(geom.n)
+    H = geom.sigma.value[..., 1] / geom.n
+    dev = geom.A.value - H[..., None, None] * np.eye(geom.n)
     return float(np.max(np.abs(dev)))
 
 
 def measure_scenario(fol: FoliationStructure, points, pcurv_c: float | None) -> dict:
     """Numerically measured residuals behind every scenario flag."""
     geom = Geometry(fol, points, order=1)
-    hperp = np.sqrt(
-        np.maximum(np.einsum("...i,...ij,...j->...", geom.Hperp_arr, geom.g_arr, geom.Hperp_arr), 0.0)
-    )
+    H, g = geom.Hperp.value, geom.g.value
+    hperp = np.sqrt(np.maximum(np.einsum("...i,...ij,...j->...", H, g, H), 0.0))
+    frames = np.concatenate([geom.e.value, geom.N.value[..., None, :], geom.xis.value], axis=-2)
     out = {
-        "frame_orthonormality": frame_gram_residual(
-            geom.g_arr, jets.stack_jets(geom.e + [geom.N] + geom.xis, geom.batch, geom.m, 0)[0]
-        ),
+        "frame_orthonormality": frame_gram_residual(g, frames),
         "integrability": integrability_residual(fol, points),
         "mean_curvature_perp_max": float(np.max(hperp)),
         "admissibility_max": admissibility_residual(fol.dist, fol, points),

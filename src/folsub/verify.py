@@ -49,6 +49,7 @@ import numpy as np
 
 from . import jets
 from . import newton
+from . import quadrature
 from .foliation import Geometry
 from .manifolds import InvariantFrameManifold, divergence, divergence_jets
 from .quadrature import QuadratureGrid, grid_for, integrate, integrate_terms, leaf_density, leaf_grid, refined
@@ -223,7 +224,7 @@ def divergence_selftest_residual(scenario, grid: QuadratureGrid, seed: int = 112
     def terms(pts):
         coords = man.seed(pts, order=1)
         gamma = man.gamma_jets(coords)
-        return {f"div_{i}": jets.value_of(divergence_jets(man, coords, gamma, X(coords))) for i, X in enumerate(Xs)}
+        return {f"div_{i}": divergence_jets(man, coords, gamma, X(coords)).value for i, X in enumerate(Xs)}
 
     return max((abs(val) for val in _integrate_terms(scenario, grid, terms).values()), default=0.0)
 
@@ -253,28 +254,30 @@ def verify_divergence_theorem(scenario, X_field=None, grid=None, tolerance=None)
 
 def _main_terms(geom, r: int) -> dict:
     """Pointwise terms of the main integral formula, plus diagnostics."""
-    out = {"sigma": (r + 2) * geom.sigma_arr(r + 2)}
+    out = {"sigma": (r + 2) * geom.sigma.value[..., r + 2]}
     # The formula's R^P terms, and the same traces with the Riemann tensor
-    # substituted.  The curvature tensors come before T_r, so the Newton jets
-    # are not held across the curvature evaluation, the peak of memory use.
-    operators = (("", geom.RP), ("_riemannian", geom.Rarr))
-    Tr = geom.newton_arr(r)
+    # substituted.  The curvature tensors come before T_r, so the Newton
+    # transformations are not held across the curvature evaluation, the peak
+    # of memory use.
+    operators = (("", geom.RP), ("_riemannian", geom.R))
+    T = [Tk.value for Tk in geom.T]
+    E, zl = geom.e.value, geom.Z_leaf.value
     for suffix, tensor in operators:
         out["normal_curvature" + suffix] = np.einsum(
-            "...ik,...ki->...", Tr, geom._operator_matrix(tensor, geom.Narr)
+            "...ik,...ki->...", T[r], geom._operator_matrix(tensor, geom.N.value)
         )
         tz = np.zeros(geom.batch)
-        Aj = geom.Z_leaf_arr
+        Aj = zl
         for j in range(1, r + 1):
-            M = geom._operator_matrix(tensor, np.einsum("...i,...im->...m", Aj, geom.E))
-            tz = tz + (-1.0) ** (j - 1) * np.einsum("...ik,...ki->...", geom.newton_arr(r - j), M)
-            Aj = np.einsum("...ik,...k->...i", geom.A_arr, Aj)
+            M = geom._operator_matrix(tensor, np.einsum("...i,...im->...m", Aj, E))
+            tz = tz + (-1.0) ** (j - 1) * np.einsum("...ik,...ki->...", T[r - j], M)
+            Aj = np.einsum("...ik,...k->...i", geom.A.value, Aj)
         out["z_curvature" + suffix] = tz
-    TZ = np.einsum("...ij,...j->...i", Tr, geom.Z_leaf_arr)
-    TZamb = np.einsum("...i,...im->...m", TZ, geom.E)
-    out["trz_hperp"] = np.einsum("...m,...mk,...k->...", TZamb, geom.g_arr, geom.Hperp_arr)
-    out["trz_z"] = np.einsum("...i,...i->...", TZ, geom.Z_leaf_arr)
-    out["z_norm_sq"] = np.einsum("...i,...i->...", geom.Z_leaf_arr, geom.Z_leaf_arr)
+    TZ = np.einsum("...ij,...j->...i", T[r], zl)
+    TZamb = np.einsum("...i,...im->...m", TZ, E)
+    out["trz_hperp"] = np.einsum("...m,...mk,...k->...", TZamb, geom.g.value, geom.Hperp.value)
+    out["trz_z"] = np.einsum("...i,...i->...", TZ, zl)
+    out["z_norm_sq"] = np.einsum("...i,...i->...", zl, zl)
     return out
 
 
@@ -318,11 +321,12 @@ def verify_leaf(scenario, r: int, leaf=None, grid_axes=None, tolerance=None) -> 
     def fld(pts):
         geom = Geometry(scenario.fol, pts, order=2)
         terms = _main_terms(geom, r)
-        n_sigma = geom.direction_derivative(geom.sigma_jet(r + 1), geom.Narr)
+        sig = geom.sigma.value
+        n_sigma = np.einsum("...k,...k->...", geom.N.value, geom.sigma.grad[..., r + 1, :])
         return (
             terms["sigma"]
             + n_sigma
-            - geom.sigma_arr(1) * geom.sigma_arr(r + 1)
+            - sig[..., 1] * sig[..., r + 1]
             - terms["normal_curvature"]
             - terms["trz_z"]
             - terms["z_curvature"]
@@ -390,7 +394,7 @@ def verify_grid_checks(scenario, checks, grid=None, tolerance=None, c: float | N
 
     def terms(pts):
         geom = Geometry(scenario.fol, pts, order=1)
-        out = {f"sigma_{k}": geom.sigma_arr(k) for k in sorted(sigmas)}
+        out = {f"sigma_{k}": geom.sigma.value[..., k] for k in sorted(sigmas)}
         if "closed-form-c" in bases:
             out["volume"] = np.ones(pts.shape[0])
         for r in orders:
@@ -532,18 +536,27 @@ def verify_umbilical_reduction(samples: int = 1000, seed: int = 4242, tolerance:
 
 
 def sigma2_image_diagnostic(scenario, c: float = 0.0, grid=None) -> VerificationReport:
-    """Range of sigma_2 over the grid; diagnostic only, never a gate."""
+    """Range of sigma_2 over the grid; diagnostic only, never a gate.
+
+    The grid is scanned in chunks of ``quadrature.CHUNK`` nodes, so memory
+    stays bounded on fine grids; minima and maxima do not depend on the
+    chunking.
+    """
     t0 = time.perf_counter()
     grid = _grid(scenario, grid)
-    geom = Geometry(scenario.fol, grid.nodes, order=1)
-    s2 = geom.sigma_arr(2)
-    ric = geom.ricci_p(geom.Narr)
+    s2_min = ric_min = np.inf
+    s2_max = -np.inf
+    for start in range(0, grid.count, quadrature.CHUNK):
+        geom = Geometry(scenario.fol, grid.nodes[start : start + quadrature.CHUNK], order=1)
+        s2 = geom.sigma.value[..., 2]
+        s2_min, s2_max = min(s2_min, float(np.min(s2))), max(s2_max, float(np.max(s2)))
+        ric_min = min(ric_min, float(np.min(geom.ricci_p(geom.N.value))))
     terms = {
-        "sigma2_min": float(np.min(s2)),
-        "sigma2_max": float(np.max(s2)),
-        "ricci_p_NN_min": float(np.min(ric)),
-        "interval_witnessed": float(np.min(s2) <= 0.0 < c < np.max(s2)),
-        "ricci_bound_holds": float(np.min(ric) >= 2.0 * c),
+        "sigma2_min": s2_min,
+        "sigma2_max": s2_max,
+        "ricci_p_NN_min": ric_min,
+        "interval_witnessed": float(s2_min <= 0.0 < c < s2_max),
+        "ricci_bound_holds": float(ric_min >= 2.0 * c),
     }
     return make_report("sigma2-image", 0.0, np.inf, t0, scenario, grid, terms=terms, c=c)
 
@@ -575,7 +588,7 @@ def check_leaf_divergence_of_normal(scenario, samples: int = 50, seed: int = 37,
     t0 = time.perf_counter()
     pts = _sample_points(scenario, samples, seed)
     geom = Geometry(scenario.fol, pts, order=1)
-    residual = float(np.max(np.abs(geom.div_F(geom.N) + geom.sigma_arr(1))))
+    residual = float(np.max(np.abs(geom.div_F(geom.N) + geom.sigma.value[..., 1])))
     return make_report("leafdiv-normal", residual, tolerance, t0, scenario, samples=samples)
 
 
@@ -608,34 +621,27 @@ def check_newton_z_divergence(scenario, r: int, samples: int = 50, seed: int = 4
 
 
 def check_codazzi(scenario, samples: int = 50, seed: int = 53, tolerance: float = DIFFERENTIAL_TOL) -> VerificationReport:
-    """Codazzi-type residual over all leaf-frame pairs at random points."""
-    from .foliation import codazzi_residual, leaf_field
-
+    """Codazzi-type residual over all leaf-frame pairs at random points, from one geometry."""
     t0 = time.perf_counter()
-    pts = _sample_points(scenario, samples, seed)
+    geom = Geometry(scenario.fol, _sample_points(scenario, samples, seed), order=2)
     residual = 0.0
     for i in range(scenario.n):
         for j in range(i + 1, scenario.n):
-            residual = max(
-                residual,
-                codazzi_residual(scenario.fol, leaf_field(scenario.fol, i), leaf_field(scenario.fol, j), pts),
-            )
+            residual = max(residual, geom.codazzi_residual(geom.e[..., i, :], geom.e[..., j, :]))
     return make_report("codazzi", residual, tolerance, t0, scenario, samples=samples)
 
 
 def check_trace_identities(scenario, samples: int = 20, seed: int = 59) -> list[VerificationReport]:
-    """Algebraic and field-form Newton trace identities at random points.
+    """Algebraic and field-form Newton trace identities at random points, from one geometry.
 
     Each report carries the wall time of its own half of the work.
     """
-    from .foliation import trace_identities_algebraic, trace_identities_field
-
-    pts = _sample_points(scenario, samples, seed)
     t0 = time.perf_counter()
-    alg = max(float(np.max(trace_identities_algebraic(scenario.fol, r, pts))) for r in range(scenario.n))
+    geom = Geometry(scenario.fol, _sample_points(scenario, samples, seed), order=2)
+    alg = max(float(np.max(geom.trace_identities_algebraic(r))) for r in range(scenario.n))
     algebraic = make_report("trace-identities:algebraic", alg, ALGEBRAIC_TOL, t0, scenario, samples=samples)
     t1 = time.perf_counter()
-    fld = max(float(trace_identities_field(scenario.fol, r, pts)) for r in range(scenario.n))
+    fld = max(geom.trace_identities_field(r) for r in range(scenario.n))
     return [algebraic, make_report("trace-identities:field", fld, DIFFERENTIAL_TOL, t1, scenario, samples=samples)]
 
 

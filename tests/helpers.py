@@ -4,14 +4,19 @@ Everything here deliberately avoids the jet/connection machinery under test:
 finite differences for derivatives, eigenvalue brute force for symmetric
 functions, dense one-dimensional quadrature for reduced integrals, and
 hand-derived closed forms for the warped and tilted example metrics.  The
-two exceptions are references that other code is held to bit for bit: the
+exceptions are references that other code is held to bit for bit: the
 umbilical integrand, which runs the nested-list Newton path for the batched
-ndarray path, and the projector jets at the seeds' full derivative order,
-for the first-order ``distribution.projector_jets``.
+ndarray path; the projector jets at the seeds' full derivative order, for
+the first-order ``distribution.projector_jets``; and the scalar-jet route of
+``foliation.Geometry`` (:class:`NestedGeometry`) with its Gauss-Jordan
+solve, one ``Jet`` product at a time over nested lists, for the tensor-jet
+contractions that replaced it.
 """
 
 import numpy as np
 
+from folsub import jets
+from folsub.errors import LinearSolveError
 from folsub.newton import newton_transforms_nested, sigmas_nested
 
 TWO_PI = 2.0 * np.pi
@@ -132,3 +137,103 @@ def tilted_rp_normal(z, amp=0.3):
     alpha = warp_da(z) / warp_a(z)
     beta = warp_db(z) / warp_b(z)
     return s * c * (warp_d2a(z) / warp_a(z) - alpha * beta)
+
+
+# -- the scalar-jet route, over nested lists of Jet entries ---------------------
+
+
+def _d(x, i):
+    return x.d(i) if isinstance(x, jets.Jet) else 0.0
+
+
+def _cut(entries, order):
+    """A nested list of jets and constants with every jet cut to ``order``."""
+    if isinstance(entries, (list, tuple)):
+        return [_cut(x, order) for x in entries]
+    return entries.at_order(order) if isinstance(entries, jets.Jet) else entries
+
+
+def metric_inner(g, u, v):
+    """Inner product sum_ij g[i][j] u^i v^j over generic scalars."""
+    m = len(u)
+    return sum(g[i][j] * u[i] * v[j] for i in range(m) for j in range(m))
+
+
+def mat_vec(A, v):
+    return [sum(A[i][j] * v[j] for j in range(len(v))) for i in range(len(A))]
+
+
+def mat_inverse_nested(A):
+    """Gauss-Jordan inverse over generic scalars, entry by entry, without pivoting."""
+    n = len(A)
+    work = [list(row) for row in A]
+    inv = jets.mat_identity(n)
+    scale = max(max(float(np.max(np.abs(jets.value_of(x)))) for row in A for x in row), 1.0)
+    for c in range(n):
+        piv = work[c][c]
+        if float(np.min(np.abs(jets.value_of(piv)))) <= 1e-13 * scale:
+            raise LinearSolveError(f"singular pivot in metric solve at column {c}")
+        pinv = 1.0 / piv
+        for j in range(n):
+            work[c][j] = work[c][j] * pinv
+            inv[c][j] = inv[c][j] * pinv
+        for r in range(n):
+            if r == c:
+                continue
+            f = work[r][c]
+            for j in range(n):
+                work[r][j] = work[r][j] - f * work[c][j]
+                inv[r][j] = inv[r][j] - f * inv[c][j]
+    return inv
+
+
+class NestedGeometry:
+    """A, sigma_r, T_r, Z and div_F at ``points`` by scalar jets over nested lists.
+
+    Frames are seeded at ``order`` and the metric at order 2, as in
+    ``foliation.Geometry``; Γ comes from the same connection arrays, viewed
+    entry by entry at one order below the frames.
+    """
+
+    def __init__(self, fol, points, order):
+        man, m = fol.manifold, fol.manifold.dim
+        self.coords = man.seed(points, order)
+        seeds2 = man.seed(points, 2)
+        g2 = man.metric_jets(seeds2)
+        gamma = man.gamma_jets(seeds2)
+        G, dG = gamma.gamma, gamma.dgamma if order >= 2 else None
+        self.G = [
+            [[jets.Jet(G[..., k, i, j], None if dG is None else dG[..., k, i, j, :]) for j in range(m)] for i in range(m)]
+            for k in range(m)
+        ]
+        self.g = _cut(g2, order)
+        self.e = fol.leaf_frame(self.coords)
+        self.N = fol.normal(self.coords)
+        P = [[0.0] * m for _ in range(m)]
+        for v in _cut(fol.dist.frame_D(self.coords), 1):
+            low = mat_vec(_cut(g2, 1), v)
+            P = [[P[i][j] + v[i] * low[j] for j in range(m)] for i in range(m)]
+        raw = [[-self.inner(self.nabla(ei, self.N), ej) for ej in self.e] for ei in self.e]
+        n = len(self.e)
+        self.A = [[(raw[i][j] + raw[j][i]) * 0.5 for j in range(n)] for i in range(n)]
+        self.sigmas = sigmas_nested(self.A)
+        self.T = newton_transforms_nested(self.A, self.sigmas)
+        self.Z = mat_vec(P, self.nabla(self.N, self.N))
+        self.Z_leaf = [self.inner(self.Z, ei) for ei in self.e]
+
+    def inner(self, u, v):
+        return metric_inner(self.g, u, v)
+
+    def nabla(self, X, W):
+        m = len(W)
+        out = [0.0] * m
+        for i in range(m):
+            Di = [_d(W[k], i) + sum(self.G[k][i][j] * W[j] for j in range(m)) for k in range(m)]
+            out = [out[k] + X[i] * Di[k] for k in range(m)]
+        return out
+
+    def div_F(self, field):
+        acc = 0.0
+        for ei in self.e:
+            acc = acc + self.inner(self.nabla(ei, field), ei)
+        return jets.value_of(acc)

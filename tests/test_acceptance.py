@@ -100,8 +100,8 @@ def test_criterion_3_integral_suite(warped3, warped4, tilted):
 def test_criterion_4_projected_curvature_discrimination(heisenberg):
     t0 = time.perf_counter()
     geom = fln.Geometry(heisenberg.fol, heisenberg.manifold.base_point(), order=2)
-    ric_p = float(geom.ricci_p(geom.Narr))
-    ric_ambient = float(np.trace(geom.riemann_matrix(geom.Narr), axis1=-2, axis2=-1))
+    ric_p = float(geom.ricci_p(geom.N.value))
+    ric_ambient = float(np.trace(geom.riemann_matrix(geom.N.value), axis1=-2, axis2=-1))
     assert abs(ric_p - 0.0) <= 1e-9
     assert abs(ric_ambient - 0.25) <= 1e-9
 

@@ -5,7 +5,7 @@ from folsub import distribution as dst
 from folsub import jets
 from folsub.errors import DomainError, FrameError
 from folsub.manifolds import ChartManifold, constant_field
-from helpers import projector_jets_full_order, warp_a, warp_da
+from helpers import metric_inner, projector_jets_full_order, warp_a, warp_da
 
 RNG = np.random.default_rng(47)
 
@@ -43,11 +43,10 @@ def test_projector_jets_match_full_order_product(catalog):
         coords = man.seed(pts, order=2)
         g = man.metric_jets(coords)
         got = dst.projector_jets(s.dist, coords, g)
-        want = projector_jets_full_order(s.dist, coords, g)
-        assert all(not isinstance(x, jets.Jet) or x.order <= 1 for row in got for x in row)
-        batch = np.shape(pts)[:-1]
-        for a, b in zip(jets.stack_jets(got, batch, man.dim, 1), jets.stack_jets(want, batch, man.dim, 1)):
-            assert np.array_equal(a, b), s.name
+        want = jets.stack(projector_jets_full_order(s.dist, coords, g), coords, order=1)
+        assert got.order <= 1
+        assert np.array_equal(got.value, want.value), s.name
+        assert np.max(np.abs(got.grad - want.grad)) <= 1e-13, s.name
 
 
 def test_projector_rejects_bad_frame():
@@ -93,14 +92,14 @@ def test_nabla_p_metric_compatibility(warped4, tilted):
         X = lambda coords: [1.0, jets.sin(coords[3]), 0.0, 1.0]
         coords = man.seed(pts, order=1)
         g = man.metric_jets(coords)
-        f = jets.metric_inner(g, U(coords), V(coords))
-        Xarr = jets.stack_values(X(coords), pts.shape[:-1])
+        f = metric_inner(g, U(coords), V(coords))
+        Xarr = jets.stack(X(coords), coords).value
         lhs = np.einsum("...k,...k->...", Xarr, f.grad)
         dU = dst.nabla_P(s.dist, X, U, pts).components
         dV = dst.nabla_P(s.dist, X, V, pts).components
-        garr = np.stack([jets.stack_values(row, pts.shape[:-1]) for row in g], axis=-2)
-        Uarr = jets.stack_values(U(coords), pts.shape[:-1])
-        Varr = jets.stack_values(V(coords), pts.shape[:-1])
+        garr = jets.stack(g, coords).value
+        Uarr = jets.stack(U(coords), coords).value
+        Varr = jets.stack(V(coords), coords).value
         rhs = np.einsum("...i,...ij,...j->...", dU, garr, Varr) + np.einsum(
             "...i,...ij,...j->...", Uarr, garr, dV
         )
@@ -182,10 +181,8 @@ def test_curvature_p_field_route_matches_tensor_route(catalog):
             Yf = Nf
             Vf = lambda c: s.fol.leaf_frame(c)[0]
         comps = dst.curvature_P_fields(s.dist, Xf, Yf, Vf, coords)
-        got = jets.stack_values(comps, p.shape[:-1])
-        Xa = jets.stack_values(Xf(coords), p.shape[:-1])
-        Ya = jets.stack_values(Yf(coords), p.shape[:-1])
-        Va = jets.stack_values(Vf(coords), p.shape[:-1])
+        got = comps.value
+        Xa, Ya, Va = (jets.stack(f(coords), coords).value for f in (Xf, Yf, Vf))
         want = np.einsum("...lkij,...k,...i,...j->...l", RP, Va, Xa, Ya)
         assert np.max(np.abs(got - want)) < 1e-10
 
@@ -208,13 +205,10 @@ def test_curvature_p_tensoriality_under_rescaled_extensions(warped4, tilted):
 
             return scaled
 
-        base = jets.stack_values(dst.curvature_P_fields(s.dist, Xf, Yf, Vf, coords), ())
-        scaled = jets.stack_values(
-            dst.curvature_P_fields(
-                s.dist, rescale(Xf, 1, p), rescale(Yf, 3, p), rescale(Vf, 2, p), coords
-            ),
-            (),
-        )
+        base = dst.curvature_P_fields(s.dist, Xf, Yf, Vf, coords).value
+        scaled = dst.curvature_P_fields(
+            s.dist, rescale(Xf, 1, p), rescale(Yf, 3, p), rescale(Vf, 2, p), coords
+        ).value
         assert np.max(np.abs(base - scaled)) < 1e-9
 
 

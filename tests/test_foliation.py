@@ -113,18 +113,19 @@ def test_rp_operator_matrix_tilted_oracle(tilted):
     z = pts[..., 3]
     geom = fln.Geometry(tilted.fol, pts, order=2)
     # operator attached to the direction e2: V -> R^P(V, e2)N, leaf-frame matrix
-    M = geom.rp_matrix(geom.E[..., 1, :])
+    E = geom.e.value
+    M = geom.rp_matrix(E[..., 1, :])
     assert np.max(np.abs(M[..., 0, 0] - tilted_rp_normal(z))) < 1e-12
     # and the leaf-leaf block of the curvature through the normal operator
-    MN = geom.rp_matrix(geom.Narr)
+    MN = geom.rp_matrix(geom.N.value)
     got = np.einsum(
         "...lkab,...k,...a,...b,...lm,...m->...",
         geom.RP,
-        geom.E[..., 1, :],
-        geom.E[..., 0, :],
-        geom.E[..., 1, :],
-        geom.g_arr,
-        geom.E[..., 0, :],
+        E[..., 1, :],
+        E[..., 0, :],
+        E[..., 1, :],
+        geom.g.value,
+        E[..., 0, :],
     )
     assert np.max(np.abs(got - tilted_rp_leaf(z))) < 1e-12
     assert np.max(np.abs(MN)) > 1e-3  # nontrivial content
@@ -136,11 +137,36 @@ def test_order_one_geometry_values_match_order_two(catalog):
     for s in catalog.values():
         pts = _sample_points(s.manifold, s.default_grid)
         first, second = fln.Geometry(s.fol, pts, order=1), fln.Geometry(s.fol, pts, order=2)
-        pairs = [(first.sigma_arr(k), second.sigma_arr(k)) for k in range(s.n + 1)]
-        pairs += [(first.newton_arr(r), second.newton_arr(r)) for r in range(s.n)]
-        pairs += [(getattr(first, name), getattr(second, name)) for name in ("A_arr", "Zarr", "Hperp_arr", "RP", "Rarr")]
+        pairs = [(first.sigma.value[..., k], second.sigma.value[..., k]) for k in range(s.n + 1)]
+        pairs += [(first.T[r].value, second.T[r].value) for r in range(s.n)]
+        pairs += [(getattr(first, name).value, getattr(second, name).value) for name in ("A", "Z", "Hperp")]
+        pairs += [(getattr(first, name), getattr(second, name)) for name in ("RP", "R")]
         for a, b in pairs:
             assert np.array_equal(a, b), s.name
+
+
+def test_tensor_jets_match_the_scalar_jet_route(catalog):
+    # the array contractions against the nested-list Jet computation they
+    # replaced: values bit for bit, first derivatives to rounding
+    from folsub.verify import random_distribution_field
+    from helpers import NestedGeometry
+
+    for s in catalog.values():
+        pts = s.manifold.random_points(np.random.default_rng(31), 20)
+        field = random_distribution_field(s.fol, np.random.default_rng(32))
+        for order in (1, 2):
+            geom, ref = fln.Geometry(s.fol, pts, order=order), NestedGeometry(s.fol, pts, order)
+            as_jet = lambda x: jets.stack(x, geom.coords, order - 1)
+            pairs = [(geom.A, as_jet(ref.A)), (geom.sigma[..., : s.n + 1], as_jet(ref.sigmas))]
+            pairs += [(geom.T[r], as_jet(ref.T[r])) for r in range(s.n + 1)]
+            pairs += [(geom.Z, as_jet(ref.Z)), (geom.Z_leaf, as_jet(ref.Z_leaf))]
+            for got, want in pairs:
+                assert np.array_equal(got.value, want.value), s.name
+                if order == 2:
+                    assert np.max(np.abs(got.grad - want.grad)) <= 1e-13, s.name
+            assert np.array_equal(geom.div_F(geom.N), ref.div_F(ref.N) + np.zeros(pts.shape[:-1])), s.name
+            got, want = geom.div_F(field(geom.coords)), ref.div_F(field(ref.coords))
+            assert np.array_equal(got, want + np.zeros(pts.shape[:-1])), s.name
 
 
 def test_leafwise_divergence_and_normal_identity(catalog):
@@ -149,7 +175,7 @@ def test_leafwise_divergence_and_normal_identity(catalog):
         got = fln.leafwise_divergence(s.fol, constant_field([0.0] * s.manifold.dim), pts)
         assert np.max(np.abs(got)) == 0.0
         geom = fln.Geometry(s.fol, pts, order=1)
-        assert np.max(np.abs(geom.div_F(geom.N) + geom.sigma_arr(1))) <= 1e-9
+        assert np.max(np.abs(geom.div_F(geom.N) + geom.sigma.value[..., 1])) <= 1e-9
 
 
 def test_divergence_split_random_fields(catalog):
@@ -228,8 +254,8 @@ def test_frame_rotation_invariance(warped4, tilted, warped3):
         for r in range(s.n):
             geom_b = fln.Geometry(s.fol, pts, order=2)
             geom_r = fln.Geometry(rot, pts, order=2)
-            vb = np.einsum("...j,...jm->...m", geom_b.div_F_newton_direct(r), geom_b.E)
-            vr = np.einsum("...j,...jm->...m", geom_r.div_F_newton_direct(r), geom_r.E)
+            vb = np.einsum("...j,...jm->...m", geom_b.div_F_newton_direct(r), geom_b.e.value)
+            vr = np.einsum("...j,...jm->...m", geom_r.div_F_newton_direct(r), geom_r.e.value)
             assert np.max(np.abs(vb - vr)) < 1e-9
 
     flip = fln.rotated_foliation(warped3.fol, flip=True)
@@ -281,8 +307,8 @@ def test_newton_derivative_self_adjoint(warped4, tilted):
         pts = s.manifold.random_points(np.random.default_rng(6), 30)
         geom = fln.Geometry(s.fol, pts, order=2)
         for r in range(s.n + 1):
-            for Xc in (geom.e[0], geom.e[1], geom.N):
-                M = geom.nabla_F_operator(geom.newtons[r], Xc)
+            for Xc in (geom.e[..., 0, :], geom.e[..., 1, :], geom.N):
+                M = geom.nabla_F_operator(geom.T[r], Xc)
                 assert np.max(np.abs(M - np.swapaxes(M, -1, -2))) <= 1e-8
 
 
@@ -295,8 +321,8 @@ def test_trace_identities_field_version(warped4, tilted):
             assert res[3] <= 1e-8
     # the tilted frame has a z-component, so sigma genuinely varies along it
     geom = fln.Geometry(tilted.fol, tilted.manifold.random_points(np.random.default_rng(3), 20), order=2)
-    X2 = jets.stack_values(tilted.fol.leaf_frame(geom.coords)[1], geom.batch)
-    rate = geom.direction_derivative(geom.sigma_jet(1), X2)
+    X2 = jets.stack(tilted.fol.leaf_frame(geom.coords)[1], geom.coords).value
+    rate = np.einsum("...k,...k->...", X2, geom.sigma.grad[..., 1, :])
     assert np.max(np.abs(rate)) > 1e-3
 
 

@@ -118,25 +118,87 @@ def test_batched_matches_pointwise():
 
 def test_mat_inverse_and_identities():
     n = 4
-    A = RNG.uniform(-1, 1, (n, n))
-    A = A @ A.T + n * np.eye(n)
-    nested = [[A[i, j] for j in range(n)] for i in range(n)]
-    inv = jets.mat_inverse(nested)
-    invarr = np.array([[jets.value_of(inv[i][j]) for j in range(n)] for i in range(n)])
-    assert np.max(np.abs(invarr @ A - np.eye(n))) < 1e-12
+    A = RNG.uniform(-1, 1, (3, n, n))
+    A = A @ np.swapaxes(A, -1, -2) + n * np.eye(n)
+    inv = jets.mat_inverse(A)
+    assert np.max(np.abs(inv @ A - np.eye(n))) < 1e-12
+    rows = jets.mat_inverse(jets.Jet(A))
+    assert rows.order == 0 and np.array_equal(rows.value, inv)
 
 
 def test_mat_inverse_rejects_singular():
-    nested = [[1.0, 0.0], [0.0, 0.0]]
     with pytest.raises(LinearSolveError):
-        jets.mat_inverse(nested)
+        jets.mat_inverse(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    # the threshold is relative to the largest entry, as in the scalar solve
+    with pytest.raises(LinearSolveError):
+        jets.mat_inverse(np.array([[1.0, 0.0], [0.0, 1e-14]]))
+    jets.mat_inverse(np.array([[1.0, 0.0], [0.0, 1e-12]]))
 
 
 def test_mat_inverse_on_jets_tracks_derivative():
     # d/dz of 1/(2+cos z)^2 for the diagonal metric entry
-    z = jets.variables(np.array([0.6]))[0]
-    a = 2.0 + jets.cos(z)
-    inv = jets.mat_inverse([[a * a]])[0][0]
+    coords = jets.variables(np.array([0.6]))
+    a = 2.0 + jets.cos(coords[0])
+    inv = jets.mat_inverse(jets.stack([[a * a]], coords))[..., 0, 0]
     zz = 0.6
     want = -2.0 * (-np.sin(zz)) / (2.0 + np.cos(zz)) ** 3
     assert abs(inv.grad[0] - want) < 1e-13
+
+
+def test_mat_inverse_matches_scalar_elimination_bit_for_bit(catalog):
+    from helpers import mat_inverse_nested
+
+    for s in catalog.values():
+        man = s.manifold
+        coords = man.seed(man.random_points(np.random.default_rng(4), 30), order=2)
+        g = jets.stack(man.metric_jets(coords), coords)
+        m = man.dim
+        scalar = [[jets.Jet(g.value[..., i, j], g.grad[..., i, j, :]) for j in range(m)] for i in range(m)]
+        want = jets.stack(mat_inverse_nested(scalar), coords, order=1)
+        got = jets.mat_inverse(g.at_order(1))
+        assert np.array_equal(got.value, want.value) and np.array_equal(got.grad, want.grad), s.name
+
+
+def test_stack_shapes_orders_and_empty_frames():
+    coords = jets.variables(RNG.uniform(0, 1, (5, 3)), order=2)
+    frame = jets.stack([[coords[0], 1.0, 0.0], [0.0, jets.sin(coords[2]), coords[1]]], coords)
+    assert frame.shape == (5, 2, 3) and frame.grad.shape == (5, 2, 3, 3) and frame.hess.shape == (5, 2, 3, 3, 3)
+    assert np.array_equal(frame[..., 1, 1].grad[:, 2], np.cos(coords[2].value))
+    assert np.all(frame.grad[:, 0, 1] == 0.0)
+    cut = jets.stack([[coords[0], 1.0, 0.0]], coords, order=1)
+    assert cut.order == 1 and np.array_equal(cut.grad, frame.grad[:, :1])
+    assert jets.stack(frame, coords) is frame
+    empty = jets.stack([], coords)
+    assert empty.shape == (5, 0, 3) and empty.hess.shape == (5, 0, 3, 3, 3)
+
+
+def test_einsum_product_rule_matches_scalar_jets():
+    # a contraction over jets equals the same sum of scalar jet products,
+    # values bit for bit and derivatives to rounding, at the lowest order
+    pts = RNG.uniform(0, 2 * np.pi, (7, 3))
+    coords = jets.variables(pts, order=2)
+    x, y, z = coords
+    M = [[jets.sin(x) * y, 2.0 + jets.cos(z)], [x * z, jets.exp(y)]]
+    v = [jets.cos(x + z), y * y]
+    c = RNG.uniform(-1, 1, 2)
+    Mj, vj = jets.stack(M, coords), jets.stack(v, coords)
+    got = jets.einsum("...ij,...j,j->...i", Mj, vj, c)
+    for i in range(2):
+        want = M[i][0] * v[0] * c[0] + M[i][1] * v[1] * c[1]
+        assert np.array_equal(got.value[:, i], want.value)
+        scale = 1.0 + np.abs(want.value)
+        assert np.max(np.abs(got.grad[:, i] - want.grad) / scale[:, None]) < 1e-14
+        assert np.max(np.abs(got.hess[:, i] - want.hess) / scale[:, None, None]) < 1e-14
+    low = jets.einsum("...ij,...j->...i", Mj, vj.at_order(1))
+    full = jets.einsum("...ij,...j->...i", Mj, vj)
+    assert low.order == 1 and np.array_equal(low.grad, full.grad)
+    assert isinstance(jets.einsum("ij,j->i", np.eye(2), c), np.ndarray)
+
+
+def test_tensor_jet_arithmetic_broadcasts_against_constants():
+    coords = jets.variables(RNG.uniform(0, 1, (4, 2)), order=1)
+    row = jets.stack([coords[0], coords[1]], coords)
+    scaled = np.array([2.0, 3.0]) * row
+    assert np.array_equal(scaled.grad[:, 1, 1], np.full(4, 3.0))
+    diff = np.ones(2) - row[..., 0, None] * row
+    assert diff.shape == (4, 2) and np.array_equal(diff.value, 1.0 - coords[0].value[:, None] * row.value)

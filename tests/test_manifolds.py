@@ -4,7 +4,7 @@ import pytest
 from folsub import jets
 from folsub import manifolds as mfd
 from folsub.errors import EvaluationError, LinearSolveError
-from helpers import fd_gradient, warp_a, warp_b, warp_d2a, warp_da, warp_db
+from helpers import fd_gradient, metric_inner, warp_a, warp_b, warp_d2a, warp_da, warp_db
 
 RNG = np.random.default_rng(31)
 
@@ -147,11 +147,11 @@ def test_metric_compatibility(warped4, tilted):
         coords = man.seed(pts, order=1)
         g = man.metric_jets(coords)
         Yc = Y(coords)
-        f = jets.metric_inner(g, Yc, Yc)
-        Xarr = jets.stack_values(X(coords), pts.shape[:-1])
-        lhs = np.einsum("...k,...k->...", Xarr, f.grad)
-        dY = mfd.nabla(man, man.gamma_jets(coords, g), X(coords), Yc)
-        rhs = 2.0 * jets.value_of(jets.metric_inner(g, dY, Yc))
+        f = metric_inner(g, Yc, Yc)
+        Xj, Yj = jets.stack(X(coords), coords), jets.stack(Yc, coords)
+        lhs = np.einsum("...k,...k->...", Xj.value, f.grad)
+        dY = mfd.nabla(man.gamma_jets(coords, g), Xj, Yj)
+        rhs = 2.0 * np.einsum("...ij,...i,...j->...", jets.stack(g, coords).value, dY.value, Yj.value)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 
@@ -173,8 +173,8 @@ def test_covariant_derivative_leibniz_and_linearity(warped4):
 
     prod = mfd.covariant_derivative(man, X, fY, p).components
     coords = man.seed(p, order=1)
-    Xf_rate = jets.value_of(sum(x * jets.d_of(f(coords), k) for k, x in enumerate(X(coords))))
-    Yarr = jets.stack_values(Y(coords), p.shape[:-1])
+    Xf_rate = np.einsum("...k,...k->...", jets.stack(X(coords), coords).value, f(coords).grad)
+    Yarr = jets.stack(Y(coords), coords).value
     want = Xf_rate * Yarr + (2.0 + np.sin(z)) * base
     assert np.max(np.abs(prod - want)) < 1e-13
 

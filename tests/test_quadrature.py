@@ -41,7 +41,7 @@ def test_sigma1_total_vanishes_on_warped(warped4):
     grid = quad.grid_for(warped4.manifold, warped4.default_grid)
 
     def sigma1(pts):
-        return Geometry(warped4.fol, pts, order=1).sigma_arr(1)
+        return Geometry(warped4.fol, pts, order=1).sigma.value[..., 1]
 
     assert abs(quad.integrate(warped4.manifold, sigma1, grid)) < 1e-9
 
@@ -50,7 +50,7 @@ def test_sigma1_square_matches_reduced_integral(warped4):
     grid = quad.grid_for(warped4.manifold, warped4.default_grid)
 
     def s1sq(pts):
-        return Geometry(warped4.fol, pts, order=1).sigma_arr(1) ** 2
+        return Geometry(warped4.fol, pts, order=1).sigma.value[..., 1] ** 2
 
     got = quad.integrate(warped4.manifold, s1sq, grid)
 

@@ -15,10 +15,10 @@ def _computed_quantity(s, key, pts):
         return fln.curvature_vector_Z(s.fol, pts).components
     if key == "ricci_p_NN":
         geom = fln.Geometry(s.fol, pts, order=2)
-        return geom.ricci_p(geom.Narr)
+        return geom.ricci_p(geom.N.value)
     if key == "riemann_ricci_NN":
         geom = fln.Geometry(s.fol, pts, order=2)
-        return np.trace(geom.riemann_matrix(geom.Narr), axis1=-2, axis2=-1)
+        return np.trace(geom.riemann_matrix(geom.N.value), axis1=-2, axis2=-1)
     if key == "admissibility_residual":
         from folsub.distribution import admissibility_residual
 

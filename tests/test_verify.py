@@ -29,8 +29,8 @@ def test_divergence_selftest_sigma1_normal_field(warped4):
 
     def div_sigma1_N(pts):
         geom = Geometry(warped4.fol, pts, order=2)
-        n_sigma = geom.direction_derivative(geom.sigma_jet(1), geom.Narr)
-        return n_sigma - geom.sigma_arr(1) ** 2  # N(s1) + s1 Div N with Div N = -s1
+        n_sigma = np.einsum("...k,...k->...", geom.N.value, geom.sigma.grad[..., 1, :])
+        return n_sigma - geom.sigma.value[..., 1] ** 2  # N(s1) + s1 Div N with Div N = -s1
 
     got = integrate(warped4.manifold, div_sigma1_N, grid_for(warped4.manifold, warped4.default_grid))
     assert abs(got) <= 1e-7
@@ -186,13 +186,26 @@ def test_sigma2_image(flat, warped4, heisenberg):
     assert r.terms["interval_witnessed"] == 1.0
 
 
+def test_sigma2_image_is_independent_of_the_chunk_size(warped4, tilted, monkeypatch):
+    from folsub import quadrature
+
+    for s in (warped4, tilted):
+        grid = verify._grid(s)
+        monkeypatch.setattr(quadrature, "CHUNK", grid.count)
+        whole = verify.sigma2_image_diagnostic(s, c=0.01, grid=grid)
+        monkeypatch.setattr(quadrature, "CHUNK", 512)
+        chunked = verify.sigma2_image_diagnostic(s, c=0.01, grid=grid)
+        assert grid.count > 512
+        assert chunked.terms == whole.terms
+
+
 def test_divergence_identities_hold_at_every_grid_node(warped4, tilted):
     from folsub.foliation import Geometry, divx_residual
 
     for s in (warped4, tilted):
         grid = grid_for(s.manifold, s.default_grid)
         geom = Geometry(s.fol, grid.nodes, order=1)
-        assert np.max(np.abs(geom.div_F(geom.N) + geom.sigma_arr(1))) <= 1e-9
+        assert np.max(np.abs(geom.div_F(geom.N) + geom.sigma.value[..., 1])) <= 1e-9
         rng = np.random.default_rng(19)
         X = verify.random_distribution_field(s.fol, rng)
         assert divx_residual(s.fol, X, grid.nodes) <= 1e-9
