@@ -28,7 +28,7 @@ import numpy as np
 
 from . import manifolds
 from .errors import DomainError, FrameError
-from .jets import Jet, einsum, stack
+from .jets import Jet, einsum, stack, stack_last
 from .manifolds import Manifold, Point, TangentVector, differential, lie_bracket, nabla
 
 
@@ -56,11 +56,28 @@ def projector_jets(dist: DistributionSpec, coords, g=None) -> Jet:
 
     No consumer reads more than ∂P, so the frame and the metric (the
     closure's list or a jet) enter cut to order 1; the value and gradient
-    are those of the full product.
+    are those of the full product.  The sums run frame vector by frame
+    vector and column by column, each product rule added before the next
+    term, so the gradient rounds as the entrywise product does.  Frame
+    entries that are identically zero, most of them in the catalog, add
+    nothing and are skipped.
     """
     g = stack(dist.manifold.metric_jets(coords) if g is None else g, coords).at_order(1)
     V = stack(dist.frame_D(coords), coords).at_order(1)
-    return einsum("...ai,...aj->...ij", V, einsum("...ij,...aj->...ai", g, V))
+    rows = [0.0] * V.shape[-1]
+    for a in range(V.shape[-2]):
+        v = V[..., a, :]
+        live = [j for j in range(V.shape[-1]) if not _is_zero(v[..., j])]
+        low = 0.0
+        for j in live:
+            low = low + g[..., :, j] * v[..., j, None]
+        for i in live:
+            rows[i] = rows[i] + v[..., i, None] * low
+    return einsum("...ji->...ij", stack_last(rows))
+
+
+def _is_zero(x: Jet) -> bool:
+    return not (np.any(x.value) or (x.grad is not None and np.any(x.grad)))
 
 
 def frame_gram_residual(g: np.ndarray, frames: np.ndarray) -> float:

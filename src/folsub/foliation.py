@@ -31,7 +31,7 @@ from . import distribution as dst
 from . import manifolds as mfd
 from . import newton
 from .errors import DomainError
-from .jets import Jet, cos as jcos, einsum, sin as jsin, stack, value_of
+from .jets import Jet, cos as jcos, einsum, sin as jsin, stack, stack_last, value_of
 from .manifolds import Point, TangentVector
 
 
@@ -192,22 +192,14 @@ class Geometry:
 
     @cached_property
     def sigma(self) -> Jet:
-        A = Ak = self.A
-        taus = [newton._trace(A)]
-        for _ in range(1, self.n):
-            Ak = einsum("...ix,...xj->...ij", Ak, A)
-            taus.append(newton._trace(Ak))
-        return stack(newton._newton_identities(taus) + [0.0], self.coords, A.order)
+        """sigma_0..sigma_n of A, then sigma_{n+1} = 0 for the formulas that read sigma_{r+2}."""
+        sig = newton.sigma_values(self.A)
+        return stack_last([sig[..., k] for k in range(self.n + 1)] + [0.0])
 
     @cached_property
     def T(self) -> list[Jet]:
         """T_0..T_n by the recursion T_r = sigma_r Id - A T_{r-1}."""
-        eye = np.eye(self.n)
-        out = [einsum("...,ij->...ij", self.sigma[..., 0], eye)]
-        for r in range(1, self.n + 1):
-            AT = einsum("...ix,...xj->...ij", self.A, out[-1])
-            out.append(einsum("...,ij->...ij", self.sigma[..., r], eye) - AT)
-        return out
+        return newton.newton_transforms(self.A, self.sigma)
 
     @cached_property
     def Z(self) -> Jet:
@@ -240,7 +232,7 @@ class Geometry:
 
     # -- leafwise tensor derivatives -------------------------------------------
 
-    def _nabla_F_rows(self, M: Jet, X, paired: bool = False) -> np.ndarray:
+    def nabla_F_operator(self, M: Jet, X, paired: bool = False) -> np.ndarray:
         """Leaf-frame matrix of the leafwise covariant derivative of the operator M along X.
 
         Row i is <nabla_X (M e_i), e_j> - <nabla_X e_i, e_k> M[k][j]; with
@@ -256,13 +248,9 @@ class Geometry:
         conn = np.einsum("...pq,...ip,...kq->...ik", g, de.value, E)
         return first - np.einsum("...ik,...kj->...ij", conn, value_of(M))
 
-    def nabla_F_operator(self, M: Jet, X) -> np.ndarray:
-        """Leaf-frame matrix of the leafwise covariant derivative of M along the vector X."""
-        return self._nabla_F_rows(M, X)
-
     def div_F_newton_direct(self, r: int) -> np.ndarray:
         """Leaf covector components of the leafwise divergence of T_r, by jets."""
-        return self._nabla_F_rows(self.T[r], self.e, paired=True).sum(axis=-2)
+        return self.nabla_F_operator(self.T[r], self.e, paired=True).sum(axis=-2)
 
     def off_leaf(self, arr: np.ndarray) -> np.ndarray:
         """Part of ambient vectors (..., m) orthogonal to the leaf bundle."""

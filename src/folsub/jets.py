@@ -14,11 +14,13 @@ by one; an order-0 jet is a bare value.
 
 The user's closures (the metric, the frames, test fields) are written over
 the scalar coordinate seeds of :func:`variables` and return nested lists of
-jets and constants.  :func:`stack` turns such a list into one tensor jet,
-and from there every derived quantity (the Christoffel symbols, covariant
-derivatives, the shape operator, Z, the symmetric functions and the Newton
-transformations) is contracted with :func:`einsum`, which applies the
-product rule to each jet operand at the lowest order among them.
+jets and constants.  :func:`stack` turns such a list into one tensor jet
+(:func:`stack_last` does the same for a flat list of scalar jets, arrays or
+numbers, such as the power sums), and from there every derived quantity
+(the Christoffel symbols, covariant derivatives, the shape operator, Z, the
+symmetric functions and the Newton transformations) is contracted with
+:func:`einsum`, which applies the product rule to each jet operand at the
+lowest order among them.
 :func:`mat_inverse` is the metric solve on those arrays.
 
 The nested-list helpers at the bottom (``mat_identity``, ``mat_mul``,
@@ -258,6 +260,26 @@ def stack(entries, coords, order: int | None = None) -> Jet:
             if part is not None:
                 arr[(Ellipsis,) + idx + (slice(None),) * k] = part
     return Jet(*out)
+
+
+def stack_last(items):
+    """Stack scalars (jets, ndarrays or numbers) along a new last value axis.
+
+    Without a jet among the items this is ``np.stack`` of the broadcast
+    items.  Otherwise the result carries the lowest order among the jets,
+    and the derivatives of a constant item are zero.
+    """
+    value = np.stack(np.broadcast_arrays(*(value_of(x) for x in items)), axis=-1)
+    jet_items = [x for x in items if isinstance(x, Jet)]
+    if not jet_items:
+        return value
+    parts = [value]
+    for k in range(1, min(x.order for x in jet_items) + 1):
+        cols = [(x.grad, x.hess)[k - 1] if isinstance(x, Jet) else None for x in items]
+        ref = next(c for c in cols if c is not None)
+        cols = np.broadcast_arrays(*(np.zeros(ref.shape) if c is None else c for c in cols))
+        parts.append(np.stack(cols, axis=-1 - k))
+    return Jet(*parts)
 
 
 def einsum(spec: str, *operands):

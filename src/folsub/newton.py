@@ -5,14 +5,15 @@ through Newton's identities; no eigendecomposition is involved, which keeps
 the evaluation deterministic and exact for diagonal input.
 
 The Newton-identity step, :func:`_newton_identities`, runs over generic
-scalars: floats, ndarrays, or the tensor jets of ``foliation.Geometry``,
-which carries the derivatives of sigma_r and T_r along with it.  The ndarray
-front ends work on batched numpy arrays of shape ``(..., n, n)`` with ``@``
-products.  Their traces add the diagonal in index order, as
-``jets.mat_trace`` does, instead of calling ``np.trace``: numpy sums eight or
-more terms pairwise, which moves the last bits, while the index order keeps
-them bit-identical to the scalar chain on diagonal input such as the
-umbilical operator H Id.
+scalars.  The front ends :func:`power_sums`, :func:`sigma_values` and
+:func:`newton_transforms` take a batch of operators ``(..., n, n)``, either
+an ndarray or a tensor jet (``foliation.Geometry``'s shape operator, whose
+derivatives then come along into sigma_r and T_r), and multiply with
+``jets.einsum``, which is ``np.einsum`` on ndarrays.  Their traces add the
+diagonal in index order, as ``jets.mat_trace`` does, instead of calling
+``np.trace``: numpy sums eight or more terms pairwise, which moves the last
+bits, while the index order keeps them bit-identical to the scalar chain on
+diagonal input such as the umbilical operator H Id.
 
 The ``*_nested`` functions are that scalar chain, on nested lists of
 generic scalars.  Nothing in the package calls them: they are the reference
@@ -27,7 +28,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .jets import mat_identity, mat_mul, mat_trace
+from .jets import Jet, einsum, mat_identity, mat_mul, mat_trace, stack_last
 
 
 def _newton_identities(taus: list) -> list:
@@ -71,10 +72,14 @@ def newton_transforms_nested(A, sigmas=None) -> list:
     return out
 
 
-# -- ndarray front ends ------------------------------------------------------
+# -- array front ends --------------------------------------------------------
 
 
-def _trace(M: np.ndarray) -> np.ndarray:
+def _operators(A):
+    return A if isinstance(A, Jet) else np.asarray(A, dtype=float)
+
+
+def _trace(M):
     """Trace over the last two axes, added in index order like ``jets.mat_trace``."""
     out = M[..., 0, 0]
     for i in range(1, M.shape[-1]):
@@ -82,24 +87,23 @@ def _trace(M: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sigmas_from_power_sums(tau: np.ndarray) -> np.ndarray:
-    sig = _newton_identities([tau[..., j] for j in range(tau.shape[-1])])
-    return np.stack(np.broadcast_arrays(*sig), axis=-1)
+def _sigmas_from_power_sums(tau):
+    return stack_last(_newton_identities([tau[..., j] for j in range(tau.shape[-1])]))
 
 
-def power_sums(A: np.ndarray) -> np.ndarray:
-    """tau_1..tau_n of a batch of operators, shape (..., n)."""
-    A = np.asarray(A, dtype=float)
+def power_sums(A):
+    """tau_1..tau_n of a batch of operators (ndarray or jet), shape (..., n)."""
+    A = _operators(A)
     Ak = A
     taus = [_trace(A)]
     for _ in range(1, A.shape[-1]):
-        Ak = Ak @ A
+        Ak = einsum("...ix,...xj->...ij", Ak, A)
         taus.append(_trace(Ak))
-    return np.stack(taus, axis=-1)
+    return stack_last(taus)
 
 
-def sigma_values(A: np.ndarray) -> np.ndarray:
-    """sigma_0..sigma_n of a batch of operators, shape (..., n+1)."""
+def sigma_values(A):
+    """sigma_0..sigma_n of a batch of operators (ndarray or jet), shape (..., n+1)."""
     return _sigmas_from_power_sums(power_sums(A))
 
 
@@ -133,19 +137,18 @@ def symmetric_functions(A: np.ndarray) -> SymmetricFunctions:
     return SymmetricFunctions(sigma=sig, tau=tau, H=sig[..., 1] / A.shape[-1])
 
 
-def newton_transforms(A: np.ndarray, sig: np.ndarray | None = None) -> list[np.ndarray]:
-    """All T_0..T_n of a batch of operators, by T_r = sigma_r Id - A T_{r-1}.
+def newton_transforms(A, sig=None) -> list:
+    """All T_0..T_n of a batch of operators (ndarray or jet), by T_r = sigma_r Id - A T_{r-1}.
 
     ``sig`` is ``sigma_values(A)`` when the caller already has it.
     """
-    A = np.asarray(A, dtype=float)
-    n = A.shape[-1]
+    A = _operators(A)
     if sig is None:
         sig = sigma_values(A)
-    eye = np.eye(n)
-    out = [np.broadcast_to(eye, A.shape).copy()]
-    for r in range(1, n + 1):
-        out.append(sig[..., r, None, None] * eye - A @ out[-1])
+    eye = np.eye(A.shape[-1])
+    out = [sig[..., 0, None, None] * eye]
+    for r in range(1, A.shape[-1] + 1):
+        out.append(sig[..., r, None, None] * eye - einsum("...ix,...xj->...ij", A, out[-1]))
     return out
 
 

@@ -172,6 +172,16 @@ def test_stack_shapes_orders_and_empty_frames():
     assert empty.shape == (5, 0, 3) and empty.hess.shape == (5, 0, 3, 3, 3)
 
 
+def test_stack_last_matches_stack_and_np_stack():
+    coords = jets.variables(RNG.uniform(0, 1, (5, 3)), order=2)
+    items = [1.0, coords[0] * coords[1], jets.sin(coords[2]).at_order(1), 0.0]
+    got, want = jets.stack_last(items), jets.stack(items, coords, order=1)
+    assert got.order == 1
+    assert np.array_equal(got.value, want.value) and np.array_equal(got.grad, want.grad)
+    arrays = [np.ones(5), coords[0].value, 2.0]
+    assert np.array_equal(jets.stack_last(arrays), np.stack(np.broadcast_arrays(*arrays), axis=-1))
+
+
 def test_einsum_product_rule_matches_scalar_jets():
     # a contraction over jets equals the same sum of scalar jet products,
     # values bit for bit and derivatives to rounding, at the lowest order
