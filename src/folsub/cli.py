@@ -92,7 +92,9 @@ class RunConfig:
             if base not in KNOWN_CHECKS:
                 raise ConfigError(f"unknown check {name!r}; known: {', '.join(KNOWN_CHECKS)}")
             kind = CHECK_ARGS.get(base)
-            if sep and kind is not None:
+            if sep and kind is None:
+                raise ConfigError(f"check {base!r} takes no argument, not {arg!r}")
+            if sep:
                 try:
                     finite = math.isfinite(kind(arg))
                 except ValueError:
@@ -186,7 +188,6 @@ def _build_scenario(spec):
 
 def _run_check(scenario, name: str, config: RunConfig) -> list[VerificationReport]:
     base, _, arg = name.partition(":")
-    grid = None if config.grid is None else tuple(config.grid)
     tol = config.tolerance
     k = config.samples
     if base == "leaf":
@@ -218,8 +219,6 @@ def _run_check(scenario, name: str, config: RunConfig) -> list[VerificationRepor
                 )
             ]
         return [verify.verify_umbilical_reduction(samples=200)]
-    if base == "sigma2-image":
-        return [verify.sigma2_image_diagnostic(scenario, c=float(arg) if arg else 0.0, grid=grid)]
     raise ConfigError(f"unknown check {name!r}")
 
 

@@ -31,6 +31,11 @@ from .errors import DomainError, FrameError
 from .jets import Jet, einsum, stack, stack_last
 from .manifolds import Manifold, Point, TangentVector, differential, lie_bracket, nabla
 
+# Largest frame-Gram defect, or off-D part of a D argument, the pointwise operations accept.
+D_CHECK_TOL = 1e-10
+# Largest mean curvature of the orthogonal distribution counted as harmonic.
+HARMONIC_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class DistributionSpec:
@@ -86,7 +91,7 @@ def frame_gram_residual(g: np.ndarray, frames: np.ndarray) -> float:
     return float(np.max(np.abs(gram - np.eye(frames.shape[-2]))))
 
 
-def orthoprojector(dist: DistributionSpec, p: Point, check_tol: float = 1e-10) -> np.ndarray:
+def orthoprojector(dist: DistributionSpec, p: Point, check_tol: float = D_CHECK_TOL) -> np.ndarray:
     """Projector matrix onto D at p.  Raises FrameError on a bad frame."""
     coords = dist.manifold.seed(np.asarray(p, dtype=float), order=0)
     g = stack(dist.manifold.metric_jets(coords), coords)
@@ -150,7 +155,7 @@ def nabla_P(dist: DistributionSpec, X, U, p: Point) -> TangentVector:
     coords = dist.manifold.seed(p, order=1)
     g = stack(dist.manifold.metric_jets(coords), coords)
     gamma = dist.manifold.gamma_jets(coords, g)
-    _check_argument_in_D(dist, coords, g, U, 1e-10, "U")
+    _check_argument_in_D(dist, coords, g, U, D_CHECK_TOL, "U")
     Xc = stack(_as_field(X, dist, "ambient")(coords), coords)
     Uc = stack(_as_field(U, dist, "section")(coords), coords)
     w = einsum("...ij,...j->...i", projector_jets(dist, coords, g), nabla(gamma, Xc, Uc))
@@ -185,7 +190,7 @@ def curvature_P(dist: DistributionSpec, X, Y, V, p: Point) -> TangentVector:
     p = np.asarray(p, dtype=float)
     coords = dist.manifold.seed(p, order=2)
     g = dist.manifold.metric_jets(coords)
-    _check_argument_in_D(dist, coords, g, V, 1e-10, "V")
+    _check_argument_in_D(dist, coords, g, V, D_CHECK_TOL, "V")
     Vf = _as_field(V, dist, "section")
     comps = curvature_P_fields(
         dist, _as_field(X, dist, "ambient"), _as_field(Y, dist, "ambient"), Vf, coords
@@ -244,7 +249,7 @@ def _perp_setup(dist: DistributionSpec, p: Point):
     return coords, g.value, gamma, projector_jets(dist, coords, g), stack(dist.frame_Dperp(coords), coords)
 
 
-def mean_curvature_perp(dist: DistributionSpec, p: Point, tol: float = 1e-9) -> MeanCurvaturePerp:
+def mean_curvature_perp(dist: DistributionSpec, p: Point, tol: float = HARMONIC_TOL) -> MeanCurvaturePerp:
     """Mean curvature vector of the orthogonal distribution, projected into D.
 
     The harmonic flag records whether its norm is below ``tol``.
@@ -256,6 +261,13 @@ def mean_curvature_perp(dist: DistributionSpec, p: Point, tol: float = 1e-9) -> 
     return MeanCurvaturePerp(TangentVector(H, np.asarray(p, dtype=float)), norm, norm <= tol)
 
 
+def admissibility_max(g: np.ndarray, P: Jet, xis: Jet, dN: Jet) -> float:
+    """max over the D-perp frame ``xis`` of |P nabla_xi N|, given ∇N (``dN``, direction last)."""
+    w = einsum("...ij,...aj->...ai", P, einsum("...ai,...ki->...ak", xis, dN)).value
+    sq = np.einsum("...ij,...ai,...aj->...a", g, w, w)
+    return float(np.max(np.sqrt(np.maximum(sq, 0.0)), initial=0.0))
+
+
 def admissibility_residual(dist: DistributionSpec, fol, p: Point) -> float:
     """max over the D-perp frame of |P nabla_xi N| at p.
 
@@ -263,7 +275,4 @@ def admissibility_residual(dist: DistributionSpec, fol, p: Point) -> float:
     normal-derivative identity to be satisfiable at p.
     """
     coords, g, gamma, P, xis = _perp_setup(dist, p)
-    dN = differential(gamma, stack(fol.normal(coords), coords))
-    w = einsum("...ij,...aj->...ai", P, einsum("...ai,...ki->...ak", xis, dN)).value
-    sq = np.einsum("...ij,...ai,...aj->...a", g, w, w)
-    return float(np.max(np.sqrt(np.maximum(sq, 0.0)), initial=0.0))
+    return admissibility_max(g, P, xis, differential(gamma, stack(fol.normal(coords), coords)))

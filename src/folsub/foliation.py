@@ -34,6 +34,9 @@ from .errors import DomainError
 from .jets import Jet, cos as jcos, einsum, sin as jsin, stack, stack_last, value_of
 from .manifolds import Point, TangentVector
 
+# Largest off-leaf norm of a vector passed where a leaf vector is expected.
+LEAF_TANGENCY_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class FoliationStructure:
@@ -83,6 +86,9 @@ class Geometry:
     once, as arrays, and computes ∂Γ only when something reads it.  Values
     that are only ever contracted (``Hperp``, ``RP``, ``R``) are computed
     without derivatives.
+
+    One method per formula: ``newton_curvature_trace``, the alternating R^P trace
+    behind div_F T_r and the main formula; ``leaf_formula_integrand``, the leaf one.
     """
 
     def __init__(self, fol: FoliationStructure, points, order: int = 2):
@@ -260,24 +266,22 @@ class Geometry:
         """Largest metric norm of ambient vectors (..., m) over the points."""
         return float(np.sqrt(max(np.max(np.einsum("...l,...lk,...k->...", arr, self.g.value, arr)), 0.0)))
 
-    def div_F_newton_formula(self, r: int) -> np.ndarray:
-        """Same covector through the inductive curvature-trace formula."""
-        n = self.n
-        out = np.zeros(self.batch + (n,))
-        if r == 0:
-            return out
-        A, E = self.A.value, self.e.value
-        for j in range(n):
-            Aj = np.zeros(self.batch + (n,))
-            Aj[..., j] = 1.0
-            for jj in range(1, r + 1):
-                Xarr = np.einsum("...i,...im->...m", Aj, E)
-                M = self.rp_matrix(Xarr)
-                out[..., j] += (-1.0) ** (jj - 1) * np.einsum(
-                    "...ik,...ki->...", self.T[r - jj].value, M
-                )
-                Aj = np.einsum("...ik,...k->...i", A, Aj)
+    def newton_curvature_trace(self, r: int, X: np.ndarray, tensor: np.ndarray) -> np.ndarray:
+        """sum_{j=1..r} (-1)^{j-1} tr(T_{r-j} tensor(., A^{j-1} X)N) for leaf components X (..., n).
+
+        With ``tensor`` = R^P this is the inductive formula for <div_F T_r, X>.
+        """
+        out = np.zeros(self.batch)
+        for j in range(1, r + 1):
+            M = self._operator_matrix(tensor, np.einsum("...i,...im->...m", X, self.e.value))
+            out = out + (-1.0) ** (j - 1) * np.einsum("...ik,...ki->...", self.T[r - j].value, M)
+            X = np.einsum("...ik,...k->...i", self.A.value, X)
         return out
+
+    def div_F_newton_formula(self, r: int) -> np.ndarray:
+        """Same covector through the inductive curvature-trace formula, one leaf-frame vector at a time."""
+        units = np.eye(self.n) + np.zeros(self.batch + (self.n, self.n))
+        return np.stack([self.newton_curvature_trace(r, units[..., j, :], self.RP) for j in range(self.n)], axis=-1)
 
     def adapted_identity_residual(self) -> float:
         """Max residual of the pointwise normal-derivative identity.
@@ -295,19 +299,39 @@ class Geometry:
         rhs = A @ A + curv - dNA + zl[..., :, None] * zl[..., None, :]
         return float(np.max(np.abs(lhs - rhs)))
 
+    def leaf_formula_integrand(self, r: int) -> np.ndarray:
+        """Integrand of the compact-leaf formula at order r, per point.
+
+        (r+2) sigma_{r+2} + N(sigma_{r+1}) - sigma_1 sigma_{r+1} - tr(T_r R^P(., N)N)
+        - <T_r Z, Z> - the curvature trace along Z; it is -div_F(T_r Z) where admissible.
+        """
+        sig, N, zl, Tr = self.sigma.value, self.N.value, self.Z_leaf.value, self.T[r].value
+        return (
+            (r + 2) * sig[..., r + 2]
+            + np.einsum("...k,...k->...", N, self.sigma.grad[..., r + 1, :])
+            - sig[..., 1] * sig[..., r + 1]
+            - np.einsum("...ik,...ki->...", Tr, self.rp_matrix(N))
+            - np.einsum("...i,...i->...", np.einsum("...ij,...j->...i", Tr, zl), zl)
+            - self.newton_curvature_trace(r, zl, self.RP)
+        )
+
     def newton_z_divergence_residual(self, r: int) -> np.ndarray:
         """Residual of the leafwise divergence identity for T_r Z, per point."""
         TZ = einsum("...ij,...j->...i", self.T[r], self.Z_leaf)
-        lhs = self.div_F(einsum("...i,...ik->...k", TZ, self.e))
-        Tr, zl, N = self.T[r].value, self.Z_leaf.value, self.N.value
-        sig, dsig = self.sigma.value, self.sigma.grad
-        rhs = np.einsum("...j,...j->...", self.div_F_newton_formula(r), zl)
-        rhs = rhs + np.einsum("...ik,...ki->...", Tr, self.rp_matrix(N))
-        rhs = rhs + np.einsum("...i,...i->...", TZ.value, zl)
-        rhs = rhs - (r + 2) * sig[..., r + 2]
-        rhs = rhs - np.einsum("...k,...k->...", N, dsig[..., r + 1, :])
-        rhs = rhs + sig[..., 1] * sig[..., r + 1]
-        return lhs - rhs
+        return self.div_F(einsum("...i,...ik->...k", TZ, self.e)) + self.leaf_formula_integrand(r)
+
+    def integrability_residual(self) -> float:
+        """Max norm of the off-leaf part of [e_i, e_j] over the leaf frame."""
+        worst = 0.0
+        for i in range(self.n):
+            for j in range(i + 1, self.n):
+                br = mfd.lie_bracket(self.man, self.e[..., i, :], self.e[..., j, :]).value
+                worst = max(worst, self.max_norm(self.off_leaf(br)))
+        return worst
+
+    def admissibility_residual(self) -> float:
+        """max over the D-perp frame of |P nabla_xi N| at the points."""
+        return dst.admissibility_max(self.g.value, self.P, self.xis, self._dN)
 
     # -- Codazzi and the trace identities at this context's points --------------
 
@@ -347,10 +371,6 @@ def leaf_field(fol: FoliationStructure, i: int):
     return lambda coords: fol.leaf_frame(coords)[i]
 
 
-def normal_field(fol: FoliationStructure):
-    return lambda coords: fol.normal(coords)
-
-
 def adapted_frame(fol: FoliationStructure, p: Point) -> AdaptedFrame:
     p = np.asarray(p, dtype=float)
     geom = Geometry(fol, p, order=0)
@@ -387,7 +407,7 @@ def _leaf_input(geom, X, what: str):
         raw = np.asarray(X.components if isinstance(X, TangentVector) else X, dtype=float)
         comps = np.broadcast_to(raw, geom.batch + (geom.m,))
     resid = geom.max_norm(geom.off_leaf(value_of(comps)))
-    if resid > 1e-9:
+    if resid > LEAF_TANGENCY_TOL:
         raise DomainError(f"{what} is not tangent to the leaves (residual {resid:.3e})")
     return comps if callable(X) else geom.tangential(comps)
 
@@ -477,24 +497,6 @@ def codazzi_classic_residual(fol: FoliationStructure, X, Y, U, p: Point) -> floa
     return geom.max_norm(lhs - geom.off_leaf(RXYU))
 
 
-def trace_identity_field_residual(fol: FoliationStructure, r: int, X, p: Point) -> float:
-    """Residual of tr(T_{r-1} nabla^F_X A) = X(sigma_r) along a leaf direction."""
-    if not 1 <= r <= fol.n:
-        raise ValueError(f"field trace identity index {r} outside 1..{fol.n}")
-    geom = Geometry(fol, np.asarray(p, dtype=float), order=2)
-    return geom.trace_identity_field_residual(r, _leaf_input(geom, X, "X"))
-
-
-def trace_identities_algebraic(fol: FoliationStructure, r: int, p: Point) -> np.ndarray:
-    """Worst residuals of the three algebraic trace identities over the points."""
-    return Geometry(fol, np.asarray(p, dtype=float), order=1).trace_identities_algebraic(r)
-
-
-def trace_identities_field(fol: FoliationStructure, r: int, p: Point) -> float:
-    """Worst residual of the field identity for T_r over every leaf-frame direction."""
-    return Geometry(fol, np.asarray(p, dtype=float), order=2).trace_identities_field(r)
-
-
 def trace_identities(fol: FoliationStructure, r: int, p: Point) -> np.ndarray:
     """Four residuals: the three algebraic trace identities and the field one."""
     geom = Geometry(fol, np.asarray(p, dtype=float), order=2)
@@ -503,13 +505,7 @@ def trace_identities(fol: FoliationStructure, r: int, p: Point) -> np.ndarray:
 
 def integrability_residual(fol: FoliationStructure, p: Point) -> float:
     """Max norm of the off-leaf part of [e_i, e_j] over the leaf frame."""
-    geom = Geometry(fol, np.asarray(p, dtype=float), order=1)
-    worst = 0.0
-    for i in range(geom.n):
-        for j in range(i + 1, geom.n):
-            br = mfd.lie_bracket(geom.man, geom.e[..., i, :], geom.e[..., j, :]).value
-            worst = max(worst, geom.max_norm(geom.off_leaf(br)))
-    return worst
+    return Geometry(fol, np.asarray(p, dtype=float), order=1).integrability_residual()
 
 
 def divx_residual(fol: FoliationStructure, X_field, p: Point) -> float:

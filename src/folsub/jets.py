@@ -202,10 +202,6 @@ def sqrt(x):
     return lift(x, np.sqrt, lambda v: 0.5 / np.sqrt(v), lambda v: -0.25 * v**-1.5)
 
 
-def log(x):
-    return lift(x, np.log, lambda v: 1.0 / v, lambda v: -1.0 / v**2)
-
-
 def variables(points, order: int = 2) -> list[Jet]:
     """Seed coordinate jets at ``points`` of shape ``(..., m)``."""
     pts = np.asarray(points, dtype=float)

@@ -103,9 +103,6 @@ class ChartManifold:
     def seed(self, points, order: int = 2) -> list[Jet]:
         return jets.variables(points, order)
 
-    def wrap(self, points) -> np.ndarray:
-        return np.mod(np.asarray(points, dtype=float), np.asarray(self.periods))
-
     def base_point(self) -> Point:
         return np.zeros(self.dim)
 
@@ -177,9 +174,6 @@ class InvariantFrameManifold:
 
     def seed(self, points, order: int = 2) -> list[Jet]:
         return jets.variables(points, order)
-
-    def wrap(self, points) -> np.ndarray:
-        return np.asarray(points, dtype=float)
 
     def base_point(self) -> Point:
         return np.zeros(self.dim)

@@ -20,13 +20,13 @@ from typing import Callable
 import numpy as np
 
 from . import jets
-from .distribution import DistributionSpec, admissibility_residual, frame_gram_residual
+from .distribution import HARMONIC_TOL, DistributionSpec, frame_gram_residual
 from .errors import ConstructionError
-from .foliation import FoliationStructure, Geometry, integrability_residual
+from .foliation import FoliationStructure, Geometry
+from .foliation import integrability_residual  # unused here; perfbench/tracing.py patches this name
 from .manifolds import ChartManifold, InvariantFrameManifold
 from .quadrature import grid_for, total_volume
 
-HARMONIC_TOL = 1e-9
 ADMISSIBLE_TOL = 1e-8
 CURV_INVARIANT_TOL = 1e-9
 UMBILICAL_TOL = 1e-10
@@ -173,9 +173,9 @@ def measure_scenario(fol: FoliationStructure, points, pcurv_c: float | None) -> 
     frames = np.concatenate([geom.e.value, geom.N.value[..., None, :], geom.xis.value], axis=-2)
     out = {
         "frame_orthonormality": frame_gram_residual(g, frames),
-        "integrability": integrability_residual(fol, points),
+        "integrability": geom.integrability_residual(),
         "mean_curvature_perp_max": float(np.max(hperp)),
-        "admissibility_max": admissibility_residual(fol.dist, fol, points),
+        "admissibility_max": geom.admissibility_residual(),
         "p_curvature_invariance": _curvature_invariance_residual(geom),
         "umbilical_deviation": _umbilical_residual(geom),
         "shape_asymmetry": geom.A_asym,

@@ -25,12 +25,13 @@ of the differentiation-plus-quadrature stack, and the tolerance is
 max(1e-7, 10x that floor).
 
 The grid checks of one (scenario, grid), ``divergence-selftest``, ``reeb``,
-``main:r`` and ``closed-form-c``, are built by one function,
-:func:`verify_grid_checks`: it calibrates once, only when a report needs the
-floor, and integrates every requested integrand in one pass with one
-value-only ``Geometry(order=1)`` per chunk.  The CLI calls it once per run;
-``verify_reeb``, ``verify_main``, ``verify_closed_form_c`` and
-``verify_divergence_theorem`` call it for their own check.  The time the
+``main:r``, ``closed-form-c`` and ``sigma2-image``, are built by one
+function, :func:`verify_grid_checks`: it calibrates once, only when a report
+needs the floor, and integrates every requested integrand and scans the
+sigma_2 range in one pass with one value-only ``Geometry(order=1)`` per
+chunk.  The CLI calls it once per run; ``verify_reeb``, ``verify_main``,
+``verify_closed_form_c``, ``verify_divergence_theorem`` and
+``sigma2_image_diagnostic`` call it for their own check.  The time the
 reports of one call share is charged once, to the first of them, so the
 wall times of a run add up to no more than the run took.  The checks that
 differentiate A, Z or sigma_r (``leaf:r``, the pointwise battery, Codazzi
@@ -49,7 +50,7 @@ import numpy as np
 
 from . import jets
 from . import newton
-from . import quadrature
+from .errors import EvaluationError
 from .foliation import Geometry
 from .manifolds import InvariantFrameManifold, divergence, divergence_jets
 from .quadrature import QuadratureGrid, grid_for, integrate, integrate_terms, leaf_density, leaf_grid, refined
@@ -71,14 +72,6 @@ class VerificationReport:
     grid: dict = field(default_factory=dict)
     terms: dict = field(default_factory=dict)
     wall_time_s: float = 0.0
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
-
-    @property
-    def failed(self) -> bool:
-        return self.verdict == "fail"
 
 
 def make_report(
@@ -260,21 +253,14 @@ def _main_terms(geom, r: int) -> dict:
     # transformations are not held across the curvature evaluation, the peak
     # of memory use.
     operators = (("", geom.RP), ("_riemannian", geom.R))
-    T = [Tk.value for Tk in geom.T]
-    E, zl = geom.e.value, geom.Z_leaf.value
+    Tr, zl = geom.T[r].value, geom.Z_leaf.value
     for suffix, tensor in operators:
         out["normal_curvature" + suffix] = np.einsum(
-            "...ik,...ki->...", T[r], geom._operator_matrix(tensor, geom.N.value)
+            "...ik,...ki->...", Tr, geom._operator_matrix(tensor, geom.N.value)
         )
-        tz = np.zeros(geom.batch)
-        Aj = zl
-        for j in range(1, r + 1):
-            M = geom._operator_matrix(tensor, np.einsum("...i,...im->...m", Aj, E))
-            tz = tz + (-1.0) ** (j - 1) * np.einsum("...ik,...ki->...", T[r - j], M)
-            Aj = np.einsum("...ik,...k->...i", geom.A.value, Aj)
-        out["z_curvature" + suffix] = tz
-    TZ = np.einsum("...ij,...j->...i", T[r], zl)
-    TZamb = np.einsum("...i,...im->...m", TZ, E)
+        out["z_curvature" + suffix] = geom.newton_curvature_trace(r, zl, tensor)
+    TZ = np.einsum("...ij,...j->...i", Tr, zl)
+    TZamb = np.einsum("...i,...im->...m", TZ, geom.e.value)
     out["trz_hperp"] = np.einsum("...m,...mk,...k->...", TZamb, geom.g.value, geom.Hperp.value)
     out["trz_z"] = np.einsum("...i,...i->...", TZ, zl)
     out["z_norm_sq"] = np.einsum("...i,...i->...", zl, zl)
@@ -318,20 +304,7 @@ def verify_leaf(scenario, r: int, leaf=None, grid_axes=None, tolerance=None) -> 
         lgrid = leaf_grid(man, lf, axes)
     tol = tolerance if tolerance is not None else INTEGRAL_FLOOR
 
-    def fld(pts):
-        geom = Geometry(scenario.fol, pts, order=2)
-        terms = _main_terms(geom, r)
-        sig = geom.sigma.value
-        n_sigma = np.einsum("...k,...k->...", geom.N.value, geom.sigma.grad[..., r + 1, :])
-        return (
-            terms["sigma"]
-            + n_sigma
-            - sig[..., 1] * sig[..., r + 1]
-            - terms["normal_curvature"]
-            - terms["trz_z"]
-            - terms["z_curvature"]
-        )
-
+    fld = lambda pts: Geometry(scenario.fol, pts, order=2).leaf_formula_integrand(r)
     residual = integrate(man, fld, lgrid, density=lambda pts: leaf_density(man, lf, pts))
     return make_report(
         f"leaf:{r}", residual, tol, t0, scenario, lgrid,
@@ -348,21 +321,24 @@ def verify_closed_form_c(scenario, c: float | None = None, grid=None, tolerance=
 
 # -- one pass over a grid for every integral formula ------------------------------------
 
-GRID_CHECKS = ("divergence-selftest", "reeb", "main", "closed-form-c")
+GRID_CHECKS = ("divergence-selftest", "reeb", "main", "closed-form-c", "sigma2-image")
 
 
 def verify_grid_checks(scenario, checks, grid=None, tolerance=None, c: float | None = None) -> list[VerificationReport]:
     """Reports of the grid checks ``checks`` on one (scenario, grid), from one pass.
 
     ``checks`` lists names among ``GRID_CHECKS`` ("main:r", or "main" for
-    r = 0), in any order; one report comes back per entry, in that order.
-    The grid is calibrated once, and only when a report needs the floor:
-    the ``divergence-selftest`` residual is that floor.  Then one
+    r = 0; "sigma2-image:c"), in any order; one report comes back per
+    entry, in that order.  The grid is calibrated once, and only when a
+    report needs the floor: the ``divergence-selftest`` residual is that
+    floor, and ``sigma2-image``, a diagnostic, needs none.  Then one
     ``integrate_terms`` pass, with one ``Geometry(order=1)`` per chunk,
     emits only the requested integrands: sigma_1 for ``reeb``; sigma_0..
     sigma_n and the volume for ``closed-form-c``; the main-formula terms
-    for each requested r.  ``c`` overrides the scenario's curvature
-    constant for ``closed-form-c``.
+    for each requested r.  The same chunks give the extrema of sigma_2 and
+    Ric^P(N, N) for ``sigma2-image``, exact under any chunking.  ``c``
+    overrides the scenario's curvature constant for ``closed-form-c`` and
+    the constant 0.0 of a ``sigma2-image`` entry that names none.
 
     The time the reports share, calibration and the grid pass, is charged
     once, to the first report; each later report's ``wall_time_s`` covers
@@ -381,7 +357,7 @@ def verify_grid_checks(scenario, checks, grid=None, tolerance=None, c: float | N
     grid = _grid(scenario, grid)
 
     tol, floor = tolerance, None
-    if "divergence-selftest" in bases or (tolerance is None and bases - {"divergence-selftest"}):
+    if "divergence-selftest" in bases or (tolerance is None and bases - {"divergence-selftest", "sigma2-image"}):
         tol, floor = calibrate_tolerance(scenario, grid)
         if tolerance is not None:
             tol = tolerance
@@ -391,6 +367,8 @@ def verify_grid_checks(scenario, checks, grid=None, tolerance=None, c: float | N
         sigmas.add(1)
     if "closed-form-c" in bases:
         sigmas.update(range(scenario.n + 1))
+    scan = "sigma2-image" in bases
+    extrema = {"sigma2_min": np.inf, "sigma2_max": -np.inf, "ricci_p_NN_min": np.inf}
 
     def terms(pts):
         geom = Geometry(scenario.fol, pts, order=1)
@@ -399,9 +377,14 @@ def verify_grid_checks(scenario, checks, grid=None, tolerance=None, c: float | N
             out["volume"] = np.ones(pts.shape[0])
         for r in orders:
             out.update({(f"main:{r}", key): vals for key, vals in _main_terms(geom, r).items()})
+        if scan:
+            s2, ric = geom.sigma.value[..., 2], geom.ricci_p(geom.N.value)
+            extrema["sigma2_min"] = min(extrema["sigma2_min"], float(np.min(s2)))
+            extrema["sigma2_max"] = max(extrema["sigma2_max"], float(np.max(s2)))
+            extrema["ricci_p_NN_min"] = min(extrema["ricci_p_NN_min"], float(np.min(ric)))
         return out
 
-    integrals = _integrate_terms(scenario, grid, terms) if sigmas or orders else {}
+    integrals = _integrate_terms(scenario, grid, terms) if sigmas or orders or scan else {}
     reports = []
     for base, arg in parsed:
         if base == "divergence-selftest":
@@ -416,8 +399,10 @@ def verify_grid_checks(scenario, checks, grid=None, tolerance=None, c: float | N
             )
         elif base == "main":
             rep = _main_report(scenario, grid, int(arg or 0), integrals, tol, t0, selftest_floor)
-        else:
+        elif base == "closed-form-c":
             rep = _closed_form_c_report(scenario, grid, integrals, c, tol, t0, selftest_floor)
+        else:
+            rep = _sigma2_image_report(scenario, grid, extrema, float(arg) if arg else 0.0 if c is None else c, t0)
         reports.append(rep)
         t0 = time.perf_counter()
     return reports
@@ -452,16 +437,11 @@ def _closed_form_c_report(scenario, grid, integrals: dict, c, tol: float, t0: fl
 
     n = scenario.n
     S = np.array([integrals[f"sigma_{r}"] for r in range(n + 1)])
-    vol = integrals["volume"]
     Sget = lambda k: S[k] if k <= n else 0.0
-    residual = 0.0
-    for r in range(0, n):
-        residual = max(residual, abs((r + 2) * Sget(r + 2) - c * (n - r) * S[r]))
-    for r in range(1, n + 1, 2):
-        residual = max(residual, abs(S[r]))
-    if n % 2 == 0:
-        for r in range(0, n + 1, 2):
-            residual = max(residual, abs(S[r] - newton.total_curvature_closed_constant(n, r, c, vol)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        recursion = [abs((r + 2) * Sget(r + 2) - c * (n - r) * S[r]) for r in range(n)]
+        closed = lambda r: newton.total_curvature_closed_constant(n, r, c, integrals["volume"])
+        residual = _closed_form_residual(S, closed, recursion)
     return make_report(
         "closed-form-c", residual, tol, t0, scenario, grid,
         terms={f"total_sigma_{r}": float(S[r]) for r in range(n + 1)},
@@ -472,16 +452,39 @@ def _closed_form_c_report(scenario, grid, integrals: dict, c, tol: float, t0: fl
     )
 
 
+def _sigma2_image_report(scenario, grid, extrema: dict, c: float, t0: float) -> VerificationReport:
+    terms = {
+        **extrema,
+        "interval_witnessed": float(extrema["sigma2_min"] <= 0.0 < c < extrema["sigma2_max"]),
+        "ricci_bound_holds": float(extrema["ricci_p_NN_min"] >= 2.0 * c),
+    }
+    return make_report("sigma2-image", 0.0, np.inf, t0, scenario, grid, terms=terms, c=c)
+
+
+def _closed_form_residual(S, closed, recursion=()) -> float:
+    """Largest of the ``recursion`` deviations, |S_r| over odd r and, for even n, |S_r - closed(r)| over even r.
+
+    A total or closed form that overflows raises :class:`EvaluationError`
+    instead of becoming a NaN that ``max`` would pass over.
+    """
+    n = len(S) - 1
+    try:
+        devs = [*recursion, *(abs(S[r]) for r in range(1, n + 1, 2))]
+        if n % 2 == 0:
+            devs += [abs(S[r] - closed(r)) for r in range(0, n + 1, 2)]
+    except OverflowError as exc:
+        raise EvaluationError(f"closed form overflows: {exc}") from exc
+    if not all(map(math.isfinite, devs)):
+        raise EvaluationError("a total curvature or its closed form is not finite")
+    return max(devs, default=0.0)
+
+
 def verify_closed_form_einstein(n: int, C: float, vol: float, tolerance: float = ALGEBRAIC_TOL) -> VerificationReport:
     """Umbilical Einstein-type reduction: recurrence vs closed form, exact coefficients."""
     t0 = time.perf_counter()
-    residual = 0.0
-    S = newton.total_curvature_recursion_einstein(n, C, vol)
-    for r in range(1, n + 1, 2):
-        residual = max(residual, abs(S[r]))
-    if n % 2 == 0:
-        for r in range(0, n + 1, 2):
-            residual = max(residual, abs(S[r] - newton.total_curvature_closed_einstein(n, r, C, vol)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = newton.total_curvature_recursion_einstein(n, C, vol)
+        residual = _closed_form_residual(S, lambda r: newton.total_curvature_closed_einstein(n, r, C, vol))
 
     coeff_exact = all(
         newton.umbilical_coefficient_sum(n, r) == newton.umbilical_coefficient(n, r)
@@ -536,29 +539,8 @@ def verify_umbilical_reduction(samples: int = 1000, seed: int = 4242, tolerance:
 
 
 def sigma2_image_diagnostic(scenario, c: float = 0.0, grid=None) -> VerificationReport:
-    """Range of sigma_2 over the grid; diagnostic only, never a gate.
-
-    The grid is scanned in chunks of ``quadrature.CHUNK`` nodes, so memory
-    stays bounded on fine grids; minima and maxima do not depend on the
-    chunking.
-    """
-    t0 = time.perf_counter()
-    grid = _grid(scenario, grid)
-    s2_min = ric_min = np.inf
-    s2_max = -np.inf
-    for start in range(0, grid.count, quadrature.CHUNK):
-        geom = Geometry(scenario.fol, grid.nodes[start : start + quadrature.CHUNK], order=1)
-        s2 = geom.sigma.value[..., 2]
-        s2_min, s2_max = min(s2_min, float(np.min(s2))), max(s2_max, float(np.max(s2)))
-        ric_min = min(ric_min, float(np.min(geom.ricci_p(geom.N.value))))
-    terms = {
-        "sigma2_min": s2_min,
-        "sigma2_max": s2_max,
-        "ricci_p_NN_min": ric_min,
-        "interval_witnessed": float(s2_min <= 0.0 < c < s2_max),
-        "ricci_bound_holds": float(ric_min >= 2.0 * c),
-    }
-    return make_report("sigma2-image", 0.0, np.inf, t0, scenario, grid, terms=terms, c=c)
+    """Range of sigma_2 over the grid; diagnostic only, never a gate (:func:`verify_grid_checks`)."""
+    return verify_grid_checks(scenario, ["sigma2-image"], grid, c=c)[0]
 
 
 # -- pointwise identity batteries -------------------------------------------------------

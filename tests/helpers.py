@@ -10,7 +10,10 @@ ndarray path; the projector jets at the seeds' full derivative order, for
 the first-order ``distribution.projector_jets``; and the scalar-jet route of
 ``foliation.Geometry`` (:class:`NestedGeometry`) with its Gauss-Jordan
 solve, one ``Jet`` product at a time over nested lists, for the tensor-jet
-contractions that replaced it.
+contractions that replaced it; and the two curvature-trace loops and the
+compact-leaf integrand composed from the main-formula terms, for the one
+kernel (``Geometry.newton_curvature_trace``) and the one leaf integrand
+(``Geometry.leaf_formula_integrand``) that replaced them.
 """
 
 import numpy as np
@@ -237,3 +240,53 @@ class NestedGeometry:
         for ei in self.e:
             acc = acc + self.inner(self.nabla(ei, field), ei)
         return jets.value_of(acc)
+
+
+# -- the curvature-trace loops and the leaf integrand the Geometry kernels replaced --
+
+
+def z_curvature_loop(geom, r, tensor):
+    """sum_j (-1)^{j-1} tr(T_{r-j} tensor(., A^{j-1} Z)N), the main-formula terms' own loop."""
+    T = [Tk.value for Tk in geom.T]
+    E, zl = geom.e.value, geom.Z_leaf.value
+    tz = np.zeros(geom.batch)
+    Aj = zl
+    for j in range(1, r + 1):
+        M = geom._operator_matrix(tensor, np.einsum("...i,...im->...m", Aj, E))
+        tz = tz + (-1.0) ** (j - 1) * np.einsum("...ik,...ki->...", T[r - j], M)
+        Aj = np.einsum("...ik,...k->...i", geom.A.value, Aj)
+    return tz
+
+
+def div_F_newton_formula_per_basis(geom, r):
+    """The inductive formula for div_F T_r, one leaf-frame basis vector at a time."""
+    n = geom.n
+    out = np.zeros(geom.batch + (n,))
+    if r == 0:
+        return out
+    A, E = geom.A.value, geom.e.value
+    for j in range(n):
+        Aj = np.zeros(geom.batch + (n,))
+        Aj[..., j] = 1.0
+        for jj in range(1, r + 1):
+            M = geom.rp_matrix(np.einsum("...i,...im->...m", Aj, E))
+            out[..., j] += (-1.0) ** (jj - 1) * np.einsum("...ik,...ki->...", geom.T[r - jj].value, M)
+            Aj = np.einsum("...ik,...k->...i", A, Aj)
+    return out
+
+
+def leaf_integrand_from_main_terms(geom, r):
+    """The compact-leaf integrand composed from the main-formula terms, on an order-2 geometry."""
+    from folsub.verify import _main_terms
+
+    terms = _main_terms(geom, r)
+    sig = geom.sigma.value
+    n_sigma = np.einsum("...k,...k->...", geom.N.value, geom.sigma.grad[..., r + 1, :])
+    return (
+        terms["sigma"]
+        + n_sigma
+        - sig[..., 1] * sig[..., r + 1]
+        - terms["normal_curvature"]
+        - terms["trz_z"]
+        - terms["z_curvature"]
+    )

@@ -243,6 +243,14 @@ def _write_config(tmp_path, payload):
         ["--scenario", "flat_torus", "--samples", "4097"],
         ["--scenario", "flat_torus", "--samples", "1000000000000000"],
         ["--scenario", "warped_torus_4", "--grid", "1024,1024,1024,1024"],
+        ["--scenario", "warped_torus_4", "--checks", "closed-form-einstein:1e308"],
+        ["--config", lambda tmp: _write_config(
+            tmp, {"scenario": {"builder": "flat_torus", "m": 6, "n": 4}, "checks": ["closed-form-einstein:1e200"]}
+        )],
+        ["--scenario", "flat_torus", "--checks", "reeb:junk"],
+        ["--scenario", "flat_torus", "--checks", "codazzi:abc"],
+        ["--scenario", "flat_torus", "--checks", "pointwise:1"],
+        ["--scenario", "flat_torus", "--checks", "closed-form-c:5"],
     ],
     ids=[
         "grid-too-short",
@@ -263,6 +271,12 @@ def _write_config(tmp_path, payload):
         "samples-over-one-chunk",
         "samples-huge",
         "grid-over-node-limit",
+        "closed-form-both-sides-overflow",
+        "closed-form-power-overflows",
+        "argument-on-reeb",
+        "argument-on-codazzi",
+        "argument-on-pointwise",
+        "argument-on-closed-form-c",
     ],
 )
 def test_main_entry_rejects_bad_input_with_exit_2(args, tmp_path, capsys):
@@ -292,7 +306,10 @@ JUNK = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=6,
 )
-CHECK_NAMES = [*cli.KNOWN_CHECKS, "main:0", "main:1", "leaf:0", "closed-form-einstein:2", "sigma2-image:x"]
+CHECK_NAMES = [
+    *cli.KNOWN_CHECKS, "main:0", "main:1", "leaf:0", "closed-form-einstein:2", "sigma2-image:x",
+    "reeb:junk", "closed-form-einstein:1e308",
+]
 FUZZED_CONFIG = st.fixed_dictionaries(
     {
         "scenario": st.sampled_from(["flat_torus", "heisenberg"])
@@ -330,13 +347,16 @@ def test_main_exit_contract_holds_for_fuzzed_configs(config):
 
 
 @pytest.mark.parametrize(
-    "scenario_name, checks",
+    "scenario_name, checks, calibrations",
     [
-        ("warped_torus_4", ["divergence-selftest", "reeb", "main:0", "main:1"]),
-        ("flat_torus", ["reeb", "main:0", "closed-form-c"]),
+        ("warped_torus_4", ["divergence-selftest", "reeb", "main:0", "main:1"], 1),
+        ("flat_torus", ["reeb", "main:0", "closed-form-c"], 1),
+        ("warped_torus_4", ["main:0", "sigma2-image"], 1),
+        ("warped_torus_4", ["sigma2-image"], 0),
     ],
+    ids=["warped_torus_4-checks0", "flat_torus-checks1", "warped_torus_4-main-sigma2-image", "warped_torus_4-sigma2-image"],
 )
-def test_run_shares_one_calibration_and_one_geometry_per_chunk(scenario_name, checks, tmp_path, monkeypatch):
+def test_run_shares_one_calibration_and_one_geometry_per_chunk(scenario_name, checks, calibrations, tmp_path, monkeypatch):
     from folsub import foliation, quadrature
 
     scenario = scenarios.build(scenario_name)
@@ -358,7 +378,7 @@ def test_run_shares_one_calibration_and_one_geometry_per_chunk(scenario_name, ch
     status, reports = cli.run(config, scenario=scenario)
     assert status == 0 and [r.formula_id for r in reports] == checks
     chunks = -(-quadrature.grid_for(scenario.manifold, scenario.default_grid).count // 512)
-    assert counts == {"calibrate": 1, "geometry": chunks}
+    assert counts == {"calibrate": calibrations, "geometry": chunks}
 
 
 def test_run_wall_times_add_up_to_at_most_the_run(warped4, tmp_path):

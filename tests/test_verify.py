@@ -199,6 +199,38 @@ def test_sigma2_image_is_independent_of_the_chunk_size(warped4, tilted, monkeypa
         assert chunked.terms == whole.terms
 
 
+def test_sigma2_image_shares_the_grid_pass_of_the_integral_checks(warped4, tilted):
+    for s in (warped4, tilted):
+        shared = verify.verify_grid_checks(s, ["main:1", "sigma2-image:0.01", "reeb"])[1]
+        alone = verify.sigma2_image_diagnostic(s, c=0.01)
+        assert shared.terms == alone.terms and shared.grid == alone.grid
+        assert shared.verdict == "info" and shared.grid["c"] == 0.01
+
+
+def test_curvature_trace_kernel_and_leaf_integrand_match_the_code_they_replaced(catalog):
+    from folsub.foliation import Geometry
+    from helpers import div_F_newton_formula_per_basis, leaf_integrand_from_main_terms, z_curvature_loop
+
+    for s in catalog.values():
+        geom = Geometry(s.fol, s.manifold.random_points(np.random.default_rng(61), 20), order=2)
+        for r in range(s.n):
+            terms = verify._main_terms(geom, r)
+            assert np.array_equal(terms["z_curvature"], z_curvature_loop(geom, r, geom.RP)), s.name
+            assert np.array_equal(terms["z_curvature_riemannian"], z_curvature_loop(geom, r, geom.R)), s.name
+            assert np.array_equal(geom.div_F_newton_formula(r), div_F_newton_formula_per_basis(geom, r)), s.name
+            leaf = geom.leaf_formula_integrand(r) - leaf_integrand_from_main_terms(geom, r)
+            assert np.max(np.abs(leaf)) <= 1e-13, s.name
+
+
+def test_closed_form_overflow_raises_evaluation_error(warped4):
+    with pytest.raises(EvaluationError):
+        verify.verify_closed_form_einstein(2, 1e308, warped4.volume)  # both sides overflow to inf
+    with pytest.raises(EvaluationError):
+        verify.verify_closed_form_einstein(4, 1e200, 1.0)  # the closed form's power overflows
+    with pytest.raises(EvaluationError):
+        verify.verify_closed_form_c(warped4, c=1e308)
+
+
 def test_divergence_identities_hold_at_every_grid_node(warped4, tilted):
     from folsub.foliation import Geometry, divx_residual
 
