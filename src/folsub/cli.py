@@ -1,17 +1,18 @@
-"""Batch runner: execute verification checks on a scenario and emit reports.
+"""Batch runner: validate a run config, build its scenario and write the reports.
 
-Configs and structured reports are plain JSON; the formula ids in the report
-are the check names used across the package, so runs diff cleanly in CI.
+Check names and the code that runs them live in :mod:`folsub.verify`.
+Configs and structured reports are plain JSON, so runs diff cleanly in CI.
 Exit status separates three situations: 0 when no check failed (hypothesis
 violations exit 0 with a warning count), 1 when a formula failed on a
 scenario satisfying its hypotheses, and 2 when the run itself could not be
 executed (bad config, grid, sample count or tolerance, construction error,
-non-finite samples, unwritable output).
+singular metric, non-finite sample or residual, unwritable output).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -22,29 +23,12 @@ from pathlib import Path
 
 from . import scenarios as scn
 from . import verify
-from .errors import ConstructionError, EvaluationError, UnsupportedLeafError
+from .errors import ConfigError, ConstructionError, EvaluationError, LinearSolveError, UnsupportedLeafError
 from .manifolds import InvariantFrameManifold
 from .quadrature import CHUNK
 from .verify import VerificationReport
 
-KNOWN_CHECKS = (
-    "reeb",
-    "main",
-    "leaf",
-    "pointwise",
-    "codazzi",
-    "trace-identities",
-    "closed-form-c",
-    "closed-form-einstein",
-    "umbilical",
-    "divergence-selftest",
-    "sigma2-image",
-)
-
 DEFAULT_CHECKS = ["divergence-selftest", "reeb", "main:0", "pointwise", "codazzi"]
-
-# Checks that take an argument after a colon, and its type.
-CHECK_ARGS = {"main": int, "leaf": int, "closed-form-einstein": float, "sigma2-image": float}
 
 PROFILE_KEYS = ("const", "cos1", "sin1")
 
@@ -68,10 +52,6 @@ MAX_SAMPLES = CHUNK
 MAX_GRID_NODES = 2**20
 
 
-class ConfigError(ValueError):
-    pass
-
-
 @dataclass
 class RunConfig:
     """One verification run: scenario, checks, grid and output options."""
@@ -88,19 +68,7 @@ class RunConfig:
         if not isinstance(self.checks, list) or not all(isinstance(name, str) for name in self.checks):
             raise ConfigError(f"checks {self.checks!r} must be a list of check names")
         for name in self.checks:
-            base, sep, arg = name.partition(":")
-            if base not in KNOWN_CHECKS:
-                raise ConfigError(f"unknown check {name!r}; known: {', '.join(KNOWN_CHECKS)}")
-            kind = CHECK_ARGS.get(base)
-            if sep and kind is None:
-                raise ConfigError(f"check {base!r} takes no argument, not {arg!r}")
-            if sep:
-                try:
-                    finite = math.isfinite(kind(arg))
-                except ValueError:
-                    finite = False
-                if not finite:
-                    raise ConfigError(f"check {name!r} needs {'an integer order' if kind is int else 'a finite number'}")
+            verify.parse_check(name)
         if not isinstance(self.output, str) or not self.output:
             raise ConfigError(f"output {self.output!r} must be a file path")
         if self.format not in ("table", "structured"):
@@ -186,42 +154,6 @@ def _build_scenario(spec):
         raise ConfigError(f"inline {kind} builder: {exc}") from exc
 
 
-def _run_check(scenario, name: str, config: RunConfig) -> list[VerificationReport]:
-    base, _, arg = name.partition(":")
-    tol = config.tolerance
-    k = config.samples
-    if base == "leaf":
-        return [verify.verify_leaf(scenario, int(arg or 0), tolerance=tol)]
-    if base == "codazzi":
-        return [verify.check_codazzi(scenario, samples=k)]
-    if base == "trace-identities":
-        return verify.check_trace_identities(scenario, samples=min(k, 20))
-    if base == "pointwise":
-        out = [
-            verify.check_divergence_split(scenario, samples=k),
-            verify.check_leaf_divergence_of_normal(scenario, samples=k),
-            verify.check_adapted_identity(scenario, samples=k),
-        ]
-        for r in range(scenario.n):
-            out.append(verify.check_newton_div_agreement(scenario, r, samples=k))
-            out.append(verify.check_newton_z_divergence(scenario, r, samples=k))
-        return out
-    if base == "closed-form-einstein":
-        C = float(arg) if arg else 1.0
-        return [verify.verify_closed_form_einstein(scenario.n, C, scenario.volume)]
-    if base == "umbilical":
-        if scenario.n < 2:
-            return [
-                verify.make_report(
-                    "umbilical-reduction", 0.0, verify.ALGEBRAIC_TOL, time.perf_counter(), scenario,
-                    preconditions_ok=False,
-                    reason="needs leaf dimension >= 2",
-                )
-            ]
-        return [verify.verify_umbilical_reduction(samples=200)]
-    raise ConfigError(f"unknown check {name!r}")
-
-
 # -- report serialization -----------------------------------------------------
 
 
@@ -284,41 +216,23 @@ def run(config: RunConfig, verbose: bool = False, scenario=None) -> tuple[int, l
         chart = not isinstance(scenario.manifold, InvariantFrameManifold)
         if chart and config.grid is not None and len(config.grid) != scenario.manifold.dim:
             raise ConfigError(f"grid {config.grid} needs {scenario.manifold.dim} node counts for {scenario.name}")
-        for name in config.checks:
-            base, _, arg = name.partition(":")
-            if base in ("main", "leaf") and arg and not 0 <= int(arg) <= scenario.n - 1:
-                raise ConfigError(f"check {name!r}: order outside 0..{scenario.n - 1}")
-        # The grid checks of a run share one calibration and one geometry
-        # pass, made where the first of them comes.
-        grid_checks = [name for name in config.checks if name.partition(":")[0] in verify.GRID_CHECKS]
-        grid_reports = None
-        reports = []
-        for name in config.checks:
-            try:
-                if name in grid_checks:
-                    if grid_reports is None:
-                        grid = None if config.grid is None else tuple(config.grid)
-                        grid_reports = iter(verify.verify_grid_checks(scenario, grid_checks, grid, config.tolerance))
-                    reports.append(next(grid_reports))
-                else:
-                    reports.extend(_run_check(scenario, name, config))
-            except UnsupportedLeafError as exc:
-                raise ConfigError(f"check {name!r}: {exc}") from exc
-    except (ConfigError, ConstructionError, EvaluationError, KeyError) as exc:
+        reports = verify.run_checks(scenario, config.checks, config.grid, config.tolerance, config.samples)
+    except (ConfigError, ConstructionError, EvaluationError, LinearSolveError, UnsupportedLeafError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, []
 
-    text = (
-        emit_structured(config, scenario.name, reports)
-        if config.format == "structured"
-        else emit_table(config, scenario.name, reports)
-    )
+    emit = emit_structured if config.format == "structured" else emit_table
+    text = emit(config, scenario.name, reports)
     out = Path(config.output)
+    tmp = None
     try:
         tmp = out.with_suffix(out.suffix + ".tmp")
         tmp.write_text(text)
         tmp.replace(out)
     except (OSError, ValueError) as exc:  # ValueError: a path with no file name or a NUL byte
+        if tmp is not None:
+            with contextlib.suppress(OSError, ValueError):
+                tmp.unlink(missing_ok=True)
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         return 2, []
 
@@ -390,21 +304,12 @@ def main(argv=None) -> int:
 
     try:
         config = load_config(args.config) if args.config else RunConfig()
-        override = {}
-        if args.scenario:
-            override["scenario"] = args.scenario
+        keys = ("scenario", "tolerance", "output", "format", "samples")
+        override = {key: value for key in keys if (value := getattr(args, key)) not in (None, "")}
         if args.checks:
             override["checks"] = args.checks.split(",")
         if args.grid:
             override["grid"] = [int(x) for x in args.grid.split(",")]
-        if args.tolerance is not None:
-            override["tolerance"] = args.tolerance
-        if args.output:
-            override["output"] = args.output
-        if args.format:
-            override["format"] = args.format
-        if args.samples is not None:
-            override["samples"] = args.samples
         if override:
             config = dataclasses.replace(config, **override)
     except ValueError as exc:  # a ConfigError, or a --grid count that is not an integer

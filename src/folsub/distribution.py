@@ -198,7 +198,7 @@ def curvature_P(dist: DistributionSpec, X, Y, V, p: Point) -> TangentVector:
     return TangentVector(comps.value, p)
 
 
-def curvature_P_tensor(dist: DistributionSpec, coords, g=None, gamma=None, P=None, R=None):
+def curvature_P_tensor(dist: DistributionSpec, coords, g=None, gamma=None, P=None):
     """Pointwise projected-curvature tensor RP[..., l, k, i, j] as ndarrays.
 
     Acts on sections of D: (R^P(e_i, e_j)V)^l = RP[l, k, i, j] V^k.  Returns
@@ -212,8 +212,7 @@ def curvature_P_tensor(dist: DistributionSpec, coords, g=None, gamma=None, P=Non
         gamma = man.gamma_jets(coords, g)
     if P is None:
         P = projector_jets(dist, coords, g)
-    if R is None:
-        R = manifolds.riemann_jets(man, coords, gamma)
+    R = manifolds.riemann_jets(man, coords, gamma)
 
     Parr, dP = P.value, P.grad
     G = gamma.gamma

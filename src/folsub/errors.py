@@ -21,5 +21,9 @@ class ConstructionError(RuntimeError):
     """A scenario could not be built: a declared property failed re-verification."""
 
 
+class ConfigError(ValueError):
+    """A run was asked for something it cannot do: a bad check name, config field or argument."""
+
+
 class UnsupportedLeafError(ValueError):
     """The requested leaf is not in the scenario's catalog of closed leaves."""

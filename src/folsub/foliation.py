@@ -320,6 +320,17 @@ class Geometry:
         TZ = einsum("...ij,...j->...i", self.T[r], self.Z_leaf)
         return self.div_F(einsum("...i,...ik->...k", TZ, self.e)) + self.leaf_formula_integrand(r)
 
+    def divx_residual(self, X_field) -> float:
+        """Residual of Div X = Div_F X - <X, Z> - <X, Hperp> for a field X in D.
+
+        It holds for fields whose normal component is constant along the N-curves.
+        """
+        X = stack(X_field(self.coords), self.coords).at_order(1)
+        full = mfd.divergence_jets(self.man, self.coords, self.gamma, X).value
+        xz = np.einsum("...l,...lk,...k->...", X.value, self.g.value, self.Z.value)
+        xh = np.einsum("...l,...lk,...k->...", X.value, self.g.value, self.Hperp.value)
+        return float(np.max(np.abs(full - (self.div_F(X) - xz - xh))))
+
     def integrability_residual(self) -> float:
         """Max norm of the off-leaf part of [e_i, e_j] over the leaf frame."""
         worst = 0.0
@@ -509,19 +520,8 @@ def integrability_residual(fol: FoliationStructure, p: Point) -> float:
 
 
 def divx_residual(fol: FoliationStructure, X_field, p: Point) -> float:
-    """Residual of the divergence split for a field X in D.
-
-    Div X = Div_F X - <X, Z> - <X, Hperp>; the split as displayed holds for
-    fields whose normal component is constant along the N-curves, which is
-    the class the integral formulas use.
-    """
-    geom = Geometry(fol, np.asarray(p, dtype=float), order=2)
-    X = stack(X_field(geom.coords), geom.coords).at_order(1)
-    full = mfd.divergence_jets(geom.man, geom.coords, geom.gamma, X).value
-    leafdiv = geom.div_F(X)
-    xz = np.einsum("...l,...lk,...k->...", X.value, geom.g.value, geom.Z.value)
-    xh = np.einsum("...l,...lk,...k->...", X.value, geom.g.value, geom.Hperp.value)
-    return float(np.max(np.abs(full - (leafdiv - xz - xh))))
+    """Residual of the divergence split for a field X in D (:meth:`Geometry.divx_residual`)."""
+    return Geometry(fol, np.asarray(p, dtype=float), order=2).divx_residual(X_field)
 
 
 def rotated_foliation(fol: FoliationStructure, angle_profile=None, flip: bool = False) -> FoliationStructure:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -98,24 +99,29 @@ def integrate_terms(manifold, terms, grid: QuadratureGrid, density=None) -> dict
     ``terms`` maps an (K, m) block of points to a dict of (K,) sample arrays
     (or scalars).  The density defaults to sqrt(det g); pass
     :func:`leaf_density` bound to a leaf for leaf integrals.  Each key's
-    samples are accumulated in grid order and reduced with ``fsum`` for a
-    deterministic, chunking-independent result.  A non-finite sample of any
-    key raises :class:`EvaluationError`; a key may be a ``(check, term)``
-    pair, so that the error names both.
+    weighted samples are kept as float64 blocks in grid order and reduced
+    with one ``fsum``, correctly rounded, so the result is deterministic and
+    independent of the chunking.  A non-finite sample of any key raises
+    :class:`EvaluationError` (:func:`require_finite`); a ``(check, term)`` key names both.
     """
-    samples: dict[object, list[float]] = {}
+    blocks: dict[object, list[np.ndarray]] = {}
     for start in range(0, grid.count, CHUNK):
         pts = grid.nodes[start : start + CHUNK]
         w = grid.weights[start : start + CHUNK]
         dens = manifold.volume_density(pts) if density is None else density(pts)
         for key, vals in terms(pts).items():
             block = (np.asarray(vals, dtype=float) + np.zeros(pts.shape[0])) * dens * w
-            if not np.all(np.isfinite(block)):
-                bad = pts[~np.isfinite(block)][0]
-                term, where = (key[1], f" of {key[0]}") if isinstance(key, tuple) else (key, "")
-                raise EvaluationError(f"non-finite {term} sample{where} at point {bad!r}")
-            samples.setdefault(key, []).extend(block.tolist())
-    return {key: math.fsum(vals) for key, vals in samples.items()}
+            require_finite(key, block, pts)
+            blocks.setdefault(key, []).append(block)
+    return {key: math.fsum(chain.from_iterable(b.tolist() for b in parts)) for key, parts in blocks.items()}
+
+
+def require_finite(key, vals: np.ndarray, pts: np.ndarray) -> None:
+    """Raise :class:`EvaluationError` at the first non-finite sample in ``vals``, named by ``key``."""
+    if not np.all(np.isfinite(vals)):
+        bad = pts[~np.isfinite(vals)][0]
+        term, where = (key[1], f" of {key[0]}") if isinstance(key, tuple) else (key, "")
+        raise EvaluationError(f"non-finite {term} sample{where} at point {bad!r}")
 
 
 def integrate(manifold, field, grid: QuadratureGrid, density=None) -> float:

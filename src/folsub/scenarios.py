@@ -32,6 +32,7 @@ CURV_INVARIANT_TOL = 1e-9
 UMBILICAL_TOL = 1e-10
 FRAME_TOL = 1e-12
 INTEGRABILITY_TOL = 1e-9
+EXTRA_RANDOM_POINTS = 32  # random points added to the capped default grid when measuring the flags
 
 
 @dataclass(frozen=True)
@@ -125,13 +126,13 @@ class Scenario:
 # -- numerical flag measurement ------------------------------------------------
 
 
-def _sample_points(manifold, default_grid, extra_random: int = 32) -> np.ndarray:
+def _sample_points(manifold, default_grid) -> np.ndarray:
     if isinstance(manifold, InvariantFrameManifold):
         return manifold.base_point()[None, :]
     capped = tuple(min(k, 16) for k in default_grid)
     pts = grid_for(manifold, capped).nodes
     rng = np.random.default_rng(20270)
-    return np.concatenate([pts, manifold.random_points(rng, extra_random)], axis=0)
+    return np.concatenate([pts, manifold.random_points(rng, EXTRA_RANDOM_POINTS)], axis=0)
 
 
 def _curvature_invariance_residual(geom) -> float:

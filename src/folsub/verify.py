@@ -15,27 +15,24 @@ All of them are built by :func:`make_report`, which owns the one verdict rule:
 4. otherwise the report passes when ``|residual| <= tolerance`` and every
    exact identity the check carries holds, and fails when not.
 
-Every integral goes through :func:`quadrature.integrate_terms`, so a
-non-finite sample raises :class:`EvaluationError` instead of turning into a
-"fail" verdict.
+A non-finite integral sample, sigma_2 scan sample or residual raises
+:class:`EvaluationError` instead of turning into a verdict.
 
 Integral tolerances are calibrated per scenario and grid: the divergence
 theorem applied to seeded random smooth fields measures the truncation floor
 of the differentiation-plus-quadrature stack, and the tolerance is
 max(1e-7, 10x that floor).
 
-The grid checks of one (scenario, grid), ``divergence-selftest``, ``reeb``,
-``main:r``, ``closed-form-c`` and ``sigma2-image``, are built by one
-function, :func:`verify_grid_checks`: it calibrates once, only when a report
-needs the floor, and integrates every requested integrand and scans the
-sigma_2 range in one pass with one value-only ``Geometry(order=1)`` per
-chunk.  The CLI calls it once per run; ``verify_reeb``, ``verify_main``,
-``verify_closed_form_c``, ``verify_divergence_theorem`` and
-``sigma2_image_diagnostic`` call it for their own check.  The time the
-reports of one call share is charged once, to the first of them, so the
-wall times of a run add up to no more than the run took.  The checks that
-differentiate A, Z or sigma_r (``leaf:r``, the pointwise battery, Codazzi
-and the trace identities) build ``Geometry(order=2)``.
+The check layer lives here: ``CHECKS`` names every check with the type and
+default of its argument, :func:`parse_check` is the one parser of a check
+name, and :func:`run_checks` runs a list of them.  The grid checks
+(``GRID_CHECKS``) of one (scenario, grid) come from one
+:func:`verify_grid_checks` pass: one calibration, made only when a report
+needs the floor, and one value-only ``Geometry(order=1)`` per chunk for
+every requested integrand and the sigma_2 scan.  ``leaf:r`` integrates over
+a closed leaf.  The sampled checks draw seeded random points and build one
+``Geometry`` on them (``_sampled``).  Time that reports share is
+charged to the first of them, so a run's wall times add up to at most its own.
 """
 
 from __future__ import annotations
@@ -48,18 +45,32 @@ from math import comb
 
 import numpy as np
 
-from . import jets
-from . import newton
-from .errors import EvaluationError
+from . import jets, newton
+from .errors import ConfigError, EvaluationError
 from .foliation import Geometry
-from .manifolds import InvariantFrameManifold, divergence, divergence_jets
+from .manifolds import InvariantFrameManifold, divergence_jets
 from .quadrature import QuadratureGrid, grid_for, integrate, integrate_terms, leaf_density, leaf_grid, refined
+from .quadrature import require_finite
 from .scenarios import ADMISSIBLE_TOL
 
 INTEGRAL_FLOOR = 1e-7
 DIFFERENTIAL_TOL = 1e-8
 FIRST_ORDER_TOL = 1e-9
 ALGEBRAIC_TOL = 1e-11
+TRIG_MODES = 2  # modes of each random test scalar
+SELFTEST_SEED, SELFTEST_FIELDS = 1123, 3  # the calibration's random fields
+
+# Every check a run can name, with the type and default of the argument it
+# takes after a colon, or None when it takes none: "main:r" and "leaf:r" an
+# order r in 0..n-1, "closed-form-einstein:C" the Einstein constant and
+# "sigma2-image:c" the constant compared against the sigma_2 range.
+CHECKS = {
+    "reeb": None, "main": (int, 0), "leaf": (int, 0), "pointwise": None, "codazzi": None,
+    "trace-identities": None, "closed-form-c": None, "closed-form-einstein": (float, 1.0),
+    "umbilical": None, "divergence-selftest": None, "sigma2-image": (float, 0.0),
+}
+# The checks that one grid pass builds (verify_grid_checks).
+GRID_CHECKS = ("divergence-selftest", "reeb", "main", "closed-form-c", "sigma2-image")
 
 
 @dataclass
@@ -93,8 +104,11 @@ def make_report(
     ``t0`` is the ``perf_counter`` reading at the start of the check.  The
     grid metadata holds the scenario name, the node layout of ``grid`` when
     one was integrated over, and ``meta``.  Without a scenario the check is
-    scenario-independent and its admissibility residual is 0.
+    scenario-independent and its admissibility residual is 0.  A non-finite
+    residual raises :class:`EvaluationError`: no verdict can be read from it.
     """
+    if not math.isfinite(residual):
+        raise EvaluationError(f"{formula_id} residual is not finite: {residual}")
     admissibility_max = 0.0 if scenario is None else scenario.residuals["admissibility_max"]
     if not preconditions_ok:
         verdict = "precondition-violation"
@@ -120,6 +134,38 @@ def make_report(
     )
 
 
+def parse_check(name: str, n: int | None = None) -> tuple[str, int | float | None]:
+    """``(check, argument)`` of a check name, "check" or "check:argument".
+
+    The argument is the table's default when the name gives none, and None
+    for a check that takes none.  Raises :class:`ConfigError` for an unknown
+    check, an argument on a check that takes none, an argument that is not a
+    finite number of its type and, given the leaf dimension ``n``, an order
+    outside 0..n-1.
+    """
+    base, sep, text = name.partition(":")
+    if base not in CHECKS:
+        raise ConfigError(f"unknown check {name!r}; known: {', '.join(CHECKS)}")
+    kind, arg = CHECKS[base] or (None, None)
+    if sep and kind is None:
+        raise ConfigError(f"check {base!r} takes no argument, not {text!r}")
+    if sep:
+        try:
+            arg = kind(text)
+        except ValueError:
+            arg = None
+        if arg is None or kind is float and not math.isfinite(arg):
+            raise ConfigError(f"check {name!r} needs {'an integer order' if kind is int else 'a finite number'}")
+    if kind is int and n is not None:
+        _check_order(arg, n, f"check {name!r}")
+    return base, arg
+
+
+def _check_order(r: int, n: int, what: str) -> None:
+    if not 0 <= r <= n - 1:
+        raise ConfigError(f"{what}: order {r} outside 0..{n - 1}")
+
+
 def _grid(scenario, grid=None) -> QuadratureGrid:
     """``grid`` as a quadrature grid: kept as is, built from per-axis counts, or the default."""
     if isinstance(grid, QuadratureGrid):
@@ -132,19 +178,17 @@ def _grid(scenario, grid=None) -> QuadratureGrid:
 # -- random smooth test fields ---------------------------------------------------
 
 
-def random_trig_scalar(manifold, rng: np.random.Generator, modes: int = 2):
-    """Random trigonometric polynomial, periodic on the chart; constant otherwise."""
+def random_trig_scalar(manifold, rng: np.random.Generator):
+    """Random trigonometric polynomial of ``TRIG_MODES`` modes, periodic on the chart; constant otherwise."""
     if isinstance(manifold, InvariantFrameManifold):
         val = float(rng.uniform(-1.0, 1.0))
         return lambda coords: val
     m = manifold.dim
     freqs = [2.0 * np.pi / L for L in manifold.periods]
-    terms = []
-    for _ in range(modes):
-        amp = float(rng.uniform(-1.0, 1.0))
-        ks = rng.integers(-2, 3, m)
-        phases = rng.uniform(0.0, 2.0 * np.pi, m)
-        terms.append((amp, ks, phases))
+    terms = [
+        (float(rng.uniform(-1.0, 1.0)), rng.integers(-2, 3, m), rng.uniform(0.0, 2.0 * np.pi, m))
+        for _ in range(TRIG_MODES)
+    ]
 
     def fn(coords):
         acc = 0.0
@@ -204,15 +248,16 @@ def random_leaf_field(fol, rng: np.random.Generator):
 # -- calibration -------------------------------------------------------------------
 
 
-def divergence_selftest_residual(scenario, grid: QuadratureGrid, seed: int = 1123, fields: int = 3) -> float:
-    """Worst |integral of Div X| over seeded random smooth fields.
+def divergence_selftest_residual(scenario, grid: QuadratureGrid, Xs=None) -> float:
+    """Worst |integral of Div X| over the fields ``Xs``, by default seeded random smooth ones.
 
     The fields are integrated together, one key each, so they share the
     seeds, the connection and the density of every chunk.
     """
-    rng = np.random.default_rng(seed)
     man = scenario.manifold
-    Xs = [random_ambient_field(man, rng) for _ in range(fields)]
+    if Xs is None:
+        rng = np.random.default_rng(SELFTEST_SEED)
+        Xs = [random_ambient_field(man, rng) for _ in range(SELFTEST_FIELDS)]
 
     def terms(pts):
         coords = man.seed(pts, order=1)
@@ -237,7 +282,7 @@ def verify_divergence_theorem(scenario, X_field=None, grid=None, tolerance=None)
         return verify_grid_checks(scenario, ["divergence-selftest"], grid, tolerance)[0]
     t0 = time.perf_counter()
     grid = _grid(scenario, grid)
-    residual = abs(integrate(scenario.manifold, lambda pts: divergence(scenario.manifold, X_field, pts), grid))
+    residual = divergence_selftest_residual(scenario, grid, [X_field])
     tol = tolerance if tolerance is not None else FIRST_ORDER_TOL
     return make_report("divergence-selftest", residual, tol, t0, scenario, grid)
 
@@ -267,11 +312,6 @@ def _main_terms(geom, r: int) -> dict:
     return out
 
 
-def _check_r(scenario, r: int):
-    if not 0 <= r <= scenario.n - 1:
-        raise ValueError(f"order r={r} outside 0..{scenario.n - 1} for scenario {scenario.name}")
-
-
 def _integrate_terms(scenario, grid: QuadratureGrid, term_fn, density=None) -> dict:
     """:func:`quadrature.integrate_terms` over the scenario's manifold.
 
@@ -294,7 +334,7 @@ def verify_main(scenario, r: int, grid=None, tolerance=None) -> VerificationRepo
 def verify_leaf(scenario, r: int, leaf=None, grid_axes=None, tolerance=None) -> VerificationReport:
     """Compact-leaf integral formula at order r over a declared closed leaf."""
     t0 = time.perf_counter()
-    _check_r(scenario, r)
+    _check_order(r, scenario.n, scenario.name)
     lf = leaf if leaf is not None and not isinstance(leaf, str) else scenario.leaf(leaf)
     man = scenario.manifold
     if isinstance(man, InvariantFrameManifold):
@@ -321,8 +361,6 @@ def verify_closed_form_c(scenario, c: float | None = None, grid=None, tolerance=
 
 # -- one pass over a grid for every integral formula ------------------------------------
 
-GRID_CHECKS = ("divergence-selftest", "reeb", "main", "closed-form-c", "sigma2-image")
-
 
 def verify_grid_checks(scenario, checks, grid=None, tolerance=None, c: float | None = None) -> list[VerificationReport]:
     """Reports of the grid checks ``checks`` on one (scenario, grid), from one pass.
@@ -336,9 +374,9 @@ def verify_grid_checks(scenario, checks, grid=None, tolerance=None, c: float | N
     emits only the requested integrands: sigma_1 for ``reeb``; sigma_0..
     sigma_n and the volume for ``closed-form-c``; the main-formula terms
     for each requested r.  The same chunks give the extrema of sigma_2 and
-    Ric^P(N, N) for ``sigma2-image``, exact under any chunking.  ``c``
-    overrides the scenario's curvature constant for ``closed-form-c`` and
-    the constant 0.0 of a ``sigma2-image`` entry that names none.
+    Ric^P(N, N) for ``sigma2-image``, exact under any chunking; a
+    non-finite sample of either raises :class:`EvaluationError`.  ``c``
+    overrides the scenario's curvature constant for ``closed-form-c``.
 
     The time the reports share, calibration and the grid pass, is charged
     once, to the first report; each later report's ``wall_time_s`` covers
@@ -346,14 +384,12 @@ def verify_grid_checks(scenario, checks, grid=None, tolerance=None, c: float | N
     than the run took.
     """
     t0 = time.perf_counter()
-    parsed = [name.partition(":")[::2] for name in checks]
+    parsed = [parse_check(name, scenario.n) for name in checks]
     for base, _ in parsed:
         if base not in GRID_CHECKS:
-            raise ValueError(f"{base!r} is not a grid check; known: {', '.join(GRID_CHECKS)}")
+            raise ConfigError(f"{base!r} is not a grid check; known: {', '.join(GRID_CHECKS)}")
     bases = {base for base, _ in parsed}
-    orders = sorted({int(arg or 0) for base, arg in parsed if base == "main"})
-    for r in orders:
-        _check_r(scenario, r)
+    orders = sorted({arg for base, arg in parsed if base == "main"})
     grid = _grid(scenario, grid)
 
     tol, floor = tolerance, None
@@ -379,6 +415,8 @@ def verify_grid_checks(scenario, checks, grid=None, tolerance=None, c: float | N
             out.update({(f"main:{r}", key): vals for key, vals in _main_terms(geom, r).items()})
         if scan:
             s2, ric = geom.sigma.value[..., 2], geom.ricci_p(geom.N.value)
+            require_finite(("sigma2-image", "sigma_2"), s2, pts)
+            require_finite(("sigma2-image", "ricci_p_NN"), ric, pts)
             extrema["sigma2_min"] = min(extrema["sigma2_min"], float(np.min(s2)))
             extrema["sigma2_max"] = max(extrema["sigma2_max"], float(np.max(s2)))
             extrema["ricci_p_NN_min"] = min(extrema["ricci_p_NN_min"], float(np.min(ric)))
@@ -398,11 +436,11 @@ def verify_grid_checks(scenario, checks, grid=None, tolerance=None, c: float | N
                 selftest_floor=selftest_floor,
             )
         elif base == "main":
-            rep = _main_report(scenario, grid, int(arg or 0), integrals, tol, t0, selftest_floor)
+            rep = _main_report(scenario, grid, arg, integrals, tol, t0, selftest_floor)
         elif base == "closed-form-c":
             rep = _closed_form_c_report(scenario, grid, integrals, c, tol, t0, selftest_floor)
         else:
-            rep = _sigma2_image_report(scenario, grid, extrema, float(arg) if arg else 0.0 if c is None else c, t0)
+            rep = _sigma2_image_report(scenario, grid, extrema, arg, t0)
         reports.append(rep)
         t0 = time.perf_counter()
     return reports
@@ -540,91 +578,119 @@ def verify_umbilical_reduction(samples: int = 1000, seed: int = 4242, tolerance:
 
 def sigma2_image_diagnostic(scenario, c: float = 0.0, grid=None) -> VerificationReport:
     """Range of sigma_2 over the grid; diagnostic only, never a gate (:func:`verify_grid_checks`)."""
-    return verify_grid_checks(scenario, ["sigma2-image"], grid, c=c)[0]
+    return verify_grid_checks(scenario, [f"sigma2-image:{float(c)!r}"], grid)[0]
 
 
 # -- pointwise identity batteries -------------------------------------------------------
 
 
-def _sample_points(scenario, samples: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    return scenario.manifold.random_points(rng, samples)
+def _sampled(scenario, samples: int, seed: int, *checks, order: int = 2, requires_admissible: bool = False) -> list:
+    """Reports of pointwise checks at ``samples`` points drawn with ``seed``, from one geometry.
 
-
-def check_divergence_split(scenario, samples: int = 50, seed: int = 31, tolerance: float = FIRST_ORDER_TOL) -> VerificationReport:
-    """Divergence split for random D-fields with constant normal component."""
-    from .foliation import divx_residual
-
+    Each check is ``(formula_id, tolerance, residuals)``; its residual is the largest absolute
+    value in the list ``residuals(geom)``, by ``np.max``, which keeps a NaN for
+    :func:`make_report` to reject.  Each report's wall time is that of its own part.
+    """
     t0 = time.perf_counter()
-    pts = _sample_points(scenario, samples, seed)
+    geom = Geometry(scenario.fol, scenario.manifold.random_points(np.random.default_rng(seed), samples), order=order)
+    reports = []
+    for formula_id, tolerance, residuals in checks:
+        residual = float(np.max([np.max(np.abs(v)) for v in residuals(geom)], initial=0.0))
+        reports.append(make_report(
+            formula_id, residual, tolerance, t0, scenario, requires_admissible=requires_admissible, samples=samples
+        ))
+        t0 = time.perf_counter()
+    return reports
+
+
+def check_divergence_split(scenario, samples: int = 50, seed: int = 31) -> VerificationReport:
+    """Divergence split for four random D-fields with constant normal component."""
     rng = np.random.default_rng(seed + 1)
-    residual = 0.0
-    for _ in range(4):
-        X = random_distribution_field(scenario.fol, rng)
-        residual = max(residual, divx_residual(scenario.fol, X, pts))
-    return make_report("div-split", residual, tolerance, t0, scenario, samples=samples)
+    fields = [random_distribution_field(scenario.fol, rng) for _ in range(4)]
+    check = ("div-split", FIRST_ORDER_TOL, lambda geom: [geom.divx_residual(X) for X in fields])
+    return _sampled(scenario, samples, seed, check)[0]
 
 
-def check_leaf_divergence_of_normal(scenario, samples: int = 50, seed: int = 37, tolerance: float = FIRST_ORDER_TOL) -> VerificationReport:
+def check_leaf_divergence_of_normal(scenario, samples: int = 50, seed: int = 37) -> VerificationReport:
     """Leafwise divergence of N equals minus the total mean curvature."""
-    t0 = time.perf_counter()
-    pts = _sample_points(scenario, samples, seed)
-    geom = Geometry(scenario.fol, pts, order=1)
-    residual = float(np.max(np.abs(geom.div_F(geom.N) + geom.sigma.value[..., 1])))
-    return make_report("leafdiv-normal", residual, tolerance, t0, scenario, samples=samples)
+    check = ("leafdiv-normal", FIRST_ORDER_TOL, lambda geom: [geom.div_F(geom.N) + geom.sigma.value[..., 1]])
+    return _sampled(scenario, samples, seed, check, order=1)[0]
 
 
-def check_newton_div_agreement(scenario, r: int, samples: int = 50, seed: int = 41, tolerance: float = DIFFERENTIAL_TOL) -> VerificationReport:
+def check_newton_div_agreement(scenario, r: int, samples: int = 50, seed: int = 41) -> VerificationReport:
     """Direct jet differentiation of T_r vs the inductive curvature-trace formula."""
-    t0 = time.perf_counter()
-    _check_r(scenario, r)
-    pts = _sample_points(scenario, samples, seed)
-    geom = Geometry(scenario.fol, pts, order=2)
-    residual = float(np.max(np.abs(geom.div_F_newton_direct(r) - geom.div_F_newton_formula(r))))
-    return make_report(f"newton-div:{r}", residual, tolerance, t0, scenario, samples=samples)
+    _check_order(r, scenario.n, scenario.name)
+    check = (f"newton-div:{r}", DIFFERENTIAL_TOL, lambda g: [g.div_F_newton_direct(r) - g.div_F_newton_formula(r)])
+    return _sampled(scenario, samples, seed, check)[0]
 
 
-def check_adapted_identity(scenario, samples: int = 50, seed: int = 43, tolerance: float = DIFFERENTIAL_TOL) -> VerificationReport:
+def check_adapted_identity(scenario, samples: int = 50, seed: int = 43) -> VerificationReport:
     """Pointwise normal-derivative identity; exact only where admissible."""
-    t0 = time.perf_counter()
-    pts = _sample_points(scenario, samples, seed)
-    residual = Geometry(scenario.fol, pts, order=2).adapted_identity_residual()
-    return make_report("adapted-identity", residual, tolerance, t0, scenario, requires_admissible=True, samples=samples)
+    check = ("adapted-identity", DIFFERENTIAL_TOL, lambda geom: [geom.adapted_identity_residual()])
+    return _sampled(scenario, samples, seed, check, requires_admissible=True)[0]
 
 
-def check_newton_z_divergence(scenario, r: int, samples: int = 50, seed: int = 47, tolerance: float = DIFFERENTIAL_TOL) -> VerificationReport:
+def check_newton_z_divergence(scenario, r: int, samples: int = 50, seed: int = 47) -> VerificationReport:
     """Leafwise divergence identity for T_r Z; exact only where admissible."""
-    t0 = time.perf_counter()
-    _check_r(scenario, r)
-    pts = _sample_points(scenario, samples, seed)
-    geom = Geometry(scenario.fol, pts, order=2)
-    residual = float(np.max(np.abs(geom.newton_z_divergence_residual(r))))
-    return make_report(f"newton-z-div:{r}", residual, tolerance, t0, scenario, requires_admissible=True, samples=samples)
+    _check_order(r, scenario.n, scenario.name)
+    check = (f"newton-z-div:{r}", DIFFERENTIAL_TOL, lambda geom: [geom.newton_z_divergence_residual(r)])
+    return _sampled(scenario, samples, seed, check, requires_admissible=True)[0]
 
 
-def check_codazzi(scenario, samples: int = 50, seed: int = 53, tolerance: float = DIFFERENTIAL_TOL) -> VerificationReport:
-    """Codazzi-type residual over all leaf-frame pairs at random points, from one geometry."""
-    t0 = time.perf_counter()
-    geom = Geometry(scenario.fol, _sample_points(scenario, samples, seed), order=2)
-    residual = 0.0
-    for i in range(scenario.n):
-        for j in range(i + 1, scenario.n):
-            residual = max(residual, geom.codazzi_residual(geom.e[..., i, :], geom.e[..., j, :]))
-    return make_report("codazzi", residual, tolerance, t0, scenario, samples=samples)
+def check_codazzi(scenario, samples: int = 50, seed: int = 53) -> VerificationReport:
+    """Codazzi-type residual over all leaf-frame pairs at random points."""
+    pairs = [(i, j) for i in range(scenario.n) for j in range(i + 1, scenario.n)]
+    residuals = lambda g: [g.codazzi_residual(g.e[..., i, :], g.e[..., j, :]) for i, j in pairs]
+    return _sampled(scenario, samples, seed, ("codazzi", DIFFERENTIAL_TOL, residuals))[0]
 
 
 def check_trace_identities(scenario, samples: int = 20, seed: int = 59) -> list[VerificationReport]:
-    """Algebraic and field-form Newton trace identities at random points, from one geometry.
+    """Algebraic and field-form Newton trace identities at random points, each with its own wall time."""
+    rs = range(scenario.n)
+    algebraic = ("trace-identities:algebraic", ALGEBRAIC_TOL, lambda g: [g.trace_identities_algebraic(r) for r in rs])
+    field_form = ("trace-identities:field", DIFFERENTIAL_TOL, lambda g: [g.trace_identities_field(r) for r in rs])
+    return _sampled(scenario, samples, seed, algebraic, field_form)
 
-    Each report carries the wall time of its own half of the work.
+
+# -- one runner for every check ----------------------------------------------------------
+
+
+def run_checks(scenario, checks, grid=None, tolerance=None, samples: int = 50) -> list[VerificationReport]:
+    """The reports of the checks named in ``checks``, in that order (``pointwise`` gives 3 + 2n).
+
+    Every name is parsed before anything runs.  The grid checks come from one
+    :func:`verify_grid_checks` call, made where the first of them comes.  The
+    sampled checks are looked up by module name at each call, so a caller
+    that replaces them on this module (as the benchmark's seeding does) reaches them.
     """
-    t0 = time.perf_counter()
-    geom = Geometry(scenario.fol, _sample_points(scenario, samples, seed), order=2)
-    alg = max(float(np.max(geom.trace_identities_algebraic(r))) for r in range(scenario.n))
-    algebraic = make_report("trace-identities:algebraic", alg, ALGEBRAIC_TOL, t0, scenario, samples=samples)
-    t1 = time.perf_counter()
-    fld = max(geom.trace_identities_field(r) for r in range(scenario.n))
-    return [algebraic, make_report("trace-identities:field", fld, DIFFERENTIAL_TOL, t1, scenario, samples=samples)]
+    parsed = [parse_check(name, scenario.n) for name in checks]
+    grid_names = [name for name, (base, _) in zip(checks, parsed) if base in GRID_CHECKS]
+    grid_reports, reports = None, []
+    for base, arg in parsed:
+        if base in GRID_CHECKS:
+            grid_reports = grid_reports or iter(verify_grid_checks(scenario, grid_names, grid, tolerance))
+            reports.append(next(grid_reports))
+        elif base == "leaf":
+            reports.append(verify_leaf(scenario, arg, tolerance=tolerance))
+        elif base == "pointwise":
+            plain = (check_divergence_split, check_leaf_divergence_of_normal, check_adapted_identity)
+            per_order = (check_newton_div_agreement, check_newton_z_divergence)
+            reports += [check(scenario, samples) for check in plain]
+            reports += [check(scenario, r, samples) for r in range(scenario.n) for check in per_order]
+        elif base == "codazzi":
+            reports.append(check_codazzi(scenario, samples))
+        elif base == "trace-identities":
+            reports += check_trace_identities(scenario, min(samples, 20))
+        elif base == "closed-form-einstein":
+            reports.append(verify_closed_form_einstein(scenario.n, arg, scenario.volume))
+        elif scenario.n >= 2:  # umbilical
+            reports.append(verify_umbilical_reduction(samples=200))
+        else:
+            reports.append(make_report(
+                "umbilical-reduction", 0.0, ALGEBRAIC_TOL, time.perf_counter(), scenario,
+                preconditions_ok=False, reason="needs leaf dimension >= 2",
+            ))
+    return reports
 
 
 def convergence_gap(scenario, check, grid=None) -> tuple[float, float]:

@@ -251,6 +251,19 @@ def _write_config(tmp_path, payload):
         ["--scenario", "flat_torus", "--checks", "codazzi:abc"],
         ["--scenario", "flat_torus", "--checks", "pointwise:1"],
         ["--scenario", "flat_torus", "--checks", "closed-form-c:5"],
+        ["--scenario", "flat_torus", "--checks", "main:1" + "0" * 400],
+        ["--config", lambda tmp: _write_config(
+            tmp, {"scenario": {"builder": "warped_torus", "a": {"const": 1e-300}}, "checks": ["reeb"]}
+        )],
+        ["--config", lambda tmp: _write_config(
+            tmp, {"scenario": {"builder": "warped_torus", "a": {"const": 1e200}}, "checks": ["reeb"]}
+        )],
+        ["--config", lambda tmp: _write_config(
+            tmp, {"scenario": {"builder": "tilted_torus", "theta_amplitude": 1e160}, "checks": ["codazzi"]}
+        )],
+        ["--config", lambda tmp: _write_config(
+            tmp, {"scenario": {"builder": "tilted_torus", "theta_amplitude": 1e160}, "checks": ["sigma2-image"]}
+        )],
     ],
     ids=[
         "grid-too-short",
@@ -277,6 +290,11 @@ def _write_config(tmp_path, payload):
         "argument-on-codazzi",
         "argument-on-pointwise",
         "argument-on-closed-form-c",
+        "order-too-large-for-a-float",
+        "metric-underflows-to-singular",
+        "metric-overflows-to-singular",
+        "codazzi-residual-not-finite",
+        "sigma2-image-samples-not-finite",
     ],
 )
 def test_main_entry_rejects_bad_input_with_exit_2(args, tmp_path, capsys):
@@ -285,6 +303,14 @@ def test_main_entry_rejects_bad_input_with_exit_2(args, tmp_path, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_failed_report_write_leaves_no_temporary_file(tmp_path, capsys):
+    out = tmp_path / "sub"
+    out.mkdir()
+    assert cli.main(["run", "--scenario", "flat_torus", "--checks", "reeb", "--output", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot write report")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sub"]
 
 
 def test_run_nonfinite_sample_exits_2(tmp_path, monkeypatch, capsys):
@@ -307,7 +333,7 @@ JUNK = st.recursive(
     max_leaves=6,
 )
 CHECK_NAMES = [
-    *cli.KNOWN_CHECKS, "main:0", "main:1", "leaf:0", "closed-form-einstein:2", "sigma2-image:x",
+    *verify.CHECKS, "main:0", "main:1", "leaf:0", "closed-form-einstein:2", "sigma2-image:x",
     "reeb:junk", "closed-form-einstein:1e308",
 ]
 FUZZED_CONFIG = st.fixed_dictionaries(
@@ -379,6 +405,33 @@ def test_run_shares_one_calibration_and_one_geometry_per_chunk(scenario_name, ch
     assert status == 0 and [r.formula_id for r in reports] == checks
     chunks = -(-quadrature.grid_for(scenario.manifold, scenario.default_grid).count // 512)
     assert counts == {"calibrate": calibrations, "geometry": chunks}
+
+
+def test_run_calls_every_seeded_check_the_benchmark_replaces(warped3, tmp_path, monkeypatch):
+    # The benchmark seeds each pass by replacing these functions on the verify
+    # module; a run that reached them any other way would run at the default seeds.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses resolve annotations there
+    spec.loader.exec_module(workloads)
+
+    called = []
+
+    def recorder(name, real):
+        def record(*args, **kwargs):
+            called.append(name)
+            return real(*args, **kwargs)
+
+        return record
+
+    for name in workloads.SEEDED_CHECKS:
+        monkeypatch.setattr(verify, name, recorder(name, getattr(verify, name)))
+    checks = ["pointwise", "codazzi", "trace-identities"]
+    config = cli.RunConfig(scenario="warped_torus_3", checks=checks, output=str(tmp_path / "r.json"), samples=5)
+    status, _ = cli.run(config, scenario=warped3)
+    assert status == 0
+    assert sorted(set(called)) == sorted(workloads.SEEDED_CHECKS)
 
 
 def test_run_wall_times_add_up_to_at_most_the_run(warped4, tmp_path):

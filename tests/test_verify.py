@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from folsub import scenarios as scn
 from folsub import verify
-from folsub.errors import EvaluationError, UnsupportedLeafError
+from folsub.errors import ConfigError, EvaluationError, UnsupportedLeafError
 from folsub.manifolds import constant_field
 from folsub.quadrature import grid_for
 
@@ -309,3 +310,71 @@ def test_shared_grid_pass_reports_equal_their_own_checks(catalog, tolerance, tmp
             verify.verify_reeb(s, tolerance=tolerance),
         ] + [verify.verify_main(s, r, tolerance=tolerance) for r in range(1, s.n)]
         assert [strip(r) for r in shared] == [strip(r) for r in alone], name
+
+
+def test_parse_check_defaults_for_every_table_entry():
+    for name, spec in verify.CHECKS.items():
+        assert verify.parse_check(name) == (name, None if spec is None else spec[1])
+        assert verify.parse_check(name, n=1) == verify.parse_check(name)
+    assert set(verify.GRID_CHECKS) <= set(verify.CHECKS)
+    assert verify.parse_check("main:2", n=3) == ("main", 2)
+    assert verify.parse_check("leaf:0") == ("leaf", 0)
+    assert verify.parse_check("closed-form-einstein:-2.5") == ("closed-form-einstein", -2.5)
+    assert verify.parse_check("sigma2-image:0.01") == ("sigma2-image", 0.01)
+
+
+@pytest.mark.parametrize(
+    "name, n, message",
+    [
+        ("frobnicate", None, "unknown check"),
+        ("main0", None, "unknown check"),
+        (":1", None, "unknown check"),
+        ("reeb:1", None, "takes no argument"),
+        ("pointwise:", None, "takes no argument"),
+        ("main:x", None, "integer order"),
+        ("leaf:1.0", None, "integer order"),
+        ("main:", None, "integer order"),
+        ("closed-form-einstein:inf", None, "finite number"),
+        ("closed-form-einstein:1e400", None, "finite number"),
+        ("sigma2-image:nan", None, "finite number"),
+        ("sigma2-image:x", None, "finite number"),
+        ("main:1", 1, "outside 0..0"),
+        ("leaf:-1", 2, "outside 0..1"),
+        ("main:1" + "0" * 400, 4, "outside 0..3"),
+    ],
+)
+def test_parse_check_rejects(name, n, message):
+    with pytest.raises(ConfigError, match=message):
+        verify.parse_check(name, n)
+
+
+def test_grid_checks_reject_a_check_of_another_kind(flat):
+    with pytest.raises(ConfigError, match="not a grid check"):
+        verify.verify_grid_checks(flat, ["reeb", "leaf:0"])
+
+
+def test_divergence_split_builds_one_geometry(warped4, monkeypatch):
+    from folsub import foliation
+
+    builds = []
+    real_init = foliation.Geometry.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(foliation.Geometry, "__init__", counting_init)
+    assert verify.check_divergence_split(warped4, samples=10).verdict == "pass"
+    assert len(builds) == 1
+
+
+def test_nonfinite_residual_raises_instead_of_passing():
+    # sin of theta amplitudes near 1e160 loses every digit: the Codazzi
+    # residual is NaN at every point, and max() would have dropped it
+    steep = scn.build_tilted_torus(theta=scn.sine_profile(1e160))
+    with np.errstate(all="ignore"), pytest.raises(EvaluationError, match="codazzi residual is not finite"):
+        verify.check_codazzi(steep, samples=5)
+    with np.errstate(all="ignore"), pytest.raises(EvaluationError, match="non-finite sigma_2 sample of sigma2-image"):
+        verify.sigma2_image_diagnostic(steep)
+    with pytest.raises(EvaluationError, match="residual is not finite"):
+        verify.make_report("reeb", float("nan"), 1e-7, 0.0)
