@@ -21,6 +21,8 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import scenarios as scn
 from . import verify
 from .errors import ConfigError, ConstructionError, EvaluationError, LinearSolveError, UnsupportedLeafError
@@ -207,16 +209,18 @@ def run(config: RunConfig, verbose: bool = False, scenario=None) -> tuple[int, l
     """Execute every requested check; returns (exit status, reports).
 
     ``scenario`` is the already built ``config.scenario``, for callers that
-    needed it to choose the checks; by default it is built here.
+    needed it to choose the checks; by default it is built here.  Floating-point
+    warnings are silenced: a non-finite sample or residual raises :class:`EvaluationError`.
     """
     t0 = time.perf_counter()
     try:
-        if scenario is None:
-            scenario = _build_scenario(config.scenario)
-        chart = not isinstance(scenario.manifold, InvariantFrameManifold)
-        if chart and config.grid is not None and len(config.grid) != scenario.manifold.dim:
-            raise ConfigError(f"grid {config.grid} needs {scenario.manifold.dim} node counts for {scenario.name}")
-        reports = verify.run_checks(scenario, config.checks, config.grid, config.tolerance, config.samples)
+        with np.errstate(all="ignore"):
+            if scenario is None:
+                scenario = _build_scenario(config.scenario)
+            chart = not isinstance(scenario.manifold, InvariantFrameManifold)
+            if chart and config.grid is not None and len(config.grid) != scenario.manifold.dim:
+                raise ConfigError(f"grid {config.grid} needs {scenario.manifold.dim} node counts for {scenario.name}")
+            reports = verify.run_checks(scenario, config.checks, config.grid, config.tolerance, config.samples)
     except (ConfigError, ConstructionError, EvaluationError, LinearSolveError, UnsupportedLeafError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, []

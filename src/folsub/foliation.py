@@ -423,15 +423,6 @@ def _leaf_input(geom, X, what: str):
     return comps if callable(X) else geom.tangential(comps)
 
 
-def sigma(fol_or_matrix, r: int = None, p: Point = None):
-    """sigma_r of the shape operator; also accepts a plain matrix."""
-    if isinstance(fol_or_matrix, FoliationStructure):
-        A = shape_operator(fol_or_matrix, p)
-    else:
-        A = np.asarray(fol_or_matrix, dtype=float)
-    return newton.sigma(r, A)
-
-
 def ricci_p(fol: FoliationStructure, X, p: Point) -> np.ndarray:
     """Leaf-frame trace of V -> R^P(V, X)N for X in D."""
     p = np.asarray(p, dtype=float)

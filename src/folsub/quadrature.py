@@ -36,51 +36,49 @@ class QuadratureGrid:
         return self.nodes.shape[0]
 
 
+def _single_node(manifold, weight: float) -> QuadratureGrid:
+    """The base point alone, carrying ``weight``: the rule of a homogeneous backend."""
+    return QuadratureGrid(manifold.base_point()[None, :], np.array([weight]), (1,))
+
+
+def _product_grid(manifold, counts: dict, fixed: dict) -> QuadratureGrid:
+    """Trapezoid product grid: ``counts[ax]`` equally spaced nodes on each free axis, ``fixed[ax]`` on the rest."""
+    lines = [
+        np.array([fixed[ax]]) if ax in fixed else np.arange(counts[ax]) * (L / counts[ax])
+        for ax, L in enumerate(manifold.periods)
+    ]
+    mesh = np.meshgrid(*lines, indexing="ij")
+    nodes = np.stack([mm.ravel() for mm in mesh], axis=-1)
+    w = float(np.prod([manifold.periods[ax] / k for ax, k in counts.items()]))
+    return QuadratureGrid(nodes, np.full(nodes.shape[0], w), tuple(counts.values()))
+
+
 def grid_for(manifold, axes=None) -> QuadratureGrid:
-    """Product grid for a chart backend; single weighted node for invariant ones."""
+    """Product grid for a chart backend; single weighted node for invariant ones, whatever ``axes``."""
     if isinstance(manifold, InvariantFrameManifold):
-        node = manifold.base_point()[None, :]
-        return QuadratureGrid(node, np.array([manifold.volume]), (1,))
+        return _single_node(manifold, manifold.volume)
     if axes is None:
         raise ValueError("chart backends need per-axis node counts")
     axes = tuple(int(k) for k in axes)
     if len(axes) != manifold.dim or any(k < 1 for k in axes):
         raise ValueError("need a positive node count per axis")
-    lines = [np.arange(k) * (L / k) for k, L in zip(axes, manifold.periods)]
-    mesh = np.meshgrid(*lines, indexing="ij")
-    nodes = np.stack([mm.ravel() for mm in mesh], axis=-1)
-    w = float(np.prod([L / k for k, L in zip(axes, manifold.periods)]))
-    return QuadratureGrid(nodes, np.full(nodes.shape[0], w), axes)
+    return _product_grid(manifold, dict(enumerate(axes)), {})
 
 
 def refined(manifold, grid: QuadratureGrid) -> QuadratureGrid:
-    """The same grid with every axis count doubled."""
-    if isinstance(manifold, InvariantFrameManifold):
-        return grid
+    """The same grid with every axis count doubled; the invariant single node is its own refinement."""
     return grid_for(manifold, tuple(2 * k for k in grid.axes))
 
 
 def leaf_grid(manifold, leaf, axes=None) -> QuadratureGrid:
-    """Grid over a closed coordinate leaf (chart) or its single node (invariant)."""
+    """Grid over a closed coordinate leaf (chart) or its single node (invariant, whatever ``axes``)."""
     if isinstance(manifold, InvariantFrameManifold):
         if leaf.volume is None:
             raise UnsupportedLeafError("invariant-frame leaf needs a declared volume")
-        node = manifold.base_point()[None, :]
-        return QuadratureGrid(node, np.array([leaf.volume]), (1,))
+        return _single_node(manifold, leaf.volume)
     if axes is None:
         raise ValueError("chart leaves need per-axis node counts")
-    counts = {ax: int(k) for ax, k in zip(leaf.axes, axes)}
-    lines = []
-    for ax in range(manifold.dim):
-        if ax in leaf.fixed:
-            lines.append(np.array([leaf.fixed[ax]]))
-        else:
-            k = counts[ax]
-            lines.append(np.arange(k) * (manifold.periods[ax] / k))
-    mesh = np.meshgrid(*lines, indexing="ij")
-    nodes = np.stack([mm.ravel() for mm in mesh], axis=-1)
-    w = float(np.prod([manifold.periods[ax] / counts[ax] for ax in leaf.axes]))
-    return QuadratureGrid(nodes, np.full(nodes.shape[0], w), tuple(counts[ax] for ax in leaf.axes))
+    return _product_grid(manifold, {ax: int(k) for ax, k in zip(leaf.axes, axes)}, leaf.fixed)
 
 
 def leaf_density(manifold, leaf, points) -> np.ndarray:

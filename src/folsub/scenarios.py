@@ -7,6 +7,12 @@ claims: each one is re-measured numerically at construction over a sampling
 grid, and a contradiction raises :class:`ConstructionError` rather than
 shipping a mislabeled example.
 
+Each family is built from one skeleton: ``_foliation`` assembles
+D = span(leaf frame, N), ``_warped_manifold`` and ``_warped_volume`` give the
+warped and tilted tori their one metric and volume, ``_invariant_scenario``
+builds the homogeneous examples, and ``_finalize`` measures the flags.  None
+of them asks which backend a manifold is; :mod:`folsub.quadrature` decides.
+
 The chart warps ship as closed-form profiles with explicit first and second
 derivatives, so the expected-value fixtures are independent of the jet
 machinery they are later compared against.
@@ -14,6 +20,7 @@ machinery they are later compared against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -127,8 +134,6 @@ class Scenario:
 
 
 def _sample_points(manifold, default_grid) -> np.ndarray:
-    if isinstance(manifold, InvariantFrameManifold):
-        return manifold.base_point()[None, :]
     capped = tuple(min(k, 16) for k in default_grid)
     pts = grid_for(manifold, capped).nodes
     rng = np.random.default_rng(20270)
@@ -188,14 +193,13 @@ def measure_scenario(fol: FoliationStructure, points, pcurv_c: float | None) -> 
 
 def _finalize(
     name: str,
-    manifold,
-    dist: DistributionSpec,
     fol: FoliationStructure,
     declared: dict,
     expected: dict,
     leaves: tuple,
     default_grid: tuple,
 ) -> Scenario:
+    manifold = fol.manifold
     points = _sample_points(manifold, default_grid)
     pcurv_c = declared.get("pcurv_c")
     res = measure_scenario(fol, points, pcurv_c)
@@ -220,20 +224,61 @@ def _finalize(
                 f"{name}: declared {key}={want} contradicts measurement {getattr(measured, key)}"
             )
 
-    grid = grid_for(manifold, default_grid if not isinstance(manifold, InvariantFrameManifold) else None)
-    vol = total_volume(manifold, grid)
     return Scenario(
         name=name,
         manifold=manifold,
-        dist=dist,
+        dist=fol.dist,
         fol=fol,
         flags=measured,
         residuals=res,
         expected=expected,
         leaves=leaves,
         default_grid=default_grid,
-        volume=vol,
+        volume=total_volume(manifold, grid_for(manifold, default_grid)),
     )
+
+
+# -- shared construction ---------------------------------------------------------
+
+
+def _unit(m: int, i: int) -> list:
+    """The constant unit vector along axis i of an m-dimensional frame."""
+    return [1.0 if k == i else 0.0 for k in range(m)]
+
+
+def _foliation(man, n: int, leaf_frame, normal, perp, witness: str) -> FoliationStructure:
+    """Foliation by the leaves of ``leaf_frame``, inside D = span(leaf frame, normal); ``perp`` spans D's complement."""
+    dist = DistributionSpec(man, n + 1, lambda coords: leaf_frame(coords) + [normal(coords)], perp)
+    return FoliationStructure(dist, leaf_frame, normal, witness)
+
+
+def _check_positive(profile: Periodic1D, label: str):
+    z = np.linspace(0.0, 2.0 * np.pi, 512)
+    if np.min(profile.fn(z)) <= 0.0:
+        raise ConstructionError(f"warp profile {label} is not strictly positive")
+
+
+def _warped_manifold(warps: tuple, name: str) -> ChartManifold:
+    """The 2*pi-periodic torus with metric dx^2 + sum_i w_i(z)^2 dy_i^2 + dz^2, z the last coordinate."""
+    for w, label in zip(warps, "ab"):
+        _check_positive(w, label)
+    m = len(warps) + 2
+
+    def metric(coords):
+        diag = [1.0] + [v * v for v in (w(coords[m - 1]) for w in warps)] + [1.0]
+        return [[diag[i] if k == i else 0.0 for k in range(m)] for i in range(m)]
+
+    return ChartManifold(dim=m, periods=(2.0 * np.pi,) * m, metric=metric, name=name)
+
+
+def _loop_integral(fn, k: int = 4096) -> float:
+    z = np.arange(k) * (2.0 * np.pi / k)
+    return float(np.sum(fn(z)) * (2.0 * np.pi / k))
+
+
+def _warped_volume(warps: tuple) -> float:
+    """Volume of the warped metric: (2 pi)^(m-1) times the loop integral of the warp product."""
+    return (2.0 * np.pi) ** (len(warps) + 1) * _loop_integral(lambda z: math.prod(w.fn(z) for w in warps))
 
 
 # -- chart builders --------------------------------------------------------------
@@ -245,13 +290,14 @@ def build_flat_torus(m: int = 3, n: int = 1, periods: tuple | None = None) -> Sc
         raise ValueError("need 1 <= n < m - 1 so the orthogonal complement is nonempty")
     periods = tuple(float(p) for p in (periods or (1.0,) * m))
     man = ChartManifold(dim=m, periods=periods, metric=lambda coords: jets.mat_identity(m), name="flat_torus")
-
-    leaf_frame = lambda coords: [[1.0 if k == i else 0.0 for k in range(m)] for i in range(n)]
-    normal = lambda coords: [1.0 if k == n else 0.0 for k in range(m)]
-    perp = lambda coords: [[1.0 if k == i else 0.0 for k in range(m)] for i in range(n + 1, m)]
-
-    dist = DistributionSpec(man, n + 1, lambda coords: leaf_frame(coords) + [normal(coords)], perp)
-    fol = FoliationStructure(dist, leaf_frame, normal, "leaves are coordinate subtori")
+    fol = _foliation(
+        man,
+        n,
+        lambda coords: [_unit(m, i) for i in range(n)],
+        lambda coords: _unit(m, n),
+        lambda coords: [_unit(m, i) for i in range(n + 1, m)],
+        "leaves are coordinate subtori",
+    )
     expected = {
         "shape_operator": ExpectedValue(lambda pts: np.zeros(np.shape(pts)[:-1] + (n, n)), "flat metric"),
         "curvature_Z": ExpectedValue(lambda pts: np.zeros(np.shape(pts)), "flat metric"),
@@ -261,29 +307,15 @@ def build_flat_torus(m: int = 3, n: int = 1, periods: tuple | None = None) -> Sc
         "volume": ExpectedValue(float(np.prod(periods)), "product of periods"),
     }
     leaves = (LeafSpec("coordinate-leaf", fixed={i: 0.0 for i in range(n, m)}, axes=tuple(range(n))),)
-    return _finalize(
-        "flat_torus",
-        man,
-        dist,
-        fol,
-        declared=dict(
-            harmonic_perp=True,
-            admissible=True,
-            p_curvature_invariant=True,
-            satisfies_pcurv_c=True,
-            pcurv_c=0.0,
-            umbilical=True,
-        ),
-        expected=expected,
-        leaves=leaves,
-        default_grid=(4,) * m,
+    declared = dict(
+        harmonic_perp=True,
+        admissible=True,
+        p_curvature_invariant=True,
+        satisfies_pcurv_c=True,
+        pcurv_c=0.0,
+        umbilical=True,
     )
-
-
-def _check_positive(profile: Periodic1D, label: str):
-    z = np.linspace(0.0, 2.0 * np.pi, 512)
-    if np.min(profile.fn(z)) <= 0.0:
-        raise ConstructionError(f"warp profile {label} is not strictly positive")
+    return _finalize("flat_torus", fol, declared, expected, leaves, default_grid=(4,) * m)
 
 
 def build_warped_torus(
@@ -300,98 +332,48 @@ def build_warped_torus(
     """
     if m not in (3, 4):
         raise ValueError("warped torus is implemented for m in {3, 4}")
-    _check_positive(a, "a")
-    if m == 4:
-        _check_positive(b, "b")
-    periods = (2.0 * np.pi,) * m
-    zi = m - 1
-
-    if m == 4:
-
-        def metric(coords):
-            av = a(coords[3])
-            bv = b(coords[3])
-            return [
-                [1.0, 0.0, 0.0, 0.0],
-                [0.0, av * av, 0.0, 0.0],
-                [0.0, 0.0, bv * bv, 0.0],
-                [0.0, 0.0, 0.0, 1.0],
-            ]
-
-        leaf_frame = lambda coords: [
-            [0.0, 1.0 / a(coords[3]), 0.0, 0.0],
-            [0.0, 0.0, 1.0 / b(coords[3]), 0.0],
-        ]
-        n = 2
-    else:
-
-        def metric(coords):
-            av = a(coords[2])
-            return [[1.0, 0.0, 0.0], [0.0, av * av, 0.0], [0.0, 0.0, 1.0]]
-
-        leaf_frame = lambda coords: [[0.0, 1.0 / a(coords[2]), 0.0]]
-        n = 1
-
-    man = ChartManifold(dim=m, periods=periods, metric=metric, name=name or f"warped_torus_{m}")
-    normal = lambda coords: [0.0] * zi + [1.0]
-    perp = lambda coords: [[1.0] + [0.0] * (m - 1)]
-    dist = DistributionSpec(man, n + 1, lambda coords: leaf_frame(coords) + [normal(coords)], perp)
-    fol = FoliationStructure(dist, leaf_frame, normal, "leaves are coordinate subtori at fixed (x, z)")
+    name = name or f"warped_torus_{m}"
+    warps = (a, b)[: m - 2]
+    n, zi = m - 2, m - 1
+    man = _warped_manifold(warps, name)
+    leaf_frame = lambda coords: [
+        [1.0 / w(coords[zi]) if k == i + 1 else 0.0 for k in range(m)] for i, w in enumerate(warps)
+    ]
+    fol = _foliation(
+        man,
+        n,
+        leaf_frame,
+        lambda coords: _unit(m, zi),
+        lambda coords: [_unit(m, 0)],
+        "leaves are coordinate subtori at fixed (x, z)",
+    )
 
     def expected_A(pts):
         z = np.asarray(pts)[..., zi]
-        if m == 4:
-            d = np.stack([-a.d1(z) / a.fn(z), -b.d1(z) / b.fn(z)], axis=-1)
-        else:
-            d = (-a.d1(z) / a.fn(z))[..., None]
+        d = np.stack([-w.d1(z) / w.fn(z) for w in warps], axis=-1)
         return d[..., :, None] * np.eye(n)
 
     def expected_ric(pts):
         z = np.asarray(pts)[..., zi]
         out = -a.d2(z) / a.fn(z)
-        if m == 4:
-            out = out - b.d2(z) / b.fn(z)
+        for w in warps[1:]:
+            out = out - w.d2(z) / w.fn(z)
         return out
 
-    umbilical = (a is b) or n == 1  # any 1x1 shape operator is trivially umbilical
     expected = {
         "shape_operator": ExpectedValue(expected_A, "hand-derived warped-product connection"),
         "ricci_p_NN": ExpectedValue(expected_ric, "hand-derived warped-product curvature"),
         "curvature_Z": ExpectedValue(lambda pts: np.zeros(np.shape(pts)), "z-lines are geodesics"),
         "admissibility_residual": ExpectedValue(0.0, "x-circle is flat and orthogonal"),
         "mean_curvature_perp_norm": ExpectedValue(0.0, "x-circle is flat"),
+        "volume": ExpectedValue(_warped_volume(warps), "reduced 1-d integral"),
     }
-    if m == 4:
-        expected["volume"] = ExpectedValue(
-            (2.0 * np.pi) ** 3 * _loop_integral(lambda z: a.fn(z) * b.fn(z)), "reduced 1-d integral"
-        )
-    else:
-        expected["volume"] = ExpectedValue(
-            (2.0 * np.pi) ** 2 * _loop_integral(a.fn), "reduced 1-d integral"
-        )
-
-    if m == 4:
-        leaves = (LeafSpec("y-torus", fixed={0: 0.0, 3: 0.0}, axes=(1, 2)),)
-        default_grid = (4, 4, 4, 32)
-    else:
-        leaves = (LeafSpec("y-circle", fixed={0: 0.0, 2: 0.0}, axes=(1,)),)
-        default_grid = (4, 4, 32)
-
-    return _finalize(
-        name or f"warped_torus_{m}",
-        man,
-        dist,
-        fol,
-        declared=dict(harmonic_perp=True, admissible=True, umbilical=umbilical),
-        expected=expected,
-        leaves=leaves,
-        default_grid=default_grid,
-    )
-
-
-def _loop_integral(fn, k: int = 4096) -> float:
-    z = np.arange(k) * (2.0 * np.pi / k)
-    return float(np.sum(fn(z)) * (2.0 * np.pi / k))
+    leaves = (LeafSpec(("y-circle", "y-torus")[n - 1], fixed={0: 0.0, zi: 0.0}, axes=tuple(range(1, zi))),)
+    # A 1x1 shape operator is trivially umbilical, and so is one with equal warps;
+    # otherwise umbilicity is left to the measurement.
+    umbilical = True if a is b or n == 1 else None
+    declared = dict(harmonic_perp=True, admissible=True, umbilical=umbilical)
+    return _finalize(name, fol, declared, expected, leaves, default_grid=(4,) * zi + (32,))
 
 
 def build_tilted_torus(
@@ -407,20 +389,8 @@ def build_tilted_torus(
     through z with sin(theta(z)) = 0 remain closed coordinate tori.
     """
     theta = theta or sine_profile(0.3)
-    _check_positive(a, "a")
-    _check_positive(b, "b")
-    m, n = 4, 2
-    periods = (2.0 * np.pi,) * m
-
-    def metric(coords):
-        av = a(coords[3])
-        bv = b(coords[3])
-        return [
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, av * av, 0.0, 0.0],
-            [0.0, 0.0, bv * bv, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        ]
+    n = 2
+    man = _warped_manifold((a, b), "tilted_torus_4")
 
     def leaf_frame(coords):
         z = coords[3]
@@ -435,11 +405,8 @@ def build_tilted_torus(
         c, s = jets.cos(theta(z)), jets.sin(theta(z))
         return [0.0, 0.0, s / b(z), c]
 
-    perp = lambda coords: [[1.0, 0.0, 0.0, 0.0]]
-    man = ChartManifold(dim=m, periods=periods, metric=metric, name="tilted_torus_4")
-    dist = DistributionSpec(man, n + 1, lambda coords: leaf_frame(coords) + [normal(coords)], perp)
-    fol = FoliationStructure(
-        dist, leaf_frame, normal, "rotated frame still commutes with the y1-circle"
+    fol = _foliation(
+        man, n, leaf_frame, normal, lambda coords: [_unit(4, 0)], "rotated frame still commutes with the y1-circle"
     )
 
     def expected_Z(pts):
@@ -462,27 +429,36 @@ def build_tilted_torus(
         "shape_operator": ExpectedValue(expected_A, "hand frame-rotation computation"),
         "admissibility_residual": ExpectedValue(0.0, "x-direction parallel for the metric"),
         "mean_curvature_perp_norm": ExpectedValue(0.0, "x-circle untouched by the tilt"),
-        "volume": ExpectedValue(
-            (2.0 * np.pi) ** 3 * _loop_integral(lambda z: a.fn(z) * b.fn(z)),
-            "metric equals the warped torus metric",
-        ),
+        "volume": ExpectedValue(_warped_volume((a, b)), "metric equals the warped torus metric"),
     }
     leaves = ()
     if abs(float(theta.fn(0.0))) <= 1e-12:
         leaves = (LeafSpec("y-torus", fixed={0: 0.0, 3: 0.0}, axes=(1, 2)),)
-    return _finalize(
-        "tilted_torus_4",
-        man,
-        dist,
-        fol,
-        declared=dict(harmonic_perp=True, admissible=True),
-        expected=expected,
-        leaves=leaves,
-        default_grid=(4, 4, 4, 48),
-    )
+    declared = dict(harmonic_perp=True, admissible=True)
+    return _finalize("tilted_torus_4", fol, declared, expected, leaves, default_grid=(4, 4, 4, 48))
 
 
 # -- invariant-frame builders ------------------------------------------------------
+
+
+def _invariant_scenario(name, c, vol, normal_axis, witness, expected, leaf, pcurv_c) -> Scenario:
+    """Invariant-frame 3-manifold with structure constants ``c`` and leaves along e_0.
+
+    N is e_normal_axis, and the third frame vector spans D's complement.  Each
+    such scenario is declared harmonic, inadmissible, umbilical and of
+    constant projected curvature ``pcurv_c``; the measurement re-checks each.
+    """
+    man = InvariantFrameManifold(dim=3, structure_constants=c, volume=vol, name=name)
+    fol = _foliation(
+        man,
+        1,
+        lambda coords: [_unit(3, 0)],
+        lambda coords: _unit(3, normal_axis),
+        lambda coords: [_unit(3, 3 - normal_axis)],
+        witness,
+    )
+    declared = dict(harmonic_perp=True, admissible=False, satisfies_pcurv_c=True, pcurv_c=pcurv_c, umbilical=True)
+    return _finalize(name, fol, declared, expected, (leaf,), default_grid=(1,))
 
 
 def build_heisenberg() -> Scenario:
@@ -493,17 +469,9 @@ def build_heisenberg() -> Scenario:
     not: the projected and ambient curvature operators differ by 1/4 in the
     normal direction.
     """
-    m = 3
-    c = np.zeros((m, m, m))
+    c = np.zeros((3, 3, 3))
     c[2, 0, 1] = 1.0
     c[2, 1, 0] = -1.0
-    man = InvariantFrameManifold(dim=m, structure_constants=c, volume=1.0, name="heisenberg")
-
-    leaf_frame = lambda coords: [[1.0, 0.0, 0.0]]
-    normal = lambda coords: [0.0, 0.0, 1.0]
-    perp = lambda coords: [[0.0, 1.0, 0.0]]
-    dist = DistributionSpec(man, 2, lambda coords: leaf_frame(coords) + [normal(coords)], perp)
-    fol = FoliationStructure(dist, leaf_frame, normal, "X spans a closed one-parameter subgroup")
     expected = {
         "shape_operator": ExpectedValue(lambda pts: np.zeros(np.shape(pts)[:-1] + (1, 1)), "Koszul on [X,Y]=T"),
         "curvature_Z": ExpectedValue(lambda pts: np.zeros(np.shape(pts)), "T-lines are geodesics"),
@@ -514,22 +482,9 @@ def build_heisenberg() -> Scenario:
         "volume": ExpectedValue(1.0, "declared lattice quotient volume"),
         "main_residual_r0": ExpectedValue(0.0, "all integrand terms vanish"),
     }
-    leaves = (LeafSpec("x-circle", volume=1.0),)
-    return _finalize(
-        "heisenberg",
-        man,
-        dist,
-        fol,
-        declared=dict(
-            harmonic_perp=True,
-            admissible=False,
-            satisfies_pcurv_c=True,
-            pcurv_c=0.0,
-            umbilical=True,
-        ),
-        expected=expected,
-        leaves=leaves,
-        default_grid=(1,),
+    return _invariant_scenario(
+        "heisenberg", c, 1.0, 2, "X spans a closed one-parameter subgroup", expected,
+        LeafSpec("x-circle", volume=1.0), pcurv_c=0.0,
     )
 
 
@@ -540,19 +495,11 @@ def build_round_s3() -> Scenario:
     complement fails the parallel-normal condition with residual exactly 1,
     and the r = 0 integral formula picks up -2 times the total volume.
     """
-    m = 3
-    c = np.zeros((m, m, m))
+    c = np.zeros((3, 3, 3))
     for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
         c[k, i, j] = 2.0
         c[k, j, i] = -2.0
     vol = 2.0 * np.pi**2
-    man = InvariantFrameManifold(dim=m, structure_constants=c, volume=vol, name="round_s3")
-
-    leaf_frame = lambda coords: [[1.0, 0.0, 0.0]]
-    normal = lambda coords: [0.0, 1.0, 0.0]
-    perp = lambda coords: [[0.0, 0.0, 1.0]]
-    dist = DistributionSpec(man, 2, lambda coords: leaf_frame(coords) + [normal(coords)], perp)
-    fol = FoliationStructure(dist, leaf_frame, normal, "e1 spans a closed one-parameter subgroup")
     expected = {
         "shape_operator": ExpectedValue(lambda pts: np.zeros(np.shape(pts)[:-1] + (1, 1)), "invariant-frame Koszul"),
         "curvature_Z": ExpectedValue(lambda pts: np.zeros(np.shape(pts)), "e2-lines are geodesics"),
@@ -563,22 +510,9 @@ def build_round_s3() -> Scenario:
         "volume": ExpectedValue(vol, "unit round 3-sphere volume"),
         "main_residual_r0": ExpectedValue(-4.0 * np.pi**2, "-2 times the total volume"),
     }
-    leaves = (LeafSpec("great-circle", volume=2.0 * np.pi),)
-    return _finalize(
-        "round_s3",
-        man,
-        dist,
-        fol,
-        declared=dict(
-            harmonic_perp=True,
-            admissible=False,
-            satisfies_pcurv_c=True,
-            pcurv_c=2.0,
-            umbilical=True,
-        ),
-        expected=expected,
-        leaves=leaves,
-        default_grid=(1,),
+    return _invariant_scenario(
+        "round_s3", c, vol, 1, "e1 spans a closed one-parameter subgroup", expected,
+        LeafSpec("great-circle", volume=2.0 * np.pi), pcurv_c=2.0,
     )
 
 

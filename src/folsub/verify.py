@@ -170,8 +170,6 @@ def _grid(scenario, grid=None) -> QuadratureGrid:
     """``grid`` as a quadrature grid: kept as is, built from per-axis counts, or the default."""
     if isinstance(grid, QuadratureGrid):
         return grid
-    if isinstance(scenario.manifold, InvariantFrameManifold):
-        return grid_for(scenario.manifold)
     return grid_for(scenario.manifold, grid or scenario.default_grid)
 
 
@@ -307,7 +305,6 @@ def _main_terms(geom, r: int) -> dict:
     TZ = np.einsum("...ij,...j->...i", Tr, zl)
     TZamb = np.einsum("...i,...im->...m", TZ, geom.e.value)
     out["trz_hperp"] = np.einsum("...m,...mk,...k->...", TZamb, geom.g.value, geom.Hperp.value)
-    out["trz_z"] = np.einsum("...i,...i->...", TZ, zl)
     out["z_norm_sq"] = np.einsum("...i,...i->...", zl, zl)
     return out
 
@@ -337,11 +334,7 @@ def verify_leaf(scenario, r: int, leaf=None, grid_axes=None, tolerance=None) -> 
     _check_order(r, scenario.n, scenario.name)
     lf = leaf if leaf is not None and not isinstance(leaf, str) else scenario.leaf(leaf)
     man = scenario.manifold
-    if isinstance(man, InvariantFrameManifold):
-        lgrid = leaf_grid(man, lf)
-    else:
-        axes = grid_axes or tuple(scenario.default_grid[ax] for ax in lf.axes)
-        lgrid = leaf_grid(man, lf, axes)
+    lgrid = leaf_grid(man, lf, grid_axes or tuple(scenario.default_grid[ax] for ax in lf.axes))
     tol = tolerance if tolerance is not None else INTEGRAL_FLOOR
 
     fld = lambda pts: Geometry(scenario.fol, pts, order=2).leaf_formula_integrand(r)
@@ -476,10 +469,9 @@ def _closed_form_c_report(scenario, grid, integrals: dict, c, tol: float, t0: fl
     n = scenario.n
     S = np.array([integrals[f"sigma_{r}"] for r in range(n + 1)])
     Sget = lambda k: S[k] if k <= n else 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        recursion = [abs((r + 2) * Sget(r + 2) - c * (n - r) * S[r]) for r in range(n)]
-        closed = lambda r: newton.total_curvature_closed_constant(n, r, c, integrals["volume"])
-        residual = _closed_form_residual(S, closed, recursion)
+    recursion = [abs((r + 2) * Sget(r + 2) - c * (n - r) * S[r]) for r in range(n)]
+    closed = lambda r: newton.total_curvature_closed_constant(n, r, c, integrals["volume"])
+    residual = _closed_form_residual(S, closed, recursion)
     return make_report(
         "closed-form-c", residual, tol, t0, scenario, grid,
         terms={f"total_sigma_{r}": float(S[r]) for r in range(n + 1)},
@@ -520,9 +512,8 @@ def _closed_form_residual(S, closed, recursion=()) -> float:
 def verify_closed_form_einstein(n: int, C: float, vol: float, tolerance: float = ALGEBRAIC_TOL) -> VerificationReport:
     """Umbilical Einstein-type reduction: recurrence vs closed form, exact coefficients."""
     t0 = time.perf_counter()
-    with np.errstate(over="ignore", invalid="ignore"):
-        S = newton.total_curvature_recursion_einstein(n, C, vol)
-        residual = _closed_form_residual(S, lambda r: newton.total_curvature_closed_einstein(n, r, C, vol))
+    S = newton.total_curvature_recursion_einstein(n, C, vol)
+    residual = _closed_form_residual(S, lambda r: newton.total_curvature_closed_einstein(n, r, C, vol))
 
     coeff_exact = all(
         newton.umbilical_coefficient_sum(n, r) == newton.umbilical_coefficient(n, r)

@@ -79,8 +79,6 @@ def build_nonharmonic_torus():
     fol = FoliationStructure(dist, leaf_frame, normal, "coordinate circles")
     return _finalize(
         "nonharmonic_torus",
-        man,
-        dist,
         fol,
         declared=dict(harmonic_perp=False, admissible=True),
         expected={},

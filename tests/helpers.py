@@ -287,6 +287,6 @@ def leaf_integrand_from_main_terms(geom, r):
         + n_sigma
         - sig[..., 1] * sig[..., r + 1]
         - terms["normal_curvature"]
-        - terms["trz_z"]
+        - np.einsum("...i,...i->...", np.einsum("...ij,...j->...i", geom.T[r].value, geom.Z_leaf.value), geom.Z_leaf.value)
         - terms["z_curvature"]
     )

@@ -4,6 +4,7 @@ import json
 import sys
 import tempfile
 import time
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -303,6 +304,33 @@ def test_main_entry_rejects_bad_input_with_exit_2(args, tmp_path, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+OVERFLOWING_TILT = {"builder": "tilted_torus", "theta_amplitude": 1e160}
+
+
+@pytest.mark.parametrize(
+    "scenario, check",
+    [(OVERFLOWING_TILT, check) for check in ("codazzi", "pointwise", "main:1", "leaf:0", "sigma2-image")]
+    + [("warped_torus_4", "closed-form-einstein:1e308")],
+)
+def test_overflow_prints_one_error_line_and_no_warning(scenario, check, tmp_path, capsys):
+    config = _write_config(tmp_path, {"scenario": scenario, "checks": [check]})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["run", "--config", config, "--output", str(tmp_path / "r.json")]) == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_warped_torus_with_equal_profile_specs_is_umbilical(tmp_path):
+    # two profile objects built from one spec: umbilicity is measured, not declared
+    profile = {"const": 3, "cos1": 0.5}
+    spec = {"builder": "warped_torus", "a": profile, "b": dict(profile)}
+    assert cli._build_scenario(spec).flags.umbilical
+    config = _write_config(tmp_path, {"scenario": spec, "checks": ["reeb", "main:1"]})
+    assert cli.main(["run", "--config", config, "--output", str(tmp_path / "r.json")]) == 0
 
 
 def test_failed_report_write_leaves_no_temporary_file(tmp_path, capsys):

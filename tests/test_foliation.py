@@ -365,7 +365,7 @@ def test_integrability_detector():
     from folsub.scenarios import _finalize
 
     with pytest.raises(ConstructionError, match="integrable"):
-        _finalize("broken", man, dist, fol, {}, {}, (), (4, 4, 4))
+        _finalize("broken", fol, {}, {}, (), (4, 4, 4))
 
 
 def test_adapted_frame(warped4):

@@ -84,6 +84,14 @@ def test_refinement_gate(warped4):
     assert abs(a - b) < 1e-9
 
 
+def test_refining_the_invariant_single_node_returns_it_unchanged(heisenberg):
+    grid = quad.grid_for(heisenberg.manifold)
+    fine = quad.refined(heisenberg.manifold, grid)
+    assert np.array_equal(fine.nodes, grid.nodes)
+    assert np.array_equal(fine.weights, grid.weights)
+    assert fine.axes == grid.axes == (1,)
+
+
 def test_chunking_does_not_change_the_sum(warped4, monkeypatch):
     grid = quad.grid_for(warped4.manifold, (4, 4, 4, 16))
 

@@ -132,8 +132,6 @@ def test_declared_flag_contradiction_rejected():
     with pytest.raises(ConstructionError, match="harmonic_perp"):
         scn._finalize(
             "bad_claim",
-            man,
-            dist,
             fol,
             declared=dict(harmonic_perp=True),
             expected={},

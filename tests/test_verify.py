@@ -250,6 +250,8 @@ def test_leaf_formula_on_homogeneous_backends(heisenberg, round_s3):
     rep = verify.verify_leaf(round_s3, 0)
     assert rep.verdict == "inadmissible"
     assert abs(rep.residual - (-2.0) * 2 * np.pi) <= 1e-9  # integrand -2 over a 2pi circle
+    # leaf axis counts mean nothing on the single invariant node
+    assert verify.verify_leaf(round_s3, 0, grid_axes=(8, 8)).residual == rep.residual
 
 
 def test_pointwise_batteries_all_scenarios(catalog):
