@@ -6,7 +6,9 @@ Usage::
     python3 scripts/compare_reports.py DIR_A DIR_B
 
 Prints the worst absolute drift over every report's ``residual`` and
-``terms`` values, and every structural difference found.  Everything else in
+``terms`` values, how many of those values differ in their bits (by
+``repr``, so a flipped sign of zero counts although it does not drift), and
+every structural difference found.  Everything else in
 the reports must be identical: the report files, each file's scenario,
 summary and config (apart from ``output``), and each report's formula id,
 verdict, tolerance, admissibility residual and grid metadata.  The report
@@ -32,9 +34,12 @@ def drift(a, b) -> float:
     return abs(a - b) if math.isfinite(a) and math.isfinite(b) else math.inf
 
 
-def compare_payloads(name: str, a: dict, b: dict, problems: list) -> tuple[float, str]:
-    """Worst drift between two report files and where it is; structural differences go to ``problems``."""
-    worst = (0.0, "")
+def compare_payloads(name: str, a: dict, b: dict, problems: list) -> tuple[float, str, int, int]:
+    """Worst drift between two report files, where it is, and how many of how many values differ in their bits.
+
+    Structural differences go to ``problems``.
+    """
+    worst, differ, total = (0.0, ""), 0, 0
     config_a = {k: v for k, v in a.get("config", {}).items() if k != "output"}
     config_b = {k: v for k, v in b.get("config", {}).items() if k != "output"}
     for key, left, right in (
@@ -48,7 +53,7 @@ def compare_payloads(name: str, a: dict, b: dict, problems: list) -> tuple[float
     ids_b = [r["formula_id"] for r in b["reports"]]
     if ids_a != ids_b:
         problems.append(f"{name}: formula lists differ: {ids_a} != {ids_b}")
-        return worst
+        return (*worst, differ, total)
     for ra, rb in zip(a["reports"], b["reports"]):
         label = f"{name} {ra['formula_id']}"
         for key in ("verdict", "tolerance", "admissibility_max", "grid"):
@@ -61,7 +66,9 @@ def compare_payloads(name: str, a: dict, b: dict, problems: list) -> tuple[float
         pairs += [(f"terms.{k}", ra["terms"][k], rb["terms"][k]) for k in sorted(ra["terms"])]
         for field, left, right in pairs:
             worst = max(worst, (drift(left, right), f"{label} {field}"), key=lambda pair: pair[0])
-    return worst
+            differ += repr(left) != repr(right)
+            total += 1
+    return (*worst, differ, total)
 
 
 def main(argv=None) -> int:
@@ -83,9 +90,10 @@ def main(argv=None) -> int:
     problems: list[str] = []
     if set(files_a) != set(files_b):
         problems.append(f"report files differ: {sorted(files_a)} != {sorted(files_b)}")
-    drifts = [compare_payloads(name, files_a[name], files_b[name], problems) for name in sorted(set(files_a) & set(files_b))]
-    worst, where = max(drifts, key=lambda pair: pair[0], default=(0.0, ""))
-    print(f"worst drift {worst!r}" + (f" at {where}" if worst > 0.0 else ""))
+    results = [compare_payloads(name, files_a[name], files_b[name], problems) for name in sorted(set(files_a) & set(files_b))]
+    worst, where = max((row[:2] for row in results), key=lambda pair: pair[0], default=(0.0, ""))
+    differ, total = sum(row[2] for row in results), sum(row[3] for row in results)
+    print(f"worst drift {worst!r}" + (f" at {where}" if worst > 0.0 else "") + f"; {differ} of {total} values differ in their bits")
     for line in problems:
         print(line)
     if worst > MAX_DRIFT:

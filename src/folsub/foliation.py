@@ -89,6 +89,13 @@ class Geometry:
 
     One method per formula: ``newton_curvature_trace``, the alternating R^P trace
     behind div_F T_r and the main formula; ``leaf_formula_integrand``, the leaf one.
+
+    Every quantity at a point is a function of the closure jets read there
+    (the metric, the leaf frame, the normal, the D-frame and the D-perp
+    frame), except what a method computes from a field its caller passes.
+    :func:`distinct_nodes` fingerprints exactly those closures, so a grid
+    pass can build one context per group of identical nodes; a closure read
+    here that it does not fingerprint would merge nodes that differ.
     """
 
     def __init__(self, fol: FoliationStructure, points, order: int = 2):
@@ -372,6 +379,62 @@ class Geometry:
         if r + 1 > self.n:
             return 0.0
         return max(self.trace_identity_field_residual(r + 1, self.e[..., i, :]) for i in range(self.n))
+
+
+def distinct_nodes(fol: FoliationStructure, points, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Group the nodes ``points`` (K, m) at which a ``Geometry`` of ``order`` reads the same inputs.
+
+    A node's fingerprint is every closure jet a :class:`Geometry` reads there:
+    the metric to order 2, and the leaf frame, the normal, the D-frame and the
+    D-perp frame to ``order``.  Everything a ``Geometry`` computes at a node
+    is a function of those jets alone, so nodes whose jets agree bit for bit
+    get bit-identical values.  The jets are compared as raw bytes (so -0.0
+    and 0.0 differ), over the entries that vary within the block.
+
+    Returns ``(first, group)``: the index of each group's first node,
+    ascending, and each node's group.  ``Geometry(fol, points[first], order)``
+    evaluates every group once, and ``values[group]`` gives each node its
+    group's value, so a reduction over the nodes sees the per-node samples.
+    Only closure-derived quantities may be read this way: a field the caller
+    passes to a ``Geometry`` method would be evaluated at the first nodes alone.
+    """
+    pts = np.asarray(points, dtype=float)
+    k = pts.shape[0]
+    man, dist = fol.manifold, fol.dist
+    seeds, seeds2 = man.seed(pts, order), man.seed(pts, 2)
+    outputs = [man.metric_jets(seeds2)]
+    outputs += [f(seeds) for f in (fol.leaf_frame, fol.normal, dist.frame_D, dist.frame_Dperp)]
+    columns = []
+    for part in _closure_arrays(outputs):
+        if part.shape[:1] != (k,):
+            continue  # no batch axis: the same at every node
+        bits = np.asarray(part, dtype=float).reshape(k, -1).view(np.uint64)
+        live = np.any(bits != bits[0], axis=0)
+        if np.any(live):
+            columns.append(bits[:, live])
+    if not columns:
+        return np.zeros(1, dtype=np.intp), np.zeros(k, dtype=np.intp)
+    rows = np.ascontiguousarray(np.concatenate(columns, axis=1))
+    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    by_node = np.argsort(first)
+    rank = np.empty_like(by_node)
+    rank[by_node] = np.arange(by_node.size)
+    return first[by_node], rank[group.ravel()]
+
+
+def _closure_arrays(entries):
+    """The arrays of a closure's nested-list output: each jet's value and derivatives, and bare arrays.
+
+    Its numbers are constants, the same at every node.
+    """
+    if isinstance(entries, Jet):
+        yield from (part for part in (entries.value, entries.grad, entries.hess) if part is not None)
+    elif isinstance(entries, np.ndarray):
+        yield entries
+    elif isinstance(entries, (list, tuple)):
+        for x in entries:
+            yield from _closure_arrays(x)
 
 
 # -- public operations ---------------------------------------------------------

@@ -29,7 +29,7 @@ import numpy as np
 from . import jets
 from .distribution import HARMONIC_TOL, DistributionSpec, frame_gram_residual
 from .errors import ConstructionError
-from .foliation import FoliationStructure, Geometry
+from .foliation import FoliationStructure, Geometry, distinct_nodes
 from .foliation import integrability_residual  # unused here; perfbench/tracing.py patches this name
 from .manifolds import ChartManifold, InvariantFrameManifold
 from .quadrature import grid_for, total_volume
@@ -172,8 +172,14 @@ def _umbilical_residual(geom) -> float:
 
 
 def measure_scenario(fol: FoliationStructure, points, pcurv_c: float | None) -> dict:
-    """Numerically measured residuals behind every scenario flag."""
-    geom = Geometry(fol, points, order=1)
+    """Numerically measured residuals behind every scenario flag.
+
+    Each residual is a maximum over ``points``, so one ``Geometry(order=1)``
+    on their distinct nodes (:func:`foliation.distinct_nodes`) gives it: a
+    repeated node repeats its values.
+    """
+    points = np.asarray(points, dtype=float)
+    geom = Geometry(fol, points[distinct_nodes(fol, points, order=1)[0]], order=1)
     H, g = geom.Hperp.value, geom.g.value
     hperp = np.sqrt(np.maximum(np.einsum("...i,...ij,...j->...", H, g, H), 0.0))
     frames = np.concatenate([geom.e.value, geom.N.value[..., None, :], geom.xis.value], axis=-2)

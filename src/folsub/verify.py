@@ -27,10 +27,14 @@ The check layer lives here: ``CHECKS`` names every check with the type and
 default of its argument, :func:`parse_check` is the one parser of a check
 name, and :func:`run_checks` runs a list of them.  The grid checks
 (``GRID_CHECKS``) of one (scenario, grid) come from one
-:func:`verify_grid_checks` pass: one calibration, made only when a report
-needs the floor, and one value-only ``Geometry(order=1)`` per chunk for
-every requested integrand and the sigma_2 scan.  ``leaf:r`` integrates over
-a closed leaf.  The sampled checks draw seeded random points and build one
+:func:`verify_grid_checks` pass: one ``integrate_terms`` reduction whose
+integrand carries the calibration's self-test fields (only when a report
+needs the floor), every requested integrand and the sigma_2 scan.  Each
+chunk of that pass, and each chunk of a ``leaf:r`` integral over a closed
+leaf, builds one ``Geometry`` on its distinct nodes
+(:func:`foliation.distinct_nodes`) and gives every node its group's samples,
+so the reductions see the same per-node samples as an evaluation on every
+node.  The sampled checks draw seeded random points and build one
 ``Geometry`` on them (``_sampled``).  Time that reports share is
 charged to the first of them, so a run's wall times add up to at most its own.
 """
@@ -47,8 +51,8 @@ import numpy as np
 
 from . import jets, newton
 from .errors import ConfigError, EvaluationError
-from .foliation import Geometry
-from .manifolds import InvariantFrameManifold, divergence_jets
+from .foliation import Geometry, distinct_nodes
+from .manifolds import Connection, InvariantFrameManifold, divergence_jets
 from .quadrature import QuadratureGrid, grid_for, integrate, integrate_terms, leaf_density, leaf_grid, refined
 from .quadrature import require_finite
 from .scenarios import ADMISSIBLE_TOL
@@ -249,25 +253,32 @@ def random_leaf_field(fol, rng: np.random.Generator):
 def divergence_selftest_residual(scenario, grid: QuadratureGrid, Xs=None) -> float:
     """Worst |integral of Div X| over the fields ``Xs``, by default seeded random smooth ones.
 
-    The fields are integrated together, one key each, so they share the
-    seeds, the connection and the density of every chunk.
+    The fields run through the grid pass's one integrand (:func:`_grid_pass`),
+    one key each: they share the seeds and the density of every chunk, and
+    take the connection from its geometry on the distinct nodes.
     """
-    man = scenario.manifold
-    if Xs is None:
-        rng = np.random.default_rng(SELFTEST_SEED)
-        Xs = [random_ambient_field(man, rng) for _ in range(SELFTEST_FIELDS)]
-
-    def terms(pts):
-        coords = man.seed(pts, order=1)
-        gamma = man.gamma_jets(coords)
-        return {f"div_{i}": divergence_jets(man, coords, gamma, X(coords)).value for i, X in enumerate(Xs)}
-
-    return max((abs(val) for val in _integrate_terms(scenario, grid, terms).values()), default=0.0)
+    fields = _selftest_fields(scenario.manifold) if Xs is None else Xs
+    return _selftest_floor(_grid_pass(scenario, grid, (), fields=fields)[0])
 
 
 def calibrate_tolerance(scenario, grid: QuadratureGrid) -> tuple[float, float]:
     floor = divergence_selftest_residual(scenario, grid)
-    return max(INTEGRAL_FLOOR, 10.0 * floor), floor
+    return _tolerance(floor), floor
+
+
+def _tolerance(floor: float) -> float:
+    return max(INTEGRAL_FLOOR, 10.0 * floor)
+
+
+def _selftest_fields(manifold) -> list:
+    """The calibration's seeded random smooth ambient fields."""
+    rng = np.random.default_rng(SELFTEST_SEED)
+    return [random_ambient_field(manifold, rng) for _ in range(SELFTEST_FIELDS)]
+
+
+def _selftest_floor(integrals: dict) -> float:
+    """Worst |integral of Div X| among the self-test keys of a grid pass."""
+    return max((abs(v) for key, v in integrals.items() if key[:1] == ("divergence-selftest",)), default=0.0)
 
 
 def verify_divergence_theorem(scenario, X_field=None, grid=None, tolerance=None) -> VerificationReport:
@@ -329,7 +340,11 @@ def verify_main(scenario, r: int, grid=None, tolerance=None) -> VerificationRepo
 
 
 def verify_leaf(scenario, r: int, leaf=None, grid_axes=None, tolerance=None) -> VerificationReport:
-    """Compact-leaf integral formula at order r over a declared closed leaf."""
+    """Compact-leaf integral formula at order r over a declared closed leaf.
+
+    Each chunk of the leaf grid builds one ``Geometry(order=2)`` on its
+    distinct nodes (:func:`foliation.distinct_nodes`).
+    """
     t0 = time.perf_counter()
     _check_order(r, scenario.n, scenario.name)
     lf = leaf if leaf is not None and not isinstance(leaf, str) else scenario.leaf(leaf)
@@ -337,7 +352,10 @@ def verify_leaf(scenario, r: int, leaf=None, grid_axes=None, tolerance=None) -> 
     lgrid = leaf_grid(man, lf, grid_axes or tuple(scenario.default_grid[ax] for ax in lf.axes))
     tol = tolerance if tolerance is not None else INTEGRAL_FLOOR
 
-    fld = lambda pts: Geometry(scenario.fol, pts, order=2).leaf_formula_integrand(r)
+    def fld(pts):
+        first, group = distinct_nodes(scenario.fol, pts, order=2)
+        return Geometry(scenario.fol, pts[first], order=2).leaf_formula_integrand(r)[group]
+
     residual = integrate(man, fld, lgrid, density=lambda pts: leaf_density(man, lf, pts))
     return make_report(
         f"leaf:{r}", residual, tol, t0, scenario, lgrid,
@@ -360,21 +378,19 @@ def verify_grid_checks(scenario, checks, grid=None, tolerance=None, c: float | N
 
     ``checks`` lists names among ``GRID_CHECKS`` ("main:r", or "main" for
     r = 0; "sigma2-image:c"), in any order; one report comes back per
-    entry, in that order.  The grid is calibrated once, and only when a
-    report needs the floor: the ``divergence-selftest`` residual is that
-    floor, and ``sigma2-image``, a diagnostic, needs none.  Then one
-    ``integrate_terms`` pass, with one ``Geometry(order=1)`` per chunk,
-    emits only the requested integrands: sigma_1 for ``reeb``; sigma_0..
-    sigma_n and the volume for ``closed-form-c``; the main-formula terms
-    for each requested r.  The same chunks give the extrema of sigma_2 and
-    Ric^P(N, N) for ``sigma2-image``, exact under any chunking; a
-    non-finite sample of either raises :class:`EvaluationError`.  ``c``
-    overrides the scenario's curvature constant for ``closed-form-c``.
+    entry, in that order.  One :func:`_grid_pass` emits only the requested
+    integrands: the calibration's self-test fields, only when a report needs
+    the floor (the ``divergence-selftest`` residual is that floor, and
+    ``sigma2-image``, a diagnostic, needs none); sigma_1 for ``reeb``;
+    sigma_0..sigma_n and the volume for ``closed-form-c``; the main-formula
+    terms for each requested r; the extrema of sigma_2 and Ric^P(N, N) for
+    ``sigma2-image``.  The floor and the tolerance max(1e-7, 10x floor) are
+    those of :func:`calibrate_tolerance`.  ``c`` overrides the scenario's
+    curvature constant for ``closed-form-c``.
 
-    The time the reports share, calibration and the grid pass, is charged
-    once, to the first report; each later report's ``wall_time_s`` covers
-    only its own assembly.  So the wall times of a run never add up to more
-    than the run took.
+    The time the reports share, the grid pass, is charged once, to the first
+    report; each later report's ``wall_time_s`` covers only its own assembly.
+    So the wall times of a run never add up to more than the run took.
     """
     t0 = time.perf_counter()
     parsed = [parse_check(name, scenario.n) for name in checks]
@@ -385,37 +401,12 @@ def verify_grid_checks(scenario, checks, grid=None, tolerance=None, c: float | N
     orders = sorted({arg for base, arg in parsed if base == "main"})
     grid = _grid(scenario, grid)
 
-    tol, floor = tolerance, None
-    if "divergence-selftest" in bases or (tolerance is None and bases - {"divergence-selftest", "sigma2-image"}):
-        tol, floor = calibrate_tolerance(scenario, grid)
-        if tolerance is not None:
-            tol = tolerance
+    calibrate = "divergence-selftest" in bases or (tolerance is None and bases - {"divergence-selftest", "sigma2-image"})
+    fields = _selftest_fields(scenario.manifold) if calibrate else ()
+    integrals, extrema = _grid_pass(scenario, grid, bases, orders, fields)
+    floor = _selftest_floor(integrals) if calibrate else None
+    tol = tolerance if tolerance is not None or floor is None else _tolerance(floor)
     selftest_floor = floor if tolerance is None else None
-    sigmas = set()
-    if "reeb" in bases:
-        sigmas.add(1)
-    if "closed-form-c" in bases:
-        sigmas.update(range(scenario.n + 1))
-    scan = "sigma2-image" in bases
-    extrema = {"sigma2_min": np.inf, "sigma2_max": -np.inf, "ricci_p_NN_min": np.inf}
-
-    def terms(pts):
-        geom = Geometry(scenario.fol, pts, order=1)
-        out = {f"sigma_{k}": geom.sigma.value[..., k] for k in sorted(sigmas)}
-        if "closed-form-c" in bases:
-            out["volume"] = np.ones(pts.shape[0])
-        for r in orders:
-            out.update({(f"main:{r}", key): vals for key, vals in _main_terms(geom, r).items()})
-        if scan:
-            s2, ric = geom.sigma.value[..., 2], geom.ricci_p(geom.N.value)
-            require_finite(("sigma2-image", "sigma_2"), s2, pts)
-            require_finite(("sigma2-image", "ricci_p_NN"), ric, pts)
-            extrema["sigma2_min"] = min(extrema["sigma2_min"], float(np.min(s2)))
-            extrema["sigma2_max"] = max(extrema["sigma2_max"], float(np.max(s2)))
-            extrema["ricci_p_NN_min"] = min(extrema["ricci_p_NN_min"], float(np.min(ric)))
-        return out
-
-    integrals = _integrate_terms(scenario, grid, terms) if sigmas or orders or scan else {}
     reports = []
     for base, arg in parsed:
         if base == "divergence-selftest":
@@ -437,6 +428,57 @@ def verify_grid_checks(scenario, checks, grid=None, tolerance=None, c: float | N
         reports.append(rep)
         t0 = time.perf_counter()
     return reports
+
+
+def _grid_pass(scenario, grid: QuadratureGrid, bases, orders=(), fields=()) -> tuple[dict, dict]:
+    """The integrals of one ``integrate_terms`` pass over ``grid``, and the sigma_2 scan's extrema.
+
+    ``bases`` names the grid checks whose integrands the pass emits (see
+    :func:`verify_grid_checks`), ``orders`` the main-formula orders, and
+    ``fields`` the self-test's ambient fields, whose divergences are keyed
+    ``("divergence-selftest", "div_i")``.  Per chunk, one value-only
+    ``Geometry(order=1)`` is built on the distinct nodes
+    (:func:`foliation.distinct_nodes`) and every sample it gives is scattered
+    back to its nodes, so the reduction sees the per-node samples in grid
+    order.  The self-test fields are evaluated on every node, with the
+    connection scattered from that geometry.  The sigma_2 and Ric^P(N, N)
+    extrema are exact under any chunking; a non-finite sample of either
+    raises :class:`EvaluationError` naming its first node in grid order.
+    """
+    fol, man = scenario.fol, scenario.manifold
+    sigmas = set()
+    if "reeb" in bases:
+        sigmas.add(1)
+    if "closed-form-c" in bases:
+        sigmas.update(range(scenario.n + 1))
+    scan = "sigma2-image" in bases
+    extrema = {"sigma2_min": np.inf, "sigma2_max": -np.inf, "ricci_p_NN_min": np.inf}
+
+    def terms(pts):
+        first, group = distinct_nodes(fol, pts, order=1)
+        geom = Geometry(fol, pts[first], order=1)
+        out = {}
+        if fields:
+            G = geom.gamma.gamma  # without a batch axis on the invariant backend
+            gamma = Connection(np.broadcast_to(G, geom.batch + G.shape[-3:])[group])
+            coords = man.seed(pts, order=1)
+            for i, X in enumerate(fields):
+                out[("divergence-selftest", f"div_{i}")] = divergence_jets(man, coords, gamma, X(coords)).value
+        out.update({f"sigma_{k}": geom.sigma.value[..., k][group] for k in sorted(sigmas)})
+        if "closed-form-c" in bases:
+            out["volume"] = np.ones(pts.shape[0])
+        for r in orders:
+            out.update({(f"main:{r}", key): vals[group] for key, vals in _main_terms(geom, r).items()})
+        if scan:
+            s2, ric = geom.sigma.value[..., 2][group], geom.ricci_p(geom.N.value)[group]
+            require_finite(("sigma2-image", "sigma_2"), s2, pts)
+            require_finite(("sigma2-image", "ricci_p_NN"), ric, pts)
+            extrema["sigma2_min"] = min(extrema["sigma2_min"], float(np.min(s2)))
+            extrema["sigma2_max"] = max(extrema["sigma2_max"], float(np.max(s2)))
+            extrema["ricci_p_NN_min"] = min(extrema["ricci_p_NN_min"], float(np.min(ric)))
+        return out
+
+    return _integrate_terms(scenario, grid, terms), extrema
 
 
 def _main_report(scenario, grid, r: int, integrals: dict, tol: float, t0: float, selftest_floor) -> VerificationReport:

@@ -90,3 +90,43 @@ def build_nonharmonic_torus():
 @pytest.fixture(scope="session")
 def nonharmonic():
     return build_nonharmonic_torus()
+
+
+def build_conformal_torus():
+    """Conformally flat 4-torus phi(x, y1, y2, z)^2 (dx^2 + dy1^2 + dy2^2 + dz^2).
+
+    The conformal factor depends on every coordinate, so no two nodes of a
+    product grid share their metric or frames.  Leaves are the (y1, y2)-tori
+    with unit normal along z; the complement is the x-direction.
+    """
+    from folsub import jets
+    from folsub.scenarios import LeafSpec, _finalize, _foliation
+    from folsub.manifolds import ChartManifold
+
+    def phi(coords):
+        x, y1, y2, z = coords
+        return 2.0 + 0.3 * jets.sin(x) + 0.2 * jets.cos(y1) + 0.1 * jets.sin(y2) + 0.25 * jets.cos(z)
+
+    def metric(coords):
+        p2 = phi(coords) * phi(coords)
+        return [[p2 if i == k else 0.0 for k in range(4)] for i in range(4)]
+
+    def axis(i):
+        return lambda coords: [1.0 / phi(coords) if k == i else 0.0 for k in range(4)]
+
+    man = ChartManifold(dim=4, periods=(2 * np.pi,) * 4, metric=metric, name="conformal_torus")
+    fol = _foliation(
+        man,
+        2,
+        lambda coords: [axis(1)(coords), axis(2)(coords)],
+        axis(3),
+        lambda coords: [axis(0)(coords)],
+        "leaves are coordinate subtori at fixed (x, z)",
+    )
+    leaves = (LeafSpec("y-torus", fixed={0: 0.0, 3: 0.0}, axes=(1, 2)),)
+    return _finalize("conformal_torus", fol, declared={}, expected={}, leaves=leaves, default_grid=(4, 4, 4, 8))
+
+
+@pytest.fixture(scope="session")
+def conformal():
+    return build_conformal_torus()

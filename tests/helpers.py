@@ -13,7 +13,11 @@ solve, one ``Jet`` product at a time over nested lists, for the tensor-jet
 contractions that replaced it; and the two curvature-trace loops and the
 compact-leaf integrand composed from the main-formula terms, for the one
 kernel (``Geometry.newton_curvature_trace``) and the one leaf integrand
-(``Geometry.leaf_formula_integrand``) that replaced them.
+(``Geometry.leaf_formula_integrand``) that replaced them; and the per-node
+evaluation (:func:`evaluate_per_node`, :func:`per_node_selftest_floor`), a
+``Geometry`` on every node of a block and the calibration's connection from
+order-1 seeds on every node, for the grid passes, the leaf integrals and the
+scenario measurement that evaluate each distinct node once.
 """
 
 import numpy as np
@@ -290,3 +294,38 @@ def leaf_integrand_from_main_terms(geom, r):
         - np.einsum("...i,...i->...", np.einsum("...ij,...j->...i", geom.T[r].value, geom.Z_leaf.value), geom.Z_leaf.value)
         - terms["z_curvature"]
     )
+
+
+# -- the per-node evaluation that the distinct-node passes replaced ----------------
+
+
+def every_node_its_own_group(fol, points, order):
+    """``foliation.distinct_nodes`` without grouping: a ``Geometry`` on every node of the block."""
+    k = np.asarray(points).shape[0]
+    return np.arange(k), np.arange(k)
+
+
+def evaluate_per_node(monkeypatch):
+    """Make the grid passes, the leaf integrals and the scenario measurement evaluate every node."""
+    from folsub import scenarios, verify
+
+    for module in (scenarios, verify):
+        monkeypatch.setattr(module, "distinct_nodes", every_node_its_own_group)
+
+
+def per_node_selftest_floor(scenario, grid):
+    """The calibration floor in its own pass, with the connection from order-1 seeds on every node."""
+    from folsub import verify
+    from folsub.manifolds import divergence_jets
+    from folsub.quadrature import integrate_terms
+
+    man = scenario.manifold
+    rng = np.random.default_rng(verify.SELFTEST_SEED)
+    fields = [verify.random_ambient_field(man, rng) for _ in range(verify.SELFTEST_FIELDS)]
+
+    def terms(pts):
+        coords = man.seed(pts, order=1)
+        gamma = man.gamma_jets(coords)
+        return {f"div_{i}": divergence_jets(man, coords, gamma, X(coords)).value for i, X in enumerate(fields)}
+
+    return max(abs(v) for v in integrate_terms(man, terms, grid).values())

@@ -401,38 +401,63 @@ def test_main_exit_contract_holds_for_fuzzed_configs(config):
 
 
 @pytest.mark.parametrize(
-    "scenario_name, checks, calibrations",
+    "scenario_name, checks, calibrations, jet_axes",
     [
-        ("warped_torus_4", ["divergence-selftest", "reeb", "main:0", "main:1"], 1),
-        ("flat_torus", ["reeb", "main:0", "closed-form-c"], 1),
-        ("warped_torus_4", ["main:0", "sigma2-image"], 1),
-        ("warped_torus_4", ["sigma2-image"], 0),
+        ("warped_torus_4", ["divergence-selftest", "reeb", "main:0", "main:1"], 1, [3]),
+        ("flat_torus", ["reeb", "main:0", "closed-form-c"], 1, []),
+        ("warped_torus_4", ["main:0", "sigma2-image"], 1, [3]),
+        ("warped_torus_4", ["sigma2-image"], 0, [3]),
     ],
     ids=["warped_torus_4-checks0", "flat_torus-checks1", "warped_torus_4-main-sigma2-image", "warped_torus_4-sigma2-image"],
 )
-def test_run_shares_one_calibration_and_one_geometry_per_chunk(scenario_name, checks, calibrations, tmp_path, monkeypatch):
+def test_run_shares_one_calibration_and_one_geometry_per_chunk(
+    scenario_name, checks, calibrations, jet_axes, tmp_path, monkeypatch
+):
+    # One integrate_terms pass per run carries the calibration's self-test
+    # fields (when a report needs the floor) and one Geometry per chunk, built
+    # on the chunk's distinct nodes: the warped torus's closures read z
+    # alone (jet_axes), the flat torus's nothing.
     from folsub import foliation, quadrature
 
     scenario = scenarios.build(scenario_name)
     monkeypatch.setattr(quadrature, "CHUNK", 512)  # several chunks on the warped grid
-    counts = {"calibrate": 0, "geometry": 0}
-    real_calibrate, real_init = verify.calibrate_tolerance, foliation.Geometry.__init__
+    passes, geometry_points = [], []
+    real_integrate, real_init = verify._integrate_terms, foliation.Geometry.__init__
 
-    def counting_calibrate(*args):
-        counts["calibrate"] += 1
-        return real_calibrate(*args)
+    def recording_integrate(scenario_, grid, term_fn, density=None):
+        keys = set()
+        passes.append(keys)
 
-    def counting_init(self, *args, **kwargs):
-        counts["geometry"] += 1
-        real_init(self, *args, **kwargs)
+        def recorded(pts):
+            out = term_fn(pts)
+            keys.update(out)
+            return out
 
-    monkeypatch.setattr(verify, "calibrate_tolerance", counting_calibrate)
+        return real_integrate(scenario_, grid, recorded, density)
+
+    def counting_init(self, fol, points, *args, **kwargs):
+        geometry_points.append(len(points))
+        real_init(self, fol, points, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "_integrate_terms", recording_integrate)
     monkeypatch.setattr(foliation.Geometry, "__init__", counting_init)
     config = cli.RunConfig(scenario=scenario_name, checks=checks, output=str(tmp_path / "r.json"))
     status, reports = cli.run(config, scenario=scenario)
     assert status == 0 and [r.formula_id for r in reports] == checks
-    chunks = -(-quadrature.grid_for(scenario.manifold, scenario.default_grid).count // 512)
-    assert counts == {"calibrate": calibrations, "geometry": chunks}
+    grid = quadrature.grid_for(scenario.manifold, scenario.default_grid)
+    chunks = [grid.nodes[start : start + 512] for start in range(0, grid.count, 512)]
+    assert len(passes) == 1
+    selftest = {key for key in passes[0] if key[:1] == ("divergence-selftest",)}
+    assert len(selftest) == calibrations * verify.SELFTEST_FIELDS
+    assert geometry_points == [len({tuple(node[jet_axes]) for node in chunk}) for chunk in chunks]
+    monkeypatch.setattr(verify, "_integrate_terms", real_integrate)
+    if calibrations:
+        tol, floor = verify.calibrate_tolerance(scenario, grid)
+        for rep in reports:
+            if rep.formula_id == "divergence-selftest":
+                assert rep.residual == floor
+            elif rep.formula_id != "sigma2-image":
+                assert (rep.tolerance, rep.grid["selftest_floor"]) == (tol, floor)
 
 
 def test_run_calls_every_seeded_check_the_benchmark_replaces(warped3, tmp_path, monkeypatch):

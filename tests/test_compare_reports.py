@@ -42,7 +42,7 @@ def test_identical_directories_pass(compare_reports, report_dirs, capsys):
     _edit(second, lambda p: p["reports"][0].update(wall_time_s=99.0))
     _edit(second, lambda p: p["config"].update(output="elsewhere.json"))
     assert compare_reports.main([str(first), str(second)]) == 0
-    assert capsys.readouterr().out.startswith("worst drift 0.0")
+    assert capsys.readouterr().out.startswith("worst drift 0.0; 0 of ")
 
 
 def test_drift_over_the_rule_fails(compare_reports, report_dirs, capsys):
@@ -62,3 +62,13 @@ def test_changed_verdict_fails(compare_reports, report_dirs, capsys):
     _edit(second, lambda p: p["reports"][0].update(verdict="fail"))
     assert compare_reports.main([str(first), str(second)]) == 1
     assert "verdict differs" in capsys.readouterr().out
+
+
+def test_flipped_sign_of_zero_is_counted_but_does_not_drift(compare_reports, report_dirs, capsys):
+    first, second = report_dirs
+    reeb = json.loads((first / "flat_torus.json").read_text())["reports"][0]
+    assert reeb["formula_id"] == "reeb" and repr(reeb["residual"]) == "0.0"
+    _edit(second, lambda p: p["reports"][0].update(residual=-0.0))
+    assert compare_reports.main([str(first), str(second)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("worst drift 0.0; 1 of ") and "values differ in their bits" in out

@@ -1,0 +1,165 @@
+"""Distinct-node evaluation, held bit for bit to the evaluation on every node.
+
+``foliation.distinct_nodes`` groups the nodes of a block whose closure jets
+agree bit for bit; the grid passes, the leaf integrals and the scenario
+measurement build one ``Geometry`` per group.  The oracle is the same code
+with every node its own group (``helpers.evaluate_per_node``) and, for the
+calibration floor, the connection evaluated from order-1 seeds on every node
+(``helpers.per_node_selftest_floor``).
+"""
+
+import numpy as np
+import pytest
+
+from conftest import build_conformal_torus
+from folsub import foliation, quadrature, scenarios, verify
+from folsub.distribution import DistributionSpec
+from folsub.errors import EvaluationError
+from folsub.foliation import FoliationStructure, distinct_nodes
+from folsub.jets import Jet
+from folsub.manifolds import ChartManifold
+from helpers import evaluate_per_node, per_node_selftest_floor
+
+CATALOG = scenarios.catalog_names()
+
+
+def _bits(report) -> tuple:
+    """Everything a report carries except its wall time, every number by ``repr``."""
+    return (
+        report.formula_id,
+        report.verdict,
+        repr(report.residual),
+        repr(report.tolerance),
+        repr(report.admissibility_max),
+        repr(sorted(report.grid.items())),
+        {key: repr(value) for key, value in report.terms.items()},
+    )
+
+
+# -- the grouping ------------------------------------------------------------------
+
+
+def _metric_entry_foliation(entry):
+    """A 3-torus foliation whose metric has the closure ``entry`` off the diagonal; every frame is constant."""
+
+    def metric(coords):
+        off = entry(coords)
+        return [[1.0, off, 0.0], [off, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
+    man = ChartManifold(dim=3, periods=(1.0,) * 3, metric=metric)
+    unit = lambda i: [1.0 if k == i else 0.0 for k in range(3)]
+    dist = DistributionSpec(man, 2, lambda coords: [unit(0), unit(1)], lambda coords: [unit(2)])
+    return FoliationStructure(dist, lambda coords: [unit(0)], lambda coords: unit(1))
+
+
+def _nodes(xs):
+    return np.array([[x, 0.25, 0.5] for x in xs])
+
+
+def test_nodes_differing_only_in_the_sign_of_a_zero_are_distinct():
+    # x * 0.0 is -0.0 at negative x and 0.0 elsewhere; its derivatives are all 0.0
+    fol = _metric_entry_foliation(lambda coords: coords[0] * 0.0)
+    first, group = distinct_nodes(fol, _nodes([-1.0, 1.0, -2.0, 2.0, 1.0]), order=1)
+    assert first.tolist() == [0, 1]
+    assert group.tolist() == [0, 1, 0, 1, 1]
+
+
+def test_nodes_differing_by_one_ulp_in_one_hessian_entry_are_distinct():
+    def entry(coords):
+        x = coords[0]
+        hess = np.zeros(x.hess.shape)
+        hess[..., 0, 0] = np.where(x.value > 0.0, 1.0, np.nextafter(1.0, 2.0))
+        return Jet(np.full(x.value.shape, 0.5), np.zeros(x.grad.shape), hess)
+
+    fol = _metric_entry_foliation(entry)
+    first, group = distinct_nodes(fol, _nodes([2.0, -1.0, 1.0, -3.0]), order=1)
+    assert first.tolist() == [0, 1]
+    assert group.tolist() == [0, 1, 0, 1]
+
+
+def test_groups_are_numbered_by_their_first_node_in_grid_order(tilted, conformal):
+    grid = verify._grid(tilted)
+    first, group = distinct_nodes(tilted.fol, grid.nodes, order=1)
+    z = grid.nodes[:, 3]
+    assert np.array_equal(grid.nodes[first], grid.nodes[: grid.axes[3]])  # the closures read z alone
+    assert np.array_equal(z, z[first][group])
+    assert np.array_equal(first, [np.flatnonzero(group == g)[0] for g in range(first.size)])
+    grid = verify._grid(conformal)
+    first, group = distinct_nodes(conformal.fol, grid.nodes, order=2)
+    assert np.array_equal(first, np.arange(grid.count)) and np.array_equal(group, first)
+
+
+def test_frames_split_the_groups_under_a_constant_metric():
+    one = scenarios.fourier_profile(const=1.0)
+    flat_tilted = scenarios.build_tilted_torus(a=one, b=one)  # flat metric, frames turning with z
+    grid = verify._grid(flat_tilted)
+    first, _ = distinct_nodes(flat_tilted.fol, grid.nodes, order=1)
+    assert first.size == grid.axes[3]
+
+
+@pytest.mark.parametrize("where", ["main-term", "sigma2-image-scan"])
+def test_a_nonfinite_sample_names_the_first_bad_node_in_grid_order(where, warped4, monkeypatch):
+    monkeypatch.setattr(quadrature, "CHUNK", 512)
+    grid = verify._grid(warped4)
+    z_bad = grid.nodes[5, 3]
+    poison = lambda geom, vals: np.where(geom.points[:, 3] == z_bad, np.nan, vals)
+    if where == "main-term":
+        real = verify._main_terms
+        monkeypatch.setattr(verify, "_main_terms", lambda geom, r: {k: poison(geom, v) for k, v in real(geom, r).items()})
+        checks, match = ["main:0"], "sigma sample of main:0"
+    else:
+        real = foliation.Geometry.ricci_p
+        monkeypatch.setattr(foliation.Geometry, "ricci_p", lambda geom, X: poison(geom, real(geom, X)))
+        checks, match = ["sigma2-image"], "ricci_p_NN sample of sigma2-image"
+    messages = []
+    for per_node in (False, True):
+        with monkeypatch.context() as m:
+            if per_node:
+                evaluate_per_node(m)
+            with pytest.raises(EvaluationError, match=match) as info:
+                verify.verify_grid_checks(warped4, checks, grid, tolerance=1e-7)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0].endswith(f"at point {grid.nodes[5]!r}")
+
+
+# -- the passes, against the per-node evaluation ----------------------------------------
+
+
+@pytest.mark.parametrize(
+    "name, refine",
+    [(name, False) for name in CATALOG] + [("conformal_torus", False), ("warped_torus_4", True)],
+)
+def test_grid_checks_equal_the_per_node_evaluation(name, refine, catalog, conformal, monkeypatch):
+    scenario = conformal if name == "conformal_torus" else catalog[name]
+    grid = verify._grid(scenario)
+    if refine:
+        grid = quadrature.refined(scenario.manifold, grid)
+    checks = ["divergence-selftest", "reeb", *(f"main:{r}" for r in range(scenario.n)), "closed-form-c", "sigma2-image"]
+    grouped = [_bits(rep) for rep in verify.verify_grid_checks(scenario, checks, grid)]
+    with monkeypatch.context() as m:
+        evaluate_per_node(m)
+        per_node = [_bits(rep) for rep in verify.verify_grid_checks(scenario, checks, grid)]
+    assert grouped == per_node
+    floor = grouped[0][2]
+    assert repr(verify.calibrate_tolerance(scenario, grid)[1]) == floor == repr(per_node_selftest_floor(scenario, grid))
+
+
+def test_leaf_integrals_equal_the_per_node_evaluation(catalog, conformal, monkeypatch):
+    cases = [(s, lf.name, r) for s in (*catalog.values(), conformal) for lf in s.leaves for r in range(s.n)]
+    assert {s.name for s, _, _ in cases} == set(CATALOG) | {"conformal_torus"}
+    grouped = [_bits(verify.verify_leaf(s, r, leaf)) for s, leaf, r in cases]
+    with monkeypatch.context() as m:
+        evaluate_per_node(m)
+        assert [_bits(verify.verify_leaf(s, r, leaf)) for s, leaf, r in cases] == grouped
+
+
+def test_scenario_measurement_equals_the_per_node_evaluation(catalog, conformal, monkeypatch):
+    grouped = {**catalog, "conformal_torus": conformal}
+    with monkeypatch.context() as m:
+        evaluate_per_node(m)
+        per_node = {name: scenarios.build(name) for name in CATALOG}
+        per_node["conformal_torus"] = build_conformal_torus()
+    for name, scenario in grouped.items():
+        assert repr(scenario.residuals) == repr(per_node[name].residuals), name
+        assert scenario.flags == per_node[name].flags, name

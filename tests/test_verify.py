@@ -75,16 +75,24 @@ def test_main_r_out_of_range(warped3):
 
 
 def test_main_nonfinite_term_raises(flat, monkeypatch):
-    real_terms = verify._main_terms
+    # Poisoned at grid node 5: every flat-torus node shares one Geometry
+    # point, so the poison goes into the chunk's per-node samples.
+    real_integrate = verify._integrate_terms
 
-    def poisoned(geom, r):
-        out = real_terms(geom, r)
-        out["normal_curvature"] = np.where(np.arange(geom.batch[0]) == 5, np.nan, out["normal_curvature"])
-        return out
+    def poisoned(scenario, grid, term_fn, density=None):
+        def poisoned_terms(pts):
+            out = term_fn(pts)
+            key = ("main:0", "normal_curvature")
+            out[key] = np.where(np.arange(pts.shape[0]) == 5, np.nan, out[key])
+            return out
 
-    monkeypatch.setattr(verify, "_main_terms", poisoned)
-    with pytest.raises(EvaluationError, match="normal_curvature"):
-        verify.verify_main(flat, 0, grid=(4, 4, 4), tolerance=1e-7)
+        return real_integrate(scenario, grid, poisoned_terms, density)
+
+    monkeypatch.setattr(verify, "_integrate_terms", poisoned)
+    grid = grid_for(flat.manifold, (4, 4, 4))
+    with pytest.raises(EvaluationError, match="normal_curvature") as info:
+        verify.verify_main(flat, 0, grid=grid, tolerance=1e-7)
+    assert str(info.value).endswith(f"at point {grid.nodes[5]!r}")
 
 
 def test_main_round_s3_inadmissible(round_s3):
