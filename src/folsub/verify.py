@@ -21,7 +21,9 @@ A non-finite integral sample, sigma_2 scan sample or residual raises
 Integral tolerances are calibrated per scenario and grid: the divergence
 theorem applied to seeded random smooth fields measures the truncation floor
 of the differentiation-plus-quadrature stack, and the tolerance is
-max(1e-7, 10x that floor).
+max(1e-7, 10x that floor).  The fields' components are random trigonometric
+polynomials (:func:`random_trig_scalar`); :func:`trig_scalars` evaluates
+each sine factor once per distinct coordinate value of its axis.
 
 The check layer lives here: ``CHECKS`` names every check with the type and
 default of its argument, :func:`parse_check` is the one parser of a check
@@ -181,33 +183,98 @@ def _grid(scenario, grid=None) -> QuadratureGrid:
 
 
 def random_trig_scalar(manifold, rng: np.random.Generator):
-    """Random trigonometric polynomial of ``TRIG_MODES`` modes, periodic on the chart; constant otherwise."""
+    """Draw a random trigonometric polynomial of ``TRIG_MODES`` modes, periodic on the chart.
+
+    It is returned as data for :func:`trig_scalars`: a tuple of modes
+    ``(amplitude, factors)`` with one factor ``(axis, k * 2 pi / L, phase)``,
+    standing for sin(x_axis * k * 2 pi / L + phase), per axis whose wave
+    number k (drawn from -2..2) is nonzero, in axis order.  On an
+    invariant-frame manifold the scalar is a random constant, a float.
+    """
     if isinstance(manifold, InvariantFrameManifold):
-        val = float(rng.uniform(-1.0, 1.0))
-        return lambda coords: val
+        return float(rng.uniform(-1.0, 1.0))
     m = manifold.dim
     freqs = [2.0 * np.pi / L for L in manifold.periods]
-    terms = [
-        (float(rng.uniform(-1.0, 1.0)), rng.integers(-2, 3, m), rng.uniform(0.0, 2.0 * np.pi, m))
-        for _ in range(TRIG_MODES)
-    ]
-
-    def fn(coords):
-        acc = 0.0
-        for amp, ks, phases in terms:
-            prod = amp
-            for i in range(m):
-                if ks[i] != 0:
-                    prod = prod * jets.sin(coords[i] * (ks[i] * freqs[i]) + phases[i])
-            acc = acc + prod
-        return acc
-
-    return fn
+    modes = []
+    for _ in range(TRIG_MODES):
+        amp, ks, phases = float(rng.uniform(-1.0, 1.0)), rng.integers(-2, 3, m), rng.uniform(0.0, 2.0 * np.pi, m)
+        modes.append((amp, tuple((i, ks[i] * freqs[i], phases[i]) for i in range(m) if ks[i] != 0)))
+    return tuple(modes)
 
 
-def random_ambient_field(manifold, rng: np.random.Generator):
-    comps = [random_trig_scalar(manifold, rng) for _ in range(manifold.dim)]
-    return lambda coords: [c(coords) for c in comps]
+def trig_scalars(scalars, coords) -> list:
+    """The random trig scalars ``scalars`` (:func:`random_trig_scalar`) at the seeds ``coords``.
+
+    ``coords`` are coordinate seeds (:func:`jets.variables`) of order 0, 1
+    or 2 on any batch.  Each axis's distinct coordinate values are found once
+    per call; every sine factor, with its derivatives along its own axis, is
+    evaluated on those values only and gathered back to the points.  A
+    mode's product carries only the gradient columns and Hessian entries its
+    factors touch, and the modes are summed in order, so every entry has the
+    bits that scalar ``jets.sin`` lifts and ``Jet`` products give it, except
+    that an untouched derivative entry is always +0.0.  A scalar without a
+    non-constant mode comes back as a float, any other as a ``Jet`` of the
+    seeds' order.
+    """
+    order, m = coords[0].order, len(coords)
+    shape = coords[0].value.shape
+    tables = {}
+
+    def factor(axis, rate, phase, scale=1.0):
+        """``scale`` times sin(x rate + phase) and its derivatives along ``axis``, at every point."""
+        if axis not in tables:
+            u, inv = np.unique(coords[axis].value, return_inverse=True)
+            tables[axis] = (u, inv.reshape(shape))
+        u, inv = tables[axis]
+        arg = u * rate + phase
+        s = np.sin(arg)
+        parts = [s * scale]
+        if order >= 1:
+            parts.append(np.cos(arg) * rate * scale)
+        if order >= 2:
+            parts.append(-s * (rate * rate) * scale)
+        return [p[inv] for p in parts]
+
+    out = []
+    for scalar in scalars:
+        if isinstance(scalar, float):
+            out.append(scalar)
+            continue
+        value, grad, hess = 0.0, {}, {}
+        for amp, factors in scalar:
+            if not factors:
+                value = value + amp
+                continue
+            (i, rate, phase), rest = factors[0], factors[1:]
+            v, *d = factor(i, rate, phase, amp)
+            g = {i: d[0]} if order >= 1 else {}
+            h = {(i, i): d[1]} if order >= 2 else {}
+            for i, rate, phase in rest:
+                sv, *sd = factor(i, rate, phase)
+                if order >= 2:
+                    h = {jk: sv * hjk for jk, hjk in h.items()} | {(j, i): g[j] * sd[0] for j in g}
+                    h[i, i] = v * sd[1]
+                if order >= 1:
+                    g = {j: sv * gj for j, gj in g.items()} | {i: v * sd[0]}
+                v = v * sv
+            value = value + v
+            for acc, part in ((grad, g), (hess, h)):
+                for key, arr in part.items():
+                    acc[key] = acc[key] + arr if key in acc else arr
+        if all(not factors for _, factors in scalar):
+            out.append(value)
+            continue
+        parts = [value]
+        if order >= 1:
+            parts.append(np.zeros(shape + (m,)))
+            for j, col in grad.items():
+                parts[1][..., j] = col
+        if order >= 2:
+            parts.append(np.zeros(shape + (m, m)))
+            for (j, k), entry in hess.items():
+                parts[2][..., j, k] = parts[2][..., k, j] = entry
+        out.append(jets.Jet(*parts))
+    return out
 
 
 def random_distribution_field(fol, rng: np.random.Generator):
@@ -224,23 +291,7 @@ def random_distribution_field(fol, rng: np.random.Generator):
         e = fol.leaf_frame(coords)
         Nc = fol.normal(coords)
         out = [cN * Nc[k] for k in range(man.dim)]
-        for u, ev in zip(us, e):
-            uv = u(coords)
-            out = [out[k] + uv * ev[k] for k in range(man.dim)]
-        return out
-
-    return fld
-
-
-def random_leaf_field(fol, rng: np.random.Generator):
-    man = fol.manifold
-    us = [random_trig_scalar(man, rng) for _ in range(fol.n)]
-
-    def fld(coords):
-        e = fol.leaf_frame(coords)
-        out = [0.0] * man.dim
-        for u, ev in zip(us, e):
-            uv = u(coords)
+        for uv, ev in zip(trig_scalars(us, coords), e):
             out = [out[k] + uv * ev[k] for k in range(man.dim)]
         return out
 
@@ -257,7 +308,7 @@ def divergence_selftest_residual(scenario, grid: QuadratureGrid, Xs=None) -> flo
     one key each: they share the seeds and the density of every chunk, and
     take the connection from its geometry on the distinct nodes.
     """
-    fields = _selftest_fields(scenario.manifold) if Xs is None else Xs
+    fields = _selftest_fields(scenario.manifold) if Xs is None else lambda coords: [X(coords) for X in Xs]
     return _selftest_floor(_grid_pass(scenario, grid, (), fields=fields)[0])
 
 
@@ -270,10 +321,21 @@ def _tolerance(floor: float) -> float:
     return max(INTEGRAL_FLOOR, 10.0 * floor)
 
 
-def _selftest_fields(manifold) -> list:
-    """The calibration's seeded random smooth ambient fields."""
+def _selftest_fields(manifold):
+    """The calibration's ``SELFTEST_FIELDS`` seeded random ambient fields, as one function of the seeds.
+
+    Their components are random trig scalars, all evaluated by one
+    :func:`trig_scalars` call per block of points.
+    """
     rng = np.random.default_rng(SELFTEST_SEED)
-    return [random_ambient_field(manifold, rng) for _ in range(SELFTEST_FIELDS)]
+    m = manifold.dim
+    scalars = [random_trig_scalar(manifold, rng) for _ in range(SELFTEST_FIELDS * m)]
+
+    def fields(coords):
+        comps = trig_scalars(scalars, coords)
+        return [comps[i : i + m] for i in range(0, len(comps), m)]
+
+    return fields
 
 
 def _selftest_floor(integrals: dict) -> float:
@@ -402,7 +464,7 @@ def verify_grid_checks(scenario, checks, grid=None, tolerance=None, c: float | N
     grid = _grid(scenario, grid)
 
     calibrate = "divergence-selftest" in bases or (tolerance is None and bases - {"divergence-selftest", "sigma2-image"})
-    fields = _selftest_fields(scenario.manifold) if calibrate else ()
+    fields = _selftest_fields(scenario.manifold) if calibrate else None
     integrals, extrema = _grid_pass(scenario, grid, bases, orders, fields)
     floor = _selftest_floor(integrals) if calibrate else None
     tol = tolerance if tolerance is not None or floor is None else _tolerance(floor)
@@ -430,20 +492,23 @@ def verify_grid_checks(scenario, checks, grid=None, tolerance=None, c: float | N
     return reports
 
 
-def _grid_pass(scenario, grid: QuadratureGrid, bases, orders=(), fields=()) -> tuple[dict, dict]:
+def _grid_pass(scenario, grid: QuadratureGrid, bases, orders=(), fields=None) -> tuple[dict, dict]:
     """The integrals of one ``integrate_terms`` pass over ``grid``, and the sigma_2 scan's extrema.
 
     ``bases`` names the grid checks whose integrands the pass emits (see
     :func:`verify_grid_checks`), ``orders`` the main-formula orders, and
-    ``fields`` the self-test's ambient fields, whose divergences are keyed
+    ``fields``, when given, maps a chunk's order-1 seeds to the self-test's
+    ambient fields, whose divergences are keyed
     ``("divergence-selftest", "div_i")``.  Per chunk, one value-only
     ``Geometry(order=1)`` is built on the distinct nodes
     (:func:`foliation.distinct_nodes`) and every sample it gives is scattered
     back to its nodes, so the reduction sees the per-node samples in grid
-    order.  The self-test fields are evaluated on every node, with the
-    connection scattered from that geometry.  The sigma_2 and Ric^P(N, N)
-    extrema are exact under any chunking; a non-finite sample of either
-    raises :class:`EvaluationError` naming its first node in grid order.
+    order.  The self-test fields are evaluated at every node's seeds, each
+    trig factor once per distinct coordinate value of its axis
+    (:func:`trig_scalars`), with the connection scattered from that
+    geometry.  The sigma_2 and Ric^P(N, N) extrema are exact under any
+    chunking; a non-finite sample of either raises
+    :class:`EvaluationError` naming its first node in grid order.
     """
     fol, man = scenario.fol, scenario.manifold
     sigmas = set()
@@ -458,12 +523,12 @@ def _grid_pass(scenario, grid: QuadratureGrid, bases, orders=(), fields=()) -> t
         first, group = distinct_nodes(fol, pts, order=1)
         geom = Geometry(fol, pts[first], order=1)
         out = {}
-        if fields:
+        if fields is not None:
             G = geom.gamma.gamma  # without a batch axis on the invariant backend
             gamma = Connection(np.broadcast_to(G, geom.batch + G.shape[-3:])[group])
             coords = man.seed(pts, order=1)
-            for i, X in enumerate(fields):
-                out[("divergence-selftest", f"div_{i}")] = divergence_jets(man, coords, gamma, X(coords)).value
+            for i, X in enumerate(fields(coords)):
+                out[("divergence-selftest", f"div_{i}")] = divergence_jets(man, coords, gamma, X).value
         out.update({f"sigma_{k}": geom.sigma.value[..., k][group] for k in sorted(sigmas)})
         if "closed-form-c" in bases:
             out["volume"] = np.ones(pts.shape[0])

@@ -17,13 +17,17 @@ kernel (``Geometry.newton_curvature_trace``) and the one leaf integrand
 evaluation (:func:`evaluate_per_node`, :func:`per_node_selftest_floor`), a
 ``Geometry`` on every node of a block and the calibration's connection from
 order-1 seeds on every node, for the grid passes, the leaf integrals and the
-scenario measurement that evaluate each distinct node once.
+scenario measurement that evaluate each distinct node once; and the
+closure form of the random trig test fields (:func:`reference_trig_scalar`
+and the fields built from it), one ``jets.sin`` lift and ``Jet`` product per
+factor on every point, for the per-axis evaluator ``verify.trig_scalars``.
 """
 
 import numpy as np
 
-from folsub import jets
+from folsub import jets, verify
 from folsub.errors import LinearSolveError
+from folsub.manifolds import InvariantFrameManifold
 from folsub.newton import newton_transforms_nested, sigmas_nested
 
 TWO_PI = 2.0 * np.pi
@@ -315,13 +319,12 @@ def evaluate_per_node(monkeypatch):
 
 def per_node_selftest_floor(scenario, grid):
     """The calibration floor in its own pass, with the connection from order-1 seeds on every node."""
-    from folsub import verify
     from folsub.manifolds import divergence_jets
     from folsub.quadrature import integrate_terms
 
     man = scenario.manifold
     rng = np.random.default_rng(verify.SELFTEST_SEED)
-    fields = [verify.random_ambient_field(man, rng) for _ in range(verify.SELFTEST_FIELDS)]
+    fields = [reference_ambient_field(man, rng) for _ in range(verify.SELFTEST_FIELDS)]
 
     def terms(pts):
         coords = man.seed(pts, order=1)
@@ -329,3 +332,68 @@ def per_node_selftest_floor(scenario, grid):
         return {f"div_{i}": divergence_jets(man, coords, gamma, X(coords)).value for i, X in enumerate(fields)}
 
     return max(abs(v) for v in integrate_terms(man, terms, grid).values())
+
+
+# -- the random trig test fields as closures, one Jet operation at a time ---------
+
+
+def reference_trig_scalar(manifold, rng):
+    """The random scalar ``verify.random_trig_scalar`` draws, as a closure over coordinate jets.
+
+    It draws from ``rng`` exactly what ``random_trig_scalar`` draws, and
+    evaluates each mode as ``amp * sin(x_i * k_i f_i + phase_i) * ...`` by
+    ``jets.sin`` lifts and ``Jet`` products on every point.
+    """
+    if isinstance(manifold, InvariantFrameManifold):
+        val = float(rng.uniform(-1.0, 1.0))
+        return lambda coords: val
+    m = manifold.dim
+    freqs = [2.0 * np.pi / L for L in manifold.periods]
+    terms = [
+        (float(rng.uniform(-1.0, 1.0)), rng.integers(-2, 3, m), rng.uniform(0.0, 2.0 * np.pi, m))
+        for _ in range(verify.TRIG_MODES)
+    ]
+
+    def fn(coords):
+        acc = 0.0
+        for amp, ks, phases in terms:
+            prod = amp
+            for i in range(m):
+                if ks[i] != 0:
+                    prod = prod * jets.sin(coords[i] * (ks[i] * freqs[i]) + phases[i])
+            acc = acc + prod
+        return acc
+
+    return fn
+
+
+def reference_ambient_field(manifold, rng):
+    comps = [reference_trig_scalar(manifold, rng) for _ in range(manifold.dim)]
+    return lambda coords: [c(coords) for c in comps]
+
+
+def _leaf_combination(fol, us, coords, out):
+    """``out`` plus sum_a u_a(coords) e_a over the leaf frame."""
+    for u, ev in zip(us, fol.leaf_frame(coords)):
+        uv = u(coords)
+        out = [out[k] + uv * ev[k] for k in range(fol.manifold.dim)]
+    return out
+
+
+def reference_distribution_field(fol, rng):
+    """``verify.random_distribution_field`` with its coefficients from :func:`reference_trig_scalar`."""
+    man = fol.manifold
+    us = [reference_trig_scalar(man, rng) for _ in range(fol.n)]
+    cN = float(rng.uniform(-1.0, 1.0))
+
+    def fld(coords):
+        Nc = fol.normal(coords)
+        return _leaf_combination(fol, us, coords, [cN * Nc[k] for k in range(man.dim)])
+
+    return fld
+
+
+def random_leaf_field(fol, rng):
+    """A random field tangent to the leaves: random trig coefficients on the leaf frame."""
+    us = [reference_trig_scalar(fol.manifold, rng) for _ in range(fol.n)]
+    return lambda coords: _leaf_combination(fol, us, coords, [0.0] * fol.manifold.dim)

@@ -5,7 +5,7 @@ from folsub import distribution as dst
 from folsub import jets
 from folsub.errors import DomainError, FrameError
 from folsub.manifolds import ChartManifold, constant_field
-from helpers import metric_inner, projector_jets_full_order, warp_a, warp_da
+from helpers import metric_inner, projector_jets_full_order, random_leaf_field, warp_a, warp_da
 
 RNG = np.random.default_rng(47)
 
@@ -81,8 +81,6 @@ def test_nabla_p_examples(flat, warped4, heisenberg):
 
 
 def test_nabla_p_metric_compatibility(warped4, tilted):
-    from folsub.verify import random_leaf_field
-
     for s in (warped4, tilted):
         man = s.manifold
         pts = man.random_points(RNG, 30)
