@@ -11,7 +11,7 @@ one rounding and independent of any evaluation chunking.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
@@ -25,15 +25,34 @@ CHUNK = 4096
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Nodes (K, m), coordinate weights (K,), and per-axis counts."""
+    """Nodes (K, m), coordinate weights (K,), and per-axis counts.
+
+    ``nodes`` and ``weights`` are read-only copies of the arrays given, so
+    values computed from them stay valid while the grid lives.  ``plans``
+    holds those values: the evaluation plans that the grid passes attach, one
+    per foliation (:func:`verify.grid_plan`), which die with the grid.
+    """
 
     nodes: np.ndarray
     weights: np.ndarray
     axes: tuple[int, ...]
+    plans: list = field(default_factory=list, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name in ("nodes", "weights"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def count(self) -> int:
         return self.nodes.shape[0]
+
+
+def chunks(grid: QuadratureGrid):
+    """The grid's ``(nodes, weights)`` in consecutive blocks of ``CHUNK`` nodes, in grid order."""
+    for start in range(0, grid.count, CHUNK):
+        yield grid.nodes[start : start + CHUNK], grid.weights[start : start + CHUNK]
 
 
 def _single_node(manifold, weight: float) -> QuadratureGrid:
@@ -59,10 +78,15 @@ def grid_for(manifold, axes=None) -> QuadratureGrid:
         return _single_node(manifold, manifold.volume)
     if axes is None:
         raise ValueError("chart backends need per-axis node counts")
-    axes = tuple(int(k) for k in axes)
-    if len(axes) != manifold.dim or any(k < 1 for k in axes):
+    return _product_grid(manifold, dict(enumerate(_counts(axes, manifold.dim))), {})
+
+
+def _counts(axes, k: int) -> tuple[int, ...]:
+    """``axes`` as ``k`` positive node counts; raises ``ValueError`` otherwise."""
+    axes = tuple(int(a) for a in axes)
+    if len(axes) != k or any(a < 1 for a in axes):
         raise ValueError("need a positive node count per axis")
-    return _product_grid(manifold, dict(enumerate(axes)), {})
+    return axes
 
 
 def refined(manifold, grid: QuadratureGrid) -> QuadratureGrid:
@@ -78,7 +102,7 @@ def leaf_grid(manifold, leaf, axes=None) -> QuadratureGrid:
         return _single_node(manifold, leaf.volume)
     if axes is None:
         raise ValueError("chart leaves need per-axis node counts")
-    return _product_grid(manifold, {ax: int(k) for ax, k in zip(leaf.axes, axes)}, leaf.fixed)
+    return _product_grid(manifold, dict(zip(leaf.axes, _counts(axes, len(leaf.axes)))), leaf.fixed)
 
 
 def leaf_density(manifold, leaf, points) -> np.ndarray:
@@ -103,9 +127,7 @@ def integrate_terms(manifold, terms, grid: QuadratureGrid, density=None) -> dict
     :class:`EvaluationError` (:func:`require_finite`); a ``(check, term)`` key names both.
     """
     blocks: dict[object, list[np.ndarray]] = {}
-    for start in range(0, grid.count, CHUNK):
-        pts = grid.nodes[start : start + CHUNK]
-        w = grid.weights[start : start + CHUNK]
+    for pts, w in chunks(grid):
         dens = manifold.volume_density(pts) if density is None else density(pts)
         for key, vals in terms(pts).items():
             block = (np.asarray(vals, dtype=float) + np.zeros(pts.shape[0])) * dens * w

@@ -36,8 +36,12 @@ chunk of that pass, and each chunk of a ``leaf:r`` integral over a closed
 leaf, builds one ``Geometry`` on its distinct nodes
 (:func:`foliation.distinct_nodes`) and gives every node its group's samples,
 so the reductions see the same per-node samples as an evaluation on every
-node.  The sampled checks draw seeded random points and build one
-``Geometry`` on them (``_sampled``).  Time that reports share is
+node.  A grid carries the plan of its passes (:func:`grid_plan`): the node
+groups, the volume density and the calibration floor, computed once per
+(foliation, grid object), so the checks of one grid share them across
+calls.  The ``leaf:r`` checks of a run share one integral over the leaf
+grid (:func:`verify_leaf_checks`).  The sampled checks draw seeded random
+points and build one ``Geometry`` on them (``_sampled``).  Time that reports share is
 charged to the first of them, so a run's wall times add up to at most its own.
 """
 
@@ -51,12 +55,12 @@ from math import comb
 
 import numpy as np
 
-from . import jets, newton
+from . import jets, newton, quadrature
 from .errors import ConfigError, EvaluationError
-from .foliation import Geometry, distinct_nodes
+from .foliation import FoliationStructure, Geometry, distinct_nodes
 from .manifolds import Connection, InvariantFrameManifold, divergence_jets
-from .quadrature import QuadratureGrid, grid_for, integrate, integrate_terms, leaf_density, leaf_grid, refined
-from .quadrature import require_finite
+from .quadrature import QuadratureGrid, grid_for, integrate_terms, leaf_density, leaf_grid, refined
+from .quadrature import integrate, require_finite  # integrate: wrapped by perfbench/tracing.py
 from .scenarios import ADMISSIBLE_TOL
 
 INTEGRAL_FLOOR = 1e-7
@@ -306,10 +310,14 @@ def divergence_selftest_residual(scenario, grid: QuadratureGrid, Xs=None) -> flo
 
     The fields run through the grid pass's one integrand (:func:`_grid_pass`),
     one key each: they share the seeds and the density of every chunk, and
-    take the connection from its geometry on the distinct nodes.
+    take the connection from its geometry on the distinct nodes.  The
+    default fields' residual is the calibration floor, read from the grid's
+    plan when a pass already measured it (:func:`_calibrated_pass`); the
+    floor of ``Xs`` is measured every time and never stored.
     """
-    fields = _selftest_fields(scenario.manifold) if Xs is None else lambda coords: [X(coords) for X in Xs]
-    return _selftest_floor(_grid_pass(scenario, grid, (), fields=fields)[0])
+    if Xs is None:
+        return _calibrated_pass(scenario, grid)[2]
+    return _selftest_floor(_grid_pass(scenario, grid, (), fields=lambda coords: [X(coords) for X in Xs])[0])
 
 
 def calibrate_tolerance(scenario, grid: QuadratureGrid) -> tuple[float, float]:
@@ -402,29 +410,43 @@ def verify_main(scenario, r: int, grid=None, tolerance=None) -> VerificationRepo
 
 
 def verify_leaf(scenario, r: int, leaf=None, grid_axes=None, tolerance=None) -> VerificationReport:
-    """Compact-leaf integral formula at order r over a declared closed leaf.
+    """Compact-leaf integral formula at order r over a declared closed leaf (:func:`verify_leaf_checks`)."""
+    return verify_leaf_checks(scenario, [r], leaf, grid_axes, tolerance)[0]
+
+
+def verify_leaf_checks(scenario, orders, leaf=None, grid_axes=None, tolerance=None) -> list[VerificationReport]:
+    """Reports of the compact-leaf formula at each order in ``orders``, from one integral over the leaf grid.
 
     Each chunk of the leaf grid builds one ``Geometry(order=2)`` on its
-    distinct nodes (:func:`foliation.distinct_nodes`).
+    distinct nodes (:func:`foliation.distinct_nodes`) and emits one key
+    ``("leaf:r", "integrand")`` per distinct order.  One report comes back
+    per entry of ``orders``, in that order; the pass's time is charged to
+    the first, as in :func:`verify_grid_checks`.
     """
     t0 = time.perf_counter()
-    _check_order(r, scenario.n, scenario.name)
+    for r in orders:
+        _check_order(r, scenario.n, scenario.name)
     lf = leaf if leaf is not None and not isinstance(leaf, str) else scenario.leaf(leaf)
     man = scenario.manifold
     lgrid = leaf_grid(man, lf, grid_axes or tuple(scenario.default_grid[ax] for ax in lf.axes))
     tol = tolerance if tolerance is not None else INTEGRAL_FLOOR
 
-    def fld(pts):
+    def terms(pts):
         first, group = distinct_nodes(scenario.fol, pts, order=2)
-        return Geometry(scenario.fol, pts[first], order=2).leaf_formula_integrand(r)[group]
+        geom = Geometry(scenario.fol, pts[first], order=2)
+        return {(f"leaf:{r}", "integrand"): geom.leaf_formula_integrand(r)[group] for r in sorted(set(orders))}
 
-    residual = integrate(man, fld, lgrid, density=lambda pts: leaf_density(man, lf, pts))
-    return make_report(
-        f"leaf:{r}", residual, tol, t0, scenario, lgrid,
-        preconditions_ok=scenario.flags.harmonic_perp,
-        requires_admissible=True,
-        leaf=lf.name,
-    )
+    integrals = _integrate_terms(scenario, lgrid, terms, lambda pts: leaf_density(man, lf, pts))
+    reports = []
+    for r in orders:
+        reports.append(make_report(
+            f"leaf:{r}", integrals[(f"leaf:{r}", "integrand")], tol, t0, scenario, lgrid,
+            preconditions_ok=scenario.flags.harmonic_perp,
+            requires_admissible=True,
+            leaf=lf.name,
+        ))
+        t0 = time.perf_counter()
+    return reports
 
 
 def verify_closed_form_c(scenario, c: float | None = None, grid=None, tolerance=None) -> VerificationReport:
@@ -433,6 +455,44 @@ def verify_closed_form_c(scenario, c: float | None = None, grid=None, tolerance=
 
 
 # -- one pass over a grid for every integral formula ------------------------------------
+
+
+@dataclass(eq=False)
+class GridPlan:
+    """What every grid pass of ``fol`` over one grid reads and no check changes.
+
+    Per chunk of ``chunk`` nodes (:func:`quadrature.chunks`): ``groups``
+    holds ``(first, group)`` from :func:`foliation.distinct_nodes` at order
+    1 and ``density`` the volume density.  ``floor`` is the calibration
+    floor once a pass has measured it.  It costs 16 B per node, an intp
+    group and a float64 density.
+    """
+
+    fol: FoliationStructure
+    chunk: int
+    groups: list
+    density: list
+    floor: float | None = None
+
+
+def grid_plan(fol: FoliationStructure, grid: QuadratureGrid) -> GridPlan:
+    """The plan ``grid`` holds for ``fol``, built over its chunks when it holds none for the current ``CHUNK``.
+
+    The plan lives in ``grid.plans`` and dies with the grid; a plan built at
+    another ``quadrature.CHUNK`` is replaced.  Its values are pure functions
+    of the foliation and the grid's read-only nodes, so every pass that
+    reads them sees what it would compute itself.
+    """
+    for plan in grid.plans:
+        if plan.fol is fol and plan.chunk == quadrature.CHUNK:
+            return plan
+    groups, density = [], []
+    for pts, _ in quadrature.chunks(grid):
+        groups.append(distinct_nodes(fol, pts, order=1))
+        density.append(fol.manifold.volume_density(pts))
+    plan = GridPlan(fol, quadrature.CHUNK, groups, density)
+    grid.plans[:] = [p for p in grid.plans if p.fol is not fol] + [plan]
+    return plan
 
 
 def verify_grid_checks(scenario, checks, grid=None, tolerance=None, c: float | None = None) -> list[VerificationReport]:
@@ -450,6 +510,10 @@ def verify_grid_checks(scenario, checks, grid=None, tolerance=None, c: float | N
     those of :func:`calibrate_tolerance`.  ``c`` overrides the scenario's
     curvature constant for ``closed-form-c``.
 
+    The node groups, the density and, once measured, the floor come from
+    the grid's plan (:func:`grid_plan`), so a later call on the same grid
+    object computes none of them again.
+
     The time the reports share, the grid pass, is charged once, to the first
     report; each later report's ``wall_time_s`` covers only its own assembly.
     So the wall times of a run never add up to more than the run took.
@@ -464,9 +528,7 @@ def verify_grid_checks(scenario, checks, grid=None, tolerance=None, c: float | N
     grid = _grid(scenario, grid)
 
     calibrate = "divergence-selftest" in bases or (tolerance is None and bases - {"divergence-selftest", "sigma2-image"})
-    fields = _selftest_fields(scenario.manifold) if calibrate else None
-    integrals, extrema = _grid_pass(scenario, grid, bases, orders, fields)
-    floor = _selftest_floor(integrals) if calibrate else None
+    integrals, extrema, floor = _calibrated_pass(scenario, grid, bases, orders, calibrate)
     tol = tolerance if tolerance is not None or floor is None else _tolerance(floor)
     selftest_floor = floor if tolerance is None else None
     reports = []
@@ -492,6 +554,20 @@ def verify_grid_checks(scenario, checks, grid=None, tolerance=None, c: float | N
     return reports
 
 
+def _calibrated_pass(scenario, grid: QuadratureGrid, bases=(), orders=(), calibrate=True) -> tuple[dict, dict, float | None]:
+    """:func:`_grid_pass` of ``bases`` and ``orders``, and the calibration floor when ``calibrate``, else None.
+
+    The floor is the one the grid's plan holds; when it holds none, this
+    pass carries the self-test fields and the plan keeps the floor they give.
+    """
+    plan = grid_plan(scenario.fol, grid)
+    fields = _selftest_fields(scenario.manifold) if calibrate and plan.floor is None else None
+    integrals, extrema = _grid_pass(scenario, grid, bases, orders, fields)
+    if fields is not None:
+        plan.floor = _selftest_floor(integrals)
+    return integrals, extrema, plan.floor if calibrate else None
+
+
 def _grid_pass(scenario, grid: QuadratureGrid, bases, orders=(), fields=None) -> tuple[dict, dict]:
     """The integrals of one ``integrate_terms`` pass over ``grid``, and the sigma_2 scan's extrema.
 
@@ -500,13 +576,14 @@ def _grid_pass(scenario, grid: QuadratureGrid, bases, orders=(), fields=None) ->
     ``fields``, when given, maps a chunk's order-1 seeds to the self-test's
     ambient fields, whose divergences are keyed
     ``("divergence-selftest", "div_i")``.  Per chunk, one value-only
-    ``Geometry(order=1)`` is built on the distinct nodes
-    (:func:`foliation.distinct_nodes`) and every sample it gives is scattered
+    ``Geometry(order=1)`` is built on the distinct nodes (the groups of
+    :func:`foliation.distinct_nodes`, read with the density from the
+    grid's plan, :func:`grid_plan`) and every sample it gives is scattered
     back to its nodes, so the reduction sees the per-node samples in grid
-    order.  The self-test fields are evaluated at every node's seeds, each
-    trig factor once per distinct coordinate value of its axis
-    (:func:`trig_scalars`), with the connection scattered from that
-    geometry.  The sigma_2 and Ric^P(N, N) extrema are exact under any
+    order.  A pass with nothing to emit makes none.  The self-test fields
+    are evaluated at every node's seeds, each trig factor once per distinct
+    coordinate value of its axis (:func:`trig_scalars`), with the connection
+    scattered from that geometry.  The sigma_2 and Ric^P(N, N) extrema are exact under any
     chunking; a non-finite sample of either raises
     :class:`EvaluationError` naming its first node in grid order.
     """
@@ -518,9 +595,13 @@ def _grid_pass(scenario, grid: QuadratureGrid, bases, orders=(), fields=None) ->
         sigmas.update(range(scenario.n + 1))
     scan = "sigma2-image" in bases
     extrema = {"sigma2_min": np.inf, "sigma2_max": -np.inf, "ricci_p_NN_min": np.inf}
+    if fields is None and not (sigmas or orders or scan):
+        return {}, extrema
+    plan = grid_plan(fol, grid)
+    groups, density = iter(plan.groups), iter(plan.density)
 
     def terms(pts):
-        first, group = distinct_nodes(fol, pts, order=1)
+        first, group = next(groups)
         geom = Geometry(fol, pts[first], order=1)
         out = {}
         if fields is not None:
@@ -543,7 +624,7 @@ def _grid_pass(scenario, grid: QuadratureGrid, bases, orders=(), fields=None) ->
             extrema["ricci_p_NN_min"] = min(extrema["ricci_p_NN_min"], float(np.min(ric)))
         return out
 
-    return _integrate_terms(scenario, grid, terms), extrema
+    return _integrate_terms(scenario, grid, terms, lambda pts: next(density)), extrema
 
 
 def _main_report(scenario, grid, r: int, integrals: dict, tol: float, t0: float, selftest_floor) -> VerificationReport:
@@ -757,19 +838,22 @@ def run_checks(scenario, checks, grid=None, tolerance=None, samples: int = 50) -
     """The reports of the checks named in ``checks``, in that order (``pointwise`` gives 3 + 2n).
 
     Every name is parsed before anything runs.  The grid checks come from one
-    :func:`verify_grid_checks` call, made where the first of them comes.  The
-    sampled checks are looked up by module name at each call, so a caller
+    :func:`verify_grid_checks` call, made where the first of them comes, and
+    the ``leaf:r`` checks likewise from one :func:`verify_leaf_checks` call.
+    The sampled checks are looked up by module name at each call, so a caller
     that replaces them on this module (as the benchmark's seeding does) reaches them.
     """
     parsed = [parse_check(name, scenario.n) for name in checks]
     grid_names = [name for name, (base, _) in zip(checks, parsed) if base in GRID_CHECKS]
-    grid_reports, reports = None, []
+    leaf_orders = [arg for base, arg in parsed if base == "leaf"]
+    grid_reports, leaf_reports, reports = None, None, []
     for base, arg in parsed:
         if base in GRID_CHECKS:
             grid_reports = grid_reports or iter(verify_grid_checks(scenario, grid_names, grid, tolerance))
             reports.append(next(grid_reports))
         elif base == "leaf":
-            reports.append(verify_leaf(scenario, arg, tolerance=tolerance))
+            leaf_reports = leaf_reports or iter(verify_leaf_checks(scenario, leaf_orders, tolerance=tolerance))
+            reports.append(next(leaf_reports))
         elif base == "pointwise":
             plain = (check_divergence_split, check_leaf_divergence_of_normal, check_adapted_identity)
             per_order = (check_newton_div_agreement, check_newton_z_divergence)

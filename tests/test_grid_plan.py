@@ -1,0 +1,123 @@
+"""The plan a quadrature grid carries: node groups, density and calibration floor, once per (foliation, grid).
+
+``verify.grid_plan`` computes them on the first grid pass over a grid object;
+every later grid check on that object reads them back.  The reports must be
+those of a fresh grid with equal nodes, bit for bit.
+"""
+
+import gc
+import weakref
+from dataclasses import replace
+
+import pytest
+
+from folsub import quadrature, scenarios, verify
+from folsub.foliation import rotated_foliation
+from folsub.manifolds import ChartManifold, InvariantFrameManifold
+
+CATALOG = scenarios.catalog_names()
+
+
+def _bits(report) -> str:
+    """The report by ``repr``, without its wall time."""
+    return repr(replace(report, wall_time_s=0.0))
+
+
+def _fresh(grid):
+    """A new grid object with the nodes, weights and axes of ``grid``."""
+    return quadrature.QuadratureGrid(grid.nodes, grid.weights, grid.axes)
+
+
+def _count_calls(monkeypatch) -> dict:
+    """Count the fingerprints, densities and self-test field evaluations from here on."""
+    calls = {"distinct_nodes": 0, "volume_density": 0, "trig_scalars": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in ("distinct_nodes", "trig_scalars"):
+        monkeypatch.setattr(verify, name, counting(name, getattr(verify, name)))
+    for cls in (ChartManifold, InvariantFrameManifold):
+        monkeypatch.setattr(cls, "volume_density", counting("volume_density", cls.volume_density))
+    return calls
+
+
+@pytest.mark.parametrize("name", CATALOG)
+def test_a_second_grid_check_on_the_grid_recomputes_nothing_the_plan_holds(name, catalog, monkeypatch):
+    s = catalog[name]
+    grid = verify._grid(s)
+    verify.verify_reeb(s, grid)
+    with monkeypatch.context() as m:
+        calls = _count_calls(m)
+        second = verify.verify_main(s, 0, grid)
+    assert calls == {"distinct_nodes": 0, "volume_density": 0, "trig_scalars": 0}
+    assert _bits(second) == _bits(verify.verify_main(s, 0, _fresh(grid)))
+
+
+def test_calibration_on_a_planned_grid_returns_the_same_floor(warped4, monkeypatch):
+    grid = verify._grid(warped4)
+    verify.verify_main(warped4, 1, grid)
+    with monkeypatch.context() as m:
+        calls = _count_calls(m)
+        held = verify.calibrate_tolerance(warped4, grid)
+    assert calls["trig_scalars"] == 0
+    assert repr(held) == repr(verify.calibrate_tolerance(warped4, _fresh(grid)))
+    assert repr(held[1]) == repr(verify.grid_plan(warped4.fol, grid).floor)
+
+
+def test_user_fields_neither_read_nor_write_the_floor(warped4):
+    grid = verify._grid(warped4)
+    floor = verify.calibrate_tolerance(warped4, grid)[1]
+    zero = lambda coords: [0.0 * c for c in coords]
+    assert verify.divergence_selftest_residual(warped4, grid, [zero]) == 0.0
+    assert verify.grid_plan(warped4.fol, grid).floor == floor
+    fresh = _fresh(grid)
+    verify.divergence_selftest_residual(warped4, fresh, [zero])
+    assert verify.grid_plan(warped4.fol, fresh).floor is None
+
+
+def test_two_foliations_on_one_grid_get_separate_plans(warped4):
+    rotated = replace(warped4, fol=rotated_foliation(warped4.fol))
+    grid = verify._grid(warped4)
+    reports = [verify.verify_main(s, 1, grid) for s in (warped4, rotated)]
+    plans = [verify.grid_plan(s.fol, grid) for s in (warped4, rotated)]
+    assert plans[0] is not plans[1] and grid.plans == plans
+    assert [plan.fol for plan in plans] == [warped4.fol, rotated.fol]
+    assert [_bits(r) for r in reports] == [_bits(verify.verify_main(s, 1, _fresh(grid))) for s in (warped4, rotated)]
+
+
+def test_a_changed_chunk_size_rebuilds_the_plan(warped4, monkeypatch):
+    grid = verify._grid(warped4)
+    whole = verify.verify_main(warped4, 1, grid)
+    plan = verify.grid_plan(warped4.fol, grid)
+    assert plan.chunk == quadrature.CHUNK and len(plan.groups) == 1
+    monkeypatch.setattr(quadrature, "CHUNK", 512)
+    calls = _count_calls(monkeypatch)
+    chunked = verify.verify_main(warped4, 1, grid)
+    rebuilt = verify.grid_plan(warped4.fol, grid)
+    assert grid.plans == [rebuilt] and rebuilt.chunk == 512
+    assert len(rebuilt.groups) == len(rebuilt.density) == -(-grid.count // 512)
+    assert calls["distinct_nodes"] == calls["volume_density"] == len(rebuilt.groups)
+    assert calls["trig_scalars"] == len(rebuilt.groups)  # the floor is measured again
+    assert _bits(chunked) == _bits(whole)
+
+
+def test_the_plan_dies_with_its_grid(warped4):
+    grid = verify._grid(warped4)
+    verify.verify_reeb(warped4, grid)
+    plan = weakref.ref(verify.grid_plan(warped4.fol, grid))
+    assert plan() is not None
+    del grid
+    gc.collect()
+    assert plan() is None
+
+
+def test_a_fresh_grid_per_call_shares_no_plan(warped4, monkeypatch):
+    verify.verify_reeb(warped4)
+    calls = _count_calls(monkeypatch)
+    verify.verify_reeb(warped4)
+    assert calls["distinct_nodes"] == calls["volume_density"] == calls["trig_scalars"] == 1

@@ -92,6 +92,19 @@ def test_refining_the_invariant_single_node_returns_it_unchanged(heisenberg):
     assert fine.axes == grid.axes == (1,)
 
 
+def test_grid_arrays_are_read_only_copies(warped4):
+    nodes, weights = np.zeros((3, 4)), np.ones(3)
+    grid = quad.QuadratureGrid(nodes, weights, (3,))
+    nodes[:] = 1.0
+    weights[:] = 2.0
+    assert np.all(grid.nodes == 0.0) and np.all(grid.weights == 1.0)
+    grid = quad.grid_for(warped4.manifold, warped4.default_grid)
+    with pytest.raises(ValueError, match="read-only"):
+        grid.nodes[:] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        grid.weights[0] = 0.0
+
+
 def test_chunking_does_not_change_the_sum(warped4, monkeypatch):
     grid = quad.grid_for(warped4.manifold, (4, 4, 4, 16))
 

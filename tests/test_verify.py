@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from folsub import scenarios as scn
-from folsub import verify
+from folsub import quadrature, verify
 from folsub.errors import ConfigError, EvaluationError, UnsupportedLeafError
 from folsub.manifolds import constant_field
 from folsub.quadrature import grid_for
@@ -128,6 +128,35 @@ def test_leaf_formulas(flat, warped4, tilted):
 def test_leaf_unknown_leaf(warped4):
     with pytest.raises(UnsupportedLeafError):
         verify.verify_leaf(warped4, 0, leaf="nope")
+
+
+@pytest.mark.parametrize("grid_axes", [(-4, 8, 8), (8,), (8, 8, 8, 8)])
+def test_leaf_grid_needs_one_positive_count_per_leaf_axis(warped4, grid_axes):
+    # the y-torus leaf of warped_torus_4 has two axes
+    with pytest.raises(ValueError, match="need a positive node count per axis"):
+        verify.verify_leaf(warped4, 0, grid_axes=grid_axes)
+
+
+def test_the_leaf_checks_of_a_run_share_one_leaf_pass(warped4, tilted, monkeypatch):
+    from folsub import foliation
+
+    for s in (warped4, tilted):
+        checks = ["leaf:1", "reeb", "leaf:0", "leaf:1"]
+        alone = [verify.verify_leaf(s, r) for r in (1, 0, 1)]
+        builds, real_init = [], foliation.Geometry.__init__
+
+        def counting_init(self, fol, points, order=2):
+            builds.append(order)
+            real_init(self, fol, points, order)
+
+        with monkeypatch.context() as m:
+            m.setattr(foliation.Geometry, "__init__", counting_init)
+            reports = verify.run_checks(s, checks, tolerance=1e-7)
+        lgrid = quadrature.leaf_grid(s.manifold, s.leaf(), tuple(s.default_grid[ax] for ax in s.leaf().axes))
+        assert builds.count(2) == -(-lgrid.count // quadrature.CHUNK)  # one Geometry(order=2) per leaf chunk
+        leaf_reports = [reports[0], reports[2], reports[3]]
+        strip = lambda rep: (rep.formula_id, repr(rep.residual), rep.tolerance, rep.verdict, rep.grid, rep.terms)
+        assert [strip(r) for r in leaf_reports] == [strip(r) for r in alone]
 
 
 def test_closed_form_c_flat(flat):
@@ -295,6 +324,9 @@ def test_reports_are_reproducible(warped4):
     assert a.residual == b.residual
     assert a.terms == b.terms
     assert a.grid == b.grid
+    grid = verify._grid(warped4)  # twice on one grid object: the second call reads its plan
+    for rep in (verify.verify_main(warped4, 0, grid), verify.verify_main(warped4, 0, grid)):
+        assert (rep.residual, rep.tolerance, rep.terms, rep.grid) == (a.residual, a.tolerance, a.terms, a.grid)
 
 
 def test_convergence_gap(warped3):
