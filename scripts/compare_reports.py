@@ -15,7 +15,11 @@ verdict, tolerance, admissibility residual and grid metadata.  The report
 timings (``wall_time_s``) are ignored.
 
 Exit status: 0 when nothing differs and the worst drift is at most
-``MAX_DRIFT``, 1 otherwise, 2 when a directory cannot be read.
+``MAX_DRIFT``, 1 otherwise, 2 when a directory cannot be read or holds a
+``.json`` file that is not a report object: a JSON object whose ``reports``
+is a list of objects with every key compared here, a number as
+``residual`` and an object of numbers as ``terms``.  Exit 2 prints one
+``error:`` line, which names the file when one is at fault.
 """
 
 import json
@@ -25,6 +29,8 @@ from pathlib import Path
 
 # The rounding a speed-up may move a residual by (ROADMAP aim 1).
 MAX_DRIFT = 1e-13
+# The keys every report of a report file must carry.
+REPORT_KEYS = {"formula_id", "residual", "verdict", "tolerance", "admissibility_max", "grid", "terms"}
 
 
 def drift(a, b) -> float:
@@ -71,6 +77,28 @@ def compare_payloads(name: str, a: dict, b: dict, problems: list) -> tuple[float
     return (*worst, differ, total)
 
 
+def is_report(report) -> bool:
+    """Whether ``report`` carries every key compared here, with a numeric residual and numeric terms."""
+    if not isinstance(report, dict) or not REPORT_KEYS <= report.keys() or not isinstance(report["terms"], dict):
+        return False
+    return all(isinstance(v, (int, float)) for v in (report["residual"], *report["terms"].values()))
+
+
+def load_reports(directory: Path) -> dict:
+    """The report files of ``directory`` by name; a file that is not a report object raises ``ValueError`` naming it."""
+    files = {}
+    for path in sorted(directory.glob("*.json")):
+        try:
+            payload = json.loads(path.read_text())
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+        reports = payload.get("reports") if isinstance(payload, dict) else None
+        if not isinstance(reports, list) or not all(map(is_report, reports)):
+            raise ValueError(f"{path} is not a report object with a 'reports' list")
+        files[path.name] = payload
+    return files
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
@@ -78,8 +106,7 @@ def main(argv=None) -> int:
         return 2
     dir_a, dir_b = (Path(p) for p in args)
     try:
-        files_a = {p.name: json.loads(p.read_text()) for p in sorted(dir_a.glob("*.json"))}
-        files_b = {p.name: json.loads(p.read_text()) for p in sorted(dir_b.glob("*.json"))}
+        files_a, files_b = load_reports(dir_a), load_reports(dir_b)
     except (OSError, ValueError) as exc:
         print(f"error: cannot read reports: {exc}", file=sys.stderr)
         return 2

@@ -76,10 +76,11 @@ class Geometry:
     identically zero), the Newton transformations ``T[r]`` and ``Z`` carry
     one order less.  So ``order=1`` gives their values, which is all the grid
     integrands (``reeb``, ``main:r``, ``closed-form-c``), the ``sigma2-image``
-    scan, ``ricci_p`` and the scenario flag measurement read; ``order=2``
-    adds their first derivatives, for the checks that differentiate A, Z or
-    sigma_r (the pointwise battery, Codazzi, the trace identities and
-    ``leaf:r``).  Values are bit-identical at both orders.
+    scan, ``ricci_p``, the scenario flag measurement, ``divx_residual`` and
+    div_F N read; ``order=2`` adds their first derivatives, for the checks
+    that differentiate A, Z or sigma_r (the rest of the pointwise battery,
+    Codazzi, the trace identities and ``leaf:r``).  Values are bit-identical
+    at both orders.
 
     The metric is always seeded at order 2, because the Riemann tensor in
     ``RP`` and ``R`` needs ∂Γ; ``g`` keeps its derivatives to ``order``.  The connection (``gamma``) is evaluated
@@ -575,7 +576,7 @@ def integrability_residual(fol: FoliationStructure, p: Point) -> float:
 
 def divx_residual(fol: FoliationStructure, X_field, p: Point) -> float:
     """Residual of the divergence split for a field X in D (:meth:`Geometry.divx_residual`)."""
-    return Geometry(fol, np.asarray(p, dtype=float), order=2).divx_residual(X_field)
+    return Geometry(fol, np.asarray(p, dtype=float), order=1).divx_residual(X_field)
 
 
 def rotated_foliation(fol: FoliationStructure, angle_profile=None, flip: bool = False) -> FoliationStructure:

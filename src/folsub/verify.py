@@ -23,7 +23,8 @@ theorem applied to seeded random smooth fields measures the truncation floor
 of the differentiation-plus-quadrature stack, and the tolerance is
 max(1e-7, 10x that floor).  The fields' components are random trigonometric
 polynomials (:func:`random_trig_scalar`); :func:`trig_scalars` evaluates
-each sine factor once per distinct coordinate value of its axis.
+each sine factor once per distinct coordinate value of its axis, to first
+order: the divergence theorem and the divergence split read no more.
 
 The check layer lives here: ``CHECKS`` names every check with the type and
 default of its argument, :func:`parse_check` is the one parser of a check
@@ -40,8 +41,10 @@ node.  A grid carries the plan of its passes (:func:`grid_plan`): the node
 groups, the volume density and the calibration floor, computed once per
 (foliation, grid object), so the checks of one grid share them across
 calls.  The ``leaf:r`` checks of a run share one integral over the leaf
-grid (:func:`verify_leaf_checks`).  The sampled checks draw seeded random
-points and build one ``Geometry`` on them (``_sampled``).  Time that reports share is
+grid (:func:`verify_leaf_checks`), which takes the run grid's counts on the
+leaf's axes.  The sampled checks draw seeded random points and build one
+``Geometry`` on them (``_sampled``), at order 1 for the first-order
+identities (``div-split``, ``leafdiv-normal``).  Time that reports share is
 charged to the first of them, so a run's wall times add up to at most its own.
 """
 
@@ -59,7 +62,7 @@ from . import jets, newton, quadrature
 from .errors import ConfigError, EvaluationError
 from .foliation import FoliationStructure, Geometry, distinct_nodes
 from .manifolds import Connection, InvariantFrameManifold, divergence_jets
-from .quadrature import QuadratureGrid, grid_for, integrate_terms, leaf_density, leaf_grid, refined
+from .quadrature import QuadratureGrid, grid_for, integrate_terms, leaf_density, leaf_grid
 from .quadrature import integrate, require_finite  # integrate: wrapped by perfbench/tracing.py
 from .scenarios import ADMISSIBLE_TOL
 
@@ -209,75 +212,56 @@ def random_trig_scalar(manifold, rng: np.random.Generator):
 def trig_scalars(scalars, coords) -> list:
     """The random trig scalars ``scalars`` (:func:`random_trig_scalar`) at the seeds ``coords``.
 
-    ``coords`` are coordinate seeds (:func:`jets.variables`) of order 0, 1
-    or 2 on any batch.  Each axis's distinct coordinate values are found once
-    per call; every sine factor, with its derivatives along its own axis, is
-    evaluated on those values only and gathered back to the points.  A
-    mode's product carries only the gradient columns and Hessian entries its
-    factors touch, and the modes are summed in order, so every entry has the
-    bits that scalar ``jets.sin`` lifts and ``Jet`` products give it, except
-    that an untouched derivative entry is always +0.0.  A scalar without a
-    non-constant mode comes back as a float, any other as a ``Jet`` of the
-    seeds' order.
+    ``coords`` are coordinate seeds (:func:`jets.variables`) on any batch;
+    only their values are read.  Each axis's distinct coordinate values are
+    found once per call; every sine factor, with its derivative along its
+    own axis, is evaluated on those values only and gathered back to the
+    points.  A mode's product carries only the gradient columns its factors
+    touch, and the modes are summed in order, so every entry has the bits
+    that scalar ``jets.sin`` lifts and ``Jet`` products give it at order 1,
+    except that an untouched gradient entry is always +0.0.  A scalar
+    without a non-constant mode comes back as a float, any other as an
+    order-1 ``Jet``, whose products drop to order 1.
     """
-    order, m = coords[0].order, len(coords)
-    shape = coords[0].value.shape
+    m, shape = len(coords), coords[0].value.shape
     tables = {}
 
     def factor(axis, rate, phase, scale=1.0):
-        """``scale`` times sin(x rate + phase) and its derivatives along ``axis``, at every point."""
+        """``scale`` times sin(x rate + phase) and its derivative along ``axis``, at every point."""
         if axis not in tables:
             u, inv = np.unique(coords[axis].value, return_inverse=True)
             tables[axis] = (u, inv.reshape(shape))
         u, inv = tables[axis]
         arg = u * rate + phase
-        s = np.sin(arg)
-        parts = [s * scale]
-        if order >= 1:
-            parts.append(np.cos(arg) * rate * scale)
-        if order >= 2:
-            parts.append(-s * (rate * rate) * scale)
-        return [p[inv] for p in parts]
+        return (np.sin(arg) * scale)[inv], (np.cos(arg) * rate * scale)[inv]
 
     out = []
     for scalar in scalars:
         if isinstance(scalar, float):
             out.append(scalar)
             continue
-        value, grad, hess = 0.0, {}, {}
+        value, grad = 0.0, {}
         for amp, factors in scalar:
             if not factors:
                 value = value + amp
                 continue
             (i, rate, phase), rest = factors[0], factors[1:]
-            v, *d = factor(i, rate, phase, amp)
-            g = {i: d[0]} if order >= 1 else {}
-            h = {(i, i): d[1]} if order >= 2 else {}
+            v, d = factor(i, rate, phase, amp)
+            g = {i: d}
             for i, rate, phase in rest:
-                sv, *sd = factor(i, rate, phase)
-                if order >= 2:
-                    h = {jk: sv * hjk for jk, hjk in h.items()} | {(j, i): g[j] * sd[0] for j in g}
-                    h[i, i] = v * sd[1]
-                if order >= 1:
-                    g = {j: sv * gj for j, gj in g.items()} | {i: v * sd[0]}
+                sv, sd = factor(i, rate, phase)
+                g = {j: sv * gj for j, gj in g.items()} | {i: v * sd}
                 v = v * sv
             value = value + v
-            for acc, part in ((grad, g), (hess, h)):
-                for key, arr in part.items():
-                    acc[key] = acc[key] + arr if key in acc else arr
-        if all(not factors for _, factors in scalar):
+            for j, col in g.items():
+                grad[j] = grad[j] + col if j in grad else col
+        if not grad:
             out.append(value)
             continue
-        parts = [value]
-        if order >= 1:
-            parts.append(np.zeros(shape + (m,)))
-            for j, col in grad.items():
-                parts[1][..., j] = col
-        if order >= 2:
-            parts.append(np.zeros(shape + (m, m)))
-            for (j, k), entry in hess.items():
-                parts[2][..., j, k] = parts[2][..., k, j] = entry
-        out.append(jets.Jet(*parts))
+        dv = np.zeros(shape + (m,))
+        for j, col in grad.items():
+            dv[..., j] = col
+        out.append(jets.Jet(value, dv))
     return out
 
 
@@ -787,7 +771,7 @@ def check_divergence_split(scenario, samples: int = 50, seed: int = 31) -> Verif
     rng = np.random.default_rng(seed + 1)
     fields = [random_distribution_field(scenario.fol, rng) for _ in range(4)]
     check = ("div-split", FIRST_ORDER_TOL, lambda geom: [geom.divx_residual(X) for X in fields])
-    return _sampled(scenario, samples, seed, check)[0]
+    return _sampled(scenario, samples, seed, check, order=1)[0]
 
 
 def check_leaf_divergence_of_normal(scenario, samples: int = 50, seed: int = 37) -> VerificationReport:
@@ -840,8 +824,10 @@ def run_checks(scenario, checks, grid=None, tolerance=None, samples: int = 50) -
     Every name is parsed before anything runs.  The grid checks come from one
     :func:`verify_grid_checks` call, made where the first of them comes, and
     the ``leaf:r`` checks likewise from one :func:`verify_leaf_checks` call.
-    The sampled checks are looked up by module name at each call, so a caller
-    that replaces them on this module (as the benchmark's seeding does) reaches them.
+    A ``grid`` (a quadrature grid or per-axis counts) also sets the ``leaf:r``
+    grid: its counts on the leaf's axes.  The sampled checks are looked up by
+    module name at each call, so a caller that replaces them on this module
+    (as the benchmark's seeding does) reaches them.
     """
     parsed = [parse_check(name, scenario.n) for name in checks]
     grid_names = [name for name, (base, _) in zip(checks, parsed) if base in GRID_CHECKS]
@@ -852,7 +838,8 @@ def run_checks(scenario, checks, grid=None, tolerance=None, samples: int = 50) -
             grid_reports = grid_reports or iter(verify_grid_checks(scenario, grid_names, grid, tolerance))
             reports.append(next(grid_reports))
         elif base == "leaf":
-            leaf_reports = leaf_reports or iter(verify_leaf_checks(scenario, leaf_orders, tolerance=tolerance))
+            leaf_counts = _leaf_counts(scenario, grid)
+            leaf_reports = leaf_reports or iter(verify_leaf_checks(scenario, leaf_orders, None, leaf_counts, tolerance))
             reports.append(next(leaf_reports))
         elif base == "pointwise":
             plain = (check_divergence_split, check_leaf_divergence_of_normal, check_adapted_identity)
@@ -875,10 +862,13 @@ def run_checks(scenario, checks, grid=None, tolerance=None, samples: int = 50) -
     return reports
 
 
-def convergence_gap(scenario, check, grid=None) -> tuple[float, float]:
-    """Residuals of a check on a grid and on its doubled refinement."""
-    grid = _grid(scenario, grid)
-    fine = refined(scenario.manifold, grid)
-    coarse_report = check(grid)
-    fine_report = check(fine)
-    return coarse_report.residual, fine_report.residual
+def _leaf_counts(scenario, grid) -> tuple | None:
+    """The counts of ``grid`` (a quadrature grid or a count list) on the first leaf's axes; None without either.
+
+    Counts that are not one positive count per axis raise ``ValueError``, as in :func:`quadrature.grid_for`.
+    """
+    axes = scenario.leaf().axes  # none on an invariant-frame leaf, one node whatever the counts
+    if grid is None or not axes:
+        return None
+    counts = grid.axes if isinstance(grid, QuadratureGrid) else quadrature._counts(grid, scenario.manifold.dim)
+    return tuple(counts[ax] for ax in axes)

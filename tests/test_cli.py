@@ -193,6 +193,15 @@ def test_main_entry_run_with_overrides(tmp_path):
     assert payload["summary"]["pass"] == 2
 
 
+def test_leaf_checks_follow_the_run_grid(tmp_path):
+    out = tmp_path / "leaf.json"
+    args = ["run", "--scenario", "warped_torus_4", "--checks", "leaf:0,reeb", "--grid", "4,8,8,16", "--output", str(out)]
+    assert cli.main(args) == 0
+    leaf, reeb = json.loads(out.read_text())["reports"]
+    assert (leaf["formula_id"], leaf["grid"]["axes"]) == ("leaf:0", [8, 8])  # the leaf's axes 1 and 2
+    assert reeb["grid"]["axes"] == [4, 8, 8, 16]
+
+
 def test_main_entry_bad_check_exits_2(tmp_path):
     assert cli.main(["run", "--scenario", "flat_torus", "--checks", "nope"]) == 2
 

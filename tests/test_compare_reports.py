@@ -72,3 +72,23 @@ def test_flipped_sign_of_zero_is_counted_but_does_not_drift(compare_reports, rep
     assert compare_reports.main([str(first), str(second)]) == 0
     out = capsys.readouterr().out
     assert out.startswith("worst drift 0.0; 1 of ") and "values differ in their bits" in out
+
+
+# Each turns a report file's payload into a .json file that is not a report object.
+NOT_REPORTS = {
+    "object-without-reports": lambda p: {"scenario": p["scenario"]},
+    "json-list": lambda p: [1, 2],
+    "report-without-keys": lambda p: {"reports": [{"formula_id": "reeb"}]},
+    "residual-not-a-number": lambda p: {**p, "reports": [{**p["reports"][0], "residual": "0.0"}]},
+}
+
+
+@pytest.mark.parametrize("damage", NOT_REPORTS.values(), ids=NOT_REPORTS)
+def test_a_json_file_that_is_not_a_report_object_exits_2(compare_reports, report_dirs, damage, capsys):
+    first, second = report_dirs
+    path = second / "flat_torus.json"
+    path.write_text(json.dumps(damage(json.loads(path.read_text()))))
+    assert compare_reports.main([str(first), str(second)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err

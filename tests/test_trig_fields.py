@@ -1,19 +1,20 @@
 """The per-axis evaluator of the random trig test fields against their closure form.
 
 ``verify.trig_scalars`` evaluates each sine factor once per distinct value of
-its axis and multiplies only the derivative entries a factor touches.
-``helpers.reference_trig_scalar`` draws the same scalars from the same RNG and
-evaluates them by one ``jets.sin`` lift and ``Jet`` product per factor on
-every point.  Values must agree bit for bit, which is stricter than by
-``repr``; gradients and Hessians by ``np.array_equal``, since the closures
-can leave -0.0 in an untouched entry where the evaluator leaves +0.0.
+its axis and multiplies only the gradient columns a factor touches; it returns
+order-1 jets whatever the order of the seeds.  ``helpers.reference_trig_scalar``
+draws the same scalars from the same RNG and evaluates them by one ``jets.sin``
+lift and ``Jet`` product per factor on every point.  On order-1 seeds values
+must agree bit for bit, which is stricter than by ``repr``, and gradients by
+``np.array_equal``, since the closures can leave -0.0 in an untouched entry
+where the evaluator leaves +0.0.
 """
 
 import numpy as np
 import pytest
 
 from conftest import build_conformal_torus
-from folsub import jets, quadrature, verify
+from folsub import foliation, jets, quadrature, verify
 from helpers import reference_distribution_field, reference_trig_scalar
 
 # The calibration's own draws, then one scalar from each of two seeds: 134
@@ -50,11 +51,9 @@ def _assert_same(got, want):
     if not isinstance(want, jets.Jet):
         assert type(got) is float and repr(got) == repr(want)
         return
-    assert isinstance(got, jets.Jet) and got.order == want.order
+    assert isinstance(got, jets.Jet) and got.order == want.order == 1
     assert got.value.shape == want.value.shape and got.value.tobytes() == want.value.tobytes()
-    for a, b in ((got.grad, want.grad), (got.hess, want.hess)):
-        assert (a is None) == (b is None)
-        assert b is None or np.array_equal(a, b)
+    assert np.array_equal(got.grad, want.grad)
 
 
 @pytest.fixture(scope="module")
@@ -67,10 +66,23 @@ def test_evaluator_equals_the_closures_on_every_chunk(name, scenarios):
     man = scenarios[name].manifold
     scalars, closures = _draws(man, verify.random_trig_scalar), _draws(man, reference_trig_scalar)
     for pts in _blocks(scenarios[name]):
-        for order in (0, 1, 2):
-            coords = man.seed(pts, order)
-            for got, ref in zip(verify.trig_scalars(scalars, coords), closures, strict=True):
-                _assert_same(got, ref(coords))
+        coords = man.seed(pts, 1)
+        for got, ref in zip(verify.trig_scalars(scalars, coords), closures, strict=True):
+            _assert_same(got, ref(coords))
+
+
+@pytest.mark.parametrize("name", [*GRID_SCENARIOS, "heisenberg"])
+def test_order_two_seeds_give_the_order_one_jets(name, scenarios):
+    man = scenarios[name].manifold
+    scalars = _draws(man, verify.random_trig_scalar)
+    for pts in _blocks(scenarios[name]):
+        first = verify.trig_scalars(scalars, man.seed(pts, 1))
+        for got, want in zip(verify.trig_scalars(scalars, man.seed(pts, 2)), first, strict=True):
+            if not isinstance(want, jets.Jet):
+                assert type(got) is float and repr(got) == repr(want)
+                continue
+            assert isinstance(got, jets.Jet) and got.order == 1
+            assert got.value.tobytes() == want.value.tobytes() and got.grad.tobytes() == want.grad.tobytes()
 
 
 def test_the_draws_cover_every_kind_of_mode(scenarios):
@@ -107,3 +119,19 @@ def test_divergence_split_equals_the_closure_fields(s, catalog, monkeypatch):
             want = verify.check_divergence_split(scenario, seed=seed)
         assert repr(got.residual) == repr(want.residual), scenario.name
         assert got.verdict == want.verdict == "pass", scenario.name
+
+
+@pytest.mark.parametrize("s", range(4))
+def test_divergence_split_equals_an_order_two_geometry(s, catalog, monkeypatch):
+    seed = 31 + 1000 * s
+    order_two = lambda fol, pts, order: foliation.Geometry(fol, pts, order=2)
+    for scenario in catalog.values():
+        got = verify.check_divergence_split(scenario, seed=seed)
+        with monkeypatch.context() as m:
+            m.setattr(verify, "Geometry", order_two)
+            want = verify.check_divergence_split(scenario, seed=seed)
+        assert repr(got.residual) == repr(want.residual), scenario.name
+        pts = scenario.manifold.random_points(np.random.default_rng(seed), 50)
+        X = verify.random_distribution_field(scenario.fol, np.random.default_rng(seed + 1))
+        got = foliation.divx_residual(scenario.fol, X, pts)
+        assert repr(got) == repr(foliation.Geometry(scenario.fol, pts, order=2).divx_residual(X)), scenario.name

@@ -159,6 +159,18 @@ def test_the_leaf_checks_of_a_run_share_one_leaf_pass(warped4, tilted, monkeypat
         assert [strip(r) for r in leaf_reports] == [strip(r) for r in alone]
 
 
+def test_a_run_grid_sets_the_leaf_counts(warped4, heisenberg):
+    grid = grid_for(warped4.manifold, (4, 8, 8, 16))
+    leaf, reeb = verify.run_checks(warped4, ["leaf:0", "reeb"], grid, tolerance=1e-7)
+    assert leaf.grid["axes"] == [8, 8] and reeb.grid["axes"] == [4, 8, 8, 16]
+    assert repr(leaf.residual) == repr(verify.verify_leaf(warped4, 0, grid_axes=(8, 8), tolerance=1e-7).residual)
+    with pytest.raises(ValueError, match="positive node count per axis"):
+        verify.run_checks(warped4, ["leaf:0"], [8])
+    # the single node of an invariant-frame leaf takes no counts
+    strip = lambda rep: (repr(rep.residual), rep.grid)
+    assert strip(verify.run_checks(heisenberg, ["leaf:0"], [8, 8])[0]) == strip(verify.verify_leaf(heisenberg, 0))
+
+
 def test_closed_form_c_flat(flat):
     r = verify.verify_closed_form_c(flat)
     assert r.verdict == "pass"
@@ -330,7 +342,9 @@ def test_reports_are_reproducible(warped4):
 
 
 def test_convergence_gap(warped3):
-    coarse, fine = verify.convergence_gap(warped3, lambda g: verify.verify_reeb(warped3, g))
+    grid = verify._grid(warped3)
+    coarse = verify.verify_reeb(warped3, grid).residual
+    fine = verify.verify_reeb(warped3, quadrature.refined(warped3.manifold, grid)).residual
     assert abs(coarse - fine) < 0.1 * 1e-7
 
 
