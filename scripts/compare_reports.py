@@ -18,8 +18,9 @@ Exit status: 0 when nothing differs and the worst drift is at most
 ``MAX_DRIFT``, 1 otherwise, 2 when a directory cannot be read or holds a
 ``.json`` file that is not a report object: a JSON object whose ``reports``
 is a list of objects with every key compared here, a number as
-``residual`` and an object of numbers as ``terms``.  Exit 2 prints one
-``error:`` line, which names the file when one is at fault.
+``residual`` and an object of numbers as ``terms``, and whose ``config``,
+when present, is an object.  Exit 2 prints one ``error:`` line, which names
+the file when one is at fault.
 """
 
 import json
@@ -95,6 +96,8 @@ def load_reports(directory: Path) -> dict:
         reports = payload.get("reports") if isinstance(payload, dict) else None
         if not isinstance(reports, list) or not all(map(is_report, reports)):
             raise ValueError(f"{path} is not a report object with a 'reports' list")
+        if not isinstance(payload.get("config", {}), dict):
+            raise ValueError(f"{path}: 'config' is not an object")
         files[path.name] = payload
     return files
 

@@ -2,8 +2,12 @@
 """Run the full verification battery over the scenario catalog.
 
 Writes one structured report per scenario into --outdir and prints a summary
-table.  Exit status is nonzero only if a check failed on a scenario that
-satisfies the hypotheses of the formula being checked.
+table.  Exit status: 0 when no check failed, 1 when a check failed on a
+scenario that satisfies the hypotheses of the formula being checked, and 2
+when a run could not execute.  The arguments are checked before any
+scenario is built: an unknown scenario in --names, a --samples count that a
+run refuses, or an --outdir that is not a directory and cannot be created
+exits 2 with one ``error:`` line.
 """
 
 import argparse
@@ -11,6 +15,7 @@ import sys
 from pathlib import Path
 
 from folsub import cli, scenarios
+from folsub.errors import ConfigError
 
 
 def checks_for(scenario) -> list[str]:
@@ -36,8 +41,17 @@ def main() -> int:
     args = parser.parse_args()
 
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    names = args.names.split(",") if args.names else scenarios.catalog_names()
+    known = scenarios.catalog_names()
+    names = args.names.split(",") if args.names else known
+    try:
+        unknown = [name for name in names if name not in known]
+        if unknown:
+            raise ConfigError(f"unknown scenario {unknown[0]!r}; known: {', '.join(known)}")
+        cli.RunConfig(samples=args.samples)  # the sample-count rule of every run
+        outdir.mkdir(parents=True, exist_ok=True)
+    except (ConfigError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     worst_status = 0
     for name in names:

@@ -6,6 +6,12 @@ smooth periodic integrands.  Homogeneous invariant-frame backends integrate
 with a single node carrying the declared total volume.  Reductions use
 ``math.fsum`` over samples collected in grid order, so results are exact to
 one rounding and independent of any evaluation chunking.
+
+The weights here are coordinate weights only; the density is the caller's.
+:func:`integrate` takes the manifold's volume density by default, and the
+grid passes (``verify._grid_pass``) weight their own samples by the volume
+density of the metric their geometry already holds, over the axes they
+integrate over: every axis of M, or a leaf's axes.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ from itertools import chain
 import numpy as np
 
 from .errors import EvaluationError, UnsupportedLeafError
-from .jets import stack
 from .manifolds import InvariantFrameManifold
 
 CHUNK = 4096
@@ -30,7 +35,7 @@ class QuadratureGrid:
     ``nodes`` and ``weights`` are read-only copies of the arrays given, so
     values computed from them stay valid while the grid lives.  ``plans``
     holds those values: the evaluation plans that the grid passes attach, one
-    per foliation (:func:`verify.grid_plan`), which die with the grid.
+    per (foliation, order) (:func:`verify.grid_plan`), which die with the grid.
     """
 
     nodes: np.ndarray
@@ -105,32 +110,25 @@ def leaf_grid(manifold, leaf, axes=None) -> QuadratureGrid:
     return _product_grid(manifold, dict(zip(leaf.axes, _counts(axes, len(leaf.axes)))), leaf.fixed)
 
 
-def leaf_density(manifold, leaf, points) -> np.ndarray:
-    """Volume density of the induced metric on a coordinate leaf."""
-    if isinstance(manifold, InvariantFrameManifold):
-        return np.ones(np.asarray(points).shape[:-1])
-    coords = manifold.seed(points, order=0)
-    g = stack(manifold.metric_jets(coords), coords).value
-    axes = list(leaf.axes)
-    return np.sqrt(np.linalg.det(g[..., axes, :][..., axes]))
-
-
-def integrate_terms(manifold, terms, grid: QuadratureGrid, density=None) -> dict:
+def integrate_terms(terms, grid: QuadratureGrid, density=None) -> dict:
     """Integrals of a dict of point functions, evaluated together per chunk.
 
     ``terms`` maps an (K, m) block of points to a dict of (K,) sample arrays
-    (or scalars).  The density defaults to sqrt(det g); pass
-    :func:`leaf_density` bound to a leaf for leaf integrals.  Each key's
-    weighted samples are kept as float64 blocks in grid order and reduced
-    with one ``fsum``, correctly rounded, so the result is deterministic and
-    independent of the chunking.  A non-finite sample of any key raises
-    :class:`EvaluationError` (:func:`require_finite`); a ``(check, term)`` key names both.
+    (or scalars), already carrying any density the caller weights them by;
+    a ``density``, when given, maps the block to the factor it is
+    multiplied by.  Each key's samples, times the coordinate weights, are
+    kept as float64 blocks in grid order and reduced with one ``fsum``,
+    correctly rounded, so the result is deterministic and independent of the
+    chunking.  A non-finite sample of any key raises
+    :class:`EvaluationError` (:func:`require_finite`); a ``(check, term)``
+    key names both.
     """
     blocks: dict[object, list[np.ndarray]] = {}
     for pts, w in chunks(grid):
-        dens = manifold.volume_density(pts) if density is None else density(pts)
+        dens = None if density is None else density(pts)
         for key, vals in terms(pts).items():
-            block = (np.asarray(vals, dtype=float) + np.zeros(pts.shape[0])) * dens * w
+            block = np.asarray(vals, dtype=float) + np.zeros(pts.shape[0])
+            block = (block if dens is None else block * dens) * w
             require_finite(key, block, pts)
             blocks.setdefault(key, []).append(block)
     return {key: math.fsum(chain.from_iterable(b.tolist() for b in parts)) for key, parts in blocks.items()}
@@ -145,12 +143,14 @@ def require_finite(key, vals: np.ndarray, pts: np.ndarray) -> None:
 
 
 def integrate(manifold, field, grid: QuadratureGrid, density=None) -> float:
-    """Integral of a scalar point function against the Riemannian volume.
+    """Integral of a scalar point function against ``density``, by default the Riemannian volume.
 
     ``field`` maps an (K, m) block of points to (K,) sample values; this is
-    the single-term form of :func:`integrate_terms`.
+    the single-term form of :func:`integrate_terms`, with the density
+    ``manifold.volume_density`` unless one is given.
     """
-    return integrate_terms(manifold, lambda pts: {"integrand": field(pts)}, grid, density)["integrand"]
+    density = manifold.volume_density if density is None else density
+    return integrate_terms(lambda pts: {"integrand": field(pts)}, grid, density)["integrand"]
 
 
 def total_volume(manifold, grid: QuadratureGrid) -> float:

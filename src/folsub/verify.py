@@ -28,21 +28,22 @@ order: the divergence theorem and the divergence split read no more.
 
 The check layer lives here: ``CHECKS`` names every check with the type and
 default of its argument, :func:`parse_check` is the one parser of a check
-name, and :func:`run_checks` runs a list of them.  The grid checks
-(``GRID_CHECKS``) of one (scenario, grid) come from one
-:func:`verify_grid_checks` pass: one ``integrate_terms`` reduction whose
-integrand carries the calibration's self-test fields (only when a report
-needs the floor), every requested integrand and the sigma_2 scan.  Each
-chunk of that pass, and each chunk of a ``leaf:r`` integral over a closed
-leaf, builds one ``Geometry`` on its distinct nodes
-(:func:`foliation.distinct_nodes`) and gives every node its group's samples,
-so the reductions see the same per-node samples as an evaluation on every
-node.  A grid carries the plan of its passes (:func:`grid_plan`): the node
-groups, the volume density and the calibration floor, computed once per
-(foliation, grid object), so the checks of one grid share them across
-calls.  The ``leaf:r`` checks of a run share one integral over the leaf
-grid (:func:`verify_leaf_checks`), which takes the run grid's counts on the
-leaf's axes.  The sampled checks draw seeded random points and build one
+name, and :func:`run_checks` runs a list of them.  Every integral formula
+goes through one grid pass (:func:`_grid_pass`), one ``integrate_terms``
+reduction: the grid checks (``GRID_CHECKS``) of one (scenario, grid) share
+one pass over M (:func:`verify_grid_checks`), whose integrand carries the
+calibration's self-test fields (only when a report needs the floor), every
+requested integrand and the sigma_2 scan, and the ``leaf:r`` checks of a
+run share one pass over the leaf grid (:func:`verify_leaf_checks`), which
+takes the run grid's counts on the leaf's axes.  Each chunk of a pass
+builds one ``Geometry`` on its distinct nodes
+(:func:`foliation.distinct_nodes`) and gives every node its group's
+samples, weighted by the volume density of that geometry's metric on the
+axes integrated over, so the reduction sees the same per-node samples as an
+evaluation on every node.  A grid carries the plan of its passes
+(:func:`grid_plan`): the node groups, per (foliation, order), and the
+calibration floor, computed once per grid object, so the checks of one grid
+share them across calls.  The sampled checks draw seeded random points and build one
 ``Geometry`` on them (``_sampled``), at order 1 for the first-order
 identities (``div-split``, ``leafdiv-normal``).  Time that reports share is
 charged to the first of them, so a run's wall times add up to at most its own.
@@ -62,7 +63,7 @@ from . import jets, newton, quadrature
 from .errors import ConfigError, EvaluationError
 from .foliation import FoliationStructure, Geometry, distinct_nodes
 from .manifolds import Connection, InvariantFrameManifold, divergence_jets
-from .quadrature import QuadratureGrid, grid_for, integrate_terms, leaf_density, leaf_grid
+from .quadrature import QuadratureGrid, grid_for, integrate_terms, leaf_grid
 from .quadrature import integrate, require_finite  # integrate: wrapped by perfbench/tracing.py
 from .scenarios import ADMISSIBLE_TOL
 
@@ -295,12 +296,13 @@ def divergence_selftest_residual(scenario, grid: QuadratureGrid, Xs=None) -> flo
     The fields run through the grid pass's one integrand (:func:`_grid_pass`),
     one key each: they share the seeds and the density of every chunk, and
     take the connection from its geometry on the distinct nodes.  The
-    default fields' residual is the calibration floor, read from the grid's
-    plan when a pass already measured it (:func:`_calibrated_pass`); the
-    floor of ``Xs`` is measured every time and never stored.
+    default fields' residual is the calibration floor, the
+    ``divergence-selftest`` residual of :func:`verify_grid_checks`, read
+    from the grid's plan when a pass already measured it; the floor of
+    ``Xs`` is measured every time and never stored.
     """
     if Xs is None:
-        return _calibrated_pass(scenario, grid)[2]
+        return verify_grid_checks(scenario, ["divergence-selftest"], grid)[0].residual
     return _selftest_floor(_grid_pass(scenario, grid, (), fields=lambda coords: [X(coords) for X in Xs])[0])
 
 
@@ -380,7 +382,7 @@ def _integrate_terms(scenario, grid: QuadratureGrid, term_fn, density=None) -> d
     Kept under this name and signature because ``perfbench/tracing.py``
     wraps it to time the reduction.
     """
-    return integrate_terms(scenario.manifold, term_fn, grid, density)
+    return integrate_terms(term_fn, grid, density)
 
 
 def verify_reeb(scenario, grid=None, tolerance=None) -> VerificationReport:
@@ -399,28 +401,21 @@ def verify_leaf(scenario, r: int, leaf=None, grid_axes=None, tolerance=None) -> 
 
 
 def verify_leaf_checks(scenario, orders, leaf=None, grid_axes=None, tolerance=None) -> list[VerificationReport]:
-    """Reports of the compact-leaf formula at each order in ``orders``, from one integral over the leaf grid.
+    """Reports of the compact-leaf formula at each order in ``orders``, from one grid pass over the leaf grid.
 
-    Each chunk of the leaf grid builds one ``Geometry(order=2)`` on its
-    distinct nodes (:func:`foliation.distinct_nodes`) and emits one key
-    ``("leaf:r", "integrand")`` per distinct order.  One report comes back
-    per entry of ``orders``, in that order; the pass's time is charged to
-    the first, as in :func:`verify_grid_checks`.
+    The leaf integrals are the keys ``("leaf:r", "integrand")`` of one
+    :func:`_grid_pass` over the leaf, one per distinct order, weighted by
+    the leaf's induced volume density.  One report comes back per entry of
+    ``orders``, in that order; the pass's time is charged to the first, as
+    in :func:`verify_grid_checks`.
     """
     t0 = time.perf_counter()
     for r in orders:
         _check_order(r, scenario.n, scenario.name)
     lf = leaf if leaf is not None and not isinstance(leaf, str) else scenario.leaf(leaf)
-    man = scenario.manifold
-    lgrid = leaf_grid(man, lf, grid_axes or tuple(scenario.default_grid[ax] for ax in lf.axes))
+    lgrid = leaf_grid(scenario.manifold, lf, grid_axes or tuple(scenario.default_grid[ax] for ax in lf.axes))
     tol = tolerance if tolerance is not None else INTEGRAL_FLOOR
-
-    def terms(pts):
-        first, group = distinct_nodes(scenario.fol, pts, order=2)
-        geom = Geometry(scenario.fol, pts[first], order=2)
-        return {(f"leaf:{r}", "integrand"): geom.leaf_formula_integrand(r)[group] for r in sorted(set(orders))}
-
-    integrals = _integrate_terms(scenario, lgrid, terms, lambda pts: leaf_density(man, lf, pts))
+    integrals = _grid_pass(scenario, lgrid, (), sorted(set(orders)), leaf=lf)[0]
     reports = []
     for r in orders:
         reports.append(make_report(
@@ -443,39 +438,35 @@ def verify_closed_form_c(scenario, c: float | None = None, grid=None, tolerance=
 
 @dataclass(eq=False)
 class GridPlan:
-    """What every grid pass of ``fol`` over one grid reads and no check changes.
+    """What every grid pass of ``fol`` at ``order`` over one grid reads and no check changes.
 
-    Per chunk of ``chunk`` nodes (:func:`quadrature.chunks`): ``groups``
-    holds ``(first, group)`` from :func:`foliation.distinct_nodes` at order
-    1 and ``density`` the volume density.  ``floor`` is the calibration
-    floor once a pass has measured it.  It costs 16 B per node, an intp
-    group and a float64 density.
+    Per chunk of ``chunk`` nodes (:func:`quadrature.chunks`), ``groups``
+    holds ``(first, group)`` from :func:`foliation.distinct_nodes` at
+    ``order``.  ``floor`` is the calibration floor once an order-1 pass has
+    measured it.  It costs 8 B per node, an intp group.
     """
 
     fol: FoliationStructure
+    order: int
     chunk: int
     groups: list
-    density: list
     floor: float | None = None
 
 
-def grid_plan(fol: FoliationStructure, grid: QuadratureGrid) -> GridPlan:
-    """The plan ``grid`` holds for ``fol``, built over its chunks when it holds none for the current ``CHUNK``.
+def grid_plan(fol: FoliationStructure, grid: QuadratureGrid, order: int = 1) -> GridPlan:
+    """The plan ``grid`` holds for ``fol`` at ``order``, built over its chunks when it holds none for the current ``CHUNK``.
 
     The plan lives in ``grid.plans`` and dies with the grid; a plan built at
-    another ``quadrature.CHUNK`` is replaced.  Its values are pure functions
+    another ``quadrature.CHUNK`` is replaced.  Its groups are pure functions
     of the foliation and the grid's read-only nodes, so every pass that
     reads them sees what it would compute itself.
     """
     for plan in grid.plans:
-        if plan.fol is fol and plan.chunk == quadrature.CHUNK:
+        if plan.fol is fol and plan.order == order and plan.chunk == quadrature.CHUNK:
             return plan
-    groups, density = [], []
-    for pts, _ in quadrature.chunks(grid):
-        groups.append(distinct_nodes(fol, pts, order=1))
-        density.append(fol.manifold.volume_density(pts))
-    plan = GridPlan(fol, quadrature.CHUNK, groups, density)
-    grid.plans[:] = [p for p in grid.plans if p.fol is not fol] + [plan]
+    groups = [distinct_nodes(fol, pts, order) for pts, _ in quadrature.chunks(grid)]
+    plan = GridPlan(fol, order, quadrature.CHUNK, groups)
+    grid.plans[:] = [p for p in grid.plans if p.fol is not fol or p.order != order] + [plan]
     return plan
 
 
@@ -494,9 +485,9 @@ def verify_grid_checks(scenario, checks, grid=None, tolerance=None, c: float | N
     those of :func:`calibrate_tolerance`.  ``c`` overrides the scenario's
     curvature constant for ``closed-form-c``.
 
-    The node groups, the density and, once measured, the floor come from
-    the grid's plan (:func:`grid_plan`), so a later call on the same grid
-    object computes none of them again.
+    The node groups and, once measured, the floor come from the grid's plan
+    (:func:`grid_plan`), so a later call on the same grid object computes
+    neither again; the pass that measures the floor stores it there.
 
     The time the reports share, the grid pass, is charged once, to the first
     report; each later report's ``wall_time_s`` covers only its own assembly.
@@ -512,7 +503,12 @@ def verify_grid_checks(scenario, checks, grid=None, tolerance=None, c: float | N
     grid = _grid(scenario, grid)
 
     calibrate = "divergence-selftest" in bases or (tolerance is None and bases - {"divergence-selftest", "sigma2-image"})
-    integrals, extrema, floor = _calibrated_pass(scenario, grid, bases, orders, calibrate)
+    plan = grid_plan(scenario.fol, grid)
+    fields = _selftest_fields(scenario.manifold) if calibrate and plan.floor is None else None
+    integrals, extrema = _grid_pass(scenario, grid, bases, orders, fields)
+    if fields is not None:
+        plan.floor = _selftest_floor(integrals)
+    floor = plan.floor if calibrate else None
     tol = tolerance if tolerance is not None or floor is None else _tolerance(floor)
     selftest_floor = floor if tolerance is None else None
     reports = []
@@ -538,38 +534,33 @@ def verify_grid_checks(scenario, checks, grid=None, tolerance=None, c: float | N
     return reports
 
 
-def _calibrated_pass(scenario, grid: QuadratureGrid, bases=(), orders=(), calibrate=True) -> tuple[dict, dict, float | None]:
-    """:func:`_grid_pass` of ``bases`` and ``orders``, and the calibration floor when ``calibrate``, else None.
-
-    The floor is the one the grid's plan holds; when it holds none, this
-    pass carries the self-test fields and the plan keeps the floor they give.
-    """
-    plan = grid_plan(scenario.fol, grid)
-    fields = _selftest_fields(scenario.manifold) if calibrate and plan.floor is None else None
-    integrals, extrema = _grid_pass(scenario, grid, bases, orders, fields)
-    if fields is not None:
-        plan.floor = _selftest_floor(integrals)
-    return integrals, extrema, plan.floor if calibrate else None
-
-
-def _grid_pass(scenario, grid: QuadratureGrid, bases, orders=(), fields=None) -> tuple[dict, dict]:
+def _grid_pass(scenario, grid: QuadratureGrid, bases, orders=(), fields=None, leaf=None) -> tuple[dict, dict]:
     """The integrals of one ``integrate_terms`` pass over ``grid``, and the sigma_2 scan's extrema.
 
     ``bases`` names the grid checks whose integrands the pass emits (see
-    :func:`verify_grid_checks`), ``orders`` the main-formula orders, and
-    ``fields``, when given, maps a chunk's order-1 seeds to the self-test's
-    ambient fields, whose divergences are keyed
-    ``("divergence-selftest", "div_i")``.  Per chunk, one value-only
-    ``Geometry(order=1)`` is built on the distinct nodes (the groups of
-    :func:`foliation.distinct_nodes`, read with the density from the
-    grid's plan, :func:`grid_plan`) and every sample it gives is scattered
-    back to its nodes, so the reduction sees the per-node samples in grid
-    order.  A pass with nothing to emit makes none.  The self-test fields
-    are evaluated at every node's seeds, each trig factor once per distinct
-    coordinate value of its axis (:func:`trig_scalars`), with the connection
-    scattered from that geometry.  The sigma_2 and Ric^P(N, N) extrema are exact under any
-    chunking; a non-finite sample of either raises
-    :class:`EvaluationError` naming its first node in grid order.
+    :func:`verify_grid_checks`) and ``orders`` the formula orders: of the
+    main formula on a grid over M, or, given a closed ``leaf`` and a grid
+    over it (:func:`quadrature.leaf_grid`), of the compact-leaf formula,
+    keyed ``("leaf:r", "integrand")``.  ``fields``, when given, maps a
+    chunk's order-1 seeds to the self-test's ambient fields, whose
+    divergences are keyed ``("divergence-selftest", "div_i")``.
+
+    Per chunk, one ``Geometry`` is built on the distinct nodes (the groups
+    of :func:`foliation.distinct_nodes`, read from the grid's plan,
+    :func:`grid_plan`), at order 2 over a leaf, whose integrand
+    differentiates the shape operator, and order 1 (values only) over M,
+    and every sample it gives is scattered back to its nodes.  Every sample is weighted by the volume density of that
+    geometry's metric, sqrt(det g) over the axes integrated over (all of
+    them, or the leaf's; 1 on the invariant backend's orthonormal frame),
+    also taken on the distinct nodes and scattered, so the reduction sees
+    the per-node weighted samples in grid order.  A pass with nothing to
+    emit makes none.  The self-test fields are evaluated at every node's
+    seeds, each trig factor once per distinct coordinate value of its axis
+    (:func:`trig_scalars`), with the connection scattered from that
+    geometry.  The sigma_2 and Ric^P(N, N) extrema are read from the
+    unweighted samples and are exact under any chunking; a non-finite
+    sample of either raises :class:`EvaluationError` naming its first node
+    in grid order.
     """
     fol, man = scenario.fol, scenario.manifold
     sigmas = set()
@@ -581,12 +572,14 @@ def _grid_pass(scenario, grid: QuadratureGrid, bases, orders=(), fields=None) ->
     extrema = {"sigma2_min": np.inf, "sigma2_max": -np.inf, "ricci_p_NN_min": np.inf}
     if fields is None and not (sigmas or orders or scan):
         return {}, extrema
-    plan = grid_plan(fol, grid)
-    groups, density = iter(plan.groups), iter(plan.density)
+    order = 1 if leaf is None else 2
+    axes = list(range(man.dim) if leaf is None else leaf.axes)
+    groups = iter(grid_plan(fol, grid, order).groups)
 
     def terms(pts):
         first, group = next(groups)
-        geom = Geometry(fol, pts[first], order=1)
+        geom = Geometry(fol, pts[first], order=order)
+        density = np.sqrt(np.linalg.det(geom.g.value[..., axes, :][..., axes]))[group]
         out = {}
         if fields is not None:
             G = geom.gamma.gamma  # without a batch axis on the invariant backend
@@ -598,7 +591,10 @@ def _grid_pass(scenario, grid: QuadratureGrid, bases, orders=(), fields=None) ->
         if "closed-form-c" in bases:
             out["volume"] = np.ones(pts.shape[0])
         for r in orders:
-            out.update({(f"main:{r}", key): vals[group] for key, vals in _main_terms(geom, r).items()})
+            if leaf is not None:
+                out[(f"leaf:{r}", "integrand")] = geom.leaf_formula_integrand(r)[group]
+            else:
+                out.update({(f"main:{r}", key): vals[group] for key, vals in _main_terms(geom, r).items()})
         if scan:
             s2, ric = geom.sigma.value[..., 2][group], geom.ricci_p(geom.N.value)[group]
             require_finite(("sigma2-image", "sigma_2"), s2, pts)
@@ -606,9 +602,9 @@ def _grid_pass(scenario, grid: QuadratureGrid, bases, orders=(), fields=None) ->
             extrema["sigma2_min"] = min(extrema["sigma2_min"], float(np.min(s2)))
             extrema["sigma2_max"] = max(extrema["sigma2_max"], float(np.max(s2)))
             extrema["ricci_p_NN_min"] = min(extrema["ricci_p_NN_min"], float(np.min(ric)))
-        return out
+        return {key: vals * density for key, vals in out.items()}
 
-    return _integrate_terms(scenario, grid, terms, lambda pts: next(density)), extrema
+    return _integrate_terms(scenario, grid, terms), extrema
 
 
 def _main_report(scenario, grid, r: int, integrals: dict, tol: float, t0: float, selftest_floor) -> VerificationReport:

@@ -331,7 +331,7 @@ def per_node_selftest_floor(scenario, grid):
         gamma = man.gamma_jets(coords)
         return {f"div_{i}": divergence_jets(man, coords, gamma, X(coords)).value for i, X in enumerate(fields)}
 
-    return max(abs(v) for v in integrate_terms(man, terms, grid).values())
+    return max(abs(v) for v in integrate_terms(terms, grid, man.volume_density).values())
 
 
 # -- the random trig test fields as closures, one Jet operation at a time ---------

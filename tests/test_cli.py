@@ -206,7 +206,8 @@ def test_main_entry_bad_check_exits_2(tmp_path):
     assert cli.main(["run", "--scenario", "flat_torus", "--checks", "nope"]) == 2
 
 
-def test_run_catalog_builds_each_scenario_once(tmp_path, monkeypatch):
+def _run_catalog_counting_builds(monkeypatch):
+    """``scripts/run_catalog.py`` as a module, and the list of scenario names it builds from here on."""
     script = Path(__file__).resolve().parent.parent / "scripts" / "run_catalog.py"
     spec = importlib.util.spec_from_file_location("run_catalog", script)
     run_catalog = importlib.util.module_from_spec(spec)
@@ -220,10 +221,37 @@ def test_run_catalog_builds_each_scenario_once(tmp_path, monkeypatch):
         return real_build(name)
 
     monkeypatch.setattr(scenarios, "build", counting_build)
+    return run_catalog, built
+
+
+def test_run_catalog_builds_each_scenario_once(tmp_path, monkeypatch):
+    run_catalog, built = _run_catalog_counting_builds(monkeypatch)
     monkeypatch.setattr(sys, "argv", ["run_catalog.py", "--names", "flat_torus", "--outdir", str(tmp_path)])
     assert run_catalog.main() == 0
     assert built == ["flat_torus"]
     assert json.loads((tmp_path / "flat_torus.json").read_text())["scenario"] == "flat_torus"
+
+
+# Each maps the test's tmp_path to run_catalog.py arguments that no run can take.
+BAD_CATALOG_ARGS = {
+    "unknown-name": lambda tmp: ["--names", "flat_torus,nope", "--outdir", str(tmp / "out")],
+    "zero-samples": lambda tmp: ["--names", "flat_torus", "--samples", "0", "--outdir", str(tmp / "out")],
+    "too-many-samples": lambda tmp: ["--samples", str(cli.MAX_SAMPLES + 1), "--outdir", str(tmp / "out")],
+    "outdir-is-a-file": lambda tmp: ["--names", "flat_torus", "--outdir", str(tmp / "file")],
+    "outdir-under-a-file": lambda tmp: ["--names", "flat_torus", "--outdir", str(tmp / "file" / "out")],
+}
+
+
+@pytest.mark.parametrize("bad", BAD_CATALOG_ARGS.values(), ids=BAD_CATALOG_ARGS)
+def test_run_catalog_refuses_bad_arguments_before_building_anything(bad, tmp_path, monkeypatch, capsys):
+    (tmp_path / "file").write_text("")
+    run_catalog, built = _run_catalog_counting_builds(monkeypatch)
+    monkeypatch.setattr(sys, "argv", ["run_catalog.py", *bad(tmp_path)])
+    assert run_catalog.main() == 2
+    out, err = capsys.readouterr()
+    assert built == [] and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def _write_config(tmp_path, payload):

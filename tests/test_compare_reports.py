@@ -80,6 +80,7 @@ NOT_REPORTS = {
     "json-list": lambda p: [1, 2],
     "report-without-keys": lambda p: {"reports": [{"formula_id": "reeb"}]},
     "residual-not-a-number": lambda p: {**p, "reports": [{**p["reports"][0], "residual": "0.0"}]},
+    "config-not-an-object": lambda p: {"reports": [], "config": None},
 }
 
 

@@ -1,8 +1,10 @@
-"""The plan a quadrature grid carries: node groups, density and calibration floor, once per (foliation, grid).
+"""The plan a quadrature grid carries: node groups and calibration floor, once per (foliation, order, grid).
 
 ``verify.grid_plan`` computes them on the first grid pass over a grid object;
-every later grid check on that object reads them back.  The reports must be
-those of a fresh grid with equal nodes, bit for bit.
+every later grid check on that object reads them back.  The plan holds no
+density: each pass takes it from its own geometry, so no grid pass calls
+``volume_density``.  The reports must be those of a fresh grid with equal
+nodes, bit for bit.
 """
 
 import gc
@@ -100,8 +102,8 @@ def test_a_changed_chunk_size_rebuilds_the_plan(warped4, monkeypatch):
     chunked = verify.verify_main(warped4, 1, grid)
     rebuilt = verify.grid_plan(warped4.fol, grid)
     assert grid.plans == [rebuilt] and rebuilt.chunk == 512
-    assert len(rebuilt.groups) == len(rebuilt.density) == -(-grid.count // 512)
-    assert calls["distinct_nodes"] == calls["volume_density"] == len(rebuilt.groups)
+    assert len(rebuilt.groups) == -(-grid.count // 512) and not hasattr(rebuilt, "density")
+    assert calls["distinct_nodes"] == len(rebuilt.groups) and calls["volume_density"] == 0
     assert calls["trig_scalars"] == len(rebuilt.groups)  # the floor is measured again
     assert _bits(chunked) == _bits(whole)
 
@@ -120,4 +122,11 @@ def test_a_fresh_grid_per_call_shares_no_plan(warped4, monkeypatch):
     verify.verify_reeb(warped4)
     calls = _count_calls(monkeypatch)
     verify.verify_reeb(warped4)
-    assert calls["distinct_nodes"] == calls["volume_density"] == calls["trig_scalars"] == 1
+    assert calls["distinct_nodes"] == calls["trig_scalars"] == 1 and calls["volume_density"] == 0
+
+
+def test_plans_are_keyed_by_foliation_and_order(warped4):
+    grid = verify._grid(warped4)
+    first, second = verify.grid_plan(warped4.fol, grid), verify.grid_plan(warped4.fol, grid, 2)
+    assert (first.order, second.order) == (1, 2) and grid.plans == [first, second]
+    assert verify.grid_plan(warped4.fol, grid) is first and verify.grid_plan(warped4.fol, grid, 2) is second

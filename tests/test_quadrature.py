@@ -5,6 +5,7 @@ from folsub import quadrature as quad
 from folsub import verify
 from folsub.errors import EvaluationError, UnsupportedLeafError
 from folsub.foliation import Geometry
+from folsub.jets import stack
 from helpers import loop_integral, warp_a, warp_b, warp_da, warp_db
 
 RNG = np.random.default_rng(61)
@@ -125,14 +126,16 @@ def test_chunking_does_not_change_the_sum(warped4, monkeypatch):
 
 
 def test_leaf_grid_and_density(warped4, heisenberg):
-    lf = warped4.leaf()
-    lgrid = quad.leaf_grid(warped4.manifold, lf, (8, 8))
-    area = quad.integrate(
-        warped4.manifold,
-        lambda pts: np.ones(pts.shape[0]),
-        lgrid,
-        density=lambda pts: quad.leaf_density(warped4.manifold, lf, pts),
-    )
+    man, lf = warped4.manifold, warped4.leaf()
+    lgrid = quad.leaf_grid(man, lf, (8, 8))
+
+    def induced_density(pts):
+        """sqrt(det) of the metric restricted to the leaf's axes."""
+        coords = man.seed(pts, order=0)
+        g = stack(man.metric_jets(coords), coords).value
+        return np.sqrt(np.linalg.det(g[..., list(lf.axes), :][..., list(lf.axes)]))
+
+    area = quad.integrate(man, lambda pts: np.ones(pts.shape[0]), lgrid, density=induced_density)
     want = TWO_PI**2 * warp_a(0.0) * warp_b(0.0)
     assert abs(area - want) < 1e-12
 
@@ -143,6 +146,17 @@ def test_leaf_grid_and_density(warped4, heisenberg):
 
     with pytest.raises(UnsupportedLeafError):
         quad.leaf_grid(heisenberg.manifold, LeafSpec("bad"))
+
+
+@pytest.mark.parametrize("doubled", [False, True], ids=["default", "doubled"])
+def test_a_grid_pass_weights_by_the_volume_density(catalog, doubled):
+    # The pass's density is sqrt(det g) of its own geometry's metric, on the
+    # distinct nodes; it must give every node the bits of volume_density.
+    for s in catalog.values():
+        grid = verify._grid(s)
+        grid = quad.refined(s.manifold, grid) if doubled else grid
+        integrals, _ = verify._grid_pass(s, grid, {"closed-form-c"})
+        assert integrals["volume"] == quad.total_volume(s.manifold, grid), s.name
 
 
 def test_nonfinite_sample_raises(flat):
@@ -168,7 +182,7 @@ def test_reduction_keeps_samples_as_float64_blocks(flat):
     terms = lambda pts: {key: 1.0 for key in range(4)}
     tracemalloc.start()
     try:
-        got = quad.integrate_terms(flat.manifold, terms, grid, density=ones)
+        got = quad.integrate_terms(terms, grid, density=ones)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

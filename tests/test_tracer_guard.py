@@ -1,12 +1,17 @@
 """The benchmark's tracer must find every boundary it wraps in the folsub modules.
 
-``perfbench/tracing.py`` patches functions and methods by name; a rename in
-``src/`` would otherwise surface only in traced benchmark runs.
+``perfbench/tracing.py`` patches functions and methods by name and rewrites
+the arguments of some of them (``verify._integrate_terms``, ``integrate``)
+by position; a rename or a changed call shape in ``src/`` would otherwise
+surface only in traced benchmark runs.
 """
 
 import importlib
 import importlib.util
+from dataclasses import replace
 from pathlib import Path
+
+from folsub import verify
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 MODULES = ("cli", "distribution", "foliation", "manifolds", "newton", "quadrature", "scenarios", "verify")
@@ -46,3 +51,23 @@ def test_tracer_installs_on_every_boundary_and_uninstalls_cleanly():
         current = vars(owner)[attr] if isinstance(owner, type) else getattr(owner, attr)
         assert current is original, f"{owner.__name__}.{attr} not restored"
     assert [_attributes(owner) for owner in owners] == before
+
+
+def test_traced_reeb_and_leaf_checks_report_what_untraced_ones_do(flat, warped3):
+    def reports():
+        out = []
+        for s in (flat, warped3):
+            out += [verify.verify_reeb(s), verify.verify_leaf(s, 0)]
+        return [repr(replace(rep, wall_time_s=0.0)) for rep in out]
+
+    mods = {name: importlib.import_module(f"folsub.{name}") for name in MODULES}
+    untraced = reports()
+    tracer = _load_tracing().Tracer()
+    tracer.install(mods)
+    try:
+        traced = reports()
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    assert tracer.names.count("quadrature.reduce") == 4  # one grid pass per check
+    assert "quadrature.integrand" in tracer.names
