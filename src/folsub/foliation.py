@@ -29,7 +29,7 @@ import numpy as np
 
 from . import distribution as dst
 from . import manifolds as mfd
-from . import newton
+from . import newton, quadrature
 from .errors import DomainError
 from .jets import Jet, cos as jcos, einsum, sin as jsin, stack, stack_last, value_of
 from .manifolds import Point, TangentVector
@@ -95,8 +95,9 @@ class Geometry:
     (the metric, the leaf frame, the normal, the D-frame and the D-perp
     frame), except what a method computes from a field its caller passes.
     :func:`distinct_nodes` fingerprints exactly those closures, so a grid
-    pass can build one context per group of identical nodes; a closure read
-    here that it does not fingerprint would merge nodes that differ.
+    pass builds its contexts on one point per distinct node of the whole
+    grid; a closure read here that it does not fingerprint would merge
+    nodes that differ.
     """
 
     def __init__(self, fol: FoliationStructure, points, order: int = 2):
@@ -389,53 +390,106 @@ def distinct_nodes(fol: FoliationStructure, points, order: int) -> tuple[np.ndar
     the metric to order 2, and the leaf frame, the normal, the D-frame and the
     D-perp frame to ``order``.  Everything a ``Geometry`` computes at a node
     is a function of those jets alone, so nodes whose jets agree bit for bit
-    get bit-identical values.  The jets are compared as raw bytes (so -0.0
-    and 0.0 differ), over the entries that vary within the block.
+    get bit-identical values.
+
+    The closures are evaluated on consecutive blocks of ``quadrature.CHUNK``
+    nodes, so the jets in memory stay bounded, and the nodes of every block
+    are grouped with those of the blocks before it through one dict.  Its key
+    is a node's raw bytes of every entry with a batch axis; the entries
+    without one, the same at every node of the block, key the dict's table
+    together with the block's layout.  Keys are compared byte for byte (so
+    -0.0 and 0.0 differ): no hash alone merges two nodes.  A block makes one
+    key per distinct node (:func:`_first_equal_rows`); the dict holds one key
+    per distinct node of the grid and dies with the call.
 
     Returns ``(first, group)``: the index of each group's first node,
-    ascending, and each node's group.  ``Geometry(fol, points[first], order)``
+    ascending, and each node's group, numbered in grid order of first
+    appearance, so a block's new groups form one contiguous id range.  Both
+    are the same under any ``CHUNK``.  ``Geometry(fol, points[first], order)``
     evaluates every group once, and ``values[group]`` gives each node its
     group's value, so a reduction over the nodes sees the per-node samples.
     Only closure-derived quantities may be read this way: a field the caller
     passes to a ``Geometry`` method would be evaluated at the first nodes alone.
     """
     pts = np.asarray(points, dtype=float)
+    group = np.empty(pts.shape[0], dtype=np.intp)
+    first: list[int] = []
+    tables: dict[tuple, dict[bytes, int]] = {}
+    for start in range(0, pts.shape[0], quadrature.CHUNK):
+        constants, rows = _fingerprint(fol, pts[start : start + quadrature.CHUNK], order)
+        table = tables.setdefault(constants, {})
+        local = _first_equal_rows(rows)
+        reps = np.flatnonzero(local == np.arange(local.size))
+        ids = []
+        for r, key in zip(reps.tolist(), _row_bytes(rows[reps])):
+            rep = table.setdefault(key, len(first))
+            if rep == len(first):
+                first.append(start + r)
+            ids.append(rep)
+        at = np.empty(local.size, dtype=np.intp)
+        at[reps] = ids
+        group[start : start + local.size] = at[local]
+    return np.array(first, dtype=np.intp), group
+
+
+def _fingerprint(fol: FoliationStructure, pts: np.ndarray, order: int) -> tuple[tuple, np.ndarray]:
+    """The block's layout and constant entries, and each node's batched entries as a row of raw bits (:func:`distinct_nodes`)."""
     k = pts.shape[0]
     man, dist = fol.manifold, fol.dist
-    seeds, seeds2 = man.seed(pts, order), man.seed(pts, 2)
-    outputs = [man.metric_jets(seeds2)]
+    seeds = man.seed(pts, order)
+    outputs = [man.metric_jets(seeds if order == 2 else man.seed(pts, 2))]
     outputs += [f(seeds) for f in (fol.leaf_frame, fol.normal, dist.frame_D, dist.frame_Dperp)]
-    columns = []
-    for part in _closure_arrays(outputs):
-        if part.shape[:1] != (k,):
-            continue  # no batch axis: the same at every node
-        bits = np.asarray(part, dtype=float).reshape(k, -1).view(np.uint64)
-        live = np.any(bits != bits[0], axis=0)
-        if np.any(live):
-            columns.append(bits[:, live])
-    if not columns:
-        return np.zeros(1, dtype=np.intp), np.zeros(k, dtype=np.intp)
-    rows = np.ascontiguousarray(np.concatenate(columns, axis=1))
-    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
-    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
-    by_node = np.argsort(first)
-    rank = np.empty_like(by_node)
-    rank[by_node] = np.arange(by_node.size)
-    return first[by_node], rank[group.ravel()]
+    layout, constants, columns = [], [], []
+    for batched, part in _closure_arrays(outputs, k):
+        layout.append((batched, part.shape[1:] if batched else part.shape))
+        if batched:
+            columns.append(part.reshape(k, -1).view(np.uint64))
+        else:
+            constants.append(part.tobytes())
+    signature = (tuple(layout), b"".join(constants))
+    return signature, np.concatenate(columns, axis=1) if columns else np.zeros((k, 0), dtype=np.uint64)
 
 
-def _closure_arrays(entries):
-    """The arrays of a closure's nested-list output: each jet's value and derivatives, and bare arrays.
+def _first_equal_rows(rows: np.ndarray) -> np.ndarray:
+    """The index of each row's first bit-identical row in the block, or its own where a hash collides.
 
-    Its numbers are constants, the same at every node.
+    Rows are paired by a 64-bit hash of their bits and stay paired only where
+    every bit agrees, so a collision costs one more key and never merges
+    two rows.  Keying only these rows keeps the byte keys one per distinct
+    row of a block: a key per node is one allocation per node above the
+    small-object allocator's 512 B, which grew the peak RSS pass after pass.
+    """
+    k = rows.shape[0]
+    powers = np.cumprod(np.full(rows.shape[1], 0x9E3779B97F4A7C15, dtype=np.uint64))
+    h = (rows * powers).sum(axis=1, dtype=np.uint64).tolist()
+    first = dict(zip(reversed(h), range(k - 1, -1, -1)))  # the last write per hash is its smallest index
+    rep = np.fromiter(map(first.__getitem__, h), dtype=np.intp, count=k)
+    return np.where((rows == rows[rep]).all(axis=1), rep, np.arange(k))
+
+
+def _row_bytes(rows: np.ndarray) -> list[bytes]:
+    """Each row's raw bytes."""
+    if rows.shape[1] == 0:
+        return [b""] * rows.shape[0]
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
+
+
+def _closure_arrays(entries, k: int):
+    """Each array of a closure's nested-list output, with whether it has the block's batch axis of ``k`` nodes.
+
+    A jet's value and derivatives are batched when its value is; bare
+    arrays when their first axis is; numbers are constants.
     """
     if isinstance(entries, Jet):
-        yield from (part for part in (entries.value, entries.grad, entries.hess) if part is not None)
-    elif isinstance(entries, np.ndarray):
-        yield entries
+        batched = entries.value.shape[:1] == (k,)
+        yield from ((batched, part) for part in (entries.value, entries.grad, entries.hess) if part is not None)
     elif isinstance(entries, (list, tuple)):
         for x in entries:
-            yield from _closure_arrays(x)
+            yield from _closure_arrays(x, k)
+    else:
+        part = np.asarray(entries, dtype=float)
+        yield part.shape[:1] == (k,), part
 
 
 # -- public operations ---------------------------------------------------------

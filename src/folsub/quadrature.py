@@ -36,6 +36,8 @@ class QuadratureGrid:
     values computed from them stay valid while the grid lives.  ``plans``
     holds those values: the evaluation plans that the grid passes attach, one
     per (foliation, order) (:func:`verify.grid_plan`), which die with the grid.
+    A plan groups the distinct nodes of the whole grid, so it serves a pass
+    under any ``CHUNK``.
     """
 
     nodes: np.ndarray

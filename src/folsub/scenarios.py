@@ -175,8 +175,9 @@ def measure_scenario(fol: FoliationStructure, points, pcurv_c: float | None) -> 
     """Numerically measured residuals behind every scenario flag.
 
     Each residual is a maximum over ``points``, so one ``Geometry(order=1)``
-    on their distinct nodes (:func:`foliation.distinct_nodes`) gives it: a
-    repeated node repeats its values.
+    on their distinct nodes gives it: a repeated node repeats its values.
+    The nodes are grouped over all of ``points`` by the grid passes'
+    grouping (:func:`foliation.distinct_nodes`).
     """
     points = np.asarray(points, dtype=float)
     geom = Geometry(fol, points[distinct_nodes(fol, points, order=1)[0]], order=1)

@@ -35,15 +35,15 @@ one pass over M (:func:`verify_grid_checks`), whose integrand carries the
 calibration's self-test fields (only when a report needs the floor), every
 requested integrand and the sigma_2 scan, and the ``leaf:r`` checks of a
 run share one pass over the leaf grid (:func:`verify_leaf_checks`), which
-takes the run grid's counts on the leaf's axes.  Each chunk of a pass
-builds one ``Geometry`` on its distinct nodes
-(:func:`foliation.distinct_nodes`) and gives every node its group's
-samples, weighted by the volume density of that geometry's metric on the
-axes integrated over, so the reduction sees the same per-node samples as an
-evaluation on every node.  A grid carries the plan of its passes
-(:func:`grid_plan`): the node groups, per (foliation, order), and the
-calibration floor, computed once per grid object, so the checks of one grid
-share them across calls.  The sampled checks draw seeded random points and build one
+takes the run grid's counts on the leaf's axes.  A pass builds
+``Geometry`` once per distinct node of the whole grid
+(:func:`foliation.distinct_nodes`), in the chunk where the node first
+appears, and gives every node its representative's samples, weighted by
+the volume density of that geometry's metric on the axes integrated over,
+so the reduction sees the same per-node samples as an evaluation on every
+node.  A grid carries the plan of its passes (:func:`grid_plan`): the node
+groups, per (foliation, order), and the calibration floor, computed once
+per grid object, so the checks of one grid share them across calls.  The sampled checks draw seeded random points and build one
 ``Geometry`` on them (``_sampled``), at order 1 for the first-order
 identities (``div-split``, ``leafdiv-normal``).  Time that reports share is
 charged to the first of them, so a run's wall times add up to at most its own.
@@ -440,33 +440,33 @@ def verify_closed_form_c(scenario, c: float | None = None, grid=None, tolerance=
 class GridPlan:
     """What every grid pass of ``fol`` at ``order`` over one grid reads and no check changes.
 
-    Per chunk of ``chunk`` nodes (:func:`quadrature.chunks`), ``groups``
-    holds ``(first, group)`` from :func:`foliation.distinct_nodes` at
-    ``order``.  ``floor`` is the calibration floor once an order-1 pass has
-    measured it.  It costs 8 B per node, an intp group.
+    ``first`` and ``group`` are :func:`foliation.distinct_nodes` over the
+    whole grid at ``order``: the ascending index of each distinct node's
+    first occurrence, and each node's group, 8 B per node.  They do not
+    depend on ``quadrature.CHUNK``.  ``floor`` is the calibration floor once
+    an order-1 pass has measured it.
     """
 
     fol: FoliationStructure
     order: int
-    chunk: int
-    groups: list
+    first: np.ndarray
+    group: np.ndarray
     floor: float | None = None
 
 
 def grid_plan(fol: FoliationStructure, grid: QuadratureGrid, order: int = 1) -> GridPlan:
-    """The plan ``grid`` holds for ``fol`` at ``order``, built over its chunks when it holds none for the current ``CHUNK``.
+    """The plan ``grid`` holds for ``fol`` at ``order``, grouping the grid's nodes when it holds none.
 
-    The plan lives in ``grid.plans`` and dies with the grid; a plan built at
-    another ``quadrature.CHUNK`` is replaced.  Its groups are pure functions
-    of the foliation and the grid's read-only nodes, so every pass that
-    reads them sees what it would compute itself.
+    The plan lives in ``grid.plans`` and dies with the grid.  Its groups are
+    pure functions of the foliation and the grid's read-only nodes, so every
+    pass that reads them, under any chunk size, sees what it would compute
+    itself.
     """
     for plan in grid.plans:
-        if plan.fol is fol and plan.order == order and plan.chunk == quadrature.CHUNK:
+        if plan.fol is fol and plan.order == order:
             return plan
-    groups = [distinct_nodes(fol, pts, order) for pts, _ in quadrature.chunks(grid)]
-    plan = GridPlan(fol, order, quadrature.CHUNK, groups)
-    grid.plans[:] = [p for p in grid.plans if p.fol is not fol or p.order != order] + [plan]
+    plan = GridPlan(fol, order, *distinct_nodes(fol, grid.nodes, order))
+    grid.plans.append(plan)
     return plan
 
 
@@ -545,22 +545,25 @@ def _grid_pass(scenario, grid: QuadratureGrid, bases, orders=(), fields=None, le
     chunk's order-1 seeds to the self-test's ambient fields, whose
     divergences are keyed ``("divergence-selftest", "div_i")``.
 
-    Per chunk, one ``Geometry`` is built on the distinct nodes (the groups
-    of :func:`foliation.distinct_nodes`, read from the grid's plan,
-    :func:`grid_plan`), at order 2 over a leaf, whose integrand
-    differentiates the shape operator, and order 1 (values only) over M,
-    and every sample it gives is scattered back to its nodes.  Every sample is weighted by the volume density of that
-    geometry's metric, sqrt(det g) over the axes integrated over (all of
-    them, or the leaf's; 1 on the invariant backend's orthonormal frame),
-    also taken on the distinct nodes and scattered, so the reduction sees
-    the per-node weighted samples in grid order.  A pass with nothing to
-    emit makes none.  The self-test fields are evaluated at every node's
-    seeds, each trig factor once per distinct coordinate value of its axis
-    (:func:`trig_scalars`), with the connection scattered from that
-    geometry.  The sigma_2 and Ric^P(N, N) extrema are read from the
-    unweighted samples and are exact under any chunking; a non-finite
-    sample of either raises :class:`EvaluationError` naming its first node
-    in grid order.
+    The grid's plan (:func:`grid_plan`) groups its distinct nodes over the
+    whole grid.  Each chunk builds one ``Geometry`` on the representatives
+    (first nodes) that are new to it, at order 2 over a leaf, whose
+    integrand differentiates the shape operator, and order 1 (values only)
+    over M, and none when it has no new one.  Every node takes its samples,
+    the connection for the self-test and its density from its
+    representative: from this chunk's geometry, or from the rows an earlier
+    chunk held because a later one reads them (:class:`_Held`).  So a grid
+    with no repeated node holds nothing beyond its chunk.  Every sample is
+    weighted by the volume density of that geometry's metric, sqrt(det g)
+    over the axes integrated over (all of them, or the leaf's; 1 on the
+    invariant backend's orthonormal frame), so the reduction sees the
+    per-node weighted samples in grid order.  A pass with nothing to emit
+    makes none.  The self-test fields are evaluated at every node's seeds,
+    each trig factor once per distinct coordinate value of its axis
+    (:func:`trig_scalars`).  The sigma_2 and Ric^P(N, N) extrema are read
+    from the unweighted samples and are exact under any chunking; a
+    non-finite sample of either raises :class:`EvaluationError` naming its
+    first node in grid order.
     """
     fol, man = scenario.fol, scenario.manifold
     sigmas = set()
@@ -574,37 +577,97 @@ def _grid_pass(scenario, grid: QuadratureGrid, bases, orders=(), fields=None, le
         return {}, extrema
     order = 1 if leaf is None else 2
     axes = list(range(man.dim) if leaf is None else leaf.axes)
-    groups = iter(grid_plan(fol, grid, order).groups)
+    plan = grid_plan(fol, grid, order)
+    held = _Held(plan, quadrature.CHUNK)
+    start = 0
 
-    def terms(pts):
-        first, group = next(groups)
-        geom = Geometry(fol, pts[first], order=order)
-        density = np.sqrt(np.linalg.det(geom.g.value[..., axes, :][..., axes]))[group]
-        out = {}
+    def representatives(pts):
+        """The representatives' arrays: density, connection, scan values and weighted samples."""
+        geom = Geometry(fol, pts, order=order)
+        density = np.sqrt(np.linalg.det(geom.g.value[..., axes, :][..., axes]))
+        out = {"density": density}
         if fields is not None:
             G = geom.gamma.gamma  # without a batch axis on the invariant backend
-            gamma = Connection(np.broadcast_to(G, geom.batch + G.shape[-3:])[group])
-            coords = man.seed(pts, order=1)
-            for i, X in enumerate(fields(coords)):
-                out[("divergence-selftest", f"div_{i}")] = divergence_jets(man, coords, gamma, X).value
-        out.update({f"sigma_{k}": geom.sigma.value[..., k][group] for k in sorted(sigmas)})
+            out["gamma"] = np.broadcast_to(G, geom.batch + G.shape[-3:])
+        if scan:
+            out[("sigma2-image", "sigma_2")] = geom.sigma.value[..., 2]
+            out[("sigma2-image", "ricci_p_NN")] = geom.ricci_p(geom.N.value)
+        out.update({f"sigma_{k}": geom.sigma.value[..., k] * density for k in sorted(sigmas)})
         if "closed-form-c" in bases:
-            out["volume"] = np.ones(pts.shape[0])
+            out["volume"] = density
         for r in orders:
             if leaf is not None:
-                out[(f"leaf:{r}", "integrand")] = geom.leaf_formula_integrand(r)[group]
+                out[(f"leaf:{r}", "integrand")] = geom.leaf_formula_integrand(r) * density
             else:
-                out.update({(f"main:{r}", key): vals[group] for key, vals in _main_terms(geom, r).items()})
+                out.update({(f"main:{r}", key): vals * density for key, vals in _main_terms(geom, r).items()})
+        return out
+
+    def terms(pts):
+        nonlocal start
+        stop = start + pts.shape[0]
+        lo, hi = np.searchsorted(plan.first, (start, stop))
+        new = representatives(pts[plan.first[lo:hi] - start]) if hi > lo else {}
+        node = held.scatter(new, plan.group[start:stop], lo, hi)
+        start = stop
+        density = node.pop("density")
+        out = {}
+        if fields is not None:
+            coords = man.seed(pts, order=1)
+            gamma = Connection(node.pop("gamma"))
+            for i, X in enumerate(fields(coords)):
+                out[("divergence-selftest", f"div_{i}")] = divergence_jets(man, coords, gamma, X).value * density
         if scan:
-            s2, ric = geom.sigma.value[..., 2][group], geom.ricci_p(geom.N.value)[group]
+            s2, ric = (node.pop(("sigma2-image", key)) for key in ("sigma_2", "ricci_p_NN"))
             require_finite(("sigma2-image", "sigma_2"), s2, pts)
             require_finite(("sigma2-image", "ricci_p_NN"), ric, pts)
             extrema["sigma2_min"] = min(extrema["sigma2_min"], float(np.min(s2)))
             extrema["sigma2_max"] = max(extrema["sigma2_max"], float(np.max(s2)))
             extrema["ricci_p_NN_min"] = min(extrema["ricci_p_NN_min"], float(np.min(ric)))
-        return {key: vals * density for key, vals in out.items()}
+        out.update(node)
+        return out
 
     return _integrate_terms(scenario, grid, terms), extrema
+
+
+class _Held:
+    """The rows of the representatives that a grid pass reads in a later chunk than their own.
+
+    A pass in chunks of ``size`` nodes computes each representative's arrays
+    in the chunk of its first node.  Of those, this keeps only the rows of
+    the representatives that a later chunk also reads, in arrays allocated
+    once per pass, so it holds nothing on a grid without repeated nodes and
+    copies nothing per chunk but the new rows.
+    """
+
+    def __init__(self, plan: GridPlan, size: int):
+        later = np.zeros(plan.first.size, dtype=bool)
+        for start in range(0, plan.group.size, size):
+            ids = plan.group[start : start + size]
+            later[ids[ids < np.searchsorted(plan.first, start)]] = True
+        self.ids = np.flatnonzero(later)
+        self.rows = {}
+
+    def scatter(self, new: dict, ids: np.ndarray, lo: int, hi: int) -> dict:
+        """Each node's row of every array, for a chunk whose groups are ``ids``.
+
+        ``new`` holds the arrays of the representatives new to the chunk,
+        ids ``lo`` to ``hi`` in order; every older id is read from the held rows.
+        """
+        a, b = np.searchsorted(self.ids, (lo, hi))
+        for key, vals in new.items():
+            if b > a:
+                self.rows.setdefault(key, np.empty((self.ids.size,) + vals.shape[1:]))[a:b] = vals[self.ids[a:b] - lo]
+        old = ids < lo
+        if not old.any():
+            return {key: vals[ids - lo] for key, vals in new.items()}
+        slots = np.searchsorted(self.ids, ids[old])
+        out = {}
+        for key, rows in self.rows.items():
+            out[key] = np.empty((ids.size,) + rows.shape[1:])
+            out[key][old] = rows[slots]
+            if key in new:
+                out[key][~old] = new[key][ids[~old] - lo]
+        return out
 
 
 def _main_report(scenario, grid, r: int, integrals: dict, tol: float, t0: float, selftest_floor) -> VerificationReport:

@@ -304,17 +304,37 @@ def leaf_integrand_from_main_terms(geom, r):
 
 
 def every_node_its_own_group(fol, points, order):
-    """``foliation.distinct_nodes`` without grouping: a ``Geometry`` on every node of the block."""
+    """``foliation.distinct_nodes`` without grouping: every node of the grid is its own group."""
     k = np.asarray(points).shape[0]
     return np.arange(k), np.arange(k)
 
 
 def evaluate_per_node(monkeypatch):
-    """Make the grid passes, the leaf integrals and the scenario measurement evaluate every node."""
+    """Make the grid passes, the leaf integrals and the scenario measurement evaluate every node.
+
+    They group the nodes through ``distinct_nodes`` as their modules name it
+    (``verify.grid_plan`` and ``scenarios.measure_scenario``); the tests check
+    that a pass under this oracle builds ``Geometry`` on every node of its
+    grid, so a grouping reached by another name cannot pass unnoticed.
+    """
     from folsub import scenarios, verify
 
     for module in (scenarios, verify):
         monkeypatch.setattr(module, "distinct_nodes", every_node_its_own_group)
+
+
+def record_geometry_points(monkeypatch) -> list:
+    """The number of points of every ``Geometry`` built from here on, in order."""
+    from folsub import foliation
+
+    points, real_init = [], foliation.Geometry.__init__
+
+    def recording_init(self, fol, pts, *args, **kwargs):
+        points.append(len(pts))
+        real_init(self, fol, pts, *args, **kwargs)
+
+    monkeypatch.setattr(foliation.Geometry, "__init__", recording_init)
+    return points
 
 
 def per_node_selftest_floor(scenario, grid):

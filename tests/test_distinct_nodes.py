@@ -1,12 +1,16 @@
 """Distinct-node evaluation, held bit for bit to the evaluation on every node.
 
-``foliation.distinct_nodes`` groups the nodes of a block whose closure jets
-agree bit for bit; the grid passes, the leaf integrals and the scenario
-measurement build one ``Geometry`` per group.  The oracle is the same code
-with every node its own group (``helpers.evaluate_per_node``) and, for the
-calibration floor, the connection evaluated from order-1 seeds on every node
+``foliation.distinct_nodes`` groups the nodes of a whole grid whose closure
+jets agree bit for bit, whatever ``quadrature.CHUNK``; the grid passes, the
+leaf integrals and the scenario measurement build one ``Geometry`` point per
+group.  The oracle is the same code with every node its own group
+(``helpers.evaluate_per_node``), under which a pass must build ``Geometry``
+on every node of its grid, and, for the calibration floor, the connection
+evaluated from order-1 seeds on every node
 (``helpers.per_node_selftest_floor``).
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,9 +22,14 @@ from folsub.errors import EvaluationError
 from folsub.foliation import FoliationStructure, distinct_nodes
 from folsub.jets import Jet
 from folsub.manifolds import ChartManifold
-from helpers import evaluate_per_node, per_node_selftest_floor
+from helpers import evaluate_per_node, per_node_selftest_floor, record_geometry_points
 
 CATALOG = scenarios.catalog_names()
+CHUNKS = (4096, 512, 32, 1)
+
+
+def _all_grid_checks(scenario) -> list:
+    return ["divergence-selftest", "reeb", *(f"main:{r}" for r in range(scenario.n)), "closed-form-c", "sigma2-image"]
 
 
 def _bits(report) -> tuple:
@@ -69,6 +78,30 @@ def test_nodes_differing_only_in_the_sign_of_a_zero_are_distinct():
     assert group.tolist() == [0, 1, 0, 1, 1]
 
 
+@pytest.mark.parametrize("chunk", [1, 2])
+def test_a_signed_zero_pair_in_different_chunks_stays_apart(chunk, monkeypatch):
+    monkeypatch.setattr(quadrature, "CHUNK", chunk)
+    fol = _metric_entry_foliation(lambda coords: coords[0] * 0.0)
+    first, group = distinct_nodes(fol, _nodes([-1.0, 1.0, -2.0, 2.0, 1.0]), order=1)
+    assert first.tolist() == [0, 1]
+    assert group.tolist() == [0, 1, 0, 1, 1]
+
+
+def test_rows_whose_hashes_collide_are_told_apart_by_their_bytes(monkeypatch):
+    # The block hash is sum_j row_j C^(j+1) mod 2**64; it is 0 for both rows
+    # below, since (-C) C + 1 C^2 = 0.
+    c = 0x9E3779B97F4A7C15
+    a, b = [0, 0], [2**64 - c, 1]
+    rows = np.array([a, b, b, a], dtype=np.uint64)
+    powers = np.cumprod(np.full(2, c, dtype=np.uint64))
+    assert set((rows * powers).sum(axis=1, dtype=np.uint64).tolist()) == {0}
+    assert foliation._first_equal_rows(rows).tolist() == [0, 1, 2, 0]  # b is paired with no a
+    monkeypatch.setattr(foliation, "_fingerprint", lambda fol, pts, order: (((), b""), rows))
+    first, group = distinct_nodes(None, np.zeros((4, 1)), order=1)
+    assert first.tolist() == [0, 1]
+    assert group.tolist() == [0, 1, 1, 0]  # the two b rows share one key
+
+
 def test_nodes_differing_by_one_ulp_in_one_hessian_entry_are_distinct():
     def entry(coords):
         x = coords[0]
@@ -100,6 +133,19 @@ def test_frames_split_the_groups_under_a_constant_metric():
     grid = verify._grid(flat_tilted)
     first, _ = distinct_nodes(flat_tilted.fol, grid.nodes, order=1)
     assert first.size == grid.axes[3]
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_the_groups_are_the_same_under_any_chunk_size(order, warped4, conformal, monkeypatch):
+    for s in (warped4, conformal):
+        grid = verify._grid(s)
+        groups = []
+        for chunk in CHUNKS:
+            monkeypatch.setattr(quadrature, "CHUNK", chunk)
+            groups.append(distinct_nodes(s.fol, grid.nodes, order))
+        for first, group in groups[1:]:
+            assert np.array_equal(first, groups[0][0]) and np.array_equal(group, groups[0][1]), s.name
+        assert first.dtype == group.dtype == np.intp and group.shape == (grid.count,)
 
 
 @pytest.mark.parametrize("where", ["main-term", "sigma2-image-scan"])
@@ -140,14 +186,77 @@ def test_grid_checks_equal_the_per_node_evaluation(name, refine, catalog, confor
     grid = verify._grid(scenario)
     if refine:
         grid = quadrature.refined(scenario.manifold, grid)
-    checks = ["divergence-selftest", "reeb", *(f"main:{r}" for r in range(scenario.n)), "closed-form-c", "sigma2-image"]
-    grouped = [_bits(rep) for rep in verify.verify_grid_checks(scenario, checks, grid)]
+    checks = _all_grid_checks(scenario)
+    with monkeypatch.context() as m:
+        points = record_geometry_points(m)
+        grouped = [_bits(rep) for rep in verify.verify_grid_checks(scenario, checks, grid)]
+    assert sum(points) == verify.grid_plan(scenario.fol, grid).first.size
     with monkeypatch.context() as m:
         evaluate_per_node(m)
+        points = record_geometry_points(m)
         per_node = [_bits(rep) for rep in verify.verify_grid_checks(scenario, checks, _fresh(grid))]
+    assert sum(points) == grid.count  # the oracle reached the pass
     assert grouped == per_node
     floor = grouped[0][2]
     assert repr(verify.calibrate_tolerance(scenario, grid)[1]) == floor == repr(per_node_selftest_floor(scenario, grid))
+
+
+def test_nodes_repeating_across_chunks_but_not_within_one_share_one_geometry(warped4, monkeypatch):
+    # The default grid's 32 z-values, the only coordinate the closures read,
+    # run fastest: a chunk of 32 nodes holds each once, and every chunk after
+    # the first repeats the first.
+    grid = verify._grid(warped4)
+    checks = _all_grid_checks(warped4)
+    whole = [_bits(rep) for rep in verify.verify_grid_checks(warped4, checks, _fresh(grid))]
+    monkeypatch.setattr(quadrature, "CHUNK", 32)
+    fresh = _fresh(grid)
+    with monkeypatch.context() as m:
+        points = record_geometry_points(m)
+        chunked = [_bits(rep) for rep in verify.verify_grid_checks(warped4, checks, fresh)]
+    plan = verify.grid_plan(warped4.fol, fresh)
+    assert np.array_equal(plan.group, np.tile(np.arange(32), grid.count // 32))
+    assert points == [32]
+    assert chunked == whole
+    with monkeypatch.context() as m:
+        evaluate_per_node(m)
+        assert [_bits(rep) for rep in verify.verify_grid_checks(warped4, checks, _fresh(grid))] == chunked
+
+
+@pytest.mark.parametrize("name, axes", [("warped_torus_4", (2, 2, 4, 32)), ("conformal_torus", (2, 2, 4, 8))])
+def test_reports_are_the_same_under_any_chunk_size(name, axes, catalog, conformal, monkeypatch):
+    s = conformal if name == "conformal_torus" else catalog[name]
+    grid = quadrature.grid_for(s.manifold, axes)
+    reports = []
+    for chunk in CHUNKS:
+        monkeypatch.setattr(quadrature, "CHUNK", chunk)
+        grid_reports = verify.verify_grid_checks(s, _all_grid_checks(s), _fresh(grid))
+        leaf_reports = verify.verify_leaf_checks(s, range(s.n))
+        reports.append([_bits(rep) for rep in grid_reports + leaf_reports])
+    assert all(other == reports[0] for other in reports[1:])
+
+
+def _pass_peak(scenario, axes) -> tuple[int, int]:
+    """Traced peak bytes of one grid pass over a grid whose plan is built, and the pass's integral count."""
+    grid = quadrature.grid_for(scenario.manifold, axes)
+    verify.grid_plan(scenario.fol, grid)  # 8 B per node for the grid's lifetime, not the pass's
+    fields = verify._selftest_fields(scenario.manifold)
+    tracemalloc.start()
+    try:
+        integrals, _ = verify._grid_pass(scenario, grid, {"reeb", "closed-form-c"}, range(scenario.n), fields)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, len(integrals)
+
+
+def test_a_pass_over_a_grid_without_repeated_nodes_holds_nothing_beyond_its_reduction(conformal):
+    # Every node is its own representative, so no chunk reads another's rows:
+    # four times the nodes may cost only the reduction's float64 blocks, one
+    # per integral and node, plus 1 MB.
+    _pass_peak(conformal, (2, 2, 2, 2))  # first-call allocations
+    small, keys = _pass_peak(conformal, (8, 8, 8, 16))
+    large, _ = _pass_peak(conformal, (8, 8, 8, 64))
+    assert large - small <= keys * 8 * 8**3 * (64 - 16) + 2**20
 
 
 def test_leaf_integrals_equal_the_per_node_evaluation(catalog, conformal, monkeypatch):
@@ -156,7 +265,10 @@ def test_leaf_integrals_equal_the_per_node_evaluation(catalog, conformal, monkey
     grouped = [_bits(verify.verify_leaf(s, r, leaf)) for s, leaf, r in cases]
     with monkeypatch.context() as m:
         evaluate_per_node(m)
+        points = record_geometry_points(m)
         assert [_bits(verify.verify_leaf(s, r, leaf)) for s, leaf, r in cases] == grouped
+    leaf_nodes = [quadrature.leaf_grid(s.manifold, s.leaf(leaf), tuple(s.default_grid[ax] for ax in s.leaf(leaf).axes)).count for s, leaf, _ in cases]
+    assert points == leaf_nodes  # one pass per case, every node its own Geometry point
 
 
 def test_scenario_measurement_equals_the_per_node_evaluation(catalog, conformal, monkeypatch):

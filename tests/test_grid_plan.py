@@ -1,7 +1,8 @@
 """The plan a quadrature grid carries: node groups and calibration floor, once per (foliation, order, grid).
 
 ``verify.grid_plan`` computes them on the first grid pass over a grid object;
-every later grid check on that object reads them back.  The plan holds no
+every later grid check on that object reads them back, under any
+``quadrature.CHUNK``: the groups are grid-wide.  The plan holds no
 density: each pass takes it from its own geometry, so no grid pass calls
 ``volume_density``.  The reports must be those of a fresh grid with equal
 nodes, bit for bit.
@@ -92,20 +93,21 @@ def test_two_foliations_on_one_grid_get_separate_plans(warped4):
     assert [_bits(r) for r in reports] == [_bits(verify.verify_main(s, 1, _fresh(grid))) for s in (warped4, rotated)]
 
 
-def test_a_changed_chunk_size_rebuilds_the_plan(warped4, monkeypatch):
+def test_a_changed_chunk_size_reuses_the_plan(warped4, monkeypatch):
     grid = verify._grid(warped4)
     whole = verify.verify_main(warped4, 1, grid)
     plan = verify.grid_plan(warped4.fol, grid)
-    assert plan.chunk == quadrature.CHUNK and len(plan.groups) == 1
+    assert not hasattr(plan, "chunk") and plan.group.shape == (grid.count,)
     monkeypatch.setattr(quadrature, "CHUNK", 512)
     calls = _count_calls(monkeypatch)
     chunked = verify.verify_main(warped4, 1, grid)
-    rebuilt = verify.grid_plan(warped4.fol, grid)
-    assert grid.plans == [rebuilt] and rebuilt.chunk == 512
-    assert len(rebuilt.groups) == -(-grid.count // 512) and not hasattr(rebuilt, "density")
-    assert calls["distinct_nodes"] == len(rebuilt.groups) and calls["volume_density"] == 0
-    assert calls["trig_scalars"] == len(rebuilt.groups)  # the floor is measured again
+    assert grid.plans == [plan] and verify.grid_plan(warped4.fol, grid) is plan
+    assert calls == {"distinct_nodes": 0, "volume_density": 0, "trig_scalars": 0}  # the floor is held too
     assert _bits(chunked) == _bits(whole)
+    fresh = _fresh(grid)
+    assert _bits(verify.verify_main(warped4, 1, fresh)) == _bits(whole)
+    rebuilt = verify.grid_plan(warped4.fol, fresh)
+    assert (rebuilt.first == plan.first).all() and (rebuilt.group == plan.group).all()
 
 
 def test_the_plan_dies_with_its_grid(warped4):
