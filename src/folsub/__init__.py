@@ -35,7 +35,6 @@ from .foliation import (
     leafwise_divergence,
     nablaF_N_A,
     ricci_p,
-    rp_operator_matrix,
     second_fundamental_form,
     shape_operator,
     trace_identities,

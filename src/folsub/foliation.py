@@ -13,6 +13,11 @@ a tensor jet; every quantity after that is an array contraction on those
 jets (``jets.einsum``), so its derivatives come with it to the order the
 frames were seeded at.
 
+The closures (the metric, the four frames) read the coordinates only
+through ``coords``, are pure functions of what they read, keep no state,
+and give each node a result that does not depend on its position in the
+batch.  :func:`distinct_nodes` relies on it.
+
 Conventions: ``A[..., i, j] = <A e_i, e_j>`` in the leaf frame (symmetrized
 after assembly with the asymmetry kept as a residual), operator matrices act
 as ``(M v)^i = M[i][j] v^j``, and leafwise covectors are reported through
@@ -29,7 +34,7 @@ import numpy as np
 
 from . import distribution as dst
 from . import manifolds as mfd
-from . import newton, quadrature
+from . import newton
 from .errors import DomainError
 from .jets import Jet, cos as jcos, einsum, sin as jsin, stack, stack_last, value_of
 from .manifolds import Point, TangentVector
@@ -94,10 +99,10 @@ class Geometry:
     Every quantity at a point is a function of the closure jets read there
     (the metric, the leaf frame, the normal, the D-frame and the D-perp
     frame), except what a method computes from a field its caller passes.
-    :func:`distinct_nodes` fingerprints exactly those closures, so a grid
-    pass builds its contexts on one point per distinct node of the whole
-    grid; a closure read here that it does not fingerprint would merge
-    nodes that differ.
+    :func:`distinct_nodes` measures the coordinates exactly those closures
+    read, so a grid pass builds its contexts on one point per distinct node
+    of the whole grid; a closure read here that it does not probe would
+    merge nodes that differ.
     """
 
     def __init__(self, fol: FoliationStructure, points, order: int = 2):
@@ -386,110 +391,82 @@ class Geometry:
 def distinct_nodes(fol: FoliationStructure, points, order: int) -> tuple[np.ndarray, np.ndarray]:
     """Group the nodes ``points`` (K, m) at which a ``Geometry`` of ``order`` reads the same inputs.
 
-    A node's fingerprint is every closure jet a :class:`Geometry` reads there:
-    the metric to order 2, and the leaf frame, the normal, the D-frame and the
-    D-perp frame to ``order``.  Everything a ``Geometry`` computes at a node
-    is a function of those jets alone, so nodes whose jets agree bit for bit
-    get bit-identical values.
+    A :class:`Geometry` reads the user's closures at a node and nothing else
+    of it: the metric on order-2 seeds, and the leaf frame, the normal, the
+    D-frame and the D-perp frame on ``order`` seeds.  A closure is a pure
+    function of the coordinates it reads, so nodes that agree on those
+    coordinates get bit-identical values.  Which coordinates they are, the
+    support S, is measured once per call, before any value is grouped: each
+    closure runs once on the seeds of the first two nodes, handed over in a
+    list that records what is read (:class:`_Reads`).  Two points make a
+    Python ``if`` on a value array raise, so a branch cannot hide a read.
 
-    The closures are evaluated on consecutive blocks of ``quadrature.CHUNK``
-    nodes, so the jets in memory stay bounded, and the nodes of every block
-    are grouped with those of the blocks before it through one dict.  Its key
-    is a node's raw bytes of every entry with a batch axis; the entries
-    without one, the same at every node of the block, key the dict's table
-    together with the block's layout.  Keys are compared byte for byte (so
-    -0.0 and 0.0 differ): no hash alone merges two nodes.  A block makes one
-    key per distinct node (:func:`_first_equal_rows`); the dict holds one key
-    per distinct node of the grid and dies with the call.
-
-    Returns ``(first, group)``: the index of each group's first node,
-    ascending, and each node's group, numbered in grid order of first
-    appearance, so a block's new groups form one contiguous id range.  Both
-    are the same under any ``CHUNK``.  ``Geometry(fol, points[first], order)``
+    The nodes are grouped by the raw bytes of their coordinates on S, so
+    -0.0 and 0.0 differ; an empty S gives one group.  Returns ``(first,
+    group)``: the index of each group's first node, ascending, and each
+    node's group, numbered in grid order of first appearance.  They do not
+    depend on ``quadrature.CHUNK``.  ``Geometry(fol, points[first], order)``
     evaluates every group once, and ``values[group]`` gives each node its
     group's value, so a reduction over the nodes sees the per-node samples.
     Only closure-derived quantities may be read this way: a field the caller
     passes to a ``Geometry`` method would be evaluated at the first nodes alone.
     """
     pts = np.asarray(points, dtype=float)
-    group = np.empty(pts.shape[0], dtype=np.intp)
-    first: list[int] = []
-    tables: dict[tuple, dict[bytes, int]] = {}
-    for start in range(0, pts.shape[0], quadrature.CHUNK):
-        constants, rows = _fingerprint(fol, pts[start : start + quadrature.CHUNK], order)
-        table = tables.setdefault(constants, {})
-        local = _first_equal_rows(rows)
-        reps = np.flatnonzero(local == np.arange(local.size))
-        ids = []
-        for r, key in zip(reps.tolist(), _row_bytes(rows[reps])):
-            rep = table.setdefault(key, len(first))
-            if rep == len(first):
-                first.append(start + r)
-            ids.append(rep)
-        at = np.empty(local.size, dtype=np.intp)
-        at[reps] = ids
-        group[start : start + local.size] = at[local]
-    return np.array(first, dtype=np.intp), group
-
-
-def _fingerprint(fol: FoliationStructure, pts: np.ndarray, order: int) -> tuple[tuple, np.ndarray]:
-    """The block's layout and constant entries, and each node's batched entries as a row of raw bits (:func:`distinct_nodes`)."""
     k = pts.shape[0]
+    support = _support(fol, pts[:2], order) if k > 1 else []
+    if not support:
+        return np.arange(min(k, 1), dtype=np.intp), np.zeros(k, dtype=np.intp)
+    # One key per node, its raw bytes on S: a single axis sorts faster as uint64, with the same bytes.
+    width = np.uint64 if len(support) == 1 else np.dtype((np.void, 8 * len(support)))
+    keys = np.ascontiguousarray(pts[:, support]).view(width).ravel()
+    _, index, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    by_first = np.argsort(index)
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(by_first.size)
+    return index[by_first], rank[inverse]
+
+
+class _Reads(list):
+    """Coordinate seeds that record which of them a closure reads.
+
+    An index or a slice records its indices; iteration, unpacking and the
+    list operations that copy the items (``copy``, ``+``, ``*``,
+    ``reversed``) record all of them.
+    """
+
+    def __init__(self, seeds):
+        super().__init__(seeds)
+        self.read: set[int] = set()
+
+    def __getitem__(self, key):
+        picked = range(len(self))[key]
+        self.read.update(picked if isinstance(picked, range) else (picked,))
+        return super().__getitem__(key)
+
+    def __radd__(self, other):
+        return other + list(self)  # iteration records every index
+
+
+def _reading_all(method):
+    def reads_all(self, *args):
+        self.read.update(range(len(self)))
+        return method(self, *args)
+
+    return reads_all
+
+
+for _name in ("__iter__", "__reversed__", "__add__", "__mul__", "__rmul__", "copy"):
+    setattr(_Reads, _name, _reading_all(getattr(list, _name)))
+
+
+def _support(fol: FoliationStructure, probe: np.ndarray, order: int) -> list[int]:
+    """The coordinates the closures of a ``Geometry`` of ``order`` read at the nodes ``probe``, ascending."""
     man, dist = fol.manifold, fol.dist
-    seeds = man.seed(pts, order)
-    outputs = [man.metric_jets(seeds if order == 2 else man.seed(pts, 2))]
-    outputs += [f(seeds) for f in (fol.leaf_frame, fol.normal, dist.frame_D, dist.frame_Dperp)]
-    layout, constants, columns = [], [], []
-    for batched, part in _closure_arrays(outputs, k):
-        layout.append((batched, part.shape[1:] if batched else part.shape))
-        if batched:
-            columns.append(part.reshape(k, -1).view(np.uint64))
-        else:
-            constants.append(part.tobytes())
-    signature = (tuple(layout), b"".join(constants))
-    return signature, np.concatenate(columns, axis=1) if columns else np.zeros((k, 0), dtype=np.uint64)
-
-
-def _first_equal_rows(rows: np.ndarray) -> np.ndarray:
-    """The index of each row's first bit-identical row in the block, or its own where a hash collides.
-
-    Rows are paired by a 64-bit hash of their bits and stay paired only where
-    every bit agrees, so a collision costs one more key and never merges
-    two rows.  Keying only these rows keeps the byte keys one per distinct
-    row of a block: a key per node is one allocation per node above the
-    small-object allocator's 512 B, which grew the peak RSS pass after pass.
-    """
-    k = rows.shape[0]
-    powers = np.cumprod(np.full(rows.shape[1], 0x9E3779B97F4A7C15, dtype=np.uint64))
-    h = (rows * powers).sum(axis=1, dtype=np.uint64).tolist()
-    first = dict(zip(reversed(h), range(k - 1, -1, -1)))  # the last write per hash is its smallest index
-    rep = np.fromiter(map(first.__getitem__, h), dtype=np.intp, count=k)
-    return np.where((rows == rows[rep]).all(axis=1), rep, np.arange(k))
-
-
-def _row_bytes(rows: np.ndarray) -> list[bytes]:
-    """Each row's raw bytes."""
-    if rows.shape[1] == 0:
-        return [b""] * rows.shape[0]
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()
-
-
-def _closure_arrays(entries, k: int):
-    """Each array of a closure's nested-list output, with whether it has the block's batch axis of ``k`` nodes.
-
-    A jet's value and derivatives are batched when its value is; bare
-    arrays when their first axis is; numbers are constants.
-    """
-    if isinstance(entries, Jet):
-        batched = entries.value.shape[:1] == (k,)
-        yield from ((batched, part) for part in (entries.value, entries.grad, entries.hess) if part is not None)
-    elif isinstance(entries, (list, tuple)):
-        for x in entries:
-            yield from _closure_arrays(x, k)
-    else:
-        part = np.asarray(entries, dtype=float)
-        yield part.shape[:1] == (k,), part
+    seeds2, seeds = _Reads(man.seed(probe, 2)), _Reads(man.seed(probe, order))
+    man.metric_jets(seeds2)
+    for closure in (fol.leaf_frame, fol.normal, dist.frame_D, dist.frame_Dperp):
+        closure(seeds)
+    return sorted(seeds2.read | seeds.read)
 
 
 # -- public operations ---------------------------------------------------------
@@ -546,12 +523,6 @@ def ricci_p(fol: FoliationStructure, X, p: Point) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     geom = Geometry(fol, p, order=1)
     return geom.ricci_p(_ambient_components(geom, X))
-
-
-def rp_operator_matrix(fol: FoliationStructure, X, p: Point) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-    geom = Geometry(fol, p, order=1)
-    return geom.rp_matrix(_ambient_components(geom, X))
 
 
 def _ambient_components(geom, X) -> np.ndarray:

@@ -36,7 +36,8 @@ calibration's self-test fields (only when a report needs the floor), every
 requested integrand and the sigma_2 scan, and the ``leaf:r`` checks of a
 run share one pass over the leaf grid (:func:`verify_leaf_checks`), which
 takes the run grid's counts on the leaf's axes.  A pass builds
-``Geometry`` once per distinct node of the whole grid
+``Geometry`` once per distinct node of the whole grid, nodes being
+distinct on the coordinates the closures read
 (:func:`foliation.distinct_nodes`), in the chunk where the node first
 appears, and gives every node its representative's samples, weighted by
 the volume density of that geometry's metric on the axes integrated over,
@@ -441,9 +442,10 @@ class GridPlan:
     """What every grid pass of ``fol`` at ``order`` over one grid reads and no check changes.
 
     ``first`` and ``group`` are :func:`foliation.distinct_nodes` over the
-    whole grid at ``order``: the ascending index of each distinct node's
-    first occurrence, and each node's group, 8 B per node.  They do not
-    depend on ``quadrature.CHUNK``.  ``floor`` is the calibration floor once
+    whole grid at ``order``: the nodes grouped by their coordinates on the
+    axes the closures read, the ascending index of each group's first node,
+    and each node's group, 8 B per node.  They do not depend on
+    ``quadrature.CHUNK``.  ``floor`` is the calibration floor once
     an order-1 pass has measured it.
     """
 

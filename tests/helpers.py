@@ -18,7 +18,9 @@ evaluation (:func:`evaluate_per_node`, :func:`per_node_selftest_floor`), a
 ``Geometry`` on every node of a block and the calibration's connection from
 order-1 seeds on every node, for the grid passes, the leaf integrals and the
 scenario measurement that evaluate each distinct node once; and the
-closure form of the random trig test fields (:func:`reference_trig_scalar`
+grouping of nodes by the bytes of their closure outputs
+(:func:`fingerprint_groups`), for ``foliation.distinct_nodes``, which groups
+them by the coordinates the closures read; and the closure form of the random trig test fields (:func:`reference_trig_scalar`
 and the fields built from it), one ``jets.sin`` lift and ``Jet`` product per
 factor on every point, for the per-axis evaluator ``verify.trig_scalars``.
 """
@@ -301,6 +303,33 @@ def leaf_integrand_from_main_terms(geom, r):
 
 
 # -- the per-node evaluation that the distinct-node passes replaced ----------------
+
+
+def fingerprint_groups(fol, points, order, block=1024):
+    """``foliation.distinct_nodes`` by the closures' outputs: nodes whose closure jets agree bit for bit share a group.
+
+    A node's key is the raw bytes of every closure jet a ``Geometry`` of
+    ``order`` reads there, the metric to order 2 and the four frames to
+    ``order``, each stacked over the batch (constants broadcast), so -0.0
+    and 0.0 differ.  The closures run on blocks of ``block`` nodes, and one
+    dict numbers the groups in grid order of first appearance.
+    """
+    pts = np.asarray(points, dtype=float)
+    man, dist = fol.manifold, fol.dist
+    group = np.empty(pts.shape[0], dtype=np.intp)
+    keys, first = {}, []
+    for start in range(0, pts.shape[0], block):
+        blk = pts[start : start + block]
+        seeds, seeds2 = man.seed(blk, order), man.seed(blk, 2)
+        outputs = [jets.stack(man.metric_jets(seeds2), seeds2)]
+        outputs += [jets.stack(f(seeds), seeds) for f in (fol.leaf_frame, fol.normal, dist.frame_D, dist.frame_Dperp)]
+        parts = [p.reshape(blk.shape[0], -1) for jet in outputs for p in (jet.value, jet.grad, jet.hess) if p is not None]
+        rows = np.ascontiguousarray(np.concatenate(parts, axis=1))
+        for i, key in enumerate(rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()):
+            group[start + i] = keys.setdefault(key, len(keys))
+            if group[start + i] == len(first):
+                first.append(start + i)
+    return np.array(first, dtype=np.intp), group
 
 
 def every_node_its_own_group(fol, points, order):

@@ -1,16 +1,21 @@
 """Distinct-node evaluation, held bit for bit to the evaluation on every node.
 
-``foliation.distinct_nodes`` groups the nodes of a whole grid whose closure
-jets agree bit for bit, whatever ``quadrature.CHUNK``; the grid passes, the
-leaf integrals and the scenario measurement build one ``Geometry`` point per
-group.  The oracle is the same code with every node its own group
+``foliation.distinct_nodes`` groups the nodes of a whole grid by their
+coordinates on the axes the closures read, whatever ``quadrature.CHUNK``;
+the grid passes, the leaf integrals and the scenario measurement build one
+``Geometry`` point per group.  Two oracles hold it: the grouping by the
+closures' output bytes (``helpers.fingerprint_groups``), which it must
+equal on every grid the catalog and the conformal torus are evaluated on,
+and the same code with every node its own group
 (``helpers.evaluate_per_node``), under which a pass must build ``Geometry``
 on every node of its grid, and, for the calibration floor, the connection
 evaluated from order-1 seeds on every node
 (``helpers.per_node_selftest_floor``).
 """
 
+import itertools
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +27,7 @@ from folsub.errors import EvaluationError
 from folsub.foliation import FoliationStructure, distinct_nodes
 from folsub.jets import Jet
 from folsub.manifolds import ChartManifold
-from helpers import evaluate_per_node, per_node_selftest_floor, record_geometry_points
+from helpers import evaluate_per_node, fingerprint_groups, per_node_selftest_floor, record_geometry_points
 
 CATALOG = scenarios.catalog_names()
 CHUNKS = (4096, 512, 32, 1)
@@ -50,7 +55,32 @@ def _fresh(grid):
     return quadrature.QuadratureGrid(grid.nodes, grid.weights, grid.axes)
 
 
-# -- the grouping ------------------------------------------------------------------
+# -- the grouping, against the closures' output bytes ------------------------------------
+
+
+def _point_sets(scenario) -> dict:
+    """Every node set the scenario is grouped on: its default and doubled grids, its leaf grids and its flag sample."""
+    man = scenario.manifold
+    grid = verify._grid(scenario)
+    sets = {"default": grid.nodes, "doubled": quadrature.refined(man, grid).nodes}
+    for spec in scenario.leaves:
+        axes = tuple(scenario.default_grid[ax] for ax in spec.axes)
+        sets[f"leaf {spec.name}"] = quadrature.leaf_grid(man, spec, axes).nodes
+    sets["sample"] = scenarios._sample_points(man, scenario.default_grid)
+    return sets
+
+
+@pytest.mark.parametrize("name", CATALOG + ["conformal_torus"])
+def test_the_groups_equal_those_of_the_closure_output_bytes(name, catalog, conformal, monkeypatch):
+    s = conformal if name == "conformal_torus" else catalog[name]
+    for label, points in _point_sets(s).items():
+        for order in (1, 2):
+            want = fingerprint_groups(s.fol, points, order)
+            for chunk in CHUNKS:
+                monkeypatch.setattr(quadrature, "CHUNK", chunk)
+                first, group = distinct_nodes(s.fol, points, order)
+                assert first.dtype == group.dtype == np.intp and group.shape == (points.shape[0],)
+                assert np.array_equal(first, want[0]) and np.array_equal(group, want[1]), (label, order, chunk)
 
 
 def _metric_entry_foliation(entry):
@@ -70,49 +100,117 @@ def _nodes(xs):
     return np.array([[x, 0.25, 0.5] for x in xs])
 
 
-def test_nodes_differing_only_in_the_sign_of_a_zero_are_distinct():
-    # x * 0.0 is -0.0 at negative x and 0.0 elsewhere; its derivatives are all 0.0
+def _reports_equal_the_per_node_evaluation(fol, points, monkeypatch):
+    """Assert that the grid checks over the nodes ``points`` report the bits of the per-node evaluation."""
+    s = scenarios._finalize("entry_torus", fol, declared={}, expected={}, leaves=(), default_grid=(2, 2, 2))
+    grid = quadrature.QuadratureGrid(points, np.full(points.shape[0], 0.25), (points.shape[0],))
+    grouped = [_bits(rep) for rep in verify.verify_grid_checks(s, _all_grid_checks(s), grid)]
+    with monkeypatch.context() as m:
+        evaluate_per_node(m)
+        assert [_bits(rep) for rep in verify.verify_grid_checks(s, _all_grid_checks(s), _fresh(grid))] == grouped
+
+
+def test_nodes_differing_only_in_the_sign_of_a_zero_are_distinct(monkeypatch):
+    # x * 0.0 is -0.0 at negative x and 0.0 elsewhere; its derivatives are all
+    # 0.0.  The closure outputs at x = -1 and -2 (and at 1 and 2) agree bit for
+    # bit, but the nodes differ in x, which the metric reads: they stay apart.
     fol = _metric_entry_foliation(lambda coords: coords[0] * 0.0)
-    first, group = distinct_nodes(fol, _nodes([-1.0, 1.0, -2.0, 2.0, 1.0]), order=1)
-    assert first.tolist() == [0, 1]
-    assert group.tolist() == [0, 1, 0, 1, 1]
+    points = _nodes([-1.0, 1.0, -2.0, 2.0, 1.0])
+    assert [a.tolist() for a in fingerprint_groups(fol, points, 1)] == [[0, 1], [0, 1, 0, 1, 1]]
+    first, group = distinct_nodes(fol, points, order=1)
+    assert first.tolist() == [0, 1, 2, 3]
+    assert group.tolist() == [0, 1, 2, 3, 1]
+    _reports_equal_the_per_node_evaluation(fol, points, monkeypatch)
 
 
 @pytest.mark.parametrize("chunk", [1, 2])
 def test_a_signed_zero_pair_in_different_chunks_stays_apart(chunk, monkeypatch):
+    # The last node repeats the second in a later chunk, which reads its held rows.
     monkeypatch.setattr(quadrature, "CHUNK", chunk)
     fol = _metric_entry_foliation(lambda coords: coords[0] * 0.0)
-    first, group = distinct_nodes(fol, _nodes([-1.0, 1.0, -2.0, 2.0, 1.0]), order=1)
-    assert first.tolist() == [0, 1]
-    assert group.tolist() == [0, 1, 0, 1, 1]
+    points = _nodes([-1.0, 1.0, -2.0, 2.0, 1.0])
+    first, group = distinct_nodes(fol, points, order=1)
+    assert first.tolist() == [0, 1, 2, 3]
+    assert group.tolist() == [0, 1, 2, 3, 1]
+    _reports_equal_the_per_node_evaluation(fol, points, monkeypatch)
 
 
-def test_rows_whose_hashes_collide_are_told_apart_by_their_bytes(monkeypatch):
-    # The block hash is sum_j row_j C^(j+1) mod 2**64; it is 0 for both rows
-    # below, since (-C) C + 1 C^2 = 0.
-    c = 0x9E3779B97F4A7C15
-    a, b = [0, 0], [2**64 - c, 1]
-    rows = np.array([a, b, b, a], dtype=np.uint64)
-    powers = np.cumprod(np.full(2, c, dtype=np.uint64))
-    assert set((rows * powers).sum(axis=1, dtype=np.uint64).tolist()) == {0}
-    assert foliation._first_equal_rows(rows).tolist() == [0, 1, 2, 0]  # b is paired with no a
-    monkeypatch.setattr(foliation, "_fingerprint", lambda fol, pts, order: (((), b""), rows))
-    first, group = distinct_nodes(None, np.zeros((4, 1)), order=1)
-    assert first.tolist() == [0, 1]
-    assert group.tolist() == [0, 1, 1, 0]  # the two b rows share one key
-
-
-def test_nodes_differing_by_one_ulp_in_one_hessian_entry_are_distinct():
-    def entry(coords):
-        x = coords[0]
-        hess = np.zeros(x.hess.shape)
-        hess[..., 0, 0] = np.where(x.value > 0.0, 1.0, np.nextafter(1.0, 2.0))
-        return Jet(np.full(x.value.shape, 0.5), np.zeros(x.grad.shape), hess)
-
-    fol = _metric_entry_foliation(entry)
-    first, group = distinct_nodes(fol, _nodes([2.0, -1.0, 1.0, -3.0]), order=1)
+def test_a_coordinate_pair_of_signed_zeros_stays_apart():
+    fol = _metric_entry_foliation(lambda coords: coords[0] * 0.0 + 0.0)  # 0.0 at x = -0.0 and 0.0
+    points = _nodes([0.0, -0.0, 0.0, -0.0])
+    assert [a.tolist() for a in fingerprint_groups(fol, points, 1)] == [[0], [0, 0, 0, 0]]
+    first, group = distinct_nodes(fol, points, order=1)
     assert first.tolist() == [0, 1]
     assert group.tolist() == [0, 1, 0, 1]
+
+
+def test_nodes_differing_by_one_ulp_in_one_hessian_entry_are_distinct(monkeypatch):
+    # The entry is 0.0 with Hessian 1.0 at positive x and one ulp above at
+    # negative x: the closure outputs at x = 2 and 1 (and at -1 and -3) agree
+    # bit for bit, but the nodes differ in x, which the entry reads.
+    def entry(coords):
+        x = coords[0]
+        if x.hess is None:  # the flag measurement reads values and gradients only
+            return x * 0.0 + 0.0
+        hess = np.zeros(x.hess.shape)
+        hess[..., 0, 0] = np.where(x.value > 0.0, 1.0, np.nextafter(1.0, 2.0))
+        return Jet(np.zeros(x.value.shape), np.zeros(x.grad.shape), hess)
+
+    fol = _metric_entry_foliation(entry)
+    points = _nodes([2.0, -1.0, 1.0, -3.0])
+    assert [a.tolist() for a in fingerprint_groups(fol, points, 1)] == [[0, 1], [0, 1, 0, 1]]
+    first, group = distinct_nodes(fol, points, order=1)
+    assert first.tolist() == [0, 1, 2, 3]
+    assert group.tolist() == [0, 1, 2, 3]
+    _reports_equal_the_per_node_evaluation(fol, points, monkeypatch)
+
+
+# -- the support: the coordinates the closures read --------------------------------------
+
+
+def _xy_grid():
+    """The nodes of a grid with two values on each of x, y and z, so a grouping on any set of axes can be read off."""
+    return np.array(list(itertools.product([0.0, 0.5], repeat=3)))
+
+
+@pytest.mark.parametrize(
+    "entry, axes",
+    [
+        (lambda coords: coords[2] * 0.0, [2]),
+        (lambda coords: coords[-1] * 0.0, [2]),  # a negative index records its axis
+        (lambda coords: sum(coords[1:]) * 0.0, [1, 2]),  # a slice records its indices
+        (lambda coords: coords[0] * 0.0 + coords[2] * 0.0, [0, 2]),
+        (lambda coords: sum(c * 0.0 for c in coords), [0, 1, 2]),  # iteration reads every coordinate
+        (lambda coords: (lambda x, y, z: z * 0.0)(*coords), [0, 1, 2]),  # so does unpacking, used or not
+        (lambda coords: coords.copy()[2] * 0.0, [0, 1, 2]),  # and every list method that reads the items
+        (lambda coords: (coords + [])[2] * 0.0, [0, 1, 2]),
+        (lambda coords: ([] + coords)[2] * 0.0, [0, 1, 2]),
+        (lambda coords: next(reversed(coords)) * 0.0, [0, 1, 2]),
+        (lambda coords: 0.0, []),
+    ],
+)
+def test_nodes_are_grouped_by_the_coordinates_the_closures_read(entry, axes):
+    points = _xy_grid()
+    first, group = distinct_nodes(_metric_entry_foliation(entry), points, order=2)
+    keys = [tuple(p[axes]) for p in points]
+    assert [keys.index(key) for key in keys] == first[group].tolist()
+    assert first.size == len(set(keys))
+
+
+def test_a_branch_on_a_read_value_raises_instead_of_hiding_a_read():
+    def entry(coords):
+        return coords[1] * 0.0 if coords[0].value > 0.5 else 0.0
+
+    with pytest.raises(ValueError, match="truth value"):
+        distinct_nodes(_metric_entry_foliation(entry), _xy_grid(), order=1)
+
+
+@pytest.mark.parametrize("name", ["flat_torus", "heisenberg", "round_s3"])
+def test_constant_closures_give_one_group(name, catalog):
+    s = catalog[name]
+    for points in _point_sets(s).values():
+        first, group = distinct_nodes(s.fol, points, order=1)
+        assert first.tolist() == [0] and not group.any()
 
 
 def test_groups_are_numbered_by_their_first_node_in_grid_order(tilted, conformal):
@@ -235,28 +333,53 @@ def test_reports_are_the_same_under_any_chunk_size(name, axes, catalog, conforma
     assert all(other == reports[0] for other in reports[1:])
 
 
-def _pass_peak(scenario, axes) -> tuple[int, int]:
-    """Traced peak bytes of one grid pass over a grid whose plan is built, and the pass's integral count."""
+def _traced_peaks(scenario, axes) -> tuple[int, int, int]:
+    """Traced peak bytes of building a grid's plan and of one grid pass over it, beyond what it starts with, and the pass's integral count."""
     grid = quadrature.grid_for(scenario.manifold, axes)
-    verify.grid_plan(scenario.fol, grid)  # 8 B per node for the grid's lifetime, not the pass's
     fields = verify._selftest_fields(scenario.manifold)
     tracemalloc.start()
     try:
+        verify.grid_plan(scenario.fol, grid)
+        plan = tracemalloc.get_traced_memory()[1]
+        held = tracemalloc.get_traced_memory()[0]  # the plan, held for the grid's lifetime, not the pass's
+        tracemalloc.reset_peak()
         integrals, _ = verify._grid_pass(scenario, grid, {"reeb", "closed-form-c"}, range(scenario.n), fields)
-        peak = tracemalloc.get_traced_memory()[1]
+        peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    return peak, len(integrals)
+    return plan, peak, len(integrals)
 
 
 def test_a_pass_over_a_grid_without_repeated_nodes_holds_nothing_beyond_its_reduction(conformal):
     # Every node is its own representative, so no chunk reads another's rows:
     # four times the nodes may cost only the reduction's float64 blocks, one
-    # per integral and node, plus 1 MB.
-    _pass_peak(conformal, (2, 2, 2, 2))  # first-call allocations
-    small, keys = _pass_peak(conformal, (8, 8, 8, 16))
-    large, _ = _pass_peak(conformal, (8, 8, 8, 64))
-    assert large - small <= keys * 8 * 8**3 * (64 - 16) + 2**20
+    # per integral and node, plus 1 MB.  Grouping the nodes may cost 256 B
+    # per node.
+    _traced_peaks(conformal, (2, 2, 2, 2))  # first-call allocations
+    small_plan, small, keys = _traced_peaks(conformal, (8, 8, 8, 16))
+    large_plan, large, _ = _traced_peaks(conformal, (8, 8, 8, 64))
+    extra = 8**3 * (64 - 16)
+    assert large - small <= keys * 8 * extra + 2**20
+    assert large_plan - small_plan <= 256 * extra
+
+
+def test_a_pass_evaluates_the_metric_on_the_probe_and_the_representatives_only(warped4):
+    # The doubled grid has 32,768 nodes and 64 distinct z-values, the only
+    # coordinate the closures read.
+    seen = []
+
+    def counting(coords):
+        out = warped4.manifold.metric(coords)
+        seen.append(next(x.value.shape[0] for row in out for x in row if isinstance(x, Jet)))
+        return out
+
+    man = replace(warped4.manifold, metric=counting)
+    dist = replace(warped4.dist, manifold=man)
+    fol = replace(warped4.fol, dist=dist)
+    s = replace(warped4, manifold=man, dist=dist, fol=fol)
+    grid = quadrature.refined(man, verify._grid(s))
+    verify.verify_grid_checks(s, ["reeb"], grid)
+    assert grid.count == 32768 and sum(seen) <= 64 + 2
 
 
 def test_leaf_integrals_equal_the_per_node_evaluation(catalog, conformal, monkeypatch):

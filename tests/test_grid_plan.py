@@ -32,7 +32,7 @@ def _fresh(grid):
 
 
 def _count_calls(monkeypatch) -> dict:
-    """Count the fingerprints, densities and self-test field evaluations from here on."""
+    """Count the node groupings, densities and self-test field evaluations from here on."""
     calls = {"distinct_nodes": 0, "volume_density": 0, "trig_scalars": 0}
 
     def counting(name, fn):
