@@ -340,7 +340,7 @@ class Geometry:
         It holds for fields whose normal component is constant along the N-curves.
         """
         X = stack(X_field(self.coords), self.coords).at_order(1)
-        full = mfd.divergence_jets(self.man, self.coords, self.gamma, X).value
+        full = mfd.divergence_jets(self.man, self.coords, self.gamma, X)
         xz = np.einsum("...l,...lk,...k->...", X.value, self.g.value, self.Z.value)
         xh = np.einsum("...l,...lk,...k->...", X.value, self.g.value, self.Hperp.value)
         return float(np.max(np.abs(full - (self.div_F(X) - xz - xh))))

@@ -243,9 +243,26 @@ def riemann_jets(manifold, coords, gamma: Connection | None = None) -> np.ndarra
     return R
 
 
-def divergence_jets(manifold, coords, gamma, X) -> Jet:
+def divergence_jets(manifold, coords, gamma: Connection, X) -> np.ndarray:
     """Full divergence: trace of the covariant derivative of the field X (a list or a jet)."""
-    return einsum("...kk->...", differential(gamma, stack(X, coords)))
+    d = np.arange(len(coords))
+    return traced_divergence(coords, gamma.gamma[..., d, d, :], X)
+
+
+def traced_divergence(coords, gamma_kk: np.ndarray, X) -> np.ndarray:
+    """Div X from the diagonal of ∇X alone: ∂_k X^k + Γ^k_{kj} X^j, traced.
+
+    ``X`` is a field (a list or a jet) on order-1 seeds ``coords``, and
+    ``gamma_kk[..., k, j]`` is Γ^k_{kj}, with the batch axes or without
+    them.  The diagonal is set on a zero matrix and traced with
+    ``np.einsum("...kk->...")``, so it sums in the order a trace of the
+    whole :func:`differential` would, bit for bit.
+    """
+    W = stack(X, coords)
+    d = np.arange(len(coords))
+    nabla = np.zeros(W.value.shape + (len(coords),))
+    nabla[..., d, d] = W.grad[..., d, d] + np.einsum("...kj,...j->...k", gamma_kk, W.value)
+    return np.einsum("...kk->...", nabla)
 
 
 def coordinate_field(i: int, m: int):
@@ -317,4 +334,4 @@ def divergence(manifold, X_field, p: Point):
     p = np.asarray(p, dtype=float)
     coords = manifold.seed(p, order=1)
     gamma = manifold.gamma_jets(coords)
-    return divergence_jets(manifold, coords, gamma, X_field(coords)).value
+    return divergence_jets(manifold, coords, gamma, X_field(coords))

@@ -3,9 +3,12 @@
 On periodic chart backends the rule is the product trapezoid rule, which on
 a circle collapses to equally weighted nodes and is spectrally accurate for
 smooth periodic integrands.  Homogeneous invariant-frame backends integrate
-with a single node carrying the declared total volume.  Reductions use
-``math.fsum`` over samples collected in grid order, so results are exact to
-one rounding and independent of any evaluation chunking.
+with a single node carrying the declared total volume.  Every reduction is
+exact to one rounding and independent of any evaluation chunking: each
+weighted sample enters an exact integer sum once per node it stands for,
+once for a per-node sample and ``count`` times for one that stands for a
+group of nodes (:class:`Grouped`), so the result is ``math.fsum`` over the
+per-node samples bit for bit.
 
 The weights here are coordinate weights only; the density is the caller's.
 :func:`integrate` takes the manifold's volume density by default, and the
@@ -16,9 +19,7 @@ integrate over: every axis of M, or a leaf's axes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -26,6 +27,8 @@ from .errors import EvaluationError, UnsupportedLeafError
 from .manifolds import InvariantFrameManifold
 
 CHUNK = 4096
+# Every finite double is an integer multiple of 2**-1074, the least subnormal.
+_SCALE = 1 << 1074
 
 
 @dataclass(frozen=True)
@@ -112,36 +115,99 @@ def leaf_grid(manifold, leaf, axes=None) -> QuadratureGrid:
     return _product_grid(manifold, dict(zip(leaf.axes, _counts(axes, len(leaf.axes)))), leaf.fixed)
 
 
+@dataclass(frozen=True)
+class Grouped:
+    """Samples that each stand for several grid nodes: a term's value on a group of equal nodes.
+
+    ``values[i]`` is the sample at ``counts[i]`` nodes that share the weight
+    of node ``first[i]``, their first in grid order, which also names them
+    when the sample is not finite.  :func:`integrate_terms` sums it as it
+    would sum those nodes' copies of it.
+    """
+
+    values: np.ndarray
+    counts: np.ndarray
+    first: np.ndarray
+
+
 def integrate_terms(terms, grid: QuadratureGrid, density=None) -> dict:
     """Integrals of a dict of point functions, evaluated together per chunk.
 
     ``terms`` maps an (K, m) block of points to a dict of (K,) sample arrays
-    (or scalars), already carrying any density the caller weights them by;
-    a ``density``, when given, maps the block to the factor it is
-    multiplied by.  Each key's samples, times the coordinate weights, are
-    kept as float64 blocks in grid order and reduced with one ``fsum``,
-    correctly rounded, so the result is deterministic and independent of the
-    chunking.  A non-finite sample of any key raises
-    :class:`EvaluationError` (:func:`require_finite`); a ``(check, term)``
-    key names both.
+    (or scalars), or of :class:`Grouped` samples, each entry standing for
+    its nodes wherever they lie in the grid.  A ``density``, when given,
+    maps points to the factor the per-node samples are multiplied by;
+    grouped samples must carry theirs already, and are refused with one.
+    Each sample, times its coordinate weight, is added once per node it
+    stands for into one exact integer sum per key (:func:`_scaled_sum`),
+    rounded once at the end.  So the result is ``math.fsum`` over every
+    node's weighted sample, deterministic, independent of the chunking, and
+    the same bits whichever form carries the samples.  A non-finite sample
+    of any key raises :class:`EvaluationError` (:func:`require_finite`)
+    naming its first node in grid order; a ``(check, term)`` key names both.
+    So does a sum too large for a float.
     """
-    blocks: dict[object, list[np.ndarray]] = {}
+    sums: dict[object, int] = {}
     for pts, w in chunks(grid):
         dens = None if density is None else density(pts)
         for key, vals in terms(pts).items():
-            block = np.asarray(vals, dtype=float) + np.zeros(pts.shape[0])
-            block = (block if dens is None else block * dens) * w
-            require_finite(key, block, pts)
-            blocks.setdefault(key, []).append(block)
-    return {key: math.fsum(chain.from_iterable(b.tolist() for b in parts)) for key, parts in blocks.items()}
+            if isinstance(vals, Grouped):
+                if density is not None:
+                    raise ValueError(f"grouped {_named(key, 'samples')} take no density")
+                x, counts = np.asarray(vals.values, dtype=float) * grid.weights[vals.first], vals.counts
+                if not np.all(np.isfinite(x)):
+                    order = np.argsort(vals.first, kind="stable")
+                    require_finite(key, x[order], grid.nodes[vals.first[order]])
+            else:
+                x, counts = np.asarray(vals, dtype=float) + np.zeros(pts.shape[0]), 1
+                x = (x if dens is None else x * dens) * w
+                require_finite(key, x, pts)
+            sums[key] = sums.get(key, 0) + _scaled_sum(x, counts)
+    out = {}
+    for key, total in sums.items():
+        try:
+            out[key] = total / _SCALE
+        except OverflowError:
+            raise EvaluationError(f"the sum of {_named(key, 'samples')} overflows") from None
+    return out
+
+
+def _scaled_sum(x: np.ndarray, counts) -> int:
+    """The exact sum of ``counts[i]`` copies of each finite ``x[i]``, in units of 2**-1074.
+
+    Each sample is an integer mantissa below 2**53 times a power of two.
+    Split in three pieces below 2**18, each piece times its count is an
+    integer below 2**49, and so is the sum of those of one exponent while
+    the counts add up to less than 2**31, as those of any grid's nodes do:
+    ``np.bincount`` adds them exactly in float64, with no sort, one bin per
+    exponent from the least to the greatest.  The per-exponent sums meet in
+    one Python integer.
+    """
+    if x.size == 0:
+        return 0
+    mant, exp = np.frexp(x)
+    mant = (mant * 2.0**53).astype(np.int64)  # x = mant * 2**(exp - 53), exactly
+    shift = exp.astype(np.int64) + (1074 - 53)
+    mant >>= np.maximum(-shift, 0)  # a subnormal's low bits are zero
+    shift = np.maximum(shift, 0)
+    low = int(shift.min())
+    shift -= low
+    counts = np.asarray(counts, dtype=np.int64)
+    parts = (mant & 0x3FFFF, mant >> 18 & 0x3FFFF, mant >> 36)
+    pieces = [np.bincount(shift, part * counts).tolist() for part in parts]
+    return sum((int(a) + (int(b) << 18) + (int(c) << 36)) << s for s, (a, b, c) in enumerate(zip(*pieces), low))
 
 
 def require_finite(key, vals: np.ndarray, pts: np.ndarray) -> None:
     """Raise :class:`EvaluationError` at the first non-finite sample in ``vals``, named by ``key``."""
     if not np.all(np.isfinite(vals)):
         bad = pts[~np.isfinite(vals)][0]
-        term, where = (key[1], f" of {key[0]}") if isinstance(key, tuple) else (key, "")
-        raise EvaluationError(f"non-finite {term} sample{where} at point {bad!r}")
+        raise EvaluationError(f"non-finite {_named(key, 'sample')} at point {bad!r}")
+
+
+def _named(key, what: str) -> str:
+    """``what`` of a sample key as errors name it: after its term, and before its check if it has one."""
+    return f"{key[1]} {what} of {key[0]}" if isinstance(key, tuple) else f"{key} {what}"
 
 
 def integrate(manifold, field, grid: QuadratureGrid, density=None) -> float:

@@ -39,14 +39,16 @@ takes the run grid's counts on the leaf's axes.  A pass builds
 ``Geometry`` once per distinct node of the whole grid, nodes being
 distinct on the coordinates the closures read
 (:func:`foliation.distinct_nodes`), in the chunk where the node first
-appears, and gives every node its representative's samples, weighted by
-the volume density of that geometry's metric on the axes integrated over,
-so the reduction sees the same per-node samples as an evaluation on every
-node.  A grid carries the plan of its passes (:func:`grid_plan`): the node
-groups, per (foliation, order), and the calibration floor, computed once
-per grid object, so the checks of one grid share them across calls.  The sampled checks draw seeded random points and build one
-``Geometry`` on them (``_sampled``), at order 1 for the first-order
-identities (``div-split``, ``leafdiv-normal``).  Time that reports share is
+appears, and hands the reduction each representative's samples once,
+weighted by the volume density of that geometry's metric on the axes
+integrated over, with the count of nodes they stand for; the reduction's
+sums have the bits of an evaluation on every node.  Only the self-test's
+divergences are evaluated per node.  A grid carries the plan of its passes
+(:func:`grid_plan`): the node groups, per (foliation, order), and the
+calibration floor, computed once per grid object, so the checks of one
+grid share them across calls.  The sampled checks draw seeded random
+points and build one ``Geometry`` on them (``_sampled``), at order 1 for
+the first-order identities (``div-split``, ``leafdiv-normal``).  Time that reports share is
 charged to the first of them, so a run's wall times add up to at most its own.
 """
 
@@ -63,7 +65,7 @@ import numpy as np
 from . import jets, newton, quadrature
 from .errors import ConfigError, EvaluationError
 from .foliation import FoliationStructure, Geometry, distinct_nodes
-from .manifolds import Connection, InvariantFrameManifold, divergence_jets
+from .manifolds import InvariantFrameManifold, traced_divergence
 from .quadrature import QuadratureGrid, grid_for, integrate_terms, leaf_grid
 from .quadrature import integrate, require_finite  # integrate: wrapped by perfbench/tracing.py
 from .scenarios import ADMISSIBLE_TOL
@@ -444,15 +446,23 @@ class GridPlan:
     ``first`` and ``group`` are :func:`foliation.distinct_nodes` over the
     whole grid at ``order``: the nodes grouped by their coordinates on the
     axes the closures read, the ascending index of each group's first node,
-    and each node's group, 8 B per node.  They do not depend on
-    ``quadrature.CHUNK``.  ``floor`` is the calibration floor once
-    an order-1 pass has measured it.
+    and each node's group, 8 B per node.  The entries split each group by
+    the nodes' weights, as a grouped sample is summed
+    (:class:`quadrature.Grouped`): ``entry_group``, ``entry_count`` and
+    ``entry_first`` give each entry's group, node count and first node,
+    ordered by group, then first node; on a grid of one weight, as every
+    product grid is, the entries are the groups.  None of them depends on
+    ``quadrature.CHUNK``.  ``floor`` is the calibration floor once an
+    order-1 pass has measured it.
     """
 
     fol: FoliationStructure
     order: int
     first: np.ndarray
     group: np.ndarray
+    entry_group: np.ndarray
+    entry_count: np.ndarray
+    entry_first: np.ndarray
     floor: float | None = None
 
 
@@ -467,9 +477,21 @@ def grid_plan(fol: FoliationStructure, grid: QuadratureGrid, order: int = 1) -> 
     for plan in grid.plans:
         if plan.fol is fol and plan.order == order:
             return plan
-    plan = GridPlan(fol, order, *distinct_nodes(fol, grid.nodes, order))
+    first, group = distinct_nodes(fol, grid.nodes, order)
+    plan = GridPlan(fol, order, first, group, *_weight_entries(first, group, grid.weights))
     grid.plans.append(plan)
     return plan
+
+
+def _weight_entries(first: np.ndarray, group: np.ndarray, weights: np.ndarray) -> tuple:
+    """Each (group, weight bits) pair's group, node count and first node, ordered by group, then first node."""
+    bits = weights.view(np.int64)
+    if np.all(bits == bits[0]):
+        return np.arange(first.size), np.bincount(group, minlength=first.size), first
+    _, weight = np.unique(bits, return_inverse=True)
+    _, at, count = np.unique(group * (weight.max() + 1) + weight, return_index=True, return_counts=True)
+    order = np.lexsort((at, group[at]))
+    return group[at[order]], count[order], at[order]
 
 
 def verify_grid_checks(scenario, checks, grid=None, tolerance=None, c: float | None = None) -> list[VerificationReport]:
@@ -551,21 +573,24 @@ def _grid_pass(scenario, grid: QuadratureGrid, bases, orders=(), fields=None, le
     whole grid.  Each chunk builds one ``Geometry`` on the representatives
     (first nodes) that are new to it, at order 2 over a leaf, whose
     integrand differentiates the shape operator, and order 1 (values only)
-    over M, and none when it has no new one.  Every node takes its samples,
-    the connection for the self-test and its density from its
-    representative: from this chunk's geometry, or from the rows an earlier
-    chunk held because a later one reads them (:class:`_Held`).  So a grid
-    with no repeated node holds nothing beyond its chunk.  Every sample is
-    weighted by the volume density of that geometry's metric, sqrt(det g)
-    over the axes integrated over (all of them, or the leaf's; 1 on the
-    invariant backend's orthonormal frame), so the reduction sees the
-    per-node weighted samples in grid order.  A pass with nothing to emit
-    makes none.  The self-test fields are evaluated at every node's seeds,
-    each trig factor once per distinct coordinate value of its axis
-    (:func:`trig_scalars`).  The sigma_2 and Ric^P(N, N) extrema are read
-    from the unweighted samples and are exact under any chunking; a
-    non-finite sample of either raises :class:`EvaluationError` naming its
-    first node in grid order.
+    over M, and none when it has no new one.  Each sample is weighted by the
+    volume density of that geometry's metric, sqrt(det g) over the axes
+    integrated over (all of them, or the leaf's; 1 on the invariant
+    backend's orthonormal frame), and reaches the reduction once, in the
+    chunk of its representative, as one :class:`quadrature.Grouped` entry
+    per plan entry of its group: the reduction sums it as the copies every
+    node of the group would give, bit for bit.  Only the self-test's
+    divergences vary per node: its fields are evaluated at every node's
+    seeds, each trig factor once per distinct coordinate value of its axis
+    (:func:`trig_scalars`), and every node reads its density and the traced
+    connection slice Γ^k_{kj} from its representative, from this chunk's
+    geometry or from the rows an earlier chunk held because a later one
+    reads them (:class:`_Held`).  A pass without the self-test holds and
+    gathers nothing per node, and a pass with nothing to emit makes none.
+    The sigma_2 and Ric^P(N, N) extrema are read from the representatives'
+    unweighted samples, the values of every node; a non-finite sample of
+    either raises :class:`EvaluationError` naming its first node in grid
+    order.
     """
     fol, man = scenario.fol, scenario.manifold
     sigmas = set()
@@ -580,65 +605,64 @@ def _grid_pass(scenario, grid: QuadratureGrid, bases, orders=(), fields=None, le
     order = 1 if leaf is None else 2
     axes = list(range(man.dim) if leaf is None else leaf.axes)
     plan = grid_plan(fol, grid, order)
-    held = _Held(plan, quadrature.CHUNK)
+    held = None if fields is None else _Held(plan, quadrature.CHUNK)
+    diagonal = np.arange(man.dim)
     start = 0
 
     def representatives(pts):
-        """The representatives' arrays: density, connection, scan values and weighted samples."""
+        """The representatives' per-node arrays (density, Γ^k_{kj}) and weighted samples; the scan's extrema."""
         geom = Geometry(fol, pts, order=order)
         density = np.sqrt(np.linalg.det(geom.g.value[..., axes, :][..., axes]))
-        out = {"density": density}
+        node = {"density": density}
         if fields is not None:
-            G = geom.gamma.gamma  # without a batch axis on the invariant backend
-            out["gamma"] = np.broadcast_to(G, geom.batch + G.shape[-3:])
+            G = geom.gamma.gamma[..., diagonal, diagonal, :]  # without a batch axis on the invariant backend
+            node["gamma_kk"] = np.broadcast_to(G, geom.batch + G.shape[-2:])
         if scan:
-            out[("sigma2-image", "sigma_2")] = geom.sigma.value[..., 2]
-            out[("sigma2-image", "ricci_p_NN")] = geom.ricci_p(geom.N.value)
-        out.update({f"sigma_{k}": geom.sigma.value[..., k] * density for k in sorted(sigmas)})
-        if "closed-form-c" in bases:
-            out["volume"] = density
-        for r in orders:
-            if leaf is not None:
-                out[(f"leaf:{r}", "integrand")] = geom.leaf_formula_integrand(r) * density
-            else:
-                out.update({(f"main:{r}", key): vals * density for key, vals in _main_terms(geom, r).items()})
-        return out
-
-    def terms(pts):
-        nonlocal start
-        stop = start + pts.shape[0]
-        lo, hi = np.searchsorted(plan.first, (start, stop))
-        new = representatives(pts[plan.first[lo:hi] - start]) if hi > lo else {}
-        node = held.scatter(new, plan.group[start:stop], lo, hi)
-        start = stop
-        density = node.pop("density")
-        out = {}
-        if fields is not None:
-            coords = man.seed(pts, order=1)
-            gamma = Connection(node.pop("gamma"))
-            for i, X in enumerate(fields(coords)):
-                out[("divergence-selftest", f"div_{i}")] = divergence_jets(man, coords, gamma, X).value * density
-        if scan:
-            s2, ric = (node.pop(("sigma2-image", key)) for key in ("sigma_2", "ricci_p_NN"))
+            s2, ric = geom.sigma.value[..., 2], geom.ricci_p(geom.N.value)
             require_finite(("sigma2-image", "sigma_2"), s2, pts)
             require_finite(("sigma2-image", "ricci_p_NN"), ric, pts)
             extrema["sigma2_min"] = min(extrema["sigma2_min"], float(np.min(s2)))
             extrema["sigma2_max"] = max(extrema["sigma2_max"], float(np.max(s2)))
             extrema["ricci_p_NN_min"] = min(extrema["ricci_p_NN_min"], float(np.min(ric)))
-        out.update(node)
+        samples = {f"sigma_{k}": geom.sigma.value[..., k] * density for k in sorted(sigmas)}
+        if "closed-form-c" in bases:
+            samples["volume"] = density
+        for r in orders:
+            if leaf is not None:
+                samples[(f"leaf:{r}", "integrand")] = geom.leaf_formula_integrand(r) * density
+            else:
+                samples.update({(f"main:{r}", key): vals * density for key, vals in _main_terms(geom, r).items()})
+        return node, samples
+
+    def terms(pts):
+        nonlocal start
+        stop = start + pts.shape[0]
+        lo, hi = np.searchsorted(plan.first, (start, stop))
+        node, samples = representatives(pts[plan.first[lo:hi] - start]) if hi > lo else ({}, {})
+        out = {}
+        if fields is not None:
+            node = held.scatter(node, plan.group[start:stop], lo, hi)
+            coords = man.seed(pts, order=1)
+            for i, X in enumerate(fields(coords)):
+                out[("divergence-selftest", f"div_{i}")] = traced_divergence(coords, node["gamma_kk"], X) * node["density"]
+        start = stop
+        a, b = np.searchsorted(plan.entry_group, (lo, hi))
+        ids, counts, first = plan.entry_group[a:b] - lo, plan.entry_count[a:b], plan.entry_first[a:b]
+        out.update({key: quadrature.Grouped(vals[ids], counts, first) for key, vals in samples.items()})
         return out
 
     return _integrate_terms(scenario, grid, terms), extrema
 
 
 class _Held:
-    """The rows of the representatives that a grid pass reads in a later chunk than their own.
+    """The per-node arrays of the representatives that a grid pass reads in a later chunk than their own.
 
     A pass in chunks of ``size`` nodes computes each representative's arrays
     in the chunk of its first node.  Of those, this keeps only the rows of
     the representatives that a later chunk also reads, in arrays allocated
     once per pass, so it holds nothing on a grid without repeated nodes and
-    copies nothing per chunk but the new rows.
+    copies nothing per chunk but the new rows.  Only the self-test reads
+    arrays per node: its density and Γ^k_{kj}.
     """
 
     def __init__(self, plan: GridPlan, size: int):

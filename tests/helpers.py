@@ -378,7 +378,7 @@ def per_node_selftest_floor(scenario, grid):
     def terms(pts):
         coords = man.seed(pts, order=1)
         gamma = man.gamma_jets(coords)
-        return {f"div_{i}": divergence_jets(man, coords, gamma, X(coords)).value for i, X in enumerate(fields)}
+        return {f"div_{i}": divergence_jets(man, coords, gamma, X(coords)) for i, X in enumerate(fields)}
 
     return max(abs(v) for v in integrate_terms(terms, grid, man.volume_density).values())
 

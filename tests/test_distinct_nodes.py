@@ -351,15 +351,14 @@ def _traced_peaks(scenario, axes) -> tuple[int, int, int]:
 
 
 def test_a_pass_over_a_grid_without_repeated_nodes_holds_nothing_beyond_its_reduction(conformal):
-    # Every node is its own representative, so no chunk reads another's rows:
-    # four times the nodes may cost only the reduction's float64 blocks, one
-    # per integral and node, plus 1 MB.  Grouping the nodes may cost 256 B
-    # per node.
+    # Every node is its own representative, so no chunk reads another's rows,
+    # and the reduction holds one integer per integral: four times the nodes
+    # may cost at most 1 MB more.  Grouping the nodes may cost 256 B per node.
     _traced_peaks(conformal, (2, 2, 2, 2))  # first-call allocations
-    small_plan, small, keys = _traced_peaks(conformal, (8, 8, 8, 16))
+    small_plan, small, _ = _traced_peaks(conformal, (8, 8, 8, 16))
     large_plan, large, _ = _traced_peaks(conformal, (8, 8, 8, 64))
     extra = 8**3 * (64 - 16)
-    assert large - small <= keys * 8 * extra + 2**20
+    assert large - small <= 2**20
     assert large_plan - small_plan <= 256 * extra
 
 
@@ -380,6 +379,36 @@ def test_a_pass_evaluates_the_metric_on_the_probe_and_the_representatives_only(w
     grid = quadrature.refined(man, verify._grid(s))
     verify.verify_grid_checks(s, ["reeb"], grid)
     assert grid.count == 32768 and sum(seen) <= 64 + 2
+
+
+def test_grouped_samples_reach_the_reduction_once_per_group(warped4, monkeypatch):
+    # With a tolerance the pass runs no self-test, so every key it emits is
+    # grouped: each chunk hands over at most one entry per group new to it,
+    # 64 per key over the doubled grid (32,768 nodes), with all the nodes'
+    # counts.  The new groups are counted from z, the coordinate the closures read.
+    monkeypatch.setattr(quadrature, "CHUNK", 512)
+    real_integrate = verify._integrate_terms
+    entries, counts, seen = {}, {}, set()
+
+    def recording(scenario, grid, term_fn, density=None):
+        def recorded(pts):
+            out = term_fn(pts)
+            new = {float(z) for z in pts[:, 3]} - seen
+            seen.update(new)
+            for key, vals in out.items():
+                assert isinstance(vals, quadrature.Grouped), key
+                assert len(vals.values) == len(vals.counts) == len(vals.first) <= len(new), key
+                entries[key] = entries.get(key, 0) + len(vals.values)
+                counts[key] = counts.get(key, 0) + int(np.sum(vals.counts))
+            return out
+
+        return real_integrate(scenario, grid, recorded, density)
+
+    monkeypatch.setattr(verify, "_integrate_terms", recording)
+    axes = tuple(2 * k for k in warped4.default_grid)
+    verify.verify_grid_checks(warped4, ["reeb", "main:0", "main:1"], axes, tolerance=1e-7)
+    assert len(seen) == 64 and len(entries) == 1 + 2 * 7  # sigma_1 and seven terms per order
+    assert set(entries.values()) == {64} and set(counts.values()) == {32768}
 
 
 def test_leaf_integrals_equal_the_per_node_evaluation(catalog, conformal, monkeypatch):

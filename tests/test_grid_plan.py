@@ -12,11 +12,13 @@ import gc
 import weakref
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from folsub import quadrature, scenarios, verify
 from folsub.foliation import rotated_foliation
 from folsub.manifolds import ChartManifold, InvariantFrameManifold
+from helpers import evaluate_per_node
 
 CATALOG = scenarios.catalog_names()
 
@@ -132,3 +134,22 @@ def test_plans_are_keyed_by_foliation_and_order(warped4):
     first, second = verify.grid_plan(warped4.fol, grid), verify.grid_plan(warped4.fol, grid, 2)
     assert (first.order, second.order) == (1, 2) and grid.plans == [first, second]
     assert verify.grid_plan(warped4.fol, grid) is first and verify.grid_plan(warped4.fol, grid, 2) is second
+
+
+def test_a_grid_of_two_weights_splits_each_group_by_weight(warped4, monkeypatch):
+    # The nodes at x = 0 weigh double, so each of the 32 z-groups holds nodes
+    # of both weights, the second from its first node at x = 1 on: one entry
+    # per (group, weight), and the pass's integrals are those of an
+    # evaluation on every node, bit for bit.
+    grid = verify._grid(warped4)
+    weights = grid.weights * np.where(grid.nodes[:, 0] == 0.0, 2.0, 1.0)
+    two = quadrature.QuadratureGrid(grid.nodes, weights, grid.axes)
+    plan = verify.grid_plan(warped4.fol, two)
+    assert plan.first.size == 32 and plan.entry_count.sum() == two.count
+    assert np.array_equal(plan.entry_group, np.repeat(np.arange(32), 2))
+    assert np.array_equal(plan.entry_first, plan.first.repeat(2) + np.tile([0, two.count // 4], 32))
+    fields = verify._selftest_fields(warped4.manifold)
+    grouped, _ = verify._grid_pass(warped4, two, {"reeb", "closed-form-c"}, (0, 1), fields)
+    evaluate_per_node(monkeypatch)
+    per_node, _ = verify._grid_pass(warped4, _fresh(two), {"reeb", "closed-form-c"}, (0, 1), fields)
+    assert repr(grouped) == repr(per_node)

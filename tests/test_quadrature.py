@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -116,7 +118,7 @@ def test_chunking_does_not_change_the_sum(warped4, monkeypatch):
     main = verify.verify_main(warped4, 1, tolerance=1e-7)
     monkeypatch.setattr(quad, "CHUNK", 100)
     chunked = quad.integrate(warped4.manifold, smooth, grid)
-    assert full == chunked  # bitwise, thanks to fsum over grid-ordered samples
+    assert full == chunked  # bitwise, thanks to the exact sum
 
     # the dict-valued form: every term of a multi-term integral
     monkeypatch.setattr(quad, "CHUNK", 500)
@@ -172,9 +174,9 @@ def test_nonfinite_sample_raises(flat):
 
 
 def test_reduction_keeps_samples_as_float64_blocks(flat):
-    # The reduction holds each key's weighted samples until its one fsum; as
-    # float64 blocks that is 8 bytes per node, where a list of Python floats
-    # took about 32.
+    # The reduction holds one exact integer per key and no sample beyond its
+    # chunk; float64 blocks of every sample would take 8 bytes per node, a
+    # list of Python floats about 32.
     import tracemalloc
 
     grid = quad.grid_for(flat.manifold, (64, 64, 64))
@@ -188,3 +190,95 @@ def test_reduction_keeps_samples_as_float64_blocks(flat):
         tracemalloc.stop()
     assert got == {key: 1.0 for key in range(4)}
     assert peak / (grid.count * 4) < 16.0
+
+
+def test_reduction_memory_does_not_grow_with_the_grid():
+    import tracemalloc
+
+    from conftest import build_conformal_torus
+
+    man = build_conformal_torus().manifold
+    peaks = []
+    for axes in ((8, 8, 8, 64), (8, 8, 8, 512)):  # 32,768 and 262,144 nodes
+        grid = quad.grid_for(man, axes)
+        tracemalloc.start()
+        try:
+            quad.integrate_terms(lambda pts: {key: pts[:, key] for key in range(3)}, grid, man.volume_density)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 64 * 1024, peaks
+
+
+@pytest.mark.parametrize("grouped", [False, True], ids=["per-node", "grouped"])
+def test_a_sum_of_finite_samples_that_overflows_names_its_key(grouped):
+    # The CLI maps EvaluationError, not OverflowError, to exit 2.
+    grid = quad.QuadratureGrid(np.array([[0.0], [1.0]]), np.ones(2), (2,))
+    key = ("main:0", "sigma")
+    if grouped:
+        terms = lambda pts: {key: quad.Grouped(np.array([1e308]), np.array([2]), np.array([0]))}
+    else:
+        terms = lambda pts: {key: np.full(pts.shape[0], 1e308)}
+    with pytest.raises(EvaluationError, match="the sum of sigma samples of main:0 overflows"):
+        quad.integrate_terms(terms, grid)
+
+
+def test_a_sum_whose_partial_sums_overflow_but_total_does_not_is_exact_in_both_forms(monkeypatch):
+    # The partial sum 2e308 is too large for a float; the total is not.
+    monkeypatch.setattr(quad, "CHUNK", 2)
+    grid = quad.QuadratureGrid(np.arange(3.0)[:, None], np.ones(3), (3,))
+    samples = np.array([1e308, 1e308, -1e308])
+    per_node = quad.integrate_terms(lambda pts: {"x": samples[pts[:, 0].astype(int)]}, grid)
+    emitted = iter([{"x": quad.Grouped(np.array([1e308, -1e308]), np.array([2, 1]), np.array([0, 2]))}])
+    grouped = quad.integrate_terms(lambda pts: next(emitted, {}), grid)
+    assert per_node == grouped == {"x": 1e308}
+
+
+def test_grouped_samples_take_no_density():
+    grid = quad.QuadratureGrid(np.zeros((2, 1)), np.ones(2), (2,))
+    terms = lambda pts: {"x": quad.Grouped(np.ones(1), np.array([2]), np.array([0]))}
+    with pytest.raises(ValueError, match="grouped x samples take no density"):
+        quad.integrate_terms(terms, grid, lambda pts: np.ones(pts.shape[0]))
+
+
+def _group_sets(rng, count):
+    """``count`` synthetic group sets: per entry a sample, a node count and the index of its weight among two."""
+    two_weights = (2 * np.pi / 4) ** 3, 0.3
+    for i in range(count):
+        n = int(rng.integers(1, 9))
+        kind = i % 6
+        if kind == 0:  # signed zeros only: the sum is +0.0
+            values = rng.choice([0.0, -0.0], n)
+        elif kind == 1:  # subnormals
+            values = rng.choice([-1, 1], n) * rng.integers(0, 2**52, n) * 5e-324
+        elif kind == 2:  # near 1e300 and 1e-300
+            values = rng.standard_normal(n) * 10.0 ** rng.choice([-300, 300], n)
+        elif kind == 3:  # mixed signs and magnitudes, with cancelling pairs
+            values = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, n)
+            values[: n // 2] = -values[n - n // 2 :][: n // 2]
+        else:
+            values = rng.uniform(-1.0, 1.0, n)
+        counts = rng.integers(1, 65, n)
+        if i % 250 == 7:
+            counts[0] = 2**20
+        elif i % 3 == 0:
+            counts = 2 ** rng.integers(0, 11, n) + rng.integers(0, 2, n)
+        weights = rng.integers(0, 2, n) if i % 2 else np.zeros(n, dtype=int)
+        yield values, counts, np.array(two_weights)[weights]
+
+
+def test_grouped_samples_sum_to_the_fsum_of_their_per_node_copies():
+    # The oracle is math.fsum over every node's copy, (value + 0.0) * weight,
+    # in grid order; the grouped sum must have its bits, signed zeros
+    # included, and so must the sum of the copies given per node.
+    rng = np.random.default_rng(1997)
+    for values, counts, weights in _group_sets(rng, 2000):
+        first = np.concatenate([[0], np.cumsum(counts)[:-1]])
+        node_weights = np.repeat(weights, counts)
+        grid = quad.QuadratureGrid(np.arange(node_weights.size, dtype=float)[:, None], node_weights, (node_weights.size,))
+        want = math.fsum(np.repeat((values + 0.0) * weights, counts).tolist())
+        emitted = iter([{"x": quad.Grouped(values, counts, first)}])
+        got = quad.integrate_terms(lambda pts: next(emitted, {}), grid)["x"]
+        copies = np.repeat(values, counts)
+        per_node = quad.integrate_terms(lambda pts: {"x": copies[pts[:, 0].astype(int)]}, grid)["x"]
+        assert repr(got) == repr(per_node) == repr(want), (values, counts, weights)

@@ -71,3 +71,25 @@ def test_traced_reeb_and_leaf_checks_report_what_untraced_ones_do(flat, warped3)
     assert traced == untraced
     assert tracer.names.count("quadrature.reduce") == 4  # one grid pass per check
     assert "quadrature.integrand" in tracer.names
+
+
+def test_traced_grouped_passes_on_the_doubled_grid_report_what_untraced_ones_do(warped4):
+    # Both passes calibrate, so each hands the reduction per-node self-test
+    # samples beside grouped ones; a fresh grid per call measures the floor each time.
+    axes = tuple(2 * k for k in warped4.default_grid)
+
+    def reports():
+        out = [verify.verify_reeb(warped4, axes), verify.verify_main(warped4, 1, axes)]
+        return [repr(replace(rep, wall_time_s=0.0)) for rep in out]
+
+    mods = {name: importlib.import_module(f"folsub.{name}") for name in MODULES}
+    untraced = reports()
+    tracer = _load_tracing().Tracer()
+    tracer.install(mods)
+    try:
+        traced = reports()
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    assert tracer.names.count("quadrature.reduce") == 2  # one grid pass per check
+    assert tracer.counts["quadrature.nodes"] == 2 * 32768

@@ -8,6 +8,10 @@ lift and ``Jet`` product per factor on every point.  On order-1 seeds values
 must agree bit for bit, which is stricter than by ``repr``, and gradients by
 ``np.array_equal``, since the closures can leave -0.0 in an untouched entry
 where the evaluator leaves +0.0.
+
+Every divergence is taken from the diagonal of the covariant derivative
+alone (``manifolds.traced_divergence``), which must give the bits of the
+trace of the whole ``manifolds.differential``.
 """
 
 import numpy as np
@@ -15,6 +19,8 @@ import pytest
 
 from conftest import build_conformal_torus
 from folsub import foliation, jets, quadrature, verify
+from folsub.manifolds import differential, divergence_jets, traced_divergence
+from folsub.scenarios import catalog_names
 from helpers import reference_distribution_field, reference_trig_scalar
 
 # The calibration's own draws, then one scalar from each of two seeds: 134
@@ -135,3 +141,22 @@ def test_divergence_split_equals_an_order_two_geometry(s, catalog, monkeypatch):
         X = verify.random_distribution_field(scenario.fol, np.random.default_rng(seed + 1))
         got = foliation.divx_residual(scenario.fol, X, pts)
         assert repr(got) == repr(foliation.Geometry(scenario.fol, pts, order=2).divx_residual(X)), scenario.name
+
+
+@pytest.mark.parametrize("name", [*catalog_names(), "conformal_torus"])
+def test_the_diagonal_divergence_has_the_bits_of_the_full_trace(name, scenarios):
+    # heisenberg and round_s3 hold Γ without a batch axis, so their slice
+    # Γ^k_{kj} comes without one too; the self-test broadcasts it to the batch.
+    man = scenarios[name].manifold
+    fields, diagonal = verify._selftest_fields(man), np.arange(man.dim)
+    rng = np.random.default_rng(23)
+    for size in (1, 2, 3, 5, 16, 100, 511, 1024, 4096):
+        coords = man.seed(man.random_points(rng, size), order=1)
+        gamma = man.gamma_jets(coords)
+        gamma_kk = gamma.gamma[..., diagonal, diagonal, :]
+        batched = np.broadcast_to(gamma_kk, (size,) + gamma_kk.shape[-2:])
+        for X in fields(coords):
+            want = jets.einsum("...kk->...", differential(gamma, jets.stack(X, coords))).value
+            for got in (traced_divergence(coords, gamma_kk, X), traced_divergence(coords, batched, X),
+                        divergence_jets(man, coords, gamma, X)):
+                assert got.shape == want.shape == (size,) and got.tobytes() == want.tobytes()

@@ -76,14 +76,19 @@ def test_main_r_out_of_range(warped3):
 
 def test_main_nonfinite_term_raises(flat, monkeypatch):
     # Poisoned at grid node 5: every flat-torus node shares one Geometry
-    # point, so the poison goes into the chunk's per-node samples.
+    # point, whose samples reach the reduction as one grouped entry standing
+    # for all 64 nodes; the poison splits node 5 off it as an entry of its own.
     real_integrate = verify._integrate_terms
 
     def poisoned(scenario, grid, term_fn, density=None):
         def poisoned_terms(pts):
             out = term_fn(pts)
             key = ("main:0", "normal_curvature")
-            out[key] = np.where(np.arange(pts.shape[0]) == 5, np.nan, out[key])
+            g = out[key]
+            assert isinstance(g, quadrature.Grouped) and g.counts.tolist() == [grid.count]
+            out[key] = quadrature.Grouped(
+                np.append(g.values, np.nan), np.append(g.counts - 1, 1), np.append(g.first, 5)
+            )
             return out
 
         return real_integrate(scenario, grid, poisoned_terms, density)
