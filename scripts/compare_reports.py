@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Compare two ``run_catalog.py`` output directories: are the numbers unchanged?
+"""Compare two ``run_catalog.py`` output directories, or two report files: are the numbers unchanged?
 
 Usage::
 
     python3 scripts/compare_reports.py DIR_A DIR_B
+    python3 scripts/compare_reports.py REPORT_A.json REPORT_B.json
 
+Two files are compared as one report file under the name of the first.
 Prints the worst absolute drift over every report's ``residual`` and
 ``terms`` values, how many of those values differ in their bits (by
 ``repr``, so a flipped sign of zero counts although it does not drift), and
@@ -15,7 +17,8 @@ verdict, tolerance, admissibility residual and grid metadata.  The report
 timings (``wall_time_s``) are ignored.
 
 Exit status: 0 when nothing differs and the worst drift is at most
-``MAX_DRIFT``, 1 otherwise, 2 when a directory cannot be read or holds a
+``MAX_DRIFT``, 1 otherwise, 2 when the two paths are not both directories
+or both files, or when a file cannot be read or a directory holds a
 ``.json`` file that is not a report object: a JSON object whose ``reports``
 is a list of objects with every key compared here, a number as
 ``residual`` and an object of numbers as ``terms``, and whose ``config``,
@@ -85,36 +88,44 @@ def is_report(report) -> bool:
     return all(isinstance(v, (int, float)) for v in (report["residual"], *report["terms"].values()))
 
 
+def load_report(path: Path) -> dict:
+    """The report object in the file ``path``; one that is not a report object raises ``ValueError`` naming it."""
+    try:
+        payload = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    reports = payload.get("reports") if isinstance(payload, dict) else None
+    if not isinstance(reports, list) or not all(map(is_report, reports)):
+        raise ValueError(f"{path} is not a report object with a 'reports' list")
+    if not isinstance(payload.get("config", {}), dict):
+        raise ValueError(f"{path}: 'config' is not an object")
+    return payload
+
+
 def load_reports(directory: Path) -> dict:
-    """The report files of ``directory`` by name; a file that is not a report object raises ``ValueError`` naming it."""
-    files = {}
-    for path in sorted(directory.glob("*.json")):
-        try:
-            payload = json.loads(path.read_text())
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-        reports = payload.get("reports") if isinstance(payload, dict) else None
-        if not isinstance(reports, list) or not all(map(is_report, reports)):
-            raise ValueError(f"{path} is not a report object with a 'reports' list")
-        if not isinstance(payload.get("config", {}), dict):
-            raise ValueError(f"{path}: 'config' is not an object")
-        files[path.name] = payload
-    return files
+    """The report files of ``directory`` by name (:func:`load_report`)."""
+    return {path.name: load_report(path) for path in sorted(directory.glob("*.json"))}
 
 
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 2:
-        print("usage: compare_reports.py DIR_A DIR_B", file=sys.stderr)
+        print("usage: compare_reports.py DIR_A DIR_B, or REPORT_A.json REPORT_B.json", file=sys.stderr)
         return 2
-    dir_a, dir_b = (Path(p) for p in args)
+    path_a, path_b = (Path(p) for p in args)
+    if path_a.is_dir() != path_b.is_dir():
+        print(f"error: {path_a} and {path_b} are not both directories or both files", file=sys.stderr)
+        return 2
     try:
-        files_a, files_b = load_reports(dir_a), load_reports(dir_b)
+        if path_a.is_dir():
+            files_a, files_b = load_reports(path_a), load_reports(path_b)
+        else:
+            files_a, files_b = {path_a.name: load_report(path_a)}, {path_a.name: load_report(path_b)}
     except (OSError, ValueError) as exc:
         print(f"error: cannot read reports: {exc}", file=sys.stderr)
         return 2
     if not files_a:
-        print(f"error: no report files in {dir_a}", file=sys.stderr)
+        print(f"error: no report files in {path_a}", file=sys.stderr)
         return 2
 
     problems: list[str] = []

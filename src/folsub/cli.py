@@ -221,7 +221,7 @@ def run(config: RunConfig, verbose: bool = False, scenario=None) -> tuple[int, l
             if chart and config.grid is not None and len(config.grid) != scenario.manifold.dim:
                 raise ConfigError(f"grid {config.grid} needs {scenario.manifold.dim} node counts for {scenario.name}")
             reports = verify.run_checks(scenario, config.checks, config.grid, config.tolerance, config.samples)
-    except (ConfigError, ConstructionError, EvaluationError, LinearSolveError, UnsupportedLeafError, KeyError) as exc:
+    except (ConfigError, ConstructionError, EvaluationError, LinearSolveError, UnsupportedLeafError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2, []
 
@@ -313,10 +313,13 @@ def main(argv=None) -> int:
         if args.checks:
             override["checks"] = args.checks.split(",")
         if args.grid:
-            override["grid"] = [int(x) for x in args.grid.split(",")]
+            try:
+                override["grid"] = [int(x) for x in args.grid.split(",")]
+            except ValueError:
+                raise ConfigError(f"grid {args.grid!r} needs a positive integer node count per axis") from None
         if override:
             config = dataclasses.replace(config, **override)
-    except ValueError as exc:  # a ConfigError, or a --grid count that is not an integer
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     status, _ = run(config, verbose=args.verbose)

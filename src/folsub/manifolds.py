@@ -245,23 +245,23 @@ def riemann_jets(manifold, coords, gamma: Connection | None = None) -> np.ndarra
 
 def divergence_jets(manifold, coords, gamma: Connection, X) -> np.ndarray:
     """Full divergence: trace of the covariant derivative of the field X (a list or a jet)."""
-    d = np.arange(len(coords))
-    return traced_divergence(coords, gamma.gamma[..., d, d, :], X)
-
-
-def traced_divergence(coords, gamma_kk: np.ndarray, X) -> np.ndarray:
-    """Div X from the diagonal of ∇X alone: ∂_k X^k + Γ^k_{kj} X^j, traced.
-
-    ``X`` is a field (a list or a jet) on order-1 seeds ``coords``, and
-    ``gamma_kk[..., k, j]`` is Γ^k_{kj}, with the batch axes or without
-    them.  The diagonal is set on a zero matrix and traced with
-    ``np.einsum("...kk->...")``, so it sums in the order a trace of the
-    whole :func:`differential` would, bit for bit.
-    """
     W = stack(X, coords)
     d = np.arange(len(coords))
-    nabla = np.zeros(W.value.shape + (len(coords),))
-    nabla[..., d, d] = W.grad[..., d, d] + np.einsum("...kj,...j->...k", gamma_kk, W.value)
+    return traced_divergence(gamma.gamma[..., d, d, :], W.value, W.grad[..., d, d])
+
+
+def traced_divergence(gamma_kk: np.ndarray, value: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """Div X from the diagonal of ∇X alone: ∂_k X^k + Γ^k_{kj} X^j, traced.
+
+    ``value[..., k]`` is X^k and ``diag[..., k]`` is ∂_k X^k, all the field
+    this reads, and ``gamma_kk[..., k, j]`` is Γ^k_{kj}, with the batch
+    axes or without them.  The diagonal is set on a zero matrix and traced
+    with ``np.einsum("...kk->...")``, so it sums in the order a trace of the
+    whole :func:`differential` would, bit for bit.
+    """
+    d = np.arange(value.shape[-1])
+    nabla = np.zeros(value.shape + (d.size,))
+    nabla[..., d, d] = diag + np.einsum("...kj,...j->...k", gamma_kk, value)
     return np.einsum("...kk->...", nabla)
 
 

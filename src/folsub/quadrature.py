@@ -36,7 +36,9 @@ class QuadratureGrid:
     """Nodes (K, m), coordinate weights (K,), and per-axis counts.
 
     ``nodes`` and ``weights`` are read-only copies of the arrays given, so
-    values computed from them stay valid while the grid lives.  ``plans``
+    values computed from them stay valid while the grid lives; the grids
+    this module builds hold their own arrays, read-only, uncopied
+    (:func:`_owning`).  ``plans``
     holds those values: the evaluation plans that the grid passes attach, one
     per (foliation, order) (:func:`verify.grid_plan`), which die with the grid.
     A plan groups the distinct nodes of the whole grid, so it serves a pass
@@ -53,6 +55,15 @@ class QuadratureGrid:
             arr = np.array(getattr(self, name), dtype=float)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    @classmethod
+    def _owning(cls, nodes: np.ndarray, weights: np.ndarray, axes: tuple[int, ...]) -> QuadratureGrid:
+        """A grid over float arrays just built and referenced nowhere else: made read-only, not copied."""
+        grid = cls.__new__(cls)
+        nodes.flags.writeable = weights.flags.writeable = False
+        for name, value in (("nodes", nodes), ("weights", weights), ("axes", axes), ("plans", [])):
+            object.__setattr__(grid, name, value)
+        return grid
 
     @property
     def count(self) -> int:
@@ -71,15 +82,23 @@ def _single_node(manifold, weight: float) -> QuadratureGrid:
 
 
 def _product_grid(manifold, counts: dict, fixed: dict) -> QuadratureGrid:
-    """Trapezoid product grid: ``counts[ax]`` equally spaced nodes on each free axis, ``fixed[ax]`` on the rest."""
+    """Trapezoid product grid: ``counts[ax]`` equally spaced nodes on each free axis, ``fixed[ax]`` on the rest.
+
+    The nodes run in C order over the axes, the last fastest.  Each axis
+    line is broadcast into its column of one (K, m) array, which the grid
+    then holds without a copy.
+    """
     lines = [
         np.array([fixed[ax]]) if ax in fixed else np.arange(counts[ax]) * (L / counts[ax])
         for ax, L in enumerate(manifold.periods)
     ]
-    mesh = np.meshgrid(*lines, indexing="ij")
-    nodes = np.stack([mm.ravel() for mm in mesh], axis=-1)
+    m = len(lines)
+    nodes = np.empty(tuple(line.size for line in lines) + (m,))
+    for ax, line in enumerate(lines):
+        nodes[..., ax] = line.reshape([-1 if a == ax else 1 for a in range(m)])
+    nodes = nodes.reshape(-1, m)
     w = float(np.prod([manifold.periods[ax] / k for ax, k in counts.items()]))
-    return QuadratureGrid(nodes, np.full(nodes.shape[0], w), tuple(counts.values()))
+    return QuadratureGrid._owning(nodes, np.full(nodes.shape[0], w), tuple(counts.values()))
 
 
 def grid_for(manifold, axes=None) -> QuadratureGrid:

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import jets
 from .distribution import HARMONIC_TOL, DistributionSpec, frame_gram_residual
-from .errors import ConstructionError
+from .errors import ConfigError, ConstructionError
 from .foliation import FoliationStructure, Geometry, distinct_nodes
 from .foliation import integrability_residual  # unused here; perfbench/tracing.py patches this name
 from .manifolds import ChartManifold, InvariantFrameManifold
@@ -540,11 +540,10 @@ BUILDERS = {
 
 
 def build(name: str) -> Scenario:
-    try:
-        builder = BUILDERS[name]
-    except KeyError:
-        raise KeyError(f"unknown scenario {name!r}; known: {sorted(BUILDERS)}") from None
-    return builder()
+    """The catalog scenario ``name``; raises :class:`ConfigError` naming the known ones otherwise."""
+    if name not in BUILDERS:
+        raise ConfigError(f"unknown scenario {name!r}; known: {', '.join(catalog_names())}")
+    return BUILDERS[name]()
 
 
 def catalog_names() -> list[str]:

@@ -23,8 +23,10 @@ theorem applied to seeded random smooth fields measures the truncation floor
 of the differentiation-plus-quadrature stack, and the tolerance is
 max(1e-7, 10x that floor).  The fields' components are random trigonometric
 polynomials (:func:`random_trig_scalar`); :func:`trig_scalars` evaluates
-each sine factor once per distinct coordinate value of its axis, to first
-order: the divergence theorem and the divergence split read no more.
+each sine factor once per distinct coordinate value of its axis, with the
+first derivatives its caller reads: every one for the divergence split, and
+for the self-test only ∂_k X^k, all that a traced divergence reads
+(:func:`manifolds.traced_divergence`).
 
 The check layer lives here: ``CHECKS`` names every check with the type and
 default of its argument, :func:`parse_check` is the one parser of a check
@@ -43,7 +45,8 @@ appears, and hands the reduction each representative's samples once,
 weighted by the volume density of that geometry's metric on the axes
 integrated over, with the count of nodes they stand for; the reduction's
 sums have the bits of an evaluation on every node.  Only the self-test's
-divergences are evaluated per node.  A grid carries the plan of its passes
+divergences are evaluated per node, from each field's values and the
+diagonal of its derivative.  A grid carries the plan of its passes
 (:func:`grid_plan`): the node groups, per (foliation, order), and the
 calibration floor, computed once per grid object, so the checks of one
 grid share them across calls.  The sampled checks draw seeded random
@@ -213,59 +216,61 @@ def random_trig_scalar(manifold, rng: np.random.Generator):
     return tuple(modes)
 
 
-def trig_scalars(scalars, coords) -> list:
-    """The random trig scalars ``scalars`` (:func:`random_trig_scalar`) at the seeds ``coords``.
+def trig_scalars(scalars, xs, columns) -> list:
+    """The random trig scalars ``scalars`` (:func:`random_trig_scalar`) and the gradient columns ``columns`` of each.
 
-    ``coords`` are coordinate seeds (:func:`jets.variables`) on any batch;
-    only their values are read.  Each axis's distinct coordinate values are
-    found once per call; every sine factor, with its derivative along its
-    own axis, is evaluated on those values only and gathered back to the
-    points.  A mode's product carries only the gradient columns its factors
-    touch, and the modes are summed in order, so every entry has the bits
-    that scalar ``jets.sin`` lifts and ``Jet`` products give it at order 1,
-    except that an untouched gradient entry is always +0.0.  A scalar
-    without a non-constant mode comes back as a float, any other as an
-    order-1 ``Jet``, whose products drop to order 1.
+    ``xs[i]`` holds the points' coordinate values on axis i, for points on
+    any batch, and ``columns[c]`` the axes whose derivative the caller reads
+    of scalar c.  Each axis's distinct coordinate values are found once per
+    call; every sine factor is evaluated on those values only and gathered
+    back to the points, and so is its derivative, only when its axis is
+    among those read.  Scalar c comes back as ``(value, grad)``: ``grad``
+    maps each axis of ``columns[c]`` that a mode's factor touches to that
+    column, and ``value`` is a float when no mode is non-constant, an array
+    otherwise.  Each column is the product a mode's factors give it, and the
+    modes are summed in order, so every entry has the bits that scalar
+    ``jets.sin`` lifts and ``Jet`` products give it at order 1; a column no
+    mode touches is identically zero.
     """
-    m, shape = len(coords), coords[0].value.shape
     tables = {}
 
-    def factor(axis, rate, phase, scale=1.0):
-        """``scale`` times sin(x rate + phase) and its derivative along ``axis``, at every point."""
+    def table(axis):
+        """The distinct values of ``axis``, ascending, and each point's index among them.
+
+        The distinct values are taken from one sort: ``np.unique`` without an
+        inverse would hash them instead, and import ``numpy.ma`` to do it.
+        """
         if axis not in tables:
-            u, inv = np.unique(coords[axis].value, return_inverse=True)
-            tables[axis] = (u, inv.reshape(shape))
-        u, inv = tables[axis]
-        arg = u * rate + phase
-        return (np.sin(arg) * scale)[inv], (np.cos(arg) * rate * scale)[inv]
+            x = np.sort(xs[axis], axis=None)
+            u = x[np.concatenate(([True], x[1:] != x[:-1]))]
+            tables[axis] = u, np.searchsorted(u, xs[axis])
+        return tables[axis]
 
     out = []
-    for scalar in scalars:
+    for scalar, read in zip(scalars, columns, strict=True):
         if isinstance(scalar, float):
-            out.append(scalar)
+            out.append((scalar, {}))
             continue
         value, grad = 0.0, {}
         for amp, factors in scalar:
             if not factors:
                 value = value + amp
                 continue
-            (i, rate, phase), rest = factors[0], factors[1:]
-            v, d = factor(i, rate, phase, amp)
-            g = {i: d}
-            for i, rate, phase in rest:
-                sv, sd = factor(i, rate, phase)
-                g = {j: sv * gj for j, gj in g.items()} | {i: v * sd}
-                v = v * sv
+            v, g = None, {}
+            for i, rate, phase in factors:
+                u, inv = table(i)
+                arg = u * rate + phase
+                scale = amp if v is None else 1.0  # the first factor carries the amplitude
+                sv = (np.sin(arg) * scale)[inv]
+                g = {j: sv * gj for j, gj in g.items()}
+                if i in read:
+                    sd = (np.cos(arg) * rate * scale)[inv]
+                    g[i] = sd if v is None else v * sd
+                v = sv if v is None else v * sv
             value = value + v
             for j, col in g.items():
                 grad[j] = grad[j] + col if j in grad else col
-        if not grad:
-            out.append(value)
-            continue
-        dv = np.zeros(shape + (m,))
-        for j, col in grad.items():
-            dv[..., j] = col
-        out.append(jets.Jet(value, dv))
+        out.append((value, grad))
     return out
 
 
@@ -278,12 +283,15 @@ def random_distribution_field(fol, rng: np.random.Generator):
     man = fol.manifold
     us = [random_trig_scalar(man, rng) for _ in range(fol.n)]
     cN = float(rng.uniform(-1.0, 1.0))
+    every_column = [tuple(range(man.dim))] * fol.n
 
     def fld(coords):
         e = fol.leaf_frame(coords)
         Nc = fol.normal(coords)
         out = [cN * Nc[k] for k in range(man.dim)]
-        for uv, ev in zip(trig_scalars(us, coords), e):
+        for (uv, grad), ev in zip(trig_scalars(us, [c.value for c in coords], every_column), e):
+            if grad:
+                uv = jets.Jet(uv, jets.stack_last([grad.get(j, 0.0) for j in range(man.dim)]))
             out = [out[k] + uv * ev[k] for k in range(man.dim)]
         return out
 
@@ -297,7 +305,7 @@ def divergence_selftest_residual(scenario, grid: QuadratureGrid, Xs=None) -> flo
     """Worst |integral of Div X| over the fields ``Xs``, by default seeded random smooth ones.
 
     The fields run through the grid pass's one integrand (:func:`_grid_pass`),
-    one key each: they share the seeds and the density of every chunk, and
+    one key each: they share the points and the density of every chunk, and
     take the connection from its geometry on the distinct nodes.  The
     default fields' residual is the calibration floor, the
     ``divergence-selftest`` residual of :func:`verify_grid_checks`, read
@@ -306,7 +314,7 @@ def divergence_selftest_residual(scenario, grid: QuadratureGrid, Xs=None) -> flo
     """
     if Xs is None:
         return verify_grid_checks(scenario, ["divergence-selftest"], grid)[0].residual
-    return _selftest_floor(_grid_pass(scenario, grid, (), fields=lambda coords: [X(coords) for X in Xs])[0])
+    return _selftest_floor(_grid_pass(scenario, grid, (), fields=_user_fields(scenario.manifold, Xs))[0])
 
 
 def calibrate_tolerance(scenario, grid: QuadratureGrid) -> tuple[float, float]:
@@ -319,18 +327,45 @@ def _tolerance(floor: float) -> float:
 
 
 def _selftest_fields(manifold):
-    """The calibration's ``SELFTEST_FIELDS`` seeded random ambient fields, as one function of the seeds.
+    """The calibration's ``SELFTEST_FIELDS`` seeded random ambient fields, as the grid pass reads them.
 
-    Their components are random trig scalars, all evaluated by one
-    :func:`trig_scalars` call per block of points.
+    It returns a function of a block of points (K, m) giving, per field X,
+    the arrays X^k and ∂_k X^k (K, m): the value and the diagonal of ∂X,
+    all a traced divergence reads (:func:`manifolds.traced_divergence`).
+    The components are random trig scalars, all evaluated by one
+    :func:`trig_scalars` call per block, which derives component k of each
+    field along axis k only.
     """
     rng = np.random.default_rng(SELFTEST_SEED)
     m = manifold.dim
     scalars = [random_trig_scalar(manifold, rng) for _ in range(SELFTEST_FIELDS * m)]
+    own_axis = [(c % m,) for c in range(len(scalars))]
 
-    def fields(coords):
-        comps = trig_scalars(scalars, coords)
-        return [comps[i : i + m] for i in range(0, len(comps), m)]
+    def fields(points):
+        value = np.zeros((SELFTEST_FIELDS,) + points.shape[:-1] + (m,))
+        diag = np.zeros_like(value)
+        for c, (v, grad) in enumerate(trig_scalars(scalars, np.moveaxis(points, -1, 0), own_axis)):
+            f, k = divmod(c, m)
+            value[f, ..., k] = v
+            if grad:
+                diag[f, ..., k] = grad[k]
+        return list(zip(value, diag))
+
+    return fields
+
+
+def _user_fields(manifold, Xs):
+    """The fields ``Xs`` (functions of coordinate seeds) as :func:`_selftest_fields` gives its own.
+
+    Each field is evaluated on order-1 seeds and stacked into one jet, whose
+    value and the diagonal of whose gradient are the arrays the grid pass reads.
+    """
+    diagonal = np.arange(manifold.dim)
+
+    def fields(points):
+        coords = manifold.seed(points, order=1)
+        stacked = [jets.stack(X(coords), coords) for X in Xs]
+        return [(W.value, W.grad[..., diagonal, diagonal]) for W in stacked]
 
     return fields
 
@@ -566,8 +601,10 @@ def _grid_pass(scenario, grid: QuadratureGrid, bases, orders=(), fields=None, le
     main formula on a grid over M, or, given a closed ``leaf`` and a grid
     over it (:func:`quadrature.leaf_grid`), of the compact-leaf formula,
     keyed ``("leaf:r", "integrand")``.  ``fields``, when given, maps a
-    chunk's order-1 seeds to the self-test's ambient fields, whose
-    divergences are keyed ``("divergence-selftest", "div_i")``.
+    chunk's points to the self-test's ambient fields, each as its arrays
+    X^k and ∂_k X^k (:func:`_selftest_fields`, or :func:`_user_fields` for
+    fields given as functions of seeds), whose divergences are keyed
+    ``("divergence-selftest", "div_i")``.
 
     The grid's plan (:func:`grid_plan`) groups its distinct nodes over the
     whole grid.  Each chunk builds one ``Geometry`` on the representatives
@@ -580,10 +617,11 @@ def _grid_pass(scenario, grid: QuadratureGrid, bases, orders=(), fields=None, le
     chunk of its representative, as one :class:`quadrature.Grouped` entry
     per plan entry of its group: the reduction sums it as the copies every
     node of the group would give, bit for bit.  Only the self-test's
-    divergences vary per node: its fields are evaluated at every node's
-    seeds, each trig factor once per distinct coordinate value of its axis
-    (:func:`trig_scalars`), and every node reads its density and the traced
-    connection slice Γ^k_{kj} from its representative, from this chunk's
+    divergences vary per node: its fields are evaluated at every node,
+    each trig factor once per distinct coordinate value of its axis and
+    each component derived along its own axis only (:func:`trig_scalars`),
+    and every node reads its density and the traced connection slice
+    Γ^k_{kj} from its representative, from this chunk's
     geometry or from the rows an earlier chunk held because a later one
     reads them (:class:`_Held`).  A pass without the self-test holds and
     gathers nothing per node, and a pass with nothing to emit makes none.
@@ -642,9 +680,8 @@ def _grid_pass(scenario, grid: QuadratureGrid, bases, orders=(), fields=None, le
         out = {}
         if fields is not None:
             node = held.scatter(node, plan.group[start:stop], lo, hi)
-            coords = man.seed(pts, order=1)
-            for i, X in enumerate(fields(coords)):
-                out[("divergence-selftest", f"div_{i}")] = traced_divergence(coords, node["gamma_kk"], X) * node["density"]
+            for i, (value, diag) in enumerate(fields(pts)):
+                out[("divergence-selftest", f"div_{i}")] = traced_divergence(node["gamma_kk"], value, diag) * node["density"]
         start = stop
         a, b = np.searchsorted(plan.entry_group, (lo, hi))
         ids, counts, first = plan.entry_group[a:b] - lo, plan.entry_count[a:b], plan.entry_first[a:b]

@@ -22,7 +22,12 @@ grouping of nodes by the bytes of their closure outputs
 (:func:`fingerprint_groups`), for ``foliation.distinct_nodes``, which groups
 them by the coordinates the closures read; and the closure form of the random trig test fields (:func:`reference_trig_scalar`
 and the fields built from it), one ``jets.sin`` lift and ``Jet`` product per
-factor on every point, for the per-axis evaluator ``verify.trig_scalars``.
+factor on every point, for the per-axis evaluator ``verify.trig_scalars``;
+and the self-test's path through full jets (:func:`reference_trig_jets`,
+:func:`reference_selftest_divergences`), every gradient column of every
+field stacked into one jet and its ∇ traced, for the values and diagonal
+derivatives that ``verify._selftest_fields`` hands
+``manifolds.traced_divergence``.
 """
 
 import numpy as np
@@ -446,3 +451,75 @@ def random_leaf_field(fol, rng):
     """A random field tangent to the leaves: random trig coefficients on the leaf frame."""
     us = [reference_trig_scalar(fol.manifold, rng) for _ in range(fol.n)]
     return lambda coords: _leaf_combination(fol, us, coords, [0.0] * fol.manifold.dim)
+
+
+def reference_trig_jets(scalars, coords) -> list:
+    """The random trig scalars ``scalars`` (``verify.random_trig_scalar``) as order-1 jets with every gradient column.
+
+    The per-axis evaluator as it was before it took the columns its caller
+    reads: each sine factor and its derivative are evaluated once per
+    distinct value of their axis and gathered to the points, and a mode's
+    product carries every column its factors touch.  A scalar without a
+    non-constant mode comes back as a float.
+    """
+    m, shape = len(coords), coords[0].value.shape
+    tables = {}
+
+    def factor(axis, rate, phase, scale=1.0):
+        if axis not in tables:
+            u, inv = np.unique(coords[axis].value, return_inverse=True)
+            tables[axis] = (u, inv.reshape(shape))
+        u, inv = tables[axis]
+        arg = u * rate + phase
+        return (np.sin(arg) * scale)[inv], (np.cos(arg) * rate * scale)[inv]
+
+    out = []
+    for scalar in scalars:
+        if isinstance(scalar, float):
+            out.append(scalar)
+            continue
+        value, grad = 0.0, {}
+        for amp, factors in scalar:
+            if not factors:
+                value = value + amp
+                continue
+            (i, rate, phase), rest = factors[0], factors[1:]
+            v, d = factor(i, rate, phase, amp)
+            g = {i: d}
+            for i, rate, phase in rest:
+                sv, sd = factor(i, rate, phase)
+                g = {j: sv * gj for j, gj in g.items()} | {i: v * sd}
+                v = v * sv
+            value = value + v
+            for j, col in g.items():
+                grad[j] = grad[j] + col if j in grad else col
+        if not grad:
+            out.append(value)
+            continue
+        dv = np.zeros(shape + (m,))
+        for j, col in grad.items():
+            dv[..., j] = col
+        out.append(jets.Jet(value, dv))
+    return out
+
+
+def reference_selftest_divergences(manifold, points, gamma_kk) -> list:
+    """Div X of each calibration field at ``points``, from full jets: the self-test's path before it read ∂_k X^k alone.
+
+    The fields' components come from :func:`reference_trig_jets` on order-1
+    seeds, every field is stacked into one jet with its whole gradient, and
+    the diagonal of its ∇ is set on a zero matrix and traced.
+    """
+    rng = np.random.default_rng(verify.SELFTEST_SEED)
+    m = manifold.dim
+    scalars = [verify.random_trig_scalar(manifold, rng) for _ in range(verify.SELFTEST_FIELDS * m)]
+    coords = manifold.seed(points, order=1)
+    comps = reference_trig_jets(scalars, coords)
+    d = np.arange(m)
+    out = []
+    for f in range(verify.SELFTEST_FIELDS):
+        W = jets.stack(comps[f * m : (f + 1) * m], coords)
+        nabla = np.zeros(W.value.shape + (m,))
+        nabla[..., d, d] = W.grad[..., d, d] + np.einsum("...kj,...j->...k", gamma_kk, W.value)
+        out.append(np.einsum("...kk->...", nabla))
+    return out

@@ -206,6 +206,37 @@ def test_main_entry_bad_check_exits_2(tmp_path):
     assert cli.main(["run", "--scenario", "flat_torus", "--checks", "nope"]) == 2
 
 
+UNKNOWN_SCENARIO = f"error: unknown scenario 'nope'; known: {', '.join(scenarios.catalog_names())}\n"
+
+
+def test_an_unknown_scenario_prints_the_catalog_names_on_one_line(tmp_path, monkeypatch, capsys):
+    assert cli.main(["run", "--scenario", "nope", "--output", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr() == ("", UNKNOWN_SCENARIO)
+    run_catalog, _ = _run_catalog_counting_builds(monkeypatch)
+    monkeypatch.setattr(sys, "argv", ["run_catalog.py", "--names", "nope", "--outdir", str(tmp_path / "out")])
+    assert run_catalog.main() == 2
+    assert capsys.readouterr() == ("", UNKNOWN_SCENARIO)
+
+
+@pytest.mark.parametrize("grid", ["a,b", "4,,4", "4.0,4,4,4"])
+def test_a_grid_count_that_is_not_an_integer_names_the_grid(grid, tmp_path, capsys):
+    argv = ["run", "--scenario", "flat_torus", "--grid", grid, "--output", str(tmp_path / "r.json")]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: grid {grid!r} needs a positive integer node count per axis\n")
+
+
+def test_an_internal_key_error_is_not_taken_for_bad_input(tmp_path, monkeypatch):
+    # Exit 2 means the run could not execute on its input; a KeyError from the
+    # checks is a defect, and surfaces as one.
+    def broken(*args, **kwargs):
+        raise KeyError("sigma_9")
+
+    monkeypatch.setattr(verify, "run_checks", broken)
+    config = cli.RunConfig(scenario="flat_torus", checks=["reeb"], output=str(tmp_path / "x.json"))
+    with pytest.raises(KeyError, match="sigma_9"):
+        cli.run(config)
+
+
 def _run_catalog_counting_builds(monkeypatch):
     """``scripts/run_catalog.py`` as a module, and the list of scenario names it builds from here on."""
     script = Path(__file__).resolve().parent.parent / "scripts" / "run_catalog.py"

@@ -93,3 +93,40 @@ def test_a_json_file_that_is_not_a_report_object_exits_2(compare_reports, report
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     assert str(path) in err
+
+
+def test_two_report_files_compare_as_one(compare_reports, report_dirs, tmp_path, capsys):
+    first, second = report_dirs
+    renamed = tmp_path / "change.json"
+    (second / "flat_torus.json").rename(renamed)
+    assert compare_reports.main([str(first / "flat_torus.json"), str(renamed)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("worst drift 0.0; 0 of ") and out.count("\n") == 1
+    _edit(first, lambda p: p["reports"][0].update(verdict="fail"))
+    assert compare_reports.main([str(first / "flat_torus.json"), str(renamed)]) == 1
+    assert "flat_torus.json reeb: verdict differs" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("order", ["file-first", "directory-first"])
+def test_a_file_compared_with_a_directory_exits_2(order, compare_reports, report_dirs, capsys):
+    first, second = report_dirs
+    args = [str(first / "flat_torus.json"), str(second)]
+    assert compare_reports.main(args if order == "file-first" else args[::-1]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_a_missing_report_file_exits_2(compare_reports, report_dirs, tmp_path, capsys):
+    first, _ = report_dirs
+    assert compare_reports.main([str(first / "flat_torus.json"), str(tmp_path / "missing.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: cannot read reports: ") and err.count("\n") == 1
+
+
+def test_a_file_that_is_not_a_report_object_exits_2(compare_reports, report_dirs, capsys):
+    first, second = report_dirs
+    path = second / "flat_torus.json"
+    path.write_text(json.dumps([1, 2]))
+    assert compare_reports.main([str(first / "flat_torus.json"), str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and str(path) in err and err.count("\n") == 1

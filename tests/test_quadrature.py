@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from folsub import verify
 from folsub.errors import EvaluationError, UnsupportedLeafError
 from folsub.foliation import Geometry
 from folsub.jets import stack
+from folsub.manifolds import InvariantFrameManifold
 from helpers import loop_integral, warp_a, warp_b, warp_da, warp_db
 
 RNG = np.random.default_rng(61)
@@ -106,6 +108,58 @@ def test_grid_arrays_are_read_only_copies(warped4):
         grid.nodes[:] = 0.0
     with pytest.raises(ValueError, match="read-only"):
         grid.weights[0] = 0.0
+
+
+def test_a_grid_copies_a_read_only_array_its_caller_owns():
+    nodes, weights = np.zeros((3, 4)), np.ones(3)
+    nodes.flags.writeable = weights.flags.writeable = False
+    grid = quad.QuadratureGrid(nodes, weights, (3,))
+    nodes.flags.writeable = weights.flags.writeable = True
+    nodes[:] = 1.0
+    weights[:] = 2.0
+    assert np.all(grid.nodes == 0.0) and np.all(grid.weights == 1.0)
+
+
+def _meshgrid_grid(manifold, counts: dict, fixed: dict):
+    """Nodes and weights of a product grid as ``np.meshgrid`` and ``np.stack`` built them."""
+    lines = [
+        np.array([fixed[ax]]) if ax in fixed else np.arange(counts[ax]) * (L / counts[ax])
+        for ax, L in enumerate(manifold.periods)
+    ]
+    mesh = np.meshgrid(*lines, indexing="ij")
+    nodes = np.stack([mm.ravel() for mm in mesh], axis=-1)
+    w = float(np.prod([manifold.periods[ax] / k for ax, k in counts.items()]))
+    return nodes, np.full(nodes.shape[0], w)
+
+
+def test_product_grids_have_the_bits_of_a_meshgrid(catalog):
+    for s in catalog.values():
+        man = s.manifold
+        if isinstance(man, InvariantFrameManifold):
+            continue
+        for axes in (s.default_grid, tuple(2 * k for k in s.default_grid)):
+            built = [(quad.grid_for(man, axes), dict(enumerate(axes)), {})]
+            for leaf in s.leaves:
+                counts = {ax: axes[ax] for ax in leaf.axes}
+                built.append((quad.leaf_grid(man, leaf, tuple(counts.values())), counts, leaf.fixed))
+            for grid, counts, fixed in built:
+                nodes, weights = _meshgrid_grid(man, counts, fixed)
+                assert grid.nodes.shape == nodes.shape and grid.nodes.tobytes() == nodes.tobytes(), s.name
+                assert grid.weights.tobytes() == weights.tobytes(), s.name
+                assert not grid.nodes.flags.writeable and not grid.weights.flags.writeable
+
+
+def test_a_product_grid_peaks_at_the_arrays_it_holds(warped4):
+    # 2**20 nodes on four axes hold 40 MB of nodes and weights.
+    quad.grid_for(warped4.manifold, (2, 2, 2, 2))  # first-call allocations
+    tracemalloc.start()
+    try:
+        grid = quad.grid_for(warped4.manifold, (8, 8, 8, 2048))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.count == 2**20
+    assert peak <= 48 * 2**20
 
 
 def test_chunking_does_not_change_the_sum(warped4, monkeypatch):

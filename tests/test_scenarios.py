@@ -3,7 +3,7 @@ import pytest
 
 from folsub import foliation as fln
 from folsub import scenarios as scn
-from folsub.errors import ConstructionError, UnsupportedLeafError
+from folsub.errors import ConfigError, ConstructionError, UnsupportedLeafError
 
 RNG = np.random.default_rng(71)
 
@@ -66,7 +66,7 @@ def test_catalog_names():
     assert names == sorted(names)
     for expected in ("flat_torus", "warped_torus_4", "round_s3", "tilted_torus_4", "heisenberg"):
         assert expected in names
-    with pytest.raises(KeyError):
+    with pytest.raises(ConfigError, match=r"^unknown scenario 'no_such_scenario'; known: flat_torus, heisenberg, "):
         scn.build("no_such_scenario")
 
 

@@ -1,27 +1,39 @@
 """The per-axis evaluator of the random trig test fields against their closure form.
 
 ``verify.trig_scalars`` evaluates each sine factor once per distinct value of
-its axis and multiplies only the gradient columns a factor touches; it returns
-order-1 jets whatever the order of the seeds.  ``helpers.reference_trig_scalar``
-draws the same scalars from the same RNG and evaluates them by one ``jets.sin``
-lift and ``Jet`` product per factor on every point.  On order-1 seeds values
-must agree bit for bit, which is stricter than by ``repr``, and gradients by
+its axis, and its derivative only for the gradient columns its caller reads:
+all of them for the divergence split, the component's own axis for the
+calibration's self-test.  ``helpers.reference_trig_scalar`` draws the same
+scalars from the same RNG and evaluates them by one ``jets.sin`` lift and
+``Jet`` product per factor on every point.  On order-1 seeds values must agree
+bit for bit, which is stricter than by ``repr``, and gradients by
 ``np.array_equal``, since the closures can leave -0.0 in an untouched entry
 where the evaluator leaves +0.0.
 
 Every divergence is taken from the diagonal of the covariant derivative
 alone (``manifolds.traced_divergence``), which must give the bits of the
-trace of the whole ``manifolds.differential``.
+trace of the whole ``manifolds.differential``.  The self-test's divergences,
+from the value and diagonal arrays of ``verify._selftest_fields``, must have
+the bytes of its path through full jets (``helpers.reference_trig_jets``,
+``jets.stack`` and the trace, in
+``helpers.reference_selftest_divergences``).
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_conformal_torus
 from folsub import foliation, jets, quadrature, verify
 from folsub.manifolds import differential, divergence_jets, traced_divergence
 from folsub.scenarios import catalog_names
-from helpers import reference_distribution_field, reference_trig_scalar
+from helpers import (
+    reference_distribution_field,
+    reference_selftest_divergences,
+    reference_trig_jets,
+    reference_trig_scalar,
+)
 
 # The calibration's own draws, then one scalar from each of two seeds: 134
 # draws a constant mode (every wave number zero) beside a non-constant one on
@@ -53,13 +65,24 @@ def _blocks(scenario):
     yield man.random_points(rng)
 
 
+def _every_column(scalars, m):
+    return [tuple(range(m))] * len(scalars)
+
+
+def _axes(pts):
+    return np.moveaxis(pts, -1, 0)
+
+
 def _assert_same(got, want):
+    """An evaluator entry ``(value, grad)`` of every column against a closure's float or order-1 jet."""
+    value, grad = got
     if not isinstance(want, jets.Jet):
-        assert type(got) is float and repr(got) == repr(want)
+        assert type(value) is float and repr(value) == repr(want) and grad == {}
         return
-    assert isinstance(got, jets.Jet) and got.order == want.order == 1
-    assert got.value.shape == want.value.shape and got.value.tobytes() == want.value.tobytes()
-    assert np.array_equal(got.grad, want.grad)
+    assert want.order == 1 and grad
+    assert value.shape == want.value.shape and value.tobytes() == want.value.tobytes()
+    for j in range(want.grad.shape[-1]):
+        assert np.array_equal(np.broadcast_to(grad.get(j, 0.0), value.shape), want.grad[..., j])
 
 
 @pytest.fixture(scope="module")
@@ -73,22 +96,28 @@ def test_evaluator_equals_the_closures_on_every_chunk(name, scenarios):
     scalars, closures = _draws(man, verify.random_trig_scalar), _draws(man, reference_trig_scalar)
     for pts in _blocks(scenarios[name]):
         coords = man.seed(pts, 1)
-        for got, ref in zip(verify.trig_scalars(scalars, coords), closures, strict=True):
+        for got, ref in zip(verify.trig_scalars(scalars, _axes(pts), _every_column(scalars, man.dim)), closures, strict=True):
             _assert_same(got, ref(coords))
 
 
 @pytest.mark.parametrize("name", [*GRID_SCENARIOS, "heisenberg"])
-def test_order_two_seeds_give_the_order_one_jets(name, scenarios):
+def test_each_column_has_its_bits_whichever_columns_are_read(name, scenarios):
+    # Every column asked for alone, or with the others, is the column of the
+    # full jets before the evaluator took the columns its caller reads.
     man = scenarios[name].manifold
     scalars = _draws(man, verify.random_trig_scalar)
+    reads = [(), *((k,) for k in range(man.dim)), tuple(range(man.dim))[::-1]]
     for pts in _blocks(scenarios[name]):
-        first = verify.trig_scalars(scalars, man.seed(pts, 1))
-        for got, want in zip(verify.trig_scalars(scalars, man.seed(pts, 2)), first, strict=True):
-            if not isinstance(want, jets.Jet):
-                assert type(got) is float and repr(got) == repr(want)
-                continue
-            assert isinstance(got, jets.Jet) and got.order == 1
-            assert got.value.tobytes() == want.value.tobytes() and got.grad.tobytes() == want.grad.tobytes()
+        want = reference_trig_jets(scalars, man.seed(pts, 1))
+        for read in reads:
+            for (value, grad), ref in zip(verify.trig_scalars(scalars, _axes(pts), [read] * len(scalars)), want, strict=True):
+                if not isinstance(ref, jets.Jet):
+                    assert type(value) is float and repr(value) == repr(ref) and grad == {}
+                    continue
+                assert value.tobytes() == ref.value.tobytes() and set(grad) <= set(read)
+                for j in read:
+                    col = np.broadcast_to(grad.get(j, 0.0), value.shape)
+                    assert col.tobytes() == ref.grad[..., j].tobytes()
 
 
 def test_the_draws_cover_every_kind_of_mode(scenarios):
@@ -106,13 +135,34 @@ def test_the_draws_cover_every_kind_of_mode(scenarios):
 
 def test_calibration_fields_build_each_axis_table_once(warped4, monkeypatch):
     man = warped4.manifold
-    coords = man.seed(verify._grid(warped4).nodes, order=1)
+    nodes = verify._grid(warped4).nodes
     fields = verify._selftest_fields(man)
     calls = []
-    unique = np.unique
-    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
-    assert len(fields(coords)) == verify.SELFTEST_FIELDS
+    sort = np.sort
+    monkeypatch.setattr(np, "sort", lambda *a, **k: calls.append(1) or sort(*a, **k))
+    assert len(fields(nodes)) == verify.SELFTEST_FIELDS
     assert len(calls) == man.dim
+
+
+@pytest.mark.parametrize("name", GRID_SCENARIOS)
+def test_a_selftest_chunk_derives_each_component_along_its_own_axis_only(name, scenarios, monkeypatch):
+    # One derivative (a cosine of a factor) per (component, mode) whose
+    # factors touch the component's own axis, and a sine per factor: the
+    # self-test computes no other column.
+    man = scenarios[name].manifold
+    m = man.dim
+    rng = np.random.default_rng(verify.SELFTEST_SEED)
+    scalars = [verify.random_trig_scalar(man, rng) for _ in range(verify.SELFTEST_FIELDS * m)]
+    own = sum(any(i == c % m for i, _, _ in factors) for c, s in enumerate(scalars) for _, factors in s)
+    every = sum(len(factors) for s in scalars for _, factors in s)
+    assert 0 < own < every
+    fields, nodes = verify._selftest_fields(man), verify._grid(scenarios[name]).nodes
+    calls = {"sin": 0, "cos": 0}
+    for fn in calls:
+        ufunc = getattr(np, fn)
+        monkeypatch.setattr(np, fn, lambda x, ufunc=ufunc, fn=fn: calls.__setitem__(fn, calls[fn] + 1) or ufunc(x))
+    fields(nodes[: quadrature.CHUNK])
+    assert calls == {"sin": every, "cos": own}
 
 
 @pytest.mark.parametrize("s", range(4))
@@ -143,20 +193,83 @@ def test_divergence_split_equals_an_order_two_geometry(s, catalog, monkeypatch):
         assert repr(got) == repr(foliation.Geometry(scenario.fol, pts, order=2).divx_residual(X)), scenario.name
 
 
+SIZES = (1, 2, 3, 5, 16, 100, 511, 1024, 4096)
+
+
+def _gammas(man, pts):
+    """Γ^k_{kj} at ``pts`` as the manifold gives it, and broadcast to the batch.
+
+    heisenberg and round_s3 hold Γ without a batch axis, so their slice comes
+    without one too; the self-test broadcasts it to the batch.
+    """
+    diagonal = np.arange(man.dim)
+    gamma_kk = man.gamma_jets(man.seed(pts, order=1)).gamma[..., diagonal, diagonal, :]
+    return gamma_kk, np.broadcast_to(gamma_kk, pts.shape[:-1] + gamma_kk.shape[-2:])
+
+
 @pytest.mark.parametrize("name", [*catalog_names(), "conformal_torus"])
 def test_the_diagonal_divergence_has_the_bits_of_the_full_trace(name, scenarios):
-    # heisenberg and round_s3 hold Γ without a batch axis, so their slice
-    # Γ^k_{kj} comes without one too; the self-test broadcasts it to the batch.
     man = scenarios[name].manifold
-    fields, diagonal = verify._selftest_fields(man), np.arange(man.dim)
     rng = np.random.default_rng(23)
-    for size in (1, 2, 3, 5, 16, 100, 511, 1024, 4096):
-        coords = man.seed(man.random_points(rng, size), order=1)
+    draw = np.random.default_rng(verify.SELFTEST_SEED)
+    scalars = [verify.random_trig_scalar(man, draw) for _ in range(verify.SELFTEST_FIELDS * man.dim)]
+    diagonal = np.arange(man.dim)
+    for size in SIZES:
+        pts = man.random_points(rng, size)
+        coords = man.seed(pts, order=1)
         gamma = man.gamma_jets(coords)
-        gamma_kk = gamma.gamma[..., diagonal, diagonal, :]
-        batched = np.broadcast_to(gamma_kk, (size,) + gamma_kk.shape[-2:])
-        for X in fields(coords):
-            want = jets.einsum("...kk->...", differential(gamma, jets.stack(X, coords))).value
-            for got in (traced_divergence(coords, gamma_kk, X), traced_divergence(coords, batched, X),
+        comps = reference_trig_jets(scalars, coords)
+        for f in range(verify.SELFTEST_FIELDS):
+            X = comps[f * man.dim : (f + 1) * man.dim]
+            W = jets.stack(X, coords)
+            want = jets.einsum("...kk->...", differential(gamma, W)).value
+            diag = W.grad[..., diagonal, diagonal]
+            for got in (*(traced_divergence(G, W.value, diag) for G in _gammas(man, pts)),
                         divergence_jets(man, coords, gamma, X)):
                 assert got.shape == want.shape == (size,) and got.tobytes() == want.tobytes()
+
+
+def _assert_selftest_matches_the_full_jets(man, pts):
+    fields = verify._selftest_fields(man)
+    for gamma_kk in _gammas(man, pts):
+        want = reference_selftest_divergences(man, pts, gamma_kk)
+        got = [traced_divergence(gamma_kk, value, diag) for value, diag in fields(pts)]
+        assert len(got) == len(want) == verify.SELFTEST_FIELDS
+        for a, b in zip(got, want):
+            assert a.shape == b.shape == pts.shape[:-1] and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", [*catalog_names(), "conformal_torus"])
+def test_selftest_divergences_have_the_bytes_of_the_full_jets(name, seed, scenarios, monkeypatch):
+    # Every chunk of the default and doubled grids and every batch size, for
+    # the calibration's draws and for seeds that draw constant modes.
+    monkeypatch.setattr(verify, "SELFTEST_SEED", seed)
+    man = scenarios[name].manifold
+    rng = np.random.default_rng(29)
+    for pts in [*_blocks(scenarios[name]), *(man.random_points(rng, size) for size in SIZES)]:
+        _assert_selftest_matches_the_full_jets(man, pts)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), name=st.sampled_from(GRID_SCENARIOS), size=st.integers(1, 300))
+def test_selftest_divergences_have_the_bytes_of_the_full_jets_for_any_draw(seed, name, size, scenarios):
+    # Three- and four-axis charts, random draws and random points.
+    man = scenarios[name].manifold
+    pts = man.random_points(np.random.default_rng(seed), size)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(verify, "SELFTEST_SEED", seed)
+        _assert_selftest_matches_the_full_jets(man, pts)
+
+
+def test_user_fields_reach_the_grid_pass_as_value_and_diagonal(warped4):
+    # The adapter's arrays give the divergence of the whole jet, bit for bit.
+    man = warped4.manifold
+    pts = man.random_points(np.random.default_rng(3), 64)
+    coords = man.seed(pts, order=1)
+    gamma = man.gamma_jets(coords)
+    gamma_kk = gamma.gamma[..., np.arange(man.dim), np.arange(man.dim), :]
+    Xs = [reference_distribution_field(warped4.fol, np.random.default_rng(s)) for s in (5, 6)]
+    for (value, diag), X in zip(verify._user_fields(man, Xs)(pts), Xs, strict=True):
+        want = divergence_jets(man, coords, gamma, X(coords))
+        assert traced_divergence(gamma_kk, value, diag).tobytes() == want.tobytes()
