@@ -100,7 +100,8 @@ class Geometry:
     (the metric, the leaf frame, the normal, the D-frame and the D-perp
     frame), except what a method computes from a field its caller passes.
     :func:`distinct_nodes` measures the coordinates exactly those closures
-    read, so a grid pass builds its contexts on one point per distinct node
+    read, which does not depend on ``order``, so one grouping of a grid
+    serves a context of either order, built on one point per distinct node
     of the whole grid; a closure read here that it does not probe would
     merge nodes that differ.
     """
@@ -388,21 +389,23 @@ class Geometry:
         return max(self.trace_identity_field_residual(r + 1, self.e[..., i, :]) for i in range(self.n))
 
 
-def distinct_nodes(fol: FoliationStructure, points, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Group the nodes ``points`` (K, m) at which a ``Geometry`` of ``order`` reads the same inputs.
+def distinct_nodes(fol: FoliationStructure, points, weights=None) -> tuple[np.ndarray, np.ndarray]:
+    """Group the nodes ``points`` (K, m) at which a ``Geometry`` reads the same inputs.
 
     A :class:`Geometry` reads the user's closures at a node and nothing else
-    of it: the metric on order-2 seeds, and the leaf frame, the normal, the
-    D-frame and the D-perp frame on ``order`` seeds.  A closure is a pure
-    function of the coordinates it reads, so nodes that agree on those
-    coordinates get bit-identical values.  Which coordinates they are, the
-    support S, is measured once per call, before any value is grouped: each
-    closure runs once on the seeds of the first two nodes, handed over in a
-    list that records what is read (:class:`_Reads`).  Two points make a
-    Python ``if`` on a value array raise, so a branch cannot hide a read.
+    of it: the metric, the leaf frame, the normal, the D-frame and the
+    D-perp frame.  A closure is a pure function of the coordinates it reads,
+    so nodes that agree on those coordinates get bit-identical values at any
+    seed order.  Which coordinates they are, the support S, is measured once
+    per call, before any value is grouped: each closure runs once on the
+    order-2 seeds of the first two nodes, handed over in one list that
+    records what is read (:class:`_Reads`).  Two points make a Python ``if``
+    on a value array raise, so a branch cannot hide a read.
 
     The nodes are grouped by the raw bytes of their coordinates on S, so
-    -0.0 and 0.0 differ; an empty S gives one group.  Returns ``(first,
+    -0.0 and 0.0 differ, and, given quadrature ``weights`` (K,) that are not
+    all one value, by the bits of their weight too, so that every group
+    shares one weight; an empty key gives one group.  Returns ``(first,
     group)``: the index of each group's first node, ascending, and each
     node's group, numbered in grid order of first appearance.  They do not
     depend on ``quadrature.CHUNK``.  ``Geometry(fol, points[first], order)``
@@ -413,12 +416,15 @@ def distinct_nodes(fol: FoliationStructure, points, order: int) -> tuple[np.ndar
     """
     pts = np.asarray(points, dtype=float)
     k = pts.shape[0]
-    support = _support(fol, pts[:2], order) if k > 1 else []
-    if not support:
+    columns = pts[:, _support(fol, pts[:2]) if k > 1 else []]
+    w = None if weights is None else np.asarray(weights, dtype=float)
+    if w is not None and np.any(w.view(np.int64) != w[:1].view(np.int64)):
+        columns = np.column_stack((columns, w))
+    if not columns.shape[1]:
         return np.arange(min(k, 1), dtype=np.intp), np.zeros(k, dtype=np.intp)
-    # One key per node, its raw bytes on S: a single axis sorts faster as uint64, with the same bytes.
-    width = np.uint64 if len(support) == 1 else np.dtype((np.void, 8 * len(support)))
-    keys = np.ascontiguousarray(pts[:, support]).view(width).ravel()
+    # One key per node, its raw bytes: a single column sorts faster as uint64, with the same bytes.
+    width = np.uint64 if columns.shape[1] == 1 else np.dtype((np.void, 8 * columns.shape[1]))
+    keys = np.ascontiguousarray(columns).view(width).ravel()
     _, index, inverse = np.unique(keys, return_index=True, return_inverse=True)
     by_first = np.argsort(index)
     rank = np.empty_like(by_first)
@@ -459,14 +465,14 @@ for _name in ("__iter__", "__reversed__", "__add__", "__mul__", "__rmul__", "cop
     setattr(_Reads, _name, _reading_all(getattr(list, _name)))
 
 
-def _support(fol: FoliationStructure, probe: np.ndarray, order: int) -> list[int]:
-    """The coordinates the closures of a ``Geometry`` of ``order`` read at the nodes ``probe``, ascending."""
+def _support(fol: FoliationStructure, probe: np.ndarray) -> list[int]:
+    """The coordinates the closures of a ``Geometry`` read at the nodes ``probe``, ascending."""
     man, dist = fol.manifold, fol.dist
-    seeds2, seeds = _Reads(man.seed(probe, 2)), _Reads(man.seed(probe, order))
-    man.metric_jets(seeds2)
+    seeds = _Reads(man.seed(probe, 2))
+    man.metric_jets(seeds)
     for closure in (fol.leaf_frame, fol.normal, dist.frame_D, dist.frame_Dperp):
         closure(seeds)
-    return sorted(seeds2.read | seeds.read)
+    return sorted(seeds.read)
 
 
 # -- public operations ---------------------------------------------------------

@@ -40,9 +40,9 @@ class QuadratureGrid:
     this module builds hold their own arrays, read-only, uncopied
     (:func:`_owning`).  ``plans``
     holds those values: the evaluation plans that the grid passes attach, one
-    per (foliation, order) (:func:`verify.grid_plan`), which die with the grid.
-    A plan groups the distinct nodes of the whole grid, so it serves a pass
-    under any ``CHUNK``.
+    per foliation (:func:`verify.grid_plan`), which die with the grid.  A
+    plan groups the distinct nodes of the whole grid, split by weight only
+    where the weights differ, so it serves a pass under any ``CHUNK``.
     """
 
     nodes: np.ndarray

@@ -180,7 +180,7 @@ def measure_scenario(fol: FoliationStructure, points, pcurv_c: float | None) -> 
     grouping (:func:`foliation.distinct_nodes`).
     """
     points = np.asarray(points, dtype=float)
-    geom = Geometry(fol, points[distinct_nodes(fol, points, order=1)[0]], order=1)
+    geom = Geometry(fol, points[distinct_nodes(fol, points)[0]], order=1)
     H, g = geom.Hperp.value, geom.g.value
     hperp = np.sqrt(np.maximum(np.einsum("...i,...ij,...j->...", H, g, H), 0.0))
     frames = np.concatenate([geom.e.value, geom.N.value[..., None, :], geom.xis.value], axis=-2)

@@ -39,15 +39,16 @@ requested integrand and the sigma_2 scan, and the ``leaf:r`` checks of a
 run share one pass over the leaf grid (:func:`verify_leaf_checks`), which
 takes the run grid's counts on the leaf's axes.  A pass builds
 ``Geometry`` once per distinct node of the whole grid, nodes being
-distinct on the coordinates the closures read
-(:func:`foliation.distinct_nodes`), in the chunk where the node first
-appears, and hands the reduction each representative's samples once,
-weighted by the volume density of that geometry's metric on the axes
-integrated over, with the count of nodes they stand for; the reduction's
-sums have the bits of an evaluation on every node.  Only the self-test's
+distinct on the coordinates the closures read, and on the weight where
+the grid's weights differ (:func:`foliation.distinct_nodes`), in the
+chunk where the node first appears, and hands the reduction each
+representative's samples once, weighted by the volume density of that
+geometry's metric on the axes integrated over, with the count of nodes
+they stand for; the reduction's sums have the bits of an evaluation on
+every node.  Only the self-test's
 divergences are evaluated per node, from each field's values and the
 diagonal of its derivative.  A grid carries the plan of its passes
-(:func:`grid_plan`): the node groups, per (foliation, order), and the
+(:func:`grid_plan`): one node grouping per foliation, and the
 calibration floor, computed once per grid object, so the checks of one
 grid share them across calls.  The sampled checks draw seeded random
 points and build one ``Geometry`` on them (``_sampled``), at order 1 for
@@ -187,10 +188,10 @@ def _check_order(r: int, n: int, what: str) -> None:
 
 
 def _grid(scenario, grid=None) -> QuadratureGrid:
-    """``grid`` as a quadrature grid: kept as is, built from per-axis counts, or the default."""
+    """``grid`` as a quadrature grid: kept as is, built from per-axis counts, or the default when None."""
     if isinstance(grid, QuadratureGrid):
         return grid
-    return grid_for(scenario.manifold, grid or scenario.default_grid)
+    return grid_for(scenario.manifold, scenario.default_grid if grid is None else grid)
 
 
 # -- random smooth test fields ---------------------------------------------------
@@ -451,7 +452,7 @@ def verify_leaf_checks(scenario, orders, leaf=None, grid_axes=None, tolerance=No
     for r in orders:
         _check_order(r, scenario.n, scenario.name)
     lf = leaf if leaf is not None and not isinstance(leaf, str) else scenario.leaf(leaf)
-    lgrid = leaf_grid(scenario.manifold, lf, grid_axes or tuple(scenario.default_grid[ax] for ax in lf.axes))
+    lgrid = leaf_grid(scenario.manifold, lf, tuple(scenario.default_grid[ax] for ax in lf.axes) if grid_axes is None else grid_axes)
     tol = tolerance if tolerance is not None else INTEGRAL_FLOOR
     integrals = _grid_pass(scenario, lgrid, (), sorted(set(orders)), leaf=lf)[0]
     reports = []
@@ -476,57 +477,41 @@ def verify_closed_form_c(scenario, c: float | None = None, grid=None, tolerance=
 
 @dataclass(eq=False)
 class GridPlan:
-    """What every grid pass of ``fol`` at ``order`` over one grid reads and no check changes.
+    """What every grid pass of ``fol`` over one grid reads and no check changes.
 
     ``first`` and ``group`` are :func:`foliation.distinct_nodes` over the
-    whole grid at ``order``: the nodes grouped by their coordinates on the
-    axes the closures read, the ascending index of each group's first node,
-    and each node's group, 8 B per node.  The entries split each group by
-    the nodes' weights, as a grouped sample is summed
-    (:class:`quadrature.Grouped`): ``entry_group``, ``entry_count`` and
-    ``entry_first`` give each entry's group, node count and first node,
-    ordered by group, then first node; on a grid of one weight, as every
-    product grid is, the entries are the groups.  None of them depends on
-    ``quadrature.CHUNK``.  ``floor`` is the calibration floor once an
-    order-1 pass has measured it.
+    whole grid: the nodes grouped by their coordinates on the axes the
+    closures read, and by their weights where the grid's weights differ, the
+    ascending index of each group's first node, and each node's group, 8 B
+    per node.  ``count`` is each group's node count, so a group's sample is
+    summed as the copies of its nodes (:class:`quadrature.Grouped`).  None
+    of them depends on ``quadrature.CHUNK`` or on the order a pass builds
+    ``Geometry`` at.  ``floor`` is the calibration floor once a pass over M
+    has measured it.
     """
 
     fol: FoliationStructure
-    order: int
     first: np.ndarray
     group: np.ndarray
-    entry_group: np.ndarray
-    entry_count: np.ndarray
-    entry_first: np.ndarray
+    count: np.ndarray
     floor: float | None = None
 
 
-def grid_plan(fol: FoliationStructure, grid: QuadratureGrid, order: int = 1) -> GridPlan:
-    """The plan ``grid`` holds for ``fol`` at ``order``, grouping the grid's nodes when it holds none.
+def grid_plan(fol: FoliationStructure, grid: QuadratureGrid) -> GridPlan:
+    """The plan ``grid`` holds for ``fol``, grouping the grid's nodes when it holds none.
 
     The plan lives in ``grid.plans`` and dies with the grid.  Its groups are
-    pure functions of the foliation and the grid's read-only nodes, so every
-    pass that reads them, under any chunk size, sees what it would compute
-    itself.
+    pure functions of the foliation and the grid's read-only nodes and
+    weights, so every pass that reads them, under any chunk size, sees what
+    it would compute itself.
     """
     for plan in grid.plans:
-        if plan.fol is fol and plan.order == order:
+        if plan.fol is fol:
             return plan
-    first, group = distinct_nodes(fol, grid.nodes, order)
-    plan = GridPlan(fol, order, first, group, *_weight_entries(first, group, grid.weights))
+    first, group = distinct_nodes(fol, grid.nodes, grid.weights)
+    plan = GridPlan(fol, first, group, np.bincount(group, minlength=first.size))
     grid.plans.append(plan)
     return plan
-
-
-def _weight_entries(first: np.ndarray, group: np.ndarray, weights: np.ndarray) -> tuple:
-    """Each (group, weight bits) pair's group, node count and first node, ordered by group, then first node."""
-    bits = weights.view(np.int64)
-    if np.all(bits == bits[0]):
-        return np.arange(first.size), np.bincount(group, minlength=first.size), first
-    _, weight = np.unique(bits, return_inverse=True)
-    _, at, count = np.unique(group * (weight.max() + 1) + weight, return_index=True, return_counts=True)
-    order = np.lexsort((at, group[at]))
-    return group[at[order]], count[order], at[order]
 
 
 def verify_grid_checks(scenario, checks, grid=None, tolerance=None, c: float | None = None) -> list[VerificationReport]:
@@ -614,8 +599,8 @@ def _grid_pass(scenario, grid: QuadratureGrid, bases, orders=(), fields=None, le
     volume density of that geometry's metric, sqrt(det g) over the axes
     integrated over (all of them, or the leaf's; 1 on the invariant
     backend's orthonormal frame), and reaches the reduction once, in the
-    chunk of its representative, as one :class:`quadrature.Grouped` entry
-    per plan entry of its group: the reduction sums it as the copies every
+    chunk of its representative, as one :class:`quadrature.Grouped` sample
+    with its group's node count: the reduction sums it as the copies every
     node of the group would give, bit for bit.  Only the self-test's
     divergences vary per node: its fields are evaluated at every node,
     each trig factor once per distinct coordinate value of its axis and
@@ -642,7 +627,7 @@ def _grid_pass(scenario, grid: QuadratureGrid, bases, orders=(), fields=None, le
         return {}, extrema
     order = 1 if leaf is None else 2
     axes = list(range(man.dim) if leaf is None else leaf.axes)
-    plan = grid_plan(fol, grid, order)
+    plan = grid_plan(fol, grid)
     held = None if fields is None else _Held(plan, quadrature.CHUNK)
     diagonal = np.arange(man.dim)
     start = 0
@@ -683,9 +668,7 @@ def _grid_pass(scenario, grid: QuadratureGrid, bases, orders=(), fields=None, le
             for i, (value, diag) in enumerate(fields(pts)):
                 out[("divergence-selftest", f"div_{i}")] = traced_divergence(node["gamma_kk"], value, diag) * node["density"]
         start = stop
-        a, b = np.searchsorted(plan.entry_group, (lo, hi))
-        ids, counts, first = plan.entry_group[a:b] - lo, plan.entry_count[a:b], plan.entry_first[a:b]
-        out.update({key: quadrature.Grouped(vals[ids], counts, first) for key, vals in samples.items()})
+        out.update({key: quadrature.Grouped(vals, plan.count[lo:hi], plan.first[lo:hi]) for key, vals in samples.items()})
         return out
 
     return _integrate_terms(scenario, grid, terms), extrema

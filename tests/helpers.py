@@ -337,7 +337,7 @@ def fingerprint_groups(fol, points, order, block=1024):
     return np.array(first, dtype=np.intp), group
 
 
-def every_node_its_own_group(fol, points, order):
+def every_node_its_own_group(fol, points, weights=None):
     """``foliation.distinct_nodes`` without grouping: every node of the grid is its own group."""
     k = np.asarray(points).shape[0]
     return np.arange(k), np.arange(k)

@@ -297,6 +297,7 @@ def _write_config(tmp_path, payload):
         ["--scenario", "warped_torus_4", "--grid", "4,4"],
         ["--scenario", "warped_torus_4", "--grid", "4,4,4,0"],
         ["--scenario", "flat_torus", "--grid", "4,x,4"],
+        ["--config", lambda tmp: _write_config(tmp, {"scenario": "warped_torus_4", "grid": [], "checks": ["reeb"]})],
         ["--scenario", "flat_torus", "--samples", "-3"],
         ["--scenario", "flat_torus", "--samples", "0"],
         ["--scenario", "flat_torus", "--tolerance", "-1", "--checks", "reeb"],
@@ -338,6 +339,7 @@ def _write_config(tmp_path, payload):
         "grid-too-short",
         "grid-zero-count",
         "grid-not-integer",
+        "grid-empty",
         "samples-negative",
         "samples-zero",
         "tolerance-negative",
@@ -372,6 +374,17 @@ def test_main_entry_rejects_bad_input_with_exit_2(args, tmp_path, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_an_invariant_frame_scenario_ignores_any_grid(tmp_path):
+    # Its rule is one weighted node; the reports equal those without a grid, an empty one included.
+    reports = []
+    for grid in (None, [], [4, 4, 4]):
+        payload = {"scenario": "heisenberg", "checks": ["reeb", "leaf:0"], "tolerance": 1e-7}
+        config = _write_config(tmp_path, payload if grid is None else {**payload, "grid": grid})
+        assert cli.main(["run", "--config", config, "--output", str(tmp_path / "r.json")]) == 0
+        reports.append([{k: v for k, v in rep.items() if k != "wall_time_s"} for rep in json.loads((tmp_path / "r.json").read_text())["reports"]])
+    assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
 OVERFLOWING_TILT = {"builder": "tilted_torus", "theta_amplitude": 1e160}

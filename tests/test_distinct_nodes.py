@@ -74,12 +74,15 @@ def _point_sets(scenario) -> dict:
 def test_the_groups_equal_those_of_the_closure_output_bytes(name, catalog, conformal, monkeypatch):
     s = conformal if name == "conformal_torus" else catalog[name]
     for label, points in _point_sets(s).items():
-        for order in (1, 2):
+        groups = []
+        for chunk in CHUNKS:
+            monkeypatch.setattr(quadrature, "CHUNK", chunk)
+            groups.append(distinct_nodes(s.fol, points))
+        first, group = groups[0]
+        assert first.dtype == group.dtype == np.intp and group.shape == (points.shape[0],)
+        for order in (1, 2):  # one grouping serves a Geometry of either order
             want = fingerprint_groups(s.fol, points, order)
-            for chunk in CHUNKS:
-                monkeypatch.setattr(quadrature, "CHUNK", chunk)
-                first, group = distinct_nodes(s.fol, points, order)
-                assert first.dtype == group.dtype == np.intp and group.shape == (points.shape[0],)
+            for chunk, (first, group) in zip(CHUNKS, groups):
                 assert np.array_equal(first, want[0]) and np.array_equal(group, want[1]), (label, order, chunk)
 
 
@@ -117,7 +120,7 @@ def test_nodes_differing_only_in_the_sign_of_a_zero_are_distinct(monkeypatch):
     fol = _metric_entry_foliation(lambda coords: coords[0] * 0.0)
     points = _nodes([-1.0, 1.0, -2.0, 2.0, 1.0])
     assert [a.tolist() for a in fingerprint_groups(fol, points, 1)] == [[0, 1], [0, 1, 0, 1, 1]]
-    first, group = distinct_nodes(fol, points, order=1)
+    first, group = distinct_nodes(fol, points)
     assert first.tolist() == [0, 1, 2, 3]
     assert group.tolist() == [0, 1, 2, 3, 1]
     _reports_equal_the_per_node_evaluation(fol, points, monkeypatch)
@@ -129,7 +132,7 @@ def test_a_signed_zero_pair_in_different_chunks_stays_apart(chunk, monkeypatch):
     monkeypatch.setattr(quadrature, "CHUNK", chunk)
     fol = _metric_entry_foliation(lambda coords: coords[0] * 0.0)
     points = _nodes([-1.0, 1.0, -2.0, 2.0, 1.0])
-    first, group = distinct_nodes(fol, points, order=1)
+    first, group = distinct_nodes(fol, points)
     assert first.tolist() == [0, 1, 2, 3]
     assert group.tolist() == [0, 1, 2, 3, 1]
     _reports_equal_the_per_node_evaluation(fol, points, monkeypatch)
@@ -139,7 +142,7 @@ def test_a_coordinate_pair_of_signed_zeros_stays_apart():
     fol = _metric_entry_foliation(lambda coords: coords[0] * 0.0 + 0.0)  # 0.0 at x = -0.0 and 0.0
     points = _nodes([0.0, -0.0, 0.0, -0.0])
     assert [a.tolist() for a in fingerprint_groups(fol, points, 1)] == [[0], [0, 0, 0, 0]]
-    first, group = distinct_nodes(fol, points, order=1)
+    first, group = distinct_nodes(fol, points)
     assert first.tolist() == [0, 1]
     assert group.tolist() == [0, 1, 0, 1]
 
@@ -159,7 +162,7 @@ def test_nodes_differing_by_one_ulp_in_one_hessian_entry_are_distinct(monkeypatc
     fol = _metric_entry_foliation(entry)
     points = _nodes([2.0, -1.0, 1.0, -3.0])
     assert [a.tolist() for a in fingerprint_groups(fol, points, 1)] == [[0, 1], [0, 1, 0, 1]]
-    first, group = distinct_nodes(fol, points, order=1)
+    first, group = distinct_nodes(fol, points)
     assert first.tolist() == [0, 1, 2, 3]
     assert group.tolist() == [0, 1, 2, 3]
     _reports_equal_the_per_node_evaluation(fol, points, monkeypatch)
@@ -191,7 +194,7 @@ def _xy_grid():
 )
 def test_nodes_are_grouped_by_the_coordinates_the_closures_read(entry, axes):
     points = _xy_grid()
-    first, group = distinct_nodes(_metric_entry_foliation(entry), points, order=2)
+    first, group = distinct_nodes(_metric_entry_foliation(entry), points)
     keys = [tuple(p[axes]) for p in points]
     assert [keys.index(key) for key in keys] == first[group].tolist()
     assert first.size == len(set(keys))
@@ -202,26 +205,26 @@ def test_a_branch_on_a_read_value_raises_instead_of_hiding_a_read():
         return coords[1] * 0.0 if coords[0].value > 0.5 else 0.0
 
     with pytest.raises(ValueError, match="truth value"):
-        distinct_nodes(_metric_entry_foliation(entry), _xy_grid(), order=1)
+        distinct_nodes(_metric_entry_foliation(entry), _xy_grid())
 
 
 @pytest.mark.parametrize("name", ["flat_torus", "heisenberg", "round_s3"])
 def test_constant_closures_give_one_group(name, catalog):
     s = catalog[name]
     for points in _point_sets(s).values():
-        first, group = distinct_nodes(s.fol, points, order=1)
+        first, group = distinct_nodes(s.fol, points)
         assert first.tolist() == [0] and not group.any()
 
 
 def test_groups_are_numbered_by_their_first_node_in_grid_order(tilted, conformal):
     grid = verify._grid(tilted)
-    first, group = distinct_nodes(tilted.fol, grid.nodes, order=1)
+    first, group = distinct_nodes(tilted.fol, grid.nodes)
     z = grid.nodes[:, 3]
     assert np.array_equal(grid.nodes[first], grid.nodes[: grid.axes[3]])  # the closures read z alone
     assert np.array_equal(z, z[first][group])
     assert np.array_equal(first, [np.flatnonzero(group == g)[0] for g in range(first.size)])
     grid = verify._grid(conformal)
-    first, group = distinct_nodes(conformal.fol, grid.nodes, order=2)
+    first, group = distinct_nodes(conformal.fol, grid.nodes)
     assert np.array_equal(first, np.arange(grid.count)) and np.array_equal(group, first)
 
 
@@ -229,18 +232,17 @@ def test_frames_split_the_groups_under_a_constant_metric():
     one = scenarios.fourier_profile(const=1.0)
     flat_tilted = scenarios.build_tilted_torus(a=one, b=one)  # flat metric, frames turning with z
     grid = verify._grid(flat_tilted)
-    first, _ = distinct_nodes(flat_tilted.fol, grid.nodes, order=1)
+    first, _ = distinct_nodes(flat_tilted.fol, grid.nodes)
     assert first.size == grid.axes[3]
 
 
-@pytest.mark.parametrize("order", [1, 2])
-def test_the_groups_are_the_same_under_any_chunk_size(order, warped4, conformal, monkeypatch):
+def test_the_groups_are_the_same_under_any_chunk_size(warped4, conformal, monkeypatch):
     for s in (warped4, conformal):
         grid = verify._grid(s)
         groups = []
         for chunk in CHUNKS:
             monkeypatch.setattr(quadrature, "CHUNK", chunk)
-            groups.append(distinct_nodes(s.fol, grid.nodes, order))
+            groups.append(distinct_nodes(s.fol, grid.nodes))
         for first, group in groups[1:]:
             assert np.array_equal(first, groups[0][0]) and np.array_equal(group, groups[0][1]), s.name
         assert first.dtype == group.dtype == np.intp and group.shape == (grid.count,)

@@ -1,4 +1,4 @@
-"""The plan a quadrature grid carries: node groups and calibration floor, once per (foliation, order, grid).
+"""The plan a quadrature grid carries: node groups and calibration floor, once per (foliation, grid).
 
 ``verify.grid_plan`` computes them on the first grid pass over a grid object;
 every later grid check on that object reads them back, under any
@@ -10,7 +10,7 @@ nodes, bit for bit.
 
 import gc
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -129,27 +129,30 @@ def test_a_fresh_grid_per_call_shares_no_plan(warped4, monkeypatch):
     assert calls["distinct_nodes"] == calls["trig_scalars"] == 1 and calls["volume_density"] == 0
 
 
-def test_plans_are_keyed_by_foliation_and_order(warped4):
+def test_plans_are_keyed_by_foliation_alone(warped4):
+    # Whatever order a pass builds Geometry at, the grid holds one grouping per foliation.
     grid = verify._grid(warped4)
-    first, second = verify.grid_plan(warped4.fol, grid), verify.grid_plan(warped4.fol, grid, 2)
-    assert (first.order, second.order) == (1, 2) and grid.plans == [first, second]
-    assert verify.grid_plan(warped4.fol, grid) is first and verify.grid_plan(warped4.fol, grid, 2) is second
+    plan = verify.grid_plan(warped4.fol, grid)
+    assert [f.name for f in fields(plan)] == ["fol", "first", "group", "count", "floor"]
+    verify.verify_grid_checks(warped4, ["reeb", "main:1"], grid)
+    assert grid.plans == [plan] and verify.grid_plan(warped4.fol, grid) is plan
+    assert np.array_equal(plan.count, np.bincount(plan.group)) and plan.count.sum() == grid.count
 
 
-def test_a_grid_of_two_weights_splits_each_group_by_weight(warped4, monkeypatch):
-    # The nodes at x = 0 weigh double, so each of the 32 z-groups holds nodes
-    # of both weights, the second from its first node at x = 1 on: one entry
-    # per (group, weight), and the pass's integrals are those of an
-    # evaluation on every node, bit for bit.
+def test_a_grid_of_two_weights_groups_the_nodes_by_weight_too(warped4, monkeypatch):
+    # The nodes at x = 0 weigh double, so each of the 32 z-values, the only
+    # coordinate the closures read, names two groups: its nodes at x = 0 and
+    # those from x = 1 on.  The pass's integrals are those of an evaluation
+    # on every node, bit for bit.
     grid = verify._grid(warped4)
     weights = grid.weights * np.where(grid.nodes[:, 0] == 0.0, 2.0, 1.0)
     two = quadrature.QuadratureGrid(grid.nodes, weights, grid.axes)
     plan = verify.grid_plan(warped4.fol, two)
-    assert plan.first.size == 32 and plan.entry_count.sum() == two.count
-    assert np.array_equal(plan.entry_group, np.repeat(np.arange(32), 2))
-    assert np.array_equal(plan.entry_first, plan.first.repeat(2) + np.tile([0, two.count // 4], 32))
-    fields = verify._selftest_fields(warped4.manifold)
-    grouped, _ = verify._grid_pass(warped4, two, {"reeb", "closed-form-c"}, (0, 1), fields)
+    assert plan.first.size == 64 and plan.count.sum() == two.count
+    assert np.array_equal(plan.first, np.concatenate([np.arange(32), two.count // 4 + np.arange(32)]))
+    assert all(np.unique(two.weights[plan.group == g]).size == 1 for g in range(64))
+    selftest = verify._selftest_fields(warped4.manifold)
+    grouped, _ = verify._grid_pass(warped4, two, {"reeb", "closed-form-c"}, (0, 1), selftest)
     evaluate_per_node(monkeypatch)
-    per_node, _ = verify._grid_pass(warped4, _fresh(two), {"reeb", "closed-form-c"}, (0, 1), fields)
+    per_node, _ = verify._grid_pass(warped4, _fresh(two), {"reeb", "closed-form-c"}, (0, 1), selftest)
     assert repr(grouped) == repr(per_node)

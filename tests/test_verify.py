@@ -135,11 +135,21 @@ def test_leaf_unknown_leaf(warped4):
         verify.verify_leaf(warped4, 0, leaf="nope")
 
 
-@pytest.mark.parametrize("grid_axes", [(-4, 8, 8), (8,), (8, 8, 8, 8)])
+@pytest.mark.parametrize("grid_axes", [(-4, 8, 8), (8,), (8, 8, 8, 8), ()])
 def test_leaf_grid_needs_one_positive_count_per_leaf_axis(warped4, grid_axes):
-    # the y-torus leaf of warped_torus_4 has two axes
+    # the y-torus leaf of warped_torus_4 has two axes; no counts at all is not the default grid
     with pytest.raises(ValueError, match="need a positive node count per axis"):
         verify.verify_leaf(warped4, 0, grid_axes=grid_axes)
+
+
+@pytest.mark.parametrize("grid", [(4, 4), (4, 4, 0, 4), ()])
+def test_a_run_grid_needs_one_positive_count_per_axis(warped4, grid):
+    # Only a missing grid (None) means the default grid, on every path.
+    with pytest.raises(ValueError, match="need a positive node count per axis"):
+        verify.verify_reeb(warped4, grid=grid)
+    for check in ("reeb", "leaf:0"):
+        with pytest.raises(ValueError, match="need a positive node count per axis"):
+            verify.run_checks(warped4, [check], grid, tolerance=1e-7)
 
 
 def test_the_leaf_checks_of_a_run_share_one_leaf_pass(warped4, tilted, monkeypatch):
