@@ -3,65 +3,24 @@
 Builds closed example manifolds, the projected-connection tensor calculus on
 them (shape operator, Newton transformations, projected curvature), and
 certifies pointwise identities and integral formulas numerically through
-residual reports.
+residual reports.  ``__all__`` is the public surface, one line each in
+README's "Python API" section.
 """
 
-from .distribution import (
-    DistributionSpec,
-    MeanCurvaturePerp,
-    Projector,
-    admissibility_residual,
-    curvature_P,
-    mean_curvature_perp,
-    nabla_P,
-    orthoprojector,
-)
+from .distribution import DistributionSpec
 from .errors import (
+    ConfigError,
     ConstructionError,
     DomainError,
     EvaluationError,
-    FrameError,
     LinearSolveError,
     UnsupportedLeafError,
 )
-from .foliation import (
-    AdaptedFrame,
-    FoliationStructure,
-    Geometry,
-    adapted_frame,
-    codazzi_residual,
-    curvature_vector_Z,
-    divF_newton,
-    leafwise_divergence,
-    nablaF_N_A,
-    ricci_p,
-    second_fundamental_form,
-    shape_operator,
-    trace_identities,
-)
+from .foliation import FoliationStructure, Geometry
 from .jets import Jet
-from .manifolds import (
-    ChartManifold,
-    InvariantFrameManifold,
-    Point,
-    TangentVector,
-    christoffel,
-    covariant_derivative,
-    divergence,
-    metric_at,
-    riemann,
-    riemann_tensor,
-)
-from .newton import (
-    SymmetricFunctions,
-    newton_transform,
-    sigma,
-    sigma_values,
-    symmetric_functions,
-    tau,
-    trace_identity_residuals,
-)
-from .quadrature import QuadratureGrid, grid_for, integrate, leaf_grid
+from .manifolds import ChartManifold, InvariantFrameManifold
+from .newton import newton_transforms, sigma_values, trace_identity_residuals
+from .quadrature import QuadratureGrid, grid_for, integrate, leaf_grid, refined
 from .scenarios import (
     Periodic1D,
     Scenario,
@@ -77,15 +36,63 @@ from .scenarios import (
 from .verify import (
     VerificationReport,
     calibrate_tolerance,
-    sigma2_image_diagnostic,
-    verify_closed_form_c,
+    parse_check,
+    run_checks,
     verify_closed_form_einstein,
-    verify_divergence_theorem,
+    verify_grid_checks,
     verify_leaf,
+    verify_leaf_checks,
     verify_main,
     verify_reeb,
     verify_umbilical_reduction,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # scenarios
+    "build",
+    "catalog_names",
+    "build_flat_torus",
+    "build_warped_torus",
+    "build_tilted_torus",
+    "build_heisenberg",
+    "build_round_s3",
+    "Scenario",
+    "ScenarioFlags",
+    "Periodic1D",
+    # structures and their calculus
+    "ChartManifold",
+    "InvariantFrameManifold",
+    "DistributionSpec",
+    "FoliationStructure",
+    "Geometry",
+    "Jet",
+    "sigma_values",
+    "newton_transforms",
+    "trace_identity_residuals",
+    # quadrature
+    "QuadratureGrid",
+    "grid_for",
+    "leaf_grid",
+    "refined",
+    "integrate",
+    # checks and reports
+    "parse_check",
+    "run_checks",
+    "verify_grid_checks",
+    "verify_leaf_checks",
+    "verify_reeb",
+    "verify_main",
+    "verify_leaf",
+    "verify_closed_form_einstein",
+    "verify_umbilical_reduction",
+    "calibrate_tolerance",
+    "VerificationReport",
+    # errors
+    "ConfigError",
+    "ConstructionError",
+    "DomainError",
+    "EvaluationError",
+    "LinearSolveError",
+    "UnsupportedLeafError",
+]
 __version__ = "0.1.0"

@@ -163,10 +163,6 @@ def report_to_dict(report: VerificationReport) -> dict:
     return dataclasses.asdict(report)
 
 
-def report_from_dict(data: dict) -> VerificationReport:
-    return VerificationReport(**data)
-
-
 def _summary(reports: list[VerificationReport]) -> dict:
     return {
         "checks": len(reports),
@@ -185,10 +181,6 @@ def emit_structured(config: RunConfig, scenario_name: str, reports: list[Verific
         "summary": _summary(reports),
     }
     return json.dumps(payload, indent=2, sort_keys=True)
-
-
-def parse_structured(text: str) -> list[VerificationReport]:
-    return [report_from_dict(d) for d in json.loads(text)["reports"]]
 
 
 def emit_table(config: RunConfig, scenario_name: str, reports: list[VerificationReport]) -> str:

@@ -9,10 +9,6 @@ class LinearSolveError(RuntimeError):
     """A small dense solve hit a (near-)singular pivot, e.g. a degenerate metric."""
 
 
-class FrameError(RuntimeError):
-    """A declared frame failed its orthonormality requirement."""
-
-
 class DomainError(ValueError):
     """An argument vector lies outside the subbundle an operation requires."""
 

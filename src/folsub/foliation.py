@@ -36,8 +36,8 @@ from . import distribution as dst
 from . import manifolds as mfd
 from . import newton
 from .errors import DomainError
-from .jets import Jet, cos as jcos, einsum, sin as jsin, stack, stack_last, value_of
-from .manifolds import Point, TangentVector
+from .jets import Jet, einsum, stack, stack_last, value_of
+from .manifolds import Point
 
 # Largest off-leaf norm of a vector passed where a leaf vector is expected.
 LEAF_TANGENCY_TOL = 1e-9
@@ -59,16 +59,6 @@ class FoliationStructure:
     @property
     def n(self) -> int:
         return self.dist.rank - 1
-
-
-@dataclass(frozen=True)
-class AdaptedFrame:
-    """Evaluated orthonormal frame (leaf vectors, normal, complement) at a point."""
-
-    leaf: np.ndarray
-    normal: np.ndarray
-    perp: np.ndarray
-    base: Point
 
 
 class Geometry:
@@ -475,40 +465,7 @@ def _support(fol: FoliationStructure, probe: np.ndarray) -> list[int]:
     return sorted(seeds.read)
 
 
-# -- public operations ---------------------------------------------------------
-
-
-def leaf_field(fol: FoliationStructure, i: int):
-    """The i-th leaf-frame vector as a field evaluator."""
-    return lambda coords: fol.leaf_frame(coords)[i]
-
-
-def adapted_frame(fol: FoliationStructure, p: Point) -> AdaptedFrame:
-    p = np.asarray(p, dtype=float)
-    geom = Geometry(fol, p, order=0)
-    return AdaptedFrame(leaf=geom.e.value, normal=geom.N.value, perp=geom.xis.value, base=p)
-
-
-def shape_operator(fol: FoliationStructure, p: Point) -> np.ndarray:
-    """Leaf-frame shape operator matrix at p (symmetrized)."""
-    return Geometry(fol, p, order=1).A.value
-
-
-def shape_operator_asymmetry(fol: FoliationStructure, p: Point) -> float:
-    return Geometry(fol, p, order=1).A_asym
-
-
-def curvature_vector_Z(fol: FoliationStructure, p: Point) -> TangentVector:
-    p = np.asarray(p, dtype=float)
-    return TangentVector(Geometry(fol, p, order=1).Z.value, p)
-
-
-def second_fundamental_form(fol: FoliationStructure, X, Y, p: Point) -> TangentVector:
-    """h(X, Y): component of nabla_X Y orthogonal to the leaf bundle."""
-    p = np.asarray(p, dtype=float)
-    geom = Geometry(fol, p, order=1)
-    w = mfd.nabla(geom.gamma, _leaf_input(geom, X, "X"), _leaf_input(geom, Y, "Y"))
-    return TangentVector(geom.off_leaf(w.value), p)
+# -- residuals at points (perfbench/tracing.py wraps these names) ----------------
 
 
 def _leaf_input(geom, X, what: str):
@@ -516,82 +473,17 @@ def _leaf_input(geom, X, what: str):
     if callable(X):
         comps = stack(X(geom.coords), geom.coords)
     else:
-        raw = np.asarray(X.components if isinstance(X, TangentVector) else X, dtype=float)
-        comps = np.broadcast_to(raw, geom.batch + (geom.m,))
+        comps = np.broadcast_to(np.asarray(X, dtype=float), geom.batch + (geom.m,))
     resid = geom.max_norm(geom.off_leaf(value_of(comps)))
     if resid > LEAF_TANGENCY_TOL:
         raise DomainError(f"{what} is not tangent to the leaves (residual {resid:.3e})")
     return comps if callable(X) else geom.tangential(comps)
 
 
-def ricci_p(fol: FoliationStructure, X, p: Point) -> np.ndarray:
-    """Leaf-frame trace of V -> R^P(V, X)N for X in D."""
-    p = np.asarray(p, dtype=float)
-    geom = Geometry(fol, p, order=1)
-    return geom.ricci_p(_ambient_components(geom, X))
-
-
-def _ambient_components(geom, X) -> np.ndarray:
-    if callable(X):
-        return stack(X(geom.coords), geom.coords).value
-    raw = X.components if isinstance(X, TangentVector) else X
-    return np.broadcast_to(np.asarray(raw, dtype=float), geom.batch + (geom.m,))
-
-
-def leafwise_divergence(fol: FoliationStructure, X_field, p: Point) -> np.ndarray:
-    """Trace of nabla X over the leaf frame only."""
-    geom = Geometry(fol, np.asarray(p, dtype=float), order=1)
-    return geom.div_F(X_field(geom.coords))
-
-
-def divF_newton(fol: FoliationStructure, r: int, p: Point, mode: str = "direct") -> np.ndarray:
-    """Leafwise divergence of T_r as a leaf covector, by jets or by the formula."""
-    if not 0 <= r <= fol.n - 1:
-        raise ValueError(f"Newton divergence index {r} outside 0..{fol.n - 1}")
-    geom = Geometry(fol, np.asarray(p, dtype=float), order=2)
-    if mode == "direct":
-        return geom.div_F_newton_direct(r)
-    if mode == "formula":
-        return geom.div_F_newton_formula(r)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-def nablaF_N_A(fol: FoliationStructure, p: Point) -> np.ndarray:
-    """Leafwise covariant derivative of the shape-operator field along N."""
-    geom = Geometry(fol, np.asarray(p, dtype=float), order=2)
-    return geom.nabla_F_operator(geom.A, geom.N)
-
-
 def codazzi_residual(fol: FoliationStructure, X, Y, p: Point) -> float:
     """Norm of (nabla^F_X A)Y - (nabla^F_Y A)X + R^P(X, Y)N at p."""
     geom = Geometry(fol, np.asarray(p, dtype=float), order=2)
     return geom.codazzi_residual(_leaf_input(geom, X, "X"), _leaf_input(geom, Y, "Y"))
-
-
-def codazzi_classic_residual(fol: FoliationStructure, X, Y, U, p: Point) -> float:
-    """Classical Codazzi residual for the leaves as submanifolds of M.
-
-    |(nabla_X h)(Y, U) - (nabla_Y h)(X, U) - (R(X, Y)U)^perp| with the
-    second fundamental form h valued in the full orthogonal complement of
-    the leaf bundle.
-    """
-    geom = Geometry(fol, np.asarray(p, dtype=float), order=2)
-    Xc, Yc, Uc = (_leaf_input(geom, V, what) for V, what in ((X, "X"), (Y, "Y"), (U, "U")))
-    nabla = lambda V, W: mfd.nabla(geom.gamma, V, W)
-
-    def h_field(Ac, Bc):
-        w = nabla(Ac, Bc)
-        return w - geom.tangential(w)
-
-    def cov_h(Ac, Bc, Cc):
-        # (nabla_A h)(B, C) = perp(nabla_A (h(B,C))) - h(nabla^F_A B, C) - h(B, nabla^F_A C)
-        out = geom.off_leaf(nabla(Ac, h_field(Bc, Cc)).value)
-        out = out - h_field(geom.tangential(nabla(Ac, Bc)), Cc).value
-        return out - h_field(Bc, geom.tangential(nabla(Ac, Cc))).value
-
-    lhs = cov_h(Xc, Yc, Uc) - cov_h(Yc, Xc, Uc)
-    RXYU = np.einsum("...lkab,...k,...a,...b->...l", geom.R, Uc.value, Xc.value, Yc.value)
-    return geom.max_norm(lhs - geom.off_leaf(RXYU))
 
 
 def trace_identities(fol: FoliationStructure, r: int, p: Point) -> np.ndarray:
@@ -608,30 +500,3 @@ def integrability_residual(fol: FoliationStructure, p: Point) -> float:
 def divx_residual(fol: FoliationStructure, X_field, p: Point) -> float:
     """Residual of the divergence split for a field X in D (:meth:`Geometry.divx_residual`)."""
     return Geometry(fol, np.asarray(p, dtype=float), order=1).divx_residual(X_field)
-
-
-def rotated_foliation(fol: FoliationStructure, angle_profile=None, flip: bool = False) -> FoliationStructure:
-    """Same leaves, leaf frame rotated pointwise; for tensoriality checks.
-
-    For n >= 2 rotates in the (e_0, e_1) plane by ``angle_profile`` of the
-    last coordinate; for n = 1 a sign flip is the only isometry.
-    """
-    n = fol.n
-
-    def frame(coords):
-        e = fol.leaf_frame(coords)
-        if n == 1 or flip:
-            return [[-c for c in v] for v in e]
-        th = angle_profile(coords[-1]) if angle_profile is not None else 0.3 * coords[-1]
-        c, s = jcos(th), jsin(th)
-        out = [list(v) for v in e]
-        out[0] = [c * a + s * b for a, b in zip(e[0], e[1])]
-        out[1] = [(-1.0) * s * a + c * b for a, b in zip(e[0], e[1])]
-        return out
-
-    return FoliationStructure(
-        dist=fol.dist,
-        leaf_frame=frame,
-        normal=fol.normal,
-        integrability_witness=fol.integrability_witness + " (rotated frame)",
-    )

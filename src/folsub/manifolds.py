@@ -36,18 +36,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import jets
-from .errors import EvaluationError
 from .jets import Jet, einsum, mat_inverse, stack
 
 Point = np.ndarray
-
-
-@dataclass(frozen=True)
-class TangentVector:
-    """Components in the backend basis at a base point."""
-
-    components: np.ndarray
-    base: Point
 
 
 class Connection:
@@ -213,11 +204,6 @@ def differential(gamma: Connection, W: Jet, frame: bool = False) -> Jet:
     return W.d() + einsum(spec, gamma.jet(W.order - 1), W)
 
 
-def nabla(gamma: Connection, X, W: Jet) -> Jet:
-    """Covariant derivative ∇_X W of the vector field W along the vector X."""
-    return einsum("...i,...ki->...k", X, differential(gamma, W))
-
-
 def lie_bracket(manifold, X: Jet, Y: Jet) -> Jet:
     """[X, Y] components, including the anholonomic frame term."""
     out = einsum("...i,...ki->...k", X, Y.d()) - einsum("...i,...ki->...k", Y, X.d())
@@ -263,75 +249,3 @@ def traced_divergence(gamma_kk: np.ndarray, value: np.ndarray, diag: np.ndarray)
     nabla = np.zeros(value.shape + (d.size,))
     nabla[..., d, d] = diag + np.einsum("...kj,...j->...k", gamma_kk, value)
     return np.einsum("...kk->...", nabla)
-
-
-def coordinate_field(i: int, m: int):
-    return lambda coords: [1.0 if k == i else 0.0 for k in range(m)]
-
-
-def constant_field(comps):
-    vals = [float(c) for c in np.asarray(comps, dtype=float)]
-    return lambda coords: list(vals)
-
-
-# -- public operations --------------------------------------------------------
-
-
-def metric_at(manifold, p: Point) -> np.ndarray:
-    """Metric matrix at p; symmetric positive definite by contract."""
-    p = np.asarray(p, dtype=float)
-    m = manifold.dim
-    coords = manifold.seed(p, order=0)
-    g = stack(manifold.metric_jets(coords), coords).value
-    bad = np.argwhere(~np.isfinite(g.reshape(-1, m, m)).all(axis=0))
-    if bad.size:
-        i, j = bad[0]
-        raise EvaluationError(f"metric coefficient g[{i}][{j}] is non-finite at {p!r}")
-    return g
-
-
-def christoffel(manifold, p: Point) -> np.ndarray:
-    """Connection coefficients gamma[k, i, j] at p."""
-    p = np.asarray(p, dtype=float)
-    gamma = manifold.gamma_jets(manifold.seed(p, order=1)).gamma
-    return np.broadcast_to(gamma, p.shape[:-1] + gamma.shape[-3:])
-
-
-def covariant_derivative(manifold, X_field, Y_field, p: Point) -> TangentVector:
-    """(nabla_X Y) at p for field evaluators X, Y."""
-    p = np.asarray(p, dtype=float)
-    coords = manifold.seed(p, order=1)
-    gamma = manifold.gamma_jets(coords)
-    comps = nabla(gamma, stack(X_field(coords), coords), stack(Y_field(coords), coords))
-    return TangentVector(comps.value, p)
-
-
-def riemann_tensor(manifold, p: Point) -> np.ndarray:
-    """Curvature components R[l, k, i, j] at p."""
-    p = np.asarray(p, dtype=float)
-    R = riemann_jets(manifold, manifold.seed(p, order=2))
-    return np.broadcast_to(R, p.shape[:-1] + R.shape[-4:])
-
-
-def _components(v, p) -> np.ndarray:
-    if isinstance(v, TangentVector):
-        return np.asarray(v.components, dtype=float)
-    return np.asarray(v, dtype=float)
-
-
-def riemann(manifold, X, Y, V, p: Point) -> TangentVector:
-    """R(X, Y)V at p for pointwise argument vectors."""
-    p = np.asarray(p, dtype=float)
-    R = riemann_tensor(manifold, p)
-    comps = np.einsum(
-        "...lkij,...k,...i,...j->...l", R, _components(V, p), _components(X, p), _components(Y, p)
-    )
-    return TangentVector(comps, p)
-
-
-def divergence(manifold, X_field, p: Point):
-    """Full divergence of the field X at p (trace of nabla X)."""
-    p = np.asarray(p, dtype=float)
-    coords = manifold.seed(p, order=1)
-    gamma = manifold.gamma_jets(coords)
-    return divergence_jets(manifold, coords, gamma, X_field(coords))

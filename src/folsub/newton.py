@@ -22,7 +22,6 @@ the tests hold the batched and jet paths to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
@@ -107,36 +106,6 @@ def sigma_values(A):
     return _sigmas_from_power_sums(power_sums(A))
 
 
-def sigma(r: int, A: np.ndarray):
-    n = np.asarray(A).shape[-1]
-    if not 0 <= r <= n:
-        raise ValueError(f"sigma index {r} outside 0..{n}")
-    return sigma_values(A)[..., r]
-
-
-def tau(j: int, A: np.ndarray):
-    n = np.asarray(A).shape[-1]
-    if not 1 <= j <= n:
-        raise ValueError(f"tau index {j} outside 1..{n}")
-    return power_sums(A)[..., j - 1]
-
-
-@dataclass(frozen=True)
-class SymmetricFunctions:
-    """sigma_0..sigma_n, power sums tau_1..tau_n, and the mean H = sigma_1/n."""
-
-    sigma: np.ndarray
-    tau: np.ndarray
-    H: np.ndarray
-
-
-def symmetric_functions(A: np.ndarray) -> SymmetricFunctions:
-    A = np.asarray(A, dtype=float)
-    tau = power_sums(A)
-    sig = _sigmas_from_power_sums(tau)
-    return SymmetricFunctions(sigma=sig, tau=tau, H=sig[..., 1] / A.shape[-1])
-
-
 def newton_transforms(A, sig=None) -> list:
     """All T_0..T_n of a batch of operators (ndarray or jet), by T_r = sigma_r Id - A T_{r-1}.
 
@@ -158,22 +127,6 @@ def newton_transform(r: int, A: np.ndarray) -> np.ndarray:
     if not 0 <= r <= n:
         raise ValueError(f"Newton transformation index {r} outside 0..{n}")
     return newton_transforms(A)[r]
-
-
-def newton_transform_explicit(r: int, A: np.ndarray) -> np.ndarray:
-    """Alternating-sum form sum_j (-1)^j sigma_{r-j} A^j, used as a cross-check."""
-    A = np.asarray(A, dtype=float)
-    n = A.shape[-1]
-    if not 0 <= r <= n:
-        raise ValueError(f"Newton transformation index {r} outside 0..{n}")
-    sig = sigma_values(A)
-    eye = np.broadcast_to(np.eye(n), A.shape).copy()
-    out = np.zeros_like(A)
-    Aj = eye
-    for j in range(r + 1):
-        out = out + (-1.0) ** j * sig[..., r - j, None, None] * Aj
-        Aj = Aj @ A
-    return out
 
 
 def trace_identity_residuals(r: int, A: np.ndarray) -> np.ndarray:
@@ -220,21 +173,6 @@ def binomial_reduction_sum(n: int, r: int) -> Fraction:
         (Fraction((-1) ** (j - 1)) * Fraction(n - r + j, n) * comb(n, r - j) for j in range(1, r + 1)),
         Fraction(0),
     )
-
-
-def total_curvature_recursion_constant(n: int, c: float, vol: float) -> np.ndarray:
-    """Iterate (r+2) S_{r+2} = c (n-r) S_r from S_0 = vol, S_1 = 0.
-
-    S_r plays the role of the total r-th mean curvature of the foliation under
-    the constant-curvature reduction of the main integral formula.
-    """
-    S = np.zeros(n + 1)
-    S[0] = vol
-    if n >= 1:
-        S[1] = 0.0
-    for r in range(0, n - 1):
-        S[r + 2] = c * (n - r) * S[r] / (r + 2)
-    return S
 
 
 def total_curvature_closed_constant(n: int, r: int, c: float, vol: float) -> float:

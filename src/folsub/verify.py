@@ -302,24 +302,15 @@ def random_distribution_field(fol, rng: np.random.Generator):
 # -- calibration -------------------------------------------------------------------
 
 
-def divergence_selftest_residual(scenario, grid: QuadratureGrid, Xs=None) -> float:
-    """Worst |integral of Div X| over the fields ``Xs``, by default seeded random smooth ones.
-
-    The fields run through the grid pass's one integrand (:func:`_grid_pass`),
-    one key each: they share the points and the density of every chunk, and
-    take the connection from its geometry on the distinct nodes.  The
-    default fields' residual is the calibration floor, the
-    ``divergence-selftest`` residual of :func:`verify_grid_checks`, read
-    from the grid's plan when a pass already measured it; the floor of
-    ``Xs`` is measured every time and never stored.
-    """
-    if Xs is None:
-        return verify_grid_checks(scenario, ["divergence-selftest"], grid)[0].residual
-    return _selftest_floor(_grid_pass(scenario, grid, (), fields=_user_fields(scenario.manifold, Xs))[0])
-
-
 def calibrate_tolerance(scenario, grid: QuadratureGrid) -> tuple[float, float]:
-    floor = divergence_selftest_residual(scenario, grid)
+    """The integral tolerance max(1e-7, 10x floor) on ``grid``, and the floor.
+
+    The floor is the worst |integral of Div X| over the seeded random smooth
+    fields, the ``divergence-selftest`` residual of
+    :func:`verify_grid_checks`, read from the grid's plan when a pass
+    already measured it.
+    """
+    floor = verify_grid_checks(scenario, ["divergence-selftest"], grid)[0].residual
     return _tolerance(floor), floor
 
 
@@ -355,40 +346,9 @@ def _selftest_fields(manifold):
     return fields
 
 
-def _user_fields(manifold, Xs):
-    """The fields ``Xs`` (functions of coordinate seeds) as :func:`_selftest_fields` gives its own.
-
-    Each field is evaluated on order-1 seeds and stacked into one jet, whose
-    value and the diagonal of whose gradient are the arrays the grid pass reads.
-    """
-    diagonal = np.arange(manifold.dim)
-
-    def fields(points):
-        coords = manifold.seed(points, order=1)
-        stacked = [jets.stack(X(coords), coords) for X in Xs]
-        return [(W.value, W.grad[..., diagonal, diagonal]) for W in stacked]
-
-    return fields
-
-
 def _selftest_floor(integrals: dict) -> float:
     """Worst |integral of Div X| among the self-test keys of a grid pass."""
     return max((abs(v) for key, v in integrals.items() if key[:1] == ("divergence-selftest",)), default=0.0)
-
-
-def verify_divergence_theorem(scenario, X_field=None, grid=None, tolerance=None) -> VerificationReport:
-    """Self-test: the divergence of a smooth field integrates to zero.
-
-    Without ``X_field`` the fields are the calibration's seeded random ones
-    (:func:`verify_grid_checks`).
-    """
-    if X_field is None:
-        return verify_grid_checks(scenario, ["divergence-selftest"], grid, tolerance)[0]
-    t0 = time.perf_counter()
-    grid = _grid(scenario, grid)
-    residual = divergence_selftest_residual(scenario, grid, [X_field])
-    tol = tolerance if tolerance is not None else FIRST_ORDER_TOL
-    return make_report("divergence-selftest", residual, tol, t0, scenario, grid)
 
 
 # -- integral formulas ----------------------------------------------------------------
@@ -467,11 +427,6 @@ def verify_leaf_checks(scenario, orders, leaf=None, grid_axes=None, tolerance=No
     return reports
 
 
-def verify_closed_form_c(scenario, c: float | None = None, grid=None, tolerance=None) -> VerificationReport:
-    """Constant-curvature reduction: recursion and closed form for sigma_r totals."""
-    return verify_grid_checks(scenario, ["closed-form-c"], grid, tolerance, c)[0]
-
-
 # -- one pass over a grid for every integral formula ------------------------------------
 
 
@@ -525,9 +480,10 @@ def verify_grid_checks(scenario, checks, grid=None, tolerance=None, c: float | N
     ``sigma2-image``, a diagnostic, needs none); sigma_1 for ``reeb``;
     sigma_0..sigma_n and the volume for ``closed-form-c``; the main-formula
     terms for each requested r; the extrema of sigma_2 and Ric^P(N, N) for
-    ``sigma2-image``.  The floor and the tolerance max(1e-7, 10x floor) are
-    those of :func:`calibrate_tolerance`.  ``c`` overrides the scenario's
-    curvature constant for ``closed-form-c``.
+    ``sigma2-image``.  The floor is the worst |integral of Div X| over the
+    calibration's seeded random fields, and the integral tolerance is
+    max(1e-7, 10x floor), as :func:`calibrate_tolerance` returns them.
+    ``c`` overrides the scenario's curvature constant for ``closed-form-c``.
 
     The node groups and, once measured, the floor come from the grid's plan
     (:func:`grid_plan`), so a later call on the same grid object computes
@@ -587,8 +543,7 @@ def _grid_pass(scenario, grid: QuadratureGrid, bases, orders=(), fields=None, le
     over it (:func:`quadrature.leaf_grid`), of the compact-leaf formula,
     keyed ``("leaf:r", "integrand")``.  ``fields``, when given, maps a
     chunk's points to the self-test's ambient fields, each as its arrays
-    X^k and ∂_k X^k (:func:`_selftest_fields`, or :func:`_user_fields` for
-    fields given as functions of seeds), whose divergences are keyed
+    X^k and ∂_k X^k (:func:`_selftest_fields`), whose divergences are keyed
     ``("divergence-selftest", "div_i")``.
 
     The grid's plan (:func:`grid_plan`) groups its distinct nodes over the
@@ -842,11 +797,6 @@ def verify_umbilical_reduction(samples: int = 1000, seed: int = 4242, tolerance:
         exact=binomial_ok,
         samples=samples,
     )
-
-
-def sigma2_image_diagnostic(scenario, c: float = 0.0, grid=None) -> VerificationReport:
-    """Range of sigma_2 over the grid; diagnostic only, never a gate (:func:`verify_grid_checks`)."""
-    return verify_grid_checks(scenario, [f"sigma2-image:{float(c)!r}"], grid)[0]
 
 
 # -- pointwise identity batteries -------------------------------------------------------

@@ -27,15 +27,30 @@ and the self-test's path through full jets (:func:`reference_trig_jets`,
 :func:`reference_selftest_divergences`), every gradient column of every
 field stacked into one jet and its ∇ traced, for the values and diagonal
 derivatives that ``verify._selftest_fields`` hands
-``manifolds.traced_divergence``.
+``manifolds.traced_divergence``; and the point operations that nothing in
+the program calls: the commutator-definition route to the projected
+curvature (:func:`curvature_P_fields`, :func:`curvature_P`) and the
+induced connection (:func:`nabla_P`), for ``distribution.curvature_P_tensor``,
+the classical Codazzi residual (:func:`codazzi_classic_residual`), the
+alternating-sum Newton transformations (:func:`newton_transform_explicit`)
+and the constant-curvature recursion of the total sigma_r
+(:func:`total_curvature_recursion_constant`), with the fields they take
+(:func:`constant_field`, :func:`coordinate_field`, :func:`leaf_field`) and
+the rotated or flipped leaf frame of the frame-invariance tests
+(:func:`rotated_foliation`).
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from folsub import jets, verify
-from folsub.errors import LinearSolveError
-from folsub.manifolds import InvariantFrameManifold
-from folsub.newton import newton_transforms_nested, sigmas_nested
+from folsub.distribution import DistributionSpec, projector_jets
+from folsub.errors import DomainError, LinearSolveError
+from folsub.foliation import FoliationStructure, Geometry, _leaf_input
+from folsub.jets import Jet, einsum, stack
+from folsub.manifolds import Connection, InvariantFrameManifold, Point, differential, lie_bracket
+from folsub.newton import newton_transforms_nested, sigma_values, sigmas_nested
 
 TWO_PI = 2.0 * np.pi
 
@@ -523,3 +538,203 @@ def reference_selftest_divergences(manifold, points, gamma_kk) -> list:
         nabla[..., d, d] = W.grad[..., d, d] + np.einsum("...kj,...j->...k", gamma_kk, W.value)
         out.append(np.einsum("...kk->...", nabla))
     return out
+
+
+# -- the point operations and fields the tests hold the live path to ---------------
+
+
+@dataclass(frozen=True)
+class TangentVector:
+    """Components in the backend basis at a base point."""
+
+    components: np.ndarray
+    base: Point
+
+
+def nabla(gamma: Connection, X, W: Jet) -> Jet:
+    """Covariant derivative ∇_X W of the vector field W along the vector X."""
+    return einsum("...i,...ki->...k", X, differential(gamma, W))
+
+
+def coordinate_field(i: int, m: int):
+    return lambda coords: [1.0 if k == i else 0.0 for k in range(m)]
+
+
+def constant_field(comps):
+    vals = [float(c) for c in np.asarray(comps, dtype=float)]
+    return lambda coords: list(vals)
+
+
+# Largest off-D part of a D argument that nabla_P and curvature_P accept.
+D_CHECK_TOL = 1e-10
+
+
+def _as_field(arg, dist, kind: str):
+    """Extend a pointwise vector to a field, or pass a field evaluator through.
+
+    Ambient vectors extend with constant components in the backend basis;
+    D-vectors extend with constant coefficients over the D-frame so the
+    extension stays a section of D.
+    """
+    if callable(arg):
+        return arg
+    comps = np.asarray(arg.components if isinstance(arg, TangentVector) else arg, dtype=float)
+    if kind == "ambient":
+        return lambda coords: [comps[..., k] for k in range(comps.shape[-1])]
+
+    def section(coords):
+        V = stack(dist.frame_D(coords), coords)
+        coeff = einsum("...ij,...i,...aj->...a", stack(dist.manifold.metric_jets(coords), coords), comps, V)
+        return einsum("...a,...ak->...k", coeff, V)
+
+    return section
+
+
+def _check_argument_in_D(dist, coords, g, arg, tol: float, what: str):
+    if callable(arg):
+        comps = stack(arg(coords), coords).value
+    else:
+        comps = np.asarray(arg.components if isinstance(arg, TangentVector) else arg, dtype=float)
+    W = stack(dist.frame_Dperp(coords), coords).value
+    ip = np.einsum("...ij,...i,...aj->...a", stack(g, coords).value, comps, W)
+    worst = float(np.max(np.abs(ip), initial=0.0))
+    if worst > tol:
+        raise DomainError(f"{what} is not a section of the distribution (residual {worst:.3e})")
+
+
+def nabla_P(dist: DistributionSpec, X, U, p: Point) -> TangentVector:
+    """Induced-connection derivative P nabla_X U at p; U must lie in D."""
+    p = np.asarray(p, dtype=float)
+    coords = dist.manifold.seed(p, order=1)
+    g = stack(dist.manifold.metric_jets(coords), coords)
+    gamma = dist.manifold.gamma_jets(coords, g)
+    _check_argument_in_D(dist, coords, g, U, D_CHECK_TOL, "U")
+    Xc = stack(_as_field(X, dist, "ambient")(coords), coords)
+    Uc = stack(_as_field(U, dist, "section")(coords), coords)
+    w = einsum("...ij,...j->...i", projector_jets(dist, coords, g), nabla(gamma, Xc, Uc))
+    return TangentVector(w.value, p)
+
+
+def curvature_P_fields(dist: DistributionSpec, Xf, Yf, Vf, coords) -> Jet:
+    """Commutator-definition evaluation of the projected curvature on fields.
+
+    Returns R^P(X, Y)V as a jet; ``coords`` must be seeded at order >= 2.
+    """
+    man = dist.manifold
+    g = stack(man.metric_jets(coords), coords)
+    gamma = man.gamma_jets(coords, g)
+    P = projector_jets(dist, coords, g)
+    X, Y, V = (stack(f(coords), coords) for f in (Xf, Yf, Vf))
+    proj = lambda W: einsum("...ij,...j->...i", P, W)
+
+    term1 = proj(nabla(gamma, X, proj(nabla(gamma, Y, V))))
+    term2 = proj(nabla(gamma, Y, proj(nabla(gamma, X, V))))
+    term3 = proj(nabla(gamma, lie_bracket(man, X, Y), V))
+    return term1 - term2 - term3
+
+
+def curvature_P(dist: DistributionSpec, X, Y, V, p: Point) -> TangentVector:
+    """R^P(X, Y)V at p.
+
+    Pointwise arguments are extended as constant-coefficient fields (over the
+    backend basis for X, Y and over the D-frame for V); field evaluators are
+    used as given.  V(p) must lie in D.
+    """
+    p = np.asarray(p, dtype=float)
+    coords = dist.manifold.seed(p, order=2)
+    g = dist.manifold.metric_jets(coords)
+    _check_argument_in_D(dist, coords, g, V, D_CHECK_TOL, "V")
+    Vf = _as_field(V, dist, "section")
+    comps = curvature_P_fields(
+        dist, _as_field(X, dist, "ambient"), _as_field(Y, dist, "ambient"), Vf, coords
+    )
+    return TangentVector(comps.value, p)
+
+
+def leaf_field(fol: FoliationStructure, i: int):
+    """The i-th leaf-frame vector as a field evaluator."""
+    return lambda coords: fol.leaf_frame(coords)[i]
+
+
+def codazzi_classic_residual(fol: FoliationStructure, X, Y, U, p: Point) -> float:
+    """Classical Codazzi residual for the leaves as submanifolds of M.
+
+    |(nabla_X h)(Y, U) - (nabla_Y h)(X, U) - (R(X, Y)U)^perp| with the
+    second fundamental form h valued in the full orthogonal complement of
+    the leaf bundle.
+    """
+    geom = Geometry(fol, np.asarray(p, dtype=float), order=2)
+    Xc, Yc, Uc = (_leaf_input(geom, V, what) for V, what in ((X, "X"), (Y, "Y"), (U, "U")))
+    cov = lambda V, W: nabla(geom.gamma, V, W)
+
+    def h_field(Ac, Bc):
+        w = cov(Ac, Bc)
+        return w - geom.tangential(w)
+
+    def cov_h(Ac, Bc, Cc):
+        # (nabla_A h)(B, C) = perp(nabla_A (h(B,C))) - h(nabla^F_A B, C) - h(B, nabla^F_A C)
+        out = geom.off_leaf(cov(Ac, h_field(Bc, Cc)).value)
+        out = out - h_field(geom.tangential(cov(Ac, Bc)), Cc).value
+        return out - h_field(Bc, geom.tangential(cov(Ac, Cc))).value
+
+    lhs = cov_h(Xc, Yc, Uc) - cov_h(Yc, Xc, Uc)
+    RXYU = np.einsum("...lkab,...k,...a,...b->...l", geom.R, Uc.value, Xc.value, Yc.value)
+    return geom.max_norm(lhs - geom.off_leaf(RXYU))
+
+
+def rotated_foliation(fol: FoliationStructure, angle_profile=None, flip: bool = False) -> FoliationStructure:
+    """Same leaves, leaf frame rotated pointwise; for tensoriality checks.
+
+    For n >= 2 rotates in the (e_0, e_1) plane by ``angle_profile`` of the
+    last coordinate; for n = 1 a sign flip is the only isometry.
+    """
+    n = fol.n
+
+    def frame(coords):
+        e = fol.leaf_frame(coords)
+        if n == 1 or flip:
+            return [[-c for c in v] for v in e]
+        th = angle_profile(coords[-1]) if angle_profile is not None else 0.3 * coords[-1]
+        c, s = jets.cos(th), jets.sin(th)
+        out = [list(v) for v in e]
+        out[0] = [c * a + s * b for a, b in zip(e[0], e[1])]
+        out[1] = [(-1.0) * s * a + c * b for a, b in zip(e[0], e[1])]
+        return out
+
+    return FoliationStructure(
+        dist=fol.dist,
+        leaf_frame=frame,
+        normal=fol.normal,
+        integrability_witness=fol.integrability_witness + " (rotated frame)",
+    )
+
+
+def newton_transform_explicit(r: int, A: np.ndarray) -> np.ndarray:
+    """Alternating-sum form sum_j (-1)^j sigma_{r-j} A^j, used as a cross-check."""
+    A = np.asarray(A, dtype=float)
+    n = A.shape[-1]
+    if not 0 <= r <= n:
+        raise ValueError(f"Newton transformation index {r} outside 0..{n}")
+    sig = sigma_values(A)
+    eye = np.broadcast_to(np.eye(n), A.shape).copy()
+    out = np.zeros_like(A)
+    Aj = eye
+    for j in range(r + 1):
+        out = out + (-1.0) ** j * sig[..., r - j, None, None] * Aj
+        Aj = Aj @ A
+    return out
+
+
+def total_curvature_recursion_constant(n: int, c: float, vol: float) -> np.ndarray:
+    """Iterate (r+2) S_{r+2} = c (n-r) S_r from S_0 = vol, S_1 = 0.
+
+    S_r plays the role of the total r-th mean curvature of the foliation under
+    the constant-curvature reduction of the main integral formula.
+    """
+    S = np.zeros(n + 1)
+    S[0] = vol
+    if n >= 1:
+        S[1] = 0.0
+    for r in range(0, n - 1):
+        S[r + 2] = c * (n - r) * S[r] / (r + 2)
+    return S

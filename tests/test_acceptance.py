@@ -14,6 +14,7 @@ import numpy as np
 from folsub import foliation as fln
 from folsub import newton, verify
 from folsub.quadrature import grid_for, refined
+from helpers import leaf_field, newton_transform_explicit, total_curvature_recursion_constant
 
 RNG_SEED = 20250
 
@@ -34,14 +35,14 @@ def test_criterion_1_algebraic_suite():
         count = per_n + (1 if n <= 1000 - 6 * per_n else 0)
         A = rng.uniform(-1.0, 1.0, (count, n, n))
         A = 0.5 * (A + np.swapaxes(A, -1, -2))
-        sf = newton.symmetric_functions(A)
-        s2 = sf.sigma[..., 2] if n >= 2 else np.zeros(count)
-        t2 = sf.tau[..., 1] if n >= 2 else sf.tau[..., 0] ** 2
-        worst = max(worst, float(np.max(np.abs(2 * s2 - (sf.tau[..., 0] ** 2 - t2)))))
+        sigma, tau = newton.sigma_values(A), newton.power_sums(A)
+        s2 = sigma[..., 2] if n >= 2 else np.zeros(count)
+        t2 = tau[..., 1] if n >= 2 else tau[..., 0] ** 2
+        worst = max(worst, float(np.max(np.abs(2 * s2 - (tau[..., 0] ** 2 - t2)))))
         worst = max(worst, float(np.max(np.abs(newton.newton_transform(n, A)))))
         for r in range(n):
             worst = max(worst, float(np.max(np.abs(newton.trace_identity_residuals(r, A)))))
-            diff = newton.newton_transform(r, A) - newton.newton_transform_explicit(r, A)
+            diff = newton.newton_transform(r, A) - newton_transform_explicit(r, A)
             worst = max(worst, float(np.max(np.abs(diff))))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-11
@@ -61,7 +62,7 @@ def test_criterion_2_differential_suite(warped3, warped4):
             for j in range(i + 1, s.n):
                 worst_diff = max(
                     worst_diff,
-                    fln.codazzi_residual(s.fol, fln.leaf_field(s.fol, i), fln.leaf_field(s.fol, j), pts),
+                    fln.codazzi_residual(s.fol, leaf_field(s.fol, i), leaf_field(s.fol, j), pts),
                 )
         for r in range(s.n):
             agree = np.abs(geom.div_F_newton_direct(r) - geom.div_F_newton_formula(r))
@@ -116,9 +117,7 @@ def test_criterion_4_projected_curvature_discrimination(heisenberg):
 
 def test_criterion_5_inadmissibility_diagnostic(round_s3):
     t0 = time.perf_counter()
-    from folsub.distribution import admissibility_residual
-
-    adm = admissibility_residual(round_s3.dist, round_s3.fol, round_s3.manifold.base_point())
+    adm = fln.Geometry(round_s3.fol, round_s3.manifold.base_point(), order=1).admissibility_residual()
     assert abs(adm - 1.0) <= 1e-9
     rep = verify.verify_main(round_s3, 0)
     assert rep.verdict == "inadmissible"
@@ -133,7 +132,7 @@ def test_criterion_6_closed_form_corollaries():
     vol = 1.7
     for n in range(2, 11, 2):
         for c in (0.6, 1.9):
-            S = newton.total_curvature_recursion_constant(n, c, vol)
+            S = total_curvature_recursion_constant(n, c, vol)
             E = newton.total_curvature_recursion_einstein(n, c, vol)
             for r in range(n + 1):
                 if r % 2 == 1:
@@ -166,9 +165,9 @@ def test_criterion_7_umbilical_reduction():
 def test_criterion_8_stack_self_calibration(flat, warped3, warped4, tilted):
     t0 = time.perf_counter()
     grid = grid_for(flat.manifold, (32, 32, 32))
-    selftest = verify.verify_divergence_theorem(flat, grid=grid)
+    selftest = verify.verify_grid_checks(flat, ["divergence-selftest"], grid)[0]
     assert selftest.residual <= 1e-9
-    selftest_w = verify.verify_divergence_theorem(warped4, grid=grid_for(warped4.manifold, warped4.default_grid))
+    selftest_w = verify.verify_grid_checks(warped4, ["divergence-selftest"], grid_for(warped4.manifold, warped4.default_grid))[0]
     assert selftest_w.residual <= 1e-9
 
     worst_gap = 0.0

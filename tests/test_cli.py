@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from folsub import cli, scenarios, verify
+from folsub.verify import VerificationReport
 
 
 def test_config_rejects_unknown_check():
@@ -133,7 +134,7 @@ def test_structured_report_roundtrip(tmp_path):
     config = cli.RunConfig(scenario="heisenberg", checks=["main:0", "sigma2-image"], output=str(out))
     status, reports = cli.run(config)
     assert status == 0
-    parsed = cli.parse_structured(out.read_text())
+    parsed = [VerificationReport(**data) for data in json.loads(out.read_text())["reports"]]
     assert parsed == reports
 
 

@@ -3,20 +3,37 @@ import pytest
 
 from folsub import distribution as dst
 from folsub import jets
-from folsub.errors import DomainError, FrameError
-from folsub.manifolds import ChartManifold, constant_field
-from helpers import metric_inner, projector_jets_full_order, random_leaf_field, warp_a, warp_da
+from folsub.errors import ConstructionError, DomainError
+from folsub.foliation import FoliationStructure, Geometry
+from folsub.manifolds import ChartManifold
+from folsub.scenarios import _finalize
+from helpers import (
+    constant_field,
+    curvature_P,
+    curvature_P_fields,
+    metric_inner,
+    nabla_P,
+    projector_jets_full_order,
+    random_leaf_field,
+    warp_a,
+    warp_da,
+)
 
 RNG = np.random.default_rng(47)
 
 
+def _projector(dist, p):
+    """The projector onto D at the points p, from the closures' values."""
+    return dst.projector_jets(dist, dist.manifold.seed(np.asarray(p, dtype=float), order=0)).value
+
+
 def test_projector_flat_matrix(flat):
-    P = dst.orthoprojector(flat.dist, flat.manifold.base_point())
+    P = _projector(flat.dist, flat.manifold.base_point())
     assert np.array_equal(P, np.diag([1.0, 1.0, 0.0]))
 
 
 def test_projector_heisenberg_kills_complement(heisenberg):
-    P = dst.orthoprojector(heisenberg.dist, heisenberg.manifold.base_point())
+    P = _projector(heisenberg.dist, heisenberg.manifold.base_point())
     assert np.array_equal(P @ np.array([0.0, 1.0, 0.0]), np.zeros(3))
     assert np.array_equal(P @ np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
     assert np.array_equal(P @ np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0]))
@@ -25,15 +42,11 @@ def test_projector_heisenberg_kills_complement(heisenberg):
 def test_projector_invariants_on_catalog(catalog):
     for s in catalog.values():
         pts = s.manifold.random_points(RNG, 1000)
-        P = dst.orthoprojector(s.dist, pts)
+        geom = Geometry(s.fol, pts, order=0)
+        P, g = geom.P.value, geom.g.value
         assert np.max(np.abs(P @ P - P)) <= 1e-12
-        from folsub.manifolds import metric_at
-
-        g = metric_at(s.manifold, pts)
         PG = np.einsum("...ki,...kj->...ij", P, g)  # lowered projector
         assert np.max(np.abs(PG - np.swapaxes(PG, -1, -2))) <= 1e-12
-        comp = dst.Projector(s.dist).complement(pts)
-        assert np.max(np.abs(P + comp - np.eye(s.manifold.dim))) == 0.0
 
 
 def test_projector_jets_match_full_order_product(catalog):
@@ -57,24 +70,25 @@ def test_projector_rejects_bad_frame():
         lambda coords: [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]],  # not orthonormal
         lambda coords: [[0.0, 0.0, 1.0]],
     )
-    with pytest.raises(FrameError):
-        dst.orthoprojector(bad, np.zeros(3))
+    fol = FoliationStructure(bad, lambda coords: bad.frame_D(coords)[:1], lambda coords: bad.frame_D(coords)[1])
+    with pytest.raises(ConstructionError, match="frames not orthonormal"):
+        _finalize("bad_frame", fol, {}, {}, (), (4, 4, 4))
 
 
 def test_nabla_p_examples(flat, warped4, heisenberg):
-    out = dst.nabla_P(flat.dist, constant_field([1.0, 0.0, 0.0]), constant_field([0.0, 1.0, 0.0]), flat.manifold.base_point())
+    out = nabla_P(flat.dist, constant_field([1.0, 0.0, 0.0]), constant_field([0.0, 1.0, 0.0]), flat.manifold.base_point())
     assert np.max(np.abs(out.components)) == 0.0
 
     # Heisenberg: P nabla_X T = P(-Y/2) = 0
     p0 = heisenberg.manifold.base_point()
-    out = dst.nabla_P(heisenberg.dist, constant_field([1.0, 0.0, 0.0]), constant_field([0.0, 0.0, 1.0]), p0)
+    out = nabla_P(heisenberg.dist, constant_field([1.0, 0.0, 0.0]), constant_field([0.0, 0.0, 1.0]), p0)
     assert np.max(np.abs(out.components)) == 0.0
 
     p = warped4.manifold.random_points(RNG)
     z = p[3]
     e1 = lambda coords: [0.0, 1.0 / (2.0 + jets.cos(coords[3])), 0.0, 0.0]
     N = lambda coords: [0.0, 0.0, 0.0, 1.0]
-    out = dst.nabla_P(warped4.dist, e1, N, p)
+    out = nabla_P(warped4.dist, e1, N, p)
     want = np.zeros(4)
     want[1] = warp_da(z) / warp_a(z) ** 2  # (a'/a) e1 in coordinates
     assert np.max(np.abs(out.components - want)) < 1e-13
@@ -93,8 +107,8 @@ def test_nabla_p_metric_compatibility(warped4, tilted):
         f = metric_inner(g, U(coords), V(coords))
         Xarr = jets.stack(X(coords), coords).value
         lhs = np.einsum("...k,...k->...", Xarr, f.grad)
-        dU = dst.nabla_P(s.dist, X, U, pts).components
-        dV = dst.nabla_P(s.dist, X, V, pts).components
+        dU = nabla_P(s.dist, X, U, pts).components
+        dV = nabla_P(s.dist, X, V, pts).components
         garr = jets.stack(g, coords).value
         Uarr = jets.stack(U(coords), coords).value
         Varr = jets.stack(V(coords), coords).value
@@ -107,11 +121,11 @@ def test_nabla_p_metric_compatibility(warped4, tilted):
 def test_nabla_p_rejects_section_outside_distribution(flat):
     # third coordinate spans the complement for the flat scenario
     with pytest.raises(DomainError):
-        dst.nabla_P(flat.dist, constant_field([1.0, 0.0, 0.0]), constant_field([0.0, 0.0, 1.0]), flat.manifold.base_point())
+        nabla_P(flat.dist, constant_field([1.0, 0.0, 0.0]), constant_field([0.0, 0.0, 1.0]), flat.manifold.base_point())
 
 
 def test_curvature_p_examples(flat, heisenberg, round_s3):
-    out = dst.curvature_P(
+    out = curvature_P(
         flat.dist,
         constant_field([1.0, 0.0, 0.0]),
         constant_field([0.0, 1.0, 0.0]),
@@ -121,17 +135,17 @@ def test_curvature_p_examples(flat, heisenberg, round_s3):
     assert np.max(np.abs(out.components)) == 0.0
 
     X, T = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
-    out = dst.curvature_P(heisenberg.dist, X, T, T, heisenberg.manifold.base_point())
+    out = curvature_P(heisenberg.dist, X, T, T, heisenberg.manifold.base_point())
     assert np.max(np.abs(out.components)) == 0.0
 
     e1, e2 = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
-    out = dst.curvature_P(round_s3.dist, e1, e2, e2, round_s3.manifold.base_point())
+    out = curvature_P(round_s3.dist, e1, e2, e2, round_s3.manifold.base_point())
     assert abs(out.components @ e1 - 2.0) < 1e-14
 
 
 def test_curvature_p_rejects_v_outside_distribution(flat):
     with pytest.raises(DomainError):
-        dst.curvature_P(
+        curvature_P(
             flat.dist,
             constant_field([1.0, 0.0, 0.0]),
             constant_field([0.0, 1.0, 0.0]),
@@ -146,9 +160,7 @@ def test_curvature_p_antisymmetries(catalog):
         pts = man.random_points(RNG, 100)
         coords = man.seed(pts, order=2)
         RP, Parr, _, _ = dst.curvature_P_tensor(s.dist, coords)
-        from folsub.manifolds import metric_at
-
-        g = metric_at(man, pts)
+        g = jets.stack(man.metric_jets(coords), coords).value
         rng = np.random.default_rng(3)
         X, Y = (rng.uniform(-1, 1, (100, man.dim)) for _ in range(2))
         # V, U random sections of D
@@ -178,7 +190,7 @@ def test_curvature_p_field_route_matches_tensor_route(catalog):
         else:
             Yf = Nf
             Vf = lambda c: s.fol.leaf_frame(c)[0]
-        comps = dst.curvature_P_fields(s.dist, Xf, Yf, Vf, coords)
+        comps = curvature_P_fields(s.dist, Xf, Yf, Vf, coords)
         got = comps.value
         Xa, Ya, Va = (jets.stack(f(coords), coords).value for f in (Xf, Yf, Vf))
         want = np.einsum("...lkij,...k,...i,...j->...l", RP, Va, Xa, Ya)
@@ -203,21 +215,26 @@ def test_curvature_p_tensoriality_under_rescaled_extensions(warped4, tilted):
 
             return scaled
 
-        base = dst.curvature_P_fields(s.dist, Xf, Yf, Vf, coords).value
-        scaled = dst.curvature_P_fields(
+        base = curvature_P_fields(s.dist, Xf, Yf, Vf, coords).value
+        scaled = curvature_P_fields(
             s.dist, rescale(Xf, 1, p), rescale(Yf, 3, p), rescale(Vf, 2, p), coords
         ).value
         assert np.max(np.abs(base - scaled)) < 1e-9
 
 
 def test_mean_curvature_perp(catalog, nonharmonic):
+    def norm(s, pts):
+        geom = Geometry(s.fol, pts, order=1)
+        H = geom.Hperp.value
+        return float(np.max(np.sqrt(np.maximum(np.einsum("...ij,...i,...j->...", geom.g.value, H, H), 0.0))))
+
     for s in catalog.values():
-        out = dst.mean_curvature_perp(s.dist, s.manifold.random_points(RNG, 10))
-        assert out.harmonic
-        assert out.norm <= 1e-9
-    out = dst.mean_curvature_perp(nonharmonic.dist, nonharmonic.manifold.random_points(RNG, 10))
-    assert not out.harmonic
-    assert out.norm > 1e-2
+        out = norm(s, s.manifold.random_points(RNG, 10))
+        assert out <= dst.HARMONIC_TOL
+        assert out <= 1e-9
+    out = norm(nonharmonic, nonharmonic.manifold.random_points(RNG, 10))
+    assert out > dst.HARMONIC_TOL
+    assert out > 1e-2
 
 
 def test_admissibility_residuals(catalog):
@@ -231,7 +248,7 @@ def test_admissibility_residuals(catalog):
         "round_s3": 1.0,
     }
     for name, s in catalog.items():
-        got = dst.admissibility_residual(s.dist, s.fol, s.manifold.random_points(RNG, 20))
+        got = Geometry(s.fol, s.manifold.random_points(RNG, 20), order=1).admissibility_residual()
         assert abs(got - want[name]) < 1e-12
 
 

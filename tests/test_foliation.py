@@ -1,13 +1,22 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from folsub import foliation as fln
 from folsub import jets
+from folsub import manifolds as mfd
+from folsub import verify
 from folsub.distribution import DistributionSpec
 from folsub.errors import DomainError
-from folsub.manifolds import ChartManifold, constant_field, metric_at
+from folsub.foliation import _leaf_input
+from folsub.manifolds import ChartManifold
 from folsub.scenarios import TWO_PLUS_COS
 from helpers import (
+    codazzi_classic_residual,
+    constant_field,
+    leaf_field,
+    rotated_foliation,
     tilted_rp_leaf,
     tilted_rp_normal,
     warp_a,
@@ -21,90 +30,105 @@ from helpers import (
 RNG = np.random.default_rng(53)
 
 
+def _geom(s, pts, order=1):
+    return fln.Geometry(s.fol, np.asarray(pts, dtype=float), order=order)
+
+
 def test_shape_operator_examples(flat, warped4, round_s3, tilted):
-    assert np.max(np.abs(fln.shape_operator(flat.fol, flat.manifold.random_points(RNG, 5)))) == 0.0
+    assert np.max(np.abs(_geom(flat, flat.manifold.random_points(RNG, 5)).A.value)) == 0.0
 
     p = warped4.manifold.random_points(RNG)
     z = p[3]
-    A = fln.shape_operator(warped4.fol, p)
+    A = _geom(warped4, p).A.value
     want = np.diag([-warp_da(z) / warp_a(z), -warp_db(z) / warp_b(z)])
     assert np.max(np.abs(A - want)) < 1e-13
 
-    A = fln.shape_operator(round_s3.fol, round_s3.manifold.base_point())
+    A = _geom(round_s3, round_s3.manifold.base_point()).A.value
     assert A.shape == (1, 1) and A[0, 0] == 0.0
 
     p = tilted.manifold.random_points(RNG)
-    got = fln.shape_operator(tilted.fol, p)
+    got = _geom(tilted, p).A.value
     want = tilted.expected["shape_operator"].value(p)
     assert np.max(np.abs(got - want)) < 1e-13
 
 
 def test_shape_operator_symmetry(catalog):
     for s in catalog.values():
-        asym = fln.shape_operator_asymmetry(s.fol, s.manifold.random_points(RNG, 50))
+        asym = _geom(s, s.manifold.random_points(RNG, 50)).A_asym
         assert asym <= 1e-10
 
 
 def test_curvature_vector_Z(flat, warped4, tilted):
-    assert np.max(np.abs(fln.curvature_vector_Z(flat.fol, flat.manifold.base_point()).components)) == 0.0
+    assert np.max(np.abs(_geom(flat, flat.manifold.base_point()).Z.value)) == 0.0
     pts = warped4.manifold.random_points(RNG, 20)
-    assert np.max(np.abs(fln.curvature_vector_Z(warped4.fol, pts).components)) < 1e-14
+    assert np.max(np.abs(_geom(warped4, pts).Z.value)) < 1e-14
 
     pts = tilted.manifold.random_points(RNG, 20)
-    got = fln.curvature_vector_Z(tilted.fol, pts).components
+    got = _geom(tilted, pts).Z.value
     want = tilted.expected["curvature_Z"].value(pts)
     assert np.max(np.abs(got - want)) < 1e-13
     assert np.max(np.abs(want)) > 0.05  # the tilt genuinely turns Z on
 
 
+def _second_fundamental_form(geom, X, Y):
+    """h(X, Y), the off-leaf part of nabla_X Y, for leaf fields or leaf vectors X, Y."""
+    Xc, Yc = _leaf_input(geom, X, "X"), _leaf_input(geom, Y, "Y")
+    return geom.off_leaf(jets.einsum("...i,...ki->...k", Xc, mfd.differential(geom.gamma, Yc)).value)
+
+
 def test_second_fundamental_form(flat, warped4):
     e0 = constant_field([1.0, 0.0, 0.0])
-    out = fln.second_fundamental_form(flat.fol, e0, e0, flat.manifold.base_point())
-    assert np.max(np.abs(out.components)) == 0.0
+    out = _second_fundamental_form(_geom(flat, flat.manifold.base_point()), e0, e0)
+    assert np.max(np.abs(out)) == 0.0
 
     p = warped4.manifold.random_points(RNG)
     z = p[3]
     e1 = lambda coords: warped4.fol.leaf_frame(coords)[0]
-    h11 = fln.second_fundamental_form(warped4.fol, e1, e1, p)
-    g = metric_at(warped4.manifold, p)
+    geom = _geom(warped4, p)
+    h11 = _second_fundamental_form(geom, e1, e1)
+    g = geom.g.value
     N = np.array([0.0, 0.0, 0.0, 1.0])
-    assert abs(h11.components @ g @ N - (-warp_da(z) / warp_a(z))) < 1e-13
+    assert abs(h11 @ g @ N - (-warp_da(z) / warp_a(z))) < 1e-13
 
 
 def test_second_fundamental_form_symmetry_and_shape_pairing(warped4, tilted):
     for s in (warped4, tilted):
         p = s.manifold.random_points(np.random.default_rng(3))
-        g = metric_at(s.manifold, p)
-        frame = fln.adapted_frame(s.fol, p)
+        geom = _geom(s, p)
+        g, leaf, normal = geom.g.value, geom.e.value, geom.N.value
         rng = np.random.default_rng(4)
         for _ in range(5):
-            x = rng.uniform(-1, 1, s.n) @ frame.leaf
-            y = rng.uniform(-1, 1, s.n) @ frame.leaf
-            hxy = fln.second_fundamental_form(s.fol, x, y, p).components
-            hyx = fln.second_fundamental_form(s.fol, y, x, p).components
+            x = rng.uniform(-1, 1, s.n) @ leaf
+            y = rng.uniform(-1, 1, s.n) @ leaf
+            hxy = _second_fundamental_form(geom, x, y)
+            hyx = _second_fundamental_form(geom, y, x)
             assert np.max(np.abs(hxy - hyx)) < 1e-9
-            A = fln.shape_operator(s.fol, p)
-            xl = frame.leaf @ g @ x
-            yl = frame.leaf @ g @ y
-            assert abs(hxy @ g @ frame.normal - xl @ A @ yl) < 1e-9
+            A = geom.A.value
+            xl = leaf @ g @ x
+            yl = leaf @ g @ y
+            assert abs(hxy @ g @ normal - xl @ A @ yl) < 1e-9
 
 
 def test_second_fundamental_form_domain_error(warped4):
     p = warped4.manifold.random_points(RNG)
     with pytest.raises(DomainError):
-        fln.second_fundamental_form(warped4.fol, np.array([1.0, 0, 0, 0]), np.array([0.0, 1, 0, 0]), p)
+        _second_fundamental_form(_geom(warped4, p), np.array([1.0, 0, 0, 0]), np.array([0.0, 1, 0, 0]))
 
 
 def test_ricci_p_values(flat, warped4, round_s3):
-    assert fln.ricci_p(flat.fol, np.array([0.0, 1.0, 0.0]), flat.manifold.base_point()) == 0.0
+    def ricci_p(s, X, pts):
+        geom = _geom(s, pts)
+        return geom.ricci_p(np.broadcast_to(X, geom.batch + X.shape))
+
+    assert ricci_p(flat, np.array([0.0, 1.0, 0.0]), flat.manifold.base_point()) == 0.0
 
     pts = warped4.manifold.random_points(RNG, 20)
     z = pts[..., 3]
-    got = fln.ricci_p(warped4.fol, np.array([0.0, 0.0, 0.0, 1.0]), pts)
+    got = ricci_p(warped4, np.array([0.0, 0.0, 0.0, 1.0]), pts)
     want = -warp_d2a(z) / warp_a(z) - warp_d2b(z) / warp_b(z)
     assert np.max(np.abs(got - want)) < 1e-12
 
-    got = fln.ricci_p(round_s3.fol, np.array([0.0, 1.0, 0.0]), round_s3.manifold.base_point())
+    got = ricci_p(round_s3, np.array([0.0, 1.0, 0.0]), round_s3.manifold.base_point())
     assert abs(got - 2.0) < 1e-14
 
 
@@ -172,9 +196,9 @@ def test_tensor_jets_match_the_scalar_jet_route(catalog):
 def test_leafwise_divergence_and_normal_identity(catalog):
     for s in catalog.values():
         pts = s.manifold.random_points(RNG, 30)
-        got = fln.leafwise_divergence(s.fol, constant_field([0.0] * s.manifold.dim), pts)
-        assert np.max(np.abs(got)) == 0.0
         geom = fln.Geometry(s.fol, pts, order=1)
+        got = geom.div_F(constant_field([0.0] * s.manifold.dim)(geom.coords))
+        assert np.max(np.abs(got)) == 0.0
         assert np.max(np.abs(geom.div_F(geom.N) + geom.sigma.value[..., 1])) <= 1e-9
 
 
@@ -190,47 +214,56 @@ def test_divergence_split_random_fields(catalog):
 
 
 def test_divF_newton_modes(flat_wide, warped4, tilted):
+    # div_F T_r by jets ("direct") and by the inductive curvature-trace formula
+    def div_F_newton(s, r, pts, mode):
+        geom = _geom(s, pts, order=2)
+        return geom.div_F_newton_direct(r) if mode == "direct" else geom.div_F_newton_formula(r)
+
     # zero order is exactly zero, any backend
     for s in (flat_wide, warped4, tilted):
         pts = s.manifold.random_points(RNG, 10)
-        assert np.max(np.abs(fln.divF_newton(s.fol, 0, pts, "direct"))) < 1e-14
-        assert np.max(np.abs(fln.divF_newton(s.fol, 0, pts, "formula"))) == 0.0
+        assert np.max(np.abs(div_F_newton(s, 0, pts, "direct"))) < 1e-14
+        assert np.max(np.abs(div_F_newton(s, 0, pts, "formula"))) == 0.0
 
     # flat: all orders vanish
     for r in range(flat_wide.n):
         pts = flat_wide.manifold.random_points(RNG, 10)
-        assert np.max(np.abs(fln.divF_newton(flat_wide.fol, r, pts, "direct"))) < 1e-13
+        assert np.max(np.abs(div_F_newton(flat_wide, r, pts, "direct"))) < 1e-13
 
     # warped and tilted: the two evaluation routes agree
     for s in (warped4, tilted):
         pts = s.manifold.random_points(RNG, 40)
         for r in range(s.n):
-            d = fln.divF_newton(s.fol, r, pts, "direct")
-            f = fln.divF_newton(s.fol, r, pts, "formula")
+            d = div_F_newton(s, r, pts, "direct")
+            f = div_F_newton(s, r, pts, "formula")
             assert np.max(np.abs(d - f)) <= 1e-8
 
     # curvature-invariant scenario: the divergence vanishes identically
     pts = warped4.manifold.random_points(RNG, 40)
-    assert np.max(np.abs(fln.divF_newton(warped4.fol, 1, pts, "formula"))) < 1e-12
+    assert np.max(np.abs(div_F_newton(warped4, 1, pts, "formula"))) < 1e-12
     # the tilt breaks invariance and turns it on
     pts = tilted.manifold.random_points(RNG, 40)
-    assert np.max(np.abs(fln.divF_newton(tilted.fol, 1, pts, "formula"))) > 1e-3
+    assert np.max(np.abs(div_F_newton(tilted, 1, pts, "formula"))) > 1e-3
 
 
 def test_divF_newton_validation(warped4):
     with pytest.raises(ValueError):
-        fln.divF_newton(warped4.fol, 2, warped4.manifold.base_point())
-    with pytest.raises(ValueError):
-        fln.divF_newton(warped4.fol, 0, warped4.manifold.base_point(), mode="nope")
+        verify.check_newton_div_agreement(warped4, 2, samples=1)
+
+
+def _nabla_N_A(fol, pts):
+    """The leafwise covariant derivative of the shape operator along N, by jets."""
+    geom = fln.Geometry(fol, np.asarray(pts, dtype=float), order=2)
+    return geom.nabla_F_operator(geom.A, geom.N)
 
 
 def test_nablaF_N_A(flat, warped4, heisenberg):
-    assert np.max(np.abs(fln.nablaF_N_A(flat.fol, flat.manifold.random_points(RNG, 5)))) == 0.0
-    assert np.max(np.abs(fln.nablaF_N_A(heisenberg.fol, heisenberg.manifold.base_point()))) == 0.0
+    assert np.max(np.abs(_nabla_N_A(flat.fol, flat.manifold.random_points(RNG, 5)))) == 0.0
+    assert np.max(np.abs(_nabla_N_A(heisenberg.fol, heisenberg.manifold.base_point()))) == 0.0
 
     pts = warped4.manifold.random_points(RNG, 20)
     z = pts[..., 3]
-    got = fln.nablaF_N_A(warped4.fol, pts)
+    got = _nabla_N_A(warped4.fol, pts)
     # d/dz of -a'/a and -b'/b
     da = -(warp_d2a(z) / warp_a(z) - (warp_da(z) / warp_a(z)) ** 2)
     db = -(warp_d2b(z) / warp_b(z) - (warp_db(z) / warp_b(z)) ** 2)
@@ -241,12 +274,20 @@ def test_nablaF_N_A(flat, warped4, heisenberg):
 
 
 def test_frame_rotation_invariance(warped4, tilted, warped3):
-    # tensor outputs must not depend on the choice of leaf frame
+    # tensor outputs and integrated terms must not depend on the choice of leaf frame
     for s in (warped4, tilted):
-        rot = fln.rotated_foliation(s.fol, angle_profile=lambda z: 0.4 * jets.sin(z))
+        rot = rotated_foliation(s.fol, angle_profile=lambda z: 0.4 * jets.sin(z))
+        checks = ["reeb", *(f"main:{r}" for r in range(s.n))]
+        reports = [verify.verify_grid_checks(t, checks, tolerance=1e-7) for t in (s, replace(s, fol=rot))]
+        for check, a, b in zip(checks, *reports):
+            assert abs(b.residual - a.residual) <= 1e-12, (s.name, check)
+            if check != "reeb":
+                assert b.terms.keys() == a.terms.keys()
+                for key, value in a.terms.items():
+                    assert abs(b.terms[key] - value) <= 1e-12, (s.name, check, key)
         pts = s.manifold.random_points(np.random.default_rng(9), 20)
-        base = fln.nablaF_N_A(s.fol, pts)
-        other = fln.nablaF_N_A(rot, pts)
+        base = _nabla_N_A(s.fol, pts)
+        other = _nabla_N_A(rot, pts)
         # compare frame-independent invariants: trace and Frobenius norm
         assert np.max(np.abs(np.trace(base, axis1=-2, axis2=-1) - np.trace(other, axis1=-2, axis2=-1))) < 1e-9
         assert np.max(np.abs(np.sum(base**2, (-2, -1)) - np.sum(other**2, (-2, -1)))) < 1e-9
@@ -258,18 +299,18 @@ def test_frame_rotation_invariance(warped4, tilted, warped3):
             vr = np.einsum("...j,...jm->...m", geom_r.div_F_newton_direct(r), geom_r.e.value)
             assert np.max(np.abs(vb - vr)) < 1e-9
 
-    flip = fln.rotated_foliation(warped3.fol, flip=True)
+    flip = rotated_foliation(warped3.fol, flip=True)
     pts = warped3.manifold.random_points(np.random.default_rng(2), 10)
-    assert np.max(np.abs(fln.nablaF_N_A(warped3.fol, pts) - fln.nablaF_N_A(flip, pts))) < 1e-12
+    assert np.max(np.abs(_nabla_N_A(warped3.fol, pts) - _nabla_N_A(flip, pts))) < 1e-12
 
 
 def test_codazzi_residual(flat, warped4, tilted):
-    e0 = fln.leaf_field(flat.fol, 0)
+    e0 = leaf_field(flat.fol, 0)
     assert fln.codazzi_residual(flat.fol, e0, e0, flat.manifold.base_point()) == 0.0
 
     for s in (warped4, tilted):
         pts = s.manifold.random_points(RNG, 30)
-        res = fln.codazzi_residual(s.fol, fln.leaf_field(s.fol, 0), fln.leaf_field(s.fol, 1), pts)
+        res = fln.codazzi_residual(s.fol, leaf_field(s.fol, 0), leaf_field(s.fol, 1), pts)
         assert res <= 1e-8
 
     # on the tilted torus the individual sides are nonzero
@@ -296,10 +337,10 @@ def test_codazzi_classic_full_tangent():
     dist = DistributionSpec(man, 3, lambda coords: leaf_frame(coords) + [normal(coords)], lambda coords: [])
     fol = fln.FoliationStructure(dist, leaf_frame, normal, "coordinate subtori, full tangent bundle")
     pts = man.random_points(RNG, 30)
-    X, Y = fln.leaf_field(fol, 0), fln.leaf_field(fol, 1)
+    X, Y = leaf_field(fol, 0), leaf_field(fol, 1)
     assert fln.codazzi_residual(fol, X, Y, pts) <= 1e-8
     for U in (X, Y):
-        assert fln.codazzi_classic_residual(fol, X, Y, U, pts) <= 1e-8
+        assert codazzi_classic_residual(fol, X, Y, U, pts) <= 1e-8
 
 
 def test_newton_derivative_self_adjoint(warped4, tilted):
@@ -370,8 +411,8 @@ def test_integrability_detector():
 
 def test_adapted_frame(warped4):
     p = warped4.manifold.random_points(RNG)
-    frame = fln.adapted_frame(warped4.fol, p)
-    g = metric_at(warped4.manifold, p)
-    basis = np.concatenate([frame.leaf, frame.normal[None, :], frame.perp], axis=0)
+    geom = fln.Geometry(warped4.fol, p, order=0)
+    g = geom.g.value
+    basis = np.concatenate([geom.e.value, geom.N.value[None, :], geom.xis.value], axis=0)
     gram = basis @ g @ basis.T
     assert np.max(np.abs(gram - np.eye(4))) <= 1e-12

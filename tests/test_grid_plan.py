@@ -9,6 +9,7 @@ nodes, bit for bit.
 """
 
 import gc
+from concurrent.futures import ThreadPoolExecutor
 import weakref
 from dataclasses import fields, replace
 
@@ -16,9 +17,8 @@ import numpy as np
 import pytest
 
 from folsub import quadrature, scenarios, verify
-from folsub.foliation import rotated_foliation
 from folsub.manifolds import ChartManifold, InvariantFrameManifold
-from helpers import evaluate_per_node
+from helpers import evaluate_per_node, rotated_foliation
 
 CATALOG = scenarios.catalog_names()
 
@@ -72,17 +72,6 @@ def test_calibration_on_a_planned_grid_returns_the_same_floor(warped4, monkeypat
     assert calls["trig_scalars"] == 0
     assert repr(held) == repr(verify.calibrate_tolerance(warped4, _fresh(grid)))
     assert repr(held[1]) == repr(verify.grid_plan(warped4.fol, grid).floor)
-
-
-def test_user_fields_neither_read_nor_write_the_floor(warped4):
-    grid = verify._grid(warped4)
-    floor = verify.calibrate_tolerance(warped4, grid)[1]
-    zero = lambda coords: [0.0 * c for c in coords]
-    assert verify.divergence_selftest_residual(warped4, grid, [zero]) == 0.0
-    assert verify.grid_plan(warped4.fol, grid).floor == floor
-    fresh = _fresh(grid)
-    verify.divergence_selftest_residual(warped4, fresh, [zero])
-    assert verify.grid_plan(warped4.fol, fresh).floor is None
 
 
 def test_two_foliations_on_one_grid_get_separate_plans(warped4):
@@ -156,3 +145,19 @@ def test_a_grid_of_two_weights_groups_the_nodes_by_weight_too(warped4, monkeypat
     evaluate_per_node(monkeypatch)
     per_node, _ = verify._grid_pass(warped4, _fresh(two), {"reeb", "closed-form-c"}, (0, 1), selftest)
     assert repr(grouped) == repr(per_node)
+
+
+def test_two_threads_on_one_grid_report_what_a_sequential_run_does(warped4):
+    # No lock guards grid.plans: both threads may group the nodes and append
+    # a plan for the same foliation, and each may store the floor.
+    def reports(run):
+        grid = verify._grid(warped4)
+        out = run(lambda r: verify.verify_main(warped4, r, grid), (0, 1))
+        return [_bits(rep) for rep in out], grid
+
+    sequential, _ = reports(lambda check, orders: [check(r) for r in orders])
+    for _ in range(3):
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded, grid = reports(lambda check, orders: list(pool.map(check, orders)))
+        assert threaded == sequential
+        assert 1 <= len(grid.plans) <= 2 and all(plan.fol is warped4.fol for plan in grid.plans)

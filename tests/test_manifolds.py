@@ -3,54 +3,82 @@ import pytest
 
 from folsub import jets
 from folsub import manifolds as mfd
-from folsub.errors import EvaluationError, LinearSolveError
-from helpers import fd_gradient, metric_inner, reference_ambient_field, warp_a, warp_b, warp_d2a, warp_da, warp_db
+from folsub.errors import LinearSolveError
+from helpers import (
+    constant_field,
+    coordinate_field,
+    fd_gradient,
+    metric_inner,
+    reference_ambient_field,
+    warp_a,
+    warp_b,
+    warp_d2a,
+    warp_da,
+    warp_db,
+)
 
 RNG = np.random.default_rng(31)
 
 
+def _metric(man, p):
+    """Metric matrices at the points p, from the closure's values."""
+    coords = man.seed(np.asarray(p, dtype=float), order=0)
+    return jets.stack(man.metric_jets(coords), coords).value
+
+
+def _christoffel(man, p):
+    """Connection coefficients gamma[..., k, i, j] at the points p, with their batch axes."""
+    p = np.asarray(p, dtype=float)
+    gamma = man.gamma_jets(man.seed(p, order=1)).gamma
+    return np.broadcast_to(gamma, p.shape[:-1] + gamma.shape[-3:])
+
+
+def _riemann_tensor(man, p):
+    """Curvature components R[..., l, k, i, j] at the points p, with their batch axes."""
+    p = np.asarray(p, dtype=float)
+    R = mfd.riemann_jets(man, man.seed(p, order=2))
+    return np.broadcast_to(R, p.shape[:-1] + R.shape[-4:])
+
+
+def _covariant_derivative(man, X_field, Y_field, p):
+    """nabla_X Y at the points p, for fields X, Y given as functions of the coordinate seeds."""
+    coords = man.seed(np.asarray(p, dtype=float), order=1)
+    X, Y = (jets.stack(f(coords), coords) for f in (X_field, Y_field))
+    return jets.einsum("...i,...ki->...k", X, mfd.differential(man.gamma_jets(coords), Y)).value
+
+
 def test_metric_at_examples(flat, warped4, heisenberg):
     p = flat.manifold.base_point()
-    assert np.array_equal(mfd.metric_at(flat.manifold, p), np.eye(3))
+    assert np.array_equal(_metric(flat.manifold, p), np.eye(3))
 
     p = warped4.manifold.random_points(RNG)
-    g = mfd.metric_at(warped4.manifold, p)
+    g = _metric(warped4.manifold, p)
     z = p[3]
     assert np.allclose(g, np.diag([1, warp_a(z) ** 2, warp_b(z) ** 2, 1]), atol=1e-15)
 
-    assert np.array_equal(mfd.metric_at(heisenberg.manifold, heisenberg.manifold.base_point()), np.eye(3))
+    assert np.array_equal(_metric(heisenberg.manifold, heisenberg.manifold.base_point()), np.eye(3))
 
 
 def test_metric_positive_definite_on_catalog(catalog):
     for s in catalog.values():
         pts = s.manifold.random_points(RNG, 50)
-        g = mfd.metric_at(s.manifold, pts)
+        g = _metric(s.manifold, pts)
         assert np.min(np.linalg.eigvalsh(g)) > 0
-
-
-def test_metric_at_reports_nonfinite_entry():
-    bad = mfd.ChartManifold(
-        dim=2,
-        periods=(1.0, 1.0),
-        metric=lambda coords: [[1.0, 0.0], [0.0, float("nan")]],
-    )
-    with pytest.raises(EvaluationError, match=r"g\[1\]\[1\]"):
-        mfd.metric_at(bad, np.zeros(2))
 
 
 def test_christoffel_flat_and_symmetry(flat, warped4):
     p = flat.manifold.random_points(RNG)
-    assert np.max(np.abs(mfd.christoffel(flat.manifold, p))) == 0.0
+    assert np.max(np.abs(_christoffel(flat.manifold, p))) == 0.0
 
     p = warped4.manifold.random_points(RNG)
-    G = mfd.christoffel(warped4.manifold, p)
+    G = _christoffel(warped4.manifold, p)
     assert np.array_equal(G, np.swapaxes(G, -1, -2))  # exact symmetry on charts
 
 
 def test_christoffel_warped_oracle(warped4):
     p = warped4.manifold.random_points(RNG)
     z = p[3]
-    G = mfd.christoffel(warped4.manifold, p)
+    G = _christoffel(warped4.manifold, p)
     assert abs(G[1, 1, 3] - warp_da(z) / warp_a(z)) < 1e-14
     assert abs(G[1, 3, 1] - warp_da(z) / warp_a(z)) < 1e-14
     assert abs(G[3, 1, 1] + warp_a(z) * warp_da(z)) < 1e-14
@@ -63,7 +91,7 @@ def test_christoffel_singular_metric_raises():
         dim=2, periods=(1.0, 1.0), metric=lambda coords: [[1.0, 0.0], [0.0, 0.0]]
     )
     with pytest.raises(LinearSolveError):
-        mfd.christoffel(bad, np.zeros(2))
+        _christoffel(bad, np.zeros(2))
 
 
 def _chart_scenarios(catalog):
@@ -75,11 +103,11 @@ def test_christoffel_matches_finite_difference_koszul(catalog):
     for s in _chart_scenarios(catalog):
         man = s.manifold
         for p in man.random_points(RNG, 3):
-            ginv = np.linalg.inv(mfd.metric_at(man, p))
-            dg = fd_gradient(lambda x: mfd.metric_at(man, x), p)  # dg[a, b, c] = d_c g[a, b]
+            ginv = np.linalg.inv(_metric(man, p))
+            dg = fd_gradient(lambda x: _metric(man, x), p)  # dg[a, b, c] = d_c g[a, b]
             S = np.einsum("lji->lij", dg) + dg - np.einsum("ijl->lij", dg)
             want = 0.5 * np.einsum("kl,lij->kij", ginv, S)
-            assert np.max(np.abs(mfd.christoffel(man, p) - want)) < 1e-8, s.name
+            assert np.max(np.abs(_christoffel(man, p) - want)) < 1e-8, s.name
 
 
 def test_riemann_matches_finite_difference_of_christoffel(catalog):
@@ -87,18 +115,18 @@ def test_riemann_matches_finite_difference_of_christoffel(catalog):
     for s in _chart_scenarios(catalog):
         man = s.manifold
         for p in man.random_points(RNG, 3):
-            G = mfd.christoffel(man, p)
-            dG = fd_gradient(lambda x: mfd.christoffel(man, x), p)  # dG[k, i, j, a] = d_a G[k, i, j]
+            G = _christoffel(man, p)
+            dG = fd_gradient(lambda x: _christoffel(man, x), p)  # dG[k, i, j, a] = d_a G[k, i, j]
             D = np.einsum("ljki->lkij", dG)
             GG = np.einsum("ajk,lia->lkij", G, G)
             want = D - np.swapaxes(D, -1, -2) + GG - np.swapaxes(GG, -1, -2)
-            assert np.max(np.abs(mfd.riemann_tensor(man, p) - want)) < 1e-8, s.name
+            assert np.max(np.abs(_riemann_tensor(man, p) - want)) < 1e-8, s.name
 
 
 def test_bi_invariant_connection_is_half_bracket(round_s3, heisenberg):
     # Koszul oracle: fully antisymmetric structure constants give 1/2 [e_i, e_j]
     man = round_s3.manifold
-    G = mfd.christoffel(man, man.base_point())
+    G = _christoffel(man, man.base_point())
     c = man.structure_constants
     assert np.max(np.abs(G - 0.5 * np.einsum("kij->kij", c))) < 1e-15
 
@@ -109,29 +137,29 @@ def test_bi_invariant_connection_is_half_bracket(round_s3, heisenberg):
     want[1, 0, 2], want[1, 2, 0] = -0.5, -0.5
     want[0, 1, 2], want[0, 2, 1] = 0.5, 0.5
     man = heisenberg.manifold
-    assert np.array_equal(mfd.christoffel(man, man.base_point()), want)
+    assert np.array_equal(_christoffel(man, man.base_point()), want)
 
     # torsion-free and metric, the two properties that single out Levi-Civita
     for s in (round_s3, heisenberg):
         man = s.manifold
-        G = mfd.christoffel(man, man.base_point())
+        G = _christoffel(man, man.base_point())
         assert np.max(np.abs(G - np.swapaxes(G, -1, -2) - man.structure_constants)) < 1e-15
         assert np.max(np.abs(G + np.einsum("kij->jik", G))) < 1e-15
 
 
 def test_covariant_derivative_examples(flat, warped4):
-    const = mfd.constant_field([1.0, 2.0, -0.5])
-    out = mfd.covariant_derivative(flat.manifold, const, const, flat.manifold.base_point())
-    assert np.max(np.abs(out.components)) == 0.0
+    const = constant_field([1.0, 2.0, -0.5])
+    out = _covariant_derivative(flat.manifold, const, const, flat.manifold.base_point())
+    assert np.max(np.abs(out)) == 0.0
 
     p = warped4.manifold.random_points(RNG)
     z = p[3]
-    dy1 = mfd.coordinate_field(1, 4)
-    dz = mfd.coordinate_field(3, 4)
-    out = mfd.covariant_derivative(warped4.manifold, dy1, dz, p)
+    dy1 = coordinate_field(1, 4)
+    dz = coordinate_field(3, 4)
+    out = _covariant_derivative(warped4.manifold, dy1, dz, p)
     want = np.zeros(4)
     want[1] = warp_da(z) / warp_a(z)
-    assert np.max(np.abs(out.components - want)) < 1e-14
+    assert np.max(np.abs(out - want)) < 1e-14
 
 
 def test_metric_compatibility(warped4, tilted):
@@ -148,7 +176,7 @@ def test_metric_compatibility(warped4, tilted):
         f = metric_inner(g, Yc, Yc)
         Xj, Yj = jets.stack(X(coords), coords), jets.stack(Yc, coords)
         lhs = np.einsum("...k,...k->...", Xj.value, f.grad)
-        dY = mfd.nabla(man.gamma_jets(coords, g), Xj, Yj)
+        dY = jets.einsum("...i,...ki->...k", Xj, mfd.differential(man.gamma_jets(coords, g), Yj))
         rhs = 2.0 * np.einsum("...ij,...i,...j->...", jets.stack(g, coords).value, dY.value, Yj.value)
         assert np.max(np.abs(lhs - rhs)) < 1e-9
 
@@ -165,11 +193,11 @@ def test_covariant_derivative_leibniz_and_linearity(warped4):
     fX = lambda coords: [f(coords) * c for c in X(coords)]
     fY = lambda coords: [f(coords) * c for c in Y(coords)]
 
-    base = mfd.covariant_derivative(man, X, Y, p).components
-    scaled = mfd.covariant_derivative(man, fX, Y, p).components
+    base = _covariant_derivative(man, X, Y, p)
+    scaled = _covariant_derivative(man, fX, Y, p)
     assert np.max(np.abs(scaled - (2.0 + np.sin(z)) * base)) < 1e-13
 
-    prod = mfd.covariant_derivative(man, X, fY, p).components
+    prod = _covariant_derivative(man, X, fY, p)
     coords = man.seed(p, order=1)
     Xf_rate = np.einsum("...k,...k->...", jets.stack(X(coords), coords).value, f(coords).grad)
     Yarr = jets.stack(Y(coords), coords).value
@@ -179,16 +207,16 @@ def test_covariant_derivative_leibniz_and_linearity(warped4):
 
 def test_riemann_flat_zero(flat):
     pts = flat.manifold.random_points(RNG, 10)
-    assert np.max(np.abs(mfd.riemann_tensor(flat.manifold, pts))) == 0.0
+    assert np.max(np.abs(_riemann_tensor(flat.manifold, pts))) == 0.0
 
 
 def test_riemann_round_sphere_sectional(round_s3):
     man = round_s3.manifold
     p = man.base_point()
     e1, e2 = np.eye(3)[0], np.eye(3)[1]
-    out = mfd.riemann(man, e1, e2, e2, p)
+    out = np.einsum("...lkij,...k,...i,...j->...l", _riemann_tensor(man, p), e2, e1, e2)
     # bi-invariant oracle: sectional curvature = |[X, Y]|^2 / 4 = 1
-    assert abs(out.components @ e1 - 1.0) < 1e-14
+    assert abs(out @ e1 - 1.0) < 1e-14
 
 
 def test_riemann_warped_sectional(warped4):
@@ -197,17 +225,17 @@ def test_riemann_warped_sectional(warped4):
     z = p[3]
     e1 = np.array([0.0, 1.0 / warp_a(z), 0.0, 0.0])
     N = np.array([0.0, 0.0, 0.0, 1.0])
-    out = mfd.riemann(man, e1, N, N, p)
-    g = mfd.metric_at(man, p)
-    assert abs(out.components @ g @ e1 - (-warp_d2a(z) / warp_a(z))) < 1e-13
+    out = np.einsum("...lkij,...k,...i,...j->...l", _riemann_tensor(man, p), N, e1, N)
+    g = _metric(man, p)
+    assert abs(out @ g @ e1 - (-warp_d2a(z) / warp_a(z))) < 1e-13
 
 
 def test_riemann_symmetries_and_bianchi(catalog):
     for s in catalog.values():
         man = s.manifold
         pts = man.random_points(RNG, 100)
-        R = mfd.riemann_tensor(man, pts)
-        g = mfd.metric_at(man, pts)
+        R = _riemann_tensor(man, pts)
+        g = _metric(man, pts)
         Rlow = np.einsum("...lm,...mkij->...lkij", g, R)
         rng = np.random.default_rng(17)
         X, Y, V, U = (rng.uniform(-1, 1, (100, man.dim)) for _ in range(4))
@@ -228,12 +256,18 @@ def test_periodicity_wrap(warped4, tilted):
     for s in (warped4, tilted):
         man = s.manifold
         p = man.random_points(RNG)
-        g1 = mfd.metric_at(man, p)
-        g2 = mfd.metric_at(man, p + np.asarray(man.periods))
+        g1 = _metric(man, p)
+        g2 = _metric(man, p + np.asarray(man.periods))
         assert np.max(np.abs(g1 - g2)) <= 1e-12
-        G1 = mfd.christoffel(man, p)
-        G2 = mfd.christoffel(man, p + np.asarray(man.periods))
+        G1 = _christoffel(man, p)
+        G2 = _christoffel(man, p + np.asarray(man.periods))
         assert np.max(np.abs(G1 - G2)) <= 1e-12
+
+
+def _divergence(man, X_field, p):
+    """Div X at the points p, the trace of nabla X."""
+    coords = man.seed(np.asarray(p, dtype=float), order=1)
+    return mfd.divergence_jets(man, coords, man.gamma_jets(coords), X_field(coords))
 
 
 def test_divergence_closed_forms(flat, warped4):
@@ -245,7 +279,7 @@ def test_divergence_closed_forms(flat, warped4):
         return [jets.sin(coords[0] * two_pi), jets.sin(coords[2] * two_pi), 1.0]
 
     pts = man.random_points(RNG, 20)
-    got = mfd.divergence(man, X, pts)
+    got = _divergence(man, X, pts)
     want = two_pi * np.cos(two_pi * pts[..., 0])
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -257,7 +291,7 @@ def test_divergence_closed_forms(flat, warped4):
 
     pts = man.random_points(RNG, 20)
     z = pts[..., 3]
-    got = mfd.divergence(man, Y, pts)
+    got = _divergence(man, Y, pts)
     ab = warp_a(z) * warp_b(z)
     dab = warp_da(z) * warp_b(z) + warp_a(z) * warp_db(z)
     want = np.cos(z) + np.sin(z) * dab / ab

@@ -20,7 +20,8 @@ import numpy as np
 import pytest
 
 from folsub import scenarios, verify
-from folsub.foliation import FoliationStructure, Geometry, rotated_foliation
+from folsub.foliation import FoliationStructure, Geometry
+from helpers import rotated_foliation
 
 CATALOG = scenarios.catalog_names()
 

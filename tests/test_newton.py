@@ -9,7 +9,12 @@ from hypothesis.extra.numpy import arrays
 
 from folsub import newton
 from folsub.jets import mat_mul, mat_trace
-from helpers import eig_elementary_symmetric, umbilical_main_integrand_nested
+from helpers import (
+    eig_elementary_symmetric,
+    newton_transform_explicit,
+    total_curvature_recursion_constant,
+    umbilical_main_integrand_nested,
+)
 
 RNG = np.random.default_rng(11)
 
@@ -54,13 +59,10 @@ def jet_path(A):
 
 def ndarray_path(A):
     n = A.shape[-1]
-    sf = newton.symmetric_functions(A)
-    assert np.array_equal(sf.sigma, newton.sigma_values(A))
-    assert np.array_equal(sf.tau, newton.power_sums(A))
     Ts = newton.newton_transforms(A)
     for r in range(n + 1):
         assert np.array_equal(Ts[r], newton.newton_transform(r, A))
-    return sf.tau, sf.sigma, Ts, [newton.trace_identity_residuals(r, A) for r in range(n)]
+    return newton.power_sums(A), newton.sigma_values(A), Ts, [newton.trace_identity_residuals(r, A) for r in range(n)]
 
 
 @pytest.mark.parametrize("batch", [(), (7,), (2, 3)])
@@ -109,10 +111,9 @@ def test_sigma_examples():
     A = np.eye(3)
     assert np.allclose(newton.sigma_values(A), [1, 3, 3, 1], atol=0)
     A = np.diag([1.0, 2.0])
-    sf = newton.symmetric_functions(A)
-    assert sf.sigma[1] == 3.0 and sf.sigma[2] == 2.0
-    assert sf.tau[1] == 5.0
-    assert sf.H == 1.5
+    sig, tau = newton.sigma_values(A), newton.power_sums(A)
+    assert sig[1] == 3.0 and sig[2] == 2.0
+    assert tau[1] == 5.0
 
 
 def test_sigma_matches_eigenvalue_oracle():
@@ -123,12 +124,12 @@ def test_sigma_matches_eigenvalue_oracle():
             assert np.max(np.abs(sig[k] - eig_elementary_symmetric(A[k]))) < 1e-12
 
 
-def test_sigma_tau_range_validation():
+def test_front_end_index_range_validation():
     A = np.eye(3)
     with pytest.raises(ValueError):
-        newton.sigma(4, A)
+        newton.newton_transform(4, A)
     with pytest.raises(ValueError):
-        newton.tau(0, A)
+        newton.trace_identity_residuals(3, A)
 
 
 def test_newton_transform_examples():
@@ -145,7 +146,7 @@ def test_recursive_vs_explicit_and_commutation():
         A = random_symmetric(RNG, n, (25,))
         for r in range(n + 1):
             Tr = newton.newton_transform(r, A)
-            Te = newton.newton_transform_explicit(r, A)
+            Te = newton_transform_explicit(r, A)
             assert np.max(np.abs(Tr - Te)) < 1e-11
             assert np.max(np.abs(A @ Tr - Tr @ A)) < 1e-11
             assert np.max(np.abs(Tr - np.swapaxes(Tr, -1, -2))) < 1e-11
@@ -168,10 +169,10 @@ def test_trace_identities_zero_matrix():
 def test_sigma2_power_sum_relation():
     for n in range(1, 7):
         A = random_symmetric(RNG, n, (30,))
-        sf = newton.symmetric_functions(A)
-        s2 = sf.sigma[..., 2] if n >= 2 else np.zeros(30)
-        t2 = sf.tau[..., 1] if n >= 2 else sf.tau[..., 0] ** 2
-        assert np.max(np.abs(2 * s2 - (sf.tau[..., 0] ** 2 - t2))) < 1e-12
+        sig, tau = newton.sigma_values(A), newton.power_sums(A)
+        s2 = sig[..., 2] if n >= 2 else np.zeros(30)
+        t2 = tau[..., 1] if n >= 2 else tau[..., 0] ** 2
+        assert np.max(np.abs(2 * s2 - (tau[..., 0] ** 2 - t2))) < 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -220,7 +221,7 @@ def test_constant_curvature_recursion_closed_form():
     vol = 2.75
     for n in range(2, 11, 2):
         for c in (0.5, 1.0, 2.3):
-            S = newton.total_curvature_recursion_constant(n, c, vol)
+            S = total_curvature_recursion_constant(n, c, vol)
             for r in range(n + 1):
                 if r % 2 == 1:
                     assert S[r] == 0.0
@@ -230,7 +231,7 @@ def test_constant_curvature_recursion_closed_form():
 
 
 def test_constant_curvature_zero_c_kills_chain():
-    S = newton.total_curvature_recursion_constant(6, 0.0, 3.0)
+    S = total_curvature_recursion_constant(6, 0.0, 3.0)
     assert S[0] == 3.0
     assert np.all(S[1:] == 0.0)
 

@@ -10,9 +10,9 @@ RNG = np.random.default_rng(71)
 
 def _computed_quantity(s, key, pts):
     if key == "shape_operator":
-        return fln.shape_operator(s.fol, pts)
+        return fln.Geometry(s.fol, pts, order=1).A.value
     if key == "curvature_Z":
-        return fln.curvature_vector_Z(s.fol, pts).components
+        return fln.Geometry(s.fol, pts, order=1).Z.value
     if key == "ricci_p_NN":
         geom = fln.Geometry(s.fol, pts, order=2)
         return geom.ricci_p(geom.N.value)
@@ -20,13 +20,11 @@ def _computed_quantity(s, key, pts):
         geom = fln.Geometry(s.fol, pts, order=2)
         return np.trace(geom.riemann_matrix(geom.N.value), axis1=-2, axis2=-1)
     if key == "admissibility_residual":
-        from folsub.distribution import admissibility_residual
-
-        return admissibility_residual(s.dist, s.fol, pts)
+        return fln.Geometry(s.fol, pts, order=1).admissibility_residual()
     if key == "mean_curvature_perp_norm":
-        from folsub.distribution import mean_curvature_perp
-
-        return mean_curvature_perp(s.dist, pts).norm
+        geom = fln.Geometry(s.fol, pts, order=1)
+        H = geom.Hperp.value
+        return float(np.max(np.sqrt(np.maximum(np.einsum("...ij,...i,...j->...", geom.g.value, H, H), 0.0))))
     if key == "volume":
         return s.volume
     if key == "main_residual_r0":
@@ -87,10 +85,11 @@ def test_warp_positivity_enforced():
 def test_tilted_reduces_to_warped_at_zero_amplitude(warped4):
     s0 = scn.build_tilted_torus(theta=scn.sine_profile(0.0))
     pts = s0.manifold.random_points(RNG, 50)
-    A0 = fln.shape_operator(s0.fol, pts)
-    A1 = fln.shape_operator(warped4.fol, pts)
+    geom0 = fln.Geometry(s0.fol, pts, order=1)
+    A0 = geom0.A.value
+    A1 = fln.Geometry(warped4.fol, pts, order=1).A.value
     assert np.max(np.abs(A0 - A1)) < 1e-14
-    Z0 = fln.curvature_vector_Z(s0.fol, pts).components
+    Z0 = geom0.Z.value
     assert np.max(np.abs(Z0)) < 1e-14
     assert s0.flags.harmonic_perp and s0.flags.admissible
 
@@ -149,7 +148,7 @@ def test_scenario_leaf_lookup(warped4):
 
 def test_umbilical_variant_flag(warped4_umbilical):
     assert warped4_umbilical.flags.umbilical
-    A = fln.shape_operator(warped4_umbilical.fol, warped4_umbilical.manifold.random_points(RNG, 20))
+    A = fln.Geometry(warped4_umbilical.fol, warped4_umbilical.manifold.random_points(RNG, 20), order=1).A.value
     H = np.trace(A, axis1=-2, axis2=-1) / 2
     assert np.max(np.abs(A - H[..., None, None] * np.eye(2))) < 1e-13
 

@@ -1,27 +1,59 @@
-"""The benchmark's tracer must find every boundary it wraps in the folsub modules.
+"""The benchmark's tracer and workloads must find every name they use in the folsub modules.
 
 ``perfbench/tracing.py`` patches functions and methods by name and rewrites
 the arguments of some of them (``verify._integrate_terms``, ``integrate``)
-by position; a rename or a changed call shape in ``src/`` would otherwise
-surface only in traced benchmark runs.
+by position, and ``perfbench/workloads.py`` calls the checks by name and
+moves the ``seed`` default of the sampled ones; a rename or a changed call
+shape in ``src/`` would otherwise surface only in benchmark runs, as
+``run_failed``.
 """
 
 import importlib
 import importlib.util
+import inspect
+import sys
 from dataclasses import replace
 from pathlib import Path
 
-from folsub import verify
+from folsub import quadrature, scenarios, verify
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 MODULES = ("cli", "distribution", "foliation", "manifolds", "newton", "quadrature", "scenarios", "verify")
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("folsub_tracing_guard", TRACING)
+def _load(path):
+    """The module at ``path``, registered while it runs (its dataclasses look it up)."""
+    name = f"folsub_guard_{path.stem}"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[name]
     return module
+
+
+def _load_tracing():
+    return _load(TRACING)
+
+
+def test_workloads_find_the_checks_they_call_and_seed():
+    workloads = _load(PERFBENCH / "workloads.py")
+    assert workloads.SEEDED_CHECKS
+    for name in workloads.SEEDED_CHECKS:
+        seed = inspect.signature(getattr(verify, name)).parameters["seed"].default
+        assert type(seed) is int, name
+    for owner, name in (
+        (verify, "verify_reeb"),
+        (verify, "verify_main"),
+        (verify, "verify_leaf"),
+        (quadrature, "grid_for"),
+        (scenarios, "build"),
+        (scenarios, "catalog_names"),
+    ):
+        assert callable(getattr(owner, name)), name
 
 
 def _attributes(owner) -> dict:

@@ -260,16 +260,3 @@ def test_selftest_divergences_have_the_bytes_of_the_full_jets_for_any_draw(seed,
     with pytest.MonkeyPatch.context() as m:
         m.setattr(verify, "SELFTEST_SEED", seed)
         _assert_selftest_matches_the_full_jets(man, pts)
-
-
-def test_user_fields_reach_the_grid_pass_as_value_and_diagonal(warped4):
-    # The adapter's arrays give the divergence of the whole jet, bit for bit.
-    man = warped4.manifold
-    pts = man.random_points(np.random.default_rng(3), 64)
-    coords = man.seed(pts, order=1)
-    gamma = man.gamma_jets(coords)
-    gamma_kk = gamma.gamma[..., np.arange(man.dim), np.arange(man.dim), :]
-    Xs = [reference_distribution_field(warped4.fol, np.random.default_rng(s)) for s in (5, 6)]
-    for (value, diag), X in zip(verify._user_fields(man, Xs)(pts), Xs, strict=True):
-        want = divergence_jets(man, coords, gamma, X(coords))
-        assert traced_divergence(gamma_kk, value, diag).tobytes() == want.tobytes()

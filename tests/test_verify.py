@@ -4,20 +4,19 @@ import pytest
 from folsub import scenarios as scn
 from folsub import quadrature, verify
 from folsub.errors import ConfigError, EvaluationError, UnsupportedLeafError
-from folsub.manifolds import constant_field
 from folsub.quadrature import grid_for
 
 TWO_PI = 2 * np.pi
 
 
-def test_divergence_selftest_constant_field(flat):
-    r = verify.verify_divergence_theorem(flat, X_field=constant_field([1.0, -2.0, 0.5]))
-    assert r.residual == 0.0 and r.verdict == "pass"
+def _grid_check(scenario, check, grid=None, tolerance=None, c=None):
+    """The report of one grid check, from its own grid pass."""
+    return verify.verify_grid_checks(scenario, [check], grid, tolerance, c)[0]
 
 
 def test_divergence_selftest_trig_fields_flat(flat):
     grid = grid_for(flat.manifold, (32, 32, 32))
-    r = verify.verify_divergence_theorem(flat, grid=grid)
+    r = _grid_check(flat, "divergence-selftest", grid)
     assert r.residual <= 1e-9
     assert r.verdict == "pass"
 
@@ -187,7 +186,7 @@ def test_a_run_grid_sets_the_leaf_counts(warped4, heisenberg):
 
 
 def test_closed_form_c_flat(flat):
-    r = verify.verify_closed_form_c(flat)
+    r = _grid_check(flat, "closed-form-c")
     assert r.verdict == "pass"
     assert abs(r.residual) <= 1e-9
     assert abs(r.terms["total_sigma_0"] - flat.volume) < 1e-12
@@ -198,19 +197,19 @@ def test_closed_form_c_flat_even_leaf_dimension(flat_wide):
     from folsub.scenarios import build_flat_torus
 
     s = build_flat_torus(m=4, n=2)
-    r = verify.verify_closed_form_c(s)
+    r = _grid_check(s, "closed-form-c")
     assert r.verdict == "pass"
 
 
 def test_closed_form_c_round_s3_records_violation(round_s3):
-    r = verify.verify_closed_form_c(round_s3)
+    r = _grid_check(round_s3, "closed-form-c")
     assert r.verdict == "inadmissible"
     # the r = 0 recursion step demands 2 sigma_2 totals = 2 vol, but sigma_2 = 0
     assert abs(r.residual - 2.0 * round_s3.volume) <= 1e-6
 
 
 def test_closed_form_c_not_declared(warped4):
-    r = verify.verify_closed_form_c(warped4)
+    r = _grid_check(warped4, "closed-form-c")
     assert r.verdict == "precondition-violation"
 
 
@@ -237,17 +236,17 @@ def test_umbilical_reduction_validation():
 
 
 def test_sigma2_image(flat, warped4, heisenberg):
-    r = verify.sigma2_image_diagnostic(flat)
+    r = _grid_check(flat, "sigma2-image")
     assert r.verdict == "info"
     assert r.terms["sigma2_min"] == r.terms["sigma2_max"] == 0.0
 
-    r = verify.sigma2_image_diagnostic(heisenberg)
+    r = _grid_check(heisenberg, "sigma2-image")
     assert r.terms["sigma2_min"] == r.terms["sigma2_max"] == 0.0
 
-    r = verify.sigma2_image_diagnostic(warped4)
+    r = _grid_check(warped4, "sigma2-image")
     assert r.terms["sigma2_min"] <= 0.0 < r.terms["sigma2_max"]
     # with a small positive c the witnessed interval contains (0, c]
-    r = verify.sigma2_image_diagnostic(warped4, c=0.01)
+    r = _grid_check(warped4, "sigma2-image:0.01")
     assert r.terms["interval_witnessed"] == 1.0
 
 
@@ -257,9 +256,9 @@ def test_sigma2_image_is_independent_of_the_chunk_size(warped4, tilted, monkeypa
     for s in (warped4, tilted):
         grid = verify._grid(s)
         monkeypatch.setattr(quadrature, "CHUNK", grid.count)
-        whole = verify.sigma2_image_diagnostic(s, c=0.01, grid=grid)
+        whole = _grid_check(s, "sigma2-image:0.01", grid)
         monkeypatch.setattr(quadrature, "CHUNK", 512)
-        chunked = verify.sigma2_image_diagnostic(s, c=0.01, grid=grid)
+        chunked = _grid_check(s, "sigma2-image:0.01", grid)
         assert grid.count > 512
         assert chunked.terms == whole.terms
 
@@ -267,7 +266,7 @@ def test_sigma2_image_is_independent_of_the_chunk_size(warped4, tilted, monkeypa
 def test_sigma2_image_shares_the_grid_pass_of_the_integral_checks(warped4, tilted):
     for s in (warped4, tilted):
         shared = verify.verify_grid_checks(s, ["main:1", "sigma2-image:0.01", "reeb"])[1]
-        alone = verify.sigma2_image_diagnostic(s, c=0.01)
+        alone = _grid_check(s, "sigma2-image:0.01")
         assert shared.terms == alone.terms and shared.grid == alone.grid
         assert shared.verdict == "info" and shared.grid["c"] == 0.01
 
@@ -293,7 +292,7 @@ def test_closed_form_overflow_raises_evaluation_error(warped4):
     with pytest.raises(EvaluationError):
         verify.verify_closed_form_einstein(4, 1e200, 1.0)  # the closed form's power overflows
     with pytest.raises(EvaluationError):
-        verify.verify_closed_form_c(warped4, c=1e308)
+        _grid_check(warped4, "closed-form-c", c=1e308)
 
 
 def test_divergence_identities_hold_at_every_grid_node(warped4, tilted):
@@ -376,8 +375,8 @@ def test_shared_grid_pass_reports_equal_their_own_checks(catalog, tolerance, tmp
         assert status == 0
         alone = [
             verify.verify_main(s, 0, tolerance=tolerance),
-            verify.verify_divergence_theorem(s, tolerance=tolerance),
-            verify.verify_closed_form_c(s, tolerance=tolerance),
+            _grid_check(s, "divergence-selftest", tolerance=tolerance),
+            _grid_check(s, "closed-form-c", tolerance=tolerance),
             verify.verify_reeb(s, tolerance=tolerance),
         ] + [verify.verify_main(s, r, tolerance=tolerance) for r in range(1, s.n)]
         assert [strip(r) for r in shared] == [strip(r) for r in alone], name
@@ -446,6 +445,6 @@ def test_nonfinite_residual_raises_instead_of_passing():
     with np.errstate(all="ignore"), pytest.raises(EvaluationError, match="codazzi residual is not finite"):
         verify.check_codazzi(steep, samples=5)
     with np.errstate(all="ignore"), pytest.raises(EvaluationError, match="non-finite sigma_2 sample of sigma2-image"):
-        verify.sigma2_image_diagnostic(steep)
+        _grid_check(steep, "sigma2-image")
     with pytest.raises(EvaluationError, match="residual is not finite"):
         verify.make_report("reeb", float("nan"), 1e-7, 0.0)
