@@ -41,7 +41,6 @@ from .verify import (
     verify_closed_form_einstein,
     verify_grid_checks,
     verify_leaf,
-    verify_leaf_checks,
     verify_main,
     verify_reeb,
     verify_umbilical_reduction,
@@ -79,7 +78,6 @@ __all__ = [
     "parse_check",
     "run_checks",
     "verify_grid_checks",
-    "verify_leaf_checks",
     "verify_reeb",
     "verify_main",
     "verify_leaf",

@@ -159,10 +159,6 @@ def _build_scenario(spec):
 # -- report serialization -----------------------------------------------------
 
 
-def report_to_dict(report: VerificationReport) -> dict:
-    return dataclasses.asdict(report)
-
-
 def _summary(reports: list[VerificationReport]) -> dict:
     return {
         "checks": len(reports),
@@ -177,7 +173,7 @@ def emit_structured(config: RunConfig, scenario_name: str, reports: list[Verific
     payload = {
         "scenario": scenario_name,
         "config": dataclasses.asdict(config),
-        "reports": [report_to_dict(r) for r in reports],
+        "reports": [dataclasses.asdict(r) for r in reports],
         "summary": _summary(reports),
     }
     return json.dumps(payload, indent=2, sort_keys=True)
@@ -299,12 +295,12 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        config = load_config(args.config) if args.config else RunConfig()
+        config = load_config(args.config) if args.config is not None else RunConfig()
         keys = ("scenario", "tolerance", "output", "format", "samples")
-        override = {key: value for key in keys if (value := getattr(args, key)) not in (None, "")}
-        if args.checks:
+        override = {key: value for key in keys if (value := getattr(args, key)) is not None}
+        if args.checks is not None:
             override["checks"] = args.checks.split(",")
-        if args.grid:
+        if args.grid is not None:
             try:
                 override["grid"] = [int(x) for x in args.grid.split(",")]
             except ValueError:

@@ -49,18 +49,18 @@ class DistributionSpec:
             raise ValueError("distribution rank out of range")
 
 
-def projector_jets(dist: DistributionSpec, coords, g=None) -> Jet:
+def projector_jets(dist: DistributionSpec, coords, g) -> Jet:
     """P[..., i, j] = sum_a v_a^i (g v_a)_j over the D-frame, as a jet of order at most 1.
 
     No consumer reads more than ∂P, so the frame and the metric (the
-    closure's list or a jet) enter cut to order 1; the value and gradient
+    closure's list or a jet ``g``) enter cut to order 1; the value and gradient
     are those of the full product.  The sums run frame vector by frame
     vector and column by column, each product rule added before the next
     term, so the gradient rounds as the entrywise product does.  Frame
     entries that are identically zero, most of them in the catalog, add
     nothing and are skipped.
     """
-    g = stack(dist.manifold.metric_jets(coords) if g is None else g, coords).at_order(1)
+    g = stack(g, coords).at_order(1)
     V = stack(dist.frame_D(coords), coords).at_order(1)
     rows = [0.0] * V.shape[-1]
     for a in range(V.shape[-2]):
@@ -84,21 +84,16 @@ def frame_gram_residual(g: np.ndarray, frames: np.ndarray) -> float:
     return float(np.max(np.abs(gram - np.eye(frames.shape[-2]))))
 
 
-def curvature_P_tensor(dist: DistributionSpec, coords, g=None, gamma=None, P=None):
+def curvature_P_tensor(dist: DistributionSpec, gamma, P: Jet):
     """Pointwise projected-curvature tensor RP[..., l, k, i, j] as ndarrays.
 
     Acts on sections of D: (R^P(e_i, e_j)V)^l = RP[l, k, i, j] V^k.  Returns
-    ``(RP, P, DP, R)``: the projector values, DP[..., i, a, b] = (nabla_i P)[a, b]
-    and the Riemann tensor, all values only with the batch axes.  They come
-    from the connection arrays and the projector jet.
+    ``(RP, R)``, R the Riemann tensor, both values only with the batch axes.
+    They come from the connection ``gamma`` (its ∂Γ included) and the
+    projector jet ``P`` (:func:`projector_jets`), through
+    DP[..., i, a, b] = (nabla_i P)[a, b].
     """
-    man = dist.manifold
-    g = stack(man.metric_jets(coords) if g is None else g, coords)
-    if gamma is None:
-        gamma = man.gamma_jets(coords, g)
-    if P is None:
-        P = projector_jets(dist, coords, g)
-    R = manifolds.riemann_jets(man, coords, gamma)
+    R = manifolds.riemann_jets(dist.manifold, gamma)
 
     Parr, dP = P.value, P.grad
     G = gamma.gamma
@@ -110,7 +105,7 @@ def curvature_P_tensor(dist: DistributionSpec, coords, g=None, gamma=None, P=Non
     PR = np.einsum("...lx,...xkij->...lkij", Parr, R)
     Q = np.einsum("...ax,...ixy,...jyk->...ijak", Parr, DP, DP, optimize=True)
     RP = PR + np.moveaxis(Q, (-4, -3), (-2, -1)) - np.moveaxis(np.swapaxes(Q, -4, -3), (-4, -3), (-2, -1))
-    return RP, Parr, DP, np.broadcast_to(R, RP.shape)
+    return RP, np.broadcast_to(R, RP.shape)
 
 
 def mean_curvature_perp_vector(gamma, P: Jet, xis: Jet) -> Jet:

@@ -22,4 +22,4 @@ class ConfigError(ValueError):
 
 
 class UnsupportedLeafError(ValueError):
-    """The requested leaf is not in the scenario's catalog of closed leaves."""
+    """The scenario declares no closed leaf, or its leaf cannot be integrated over."""

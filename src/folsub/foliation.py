@@ -173,7 +173,7 @@ class Geometry:
 
     @cached_property
     def _curvature_arrays(self):
-        return dst.curvature_P_tensor(self.dist, self.coords, self.g, self.gamma, self.P)
+        return dst.curvature_P_tensor(self.dist, self.gamma, self.P)
 
     @property
     def RP(self) -> np.ndarray:
@@ -181,7 +181,7 @@ class Geometry:
 
     @property
     def R(self) -> np.ndarray:
-        return self._curvature_arrays[3]
+        return self._curvature_arrays[1]
 
     # -- shape data -----------------------------------------------------------
 
@@ -234,9 +234,6 @@ class Geometry:
 
     def rp_matrix(self, Xarr: np.ndarray) -> np.ndarray:
         return self._operator_matrix(self.RP, Xarr)
-
-    def riemann_matrix(self, Xarr: np.ndarray) -> np.ndarray:
-        return self._operator_matrix(self.R, Xarr)
 
     def ricci_p(self, Xarr: np.ndarray) -> np.ndarray:
         return np.trace(self.rp_matrix(Xarr), axis1=-2, axis2=-1)

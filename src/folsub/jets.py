@@ -63,16 +63,11 @@ class Jet:
     def shape(self) -> tuple[int, ...]:
         return self.value.shape
 
-    def d(self, i: int | None = None) -> "Jet":
-        """Partial derivative in direction ``i``, or all of them along a new last axis.
-
-        The result has one order less.
-        """
+    def d(self) -> "Jet":
+        """Every partial derivative along a new last axis (``x.d()[..., i]`` is ∂_i x), one order less."""
         if self.grad is None:
             raise ValueError("cannot differentiate an order-0 jet")
-        if i is None:
-            return Jet(self.grad, self.hess)
-        return Jet(self.grad[..., i], None if self.hess is None else self.hess[..., i, :])
+        return Jet(self.grad, self.hess)
 
     def at_order(self, order: int) -> "Jet":
         """The same jet without the derivatives above ``order``; the arrays are shared."""
@@ -194,14 +189,6 @@ def cos(x):
     return lift(x, np.cos, lambda v: -np.sin(v), lambda v: -np.cos(v))
 
 
-def exp(x):
-    return lift(x, np.exp, np.exp, np.exp)
-
-
-def sqrt(x):
-    return lift(x, np.sqrt, lambda v: 0.5 / np.sqrt(v), lambda v: -0.25 * v**-1.5)
-
-
 def variables(points, order: int = 2) -> list[Jet]:
     """Seed coordinate jets at ``points`` of shape ``(..., m)``."""
     pts = np.asarray(points, dtype=float)
@@ -224,20 +211,19 @@ def value_of(x):
     return x.value if isinstance(x, Jet) else x
 
 
-def stack(entries, coords, order: int | None = None) -> Jet:
+def stack(entries, coords) -> Jet:
     """One tensor jet from a nested list of jets and constants evaluated on ``coords``.
 
     The value has shape ``batch + shape``, the gradient ``batch + shape +
     (m,)`` and the Hessian ``batch + shape + (m, m)``, where ``shape`` is the
     nesting shape of ``entries``; an empty list stacks as a ``(0, m)``
-    frame.  Derivatives are kept up to ``order``, by default the order of the
-    seeds; constants, and derivatives an entry does not carry, are zero.  A
-    jet is returned as it is.
+    frame.  Derivatives are kept up to the order of the seeds; constants, and
+    derivatives an entry does not carry, are zero.  A jet is returned as it is.
     """
     if isinstance(entries, Jet):
         return entries
     batch, m = coords[0].value.shape, len(coords)
-    order = coords[0].order if order is None else order
+    order = coords[0].order
     shape = []
     probe = entries
     while isinstance(probe, (list, tuple)):

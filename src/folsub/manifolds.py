@@ -105,9 +105,9 @@ class ChartManifold:
     def metric_jets(self, coords):
         return self.metric(coords)
 
-    def gamma_jets(self, coords, g=None) -> Connection:
+    def gamma_jets(self, coords, g) -> Connection:
         """Levi-Civita connection on the seeds; ``g`` is the metric, as the closure's list or a jet."""
-        g = stack(self.metric(coords) if g is None else g, coords)
+        g = stack(g, coords)
         if g.order < 1:
             raise ValueError("connection coefficients need seeds of order >= 1")
         dg, H = g.grad, g.hess
@@ -177,7 +177,7 @@ class InvariantFrameManifold:
     def metric_jets(self, coords):
         return jets.mat_identity(self.dim)
 
-    def gamma_jets(self, coords, g=None) -> Connection:
+    def gamma_jets(self, coords, g) -> Connection:
         c = self.structure_constants
         # Koszul on an orthonormal invariant frame, indices lowered trivially.
         gamma = 0.5 * (c - np.einsum("ijk->kij", c) + np.einsum("jki->kij", c))
@@ -213,10 +213,8 @@ def lie_bracket(manifold, X: Jet, Y: Jet) -> Jet:
     return out
 
 
-def riemann_jets(manifold, coords, gamma: Connection | None = None) -> np.ndarray:
+def riemann_jets(manifold, gamma: Connection) -> np.ndarray:
     """Curvature components R[..., l, k, i, j] from the connection arrays."""
-    if gamma is None:
-        gamma = manifold.gamma_jets(coords)
     G, dG = gamma.gamma, gamma.dgamma
     if dG is None:
         raise ValueError("the Riemann tensor needs seeds of order 2")

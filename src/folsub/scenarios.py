@@ -117,17 +117,13 @@ class Scenario:
     def n(self) -> int:
         return self.fol.n
 
-    def leaf(self, name: str | None = None) -> LeafSpec:
+    def leaf(self) -> LeafSpec:
+        """The closed leaf the ``leaf:r`` checks integrate over; a scenario declares at most one."""
         from .errors import UnsupportedLeafError
 
         if not self.leaves:
             raise UnsupportedLeafError(f"scenario {self.name} declares no closed leaves")
-        if name is None:
-            return self.leaves[0]
-        for lf in self.leaves:
-            if lf.name == name:
-                return lf
-        raise UnsupportedLeafError(f"scenario {self.name} has no leaf named {name!r}")
+        return self.leaves[0]
 
 
 # -- numerical flag measurement ------------------------------------------------
@@ -291,12 +287,11 @@ def _warped_volume(warps: tuple) -> float:
 # -- chart builders --------------------------------------------------------------
 
 
-def build_flat_torus(m: int = 3, n: int = 1, periods: tuple | None = None) -> Scenario:
-    """Flat m-torus, leaves spanned by the first n coordinates; everything vanishes."""
+def build_flat_torus(m: int = 3, n: int = 1) -> Scenario:
+    """Flat unit m-torus, leaves spanned by the first n coordinates; everything vanishes."""
     if not 1 <= n < m - 1:
         raise ValueError("need 1 <= n < m - 1 so the orthogonal complement is nonempty")
-    periods = tuple(float(p) for p in (periods or (1.0,) * m))
-    man = ChartManifold(dim=m, periods=periods, metric=lambda coords: jets.mat_identity(m), name="flat_torus")
+    man = ChartManifold(dim=m, periods=(1.0,) * m, metric=lambda coords: jets.mat_identity(m), name="flat_torus")
     fol = _foliation(
         man,
         n,
@@ -311,7 +306,7 @@ def build_flat_torus(m: int = 3, n: int = 1, periods: tuple | None = None) -> Sc
         "ricci_p_NN": ExpectedValue(0.0, "flat metric"),
         "admissibility_residual": ExpectedValue(0.0, "flat metric"),
         "mean_curvature_perp_norm": ExpectedValue(0.0, "flat metric"),
-        "volume": ExpectedValue(float(np.prod(periods)), "product of periods"),
+        "volume": ExpectedValue(1.0, "product of periods"),
     }
     leaves = (LeafSpec("coordinate-leaf", fixed={i: 0.0 for i in range(n, m)}, axes=tuple(range(n))),)
     declared = dict(

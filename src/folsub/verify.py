@@ -32,12 +32,12 @@ The check layer lives here: ``CHECKS`` names every check with the type and
 default of its argument, :func:`parse_check` is the one parser of a check
 name, and :func:`run_checks` runs a list of them.  Every integral formula
 goes through one grid pass (:func:`_grid_pass`), one ``integrate_terms``
-reduction: the grid checks (``GRID_CHECKS``) of one (scenario, grid) share
-one pass over M (:func:`verify_grid_checks`), whose integrand carries the
-calibration's self-test fields (only when a report needs the floor), every
-requested integrand and the sigma_2 scan, and the ``leaf:r`` checks of a
-run share one pass over the leaf grid (:func:`verify_leaf_checks`), which
-takes the run grid's counts on the leaf's axes.  A pass builds
+reduction, and one entry point, :func:`verify_grid_checks`: the grid checks
+(``GRID_CHECKS``) of one (scenario, run grid) share one pass over M, whose
+integrand carries the calibration's self-test fields (only when a report
+needs the floor), every requested integrand and the sigma_2 scan, and one
+pass over the scenario's closed leaf for the ``leaf:r`` checks, on the run
+grid's counts on the leaf's axes.  A pass builds
 ``Geometry`` once per distinct node of the whole grid, nodes being
 distinct on the coordinates the closures read, and on the weight where
 the grid's weights differ (:func:`foliation.distinct_nodes`), in the
@@ -91,7 +91,7 @@ CHECKS = {
     "umbilical": None, "divergence-selftest": None, "sigma2-image": (float, 0.0),
 }
 # The checks that one grid pass builds (verify_grid_checks).
-GRID_CHECKS = ("divergence-selftest", "reeb", "main", "closed-form-c", "sigma2-image")
+GRID_CHECKS = ("divergence-selftest", "reeb", "main", "leaf", "closed-form-c", "sigma2-image")
 
 
 @dataclass
@@ -384,47 +384,19 @@ def _integrate_terms(scenario, grid: QuadratureGrid, term_fn, density=None) -> d
     return integrate_terms(term_fn, grid, density)
 
 
-def verify_reeb(scenario, grid=None, tolerance=None) -> VerificationReport:
+def verify_reeb(scenario, grid=None) -> VerificationReport:
     """Total mean curvature vanishes when the orthogonal distribution is harmonic."""
-    return verify_grid_checks(scenario, ["reeb"], grid, tolerance)[0]
+    return verify_grid_checks(scenario, ["reeb"], grid)[0]
 
 
-def verify_main(scenario, r: int, grid=None, tolerance=None) -> VerificationReport:
+def verify_main(scenario, r: int, grid=None) -> VerificationReport:
     """Closed-manifold integral formula at order r, with per-term integrals."""
-    return verify_grid_checks(scenario, [f"main:{r}"], grid, tolerance)[0]
+    return verify_grid_checks(scenario, [f"main:{r}"], grid)[0]
 
 
-def verify_leaf(scenario, r: int, leaf=None, grid_axes=None, tolerance=None) -> VerificationReport:
-    """Compact-leaf integral formula at order r over a declared closed leaf (:func:`verify_leaf_checks`)."""
-    return verify_leaf_checks(scenario, [r], leaf, grid_axes, tolerance)[0]
-
-
-def verify_leaf_checks(scenario, orders, leaf=None, grid_axes=None, tolerance=None) -> list[VerificationReport]:
-    """Reports of the compact-leaf formula at each order in ``orders``, from one grid pass over the leaf grid.
-
-    The leaf integrals are the keys ``("leaf:r", "integrand")`` of one
-    :func:`_grid_pass` over the leaf, one per distinct order, weighted by
-    the leaf's induced volume density.  One report comes back per entry of
-    ``orders``, in that order; the pass's time is charged to the first, as
-    in :func:`verify_grid_checks`.
-    """
-    t0 = time.perf_counter()
-    for r in orders:
-        _check_order(r, scenario.n, scenario.name)
-    lf = leaf if leaf is not None and not isinstance(leaf, str) else scenario.leaf(leaf)
-    lgrid = leaf_grid(scenario.manifold, lf, tuple(scenario.default_grid[ax] for ax in lf.axes) if grid_axes is None else grid_axes)
-    tol = tolerance if tolerance is not None else INTEGRAL_FLOOR
-    integrals = _grid_pass(scenario, lgrid, (), sorted(set(orders)), leaf=lf)[0]
-    reports = []
-    for r in orders:
-        reports.append(make_report(
-            f"leaf:{r}", integrals[(f"leaf:{r}", "integrand")], tol, t0, scenario, lgrid,
-            preconditions_ok=scenario.flags.harmonic_perp,
-            requires_admissible=True,
-            leaf=lf.name,
-        ))
-        t0 = time.perf_counter()
-    return reports
+def verify_leaf(scenario, r: int) -> VerificationReport:
+    """Compact-leaf integral formula at order r over the scenario's closed leaf, on its default grid."""
+    return verify_grid_checks(scenario, [f"leaf:{r}"])[0]
 
 
 # -- one pass over a grid for every integral formula ------------------------------------
@@ -469,29 +441,37 @@ def grid_plan(fol: FoliationStructure, grid: QuadratureGrid) -> GridPlan:
     return plan
 
 
-def verify_grid_checks(scenario, checks, grid=None, tolerance=None, c: float | None = None) -> list[VerificationReport]:
-    """Reports of the grid checks ``checks`` on one (scenario, grid), from one pass.
+def verify_grid_checks(scenario, checks, grid=None, tolerance=None) -> list[VerificationReport]:
+    """Reports of the grid checks ``checks`` on one (scenario, run grid), from one pass over M and one over the leaf.
 
-    ``checks`` lists names among ``GRID_CHECKS`` ("main:r", or "main" for
-    r = 0; "sigma2-image:c"), in any order; one report comes back per
-    entry, in that order.  One :func:`_grid_pass` emits only the requested
-    integrands: the calibration's self-test fields, only when a report needs
-    the floor (the ``divergence-selftest`` residual is that floor, and
-    ``sigma2-image``, a diagnostic, needs none); sigma_1 for ``reeb``;
-    sigma_0..sigma_n and the volume for ``closed-form-c``; the main-formula
-    terms for each requested r; the extrema of sigma_2 and Ric^P(N, N) for
-    ``sigma2-image``.  The floor is the worst |integral of Div X| over the
-    calibration's seeded random fields, and the integral tolerance is
-    max(1e-7, 10x floor), as :func:`calibrate_tolerance` returns them.
-    ``c`` overrides the scenario's curvature constant for ``closed-form-c``.
+    ``checks`` lists names among ``GRID_CHECKS`` ("main:r" and "leaf:r", or
+    "main" and "leaf" for r = 0; "sigma2-image:c"), in any order; one report
+    comes back per entry, in that order.  ``grid`` is a quadrature grid over
+    M or its per-axis counts, by default the scenario's.  One
+    :func:`_grid_pass` over M emits only the requested integrands: the
+    calibration's self-test fields, only when a report needs the floor (the
+    ``divergence-selftest`` residual is that floor, and ``sigma2-image``, a
+    diagnostic, needs none); sigma_1 for ``reeb``; sigma_0..sigma_n and the
+    volume for ``closed-form-c``, against the scenario's declared curvature
+    constant; the main-formula terms for each requested r; the extrema of
+    sigma_2 and Ric^P(N, N) for ``sigma2-image``.  The floor is the worst
+    |integral of Div X| over the calibration's seeded random fields, and the
+    integral tolerance is max(1e-7, 10x floor), as
+    :func:`calibrate_tolerance` returns them.  ``tolerance``, when given,
+    replaces every tolerance of the call.
+
+    The ``leaf:r`` checks share one pass over the scenario's closed leaf, on
+    the run grid's counts on the leaf's axes (:func:`_leaf_grid`), and are
+    judged against ``INTEGRAL_FLOOR``.  A call of leaf checks alone builds
+    no grid over M and runs no self-test.
 
     The node groups and, once measured, the floor come from the grid's plan
     (:func:`grid_plan`), so a later call on the same grid object computes
     neither again; the pass that measures the floor stores it there.
 
-    The time the reports share, the grid pass, is charged once, to the first
-    report; each later report's ``wall_time_s`` covers only its own assembly.
-    So the wall times of a run never add up to more than the run took.
+    The time the reports share, the grid passes, is charged once, to the
+    first report; each later report's ``wall_time_s`` covers only its own
+    assembly.  So the wall times of a run never add up to more than the run took.
     """
     t0 = time.perf_counter()
     parsed = [parse_check(name, scenario.n) for name in checks]
@@ -499,18 +479,24 @@ def verify_grid_checks(scenario, checks, grid=None, tolerance=None, c: float | N
         if base not in GRID_CHECKS:
             raise ConfigError(f"{base!r} is not a grid check; known: {', '.join(GRID_CHECKS)}")
     bases = {base for base, _ in parsed}
-    orders = sorted({arg for base, arg in parsed if base == "main"})
-    grid = _grid(scenario, grid)
-
-    calibrate = "divergence-selftest" in bases or (tolerance is None and bases - {"divergence-selftest", "sigma2-image"})
-    plan = grid_plan(scenario.fol, grid)
-    fields = _selftest_fields(scenario.manifold) if calibrate and plan.floor is None else None
-    integrals, extrema = _grid_pass(scenario, grid, bases, orders, fields)
-    if fields is not None:
-        plan.floor = _selftest_floor(integrals)
-    floor = plan.floor if calibrate else None
+    orders = lambda check: sorted({arg for base, arg in parsed if base == check})
+    integrals, extrema, floor = {}, {}, None
+    if bases - {"leaf"}:
+        grid = _grid(scenario, grid)
+        calibrate = "divergence-selftest" in bases or (tolerance is None and bases & {"reeb", "main", "closed-form-c"})
+        plan = grid_plan(scenario.fol, grid)
+        fields = _selftest_fields(scenario.manifold) if calibrate and plan.floor is None else None
+        integrals, extrema = _grid_pass(scenario, grid, bases, orders("main"), fields)
+        if fields is not None:
+            plan.floor = _selftest_floor(integrals)
+        floor = plan.floor if calibrate else None
+    if "leaf" in bases:
+        leaf = scenario.leaf()
+        lgrid = _leaf_grid(scenario, leaf, grid)
+        integrals.update(_grid_pass(scenario, lgrid, (), orders("leaf"), leaf=leaf)[0])
     tol = tolerance if tolerance is not None or floor is None else _tolerance(floor)
     selftest_floor = floor if tolerance is None else None
+    leaf_tol = INTEGRAL_FLOOR if tolerance is None else tolerance
     reports = []
     for base, arg in parsed:
         if base == "divergence-selftest":
@@ -525,13 +511,34 @@ def verify_grid_checks(scenario, checks, grid=None, tolerance=None, c: float | N
             )
         elif base == "main":
             rep = _main_report(scenario, grid, arg, integrals, tol, t0, selftest_floor)
+        elif base == "leaf":
+            rep = make_report(
+                f"leaf:{arg}", integrals[(f"leaf:{arg}", "integrand")], leaf_tol, t0, scenario, lgrid,
+                preconditions_ok=scenario.flags.harmonic_perp,
+                requires_admissible=True,
+                leaf=leaf.name,
+            )
         elif base == "closed-form-c":
-            rep = _closed_form_c_report(scenario, grid, integrals, c, tol, t0, selftest_floor)
+            rep = _closed_form_c_report(scenario, grid, integrals, tol, t0, selftest_floor)
         else:
             rep = _sigma2_image_report(scenario, grid, extrema, arg, t0)
         reports.append(rep)
         t0 = time.perf_counter()
     return reports
+
+
+def _leaf_grid(scenario, leaf, grid) -> QuadratureGrid:
+    """The grid over ``leaf`` that a run grid sets: the counts of ``grid`` (a quadrature grid, per-axis counts, or None for the default) on the leaf's axes.
+
+    Counts that are not one positive count per axis of M raise
+    ``ValueError``, as in :func:`quadrature.grid_for`; an invariant-frame
+    leaf, which has no axes, is one node whatever the counts.
+    """
+    if not leaf.axes:
+        return leaf_grid(scenario.manifold, leaf)
+    counts = grid.axes if isinstance(grid, QuadratureGrid) else scenario.default_grid if grid is None else grid
+    counts = quadrature._counts(counts, scenario.manifold.dim)
+    return leaf_grid(scenario.manifold, leaf, tuple(counts[ax] for ax in leaf.axes))
 
 
 def _grid_pass(scenario, grid: QuadratureGrid, bases, orders=(), fields=None, leaf=None) -> tuple[dict, dict]:
@@ -692,8 +699,8 @@ def _main_report(scenario, grid, r: int, integrals: dict, tol: float, t0: float,
     )
 
 
-def _closed_form_c_report(scenario, grid, integrals: dict, c, tol: float, t0: float, selftest_floor) -> VerificationReport:
-    c = scenario.flags.pcurv_c if c is None else c
+def _closed_form_c_report(scenario, grid, integrals: dict, tol: float, t0: float, selftest_floor) -> VerificationReport:
+    c = scenario.flags.pcurv_c
     precondition_ok = bool(scenario.flags.satisfies_pcurv_c and c is not None and scenario.flags.harmonic_perp)
     if c is None:
         c = 0.0
@@ -741,7 +748,7 @@ def _closed_form_residual(S, closed, recursion=()) -> float:
     return max(devs, default=0.0)
 
 
-def verify_closed_form_einstein(n: int, C: float, vol: float, tolerance: float = ALGEBRAIC_TOL) -> VerificationReport:
+def verify_closed_form_einstein(n: int, C: float, vol: float) -> VerificationReport:
     """Umbilical Einstein-type reduction: recurrence vs closed form, exact coefficients."""
     t0 = time.perf_counter()
     S = newton.total_curvature_recursion_einstein(n, C, vol)
@@ -760,7 +767,7 @@ def verify_closed_form_einstein(n: int, C: float, vol: float, tolerance: float =
             want = ((n - r) / n) * float(sig[r]) * np.eye(n)
             residual = max(residual, float(np.max(np.abs(Tr - want))))
     return make_report(
-        "closed-form-einstein", residual, tolerance, t0,
+        "closed-form-einstein", residual, ALGEBRAIC_TOL, t0,
         terms={"coefficients_exact": float(coeff_exact)},
         exact=coeff_exact,
         n=n, C=C, vol=vol,
@@ -776,7 +783,7 @@ def umbilical_reduction_residual(n: int, r: int, H: float, ric_nn: float, ric_zn
     return abs(lhs - rhs / newton.umbilical_common_factor(n, r))
 
 
-def verify_umbilical_reduction(samples: int = 1000, seed: int = 4242, tolerance: float = ALGEBRAIC_TOL) -> VerificationReport:
+def verify_umbilical_reduction(samples: int = 1000, seed: int = 4242) -> VerificationReport:
     """Randomized umbilical-substitution check plus the exact binomial identity."""
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
@@ -792,7 +799,7 @@ def verify_umbilical_reduction(samples: int = 1000, seed: int = 4242, tolerance:
         for r in range(1, n)
     )
     return make_report(
-        "umbilical-reduction", residual, tolerance, t0,
+        "umbilical-reduction", residual, ALGEBRAIC_TOL, t0,
         terms={"binomial_identity_exact": float(binomial_ok)},
         exact=binomial_ok,
         samples=samples,
@@ -876,26 +883,20 @@ def check_trace_identities(scenario, samples: int = 20, seed: int = 59) -> list[
 def run_checks(scenario, checks, grid=None, tolerance=None, samples: int = 50) -> list[VerificationReport]:
     """The reports of the checks named in ``checks``, in that order (``pointwise`` gives 3 + 2n).
 
-    Every name is parsed before anything runs.  The grid checks come from one
-    :func:`verify_grid_checks` call, made where the first of them comes, and
-    the ``leaf:r`` checks likewise from one :func:`verify_leaf_checks` call.
-    A ``grid`` (a quadrature grid or per-axis counts) also sets the ``leaf:r``
-    grid: its counts on the leaf's axes.  The sampled checks are looked up by
-    module name at each call, so a caller that replaces them on this module
-    (as the benchmark's seeding does) reaches them.
+    Every name is parsed before anything runs.  The grid checks, ``leaf:r``
+    among them, come from one :func:`verify_grid_checks` call on ``grid``
+    (a quadrature grid or per-axis counts), made where the first of them
+    comes.  The sampled checks are looked up by module name at each call,
+    so a caller that replaces them on this module (as the benchmark's
+    seeding does) reaches them.
     """
     parsed = [parse_check(name, scenario.n) for name in checks]
     grid_names = [name for name, (base, _) in zip(checks, parsed) if base in GRID_CHECKS]
-    leaf_orders = [arg for base, arg in parsed if base == "leaf"]
-    grid_reports, leaf_reports, reports = None, None, []
+    grid_reports, reports = None, []
     for base, arg in parsed:
         if base in GRID_CHECKS:
             grid_reports = grid_reports or iter(verify_grid_checks(scenario, grid_names, grid, tolerance))
             reports.append(next(grid_reports))
-        elif base == "leaf":
-            leaf_counts = _leaf_counts(scenario, grid)
-            leaf_reports = leaf_reports or iter(verify_leaf_checks(scenario, leaf_orders, None, leaf_counts, tolerance))
-            reports.append(next(leaf_reports))
         elif base == "pointwise":
             plain = (check_divergence_split, check_leaf_divergence_of_normal, check_adapted_identity)
             per_order = (check_newton_div_agreement, check_newton_z_divergence)
@@ -915,15 +916,3 @@ def run_checks(scenario, checks, grid=None, tolerance=None, samples: int = 50) -
                 preconditions_ok=False, reason="needs leaf dimension >= 2",
             ))
     return reports
-
-
-def _leaf_counts(scenario, grid) -> tuple | None:
-    """The counts of ``grid`` (a quadrature grid or a count list) on the first leaf's axes; None without either.
-
-    Counts that are not one positive count per axis raise ``ValueError``, as in :func:`quadrature.grid_for`.
-    """
-    axes = scenario.leaf().axes  # none on an invariant-frame leaf, one node whatever the counts
-    if grid is None or not axes:
-        return None
-    counts = grid.axes if isinstance(grid, QuadratureGrid) else quadrature._counts(grid, scenario.manifold.dim)
-    return tuple(counts[ax] for ax in axes)

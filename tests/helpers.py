@@ -176,7 +176,7 @@ def tilted_rp_normal(z, amp=0.3):
 
 
 def _d(x, i):
-    return x.d(i) if isinstance(x, jets.Jet) else 0.0
+    return x.d()[..., i] if isinstance(x, jets.Jet) else 0.0
 
 
 def _cut(entries, order):
@@ -233,7 +233,7 @@ class NestedGeometry:
         self.coords = man.seed(points, order)
         seeds2 = man.seed(points, 2)
         g2 = man.metric_jets(seeds2)
-        gamma = man.gamma_jets(seeds2)
+        gamma = man.gamma_jets(seeds2, g2)
         G, dG = gamma.gamma, gamma.dgamma if order >= 2 else None
         self.G = [
             [[jets.Jet(G[..., k, i, j], None if dG is None else dG[..., k, i, j, :]) for j in range(m)] for i in range(m)]
@@ -397,7 +397,7 @@ def per_node_selftest_floor(scenario, grid):
 
     def terms(pts):
         coords = man.seed(pts, order=1)
-        gamma = man.gamma_jets(coords)
+        gamma = man.gamma_jets(coords, man.metric_jets(coords))
         return {f"div_{i}": divergence_jets(man, coords, gamma, X(coords)) for i, X in enumerate(fields)}
 
     return max(abs(v) for v in integrate_terms(terms, grid, man.volume_density).values())

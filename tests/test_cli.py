@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import io
 import json
@@ -147,7 +148,7 @@ def test_reports_bit_reproducible_modulo_walltime(tmp_path):
     )
     _, first = cli.run(config)
     _, second = cli.run(config)
-    strip = lambda rep: {**cli.report_to_dict(rep), "wall_time_s": None}
+    strip = lambda rep: {**dataclasses.asdict(rep), "wall_time_s": None}
     assert [strip(r) for r in first] == [strip(r) for r in second]
 
 
@@ -205,6 +206,18 @@ def test_leaf_checks_follow_the_run_grid(tmp_path):
 
 def test_main_entry_bad_check_exits_2(tmp_path):
     assert cli.main(["run", "--scenario", "flat_torus", "--checks", "nope"]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--scenario", "--checks", "--output", "--grid", "--config"])
+def test_an_empty_flag_value_is_refused_as_in_a_config(flag, tmp_path, monkeypatch, capsys):
+    # An empty value is given, not missing: it meets the check a config value meets
+    # (an empty --config names no readable file).
+    monkeypatch.chdir(tmp_path)  # where an empty --output would have put the default report
+    argv = ["run", "--scenario", "flat_torus", "--checks", "reeb", "--output", str(tmp_path / "r.json"), flag, ""]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 UNKNOWN_SCENARIO = f"error: unknown scenario 'nope'; known: {', '.join(scenarios.catalog_names())}\n"

@@ -330,7 +330,7 @@ def test_reports_are_the_same_under_any_chunk_size(name, axes, catalog, conforma
     for chunk in CHUNKS:
         monkeypatch.setattr(quadrature, "CHUNK", chunk)
         grid_reports = verify.verify_grid_checks(s, _all_grid_checks(s), _fresh(grid))
-        leaf_reports = verify.verify_leaf_checks(s, range(s.n))
+        leaf_reports = verify.verify_grid_checks(s, [f"leaf:{r}" for r in range(s.n)])
         reports.append([_bits(rep) for rep in grid_reports + leaf_reports])
     assert all(other == reports[0] for other in reports[1:])
 
@@ -414,14 +414,14 @@ def test_grouped_samples_reach_the_reduction_once_per_group(warped4, monkeypatch
 
 
 def test_leaf_integrals_equal_the_per_node_evaluation(catalog, conformal, monkeypatch):
-    cases = [(s, lf.name, r) for s in (*catalog.values(), conformal) for lf in s.leaves for r in range(s.n)]
-    assert {s.name for s, _, _ in cases} == set(CATALOG) | {"conformal_torus"}
-    grouped = [_bits(verify.verify_leaf(s, r, leaf)) for s, leaf, r in cases]
+    cases = [(s, r) for s in (*catalog.values(), conformal) if s.leaves for r in range(s.n)]
+    assert {s.name for s, _ in cases} == set(CATALOG) | {"conformal_torus"}
+    grouped = [_bits(verify.verify_leaf(s, r)) for s, r in cases]
     with monkeypatch.context() as m:
         evaluate_per_node(m)
         points = record_geometry_points(m)
-        assert [_bits(verify.verify_leaf(s, r, leaf)) for s, leaf, r in cases] == grouped
-    leaf_nodes = [quadrature.leaf_grid(s.manifold, s.leaf(leaf), tuple(s.default_grid[ax] for ax in s.leaf(leaf).axes)).count for s, leaf, _ in cases]
+        assert [_bits(verify.verify_leaf(s, r)) for s, r in cases] == grouped
+    leaf_nodes = [quadrature.leaf_grid(s.manifold, s.leaf(), tuple(s.default_grid[ax] for ax in s.leaf().axes)).count for s, _ in cases]
     assert points == leaf_nodes  # one pass per case, every node its own Geometry point
 
 

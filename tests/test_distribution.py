@@ -24,7 +24,8 @@ RNG = np.random.default_rng(47)
 
 def _projector(dist, p):
     """The projector onto D at the points p, from the closures' values."""
-    return dst.projector_jets(dist, dist.manifold.seed(np.asarray(p, dtype=float), order=0)).value
+    coords = dist.manifold.seed(np.asarray(p, dtype=float), order=0)
+    return dst.projector_jets(dist, coords, dist.manifold.metric_jets(coords)).value
 
 
 def test_projector_flat_matrix(flat):
@@ -56,7 +57,7 @@ def test_projector_jets_match_full_order_product(catalog):
         coords = man.seed(pts, order=2)
         g = man.metric_jets(coords)
         got = dst.projector_jets(s.dist, coords, g)
-        want = jets.stack(projector_jets_full_order(s.dist, coords, g), coords, order=1)
+        want = jets.stack(projector_jets_full_order(s.dist, coords, g), coords).at_order(1)
         assert got.order <= 1
         assert np.array_equal(got.value, want.value), s.name
         assert np.array_equal(got.grad, want.grad), s.name
@@ -158,9 +159,8 @@ def test_curvature_p_antisymmetries(catalog):
     for s in catalog.values():
         man = s.manifold
         pts = man.random_points(RNG, 100)
-        coords = man.seed(pts, order=2)
-        RP, Parr, _, _ = dst.curvature_P_tensor(s.dist, coords)
-        g = jets.stack(man.metric_jets(coords), coords).value
+        geom = Geometry(s.fol, pts, order=2)
+        RP, Parr, g = geom.RP, geom.P.value, geom.g.value
         rng = np.random.default_rng(3)
         X, Y = (rng.uniform(-1, 1, (100, man.dim)) for _ in range(2))
         # V, U random sections of D
@@ -179,7 +179,7 @@ def test_curvature_p_field_route_matches_tensor_route(catalog):
         man = s.manifold
         p = man.random_points(np.random.default_rng(5))
         coords = man.seed(p, order=2)
-        RP, _, _, _ = dst.curvature_P_tensor(s.dist, coords)
+        RP = Geometry(s.fol, p, order=2).RP
         e = s.fol.leaf_frame(coords)
         Nf = s.fol.normal
         Xf = lambda c: s.fol.leaf_frame(c)[0]

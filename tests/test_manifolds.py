@@ -29,14 +29,16 @@ def _metric(man, p):
 def _christoffel(man, p):
     """Connection coefficients gamma[..., k, i, j] at the points p, with their batch axes."""
     p = np.asarray(p, dtype=float)
-    gamma = man.gamma_jets(man.seed(p, order=1)).gamma
+    coords = man.seed(p, order=1)
+    gamma = man.gamma_jets(coords, man.metric_jets(coords)).gamma
     return np.broadcast_to(gamma, p.shape[:-1] + gamma.shape[-3:])
 
 
 def _riemann_tensor(man, p):
     """Curvature components R[..., l, k, i, j] at the points p, with their batch axes."""
     p = np.asarray(p, dtype=float)
-    R = mfd.riemann_jets(man, man.seed(p, order=2))
+    coords = man.seed(p, order=2)
+    R = mfd.riemann_jets(man, man.gamma_jets(coords, man.metric_jets(coords)))
     return np.broadcast_to(R, p.shape[:-1] + R.shape[-4:])
 
 
@@ -44,7 +46,7 @@ def _covariant_derivative(man, X_field, Y_field, p):
     """nabla_X Y at the points p, for fields X, Y given as functions of the coordinate seeds."""
     coords = man.seed(np.asarray(p, dtype=float), order=1)
     X, Y = (jets.stack(f(coords), coords) for f in (X_field, Y_field))
-    return jets.einsum("...i,...ki->...k", X, mfd.differential(man.gamma_jets(coords), Y)).value
+    return jets.einsum("...i,...ki->...k", X, mfd.differential(man.gamma_jets(coords, man.metric_jets(coords)), Y)).value
 
 
 def test_metric_at_examples(flat, warped4, heisenberg):
@@ -267,7 +269,7 @@ def test_periodicity_wrap(warped4, tilted):
 def _divergence(man, X_field, p):
     """Div X at the points p, the trace of nabla X."""
     coords = man.seed(np.asarray(p, dtype=float), order=1)
-    return mfd.divergence_jets(man, coords, man.gamma_jets(coords), X_field(coords))
+    return mfd.divergence_jets(man, coords, man.gamma_jets(coords, man.metric_jets(coords)), X_field(coords))
 
 
 def test_divergence_closed_forms(flat, warped4):

@@ -12,6 +12,13 @@ bit, except that a zero may change its sign: values are compared as floats.
 
 Negating the leaf frame instead (``rotated_foliation(flip=True)``) changes
 neither N nor A, whose entries carry one factor of e_i and one of e_j.
+
+Translating the chart, z -> z + s on ``tilted_torus_4`` with every profile
+shifted to match, is an isometry of the torus onto itself that carries one
+structure to the other.  Every integral over M is unchanged; on the
+trapezoid grid, whose nodes the shift moves unless s is a multiple of the
+node spacing, they agree to the grid's (spectral) truncation, far below
+the integral tolerances.
 """
 
 from dataclasses import replace
@@ -62,7 +69,8 @@ def test_a_normal_flip_scales_every_integral_by_its_sign(name, catalog):
         assert b.terms.keys() == a.terms.keys(), check
         for key, value in a.terms.items():
             assert b.terms[key] == (1.0 if key == "z_norm_sq_integral" else sign) * value, (check, key)
-    base, flipped = (verify.verify_leaf_checks(t, range(s.n), tolerance=1e-7) for t in (s, _normal_flipped(s)))
+    leaf_checks = [f"leaf:{r}" for r in range(s.n)]
+    base, flipped = (verify.verify_grid_checks(t, leaf_checks, tolerance=1e-7) for t in (s, _normal_flipped(s)))
     for r, (a, b) in enumerate(zip(base, flipped)):
         assert b.residual == (-1.0) ** r * a.residual, f"leaf:{r}"
 
@@ -74,3 +82,24 @@ def test_a_leaf_frame_flip_keeps_the_shape_operator(name, catalog):
     assert np.array_equal(flipped.e.value, -base.e.value)
     assert repr(flipped.A.value) == repr(base.A.value)
     assert repr(flipped.sigma.value) == repr(base.sigma.value)
+
+
+def _shifted(const=0.0, cos1=0.0, sin1=0.0, s=0.0):
+    """The first-harmonic profile f(z + s), for f = const + cos1 cos z + sin1 sin z."""
+    c, t = np.cos(s), np.sin(s)
+    return scenarios.fourier_profile(const, cos1 * c + sin1 * t, sin1 * c - cos1 * t)
+
+
+@pytest.mark.parametrize("shift", [0.37, 1.0, 5 * 2 * np.pi / 48])
+def test_a_chart_translation_keeps_every_integral_over_m(shift):
+    def tilted(s):
+        theta, a, b = _shifted(sin1=0.3, s=s), _shifted(2.0, cos1=1.0, s=s), _shifted(2.0, sin1=1.0, s=s)
+        return scenarios.build_tilted_torus(theta=theta, a=a, b=b)
+
+    checks = ["reeb", "main:0", "main:1"]
+    base, moved = (verify.verify_grid_checks(tilted(s), checks, tolerance=1e-7) for s in (0.0, shift))
+    for check, a, b in zip(checks, base, moved):
+        assert abs(b.residual - a.residual) <= 1e-11, check
+        assert b.terms.keys() == a.terms.keys(), check
+        for key, value in a.terms.items():
+            assert abs(b.terms[key] - value) <= 1e-11, (check, key)

@@ -169,14 +169,14 @@ def test_chunking_does_not_change_the_sum(warped4, monkeypatch):
         return np.sin(pts[..., 3]) + np.cos(pts[..., 0]) * np.sin(pts[..., 2])
 
     full = quad.integrate(warped4.manifold, smooth, grid)
-    main = verify.verify_main(warped4, 1, tolerance=1e-7)
+    main = verify.verify_grid_checks(warped4, ["main:1"], tolerance=1e-7)[0]
     monkeypatch.setattr(quad, "CHUNK", 100)
     chunked = quad.integrate(warped4.manifold, smooth, grid)
     assert full == chunked  # bitwise, thanks to the exact sum
 
     # the dict-valued form: every term of a multi-term integral
     monkeypatch.setattr(quad, "CHUNK", 500)
-    main_chunked = verify.verify_main(warped4, 1, tolerance=1e-7)
+    main_chunked = verify.verify_grid_checks(warped4, ["main:1"], tolerance=1e-7)[0]
     assert main_chunked.residual == main.residual
     assert main_chunked.terms == main.terms
 

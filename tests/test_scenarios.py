@@ -18,7 +18,7 @@ def _computed_quantity(s, key, pts):
         return geom.ricci_p(geom.N.value)
     if key == "riemann_ricci_NN":
         geom = fln.Geometry(s.fol, pts, order=2)
-        return np.trace(geom.riemann_matrix(geom.N.value), axis1=-2, axis2=-1)
+        return np.trace(geom._operator_matrix(geom.R, geom.N.value), axis1=-2, axis2=-1)
     if key == "admissibility_residual":
         return fln.Geometry(s.fol, pts, order=1).admissibility_residual()
     if key == "mean_curvature_perp_norm":
@@ -139,11 +139,10 @@ def test_declared_flag_contradiction_rejected():
         )
 
 
-def test_scenario_leaf_lookup(warped4):
+def test_scenario_leaf_lookup(warped4, catalog):
     assert warped4.leaf().name == "y-torus"
-    assert warped4.leaf("y-torus").axes == (1, 2)
-    with pytest.raises(UnsupportedLeafError):
-        warped4.leaf("nope")
+    assert warped4.leaf().axes == (1, 2)
+    assert all(len(s.leaves) <= 1 for s in catalog.values())  # the one leaf the leaf:r checks integrate over
 
 
 def test_umbilical_variant_flag(warped4_umbilical):

@@ -56,6 +56,32 @@ def test_workloads_find_the_checks_they_call_and_seed():
         assert callable(getattr(owner, name)), name
 
 
+# The sampled checks that perfbench/workloads.py calls with an order r after the scenario.
+ORDERED_CHECKS = ("check_newton_div_agreement", "check_newton_z_divergence")
+
+
+def test_the_calls_perfbench_makes_bind_to_the_signatures_in_src():
+    # The exact call shapes of perfbench/workloads.py and of the tracer's
+    # argument rewrites: a dropped or reordered parameter fails here, not as
+    # a benchmark run ending in run_failed.
+    workloads = _load(PERFBENCH / "workloads.py")
+    assert set(ORDERED_CHECKS) <= set(workloads.SEEDED_CHECKS)
+    s, manifold, grid, fn, r = object(), object(), object(), object(), 1
+    calls = [
+        (verify.verify_reeb, (s, grid)),
+        (verify.verify_main, (s, r, grid)),
+        (verify.verify_leaf, (s, r)),
+        (verify.calibrate_tolerance, (s, grid)),
+        (verify._integrate_terms, (s, grid, fn, None)),
+        (quadrature.integrate, (manifold, fn, grid, None)),
+    ]
+    for function, args in calls:
+        inspect.signature(function).bind(*args)
+    for name in workloads.SEEDED_CHECKS:
+        args = (s, r) if name in ORDERED_CHECKS else (s,)
+        inspect.signature(getattr(verify, name)).bind(*args, samples=50, seed=7)
+
+
 def _attributes(owner) -> dict:
     """Identity of every attribute the owner holds."""
     names = vars(owner) if isinstance(owner, type) else dir(owner)

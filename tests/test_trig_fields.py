@@ -203,7 +203,8 @@ def _gammas(man, pts):
     without one too; the self-test broadcasts it to the batch.
     """
     diagonal = np.arange(man.dim)
-    gamma_kk = man.gamma_jets(man.seed(pts, order=1)).gamma[..., diagonal, diagonal, :]
+    coords = man.seed(pts, order=1)
+    gamma_kk = man.gamma_jets(coords, man.metric_jets(coords)).gamma[..., diagonal, diagonal, :]
     return gamma_kk, np.broadcast_to(gamma_kk, pts.shape[:-1] + gamma_kk.shape[-2:])
 
 
@@ -217,7 +218,7 @@ def test_the_diagonal_divergence_has_the_bits_of_the_full_trace(name, scenarios)
     for size in SIZES:
         pts = man.random_points(rng, size)
         coords = man.seed(pts, order=1)
-        gamma = man.gamma_jets(coords)
+        gamma = man.gamma_jets(coords, man.metric_jets(coords))
         comps = reference_trig_jets(scalars, coords)
         for f in range(verify.SELFTEST_FIELDS):
             X = comps[f * man.dim : (f + 1) * man.dim]

@@ -1,17 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from folsub import scenarios as scn
 from folsub import quadrature, verify
-from folsub.errors import ConfigError, EvaluationError, UnsupportedLeafError
+from folsub.errors import ConfigError, EvaluationError
 from folsub.quadrature import grid_for
 
 TWO_PI = 2 * np.pi
 
 
-def _grid_check(scenario, check, grid=None, tolerance=None, c=None):
+def _grid_check(scenario, check, grid=None, tolerance=None):
     """The report of one grid check, from its own grid pass."""
-    return verify.verify_grid_checks(scenario, [check], grid, tolerance, c)[0]
+    return verify.verify_grid_checks(scenario, [check], grid, tolerance)[0]
 
 
 def test_divergence_selftest_trig_fields_flat(flat):
@@ -95,7 +97,7 @@ def test_main_nonfinite_term_raises(flat, monkeypatch):
     monkeypatch.setattr(verify, "_integrate_terms", poisoned)
     grid = grid_for(flat.manifold, (4, 4, 4))
     with pytest.raises(EvaluationError, match="normal_curvature") as info:
-        verify.verify_main(flat, 0, grid=grid, tolerance=1e-7)
+        _grid_check(flat, "main:0", grid, 1e-7)
     assert str(info.value).endswith(f"at point {grid.nodes[5]!r}")
 
 
@@ -127,18 +129,6 @@ def test_leaf_formulas(flat, warped4, tilted):
             r = verify.verify_leaf(s, r_)
             assert r.verdict == "pass"
             assert abs(r.residual) <= 1e-8
-
-
-def test_leaf_unknown_leaf(warped4):
-    with pytest.raises(UnsupportedLeafError):
-        verify.verify_leaf(warped4, 0, leaf="nope")
-
-
-@pytest.mark.parametrize("grid_axes", [(-4, 8, 8), (8,), (8, 8, 8, 8), ()])
-def test_leaf_grid_needs_one_positive_count_per_leaf_axis(warped4, grid_axes):
-    # the y-torus leaf of warped_torus_4 has two axes; no counts at all is not the default grid
-    with pytest.raises(ValueError, match="need a positive node count per axis"):
-        verify.verify_leaf(warped4, 0, grid_axes=grid_axes)
 
 
 @pytest.mark.parametrize("grid", [(4, 4), (4, 4, 0, 4), ()])
@@ -177,7 +167,8 @@ def test_a_run_grid_sets_the_leaf_counts(warped4, heisenberg):
     grid = grid_for(warped4.manifold, (4, 8, 8, 16))
     leaf, reeb = verify.run_checks(warped4, ["leaf:0", "reeb"], grid, tolerance=1e-7)
     assert leaf.grid["axes"] == [8, 8] and reeb.grid["axes"] == [4, 8, 8, 16]
-    assert repr(leaf.residual) == repr(verify.verify_leaf(warped4, 0, grid_axes=(8, 8), tolerance=1e-7).residual)
+    # only the counts on the leaf's axes 1 and 2 set the leaf grid
+    assert repr(leaf.residual) == repr(_grid_check(warped4, "leaf:0", [1, 8, 8, 1], 1e-7).residual)
     with pytest.raises(ValueError, match="positive node count per axis"):
         verify.run_checks(warped4, ["leaf:0"], [8])
     # the single node of an invariant-frame leaf takes no counts
@@ -291,8 +282,6 @@ def test_closed_form_overflow_raises_evaluation_error(warped4):
         verify.verify_closed_form_einstein(2, 1e308, warped4.volume)  # both sides overflow to inf
     with pytest.raises(EvaluationError):
         verify.verify_closed_form_einstein(4, 1e200, 1.0)  # the closed form's power overflows
-    with pytest.raises(EvaluationError):
-        _grid_check(warped4, "closed-form-c", c=1e308)
 
 
 def test_divergence_identities_hold_at_every_grid_node(warped4, tilted):
@@ -314,7 +303,7 @@ def test_leaf_formula_on_homogeneous_backends(heisenberg, round_s3):
     assert rep.verdict == "inadmissible"
     assert abs(rep.residual - (-2.0) * 2 * np.pi) <= 1e-9  # integrand -2 over a 2pi circle
     # leaf axis counts mean nothing on the single invariant node
-    assert verify.verify_leaf(round_s3, 0, grid_axes=(8, 8)).residual == rep.residual
+    assert _grid_check(round_s3, "leaf:0", [8, 8]).residual == rep.residual
 
 
 def test_pointwise_batteries_all_scenarios(catalog):
@@ -364,22 +353,43 @@ def test_convergence_gap(warped3):
 
 @pytest.mark.parametrize("tolerance", [None, 1e-7])
 def test_shared_grid_pass_reports_equal_their_own_checks(catalog, tolerance, tmp_path):
+    # One verify_grid_checks call, the leaf:r checks mixed in among those over M.
     from folsub import cli
 
-    strip = lambda rep: {**cli.report_to_dict(rep), "wall_time_s": None}
+    strip = lambda rep: {**dataclasses.asdict(rep), "wall_time_s": None}
     for name in ("warped_torus_4", "tilted_torus_4", "flat_torus", "heisenberg"):
         s = catalog[name]
-        checks = ["main:0", "divergence-selftest", "closed-form-c", "reeb"] + [f"main:{r}" for r in range(1, s.n)]
+        checks = ["main:0", "leaf:0", "divergence-selftest", "closed-form-c", "reeb"]
+        checks += [f"{base}:{r}" for r in range(1, s.n) for base in ("main", "leaf")]
         config = cli.RunConfig(scenario=name, checks=checks, tolerance=tolerance, output=str(tmp_path / "r.json"))
         status, shared = cli.run(config, scenario=s)
         assert status == 0
-        alone = [
-            verify.verify_main(s, 0, tolerance=tolerance),
-            _grid_check(s, "divergence-selftest", tolerance=tolerance),
-            _grid_check(s, "closed-form-c", tolerance=tolerance),
-            verify.verify_reeb(s, tolerance=tolerance),
-        ] + [verify.verify_main(s, r, tolerance=tolerance) for r in range(1, s.n)]
+        alone = [_grid_check(s, check, tolerance=tolerance) for check in checks]
+        assert [r.formula_id for r in shared] == checks
         assert [strip(r) for r in shared] == [strip(r) for r in alone], name
+
+
+def test_leaf_checks_alone_build_no_grid_over_m_and_run_no_self_test(warped4, heisenberg, monkeypatch):
+    # On the 2**20-node run grid, the leaf:r checks integrate over 8 x 8 leaf nodes only.
+    from folsub import foliation
+
+    for s, grid in ((warped4, [8, 8, 8, 2048]), (heisenberg, None)):
+        calls, real_init = [], foliation.Geometry.__init__
+
+        def counting_init(self, fol, points, order=2):
+            calls.append(f"Geometry(order={order})")
+            real_init(self, fol, points, order)
+
+        def counted(name, real):
+            return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(foliation.Geometry, "__init__", counting_init)
+            for name in ("_grid", "grid_for", "_selftest_fields", "calibrate_tolerance"):
+                m.setattr(verify, name, counted(name, getattr(verify, name)))
+            reports = verify.run_checks(s, ["leaf:1", "leaf:0"][-s.n :], grid)
+        assert calls == ["Geometry(order=2)"], s.name  # one leaf chunk
+        assert all(rep.grid["points"] <= 64 for rep in reports)
 
 
 def test_parse_check_defaults_for_every_table_entry():
@@ -420,7 +430,7 @@ def test_parse_check_rejects(name, n, message):
 
 def test_grid_checks_reject_a_check_of_another_kind(flat):
     with pytest.raises(ConfigError, match="not a grid check"):
-        verify.verify_grid_checks(flat, ["reeb", "leaf:0"])
+        verify.verify_grid_checks(flat, ["reeb", "codazzi"])
 
 
 def test_divergence_split_builds_one_geometry(warped4, monkeypatch):
