@@ -22,7 +22,7 @@ def checks_for(scenario) -> list[str]:
     out = ["divergence-selftest", "reeb", "pointwise", "codazzi", "trace-identities", "sigma2-image"]
     for r in range(scenario.n):
         out.append(f"main:{r}")
-    if scenario.leaves:
+    if scenario.leaf is not None:
         for r in range(scenario.n):
             out.append(f"leaf:{r}")
     if scenario.flags.satisfies_pcurv_c:
@@ -36,7 +36,7 @@ def checks_for(scenario) -> list[str]:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="reports", help="directory for per-scenario reports")
-    parser.add_argument("--samples", type=int, default=50)
+    parser.add_argument("--samples", default="50")
     parser.add_argument("--names", help="comma-separated subset of scenario names")
     args = parser.parse_args()
 
@@ -47,7 +47,7 @@ def main() -> int:
         unknown = [name for name in names if name not in known]
         if unknown:
             raise ConfigError(f"unknown scenario {unknown[0]!r}; known: {', '.join(known)}")
-        cli.RunConfig(samples=args.samples)  # the sample-count rule of every run
+        samples = cli.RunConfig(samples=cli.parsed(args.samples, int)).samples  # the sample-count rule of every run
         outdir.mkdir(parents=True, exist_ok=True)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -60,7 +60,7 @@ def main() -> int:
             scenario=name,
             checks=checks_for(scenario),
             output=str(outdir / f"{name}.json"),
-            samples=args.samples,
+            samples=samples,
         )
         status, reports = cli.run(config, scenario=scenario)
         print(cli.emit_table(config, name, reports))

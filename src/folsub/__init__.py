@@ -7,7 +7,6 @@ residual reports.  ``__all__`` is the public surface, one line each in
 README's "Python API" section.
 """
 
-from .distribution import DistributionSpec
 from .errors import (
     ConfigError,
     ConstructionError,
@@ -61,7 +60,6 @@ __all__ = [
     # structures and their calculus
     "ChartManifold",
     "InvariantFrameManifold",
-    "DistributionSpec",
     "FoliationStructure",
     "Geometry",
     "Jet",

@@ -271,6 +271,14 @@ def list_scenarios(structured: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
+def parsed(text: str, parse):
+    """``parse(text)``, or ``text`` when it does not parse: :class:`RunConfig` refuses it with its own message."""
+    try:
+        return parse(text)
+    except ValueError:
+        return text
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="folsub", description="verification-lab batch runner")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -280,10 +288,10 @@ def main(argv=None) -> int:
     runp.add_argument("--scenario", help="scenario name override")
     runp.add_argument("--checks", help="comma-separated check list override")
     runp.add_argument("--grid", help="comma-separated per-axis node counts")
-    runp.add_argument("--tolerance", type=float, help="tolerance override for integral checks")
+    runp.add_argument("--tolerance", help="tolerance override for integral checks")
     runp.add_argument("--output", help="report output path")
     runp.add_argument("--format", choices=("table", "structured"), help="report format")
-    runp.add_argument("--samples", type=int, help="random sample count for pointwise checks")
+    runp.add_argument("--samples", help="random sample count for pointwise checks")
     runp.add_argument("-v", "--verbose", action="store_true")
 
     lsp = sub.add_parser("list-scenarios", help="print the scenario catalog")
@@ -296,15 +304,14 @@ def main(argv=None) -> int:
 
     try:
         config = load_config(args.config) if args.config is not None else RunConfig()
-        keys = ("scenario", "tolerance", "output", "format", "samples")
+        keys = ("scenario", "output", "format")
         override = {key: value for key in keys if (value := getattr(args, key)) is not None}
         if args.checks is not None:
             override["checks"] = args.checks.split(",")
-        if args.grid is not None:
-            try:
-                override["grid"] = [int(x) for x in args.grid.split(",")]
-            except ValueError:
-                raise ConfigError(f"grid {args.grid!r} needs a positive integer node count per axis") from None
+        counts = lambda text: [int(x) for x in text.split(",")]
+        for key, parse in (("grid", counts), ("tolerance", float), ("samples", int)):
+            if (text := getattr(args, key)) is not None:
+                override[key] = parsed(text, parse)
         if override:
             config = dataclasses.replace(config, **override)
     except ConfigError as exc:

@@ -1,22 +1,25 @@
 """Foliation structure inside a distribution and its derived invariants.
 
 The leaf bundle TF sits inside the distribution D together with a unit
-normal N spanning the rest of D.  All operations below are built from one
-shared evaluation context (:class:`Geometry`) holding the frames, the
-projector, the shape operator with its symmetric functions and Newton
-transformations, the leaf curvature vector Z, and the projected curvature
-tensor at a batch of points.  The context is created per call: evaluators
-are pure functions of (scenario data, point) and safe to use concurrently.
+normal N spanning the rest of D, so D = TF ⊕ span(N): a
+:class:`FoliationStructure` gives the leaf frame, N and a frame of D's
+complement, and D's frame is the leaf frame followed by N.  All operations
+below are built from one shared evaluation context (:class:`Geometry`)
+holding the frames, the projector, the shape operator with its symmetric
+functions and Newton transformations, the leaf curvature vector Z, and the
+projected curvature tensor at a batch of points.  The context is created
+per call: evaluators are pure functions of (scenario data, point) and safe
+to use concurrently.
 
 Each user closure is evaluated once on the coordinate seeds and stacked into
 a tensor jet; every quantity after that is an array contraction on those
 jets (``jets.einsum``), so its derivatives come with it to the order the
 frames were seeded at.
 
-The closures (the metric, the four frames) read the coordinates only
-through ``coords``, are pure functions of what they read, keep no state,
-and give each node a result that does not depend on its position in the
-batch.  :func:`distinct_nodes` relies on it.
+The closures (the metric, the leaf frame, the normal, the D-perp frame)
+read the coordinates only through ``coords``, are pure functions of what
+they read, keep no state, and give each node a result that does not
+depend on its position in the batch.  :func:`distinct_nodes` relies on it.
 
 Conventions: ``A[..., i, j] = <A e_i, e_j>`` in the leaf frame (symmetrized
 after assembly with the asymmetry kept as a residual), operator matrices act
@@ -37,7 +40,7 @@ from . import manifolds as mfd
 from . import newton
 from .errors import DomainError
 from .jets import Jet, einsum, stack, stack_last, value_of
-from .manifolds import Point
+from .manifolds import Manifold, Point
 
 # Largest off-leaf norm of a vector passed where a leaf vector is expected.
 LEAF_TANGENCY_TOL = 1e-9
@@ -45,20 +48,24 @@ LEAF_TANGENCY_TOL = 1e-9
 
 @dataclass(frozen=True)
 class FoliationStructure:
-    """Leaf frame, unit normal inside D, and an integrability witness note."""
+    """Leaves of dimension n inside the distribution D = TF ⊕ span(N) of a manifold.
 
-    dist: dst.DistributionSpec
+    ``leaf_frame``, ``normal`` and ``frame_Dperp`` map coordinate jets to
+    component lists: the n leaf-frame vectors, N, and a frame of D's
+    complement; together orthonormal to rounding at every point.  D's frame
+    is the leaf frame followed by N.
+    """
+
+    manifold: Manifold
+    n: int
     leaf_frame: Callable[[Sequence[Jet]], list]
     normal: Callable[[Sequence[Jet]], list]
+    frame_Dperp: Callable[[Sequence[Jet]], list]
     integrability_witness: str = ""
 
-    @property
-    def manifold(self):
-        return self.dist.manifold
-
-    @property
-    def n(self) -> int:
-        return self.dist.rank - 1
+    def __post_init__(self):
+        if not 0 <= self.n <= self.manifold.dim - 1:
+            raise ValueError("leaf dimension out of range")
 
 
 class Geometry:
@@ -81,14 +88,15 @@ class Geometry:
     ``RP`` and ``R`` needs ∂Γ; ``g`` keeps its derivatives to ``order``.  The connection (``gamma``) is evaluated
     once, as arrays, and computes ∂Γ only when something reads it.  Values
     that are only ever contracted (``Hperp``, ``RP``, ``R``) are computed
-    without derivatives.
+    without derivatives.  The projector ``P`` is contracted from D's frame,
+    the jets ``e`` and ``N`` already held, so each closure runs once.
 
     One method per formula: ``newton_curvature_trace``, the alternating R^P trace
     behind div_F T_r and the main formula; ``leaf_formula_integrand``, the leaf one.
 
     Every quantity at a point is a function of the closure jets read there
-    (the metric, the leaf frame, the normal, the D-frame and the D-perp
-    frame), except what a method computes from a field its caller passes.
+    (the metric, the leaf frame, the normal and the D-perp frame), except
+    what a method computes from a field its caller passes.
     :func:`distinct_nodes` measures the coordinates exactly those closures
     read, which does not depend on ``order``, so one grouping of a grid
     serves a context of either order, built on one point per distinct node
@@ -98,7 +106,6 @@ class Geometry:
 
     def __init__(self, fol: FoliationStructure, points, order: int = 2):
         self.fol = fol
-        self.dist = fol.dist
         self.man = fol.manifold
         self.points = np.asarray(points, dtype=float)
         self.batch = self.points.shape[:-1]
@@ -140,7 +147,7 @@ class Geometry:
 
     @cached_property
     def xis(self) -> Jet:
-        return stack(self.dist.frame_Dperp(self.coords), self.coords)
+        return stack(self.fol.frame_Dperp(self.coords), self.coords)
 
     @cached_property
     def E_low(self) -> np.ndarray:
@@ -169,11 +176,11 @@ class Geometry:
 
     @cached_property
     def P(self) -> Jet:
-        return dst.projector_jets(self.dist, self.coords, self.g)
+        return dst.projector_jets([self.e[..., a, :] for a in range(self.n)] + [self.N], self.g)
 
     @cached_property
     def _curvature_arrays(self):
-        return dst.curvature_P_tensor(self.dist, self.gamma, self.P)
+        return dst.curvature_P_tensor(self.man, self.gamma, self.P)
 
     @property
     def RP(self) -> np.ndarray:
@@ -380,13 +387,13 @@ def distinct_nodes(fol: FoliationStructure, points, weights=None) -> tuple[np.nd
     """Group the nodes ``points`` (K, m) at which a ``Geometry`` reads the same inputs.
 
     A :class:`Geometry` reads the user's closures at a node and nothing else
-    of it: the metric, the leaf frame, the normal, the D-frame and the
-    D-perp frame.  A closure is a pure function of the coordinates it reads,
-    so nodes that agree on those coordinates get bit-identical values at any
-    seed order.  Which coordinates they are, the support S, is measured once
-    per call, before any value is grouped: each closure runs once on the
-    order-2 seeds of the first two nodes, handed over in one list that
-    records what is read (:class:`_Reads`).  Two points make a Python ``if``
+    of it: the metric, the leaf frame, the normal and the D-perp frame.  A
+    closure is a pure function of the coordinates it reads, so nodes that
+    agree on those coordinates get bit-identical values at any seed order.
+    Which coordinates they are, the support S, is measured once per call,
+    before any value is grouped: each closure runs once on the order-2 seeds
+    of the first two nodes, handed over in one list that records what is
+    read (:class:`_Reads`).  Two points make a Python ``if``
     on a value array raise, so a branch cannot hide a read.
 
     The nodes are grouped by the raw bytes of their coordinates on S, so
@@ -454,10 +461,9 @@ for _name in ("__iter__", "__reversed__", "__add__", "__mul__", "__rmul__", "cop
 
 def _support(fol: FoliationStructure, probe: np.ndarray) -> list[int]:
     """The coordinates the closures of a ``Geometry`` read at the nodes ``probe``, ascending."""
-    man, dist = fol.manifold, fol.dist
-    seeds = _Reads(man.seed(probe, 2))
-    man.metric_jets(seeds)
-    for closure in (fol.leaf_frame, fol.normal, dist.frame_D, dist.frame_Dperp):
+    seeds = _Reads(fol.manifold.seed(probe, 2))
+    fol.manifold.metric_jets(seeds)
+    for closure in (fol.leaf_frame, fol.normal, fol.frame_Dperp):
         closure(seeds)
     return sorted(seeds.read)
 

@@ -1,16 +1,18 @@
 """Catalog of closed foliated sub-Riemannian example manifolds.
 
-Every scenario bundles a backend manifold, a distribution with orthonormal
-frames, a foliation structure, analytically derived expected values with
-provenance notes, a catalog of closed leaves, and property flags.  Flags are
+Every scenario bundles a foliation structure (its backend manifold, and
+the orthonormal frames of the leaves, the normal and the complement of
+D = TF ⊕ span(N)), analytically derived expected values with provenance
+notes, at most one closed leaf, and property flags.  Flags are
 claims: each one is re-measured numerically at construction over a sampling
 grid, and a contradiction raises :class:`ConstructionError` rather than
 shipping a mislabeled example.
 
-Each family is built from one skeleton: ``_foliation`` assembles
-D = span(leaf frame, N), ``_warped_manifold`` and ``_warped_volume`` give the
-warped and tilted tori their one metric and volume, ``_invariant_scenario``
-builds the homogeneous examples, and ``_finalize`` measures the flags.  None
+Each builder constructs its :class:`FoliationStructure` directly, and each
+family shares one skeleton: ``_warped_manifold`` and ``_warped_volume``
+give the warped and tilted tori their one metric and volume,
+``_invariant_scenario`` builds the homogeneous examples, and ``_finalize``
+measures the flags.  None
 of them asks which backend a manifold is; :mod:`folsub.quadrature` decides.
 
 The chart warps ship as closed-form profiles with explicit first and second
@@ -27,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import jets
-from .distribution import HARMONIC_TOL, DistributionSpec, frame_gram_residual
+from .distribution import HARMONIC_TOL, frame_gram_residual
 from .errors import ConfigError, ConstructionError
 from .foliation import FoliationStructure, Geometry, distinct_nodes
 from .foliation import integrability_residual  # unused here; perfbench/tracing.py patches this name
@@ -102,28 +104,27 @@ class ExpectedValue:
 
 @dataclass(frozen=True)
 class Scenario:
+    """A built example: its foliation, measured flags and residuals, fixtures, and default grid.
+
+    ``leaf`` is the closed leaf the ``leaf:r`` checks integrate over, or None.
+    """
+
     name: str
-    manifold: object
-    dist: DistributionSpec
     fol: FoliationStructure
     flags: ScenarioFlags
     residuals: dict
     expected: dict
-    leaves: tuple
+    leaf: LeafSpec | None
     default_grid: tuple
     volume: float
 
     @property
+    def manifold(self):
+        return self.fol.manifold
+
+    @property
     def n(self) -> int:
         return self.fol.n
-
-    def leaf(self) -> LeafSpec:
-        """The closed leaf the ``leaf:r`` checks integrate over; a scenario declares at most one."""
-        from .errors import UnsupportedLeafError
-
-        if not self.leaves:
-            raise UnsupportedLeafError(f"scenario {self.name} declares no closed leaves")
-        return self.leaves[0]
 
 
 # -- numerical flag measurement ------------------------------------------------
@@ -199,7 +200,7 @@ def _finalize(
     fol: FoliationStructure,
     declared: dict,
     expected: dict,
-    leaves: tuple,
+    leaf: LeafSpec | None,
     default_grid: tuple,
 ) -> Scenario:
     manifold = fol.manifold
@@ -229,13 +230,11 @@ def _finalize(
 
     return Scenario(
         name=name,
-        manifold=manifold,
-        dist=fol.dist,
         fol=fol,
         flags=measured,
         residuals=res,
         expected=expected,
-        leaves=leaves,
+        leaf=leaf,
         default_grid=default_grid,
         volume=total_volume(manifold, grid_for(manifold, default_grid)),
     )
@@ -247,12 +246,6 @@ def _finalize(
 def _unit(m: int, i: int) -> list:
     """The constant unit vector along axis i of an m-dimensional frame."""
     return [1.0 if k == i else 0.0 for k in range(m)]
-
-
-def _foliation(man, n: int, leaf_frame, normal, perp, witness: str) -> FoliationStructure:
-    """Foliation by the leaves of ``leaf_frame``, inside D = span(leaf frame, normal); ``perp`` spans D's complement."""
-    dist = DistributionSpec(man, n + 1, lambda coords: leaf_frame(coords) + [normal(coords)], perp)
-    return FoliationStructure(dist, leaf_frame, normal, witness)
 
 
 def _check_positive(profile: Periodic1D, label: str):
@@ -292,7 +285,7 @@ def build_flat_torus(m: int = 3, n: int = 1) -> Scenario:
     if not 1 <= n < m - 1:
         raise ValueError("need 1 <= n < m - 1 so the orthogonal complement is nonempty")
     man = ChartManifold(dim=m, periods=(1.0,) * m, metric=lambda coords: jets.mat_identity(m), name="flat_torus")
-    fol = _foliation(
+    fol = FoliationStructure(
         man,
         n,
         lambda coords: [_unit(m, i) for i in range(n)],
@@ -308,7 +301,7 @@ def build_flat_torus(m: int = 3, n: int = 1) -> Scenario:
         "mean_curvature_perp_norm": ExpectedValue(0.0, "flat metric"),
         "volume": ExpectedValue(1.0, "product of periods"),
     }
-    leaves = (LeafSpec("coordinate-leaf", fixed={i: 0.0 for i in range(n, m)}, axes=tuple(range(n))),)
+    leaf = LeafSpec("coordinate-leaf", fixed={i: 0.0 for i in range(n, m)}, axes=tuple(range(n)))
     declared = dict(
         harmonic_perp=True,
         admissible=True,
@@ -317,7 +310,7 @@ def build_flat_torus(m: int = 3, n: int = 1) -> Scenario:
         pcurv_c=0.0,
         umbilical=True,
     )
-    return _finalize("flat_torus", fol, declared, expected, leaves, default_grid=(4,) * m)
+    return _finalize("flat_torus", fol, declared, expected, leaf, default_grid=(4,) * m)
 
 
 def build_warped_torus(
@@ -341,7 +334,7 @@ def build_warped_torus(
     leaf_frame = lambda coords: [
         [1.0 / w(coords[zi]) if k == i + 1 else 0.0 for k in range(m)] for i, w in enumerate(warps)
     ]
-    fol = _foliation(
+    fol = FoliationStructure(
         man,
         n,
         leaf_frame,
@@ -370,12 +363,12 @@ def build_warped_torus(
         "mean_curvature_perp_norm": ExpectedValue(0.0, "x-circle is flat"),
         "volume": ExpectedValue(_warped_volume(warps), "reduced 1-d integral"),
     }
-    leaves = (LeafSpec(("y-circle", "y-torus")[n - 1], fixed={0: 0.0, zi: 0.0}, axes=tuple(range(1, zi))),)
+    leaf = LeafSpec(("y-circle", "y-torus")[n - 1], fixed={0: 0.0, zi: 0.0}, axes=tuple(range(1, zi)))
     # A 1x1 shape operator is trivially umbilical, and so is one with equal warps;
     # otherwise umbilicity is left to the measurement.
     umbilical = True if a is b or n == 1 else None
     declared = dict(harmonic_perp=True, admissible=True, umbilical=umbilical)
-    return _finalize(name, fol, declared, expected, leaves, default_grid=(4,) * zi + (32,))
+    return _finalize(name, fol, declared, expected, leaf, default_grid=(4,) * zi + (32,))
 
 
 def build_tilted_torus(
@@ -407,7 +400,7 @@ def build_tilted_torus(
         c, s = jets.cos(theta(z)), jets.sin(theta(z))
         return [0.0, 0.0, s / b(z), c]
 
-    fol = _foliation(
+    fol = FoliationStructure(
         man, n, leaf_frame, normal, lambda coords: [_unit(4, 0)], "rotated frame still commutes with the y1-circle"
     )
 
@@ -433,11 +426,10 @@ def build_tilted_torus(
         "mean_curvature_perp_norm": ExpectedValue(0.0, "x-circle untouched by the tilt"),
         "volume": ExpectedValue(_warped_volume((a, b)), "metric equals the warped torus metric"),
     }
-    leaves = ()
-    if abs(float(theta.fn(0.0))) <= 1e-12:
-        leaves = (LeafSpec("y-torus", fixed={0: 0.0, 3: 0.0}, axes=(1, 2)),)
+    closed = abs(float(theta.fn(0.0))) <= 1e-12
+    leaf = LeafSpec("y-torus", fixed={0: 0.0, 3: 0.0}, axes=(1, 2)) if closed else None
     declared = dict(harmonic_perp=True, admissible=True)
-    return _finalize("tilted_torus_4", fol, declared, expected, leaves, default_grid=(4, 4, 4, 48))
+    return _finalize("tilted_torus_4", fol, declared, expected, leaf, default_grid=(4, 4, 4, 48))
 
 
 # -- invariant-frame builders ------------------------------------------------------
@@ -451,7 +443,7 @@ def _invariant_scenario(name, c, vol, normal_axis, witness, expected, leaf, pcur
     constant projected curvature ``pcurv_c``; the measurement re-checks each.
     """
     man = InvariantFrameManifold(dim=3, structure_constants=c, volume=vol, name=name)
-    fol = _foliation(
+    fol = FoliationStructure(
         man,
         1,
         lambda coords: [_unit(3, 0)],
@@ -460,7 +452,7 @@ def _invariant_scenario(name, c, vol, normal_axis, witness, expected, leaf, pcur
         witness,
     )
     declared = dict(harmonic_perp=True, admissible=False, satisfies_pcurv_c=True, pcurv_c=pcurv_c, umbilical=True)
-    return _finalize(name, fol, declared, expected, (leaf,), default_grid=(1,))
+    return _finalize(name, fol, declared, expected, leaf, default_grid=(1,))
 
 
 def build_heisenberg() -> Scenario:

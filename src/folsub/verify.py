@@ -67,7 +67,7 @@ from math import comb
 import numpy as np
 
 from . import jets, newton, quadrature
-from .errors import ConfigError, EvaluationError
+from .errors import ConfigError, EvaluationError, UnsupportedLeafError
 from .foliation import FoliationStructure, Geometry, distinct_nodes
 from .manifolds import InvariantFrameManifold, traced_divergence
 from .quadrature import QuadratureGrid, grid_for, integrate_terms, leaf_grid
@@ -462,8 +462,9 @@ def verify_grid_checks(scenario, checks, grid=None, tolerance=None) -> list[Veri
 
     The ``leaf:r`` checks share one pass over the scenario's closed leaf, on
     the run grid's counts on the leaf's axes (:func:`_leaf_grid`), and are
-    judged against ``INTEGRAL_FLOOR``.  A call of leaf checks alone builds
-    no grid over M and runs no self-test.
+    judged against ``INTEGRAL_FLOOR``; they raise :class:`UnsupportedLeafError`
+    on a scenario without one.  A call of leaf checks alone builds no grid
+    over M and runs no self-test.
 
     The node groups and, once measured, the floor come from the grid's plan
     (:func:`grid_plan`), so a later call on the same grid object computes
@@ -491,7 +492,9 @@ def verify_grid_checks(scenario, checks, grid=None, tolerance=None) -> list[Veri
             plan.floor = _selftest_floor(integrals)
         floor = plan.floor if calibrate else None
     if "leaf" in bases:
-        leaf = scenario.leaf()
+        leaf = scenario.leaf
+        if leaf is None:
+            raise UnsupportedLeafError(f"scenario {scenario.name} declares no closed leaves")
         lgrid = _leaf_grid(scenario, leaf, grid)
         integrals.update(_grid_pass(scenario, lgrid, (), orders("leaf"), leaf=leaf)[0])
     tol = tolerance if tolerance is not None or floor is None else _tolerance(floor)

@@ -60,7 +60,6 @@ def build_nonharmonic_torus():
     the orthogonal distribution is nonzero and the harmonicity hypothesis of
     the integral formulas genuinely fails.
     """
-    from folsub.distribution import DistributionSpec
     from folsub.foliation import FoliationStructure
     from folsub.manifolds import ChartManifold
     from folsub.scenarios import TWO_PLUS_COS, TWO_PLUS_SIN, _finalize
@@ -75,14 +74,13 @@ def build_nonharmonic_torus():
     leaf_frame = lambda coords: [[0.0, 1.0 / a(coords[2]), 0.0]]
     normal = lambda coords: [0.0, 0.0, 1.0]
     perp = lambda coords: [[1.0 / c(coords[2]), 0.0, 0.0]]
-    dist = DistributionSpec(man, 2, lambda coords: leaf_frame(coords) + [normal(coords)], perp)
-    fol = FoliationStructure(dist, leaf_frame, normal, "coordinate circles")
+    fol = FoliationStructure(man, 1, leaf_frame, normal, perp, "coordinate circles")
     return _finalize(
         "nonharmonic_torus",
         fol,
         declared=dict(harmonic_perp=False, admissible=True),
         expected={},
-        leaves=(),
+        leaf=None,
         default_grid=(4, 4, 32),
     )
 
@@ -100,8 +98,9 @@ def build_conformal_torus():
     with unit normal along z; the complement is the x-direction.
     """
     from folsub import jets
-    from folsub.scenarios import LeafSpec, _finalize, _foliation
+    from folsub.foliation import FoliationStructure
     from folsub.manifolds import ChartManifold
+    from folsub.scenarios import LeafSpec, _finalize
 
     def phi(coords):
         x, y1, y2, z = coords
@@ -115,7 +114,7 @@ def build_conformal_torus():
         return lambda coords: [1.0 / phi(coords) if k == i else 0.0 for k in range(4)]
 
     man = ChartManifold(dim=4, periods=(2 * np.pi,) * 4, metric=metric, name="conformal_torus")
-    fol = _foliation(
+    fol = FoliationStructure(
         man,
         2,
         lambda coords: [axis(1)(coords), axis(2)(coords)],
@@ -123,8 +122,8 @@ def build_conformal_torus():
         lambda coords: [axis(0)(coords)],
         "leaves are coordinate subtori at fixed (x, z)",
     )
-    leaves = (LeafSpec("y-torus", fixed={0: 0.0, 3: 0.0}, axes=(1, 2)),)
-    return _finalize("conformal_torus", fol, declared={}, expected={}, leaves=leaves, default_grid=(4, 4, 4, 8))
+    leaf = LeafSpec("y-torus", fixed={0: 0.0, 3: 0.0}, axes=(1, 2))
+    return _finalize("conformal_torus", fol, declared={}, expected={}, leaf=leaf, default_grid=(4, 4, 4, 8))
 
 
 @pytest.fixture(scope="session")

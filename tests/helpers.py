@@ -40,12 +40,12 @@ the rotated or flipped leaf frame of the frame-invariance tests
 (:func:`rotated_foliation`).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from folsub import jets, verify
-from folsub.distribution import DistributionSpec, projector_jets
+from folsub.distribution import projector_jets
 from folsub.errors import DomainError, LinearSolveError
 from folsub.foliation import FoliationStructure, Geometry, _leaf_input
 from folsub.jets import Jet, einsum, stack
@@ -111,11 +111,16 @@ def umbilical_main_integrand_nested(n, r, H, ric_nn, ric_zn):
     return out
 
 
-def projector_jets_full_order(dist, coords, g):
-    """P[i][j] = sum_a v_a^i (g v_a)_j over the D-frame, with no truncation."""
-    m = dist.manifold.dim
+def d_frame(fol, coords) -> list:
+    """D's frame at ``coords`` from the foliation's closures: the leaf frame, then N, one jet (..., m) per vector."""
+    return [stack(v, coords) for v in fol.leaf_frame(coords) + [fol.normal(coords)]]
+
+
+def projector_jets_full_order(fol, coords, g):
+    """P[i][j] = sum_a v_a^i (g v_a)_j over D's frame, the leaf frame then N, with no truncation."""
+    m = fol.manifold.dim
     P = [[0.0 for _ in range(m)] for _ in range(m)]
-    for v in dist.frame_D(coords):
+    for v in fol.leaf_frame(coords) + [fol.normal(coords)]:
         low = [sum(g[i][j] * v[j] for j in range(m)) for i in range(m)]
         for i in range(m):
             for j in range(m):
@@ -243,7 +248,7 @@ class NestedGeometry:
         self.e = fol.leaf_frame(self.coords)
         self.N = fol.normal(self.coords)
         P = [[0.0] * m for _ in range(m)]
-        for v in _cut(fol.dist.frame_D(self.coords), 1):
+        for v in _cut(self.e + [self.N], 1):
             low = mat_vec(_cut(g2, 1), v)
             P = [[P[i][j] + v[i] * low[j] for j in range(m)] for i in range(m)]
         raw = [[-self.inner(self.nabla(ei, self.N), ej) for ej in self.e] for ei in self.e]
@@ -329,20 +334,20 @@ def fingerprint_groups(fol, points, order, block=1024):
     """``foliation.distinct_nodes`` by the closures' outputs: nodes whose closure jets agree bit for bit share a group.
 
     A node's key is the raw bytes of every closure jet a ``Geometry`` of
-    ``order`` reads there, the metric to order 2 and the four frames to
+    ``order`` reads there, the metric to order 2 and the three frames to
     ``order``, each stacked over the batch (constants broadcast), so -0.0
     and 0.0 differ.  The closures run on blocks of ``block`` nodes, and one
     dict numbers the groups in grid order of first appearance.
     """
     pts = np.asarray(points, dtype=float)
-    man, dist = fol.manifold, fol.dist
+    man = fol.manifold
     group = np.empty(pts.shape[0], dtype=np.intp)
     keys, first = {}, []
     for start in range(0, pts.shape[0], block):
         blk = pts[start : start + block]
         seeds, seeds2 = man.seed(blk, order), man.seed(blk, 2)
         outputs = [jets.stack(man.metric_jets(seeds2), seeds2)]
-        outputs += [jets.stack(f(seeds), seeds) for f in (fol.leaf_frame, fol.normal, dist.frame_D, dist.frame_Dperp)]
+        outputs += [jets.stack(f(seeds), seeds) for f in (fol.leaf_frame, fol.normal, fol.frame_Dperp)]
         parts = [p.reshape(blk.shape[0], -1) for jet in outputs for p in (jet.value, jet.grad, jet.hess) if p is not None]
         rows = np.ascontiguousarray(np.concatenate(parts, axis=1))
         for i, key in enumerate(rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel().tolist()):
@@ -569,7 +574,7 @@ def constant_field(comps):
 D_CHECK_TOL = 1e-10
 
 
-def _as_field(arg, dist, kind: str):
+def _as_field(arg, fol, kind: str):
     """Extend a pointwise vector to a field, or pass a field evaluator through.
 
     Ambient vectors extend with constant components in the backend basis;
@@ -583,47 +588,47 @@ def _as_field(arg, dist, kind: str):
         return lambda coords: [comps[..., k] for k in range(comps.shape[-1])]
 
     def section(coords):
-        V = stack(dist.frame_D(coords), coords)
-        coeff = einsum("...ij,...i,...aj->...a", stack(dist.manifold.metric_jets(coords), coords), comps, V)
+        V = stack(fol.leaf_frame(coords) + [fol.normal(coords)], coords)
+        coeff = einsum("...ij,...i,...aj->...a", stack(fol.manifold.metric_jets(coords), coords), comps, V)
         return einsum("...a,...ak->...k", coeff, V)
 
     return section
 
 
-def _check_argument_in_D(dist, coords, g, arg, tol: float, what: str):
+def _check_argument_in_D(fol, coords, g, arg, tol: float, what: str):
     if callable(arg):
         comps = stack(arg(coords), coords).value
     else:
         comps = np.asarray(arg.components if isinstance(arg, TangentVector) else arg, dtype=float)
-    W = stack(dist.frame_Dperp(coords), coords).value
+    W = stack(fol.frame_Dperp(coords), coords).value
     ip = np.einsum("...ij,...i,...aj->...a", stack(g, coords).value, comps, W)
     worst = float(np.max(np.abs(ip), initial=0.0))
     if worst > tol:
         raise DomainError(f"{what} is not a section of the distribution (residual {worst:.3e})")
 
 
-def nabla_P(dist: DistributionSpec, X, U, p: Point) -> TangentVector:
+def nabla_P(fol: FoliationStructure, X, U, p: Point) -> TangentVector:
     """Induced-connection derivative P nabla_X U at p; U must lie in D."""
     p = np.asarray(p, dtype=float)
-    coords = dist.manifold.seed(p, order=1)
-    g = stack(dist.manifold.metric_jets(coords), coords)
-    gamma = dist.manifold.gamma_jets(coords, g)
-    _check_argument_in_D(dist, coords, g, U, D_CHECK_TOL, "U")
-    Xc = stack(_as_field(X, dist, "ambient")(coords), coords)
-    Uc = stack(_as_field(U, dist, "section")(coords), coords)
-    w = einsum("...ij,...j->...i", projector_jets(dist, coords, g), nabla(gamma, Xc, Uc))
+    coords = fol.manifold.seed(p, order=1)
+    g = stack(fol.manifold.metric_jets(coords), coords)
+    gamma = fol.manifold.gamma_jets(coords, g)
+    _check_argument_in_D(fol, coords, g, U, D_CHECK_TOL, "U")
+    Xc = stack(_as_field(X, fol, "ambient")(coords), coords)
+    Uc = stack(_as_field(U, fol, "section")(coords), coords)
+    w = einsum("...ij,...j->...i", projector_jets(d_frame(fol, coords), g), nabla(gamma, Xc, Uc))
     return TangentVector(w.value, p)
 
 
-def curvature_P_fields(dist: DistributionSpec, Xf, Yf, Vf, coords) -> Jet:
+def curvature_P_fields(fol: FoliationStructure, Xf, Yf, Vf, coords) -> Jet:
     """Commutator-definition evaluation of the projected curvature on fields.
 
     Returns R^P(X, Y)V as a jet; ``coords`` must be seeded at order >= 2.
     """
-    man = dist.manifold
+    man = fol.manifold
     g = stack(man.metric_jets(coords), coords)
     gamma = man.gamma_jets(coords, g)
-    P = projector_jets(dist, coords, g)
+    P = projector_jets(d_frame(fol, coords), g)
     X, Y, V = (stack(f(coords), coords) for f in (Xf, Yf, Vf))
     proj = lambda W: einsum("...ij,...j->...i", P, W)
 
@@ -633,7 +638,7 @@ def curvature_P_fields(dist: DistributionSpec, Xf, Yf, Vf, coords) -> Jet:
     return term1 - term2 - term3
 
 
-def curvature_P(dist: DistributionSpec, X, Y, V, p: Point) -> TangentVector:
+def curvature_P(fol: FoliationStructure, X, Y, V, p: Point) -> TangentVector:
     """R^P(X, Y)V at p.
 
     Pointwise arguments are extended as constant-coefficient fields (over the
@@ -641,13 +646,11 @@ def curvature_P(dist: DistributionSpec, X, Y, V, p: Point) -> TangentVector:
     used as given.  V(p) must lie in D.
     """
     p = np.asarray(p, dtype=float)
-    coords = dist.manifold.seed(p, order=2)
-    g = dist.manifold.metric_jets(coords)
-    _check_argument_in_D(dist, coords, g, V, D_CHECK_TOL, "V")
-    Vf = _as_field(V, dist, "section")
-    comps = curvature_P_fields(
-        dist, _as_field(X, dist, "ambient"), _as_field(Y, dist, "ambient"), Vf, coords
-    )
+    coords = fol.manifold.seed(p, order=2)
+    g = fol.manifold.metric_jets(coords)
+    _check_argument_in_D(fol, coords, g, V, D_CHECK_TOL, "V")
+    Vf = _as_field(V, fol, "section")
+    comps = curvature_P_fields(fol, _as_field(X, fol, "ambient"), _as_field(Y, fol, "ambient"), Vf, coords)
     return TangentVector(comps.value, p)
 
 
@@ -701,12 +704,7 @@ def rotated_foliation(fol: FoliationStructure, angle_profile=None, flip: bool = 
         out[1] = [(-1.0) * s * a + c * b for a, b in zip(e[0], e[1])]
         return out
 
-    return FoliationStructure(
-        dist=fol.dist,
-        leaf_frame=frame,
-        normal=fol.normal,
-        integrability_witness=fol.integrability_witness + " (rotated frame)",
-    )
+    return replace(fol, leaf_frame=frame, integrability_witness=fol.integrability_witness + " (rotated frame)")
 
 
 def newton_transform_explicit(r: int, A: np.ndarray) -> np.ndarray:

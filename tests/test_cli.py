@@ -282,6 +282,7 @@ BAD_CATALOG_ARGS = {
     "unknown-name": lambda tmp: ["--names", "flat_torus,nope", "--outdir", str(tmp / "out")],
     "zero-samples": lambda tmp: ["--names", "flat_torus", "--samples", "0", "--outdir", str(tmp / "out")],
     "too-many-samples": lambda tmp: ["--samples", str(cli.MAX_SAMPLES + 1), "--outdir", str(tmp / "out")],
+    "samples-not-an-integer": lambda tmp: ["--names", "flat_torus", "--samples", "x", "--outdir", str(tmp / "out")],
     "outdir-is-a-file": lambda tmp: ["--names", "flat_torus", "--outdir", str(tmp / "file")],
     "outdir-under-a-file": lambda tmp: ["--names", "flat_torus", "--outdir", str(tmp / "file" / "out")],
 }
@@ -316,6 +317,10 @@ def _write_config(tmp_path, payload):
         ["--scenario", "flat_torus", "--samples", "0"],
         ["--scenario", "flat_torus", "--tolerance", "-1", "--checks", "reeb"],
         ["--scenario", "flat_torus", "--tolerance", "nan", "--checks", "reeb"],
+        ["--scenario", "flat_torus", "--tolerance", "", "--checks", "reeb"],
+        ["--scenario", "flat_torus", "--tolerance", "x", "--checks", "reeb"],
+        ["--scenario", "flat_torus", "--samples", "x"],
+        ["--scenario", "flat_torus", "--samples", "1.5"],
         ["--config", lambda tmp: _write_config(tmp, [])],
         ["--config", lambda tmp: _write_config(tmp, {"scenario": {"builder": "warped_torus", "a": {"bogus": 1}}})],
         ["--scenario", "flat_torus", "--checks", "reeb", "--grid", "4,4,4", "--output", lambda tmp: str(tmp / "no" / "r.json")],
@@ -358,6 +363,10 @@ def _write_config(tmp_path, payload):
         "samples-zero",
         "tolerance-negative",
         "tolerance-nan",
+        "tolerance-empty",
+        "tolerance-not-a-number",
+        "samples-not-a-number",
+        "samples-not-an-integer",
         "config-not-object",
         "profile-unknown-key",
         "output-unwritable",
@@ -388,6 +397,8 @@ def test_main_entry_rejects_bad_input_with_exit_2(args, tmp_path, capsys):
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert err.count("\n") == 1, err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_an_invariant_frame_scenario_ignores_any_grid(tmp_path):
@@ -493,6 +504,28 @@ def test_main_exit_contract_holds_for_fuzzed_configs(config):
             status = cli.main(["run", "--config", str(path)])
     assert status in (0, 1, 2)
     assert "Traceback" not in err.getvalue()
+
+
+# A first-harmonic warp const + cos1 cos z + sin1 sin z with const >= 1.5 and
+# |cos1|, |sin1| <= 1 stays above 1.5 - sqrt(2) > 0.
+WARP = st.fixed_dictionaries(
+    {"const": st.floats(1.5, 3.0), "cos1": st.floats(-1.0, 1.0), "sin1": st.floats(-1.0, 1.0)}
+)
+
+
+@settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from([3, 4]), WARP, WARP)
+def test_no_inline_warped_torus_fails_reeb_or_main(m, a, b):
+    # every warped torus is harmonic and admissible, so the integral formulas hold on each
+    checks = ["reeb", *(f"main:{r}" for r in range(m - 2))]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "r.json"
+        config = {"scenario": {"builder": "warped_torus", "m": m, "a": a, "b": b}, "checks": checks, "output": str(out)}
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["run", "--config", str(path)]) == 0
+        reports = json.loads(out.read_text())["reports"]
+    assert [(rep["formula_id"], rep["verdict"]) for rep in reports] == [(check, "pass") for check in checks]
 
 
 @pytest.mark.parametrize(

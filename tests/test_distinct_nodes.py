@@ -22,7 +22,6 @@ import pytest
 
 from conftest import build_conformal_torus
 from folsub import foliation, quadrature, scenarios, verify
-from folsub.distribution import DistributionSpec
 from folsub.errors import EvaluationError
 from folsub.foliation import FoliationStructure, distinct_nodes
 from folsub.jets import Jet
@@ -63,7 +62,7 @@ def _point_sets(scenario) -> dict:
     man = scenario.manifold
     grid = verify._grid(scenario)
     sets = {"default": grid.nodes, "doubled": quadrature.refined(man, grid).nodes}
-    for spec in scenario.leaves:
+    if (spec := scenario.leaf) is not None:
         axes = tuple(scenario.default_grid[ax] for ax in spec.axes)
         sets[f"leaf {spec.name}"] = quadrature.leaf_grid(man, spec, axes).nodes
     sets["sample"] = scenarios._sample_points(man, scenario.default_grid)
@@ -95,8 +94,7 @@ def _metric_entry_foliation(entry):
 
     man = ChartManifold(dim=3, periods=(1.0,) * 3, metric=metric)
     unit = lambda i: [1.0 if k == i else 0.0 for k in range(3)]
-    dist = DistributionSpec(man, 2, lambda coords: [unit(0), unit(1)], lambda coords: [unit(2)])
-    return FoliationStructure(dist, lambda coords: [unit(0)], lambda coords: unit(1))
+    return FoliationStructure(man, 1, lambda coords: [unit(0)], lambda coords: unit(1), lambda coords: [unit(2)])
 
 
 def _nodes(xs):
@@ -105,7 +103,7 @@ def _nodes(xs):
 
 def _reports_equal_the_per_node_evaluation(fol, points, monkeypatch):
     """Assert that the grid checks over the nodes ``points`` report the bits of the per-node evaluation."""
-    s = scenarios._finalize("entry_torus", fol, declared={}, expected={}, leaves=(), default_grid=(2, 2, 2))
+    s = scenarios._finalize("entry_torus", fol, declared={}, expected={}, leaf=None, default_grid=(2, 2, 2))
     grid = quadrature.QuadratureGrid(points, np.full(points.shape[0], 0.25), (points.shape[0],))
     grouped = [_bits(rep) for rep in verify.verify_grid_checks(s, _all_grid_checks(s), grid)]
     with monkeypatch.context() as m:
@@ -375,9 +373,7 @@ def test_a_pass_evaluates_the_metric_on_the_probe_and_the_representatives_only(w
         return out
 
     man = replace(warped4.manifold, metric=counting)
-    dist = replace(warped4.dist, manifold=man)
-    fol = replace(warped4.fol, dist=dist)
-    s = replace(warped4, manifold=man, dist=dist, fol=fol)
+    s = replace(warped4, fol=replace(warped4.fol, manifold=man))
     grid = quadrature.refined(man, verify._grid(s))
     verify.verify_grid_checks(s, ["reeb"], grid)
     assert grid.count == 32768 and sum(seen) <= 64 + 2
@@ -414,14 +410,14 @@ def test_grouped_samples_reach_the_reduction_once_per_group(warped4, monkeypatch
 
 
 def test_leaf_integrals_equal_the_per_node_evaluation(catalog, conformal, monkeypatch):
-    cases = [(s, r) for s in (*catalog.values(), conformal) if s.leaves for r in range(s.n)]
+    cases = [(s, r) for s in (*catalog.values(), conformal) if s.leaf is not None for r in range(s.n)]
     assert {s.name for s, _ in cases} == set(CATALOG) | {"conformal_torus"}
     grouped = [_bits(verify.verify_leaf(s, r)) for s, r in cases]
     with monkeypatch.context() as m:
         evaluate_per_node(m)
         points = record_geometry_points(m)
         assert [_bits(verify.verify_leaf(s, r)) for s, r in cases] == grouped
-    leaf_nodes = [quadrature.leaf_grid(s.manifold, s.leaf(), tuple(s.default_grid[ax] for ax in s.leaf().axes)).count for s, _ in cases]
+    leaf_nodes = [quadrature.leaf_grid(s.manifold, s.leaf, tuple(s.default_grid[ax] for ax in s.leaf.axes)).count for s, _ in cases]
     assert points == leaf_nodes  # one pass per case, every node its own Geometry point
 
 

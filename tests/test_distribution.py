@@ -11,6 +11,7 @@ from helpers import (
     constant_field,
     curvature_P,
     curvature_P_fields,
+    d_frame,
     metric_inner,
     nabla_P,
     projector_jets_full_order,
@@ -22,19 +23,19 @@ from helpers import (
 RNG = np.random.default_rng(47)
 
 
-def _projector(dist, p):
+def _projector(fol, p):
     """The projector onto D at the points p, from the closures' values."""
-    coords = dist.manifold.seed(np.asarray(p, dtype=float), order=0)
-    return dst.projector_jets(dist, coords, dist.manifold.metric_jets(coords)).value
+    coords = fol.manifold.seed(np.asarray(p, dtype=float), order=0)
+    return dst.projector_jets(d_frame(fol, coords), jets.stack(fol.manifold.metric_jets(coords), coords)).value
 
 
 def test_projector_flat_matrix(flat):
-    P = _projector(flat.dist, flat.manifold.base_point())
+    P = _projector(flat.fol, flat.manifold.base_point())
     assert np.array_equal(P, np.diag([1.0, 1.0, 0.0]))
 
 
 def test_projector_heisenberg_kills_complement(heisenberg):
-    P = _projector(heisenberg.dist, heisenberg.manifold.base_point())
+    P = _projector(heisenberg.fol, heisenberg.manifold.base_point())
     assert np.array_equal(P @ np.array([0.0, 1.0, 0.0]), np.zeros(3))
     assert np.array_equal(P @ np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0]))
     assert np.array_equal(P @ np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0]))
@@ -56,8 +57,8 @@ def test_projector_jets_match_full_order_product(catalog):
         pts = man.random_points(np.random.default_rng(12), 40)
         coords = man.seed(pts, order=2)
         g = man.metric_jets(coords)
-        got = dst.projector_jets(s.dist, coords, g)
-        want = jets.stack(projector_jets_full_order(s.dist, coords, g), coords).at_order(1)
+        got = Geometry(s.fol, pts, order=2).P
+        want = jets.stack(projector_jets_full_order(s.fol, coords, g), coords).at_order(1)
         assert got.order <= 1
         assert np.array_equal(got.value, want.value), s.name
         assert np.array_equal(got.grad, want.grad), s.name
@@ -65,31 +66,31 @@ def test_projector_jets_match_full_order_product(catalog):
 
 def test_projector_rejects_bad_frame():
     man = ChartManifold(dim=3, periods=(1.0,) * 3, metric=lambda c: jets.mat_identity(3))
-    bad = dst.DistributionSpec(
+    fol = FoliationStructure(
         man,
-        2,
-        lambda coords: [[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]],  # not orthonormal
+        1,
+        lambda coords: [[1.0, 0.0, 0.0]],
+        lambda coords: [1.0, 1.0, 0.0],  # neither unit nor orthogonal to the leaf frame
         lambda coords: [[0.0, 0.0, 1.0]],
     )
-    fol = FoliationStructure(bad, lambda coords: bad.frame_D(coords)[:1], lambda coords: bad.frame_D(coords)[1])
     with pytest.raises(ConstructionError, match="frames not orthonormal"):
-        _finalize("bad_frame", fol, {}, {}, (), (4, 4, 4))
+        _finalize("bad_frame", fol, {}, {}, None, (4, 4, 4))
 
 
 def test_nabla_p_examples(flat, warped4, heisenberg):
-    out = nabla_P(flat.dist, constant_field([1.0, 0.0, 0.0]), constant_field([0.0, 1.0, 0.0]), flat.manifold.base_point())
+    out = nabla_P(flat.fol, constant_field([1.0, 0.0, 0.0]), constant_field([0.0, 1.0, 0.0]), flat.manifold.base_point())
     assert np.max(np.abs(out.components)) == 0.0
 
     # Heisenberg: P nabla_X T = P(-Y/2) = 0
     p0 = heisenberg.manifold.base_point()
-    out = nabla_P(heisenberg.dist, constant_field([1.0, 0.0, 0.0]), constant_field([0.0, 0.0, 1.0]), p0)
+    out = nabla_P(heisenberg.fol, constant_field([1.0, 0.0, 0.0]), constant_field([0.0, 0.0, 1.0]), p0)
     assert np.max(np.abs(out.components)) == 0.0
 
     p = warped4.manifold.random_points(RNG)
     z = p[3]
     e1 = lambda coords: [0.0, 1.0 / (2.0 + jets.cos(coords[3])), 0.0, 0.0]
     N = lambda coords: [0.0, 0.0, 0.0, 1.0]
-    out = nabla_P(warped4.dist, e1, N, p)
+    out = nabla_P(warped4.fol, e1, N, p)
     want = np.zeros(4)
     want[1] = warp_da(z) / warp_a(z) ** 2  # (a'/a) e1 in coordinates
     assert np.max(np.abs(out.components - want)) < 1e-13
@@ -108,8 +109,8 @@ def test_nabla_p_metric_compatibility(warped4, tilted):
         f = metric_inner(g, U(coords), V(coords))
         Xarr = jets.stack(X(coords), coords).value
         lhs = np.einsum("...k,...k->...", Xarr, f.grad)
-        dU = nabla_P(s.dist, X, U, pts).components
-        dV = nabla_P(s.dist, X, V, pts).components
+        dU = nabla_P(s.fol, X, U, pts).components
+        dV = nabla_P(s.fol, X, V, pts).components
         garr = jets.stack(g, coords).value
         Uarr = jets.stack(U(coords), coords).value
         Varr = jets.stack(V(coords), coords).value
@@ -122,12 +123,12 @@ def test_nabla_p_metric_compatibility(warped4, tilted):
 def test_nabla_p_rejects_section_outside_distribution(flat):
     # third coordinate spans the complement for the flat scenario
     with pytest.raises(DomainError):
-        nabla_P(flat.dist, constant_field([1.0, 0.0, 0.0]), constant_field([0.0, 0.0, 1.0]), flat.manifold.base_point())
+        nabla_P(flat.fol, constant_field([1.0, 0.0, 0.0]), constant_field([0.0, 0.0, 1.0]), flat.manifold.base_point())
 
 
 def test_curvature_p_examples(flat, heisenberg, round_s3):
     out = curvature_P(
-        flat.dist,
+        flat.fol,
         constant_field([1.0, 0.0, 0.0]),
         constant_field([0.0, 1.0, 0.0]),
         constant_field([1.0, 0.0, 0.0]),
@@ -136,18 +137,18 @@ def test_curvature_p_examples(flat, heisenberg, round_s3):
     assert np.max(np.abs(out.components)) == 0.0
 
     X, T = np.array([1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
-    out = curvature_P(heisenberg.dist, X, T, T, heisenberg.manifold.base_point())
+    out = curvature_P(heisenberg.fol, X, T, T, heisenberg.manifold.base_point())
     assert np.max(np.abs(out.components)) == 0.0
 
     e1, e2 = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
-    out = curvature_P(round_s3.dist, e1, e2, e2, round_s3.manifold.base_point())
+    out = curvature_P(round_s3.fol, e1, e2, e2, round_s3.manifold.base_point())
     assert abs(out.components @ e1 - 2.0) < 1e-14
 
 
 def test_curvature_p_rejects_v_outside_distribution(flat):
     with pytest.raises(DomainError):
         curvature_P(
-            flat.dist,
+            flat.fol,
             constant_field([1.0, 0.0, 0.0]),
             constant_field([0.0, 1.0, 0.0]),
             np.array([0.0, 0.0, 1.0]),
@@ -190,7 +191,7 @@ def test_curvature_p_field_route_matches_tensor_route(catalog):
         else:
             Yf = Nf
             Vf = lambda c: s.fol.leaf_frame(c)[0]
-        comps = curvature_P_fields(s.dist, Xf, Yf, Vf, coords)
+        comps = curvature_P_fields(s.fol, Xf, Yf, Vf, coords)
         got = comps.value
         Xa, Ya, Va = (jets.stack(f(coords), coords).value for f in (Xf, Yf, Vf))
         want = np.einsum("...lkij,...k,...i,...j->...l", RP, Va, Xa, Ya)
@@ -215,9 +216,9 @@ def test_curvature_p_tensoriality_under_rescaled_extensions(warped4, tilted):
 
             return scaled
 
-        base = curvature_P_fields(s.dist, Xf, Yf, Vf, coords).value
+        base = curvature_P_fields(s.fol, Xf, Yf, Vf, coords).value
         scaled = curvature_P_fields(
-            s.dist, rescale(Xf, 1, p), rescale(Yf, 3, p), rescale(Vf, 2, p), coords
+            s.fol, rescale(Xf, 1, p), rescale(Yf, 3, p), rescale(Vf, 2, p), coords
         ).value
         assert np.max(np.abs(base - scaled)) < 1e-9
 

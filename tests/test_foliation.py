@@ -7,7 +7,6 @@ from folsub import foliation as fln
 from folsub import jets
 from folsub import manifolds as mfd
 from folsub import verify
-from folsub.distribution import DistributionSpec
 from folsub.errors import DomainError
 from folsub.foliation import _leaf_input
 from folsub.manifolds import ChartManifold
@@ -334,8 +333,7 @@ def test_codazzi_classic_full_tangent():
         [0.0, 0.0, 1.0 / a(coords[1])],
     ]
     normal = lambda coords: [0.0, 1.0, 0.0]
-    dist = DistributionSpec(man, 3, lambda coords: leaf_frame(coords) + [normal(coords)], lambda coords: [])
-    fol = fln.FoliationStructure(dist, leaf_frame, normal, "coordinate subtori, full tangent bundle")
+    fol = fln.FoliationStructure(man, 2, leaf_frame, normal, lambda coords: [], "coordinate subtori, full tangent bundle")
     pts = man.random_points(RNG, 30)
     X, Y = leaf_field(fol, 0), leaf_field(fol, 1)
     assert fln.codazzi_residual(fol, X, Y, pts) <= 1e-8
@@ -398,8 +396,7 @@ def test_integrability_detector():
         nrm = sqrt(1.0 + s * s)
         return [0.0, (-1.0) * s / nrm, 1.0 / nrm]
 
-    dist = DistributionSpec(man, 3, lambda c: leaf_frame(c) + [normal(c)], lambda c: [])
-    fol = fln.FoliationStructure(dist, leaf_frame, normal, "deliberately non-integrable")
+    fol = fln.FoliationStructure(man, 2, leaf_frame, normal, lambda c: [], "deliberately non-integrable")
     pts = man.random_points(RNG, 50)
     assert fln.integrability_residual(fol, pts) > 0.1
 
@@ -407,7 +404,7 @@ def test_integrability_detector():
     from folsub.scenarios import _finalize
 
     with pytest.raises(ConstructionError, match="integrable"):
-        _finalize("broken", fol, {}, {}, (), (4, 4, 4))
+        _finalize("broken", fol, {}, {}, None, (4, 4, 4))
 
 
 def test_adapted_frame(warped4):
@@ -417,3 +414,30 @@ def test_adapted_frame(warped4):
     basis = np.concatenate([geom.e.value, geom.N.value[None, :], geom.xis.value], axis=0)
     gram = basis @ g @ basis.T
     assert np.max(np.abs(gram - np.eye(4))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [-1, 3], ids=["negative", "m"])
+def test_a_foliation_needs_a_leaf_dimension_from_0_to_m_minus_1(n, warped3):
+    # the rank rule of D = TF ⊕ span(N): 1 <= n + 1 <= m
+    with pytest.raises(ValueError, match="leaf dimension out of range"):
+        replace(warped3.fol, n=n)
+    assert [replace(warped3.fol, n=k).n for k in (0, 2)] == [0, 2]
+
+
+def test_a_geometry_runs_the_leaf_frame_and_the_normal_once(tilted):
+    # P is contracted from the e and N jets the context already holds, not from a second frame of D
+    calls = {"leaf_frame": 0, "normal": 0}
+
+    def counted(name):
+        closure = getattr(tilted.fol, name)
+
+        def run(coords):
+            calls[name] += 1
+            return closure(coords)
+
+        return run
+
+    fol = replace(tilted.fol, leaf_frame=counted("leaf_frame"), normal=counted("normal"))
+    geom = fln.Geometry(fol, tilted.manifold.random_points(RNG, 5), order=2)
+    geom.RP, geom.Z, geom.Hperp, geom.T
+    assert calls == {"leaf_frame": 1, "normal": 1}

@@ -1,6 +1,6 @@
 """Metamorphic oracles: a change of the structure under which every term transforms in a known way.
 
-Negating the unit normal N (and with it the D-frame's normal vector) leaves
+Negating the unit normal N, the last vector of D's frame, leaves
 the leaves, D, the projector P and the projected curvature R^P as they are,
 and negates the shape operator A, so sigma_r -> (-1)^r sigma_r and
 T_r -> (-1)^r T_r, while Z = P nabla_N N is even in N.  So every term of the
@@ -27,19 +27,18 @@ import numpy as np
 import pytest
 
 from folsub import scenarios, verify
-from folsub.foliation import FoliationStructure, Geometry
+from folsub.foliation import Geometry
 from helpers import rotated_foliation
 
 CATALOG = scenarios.catalog_names()
 
 
 def _normal_flipped(scenario):
-    """The scenario with N, and the D-frame's last vector, negated: in the catalog D is spanned by the leaf frame, then N."""
+    """The scenario with N negated."""
     fol = scenario.fol
     normal = lambda coords: [(-1.0) * c for c in fol.normal(coords)]
-    dist = replace(fol.dist, frame_D=lambda coords: fol.leaf_frame(coords) + [normal(coords)])
-    flipped = FoliationStructure(dist, fol.leaf_frame, normal, fol.integrability_witness + " (normal flipped)")
-    return replace(scenario, dist=dist, fol=flipped)
+    flipped = replace(fol, normal=normal, integrability_witness=fol.integrability_witness + " (normal flipped)")
+    return replace(scenario, fol=flipped)
 
 
 def _points(scenario):

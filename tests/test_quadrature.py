@@ -139,7 +139,7 @@ def test_product_grids_have_the_bits_of_a_meshgrid(catalog):
             continue
         for axes in (s.default_grid, tuple(2 * k for k in s.default_grid)):
             built = [(quad.grid_for(man, axes), dict(enumerate(axes)), {})]
-            for leaf in s.leaves:
+            if (leaf := s.leaf) is not None:
                 counts = {ax: axes[ax] for ax in leaf.axes}
                 built.append((quad.leaf_grid(man, leaf, tuple(counts.values())), counts, leaf.fixed))
             for grid, counts, fixed in built:
@@ -182,7 +182,7 @@ def test_chunking_does_not_change_the_sum(warped4, monkeypatch):
 
 
 def test_leaf_grid_and_density(warped4, heisenberg):
-    man, lf = warped4.manifold, warped4.leaf()
+    man, lf = warped4.manifold, warped4.leaf
     lgrid = quad.leaf_grid(man, lf, (8, 8))
 
     def induced_density(pts):
@@ -195,7 +195,7 @@ def test_leaf_grid_and_density(warped4, heisenberg):
     want = TWO_PI**2 * warp_a(0.0) * warp_b(0.0)
     assert abs(area - want) < 1e-12
 
-    lgrid = quad.leaf_grid(heisenberg.manifold, heisenberg.leaf())
+    lgrid = quad.leaf_grid(heisenberg.manifold, heisenberg.leaf)
     assert lgrid.count == 1 and lgrid.weights[0] == 1.0
 
     from folsub.scenarios import LeafSpec

@@ -3,6 +3,7 @@ import pytest
 
 from folsub import foliation as fln
 from folsub import scenarios as scn
+from folsub import verify
 from folsub.errors import ConfigError, ConstructionError, UnsupportedLeafError
 
 RNG = np.random.default_rng(71)
@@ -99,20 +100,19 @@ def test_tilted_flags_are_measured_not_assumed(tilted):
     assert tilted.flags.admissible
     assert not tilted.flags.p_curvature_invariant
     assert not tilted.flags.umbilical
-    assert tilted.leaves and tilted.leaves[0].fixed[3] == 0.0
+    assert tilted.leaf is not None and tilted.leaf.fixed[3] == 0.0
 
 
 def test_tilted_without_closed_leaf_declares_none():
     # a profile that never passes through zero rotation leaves no coordinate leaf
     s = scn.build_tilted_torus(theta=scn.fourier_profile(const=0.2, sin1=0.1))
-    assert s.leaves == ()
-    with pytest.raises(UnsupportedLeafError):
-        s.leaf()
+    assert s.leaf is None
+    with pytest.raises(UnsupportedLeafError, match="tilted_torus_4 declares no closed leaves"):
+        verify.verify_grid_checks(s, ["leaf:0"])
 
 
 def test_declared_flag_contradiction_rejected():
     # declaring the nonharmonic torus harmonic must fail re-verification
-    from folsub.distribution import DistributionSpec
     from folsub.foliation import FoliationStructure
     from folsub.manifolds import ChartManifold
 
@@ -126,23 +126,21 @@ def test_declared_flag_contradiction_rejected():
     leaf_frame = lambda coords: [[0.0, 1.0 / a(coords[2]), 0.0]]
     normal = lambda coords: [0.0, 0.0, 1.0]
     perp = lambda coords: [[1.0 / c(coords[2]), 0.0, 0.0]]
-    dist = DistributionSpec(man, 2, lambda coords: leaf_frame(coords) + [normal(coords)], perp)
-    fol = FoliationStructure(dist, leaf_frame, normal)
+    fol = FoliationStructure(man, 1, leaf_frame, normal, perp)
     with pytest.raises(ConstructionError, match="harmonic_perp"):
         scn._finalize(
             "bad_claim",
             fol,
             declared=dict(harmonic_perp=True),
             expected={},
-            leaves=(),
+            leaf=None,
             default_grid=(4, 4, 16),
         )
 
 
-def test_scenario_leaf_lookup(warped4, catalog):
-    assert warped4.leaf().name == "y-torus"
-    assert warped4.leaf().axes == (1, 2)
-    assert all(len(s.leaves) <= 1 for s in catalog.values())  # the one leaf the leaf:r checks integrate over
+def test_scenario_leaf_lookup(warped4):
+    assert warped4.leaf.name == "y-torus"
+    assert warped4.leaf.axes == (1, 2)
 
 
 def test_umbilical_variant_flag(warped4_umbilical):

@@ -156,7 +156,7 @@ def test_the_leaf_checks_of_a_run_share_one_leaf_pass(warped4, tilted, monkeypat
         with monkeypatch.context() as m:
             m.setattr(foliation.Geometry, "__init__", counting_init)
             reports = verify.run_checks(s, checks, tolerance=1e-7)
-        lgrid = quadrature.leaf_grid(s.manifold, s.leaf(), tuple(s.default_grid[ax] for ax in s.leaf().axes))
+        lgrid = quadrature.leaf_grid(s.manifold, s.leaf, tuple(s.default_grid[ax] for ax in s.leaf.axes))
         assert builds.count(2) == -(-lgrid.count // quadrature.CHUNK)  # one Geometry(order=2) per leaf chunk
         leaf_reports = [reports[0], reports[2], reports[3]]
         strip = lambda rep: (rep.formula_id, repr(rep.residual), rep.tolerance, rep.verdict, rep.grid, rep.terms)
