@@ -14,23 +14,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from folsub import cli, scenarios
+from folsub import cli, scenarios, verify
 from folsub.errors import ConfigError
-
-
-def checks_for(scenario) -> list[str]:
-    out = ["divergence-selftest", "reeb", "pointwise", "codazzi", "trace-identities", "sigma2-image"]
-    for r in range(scenario.n):
-        out.append(f"main:{r}")
-    if scenario.leaf is not None:
-        for r in range(scenario.n):
-            out.append(f"leaf:{r}")
-    if scenario.flags.satisfies_pcurv_c:
-        out.append("closed-form-c")
-    out.append("closed-form-einstein")
-    if scenario.n >= 2:
-        out.append("umbilical")
-    return out
 
 
 def main() -> int:
@@ -58,7 +43,7 @@ def main() -> int:
         scenario = scenarios.build(name)
         config = cli.RunConfig(
             scenario=name,
-            checks=checks_for(scenario),
+            checks=verify.battery(scenario),
             output=str(outdir / f"{name}.json"),
             samples=samples,
         )

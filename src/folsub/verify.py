@@ -28,32 +28,36 @@ first derivatives its caller reads: every one for the divergence split, and
 for the self-test only ∂_k X^k, all that a traced divergence reads
 (:func:`manifolds.traced_divergence`).
 
-The check layer lives here: ``CHECKS`` names every check with the type and
-default of its argument, :func:`parse_check` is the one parser of a check
-name, and :func:`run_checks` runs a list of them.  Every integral formula
-goes through one grid pass (:func:`_grid_pass`), one ``integrate_terms``
-reduction, and one entry point, :func:`verify_grid_checks`: the grid checks
-(``GRID_CHECKS``) of one (scenario, run grid) share one pass over M, whose
-integrand carries the calibration's self-test fields (only when a report
-needs the floor), every requested integrand and the sigma_2 scan, and one
-pass over the scenario's closed leaf for the ``leaf:r`` checks, on the run
-grid's counts on the leaf's axes.  A pass builds
-``Geometry`` once per distinct node of the whole grid, nodes being
-distinct on the coordinates the closures read, and on the weight where
-the grid's weights differ (:func:`foliation.distinct_nodes`), in the
-chunk where the node first appears, and hands the reduction each
+``CHECKS`` is the one table of checks, one :class:`Check` per check in the
+catalog battery's order: the argument a name takes after a colon, when the
+battery runs it (:func:`battery`), the hypotheses of its formula, its
+tolerance, and how its reports are made.  :func:`parse_check` is the one
+parser of a check name and :func:`run_checks` runs a list of them.
+
+A grid check's record maps the results of a grid pass to its residual,
+terms and metadata, and :func:`verify_grid_checks` makes every grid report
+from it with one :func:`make_report` call.  The grid checks of one
+(scenario, run grid) share one pass over M (:func:`_grid_pass`, one
+``integrate_terms`` reduction), whose integrand carries the calibration's
+self-test fields (only when a report needs the floor), every requested
+integrand and the sigma_2 scan, and one pass over the scenario's closed
+leaf for the ``leaf:r`` checks, on the run grid's counts on the leaf's
+axes.  A pass builds ``Geometry`` once per distinct node of the whole grid,
+nodes being distinct on the coordinates the closures read, and on the
+weight where the grid's weights differ (:func:`foliation.distinct_nodes`),
+in the chunk where the node first appears, and hands the reduction each
 representative's samples once, weighted by the volume density of that
 geometry's metric on the axes integrated over, with the count of nodes
 they stand for; the reduction's sums have the bits of an evaluation on
-every node.  Only the self-test's
-divergences are evaluated per node, from each field's values and the
-diagonal of its derivative.  A grid carries the plan of its passes
-(:func:`grid_plan`): one node grouping per foliation, and the
-calibration floor, computed once per grid object, so the checks of one
-grid share them across calls.  The sampled checks draw seeded random
-points and build one ``Geometry`` on them (``_sampled``), at order 1 for
-the first-order identities (``div-split``, ``leafdiv-normal``).  Time that reports share is
-charged to the first of them, so a run's wall times add up to at most its own.
+every node.  Only the self-test's divergences are evaluated per node, from
+each field's values and the diagonal of its derivative.  A grid carries
+the plan of its passes (:func:`grid_plan`): one node grouping per
+foliation, and the calibration floor, computed once per grid object, so the
+checks of one grid share them across calls.  The sampled checks draw
+seeded random points and build one ``Geometry`` on them (``_sampled``), at
+order 1 for the first-order identities (``div-split``, ``leafdiv-normal``).
+Time that reports share is charged to the first of them, so a run's wall
+times add up to at most its own.
 """
 
 from __future__ import annotations
@@ -63,6 +67,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
+from typing import Callable
 
 import numpy as np
 
@@ -80,18 +85,6 @@ FIRST_ORDER_TOL = 1e-9
 ALGEBRAIC_TOL = 1e-11
 TRIG_MODES = 2  # modes of each random test scalar
 SELFTEST_SEED, SELFTEST_FIELDS = 1123, 3  # the calibration's random fields
-
-# Every check a run can name, with the type and default of the argument it
-# takes after a colon, or None when it takes none: "main:r" and "leaf:r" an
-# order r in 0..n-1, "closed-form-einstein:C" the Einstein constant and
-# "sigma2-image:c" the constant compared against the sigma_2 range.
-CHECKS = {
-    "reeb": None, "main": (int, 0), "leaf": (int, 0), "pointwise": None, "codazzi": None,
-    "trace-identities": None, "closed-form-c": None, "closed-form-einstein": (float, 1.0),
-    "umbilical": None, "divergence-selftest": None, "sigma2-image": (float, 0.0),
-}
-# The checks that one grid pass builds (verify_grid_checks).
-GRID_CHECKS = ("divergence-selftest", "reeb", "main", "leaf", "closed-form-c", "sigma2-image")
 
 
 @dataclass
@@ -167,7 +160,7 @@ def parse_check(name: str, n: int | None = None) -> tuple[str, int | float | Non
     base, sep, text = name.partition(":")
     if base not in CHECKS:
         raise ConfigError(f"unknown check {name!r}; known: {', '.join(CHECKS)}")
-    kind, arg = CHECKS[base] or (None, None)
+    kind, arg = CHECKS[base].arg or (None, None)
     if sep and kind is None:
         raise ConfigError(f"check {base!r} takes no argument, not {text!r}")
     if sep:
@@ -303,7 +296,7 @@ def random_distribution_field(fol, rng: np.random.Generator):
 
 
 def calibrate_tolerance(scenario, grid: QuadratureGrid) -> tuple[float, float]:
-    """The integral tolerance max(1e-7, 10x floor) on ``grid``, and the floor.
+    """The integral tolerance max(1e-7, 10x floor) on ``grid`` that the calibrated checks are judged against, and the floor.
 
     The floor is the worst |integral of Div X| over the seeded random smooth
     fields, the ``divergence-selftest`` residual of
@@ -311,11 +304,12 @@ def calibrate_tolerance(scenario, grid: QuadratureGrid) -> tuple[float, float]:
     already measured it.
     """
     floor = verify_grid_checks(scenario, ["divergence-selftest"], grid)[0].residual
-    return _tolerance(floor), floor
+    return _tolerance(CHECKS["main"], floor), floor
 
 
-def _tolerance(floor: float) -> float:
-    return max(INTEGRAL_FLOOR, 10.0 * floor)
+def _tolerance(check, floor: float) -> float:
+    """The tolerance of ``check``, raised to 10x the calibration ``floor`` when the check is calibrated."""
+    return max(check.tol, 10.0 * floor) if check.calibrated else check.tol
 
 
 def _selftest_fields(manifold):
@@ -430,7 +424,10 @@ def grid_plan(fol: FoliationStructure, grid: QuadratureGrid) -> GridPlan:
     The plan lives in ``grid.plans`` and dies with the grid.  Its groups are
     pure functions of the foliation and the grid's read-only nodes and
     weights, so every pass that reads them, under any chunk size, sees what
-    it would compute itself.
+    it would compute itself.  No lock guards ``grid.plans``, so plans are
+    not shared across threads: nothing in the program runs threads, and
+    two threads that reach a fresh grid together each group its nodes and
+    measure its floor, to the same values.
     """
     for plan in grid.plans:
         if plan.fol is fol:
@@ -444,88 +441,60 @@ def grid_plan(fol: FoliationStructure, grid: QuadratureGrid) -> GridPlan:
 def verify_grid_checks(scenario, checks, grid=None, tolerance=None) -> list[VerificationReport]:
     """Reports of the grid checks ``checks`` on one (scenario, run grid), from one pass over M and one over the leaf.
 
-    ``checks`` lists names among ``GRID_CHECKS`` ("main:r" and "leaf:r", or
-    "main" and "leaf" for r = 0; "sigma2-image:c"), in any order; one report
-    comes back per entry, in that order.  ``grid`` is a quadrature grid over
-    M or its per-axis counts, by default the scenario's.  One
-    :func:`_grid_pass` over M emits only the requested integrands: the
-    calibration's self-test fields, only when a report needs the floor (the
-    ``divergence-selftest`` residual is that floor, and ``sigma2-image``, a
-    diagnostic, needs none); sigma_1 for ``reeb``; sigma_0..sigma_n and the
-    volume for ``closed-form-c``, against the scenario's declared curvature
-    constant; the main-formula terms for each requested r; the extrema of
-    sigma_2 and Ric^P(N, N) for ``sigma2-image``.  The floor is the worst
-    |integral of Div X| over the calibration's seeded random fields, and the
-    integral tolerance is max(1e-7, 10x floor), as
-    :func:`calibrate_tolerance` returns them.  ``tolerance``, when given,
-    replaces every tolerance of the call.
-
-    The ``leaf:r`` checks share one pass over the scenario's closed leaf, on
-    the run grid's counts on the leaf's axes (:func:`_leaf_grid`), and are
-    judged against ``INTEGRAL_FLOOR``; they raise :class:`UnsupportedLeafError`
-    on a scenario without one.  A call of leaf checks alone builds no grid
-    over M and runs no self-test.
+    ``checks`` lists names of grid checks, in any order; one report comes
+    back per entry, in that order.  ``grid`` is a quadrature grid over M or
+    its per-axis counts, by default the scenario's.  The pass over M emits
+    only the requested integrands, and the calibration's self-test fields
+    only when a report reads the floor.  The ``leaf:r`` checks share one
+    pass over the scenario's closed leaf, on the run grid's counts on the
+    leaf's axes (:func:`_leaf_grid`), and raise
+    :class:`UnsupportedLeafError` on a scenario without one; a call of leaf
+    checks alone builds no grid over M.  ``tolerance``, when given, replaces
+    every finite tolerance of the call.
 
     The node groups and, once measured, the floor come from the grid's plan
-    (:func:`grid_plan`), so a later call on the same grid object computes
-    neither again; the pass that measures the floor stores it there.
-
-    The time the reports share, the grid passes, is charged once, to the
-    first report; each later report's ``wall_time_s`` covers only its own
-    assembly.  So the wall times of a run never add up to more than the run took.
+    (:func:`grid_plan`).  The time the reports share, the grid passes, is
+    charged once, to the first report.
     """
     t0 = time.perf_counter()
     parsed = [parse_check(name, scenario.n) for name in checks]
     for base, _ in parsed:
-        if base not in GRID_CHECKS:
-            raise ConfigError(f"{base!r} is not a grid check; known: {', '.join(GRID_CHECKS)}")
+        if CHECKS[base].grid is None:
+            known = ", ".join(name for name, check in CHECKS.items() if check.grid)
+            raise ConfigError(f"{base!r} is not a grid check; known: {known}")
     bases = {base for base, _ in parsed}
     orders = lambda check: sorted({arg for base, arg in parsed if base == check})
-    integrals, extrema, floor = {}, {}, None
+    got, floor = {}, None
     if bases - {"leaf"}:
         grid = _grid(scenario, grid)
-        calibrate = "divergence-selftest" in bases or (tolerance is None and bases & {"reeb", "main", "closed-form-c"})
+        calibrate = "divergence-selftest" in bases or tolerance is None and any(CHECKS[b].calibrated for b in bases)
         plan = grid_plan(scenario.fol, grid)
         fields = _selftest_fields(scenario.manifold) if calibrate and plan.floor is None else None
         integrals, extrema = _grid_pass(scenario, grid, bases, orders("main"), fields)
         if fields is not None:
             plan.floor = _selftest_floor(integrals)
         floor = plan.floor if calibrate else None
+        got = {**integrals, **extrema}
     if "leaf" in bases:
         leaf = scenario.leaf
         if leaf is None:
             raise UnsupportedLeafError(f"scenario {scenario.name} declares no closed leaves")
         lgrid = _leaf_grid(scenario, leaf, grid)
-        integrals.update(_grid_pass(scenario, lgrid, (), orders("leaf"), leaf=leaf)[0])
-    tol = tolerance if tolerance is not None or floor is None else _tolerance(floor)
-    selftest_floor = floor if tolerance is None else None
-    leaf_tol = INTEGRAL_FLOOR if tolerance is None else tolerance
+        got.update(_grid_pass(scenario, lgrid, (), orders("leaf"), leaf=leaf)[0])
+    got["floor"] = floor
     reports = []
     for base, arg in parsed:
-        if base == "divergence-selftest":
-            selftest_tol = FIRST_ORDER_TOL if tolerance is None else tolerance
-            rep = make_report("divergence-selftest", floor, selftest_tol, t0, scenario, grid)
-        elif base == "reeb":
-            rep = make_report(
-                "reeb", integrals["sigma_1"], tol, t0, scenario, grid,
-                terms={"sigma1_integral": integrals["sigma_1"]},
-                preconditions_ok=scenario.flags.harmonic_perp,
-                selftest_floor=selftest_floor,
-            )
-        elif base == "main":
-            rep = _main_report(scenario, grid, arg, integrals, tol, t0, selftest_floor)
-        elif base == "leaf":
-            rep = make_report(
-                f"leaf:{arg}", integrals[(f"leaf:{arg}", "integrand")], leaf_tol, t0, scenario, lgrid,
-                preconditions_ok=scenario.flags.harmonic_perp,
-                requires_admissible=True,
-                leaf=leaf.name,
-            )
-        elif base == "closed-form-c":
-            rep = _closed_form_c_report(scenario, grid, integrals, tol, t0, selftest_floor)
-        else:
-            rep = _sigma2_image_report(scenario, grid, extrema, arg, t0)
-        reports.append(rep)
+        check = CHECKS[base]
+        residual, terms, meta = check.grid(got, scenario, arg)
+        if check.calibrated:
+            meta = {"selftest_floor": floor if tolerance is None else None, **meta}
+        reports.append(make_report(
+            f"{base}:{arg}" if check.ordered else base, residual,
+            tolerance if tolerance is not None and math.isfinite(check.tol) else _tolerance(check, floor),
+            t0, scenario, lgrid if base == "leaf" else grid, terms=terms,
+            preconditions_ok=all(getattr(scenario.flags, flag) for flag in check.flags),
+            requires_admissible=check.admissible, **meta,
+        ))
         t0 = time.perf_counter()
     return reports
 
@@ -681,56 +650,48 @@ class _Held:
         return out
 
 
-def _main_report(scenario, grid, r: int, integrals: dict, tol: float, t0: float, selftest_floor) -> VerificationReport:
-    term = lambda key: integrals[(f"main:{r}", key)]
-    residual = term("sigma") - term("normal_curvature") - term("z_curvature")
-    riemannian = term("sigma") - term("normal_curvature_riemannian") - term("z_curvature_riemannian")
-    terms = {
-        "sigma_term": term("sigma"),
-        "normal_curvature_term": term("normal_curvature"),
-        "z_curvature_term": term("z_curvature"),
-        "riemannian_substituted_residual": riemannian,
-        "trz_hperp_coupling": term("trz_hperp"),
-        "z_norm_sq_integral": term("z_norm_sq"),
-    }
-    return make_report(
-        f"main:{r}", residual, tol, t0, scenario, grid,
-        terms=terms,
-        preconditions_ok=scenario.flags.harmonic_perp,
-        requires_admissible=True,
-        selftest_floor=selftest_floor,
+def _main_report(got: dict, scenario, r: int) -> tuple:
+    """``main:r`` from a pass's term integrals: the residual, the signed sum ``CHECKS["main"].residual``, its terms and diagnostics.
+
+    The sum starts from its first term, so a -0.0 keeps its bits.  The
+    Riemannian-substituted residual is the same sum with the Riemann tensor
+    in place of R^P in the curvature terms, all but the first.
+    """
+    term = lambda key: got[(f"main:{r}", key)]
+    (first, sign), *curvature = CHECKS["main"].residual
+
+    def signed(suffix: str) -> float:
+        total = sign * term(first)
+        for key, s in curvature:
+            total = total + s * term(key + suffix)
+        return total
+
+    terms = {f"{key}_term": term(key) for key, _ in CHECKS["main"].residual}
+    terms.update(
+        riemannian_substituted_residual=signed("_riemannian"),
+        trz_hperp_coupling=term("trz_hperp"),
+        z_norm_sq_integral=term("z_norm_sq"),
     )
+    return signed(""), terms, {}
 
 
-def _closed_form_c_report(scenario, grid, integrals: dict, tol: float, t0: float, selftest_floor) -> VerificationReport:
-    c = scenario.flags.pcurv_c
-    precondition_ok = bool(scenario.flags.satisfies_pcurv_c and c is not None and scenario.flags.harmonic_perp)
-    if c is None:
-        c = 0.0
-
-    n = scenario.n
-    S = np.array([integrals[f"sigma_{r}"] for r in range(n + 1)])
+def _closed_form_c_report(got: dict, scenario, arg) -> tuple:
+    """``closed-form-c`` from a pass's sigma_0..sigma_n and volume integrals, against the declared constant c (0 when none is)."""
+    n, c = scenario.n, scenario.flags.pcurv_c
+    c = 0.0 if c is None else c
+    S = np.array([got[f"sigma_{r}"] for r in range(n + 1)])
     Sget = lambda k: S[k] if k <= n else 0.0
     recursion = [abs((r + 2) * Sget(r + 2) - c * (n - r) * S[r]) for r in range(n)]
-    closed = lambda r: newton.total_curvature_closed_constant(n, r, c, integrals["volume"])
-    residual = _closed_form_residual(S, closed, recursion)
-    return make_report(
-        "closed-form-c", residual, tol, t0, scenario, grid,
-        terms={f"total_sigma_{r}": float(S[r]) for r in range(n + 1)},
-        preconditions_ok=precondition_ok,
-        requires_admissible=True,
-        selftest_floor=selftest_floor,
-        c=c,
-    )
+    closed = lambda r: newton.total_curvature_closed_constant(n, r, c, got["volume"])
+    return _closed_form_residual(S, closed, recursion), {f"total_sigma_{r}": float(S[r]) for r in range(n + 1)}, {"c": c}
 
 
-def _sigma2_image_report(scenario, grid, extrema: dict, c: float, t0: float) -> VerificationReport:
-    terms = {
-        **extrema,
-        "interval_witnessed": float(extrema["sigma2_min"] <= 0.0 < c < extrema["sigma2_max"]),
-        "ricci_bound_holds": float(extrema["ricci_p_NN_min"] >= 2.0 * c),
-    }
-    return make_report("sigma2-image", 0.0, np.inf, t0, scenario, grid, terms=terms, c=c)
+def _sigma2_image_report(got: dict, scenario, c: float) -> tuple:
+    """``sigma2-image:c`` from a pass's sigma_2 and Ric^P(N, N) extrema: a diagnostic, with residual 0."""
+    terms = {key: got[key] for key in ("sigma2_min", "sigma2_max", "ricci_p_NN_min")}
+    terms["interval_witnessed"] = float(terms["sigma2_min"] <= 0.0 < c < terms["sigma2_max"])
+    terms["ricci_bound_holds"] = float(terms["ricci_p_NN_min"] >= 2.0 * c)
+    return 0.0, terms, {"c": c}
 
 
 def _closed_form_residual(S, closed, recursion=()) -> float:
@@ -770,7 +731,7 @@ def verify_closed_form_einstein(n: int, C: float, vol: float) -> VerificationRep
             want = ((n - r) / n) * float(sig[r]) * np.eye(n)
             residual = max(residual, float(np.max(np.abs(Tr - want))))
     return make_report(
-        "closed-form-einstein", residual, ALGEBRAIC_TOL, t0,
+        "closed-form-einstein", residual, CHECKS["closed-form-einstein"].tol, t0,
         terms={"coefficients_exact": float(coeff_exact)},
         exact=coeff_exact,
         n=n, C=C, vol=vol,
@@ -802,7 +763,7 @@ def verify_umbilical_reduction(samples: int = 1000, seed: int = 4242) -> Verific
         for r in range(1, n)
     )
     return make_report(
-        "umbilical-reduction", residual, ALGEBRAIC_TOL, t0,
+        CHECKS["umbilical"].formula_id, residual, CHECKS["umbilical"].tol, t0,
         terms={"binomial_identity_exact": float(binomial_ok)},
         exact=binomial_ok,
         samples=samples,
@@ -869,7 +830,7 @@ def check_codazzi(scenario, samples: int = 50, seed: int = 53) -> VerificationRe
     """Codazzi-type residual over all leaf-frame pairs at random points."""
     pairs = [(i, j) for i in range(scenario.n) for j in range(i + 1, scenario.n)]
     residuals = lambda g: [g.codazzi_residual(g.e[..., i, :], g.e[..., j, :]) for i, j in pairs]
-    return _sampled(scenario, samples, seed, ("codazzi", DIFFERENTIAL_TOL, residuals))[0]
+    return _sampled(scenario, samples, seed, ("codazzi", CHECKS["codazzi"].tol, residuals))[0]
 
 
 def check_trace_identities(scenario, samples: int = 20, seed: int = 59) -> list[VerificationReport]:
@@ -880,7 +841,99 @@ def check_trace_identities(scenario, samples: int = 20, seed: int = 59) -> list[
     return _sampled(scenario, samples, seed, algebraic, field_form)
 
 
-# -- one runner for every check ----------------------------------------------------------
+# -- the table of checks, and one runner for every check ------------------------------------
+
+
+@dataclass(frozen=True)
+class Check:
+    """One record of ``CHECKS``: everything a run and the catalog battery know of a check.
+
+    - ``arg``: the type and default of the argument a name takes after a
+      colon, or None when it takes none.  An int is an order r in 0..n-1,
+      and the check is ``ordered``.
+    - ``when``: when the catalog battery runs the check, besides leaf
+      dimension n >= ``min_n``: a test of the scenario, or None for always.
+    - The hypotheses: ``flags``, the scenario flags a grid check's formula
+      needs, and ``min_n``, the leaf dimension a check run by a function
+      needs; below it the check is not run.  Without either it reports
+      "precondition-violation".  ``admissible``: the derivation uses the
+      adapted-frame identity, so an inadmissible scenario reports
+      "inadmissible".
+    - ``tol``: the tolerance class, the constant its reports are judged
+      against, raised to 10x the grid's calibration floor when
+      ``calibrated``; None when each of its identities carries its own.
+    - ``grid``: a grid check's report, as a map of a grid pass's results,
+      the scenario and the argument to (residual, terms, metadata).
+      ``residual`` names the term integrals a residual sums, with their signs.
+    - ``run``: any other check's reports, a call of (scenario, argument,
+      samples) that looks the check functions up on this module each time.
+      ``formula_id`` names its reports when not the check's name.
+    """
+
+    arg: tuple | None = None
+    when: Callable | None = None
+    flags: tuple = ()
+    min_n: int = 0
+    admissible: bool = False
+    tol: float | None = None
+    calibrated: bool = False
+    grid: Callable | None = None
+    residual: tuple = ()
+    run: Callable | None = None
+    formula_id: str | None = None
+
+    @property
+    def ordered(self) -> bool:
+        return self.arg is not None and self.arg[0] is int
+
+
+CHECKS = {
+    "divergence-selftest": Check(tol=FIRST_ORDER_TOL, grid=lambda got, s, arg: (got["floor"], {}, {})),
+    "reeb": Check(
+        flags=("harmonic_perp",), tol=INTEGRAL_FLOOR, calibrated=True,
+        grid=lambda got, s, arg: (got["sigma_1"], {"sigma1_integral": got["sigma_1"]}, {}),
+    ),
+    "pointwise": Check(run=lambda s, arg, k: [
+        *(check(s, k) for check in (check_divergence_split, check_leaf_divergence_of_normal, check_adapted_identity)),
+        *(check(s, r, k) for r in range(s.n) for check in (check_newton_div_agreement, check_newton_z_divergence)),
+    ]),
+    "codazzi": Check(tol=DIFFERENTIAL_TOL, run=lambda s, arg, k: [check_codazzi(s, k)]),
+    "trace-identities": Check(run=lambda s, arg, k: check_trace_identities(s, min(k, 20))),
+    "sigma2-image": Check(arg=(float, 0.0), tol=math.inf, grid=_sigma2_image_report),
+    "main": Check(
+        arg=(int, 0), flags=("harmonic_perp",), admissible=True, tol=INTEGRAL_FLOOR, calibrated=True,
+        grid=_main_report, residual=(("sigma", 1), ("normal_curvature", -1), ("z_curvature", -1)),
+    ),
+    "leaf": Check(
+        arg=(int, 0), when=lambda s: s.leaf is not None, flags=("harmonic_perp",), admissible=True,
+        tol=INTEGRAL_FLOOR, grid=lambda got, s, r: (got[(f"leaf:{r}", "integrand")], {}, {"leaf": s.leaf.name}),
+    ),
+    "closed-form-c": Check(
+        when=lambda s: s.flags.satisfies_pcurv_c, flags=("satisfies_pcurv_c", "harmonic_perp"), admissible=True,
+        tol=INTEGRAL_FLOOR, calibrated=True, grid=_closed_form_c_report,
+    ),
+    "closed-form-einstein": Check(
+        arg=(float, 1.0), tol=ALGEBRAIC_TOL, run=lambda s, C, k: [verify_closed_form_einstein(s.n, C, s.volume)],
+    ),
+    "umbilical": Check(
+        min_n=2, tol=ALGEBRAIC_TOL, run=lambda s, arg, k: [verify_umbilical_reduction(samples=200)],
+        formula_id="umbilical-reduction",
+    ),
+}
+
+
+def battery(scenario) -> list[str]:
+    """The names of the catalog battery's checks on ``scenario``, in the table's order.
+
+    It holds every check whose ``when`` holds on a scenario of leaf
+    dimension at least its ``min_n``: an ordered check at every order r in
+    0..n-1, any other with its default argument.
+    """
+    names = []
+    for name, check in CHECKS.items():
+        if scenario.n >= check.min_n and (check.when is None or check.when(scenario)):
+            names += [f"{name}:{r}" for r in range(scenario.n)] if check.ordered else [name]
+    return names
 
 
 def run_checks(scenario, checks, grid=None, tolerance=None, samples: int = 50) -> list[VerificationReport]:
@@ -889,33 +942,23 @@ def run_checks(scenario, checks, grid=None, tolerance=None, samples: int = 50) -
     Every name is parsed before anything runs.  The grid checks, ``leaf:r``
     among them, come from one :func:`verify_grid_checks` call on ``grid``
     (a quadrature grid or per-axis counts), made where the first of them
-    comes.  The sampled checks are looked up by module name at each call,
-    so a caller that replaces them on this module (as the benchmark's
-    seeding does) reaches them.
+    comes.  Every other check runs its record's ``run``, or, on a scenario
+    whose leaf dimension is below its ``min_n``, reports
+    "precondition-violation" with residual 0 and the reason.
     """
     parsed = [parse_check(name, scenario.n) for name in checks]
-    grid_names = [name for name, (base, _) in zip(checks, parsed) if base in GRID_CHECKS]
+    grid_names = [name for name, (base, _) in zip(checks, parsed) if CHECKS[base].grid]
     grid_reports, reports = None, []
     for base, arg in parsed:
-        if base in GRID_CHECKS:
+        check = CHECKS[base]
+        if check.grid:
             grid_reports = grid_reports or iter(verify_grid_checks(scenario, grid_names, grid, tolerance))
             reports.append(next(grid_reports))
-        elif base == "pointwise":
-            plain = (check_divergence_split, check_leaf_divergence_of_normal, check_adapted_identity)
-            per_order = (check_newton_div_agreement, check_newton_z_divergence)
-            reports += [check(scenario, samples) for check in plain]
-            reports += [check(scenario, r, samples) for r in range(scenario.n) for check in per_order]
-        elif base == "codazzi":
-            reports.append(check_codazzi(scenario, samples))
-        elif base == "trace-identities":
-            reports += check_trace_identities(scenario, min(samples, 20))
-        elif base == "closed-form-einstein":
-            reports.append(verify_closed_form_einstein(scenario.n, arg, scenario.volume))
-        elif scenario.n >= 2:  # umbilical
-            reports.append(verify_umbilical_reduction(samples=200))
-        else:
+        elif scenario.n < check.min_n:
             reports.append(make_report(
-                "umbilical-reduction", 0.0, ALGEBRAIC_TOL, time.perf_counter(), scenario,
-                preconditions_ok=False, reason="needs leaf dimension >= 2",
+                check.formula_id or base, 0.0, check.tol, time.perf_counter(), scenario,
+                preconditions_ok=False, reason=f"needs leaf dimension >= {check.min_n}",
             ))
+        else:
+            reports += check.run(scenario, arg, samples)
     return reports

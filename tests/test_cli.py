@@ -467,8 +467,8 @@ JUNK = st.recursive(
     max_leaves=6,
 )
 CHECK_NAMES = [
-    *verify.CHECKS, "main:0", "main:1", "leaf:0", "closed-form-einstein:2", "sigma2-image:x",
-    "reeb:junk", "closed-form-einstein:1e308",
+    *verify.CHECKS, *(f"{name}:{check.arg[1]}" for name, check in verify.CHECKS.items() if check.ordered),
+    "main:1", "closed-form-einstein:2", "sigma2-image:x", "reeb:junk", "closed-form-einstein:1e308",
 ]
 FUZZED_CONFIG = st.fixed_dictionaries(
     {

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -136,6 +138,35 @@ def test_declared_flag_contradiction_rejected():
             leaf=None,
             default_grid=(4, 4, 16),
         )
+
+
+# Perturbations of a foliation whose frames no longer split as n leaf-frame
+# vectors, N and m - n - 1 D-perp vectors of length m; each maps warped_torus_4's
+# foliation (n = 2, m = 4) to a broken one.
+BROKEN_FRAMES = {
+    "n too small": lambda f: replace(f, n=1),
+    "n too large": lambda f: replace(f, n=3),
+    "n out of range": lambda f: replace(f, n=4),
+    "dropped leaf vector": lambda f: replace(f, leaf_frame=lambda c: f.leaf_frame(c)[:1]),
+    "extra leaf vector": lambda f: replace(f, leaf_frame=lambda c: [*f.leaf_frame(c), f.normal(c)]),
+    "dropped D-perp vector": lambda f: replace(f, frame_Dperp=lambda c: []),
+    "extra D-perp vector": lambda f: replace(f, frame_Dperp=lambda c: [*f.frame_Dperp(c), f.normal(c)]),
+    "short normal": lambda f: replace(f, normal=lambda c: f.normal(c)[:-1]),
+    "short leaf vectors": lambda f: replace(f, leaf_frame=lambda c: [v[:-1] for v in f.leaf_frame(c)]),
+    "long D-perp vector": lambda f: replace(f, frame_Dperp=lambda c: [[*v, 0.0] for v in f.frame_Dperp(c)]),
+}
+
+
+@pytest.mark.parametrize("broken", BROKEN_FRAMES.values(), ids=BROKEN_FRAMES.keys())
+def test_a_frame_of_the_wrong_shape_is_refused(broken, warped4):
+    with pytest.raises((ConstructionError, ValueError)):
+        s = scn._finalize("broken", broken(warped4.fol), {}, {}, None, warped4.default_grid)
+        verify.run_checks(s, ["reeb", "main:0"])  # reached only if the construction let it through
+
+
+def test_a_leaf_frame_count_that_disagrees_with_n_names_the_closure(warped4):
+    with pytest.raises(ConstructionError, match=r"^leaf_frame gives shape \(2, 4\) per point, not \(1, 4\)"):
+        scn._finalize("mismatch", replace(warped4.fol, n=1), {}, {}, None, (4, 4, 4, 32))
 
 
 def test_scenario_leaf_lookup(warped4):

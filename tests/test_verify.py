@@ -393,10 +393,10 @@ def test_leaf_checks_alone_build_no_grid_over_m_and_run_no_self_test(warped4, he
 
 
 def test_parse_check_defaults_for_every_table_entry():
-    for name, spec in verify.CHECKS.items():
-        assert verify.parse_check(name) == (name, None if spec is None else spec[1])
+    for name, check in verify.CHECKS.items():
+        assert verify.parse_check(name) == (name, None if check.arg is None else check.arg[1])
         assert verify.parse_check(name, n=1) == verify.parse_check(name)
-    assert set(verify.GRID_CHECKS) <= set(verify.CHECKS)
+        assert (check.grid is None) != (check.run is None), name  # a grid check, or one run by a function
     assert verify.parse_check("main:2", n=3) == ("main", 2)
     assert verify.parse_check("leaf:0") == ("leaf", 0)
     assert verify.parse_check("closed-form-einstein:-2.5") == ("closed-form-einstein", -2.5)
