@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import manifolds
-from .jets import Jet, einsum, stack_last
+from .jets import Jet, einsum, opt_einsum, stack_last
 from .manifolds import Manifold, differential
 
 # Largest mean curvature of the orthogonal distribution counted as harmonic.
@@ -82,7 +82,7 @@ def curvature_P_tensor(manifold: Manifold, gamma, P: Jet):
         - np.einsum("...cib,...ac->...iab", G, Parr)
     )
     PR = np.einsum("...lx,...xkij->...lkij", Parr, R)
-    Q = np.einsum("...ax,...ixy,...jyk->...ijak", Parr, DP, DP, optimize=True)
+    Q = opt_einsum("...ax,...ixy,...jyk->...ijak", Parr, DP, DP)
     RP = PR + np.moveaxis(Q, (-4, -3), (-2, -1)) - np.moveaxis(np.swapaxes(Q, -4, -3), (-4, -3), (-2, -1))
     return RP, np.broadcast_to(R, RP.shape)
 

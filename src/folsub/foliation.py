@@ -38,7 +38,7 @@ import numpy as np
 from . import distribution as dst
 from . import manifolds as mfd
 from . import newton
-from .errors import DomainError
+from .errors import ConstructionError, DomainError
 from .jets import Jet, einsum, stack, stack_last, value_of
 from .manifolds import Manifold, Point
 
@@ -137,17 +137,30 @@ class Geometry:
     def gamma(self) -> mfd.Connection:
         return self._metric[1]
 
+    def _frame(self, closure: str, shape: tuple) -> Jet:
+        """The closure's components stacked on the seeds, of ``shape`` per point.
+
+        Any other shape raises :class:`ConstructionError` naming the closure:
+        an orthonormal frame of the wrong split would otherwise pass as
+        formulas of another leaf dimension.
+        """
+        out = stack(getattr(self.fol, closure)(self.coords), self.coords)
+        per_point = out.shape[len(self.batch) :]
+        if per_point != shape:
+            raise ConstructionError(f"{closure} gives shape {per_point} per point, not {shape} (n={self.n}, m={self.m})")
+        return out
+
     @cached_property
     def e(self) -> Jet:
-        return stack(self.fol.leaf_frame(self.coords), self.coords)
+        return self._frame("leaf_frame", (self.n, self.m))
 
     @cached_property
     def N(self) -> Jet:
-        return stack(self.fol.normal(self.coords), self.coords)
+        return self._frame("normal", (self.m,))
 
     @cached_property
     def xis(self) -> Jet:
-        return stack(self.fol.frame_Dperp(self.coords), self.coords)
+        return self._frame("frame_Dperp", (self.m - self.n - 1, self.m))
 
     @cached_property
     def E_low(self) -> np.ndarray:

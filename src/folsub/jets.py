@@ -20,7 +20,8 @@ numbers, such as the power sums), and from there every derived quantity
 (the Christoffel symbols, covariant derivatives, the shape operator, Z, the
 symmetric functions and the Newton transformations) is contracted with
 :func:`einsum`, which applies the product rule to each jet operand at the
-lowest order among them.
+lowest order among them.  :func:`opt_einsum` is ``np.einsum`` with an
+optimized contraction path that is planned once per spec and operand shapes.
 :func:`mat_inverse` is the metric solve on those arrays.
 
 The nested-list helpers at the bottom (``mat_identity``, ``mat_mul``,
@@ -36,6 +37,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import LinearSolveError
+
+# The step kernels ``np.einsum(..., optimize=True)`` runs its contraction list
+# with; without them :func:`opt_einsum` calls ``np.einsum``.
+try:
+    from numpy._core.einsumfunc import bmm_einsum, c_einsum
+except ImportError:
+    bmm_einsum = c_einsum = None
 
 
 class Jet:
@@ -219,24 +227,36 @@ def stack(entries, coords) -> Jet:
     nesting shape of ``entries``; an empty list stacks as a ``(0, m)``
     frame.  Derivatives are kept up to the order of the seeds; constants, and
     derivatives an entry does not carry, are zero.  A jet is returned as it is.
+    A ragged list raises ``ValueError`` naming the first entry whose length
+    differs from the first entry's at its depth.
     """
     if isinstance(entries, Jet):
         return entries
     batch, m = coords[0].value.shape, len(coords)
     order = coords[0].order
-    shape = []
+    lengths = []
     probe = entries
     while isinstance(probe, (list, tuple)):
-        shape.append(len(probe))
+        lengths.append(len(probe))
         if not probe:
-            shape.append(m)
             break
         probe = probe[0]
-    out = [np.zeros(batch + tuple(shape) + (m,) * k) for k in range(order + 1)]
-    for idx in np.ndindex(*shape):
-        x = entries
-        for i in idx:
-            x = x[i]
+    # Walk the nesting level by level against the first entries' lengths,
+    # ending with every leaf and its index.
+    level = [((), entries)]
+    for depth, length in enumerate(lengths):
+        for idx, x in level:
+            if not isinstance(x, (list, tuple)) or len(x) != length:
+                got = f"has length {len(x)}" if isinstance(x, (list, tuple)) else "is not a list"
+                raise ValueError(f"ragged nested list: entry {list(idx)} {got}, entry {[0] * depth} has length {length}")
+        level = [(idx + (i,), item) for idx, x in level for i, item in enumerate(x)]
+    for idx, x in level:
+        if isinstance(x, (list, tuple)):
+            first = [0] * len(idx)
+            raise ValueError(f"ragged nested list: entry {list(idx)} has length {len(x)}, entry {first} is not a list")
+    shape = tuple(lengths) + ((m,) if lengths and lengths[-1] == 0 else ())
+    out = [np.zeros(batch + shape + (m,) * k) for k in range(order + 1)]
+    for idx, x in level:
         parts = (x.value, x.grad, x.hess) if isinstance(x, Jet) else (x,)
         for k, (arr, part) in enumerate(zip(out, parts)):
             if part is not None:
@@ -264,6 +284,34 @@ def stack_last(items):
     return Jet(*parts)
 
 
+# (spec, operand shapes) -> numpy's contraction list for them, as (operand positions, step spec) pairs.
+_PLANS: dict = {}
+
+
+def opt_einsum(spec: str, *operands) -> np.ndarray:
+    """``np.einsum(spec, *operands, optimize=True)``, with the contraction path planned once per shape.
+
+    ``np.einsum`` searches for a path on every call.  This looks numpy's
+    contraction list up in a cache keyed by the spec and the operand shapes
+    (so it stays bounded by the shapes a program contracts), and replays it
+    with numpy's own step kernels, ``bmm_einsum`` for a two-operand step and
+    ``c_einsum`` otherwise, so the result is bit-identical.  Where numpy
+    lacks those kernels it calls ``np.einsum(..., optimize=True)``.
+    """
+    if bmm_einsum is None or c_einsum is None:
+        return np.einsum(spec, *operands, optimize=True)
+    ops = [np.asanyarray(x) for x in operands]
+    key = (spec, *(x.shape for x in ops))
+    steps = _PLANS.get(key)
+    if steps is None:
+        _, contractions = np.einsum_path(spec, *ops, optimize=True, einsum_call=True)
+        steps = _PLANS[key] = [(positions, step) for positions, step, _ in contractions]
+    for positions, step in steps:
+        args = [ops.pop(i) for i in positions]
+        ops.append(bmm_einsum(step, *args) if len(args) == 2 else c_einsum(step, *args))
+    return ops[0]
+
+
 def einsum(spec: str, *operands):
     """``np.einsum`` over jets and ndarrays, with the product rule for the jets.
 
@@ -273,7 +321,8 @@ def einsum(spec: str, *operands):
     operand this is ``np.einsum``.  Values are contracted by plain
     ``np.einsum``, so they sum in the order a scalar jet loop would on the
     catalog's sparse frames; derivative terms take numpy's optimized
-    contraction path, which is faster and moves only their last bits.
+    contraction path through :func:`opt_einsum`, which plans it once per
+    spec and shapes; that is faster and moves only their last bits.
     """
     values = [value_of(x) for x in operands]
     value = np.einsum(spec, *values)
@@ -288,7 +337,7 @@ def einsum(spec: str, *operands):
     def term(replace: dict, extra: str) -> np.ndarray:
         ops = [replace[k][0] if k in replace else v for k, v in enumerate(values)]
         sub = [s + replace[k][1] if k in replace else s for k, s in enumerate(subs)]
-        return np.einsum(",".join(sub) + "->" + output + extra, *ops, optimize=True)
+        return opt_einsum(",".join(sub) + "->" + output + extra, *ops)
 
     grad = hess = None
     if order >= 1:

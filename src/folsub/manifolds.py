@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import jets
-from .jets import Jet, einsum, mat_inverse, stack
+from .jets import Jet, einsum, mat_inverse, opt_einsum, stack
 
 Point = np.ndarray
 
@@ -123,8 +123,8 @@ class ChartManifold:
         def dgamma() -> np.ndarray:
             dS = np.swapaxes(H, -3, -2) + H
             dS -= np.einsum("...ijla->...lija", H)
-            out = np.einsum("...kla,...lij->...kija", ginv.grad, S, optimize=True)
-            out += np.einsum("...kl,...lija->...kija", ginv.value, dS, optimize=True)
+            out = opt_einsum("...kla,...lij->...kija", ginv.grad, S)
+            out += opt_einsum("...kl,...lija->...kija", ginv.value, dS)
             out *= 0.5
             return out
 
@@ -219,7 +219,7 @@ def riemann_jets(manifold, gamma: Connection) -> np.ndarray:
     if dG is None:
         raise ValueError("the Riemann tensor needs seeds of order 2")
     # A[l, k, i, j] = d_i gamma[l, j, k] + gamma[a, j, k] gamma[l, i, a]; R antisymmetrizes it in (i, j).
-    A = np.einsum("...ljki->...lkij", dG) + np.einsum("...ajk,...lia->...lkij", G, G, optimize=True)
+    A = np.einsum("...ljki->...lkij", dG) + opt_einsum("...ajk,...lia->...lkij", G, G)
     R = A - np.swapaxes(A, -1, -2)
     c = manifold.structure_constants
     if np.any(c):  # a coordinate frame (every chart) has no bracket term

@@ -18,6 +18,12 @@ diagonal input such as the umbilical operator H Id.
 The ``*_nested`` functions are that scalar chain, on nested lists of
 generic scalars.  Nothing in the package calls them: they are the reference
 the tests hold the batched and jet paths to.
+
+The umbilical integrands (:func:`umbilical_main_integrand`,
+:func:`umbilical_reduced_integrand`) take arrays of samples of one leaf
+dimension n and evaluate them as one (k, n, n) stack of H Id.  Each sample
+keeps the bits of its scalar evaluation: powers of H are Python's float
+power, because numpy's vectorized ``power`` may differ in the last bit.
 """
 
 from __future__ import annotations
@@ -156,7 +162,7 @@ def trace_identity_residuals(r: int, A: np.ndarray) -> np.ndarray:
 
 def umbilical_coefficient_sum(n: int, r: int) -> Fraction:
     """sum_{i=0}^{r} (-1)^{r-i} C(n, i), exact."""
-    return sum((Fraction((-1) ** (r - i)) * comb(n, i) for i in range(r + 1)), Fraction(0))
+    return Fraction(sum((-1) ** (r - i) * comb(n, i) for i in range(r + 1)))
 
 
 def umbilical_coefficient(n: int, r: int) -> Fraction:
@@ -169,10 +175,7 @@ def binomial_reduction_sum(n: int, r: int) -> Fraction:
 
     Collapses to C(n-2, r-1) for n >= 2.
     """
-    return sum(
-        (Fraction((-1) ** (j - 1)) * Fraction(n - r + j, n) * comb(n, r - j) for j in range(1, r + 1)),
-        Fraction(0),
-    )
+    return Fraction(sum((-1) ** (j - 1) * (n - r + j) * comb(n, r - j) for j in range(1, r + 1)), n)
 
 
 def total_curvature_closed_constant(n: int, r: int, c: float, vol: float) -> float:
@@ -211,33 +214,61 @@ def umbilical_common_factor(n: int, r: int) -> float:
     return factorial(r + 1) * factorial(n - r - 1) / factorial(n - 2)
 
 
-def umbilical_main_integrand(n: int, r: int, H: float, ric_nn: float, ric_zn: float) -> float:
+def _umbilical_samples(r, H, ric_nn, ric_zn):
+    """The samples broadcast together and flattened: ``r`` as ints, the rest as floats, with their common shape."""
+    shape = np.broadcast(r, H, ric_nn, ric_zn).shape
+    r, H, ric_nn, ric_zn = (np.broadcast_to(x, shape).ravel() for x in (r, H, ric_nn, ric_zn))
+    return shape, r.astype(int), H.astype(float), ric_nn.astype(float), ric_zn.astype(float)
+
+
+def _power(H: np.ndarray, k) -> np.ndarray:
+    """H ** k elementwise by Python's float power, as the scalar forms take it.
+
+    numpy's vectorized ``power`` may differ from it in the last bit.
+    """
+    return np.power(H.astype(object), k).astype(float)
+
+
+def umbilical_main_integrand(n: int, r, H, ric_nn, ric_zn):
     """Pointwise main-formula integrand for A = H Id, built from actual matrices.
 
     The two curvature-operator traces are substituted by operators consistent
     with umbilicity: the normal-direction operator has trace ric_nn, and the
     operator attached to A^{j-1} Z contributes H^{j-1} times an operator with
-    trace ric_zn.
+    trace ric_zn.  One leaf dimension ``n``; ``r``, ``H``, ``ric_nn`` and
+    ``ric_zn`` broadcast together, and each sample equals the scalar
+    evaluation bit for bit: the k samples share one ``sigma_values`` and one
+    ``newton_transforms`` on the (k, n, n) stack of H Id.
     """
-    A = H * np.eye(n)
+    shape, r, H, ric_nn, ric_zn = _umbilical_samples(r, H, ric_nn, ric_zn)
+    at = np.arange(H.size)
+    eye = np.eye(n)
+    A = H[:, None, None] * eye
     sig = sigma_values(A)
-    sget = lambda k: float(sig[k]) if k <= n else 0.0
-    Ts = newton_transforms(A, sig)
-    out = (r + 2) * sget(r + 2)
-    out -= float(np.trace(Ts[r] @ ((ric_nn / n) * np.eye(n))))
-    for j in range(1, r + 1):
-        out -= (-1.0) ** (j - 1) * H ** (j - 1) * float(np.trace(Ts[r - j] @ ((ric_zn / n) * np.eye(n))))
-    return out
+    Ts = np.stack(newton_transforms(A, sig))
+    sig = np.concatenate([sig, np.zeros((H.size, 2))], axis=-1)  # sigma_k = 0 for k > n
+
+    def traces(ric):
+        return np.trace(Ts @ ((ric / n)[:, None, None] * eye), axis1=-2, axis2=-1)
+
+    out = (r + 2) * sig[at, r + 2]
+    out = out - traces(ric_nn)[r, at]
+    tz = traces(ric_zn)
+    for j in range(1, int(np.max(r, initial=0)) + 1):
+        term = (-1.0) ** (j - 1) * _power(H, j - 1) * tz[np.maximum(r - j, 0), at]
+        out = np.where(j <= r, out - term, out)
+    return out.reshape(shape)[()]
 
 
-def umbilical_reduced_integrand(n: int, r: int, H: float, ric_nn: float, ric_zn: float) -> float:
+def umbilical_reduced_integrand(n: int, r, H, ric_nn, ric_zn):
     """Pointwise integrand of the umbilical mean-curvature display.
 
     H^{r-1} (H^3 n (n-1)(n-r-1) - H (n-1)(r+1) ric_nn - r (r+1) ric_zn),
     with the H^{r-1} prefactor distributed so r = 0 carries no singularity.
+    The arguments broadcast as in :func:`umbilical_main_integrand`.
     """
-    out = H ** (r + 2) * n * (n - 1) * (n - r - 1)
-    out -= H**r * (n - 1) * (r + 1) * ric_nn
-    if r >= 1:
-        out -= H ** (r - 1) * r * (r + 1) * ric_zn
-    return out
+    shape, r, H, ric_nn, ric_zn = _umbilical_samples(r, H, ric_nn, ric_zn)
+    out = _power(H, r + 2) * n * (n - 1) * (n - r - 1)
+    out -= _power(H, r) * (n - 1) * (r + 1) * ric_nn
+    out = np.where(r >= 1, out - _power(H, np.maximum(r - 1, 0)) * r * (r + 1) * ric_zn, out)
+    return out.reshape(shape)[()]

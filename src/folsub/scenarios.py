@@ -174,25 +174,16 @@ def measure_scenario(fol: FoliationStructure, points, pcurv_c: float | None) -> 
     Each residual is a maximum over ``points``, so one ``Geometry(order=1)``
     on their distinct nodes gives it: a repeated node repeats its values.
     The nodes are grouped over all of ``points`` by the grid passes'
-    grouping (:func:`foliation.distinct_nodes`).  Before anything reads
-    the frames, each closure's shape is checked: n leaf-frame vectors, one
-    normal and m - n - 1 D-perp vectors, each of length m, or
-    :class:`ConstructionError` names the closure.  An orthonormal frame of
-    the wrong split would otherwise pass as formulas of another leaf
-    dimension.
+    grouping (:func:`foliation.distinct_nodes`).  The frames are read
+    first, leaf frame, normal, then D-perp frame, so a closure of the wrong
+    shape is named by ``Geometry``'s :class:`ConstructionError` before
+    anything else reads it.
     """
     points = np.asarray(points, dtype=float)
     geom = Geometry(fol, points[distinct_nodes(fol, points)[0]], order=1)
-    n, m = fol.n, fol.manifold.dim
-    for closure, frame, shape in (
-        ("leaf_frame", geom.e, (n, m)), ("normal", geom.N, (m,)), ("frame_Dperp", geom.xis, (m - n - 1, m))
-    ):
-        per_point = frame.value.shape[len(geom.batch) :]
-        if per_point != shape:
-            raise ConstructionError(f"{closure} gives shape {per_point} per point, not {shape} (n={n}, m={m})")
+    frames = np.concatenate([geom.e.value, geom.N.value[..., None, :], geom.xis.value], axis=-2)
     H, g = geom.Hperp.value, geom.g.value
     hperp = np.sqrt(np.maximum(np.einsum("...i,...ij,...j->...", H, g, H), 0.0))
-    frames = np.concatenate([geom.e.value, geom.N.value[..., None, :], geom.xis.value], axis=-2)
     out = {
         "frame_orthonormality": frame_gram_residual(g, frames),
         "integrability": geom.integrability_residual(),

@@ -5,9 +5,11 @@ finite differences for derivatives, eigenvalue brute force for symmetric
 functions, dense one-dimensional quadrature for reduced integrals, and
 hand-derived closed forms for the warped and tilted example metrics.  The
 exceptions are references that other code is held to bit for bit: the
-umbilical integrand, which runs the nested-list Newton path for the batched
-ndarray path; the projector jets at the seeds' full derivative order, for
-the first-order ``distribution.projector_jets``; and the scalar-jet route of
+umbilical integrand and residual, one sample at a time through the
+nested-list Newton path and Python floats, for the per-leaf-dimension
+batches of ``newton`` and ``verify``; the projector jets at the seeds'
+full derivative order, for the first-order
+``distribution.projector_jets``; and the scalar-jet route of
 ``foliation.Geometry`` (:class:`NestedGeometry`) with its Gauss-Jordan
 solve, one ``Jet`` product at a time over nested lists, for the tensor-jet
 contractions that replaced it; and the two curvature-trace loops and the
@@ -50,7 +52,7 @@ from folsub.errors import DomainError, LinearSolveError
 from folsub.foliation import FoliationStructure, Geometry, _leaf_input
 from folsub.jets import Jet, einsum, stack
 from folsub.manifolds import Connection, InvariantFrameManifold, Point, differential, lie_bracket
-from folsub.newton import newton_transforms_nested, sigma_values, sigmas_nested
+from folsub.newton import newton_transforms_nested, sigma_values, sigmas_nested, umbilical_common_factor
 
 TWO_PI = 2.0 * np.pi
 
@@ -95,10 +97,11 @@ def eig_elementary_symmetric(A):
 
 
 def umbilical_main_integrand_nested(n, r, H, ric_nn, ric_zn):
-    """Main-formula integrand at A = H Id, on nested lists of Python floats.
+    """Main-formula integrand at A = H Id for one sample, on nested lists of Python floats.
 
-    Mirrors ``newton.umbilical_main_integrand`` term by term, including its
-    ``np.trace`` calls, but takes sigma_k and T_k from the jet path.
+    The scalar form of ``newton.umbilical_main_integrand``, term by term,
+    including its ``np.trace`` calls, with sigma_k and T_k from the nested
+    Newton chain.
     """
     A = (H * np.eye(n)).tolist()
     sig = sigmas_nested(A)
@@ -109,6 +112,22 @@ def umbilical_main_integrand_nested(n, r, H, ric_nn, ric_zn):
     for j in range(1, r + 1):
         out -= (-1.0) ** (j - 1) * H ** (j - 1) * float(np.trace(Ts[r - j] @ ((ric_zn / n) * np.eye(n))))
     return out
+
+
+def umbilical_reduced_integrand_scalar(n, r, H, ric_nn, ric_zn):
+    """The umbilical display's integrand for one sample, in Python floats: the scalar ``newton.umbilical_reduced_integrand``."""
+    out = H ** (r + 2) * n * (n - 1) * (n - r - 1)
+    out -= H**r * (n - 1) * (r + 1) * ric_nn
+    if r >= 1:
+        out -= H ** (r - 1) * r * (r + 1) * ric_zn
+    return out
+
+
+def umbilical_reduction_residual_scalar(n, r, H, ric_nn, ric_zn):
+    """|main - display / common factor| for one sample: the scalar ``verify.umbilical_reduction_residual``."""
+    lhs = umbilical_main_integrand_nested(n, r, H, ric_nn, ric_zn)
+    rhs = umbilical_reduced_integrand_scalar(n, r, H, ric_nn, ric_zn)
+    return abs(lhs - rhs / umbilical_common_factor(n, r))
 
 
 def d_frame(fol, coords) -> list:

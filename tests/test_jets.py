@@ -176,6 +176,23 @@ def test_stack_shapes_orders_and_empty_frames():
     assert empty.shape == (5, 0, 3) and empty.hess.shape == (5, 0, 3, 3, 3)
 
 
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([[1.0, 0.0, 0.0], [0.0, 1.0]], r"entry \[1\] has length 2, entry \[0\] has length 3"),
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]], r"entry \[1\] has length 4, entry \[0\] has length 3"),
+        ([[1.0, 0.0, 0.0], 2.0], r"entry \[1\] is not a list, entry \[0\] has length 3"),
+        ([1.0, [0.0, 1.0]], r"entry \[1\] has length 2, entry \[0\] is not a list"),
+        ([[], [1.0, 0.0, 0.0]], r"entry \[1\] has length 3, entry \[0\] has length 0"),
+    ],
+    ids=["short later vector", "long later vector", "scalar for a vector", "vector for a scalar", "after an empty one"],
+)
+def test_stack_refuses_a_ragged_nested_list(entries, message):
+    coords = jets.variables(RNG.uniform(0, 1, (5, 3)), order=1)
+    with pytest.raises(ValueError, match=message):
+        jets.stack(entries, coords)
+
+
 def test_stack_last_matches_stack_and_np_stack():
     coords = jets.variables(RNG.uniform(0, 1, (5, 3)), order=2)
     items = [1.0, coords[0] * coords[1], jets.sin(coords[2]).at_order(1), 0.0]

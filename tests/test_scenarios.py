@@ -162,11 +162,19 @@ def test_a_frame_of_the_wrong_shape_is_refused(broken, warped4):
     with pytest.raises((ConstructionError, ValueError)):
         s = scn._finalize("broken", broken(warped4.fol), {}, {}, None, warped4.default_grid)
         verify.run_checks(s, ["reeb", "main:0"])  # reached only if the construction let it through
+    # a directly built Geometry reads its frames through the same check
+    with pytest.raises((ConstructionError, ValueError)):
+        geom = fln.Geometry(broken(warped4.fol), warped4.manifold.random_points(RNG, 4), order=1)
+        geom.e, geom.N, geom.xis
 
 
 def test_a_leaf_frame_count_that_disagrees_with_n_names_the_closure(warped4):
-    with pytest.raises(ConstructionError, match=r"^leaf_frame gives shape \(2, 4\) per point, not \(1, 4\)"):
+    message = r"^leaf_frame gives shape \(2, 4\) per point, not \(1, 4\)"
+    with pytest.raises(ConstructionError, match=message):
         scn._finalize("mismatch", replace(warped4.fol, n=1), {}, {}, None, (4, 4, 4, 32))
+    geom = fln.Geometry(replace(warped4.fol, n=1), warped4.manifold.random_points(RNG, 4), order=1)
+    with pytest.raises(ConstructionError, match=message):
+        geom.A
 
 
 def test_scenario_leaf_lookup(warped4):

@@ -224,6 +224,10 @@ def test_umbilical_reduction_validation():
         verify.umbilical_reduction_residual(1, 0, 0.5, 0.1, 0.1)
     with pytest.raises(ValueError):
         verify.umbilical_reduction_residual(4, 4, 0.5, 0.1, 0.1)
+    with pytest.raises(ValueError):  # one order out of range in a batch
+        verify.umbilical_reduction_residual(4, np.array([0, 3, 4]), 0.5, 0.1, 0.1)
+    with pytest.raises(ValueError):
+        verify.umbilical_reduction_residual(4, np.array([-1, 0]), 0.5, 0.1, 0.1)
 
 
 def test_sigma2_image(flat, warped4, heisenberg):
