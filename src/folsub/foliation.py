@@ -76,13 +76,13 @@ class Geometry:
     ``e`` (..., n, m), ``N`` and ``xis`` carry ``order``; the shape operator
     ``A``, the symmetric functions ``sigma`` (sigma_0..sigma_{n+1}, the last
     identically zero), the Newton transformations ``T[r]`` and ``Z`` carry
-    one order less.  So ``order=1`` gives their values, which is all the grid
-    integrands (``reeb``, ``main:r``, ``closed-form-c``), the ``sigma2-image``
-    scan, ``ricci_p``, the scenario flag measurement, ``divx_residual`` and
-    div_F N read; ``order=2`` adds their first derivatives, for the checks
-    that differentiate A, Z or sigma_r (the rest of the pointwise battery,
-    Codazzi, the trace identities and ``leaf:r``).  Values are bit-identical
-    at both orders.
+    one order less.  So ``order=1`` gives their values, which is all that
+    ``ricci_p``, the scenario flag measurement, ``divx_residual``, div_F N
+    and the integrands of the grid checks over M (``verify.Check.integrand``,
+    the sigma_2 scan among them) read; ``order=2`` adds their first
+    derivatives, for the checks that differentiate A, Z or sigma_r (the rest
+    of the pointwise battery, Codazzi, the trace identities and the
+    integrand over a closed leaf).  Values are bit-identical at both orders.
 
     The metric is always seeded at order 2, because the Riemann tensor in
     ``RP`` and ``R`` needs ∂Γ; ``g`` keeps its derivatives to ``order``.  The connection (``gamma``) is evaluated
@@ -346,7 +346,11 @@ class Geometry:
         """Residual of Div X = Div_F X - <X, Z> - <X, Hperp> for a field X in D.
 
         It holds for fields whose normal component is constant along the N-curves.
+        The frames are read first, so that their shape check refuses a
+        closure of the wrong shape before ``X_field``, which may call the
+        closures itself, reads it.
         """
+        self.e, self.N
         X = stack(X_field(self.coords), self.coords).at_order(1)
         full = mfd.divergence_jets(self.man, self.coords, self.gamma, X)
         xz = np.einsum("...l,...lk,...k->...", X.value, self.g.value, self.Z.value)

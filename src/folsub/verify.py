@@ -34,30 +34,32 @@ battery runs it (:func:`battery`), the hypotheses of its formula, its
 tolerance, and how its reports are made.  :func:`parse_check` is the one
 parser of a check name and :func:`run_checks` runs a list of them.
 
-A grid check's record maps the results of a grid pass to its residual,
-terms and metadata, and :func:`verify_grid_checks` makes every grid report
-from it with one :func:`make_report` call.  The grid checks of one
-(scenario, run grid) share one pass over M (:func:`_grid_pass`, one
-``integrate_terms`` reduction), whose integrand carries the calibration's
-self-test fields (only when a report needs the floor), every requested
-integrand and the sigma_2 scan, and one pass over the scenario's closed
-leaf for the ``leaf:r`` checks, on the run grid's counts on the leaf's
-axes.  A pass builds ``Geometry`` once per distinct node of the whole grid,
-nodes being distinct on the coordinates the closures read, and on the
-weight where the grid's weights differ (:func:`foliation.distinct_nodes`),
-in the chunk where the node first appears, and hands the reduction each
+A grid check's record declares its integrand, the per-node samples a grid
+pass integrates for it, and maps the pass's results to its residual, terms
+and metadata; :func:`verify_grid_checks` makes every grid report from it
+with one :func:`make_report` call.  The grid checks of one (scenario, run
+grid) share one pass over M (:func:`_grid_pass`, one ``integrate_terms``
+reduction), whose integrand carries the calibration's self-test fields (only
+when a report needs the floor) and every requested record's samples, and one
+pass over the scenario's closed leaf for the records that integrate over it,
+on the run grid's counts on the leaf's axes.  The pass names no check: it
+weights what the records give, hands it on, and folds the extrema they ask
+for.  A pass builds ``Geometry`` once per distinct node of the whole grid,
+nodes being distinct on the coordinates the closures read, and on the weight
+where the grid's weights differ (:func:`foliation.distinct_nodes`), in the
+chunk where the node first appears, and hands the reduction each
 representative's samples once, weighted by the volume density of that
-geometry's metric on the axes integrated over, with the count of nodes
-they stand for; the reduction's sums have the bits of an evaluation on
-every node.  Only the self-test's divergences are evaluated per node, from
-each field's values and the diagonal of its derivative.  A grid carries
-the plan of its passes (:func:`grid_plan`): one node grouping per
-foliation, and the calibration floor, computed once per grid object, so the
-checks of one grid share them across calls.  The sampled checks draw
-seeded random points and build one ``Geometry`` on them (``_sampled``), at
-order 1 for the first-order identities (``div-split``, ``leafdiv-normal``).
-Time that reports share is charged to the first of them, so a run's wall
-times add up to at most its own.
+geometry's metric on the axes integrated over, with the count of nodes they
+stand for; the reduction's sums have the bits of an evaluation on every
+node.  Only the self-test's divergences are evaluated per node, from each
+field's values and the diagonal of its derivative.  A grid carries the plan
+of its passes (:func:`grid_plan`): one node grouping per foliation, and the
+calibration floor, computed once per grid object, so the checks of one grid
+share them across calls.  The sampled checks draw seeded random points and
+build one ``Geometry`` on them (``_sampled``), at order 1 for the
+first-order identities (``div-split``, ``leafdiv-normal``).  Time that
+reports share is charged to the first of them, so a run's wall times add up
+to at most its own.
 """
 
 from __future__ import annotations
@@ -85,6 +87,7 @@ FIRST_ORDER_TOL = 1e-9
 ALGEBRAIC_TOL = 1e-11
 TRIG_MODES = 2  # modes of each random test scalar
 SELFTEST_SEED, SELFTEST_FIELDS = 1123, 3  # the calibration's random fields
+SELFTEST_KEY = "divergence-selftest"  # the check its divergences are keyed under in a grid pass
 
 
 @dataclass
@@ -342,7 +345,7 @@ def _selftest_fields(manifold):
 
 def _selftest_floor(integrals: dict) -> float:
     """Worst |integral of Div X| among the self-test keys of a grid pass."""
-    return max((abs(v) for key, v in integrals.items() if key[:1] == ("divergence-selftest",)), default=0.0)
+    return max((abs(v) for key, v in integrals.items() if key[:1] == (SELFTEST_KEY,)), default=0.0)
 
 
 # -- integral formulas ----------------------------------------------------------------
@@ -443,14 +446,16 @@ def verify_grid_checks(scenario, checks, grid=None, tolerance=None) -> list[Veri
 
     ``checks`` lists names of grid checks, in any order; one report comes
     back per entry, in that order.  ``grid`` is a quadrature grid over M or
-    its per-axis counts, by default the scenario's.  The pass over M emits
-    only the requested integrands, and the calibration's self-test fields
-    only when a report reads the floor.  The ``leaf:r`` checks share one
-    pass over the scenario's closed leaf, on the run grid's counts on the
-    leaf's axes (:func:`_leaf_grid`), and raise
-    :class:`UnsupportedLeafError` on a scenario without one; a call of leaf
-    checks alone builds no grid over M.  ``tolerance``, when given, replaces
-    every finite tolerance of the call.
+    its per-axis counts, by default the scenario's.  The pass over M
+    evaluates only the requested records' integrands (``Check.integrand``),
+    and the calibration's self-test fields only when a report reads the
+    floor: a record without an integrand, or a calibrated one without a
+    given ``tolerance``.  The records ``on_leaf`` share one pass over the
+    scenario's closed leaf, on the run grid's counts on the leaf's axes
+    (:func:`_leaf_grid`), and raise :class:`UnsupportedLeafError` on a
+    scenario without one; a call of leaf checks alone builds no grid over
+    M.  ``tolerance``, when given, replaces every finite tolerance of the
+    call.
 
     The node groups and, once measured, the floor come from the grid's plan
     (:func:`grid_plan`).  The time the reports share, the grid passes, is
@@ -462,25 +467,23 @@ def verify_grid_checks(scenario, checks, grid=None, tolerance=None) -> list[Veri
         if CHECKS[base].grid is None:
             known = ", ".join(name for name, check in CHECKS.items() if check.grid)
             raise ConfigError(f"{base!r} is not a grid check; known: {known}")
-    bases = {base for base, _ in parsed}
-    orders = lambda check: sorted({arg for base, arg in parsed if base == check})
+    wanted = [(CHECKS[base], arg) for base, arg in dict.fromkeys(parsed)]
+    over_m, on_leaf = ([(check, arg) for check, arg in wanted if check.on_leaf is leaf] for leaf in (False, True))
     got, floor = {}, None
-    if bases - {"leaf"}:
+    if over_m:
         grid = _grid(scenario, grid)
-        calibrate = "divergence-selftest" in bases or tolerance is None and any(CHECKS[b].calibrated for b in bases)
+        calibrate = any(check.integrand is None or tolerance is None and check.calibrated for check, _ in over_m)
         plan = grid_plan(scenario.fol, grid)
         fields = _selftest_fields(scenario.manifold) if calibrate and plan.floor is None else None
-        integrals, extrema = _grid_pass(scenario, grid, bases, orders("main"), fields)
+        got = _grid_pass(scenario, grid, over_m, fields)
         if fields is not None:
-            plan.floor = _selftest_floor(integrals)
+            plan.floor = _selftest_floor(got)
         floor = plan.floor if calibrate else None
-        got = {**integrals, **extrema}
-    if "leaf" in bases:
-        leaf = scenario.leaf
-        if leaf is None:
+    if on_leaf:
+        if scenario.leaf is None:
             raise UnsupportedLeafError(f"scenario {scenario.name} declares no closed leaves")
-        lgrid = _leaf_grid(scenario, leaf, grid)
-        got.update(_grid_pass(scenario, lgrid, (), orders("leaf"), leaf=leaf)[0])
+        lgrid = _leaf_grid(scenario, scenario.leaf, grid)
+        got.update(_grid_pass(scenario, lgrid, on_leaf, leaf=scenario.leaf))
     got["floor"] = floor
     reports = []
     for base, arg in parsed:
@@ -491,7 +494,7 @@ def verify_grid_checks(scenario, checks, grid=None, tolerance=None) -> list[Veri
         reports.append(make_report(
             f"{base}:{arg}" if check.ordered else base, residual,
             tolerance if tolerance is not None and math.isfinite(check.tol) else _tolerance(check, floor),
-            t0, scenario, lgrid if base == "leaf" else grid, terms=terms,
+            t0, scenario, lgrid if check.on_leaf else grid, terms=terms,
             preconditions_ok=all(getattr(scenario.flags, flag) for flag in check.flags),
             requires_admissible=check.admissible, **meta,
         ))
@@ -513,17 +516,23 @@ def _leaf_grid(scenario, leaf, grid) -> QuadratureGrid:
     return leaf_grid(scenario.manifold, leaf, tuple(counts[ax] for ax in leaf.axes))
 
 
-def _grid_pass(scenario, grid: QuadratureGrid, bases, orders=(), fields=None, leaf=None) -> tuple[dict, dict]:
-    """The integrals of one ``integrate_terms`` pass over ``grid``, and the sigma_2 scan's extrema.
+_FOLDS = {"_min": min, "_max": max}  # how a grid pass folds an extremum across its chunks, by its key's end
 
-    ``bases`` names the grid checks whose integrands the pass emits (see
-    :func:`verify_grid_checks`) and ``orders`` the formula orders: of the
-    main formula on a grid over M, or, given a closed ``leaf`` and a grid
-    over it (:func:`quadrature.leaf_grid`), of the compact-leaf formula,
-    keyed ``("leaf:r", "integrand")``.  ``fields``, when given, maps a
-    chunk's points to the self-test's ambient fields, each as its arrays
-    X^k and ∂_k X^k (:func:`_selftest_fields`), whose divergences are keyed
-    ``("divergence-selftest", "div_i")``.
+
+def _grid_pass(scenario, grid: QuadratureGrid, wanted, fields=None, leaf=None) -> dict:
+    """The integrals of one ``integrate_terms`` pass over ``grid``, and the extrema its records ask for.
+
+    ``wanted`` lists ``(check, argument)`` pairs of grid-check records (see
+    :func:`verify_grid_checks`); the pass evaluates the integrand of each
+    (``Check.integrand``) on its geometry, over M or, given a closed
+    ``leaf`` and a grid over it (:func:`quadrature.leaf_grid`), over the
+    leaf.  Every sample is integrated under its own key, except an extremum,
+    keyed ``..._min`` or ``..._max``: a value of the representatives'
+    unweighted samples, so of every node, that the pass folds across its
+    chunks with ``min`` or ``max``.  ``fields``, when given, maps a chunk's
+    points to the self-test's ambient fields, each as its arrays X^k and
+    ∂_k X^k (:func:`_selftest_fields`), whose divergences are keyed
+    ``(SELFTEST_KEY, "div_i")``.
 
     The grid's plan (:func:`grid_plan`) groups its distinct nodes over the
     whole grid.  Each chunk builds one ``Geometry`` on the representatives
@@ -543,22 +552,13 @@ def _grid_pass(scenario, grid: QuadratureGrid, bases, orders=(), fields=None, le
     Γ^k_{kj} from its representative, from this chunk's
     geometry or from the rows an earlier chunk held because a later one
     reads them (:class:`_Held`).  A pass without the self-test holds and
-    gathers nothing per node, and a pass with nothing to emit makes none.
-    The sigma_2 and Ric^P(N, N) extrema are read from the representatives'
-    unweighted samples, the values of every node; a non-finite sample of
-    either raises :class:`EvaluationError` naming its first node in grid
-    order.
+    gathers nothing per node, and a pass with nothing to evaluate makes none.
     """
     fol, man = scenario.fol, scenario.manifold
-    sigmas = set()
-    if "reeb" in bases:
-        sigmas.add(1)
-    if "closed-form-c" in bases:
-        sigmas.update(range(scenario.n + 1))
-    scan = "sigma2-image" in bases
-    extrema = {"sigma2_min": np.inf, "sigma2_max": -np.inf, "ricci_p_NN_min": np.inf}
-    if fields is None and not (sigmas or orders or scan):
-        return {}, extrema
+    integrands = [(check.integrand, arg) for check, arg in wanted if check.integrand]
+    extrema = {}
+    if fields is None and not integrands:
+        return extrema
     order = 1 if leaf is None else 2
     axes = list(range(man.dim) if leaf is None else leaf.axes)
     plan = grid_plan(fol, grid)
@@ -567,28 +567,20 @@ def _grid_pass(scenario, grid: QuadratureGrid, bases, orders=(), fields=None, le
     start = 0
 
     def representatives(pts):
-        """The representatives' per-node arrays (density, Γ^k_{kj}) and weighted samples; the scan's extrema."""
+        """The representatives' per-node arrays (density, Γ^k_{kj}) and weighted samples; their extrema folded."""
         geom = Geometry(fol, pts, order=order)
         density = np.sqrt(np.linalg.det(geom.g.value[..., axes, :][..., axes]))
         node = {"density": density}
         if fields is not None:
             G = geom.gamma.gamma[..., diagonal, diagonal, :]  # without a batch axis on the invariant backend
             node["gamma_kk"] = np.broadcast_to(G, geom.batch + G.shape[-2:])
-        if scan:
-            s2, ric = geom.sigma.value[..., 2], geom.ricci_p(geom.N.value)
-            require_finite(("sigma2-image", "sigma_2"), s2, pts)
-            require_finite(("sigma2-image", "ricci_p_NN"), ric, pts)
-            extrema["sigma2_min"] = min(extrema["sigma2_min"], float(np.min(s2)))
-            extrema["sigma2_max"] = max(extrema["sigma2_max"], float(np.max(s2)))
-            extrema["ricci_p_NN_min"] = min(extrema["ricci_p_NN_min"], float(np.min(ric)))
-        samples = {f"sigma_{k}": geom.sigma.value[..., k] * density for k in sorted(sigmas)}
-        if "closed-form-c" in bases:
-            samples["volume"] = density
-        for r in orders:
-            if leaf is not None:
-                samples[(f"leaf:{r}", "integrand")] = geom.leaf_formula_integrand(r) * density
-            else:
-                samples.update({(f"main:{r}", key): vals * density for key, vals in _main_terms(geom, r).items()})
+        samples = {}
+        for integrand, arg in integrands:
+            for key, vals in integrand(geom, scenario, arg).items():
+                if key[-4:] in _FOLDS:
+                    extrema[key] = _FOLDS[key[-4:]](extrema.get(key, vals), vals)
+                else:
+                    samples[key] = vals * density
         return node, samples
 
     def terms(pts):
@@ -600,12 +592,12 @@ def _grid_pass(scenario, grid: QuadratureGrid, bases, orders=(), fields=None, le
         if fields is not None:
             node = held.scatter(node, plan.group[start:stop], lo, hi)
             for i, (value, diag) in enumerate(fields(pts)):
-                out[("divergence-selftest", f"div_{i}")] = traced_divergence(node["gamma_kk"], value, diag) * node["density"]
+                out[(SELFTEST_KEY, f"div_{i}")] = traced_divergence(node["gamma_kk"], value, diag) * node["density"]
         start = stop
         out.update({key: quadrature.Grouped(vals, plan.count[lo:hi], plan.first[lo:hi]) for key, vals in samples.items()})
         return out
 
-    return _integrate_terms(scenario, grid, terms), extrema
+    return {**_integrate_terms(scenario, grid, terms), **extrema}
 
 
 class _Held:
@@ -684,6 +676,18 @@ def _closed_form_c_report(got: dict, scenario, arg) -> tuple:
     recursion = [abs((r + 2) * Sget(r + 2) - c * (n - r) * S[r]) for r in range(n)]
     closed = lambda r: newton.total_curvature_closed_constant(n, r, c, got["volume"])
     return _closed_form_residual(S, closed, recursion), {f"total_sigma_{r}": float(S[r]) for r in range(n + 1)}, {"c": c}
+
+
+def _sigma2_image_scan(geom, scenario, c) -> dict:
+    """The ``sigma2-image`` scan on ``geom``'s points: the extrema of sigma_2 and Ric^P(N, N), which a grid pass folds.
+
+    A non-finite sample of either raises :class:`EvaluationError` naming
+    its first point, the first node in grid order on a grid pass.
+    """
+    s2, ric = geom.sigma.value[..., 2], geom.ricci_p(geom.N.value)
+    require_finite(("sigma2-image", "sigma_2"), s2, geom.points)
+    require_finite(("sigma2-image", "ricci_p_NN"), ric, geom.points)
+    return {"sigma2_min": float(np.min(s2)), "sigma2_max": float(np.max(s2)), "ricci_p_NN_min": float(np.min(ric))}
 
 
 def _sigma2_image_report(got: dict, scenario, c: float) -> tuple:
@@ -871,6 +875,13 @@ class Check:
     - ``tol``: the tolerance class, the constant its reports are judged
       against, raised to 10x the grid's calibration floor when
       ``calibrated``; None when each of its identities carries its own.
+    - ``integrand``: what a grid pass integrates for a grid check, a map of
+      the pass's ``Geometry``, the scenario and the argument to per-node
+      samples by key, unweighted, or to an extremum of the geometry's points
+      under a key ending ``_min`` or ``_max``, which the pass folds instead
+      (:func:`_grid_pass`).  A grid check without an integrand reads only
+      the calibration floor.  ``on_leaf``: the pass is over the scenario's
+      closed leaf, at ``Geometry`` order 2 and on the leaf's axes, not over M.
     - ``grid``: a grid check's report, as a map of a grid pass's results,
       the scenario and the argument to (residual, terms, metadata).
       ``residual`` names the term integrals a residual sums, with their signs.
@@ -886,6 +897,8 @@ class Check:
     admissible: bool = False
     tol: float | None = None
     calibrated: bool = False
+    integrand: Callable | None = None
+    on_leaf: bool = False
     grid: Callable | None = None
     residual: tuple = ()
     run: Callable | None = None
@@ -900,6 +913,7 @@ CHECKS = {
     "divergence-selftest": Check(tol=FIRST_ORDER_TOL, grid=lambda got, s, arg: (got["floor"], {}, {})),
     "reeb": Check(
         flags=("harmonic_perp",), tol=INTEGRAL_FLOOR, calibrated=True,
+        integrand=lambda geom, s, arg: {"sigma_1": geom.sigma.value[..., 1]},
         grid=lambda got, s, arg: (got["sigma_1"], {"sigma1_integral": got["sigma_1"]}, {}),
     ),
     "pointwise": Check(run=lambda s, arg, k: [
@@ -908,18 +922,24 @@ CHECKS = {
     ]),
     "codazzi": Check(tol=DIFFERENTIAL_TOL, run=lambda s, arg, k: [check_codazzi(s, k)]),
     "trace-identities": Check(run=lambda s, arg, k: check_trace_identities(s, min(k, 20))),
-    "sigma2-image": Check(arg=(float, 0.0), tol=math.inf, grid=_sigma2_image_report),
+    "sigma2-image": Check(arg=(float, 0.0), tol=math.inf, integrand=_sigma2_image_scan, grid=_sigma2_image_report),
     "main": Check(
         arg=(int, 0), flags=("harmonic_perp",), admissible=True, tol=INTEGRAL_FLOOR, calibrated=True,
+        # _main_terms is looked up at each call, so a patch of the module's name reaches the pass
+        integrand=lambda geom, s, r: {(f"main:{r}", key): vals for key, vals in _main_terms(geom, r).items()},
         grid=_main_report, residual=(("sigma", 1), ("normal_curvature", -1), ("z_curvature", -1)),
     ),
     "leaf": Check(
         arg=(int, 0), when=lambda s: s.leaf is not None, flags=("harmonic_perp",), admissible=True,
+        on_leaf=True, integrand=lambda geom, s, r: {(f"leaf:{r}", "integrand"): geom.leaf_formula_integrand(r)},
         tol=INTEGRAL_FLOOR, grid=lambda got, s, r: (got[(f"leaf:{r}", "integrand")], {}, {"leaf": s.leaf.name}),
     ),
     "closed-form-c": Check(
         when=lambda s: s.flags.satisfies_pcurv_c, flags=("satisfies_pcurv_c", "harmonic_perp"), admissible=True,
         tol=INTEGRAL_FLOOR, calibrated=True, grid=_closed_form_c_report,
+        integrand=lambda geom, s, arg: {
+            **{f"sigma_{k}": geom.sigma.value[..., k] for k in range(s.n + 1)}, "volume": np.ones(geom.batch),
+        },
     ),
     "closed-form-einstein": Check(
         arg=(float, 1.0), tol=ALGEBRAIC_TOL, run=lambda s, C, k: [verify_closed_form_einstein(s.n, C, s.volume)],

@@ -1,14 +1,14 @@
 """Independent oracles shared by the test modules.
 
 Everything here deliberately avoids the jet/connection machinery under test:
-finite differences for derivatives, eigenvalue brute force for symmetric
-functions, dense one-dimensional quadrature for reduced integrals, and
-hand-derived closed forms for the warped and tilted example metrics.  The
-exceptions are references that other code is held to bit for bit: the
-umbilical integrand and residual, one sample at a time through the
-nested-list Newton path and Python floats, for the per-leaf-dimension
-batches of ``newton`` and ``verify``; the projector jets at the seeds'
-full derivative order, for the first-order
+finite differences for derivatives, eigenvalue brute force and exact
+rational principal minors for symmetric functions, dense one-dimensional
+quadrature for reduced integrals, and hand-derived closed forms for the
+warped and tilted example metrics.  The exceptions are references that other
+code is held to bit for bit: the umbilical integrand and residual, one
+sample at a time through the nested-list Newton path and Python floats, for
+the per-leaf-dimension batches of ``newton`` and ``verify``; the projector
+jets at the seeds' full derivative order, for the first-order
 ``distribution.projector_jets``; and the scalar-jet route of
 ``foliation.Geometry`` (:class:`NestedGeometry`) with its Gauss-Jordan
 solve, one ``Jet`` product at a time over nested lists, for the tensor-jet
@@ -19,21 +19,22 @@ kernel (``Geometry.newton_curvature_trace``) and the one leaf integrand
 evaluation (:func:`evaluate_per_node`, :func:`per_node_selftest_floor`), a
 ``Geometry`` on every node of a block and the calibration's connection from
 order-1 seeds on every node, for the grid passes, the leaf integrals and the
-scenario measurement that evaluate each distinct node once; and the
-grouping of nodes by the bytes of their closure outputs
-(:func:`fingerprint_groups`), for ``foliation.distinct_nodes``, which groups
-them by the coordinates the closures read; and the closure form of the random trig test fields (:func:`reference_trig_scalar`
-and the fields built from it), one ``jets.sin`` lift and ``Jet`` product per
-factor on every point, for the per-axis evaluator ``verify.trig_scalars``;
-and the self-test's path through full jets (:func:`reference_trig_jets`,
+scenario measurement that evaluate each distinct node once; and the grouping
+of nodes by the bytes of their closure outputs (:func:`fingerprint_groups`),
+for ``foliation.distinct_nodes``, which groups them by the coordinates the
+closures read; and the closure form of the random trig test fields
+(:func:`reference_trig_scalar` and the fields built from it), one
+``jets.sin`` lift and ``Jet`` product per factor on every point, for the
+per-axis evaluator ``verify.trig_scalars``; and the self-test's path through
+full jets (:func:`reference_trig_jets`,
 :func:`reference_selftest_divergences`), every gradient column of every
 field stacked into one jet and its ∇ traced, for the values and diagonal
 derivatives that ``verify._selftest_fields`` hands
 ``manifolds.traced_divergence``; and the point operations that nothing in
 the program calls: the commutator-definition route to the projected
-curvature (:func:`curvature_P_fields`, :func:`curvature_P`) and the
-induced connection (:func:`nabla_P`), for ``distribution.curvature_P_tensor``,
-the classical Codazzi residual (:func:`codazzi_classic_residual`), the
+curvature (:func:`curvature_P_fields`, :func:`curvature_P`) and the induced
+connection (:func:`nabla_P`), for ``distribution.curvature_P_tensor``, the
+classical Codazzi residual (:func:`codazzi_classic_residual`), the
 alternating-sum Newton transformations (:func:`newton_transform_explicit`)
 and the constant-curvature recursion of the total sigma_r
 (:func:`total_curvature_recursion_constant`), with the fields they take
@@ -43,6 +44,8 @@ the rotated or flipped leaf frame of the frame-invariance tests
 """
 
 from dataclasses import dataclass, replace
+from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
@@ -94,6 +97,33 @@ def eig_elementary_symmetric(A):
         coeffs = np.concatenate([coeffs, [0.0]])
         coeffs[1:] += ev * coeffs[:-1].copy()
     return coeffs
+
+
+def exact_elementary_symmetric(A):
+    """sigma_0..sigma_n of one matrix, each the sum of its k x k principal minors, exact in ``Fraction`` and rounded once.
+
+    Unlike the eigenvalue route it loses nothing to a nearly defective
+    spectrum, so it holds the Newton recursion to any bound.
+    """
+    F = [[Fraction(x) for x in row] for row in np.asarray(A, dtype=float).tolist()]
+    minor = lambda S: _fraction_det([[F[i][j] for j in S] for i in S])
+    return np.array([float(sum(map(minor, combinations(range(len(F)), k)), Fraction(0))) for k in range(len(F) + 1)])
+
+
+def _fraction_det(M):
+    """The determinant of a square list of ``Fraction`` rows, by exact Gaussian elimination."""
+    M, det = [row[:] for row in M], Fraction(1)
+    for c in range(len(M)):
+        p = next((r for r in range(c, len(M)) if M[r][c] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            M[c], M[p], det = M[p], M[c], -det
+        det *= M[c][c]
+        for r in range(c + 1, len(M)):
+            f = M[r][c] / M[c][c]
+            M[r] = [a - f * b for a, b in zip(M[r], M[c])]
+    return det
 
 
 def umbilical_main_integrand_nested(n, r, H, ric_nn, ric_zn):

@@ -337,13 +337,15 @@ def _traced_peaks(scenario, axes) -> tuple[int, int, int]:
     """Traced peak bytes of building a grid's plan and of one grid pass over it, beyond what it starts with, and the pass's integral count."""
     grid = quadrature.grid_for(scenario.manifold, axes)
     fields = verify._selftest_fields(scenario.manifold)
+    wanted = [(verify.CHECKS["reeb"], None), (verify.CHECKS["closed-form-c"], None)]
+    wanted += [(verify.CHECKS["main"], r) for r in range(scenario.n)]
     tracemalloc.start()
     try:
         verify.grid_plan(scenario.fol, grid)
         plan = tracemalloc.get_traced_memory()[1]
         held = tracemalloc.get_traced_memory()[0]  # the plan, held for the grid's lifetime, not the pass's
         tracemalloc.reset_peak()
-        integrals, _ = verify._grid_pass(scenario, grid, {"reeb", "closed-form-c"}, range(scenario.n), fields)
+        integrals = verify._grid_pass(scenario, grid, wanted, fields)
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()

@@ -141,9 +141,10 @@ def test_a_grid_of_two_weights_groups_the_nodes_by_weight_too(warped4, monkeypat
     assert np.array_equal(plan.first, np.concatenate([np.arange(32), two.count // 4 + np.arange(32)]))
     assert all(np.unique(two.weights[plan.group == g]).size == 1 for g in range(64))
     selftest = verify._selftest_fields(warped4.manifold)
-    grouped, _ = verify._grid_pass(warped4, two, {"reeb", "closed-form-c"}, (0, 1), selftest)
+    wanted = [(verify.CHECKS[base], arg) for base, arg in map(verify.parse_check, ("reeb", "closed-form-c", "main:0", "main:1"))]
+    grouped = verify._grid_pass(warped4, two, wanted, selftest)
     evaluate_per_node(monkeypatch)
-    per_node, _ = verify._grid_pass(warped4, _fresh(two), {"reeb", "closed-form-c"}, (0, 1), selftest)
+    per_node = verify._grid_pass(warped4, _fresh(two), wanted, selftest)
     assert repr(grouped) == repr(per_node)
 
 

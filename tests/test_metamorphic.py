@@ -13,6 +13,16 @@ bit, except that a zero may change its sign: values are compared as floats.
 Negating the leaf frame instead (``rotated_foliation(flip=True)``) changes
 neither N nor A, whose entries carry one factor of e_i and one of e_j.
 
+Scaling the metric, g -> lambda^2 g with the three frames scaled by
+1/lambda to stay orthonormal, keeps the Levi-Civita connection, the leaves,
+D, P and the curvature tensor R^P as a (1, 3) tensor, and divides A by
+lambda: sigma_k and T_k scale by lambda^-k, Z's leaf components by
+lambda^-1, each normal-curvature trace by lambda^-2, and the volume by
+lambda^m.  So every term of the main formula at order r scales by
+lambda^(m - r - 2), and the integral of |Z|^2 by lambda^(m - 2).  The grid
+and its nodes are the same, so they match to rounding; a term at the
+rounding level is noise, which does not scale.
+
 Translating the chart, z -> z + s on ``tilted_torus_4`` with every profile
 shifted to match, is an isometry of the torus onto itself that carries one
 structure to the other.  Every integral over M is unchanged; on the
@@ -26,11 +36,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from folsub import scenarios, verify
+from folsub import quadrature, scenarios, verify
 from folsub.foliation import Geometry
 from helpers import rotated_foliation
 
 CATALOG = scenarios.catalog_names()
+CHARTS = ["flat_torus", "tilted_torus_4", "warped_torus_3", "warped_torus_4", "warped_torus_4_umbilical"]
 
 
 def _normal_flipped(scenario):
@@ -102,3 +113,53 @@ def test_a_chart_translation_keeps_every_integral_over_m(shift):
         assert b.terms.keys() == a.terms.keys(), check
         for key, value in a.terms.items():
             assert abs(b.terms[key] - value) <= 1e-11, (check, key)
+
+
+def _homothetic(scenario, lam):
+    """The scenario under g -> lam^2 g, each frame vector scaled by 1/lam, with its flags measured again."""
+    fol, man = scenario.fol, scenario.manifold
+    shrink = lambda v: [(1.0 / lam) * c for c in v]
+    scaled = replace(
+        fol,
+        manifold=replace(man, metric=lambda coords: [[lam**2 * gij for gij in row] for row in man.metric(coords)]),
+        leaf_frame=lambda coords: [shrink(v) for v in fol.leaf_frame(coords)],
+        normal=lambda coords: shrink(fol.normal(coords)),
+        frame_Dperp=lambda coords: [shrink(v) for v in fol.frame_Dperp(coords)],
+    )
+    c = scenario.flags.pcurv_c
+    declared = {} if c is None else {"pcurv_c": c / lam**2}
+    return scenarios._finalize(scenario.name, scaled, declared, {}, scenario.leaf, scenario.default_grid)
+
+
+# The main-formula terms above the rounding level on the default grids; every other term is noise.
+SCALED_TERMS = {
+    "tilted_torus_4": [
+        ("main:0", "z_norm_sq_integral"),
+        ("main:1", "normal_curvature_term"),
+        ("main:1", "z_curvature_term"),
+        ("main:1", "z_norm_sq_integral"),
+    ],
+    "warped_torus_4_umbilical": [("main:0", "sigma_term"), ("main:0", "normal_curvature_term")],
+}
+
+
+@pytest.mark.parametrize("name", CHARTS)
+def test_a_homothety_scales_each_main_term_by_its_weight_and_keeps_every_verdict(name, catalog):
+    s = catalog[name]
+    big, m = _homothetic(s, 2.0), s.manifold.dim
+    grid = verify._grid(s)
+    volume = quadrature.total_volume(s.manifold, grid)
+    assert abs(quadrature.total_volume(big.manifold, grid) - 2.0**m * volume) <= 1e-12 * 2.0**m * volume
+    assert verify.battery(big) == verify.battery(s)
+    base, scaled = (verify.run_checks(t, verify.battery(s)) for t in (s, big))
+    assert [(rep.formula_id, rep.verdict) for rep in scaled] == [(rep.formula_id, rep.verdict) for rep in base]
+    scaled_terms = []
+    for a, b in zip(base, scaled):
+        check, _, r = a.formula_id.partition(":")
+        for key, value in a.terms.items() if check == "main" else ():
+            want = 2.0 ** (m - 2 if key == "z_norm_sq_integral" else m - int(r) - 2) * value
+            if abs(value) >= 1e-6:
+                assert abs(b.terms[key] - want) <= 1e-12 * abs(want), (a.formula_id, key)
+                scaled_terms.append((a.formula_id, key))
+    assert scaled_terms == SCALED_TERMS.get(name, [])
+

@@ -166,6 +166,9 @@ def test_a_frame_of_the_wrong_shape_is_refused(broken, warped4):
     with pytest.raises((ConstructionError, ValueError)):
         geom = fln.Geometry(broken(warped4.fol), warped4.manifold.random_points(RNG, 4), order=1)
         geom.e, geom.N, geom.xis
+    # and so does the pointwise battery, whose random D-fields call the closures themselves
+    with pytest.raises((ConstructionError, ValueError)):
+        verify.run_checks(replace(warped4, fol=broken(warped4.fol)), ["pointwise"])
 
 
 def test_a_leaf_frame_count_that_disagrees_with_n_names_the_closure(warped4):
