@@ -89,7 +89,9 @@ class Geometry:
     once, as arrays, and computes ∂Γ only when something reads it.  Values
     that are only ever contracted (``Hperp``, ``RP``, ``R``) are computed
     without derivatives.  The projector ``P`` is contracted from D's frame,
-    the jets ``e`` and ``N`` already held, so each closure runs once.
+    the jets ``e`` and ``N`` already held, so each closure runs once.  The
+    metric and each frame are checked for shape on their first read
+    (:meth:`_stacked`).
 
     One method per formula: ``newton_curvature_trace``, the alternating R^P trace
     behind div_F T_r and the main formula; ``leaf_formula_integrand``, the leaf one.
@@ -126,7 +128,7 @@ class Geometry:
 
         Only the connection holds the metric Hessian, and only until it forms ∂Γ.
         """
-        g = stack(self.man.metric_jets(self._seeds2), self._seeds2)
+        g = self._stacked("metric", self.man.metric_jets(self._seeds2), self._seeds2, (self.m, self.m))
         return g.at_order(self.order), self.man.gamma_jets(self._seeds2, g)
 
     @property
@@ -138,13 +140,21 @@ class Geometry:
         return self._metric[1]
 
     def _frame(self, closure: str, shape: tuple) -> Jet:
-        """The closure's components stacked on the seeds, of ``shape`` per point.
+        """The closure's components stacked on the seeds, of ``shape`` per point (:meth:`_stacked`)."""
+        return self._stacked(closure, getattr(self.fol, closure)(self.coords), self.coords, shape)
 
-        Any other shape raises :class:`ConstructionError` naming the closure:
-        an orthonormal frame of the wrong split would otherwise pass as
-        formulas of another leaf dimension.
+    def _stacked(self, closure: str, entries, seeds, shape: tuple) -> Jet:
+        """The nested list ``entries`` that ``closure`` gave on ``seeds``, stacked, of ``shape`` per point.
+
+        A ragged list or any other shape raises :class:`ConstructionError`
+        naming the closure: an orthonormal frame of the wrong split would
+        otherwise pass as formulas of another leaf dimension, and a metric
+        of the wrong size would fail deep inside the connection.
         """
-        out = stack(getattr(self.fol, closure)(self.coords), self.coords)
+        try:
+            out = stack(entries, seeds)
+        except ValueError as exc:  # jets.stack refuses a ragged list
+            raise ConstructionError(f"{closure} gives a {exc} (n={self.n}, m={self.m})") from exc
         per_point = out.shape[len(self.batch) :]
         if per_point != shape:
             raise ConstructionError(f"{closure} gives shape {per_point} per point, not {shape} (n={self.n}, m={self.m})")

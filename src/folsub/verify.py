@@ -35,19 +35,22 @@ tolerance, and how its reports are made.  :func:`parse_check` is the one
 parser of a check name and :func:`run_checks` runs a list of them.
 
 A grid check's record declares its integrand, the per-node samples a grid
-pass integrates for it, and maps the pass's results to its residual, terms
-and metadata; :func:`verify_grid_checks` makes every grid report from it
-with one :func:`make_report` call.  The grid checks of one (scenario, run
-grid) share one pass over M (:func:`_grid_pass`, one ``integrate_terms``
-reduction), whose integrand carries the calibration's self-test fields (only
-when a report needs the floor) and every requested record's samples, and one
-pass over the scenario's closed leaf for the records that integrate over it,
-on the run grid's counts on the leaf's axes.  The pass names no check: it
-weights what the records give, hands it on, and folds the extrema they ask
-for.  A pass builds ``Geometry`` once per distinct node of the whole grid,
-nodes being distinct on the coordinates the closures read, and on the weight
-where the grid's weights differ (:func:`foliation.distinct_nodes`), in the
-chunk where the node first appears, and hands the reduction each
+pass integrates for it under bare keys, and maps its own integrals and the
+calibration floor to its residual, terms and metadata;
+:func:`verify_grid_checks` makes every grid report from it with one
+:func:`make_report` call.  The grid checks of one (scenario, run grid) share
+one pass over M (:func:`_grid_pass`, one ``integrate_terms`` reduction),
+whose integrand carries the calibration's self-test fields (only when a
+report needs the floor) and the samples of every requested formula id, and
+one pass over the scenario's closed leaf for the records that integrate over
+it, on the run grid's counts on the leaf's axes.  The pass names no check:
+it calls each record's integrand once per formula id (``main:1``, ``reeb``,
+``sigma2-image`` at any c), keys what it gives by that id, weights it,
+hands it on, and folds the extrema it asks for.  A pass builds ``Geometry``
+once per distinct node of the whole grid, nodes being distinct on the
+coordinates the closures read, and on the weight where the grid's weights
+differ (:func:`foliation.distinct_nodes`), in the chunk where the node
+first appears, and hands the reduction each
 representative's samples once, weighted by the volume density of that
 geometry's metric on the axes integrated over, with the count of nodes they
 stand for; the reduction's sums have the bits of an evaluation on every
@@ -184,10 +187,17 @@ def _check_order(r: int, n: int, what: str) -> None:
 
 
 def _grid(scenario, grid=None) -> QuadratureGrid:
-    """``grid`` as a quadrature grid: kept as is, built from per-axis counts, or the default when None."""
-    if isinstance(grid, QuadratureGrid):
-        return grid
-    return grid_for(scenario.manifold, scenario.default_grid if grid is None else grid)
+    """``grid`` as a quadrature grid: kept as is, built from per-axis counts, or the default when None.
+
+    A quadrature grid whose nodes are not points of the scenario's manifold
+    raises :class:`ConfigError` naming both dimensions.
+    """
+    if not isinstance(grid, QuadratureGrid):
+        return grid_for(scenario.manifold, scenario.default_grid if grid is None else grid)
+    dim, m = grid.nodes.shape[-1], scenario.manifold.dim
+    if dim != m:
+        raise ConfigError(f"a grid of {dim}-dimensional nodes is not over {scenario.name}, of dimension {m}")
+    return grid
 
 
 # -- random smooth test fields ---------------------------------------------------
@@ -343,11 +353,6 @@ def _selftest_fields(manifold):
     return fields
 
 
-def _selftest_floor(integrals: dict) -> float:
-    """Worst |integral of Div X| among the self-test keys of a grid pass."""
-    return max((abs(v) for key, v in integrals.items() if key[:1] == (SELFTEST_KEY,)), default=0.0)
-
-
 # -- integral formulas ----------------------------------------------------------------
 
 
@@ -446,11 +451,15 @@ def verify_grid_checks(scenario, checks, grid=None, tolerance=None) -> list[Veri
 
     ``checks`` lists names of grid checks, in any order; one report comes
     back per entry, in that order.  ``grid`` is a quadrature grid over M or
-    its per-axis counts, by default the scenario's.  The pass over M
-    evaluates only the requested records' integrands (``Check.integrand``),
-    and the calibration's self-test fields only when a report reads the
-    floor: a record without an integrand, or a calibrated one without a
-    given ``tolerance``.  The records ``on_leaf`` share one pass over the
+    its per-axis counts, by default the scenario's.  Each name's formula id,
+    the name its report carries (``main:1``, ``reeb``, ``sigma2-image``
+    whatever its c), is computed once here: the passes evaluate each
+    distinct id's integrand (``Check.integrand``) once, at the order of an
+    ordered check and None otherwise, and each report reads only its own
+    id's integrals and the floor.  The pass over M evaluates the
+    calibration's self-test fields only when a report reads the floor: a
+    record without an integrand, or a calibrated one without a given
+    ``tolerance``.  The records ``on_leaf`` share one pass over the
     scenario's closed leaf, on the run grid's counts on the leaf's axes
     (:func:`_leaf_grid`), and raise :class:`UnsupportedLeafError` on a
     scenario without one; a call of leaf checks alone builds no grid over
@@ -467,32 +476,32 @@ def verify_grid_checks(scenario, checks, grid=None, tolerance=None) -> list[Veri
         if CHECKS[base].grid is None:
             known = ", ".join(name for name, check in CHECKS.items() if check.grid)
             raise ConfigError(f"{base!r} is not a grid check; known: {known}")
-    wanted = [(CHECKS[base], arg) for base, arg in dict.fromkeys(parsed)]
-    over_m, on_leaf = ([(check, arg) for check, arg in wanted if check.on_leaf is leaf] for leaf in (False, True))
+    ids = [f"{base}:{arg}" if CHECKS[base].ordered else base for base, arg in parsed]
+    wanted = {fid: (fid, CHECKS[base], arg if CHECKS[base].ordered else None) for fid, (base, arg) in zip(ids, parsed)}
+    over_m, on_leaf = ([w for w in wanted.values() if w[1].on_leaf is leaf] for leaf in (False, True))
     got, floor = {}, None
     if over_m:
         grid = _grid(scenario, grid)
-        calibrate = any(check.integrand is None or tolerance is None and check.calibrated for check, _ in over_m)
+        calibrate = any(check.integrand is None or tolerance is None and check.calibrated for _, check, _ in over_m)
         plan = grid_plan(scenario.fol, grid)
         fields = _selftest_fields(scenario.manifold) if calibrate and plan.floor is None else None
         got = _grid_pass(scenario, grid, over_m, fields)
-        if fields is not None:
-            plan.floor = _selftest_floor(got)
+        if fields is not None:  # the floor: the worst |integral of Div X| of the self-test's fields
+            plan.floor = max((abs(v) for (fid, _), v in got.items() if fid == SELFTEST_KEY), default=0.0)
         floor = plan.floor if calibrate else None
     if on_leaf:
         if scenario.leaf is None:
             raise UnsupportedLeafError(f"scenario {scenario.name} declares no closed leaves")
         lgrid = _leaf_grid(scenario, scenario.leaf, grid)
         got.update(_grid_pass(scenario, lgrid, on_leaf, leaf=scenario.leaf))
-    got["floor"] = floor
     reports = []
-    for base, arg in parsed:
+    for fid, (base, arg) in zip(ids, parsed):
         check = CHECKS[base]
-        residual, terms, meta = check.grid(got, scenario, arg)
+        residual, terms, meta = check.grid(lambda key: got[fid, key], floor, scenario, arg)
         if check.calibrated:
             meta = {"selftest_floor": floor if tolerance is None else None, **meta}
         reports.append(make_report(
-            f"{base}:{arg}" if check.ordered else base, residual,
+            fid, residual,
             tolerance if tolerance is not None and math.isfinite(check.tol) else _tolerance(check, floor),
             t0, scenario, lgrid if check.on_leaf else grid, terms=terms,
             preconditions_ok=all(getattr(scenario.flags, flag) for flag in check.flags),
@@ -506,13 +515,14 @@ def _leaf_grid(scenario, leaf, grid) -> QuadratureGrid:
     """The grid over ``leaf`` that a run grid sets: the counts of ``grid`` (a quadrature grid, per-axis counts, or None for the default) on the leaf's axes.
 
     Counts that are not one positive count per axis of M raise
-    ``ValueError``, as in :func:`quadrature.grid_for`; an invariant-frame
-    leaf, which has no axes, is one node whatever the counts.
+    ``ValueError``, as in :func:`quadrature.grid_for`, and a quadrature grid
+    over a manifold of another dimension :class:`ConfigError` (:func:`_grid`);
+    an invariant-frame leaf, which has no axes, is one node whatever the counts.
     """
     if not leaf.axes:
         return leaf_grid(scenario.manifold, leaf)
-    counts = grid.axes if isinstance(grid, QuadratureGrid) else scenario.default_grid if grid is None else grid
-    counts = quadrature._counts(counts, scenario.manifold.dim)
+    counts = _grid(scenario, grid).axes if isinstance(grid, QuadratureGrid) else grid
+    counts = quadrature._counts(scenario.default_grid if counts is None else counts, scenario.manifold.dim)
     return leaf_grid(scenario.manifold, leaf, tuple(counts[ax] for ax in leaf.axes))
 
 
@@ -522,12 +532,14 @@ _FOLDS = {"_min": min, "_max": max}  # how a grid pass folds an extremum across 
 def _grid_pass(scenario, grid: QuadratureGrid, wanted, fields=None, leaf=None) -> dict:
     """The integrals of one ``integrate_terms`` pass over ``grid``, and the extrema its records ask for.
 
-    ``wanted`` lists ``(check, argument)`` pairs of grid-check records (see
-    :func:`verify_grid_checks`); the pass evaluates the integrand of each
-    (``Check.integrand``) on its geometry, over M or, given a closed
-    ``leaf`` and a grid over it (:func:`quadrature.leaf_grid`), over the
-    leaf.  Every sample is integrated under its own key, except an extremum,
-    keyed ``..._min`` or ``..._max``: a value of the representatives'
+    ``wanted`` lists ``(formula id, record, order)`` triples, one per
+    distinct formula id (see :func:`verify_grid_checks`); the pass calls the
+    integrand of each record (``Check.integrand``) once per chunk on its
+    geometry, with that order, over M or, given a closed ``leaf`` and a grid
+    over it (:func:`quadrature.leaf_grid`), over the leaf.  Each key k the
+    integrand returns comes back as ``(formula id, k)``, so no two records
+    share a key.  Every sample is integrated under its key, except an
+    extremum, k ending ``_min`` or ``_max``: a value of the representatives'
     unweighted samples, so of every node, that the pass folds across its
     chunks with ``min`` or ``max``.  ``fields``, when given, maps a chunk's
     points to the self-test's ambient fields, each as its arrays X^k and
@@ -555,7 +567,7 @@ def _grid_pass(scenario, grid: QuadratureGrid, wanted, fields=None, leaf=None) -
     gathers nothing per node, and a pass with nothing to evaluate makes none.
     """
     fol, man = scenario.fol, scenario.manifold
-    integrands = [(check.integrand, arg) for check, arg in wanted if check.integrand]
+    integrands = [(fid, check.integrand, arg) for fid, check, arg in wanted if check.integrand]
     extrema = {}
     if fields is None and not integrands:
         return extrema
@@ -575,12 +587,12 @@ def _grid_pass(scenario, grid: QuadratureGrid, wanted, fields=None, leaf=None) -
             G = geom.gamma.gamma[..., diagonal, diagonal, :]  # without a batch axis on the invariant backend
             node["gamma_kk"] = np.broadcast_to(G, geom.batch + G.shape[-2:])
         samples = {}
-        for integrand, arg in integrands:
+        for fid, integrand, arg in integrands:
             for key, vals in integrand(geom, scenario, arg).items():
                 if key[-4:] in _FOLDS:
-                    extrema[key] = _FOLDS[key[-4:]](extrema.get(key, vals), vals)
+                    extrema[fid, key] = _FOLDS[key[-4:]](extrema.get((fid, key), vals), vals)
                 else:
-                    samples[key] = vals * density
+                    samples[fid, key] = vals * density
         return node, samples
 
     def terms(pts):
@@ -642,14 +654,13 @@ class _Held:
         return out
 
 
-def _main_report(got: dict, scenario, r: int) -> tuple:
-    """``main:r`` from a pass's term integrals: the residual, the signed sum ``CHECKS["main"].residual``, its terms and diagnostics.
+def _main_report(term, floor, scenario, r: int) -> tuple:
+    """``main:r`` from its term integrals: the residual, the signed sum ``CHECKS["main"].residual``, its terms and diagnostics.
 
     The sum starts from its first term, so a -0.0 keeps its bits.  The
     Riemannian-substituted residual is the same sum with the Riemann tensor
     in place of R^P in the curvature terms, all but the first.
     """
-    term = lambda key: got[(f"main:{r}", key)]
     (first, sign), *curvature = CHECKS["main"].residual
 
     def signed(suffix: str) -> float:
@@ -667,18 +678,18 @@ def _main_report(got: dict, scenario, r: int) -> tuple:
     return signed(""), terms, {}
 
 
-def _closed_form_c_report(got: dict, scenario, arg) -> tuple:
-    """``closed-form-c`` from a pass's sigma_0..sigma_n and volume integrals, against the declared constant c (0 when none is)."""
+def _closed_form_c_report(term, floor, scenario, arg) -> tuple:
+    """``closed-form-c`` from its sigma_0..sigma_n and volume integrals, against the declared constant c (0 when none is)."""
     n, c = scenario.n, scenario.flags.pcurv_c
     c = 0.0 if c is None else c
-    S = np.array([got[f"sigma_{r}"] for r in range(n + 1)])
+    S = np.array([term(f"sigma_{r}") for r in range(n + 1)])
     Sget = lambda k: S[k] if k <= n else 0.0
     recursion = [abs((r + 2) * Sget(r + 2) - c * (n - r) * S[r]) for r in range(n)]
-    closed = lambda r: newton.total_curvature_closed_constant(n, r, c, got["volume"])
+    closed = lambda r: newton.total_curvature_closed_constant(n, r, c, term("volume"))
     return _closed_form_residual(S, closed, recursion), {f"total_sigma_{r}": float(S[r]) for r in range(n + 1)}, {"c": c}
 
 
-def _sigma2_image_scan(geom, scenario, c) -> dict:
+def _sigma2_image_scan(geom, scenario, order) -> dict:
     """The ``sigma2-image`` scan on ``geom``'s points: the extrema of sigma_2 and Ric^P(N, N), which a grid pass folds.
 
     A non-finite sample of either raises :class:`EvaluationError` naming
@@ -690,9 +701,9 @@ def _sigma2_image_scan(geom, scenario, c) -> dict:
     return {"sigma2_min": float(np.min(s2)), "sigma2_max": float(np.max(s2)), "ricci_p_NN_min": float(np.min(ric))}
 
 
-def _sigma2_image_report(got: dict, scenario, c: float) -> tuple:
-    """``sigma2-image:c`` from a pass's sigma_2 and Ric^P(N, N) extrema: a diagnostic, with residual 0."""
-    terms = {key: got[key] for key in ("sigma2_min", "sigma2_max", "ricci_p_NN_min")}
+def _sigma2_image_report(term, floor, scenario, c: float) -> tuple:
+    """``sigma2-image:c`` from the sigma_2 and Ric^P(N, N) extrema of its scan: a diagnostic, with residual 0."""
+    terms = {key: term(key) for key in ("sigma2_min", "sigma2_max", "ricci_p_NN_min")}
     terms["interval_witnessed"] = float(terms["sigma2_min"] <= 0.0 < c < terms["sigma2_max"])
     terms["ricci_bound_holds"] = float(terms["ricci_p_NN_min"] >= 2.0 * c)
     return 0.0, terms, {"c": c}
@@ -876,15 +887,20 @@ class Check:
       against, raised to 10x the grid's calibration floor when
       ``calibrated``; None when each of its identities carries its own.
     - ``integrand``: what a grid pass integrates for a grid check, a map of
-      the pass's ``Geometry``, the scenario and the argument to per-node
-      samples by key, unweighted, or to an extremum of the geometry's points
-      under a key ending ``_min`` or ``_max``, which the pass folds instead
-      (:func:`_grid_pass`).  A grid check without an integrand reads only
-      the calibration floor.  ``on_leaf``: the pass is over the scenario's
-      closed leaf, at ``Geometry`` order 2 and on the leaf's axes, not over M.
-    - ``grid``: a grid check's report, as a map of a grid pass's results,
-      the scenario and the argument to (residual, terms, metadata).
-      ``residual`` names the term integrals a residual sums, with their signs.
+      the pass's ``Geometry``, the scenario and the order (an ordered
+      check's argument, None for any other: an integrand reads no other
+      argument) to per-node samples by bare string key, unweighted, or to an
+      extremum of the geometry's points under a key ending ``_min`` or
+      ``_max``, which the pass folds instead.  The pass keys them by the
+      check's formula id (:func:`_grid_pass`).  A grid check without an
+      integrand reads only the calibration floor.  ``on_leaf``: the pass is
+      over the scenario's closed leaf, at ``Geometry`` order 2 and on the
+      leaf's axes, not over M.
+    - ``grid``: a grid check's report, as a map of ``term`` (its own
+      integrals and extrema by key), the calibration floor (None when no
+      report of the call reads it), the scenario and the argument to
+      (residual, terms, metadata).  ``residual`` names the term integrals a
+      residual sums, with their signs.
     - ``run``: any other check's reports, a call of (scenario, argument,
       samples) that looks the check functions up on this module each time.
       ``formula_id`` names its reports when not the check's name.
@@ -910,11 +926,11 @@ class Check:
 
 
 CHECKS = {
-    "divergence-selftest": Check(tol=FIRST_ORDER_TOL, grid=lambda got, s, arg: (got["floor"], {}, {})),
+    "divergence-selftest": Check(tol=FIRST_ORDER_TOL, grid=lambda term, floor, s, arg: (floor, {}, {})),
     "reeb": Check(
         flags=("harmonic_perp",), tol=INTEGRAL_FLOOR, calibrated=True,
         integrand=lambda geom, s, arg: {"sigma_1": geom.sigma.value[..., 1]},
-        grid=lambda got, s, arg: (got["sigma_1"], {"sigma1_integral": got["sigma_1"]}, {}),
+        grid=lambda term, floor, s, arg: (term("sigma_1"), {"sigma1_integral": term("sigma_1")}, {}),
     ),
     "pointwise": Check(run=lambda s, arg, k: [
         *(check(s, k) for check in (check_divergence_split, check_leaf_divergence_of_normal, check_adapted_identity)),
@@ -926,13 +942,13 @@ CHECKS = {
     "main": Check(
         arg=(int, 0), flags=("harmonic_perp",), admissible=True, tol=INTEGRAL_FLOOR, calibrated=True,
         # _main_terms is looked up at each call, so a patch of the module's name reaches the pass
-        integrand=lambda geom, s, r: {(f"main:{r}", key): vals for key, vals in _main_terms(geom, r).items()},
+        integrand=lambda geom, s, r: _main_terms(geom, r),
         grid=_main_report, residual=(("sigma", 1), ("normal_curvature", -1), ("z_curvature", -1)),
     ),
     "leaf": Check(
         arg=(int, 0), when=lambda s: s.leaf is not None, flags=("harmonic_perp",), admissible=True,
-        on_leaf=True, integrand=lambda geom, s, r: {(f"leaf:{r}", "integrand"): geom.leaf_formula_integrand(r)},
-        tol=INTEGRAL_FLOOR, grid=lambda got, s, r: (got[(f"leaf:{r}", "integrand")], {}, {"leaf": s.leaf.name}),
+        on_leaf=True, integrand=lambda geom, s, r: {"integrand": geom.leaf_formula_integrand(r)},
+        tol=INTEGRAL_FLOOR, grid=lambda term, floor, s, r: (term("integrand"), {}, {"leaf": s.leaf.name}),
     ),
     "closed-form-c": Check(
         when=lambda s: s.flags.satisfies_pcurv_c, flags=("satisfies_pcurv_c", "harmonic_perp"), admissible=True,

@@ -9,17 +9,25 @@ gives a report, one that says so.
 Each grid check's record says what a grid pass integrates for it, so the
 pass (``verify._grid_pass``) and the function that plans it
 (``verify.verify_grid_checks``) hold no check's name: adding a grid check
-is adding a record.
+is adding a record.  The pass keys each record's samples by the formula id
+of its report, so a record returns bare keys, rebuilds no formula id, and
+cannot write another record's samples; a check whose integrand ignores its
+argument (``sigma2-image:c``) is integrated once for every value of it.
 """
 
 import ast
+import dataclasses
 import importlib.util
 import inspect
+import math
 import sys
 import textwrap
 from pathlib import Path
 
-from folsub import cli, scenarios, verify
+import numpy as np
+
+from folsub import cli, quadrature, scenarios, verify
+from folsub.foliation import Geometry
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_catalog.py"
 
@@ -81,3 +89,67 @@ def test_the_check_name_scan_finds_a_planted_name():
     planted = source.replace("extrema = {}", 'extrema = {"sigma2_min": f"main:{0}", "scan": "sigma2-image"}', 1)
     assert planted != source
     assert sorted(_check_names_in(planted)) == ["main:", "sigma2-image"]
+
+
+def _timeless(report) -> str:
+    return repr(dataclasses.replace(report, wall_time_s=0.0))
+
+
+def test_a_check_at_two_arguments_is_scanned_once_per_chunk(tilted, monkeypatch):
+    # sigma2-image:c is one formula id at any c, and its integrand reads no c:
+    # the pass calls it once per chunk with representatives, with no order.
+    # In chunks of 16 nodes, the 48 representatives lie in 3 chunks.
+    monkeypatch.setattr(quadrature, "CHUNK", 16)
+    record, calls = verify.CHECKS["sigma2-image"], []
+
+    def counted(geom, scenario, order):
+        calls.append(order)
+        return record.integrand(geom, scenario, order)
+
+    monkeypatch.setitem(verify.CHECKS, "sigma2-image", dataclasses.replace(record, integrand=counted))
+    names = ["sigma2-image:0", "sigma2-image:0.01"]
+    both = verify.verify_grid_checks(tilted, names)
+    plan = verify.grid_plan(tilted.fol, verify._grid(tilted))
+    chunks = np.unique(plan.first // quadrature.CHUNK).size
+    assert chunks == 3 and calls == [None] * chunks
+    for name, report in zip(names, both):
+        assert _timeless(report) == _timeless(verify.verify_grid_checks(tilted, [name])[0])
+    assert len(calls) == 3 * chunks
+
+
+def test_a_record_writing_another_records_keys_leaves_its_report_alone(flat, monkeypatch):
+    # The probe writes closed-form-c's volume and sigma_1 under its own formula id.
+    probe = verify.Check(
+        tol=math.inf,
+        integrand=lambda geom, scenario, order: {"volume": np.full(geom.batch, 2.0), "sigma_1": np.ones(geom.batch)},
+        grid=lambda term, floor, scenario, arg: (term("volume"), {"sigma_1": term("sigma_1")}, {}),
+    )
+    monkeypatch.setitem(verify.CHECKS, "volume-probe", probe)
+    alone = verify.verify_grid_checks(flat, ["closed-form-c"])[0]
+    probed, shared = verify.verify_grid_checks(flat, ["volume-probe", "closed-form-c"])
+    assert _timeless(shared) == _timeless(alone)
+    assert probed.residual == 2.0 * alone.terms["total_sigma_0"] and probed.terms == {"sigma_1": probed.residual / 2.0}
+
+
+def test_every_grid_record_returns_bare_keys(catalog):
+    for s in catalog.values():
+        geom = Geometry(s.fol, s.manifold.random_points(np.random.default_rng(5), 4), order=2)
+        for name, check in verify.CHECKS.items():
+            if check.integrand:
+                keys = check.integrand(geom, s, 0 if check.ordered else None)
+                assert keys and all(isinstance(key, str) for key in keys), (s.name, name)
+
+
+def test_only_the_one_check_functions_build_a_formula_id():
+    # An f-string that starts with a grid check's name and a colon builds that
+    # check's formula id; only verify_main and verify_leaf, which name their
+    # check to run it, may do so.
+    module = ast.parse(inspect.getsource(verify))
+    builders = set()
+    for top in module.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.JoinedStr) and isinstance(node.values[0], ast.Constant):
+                base, colon, _ = node.values[0].value.partition(":")
+                if colon and base in verify.CHECKS and verify.CHECKS[base].grid:
+                    builders.add(getattr(top, "name", None))
+    assert builders == {"verify_main", "verify_leaf"}

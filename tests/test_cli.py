@@ -351,6 +351,9 @@ def _write_config(tmp_path, payload):
             tmp, {"scenario": {"builder": "tilted_torus", "theta_amplitude": 1e160}, "checks": ["codazzi"]}
         )],
         ["--config", lambda tmp: _write_config(
+            tmp, {"scenario": {"builder": "warped_torus", "m": 3, "b": {"const": -5}}, "checks": ["reeb", "main:0"]}
+        )],
+        ["--config", lambda tmp: _write_config(
             tmp, {"scenario": {"builder": "tilted_torus", "theta_amplitude": 1e160}, "checks": ["sigma2-image"]}
         )],
     ],
@@ -388,6 +391,7 @@ def _write_config(tmp_path, payload):
         "metric-underflows-to-singular",
         "metric-overflows-to-singular",
         "codazzi-residual-not-finite",
+        "warp-b-given-for-m-3",
         "sigma2-image-samples-not-finite",
     ],
 )
@@ -520,7 +524,8 @@ def test_no_inline_warped_torus_fails_reeb_or_main(m, a, b):
     checks = ["reeb", *(f"main:{r}" for r in range(m - 2))]
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "r.json"
-        config = {"scenario": {"builder": "warped_torus", "m": m, "a": a, "b": b}, "checks": checks, "output": str(out)}
+        scenario = {"builder": "warped_torus", "m": m, "a": a, **({"b": b} if m == 4 else {})}  # b warps m = 4 only
+        config = {"scenario": scenario, "checks": checks, "output": str(out)}
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(config))
         assert cli.main(["run", "--config", str(path)]) == 0

@@ -337,8 +337,8 @@ def _traced_peaks(scenario, axes) -> tuple[int, int, int]:
     """Traced peak bytes of building a grid's plan and of one grid pass over it, beyond what it starts with, and the pass's integral count."""
     grid = quadrature.grid_for(scenario.manifold, axes)
     fields = verify._selftest_fields(scenario.manifold)
-    wanted = [(verify.CHECKS["reeb"], None), (verify.CHECKS["closed-form-c"], None)]
-    wanted += [(verify.CHECKS["main"], r) for r in range(scenario.n)]
+    wanted = [("reeb", verify.CHECKS["reeb"], None), ("closed-form-c", verify.CHECKS["closed-form-c"], None)]
+    wanted += [(f"main:{r}", verify.CHECKS["main"], r) for r in range(scenario.n)]
     tracemalloc.start()
     try:
         verify.grid_plan(scenario.fol, grid)

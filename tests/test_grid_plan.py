@@ -141,7 +141,8 @@ def test_a_grid_of_two_weights_groups_the_nodes_by_weight_too(warped4, monkeypat
     assert np.array_equal(plan.first, np.concatenate([np.arange(32), two.count // 4 + np.arange(32)]))
     assert all(np.unique(two.weights[plan.group == g]).size == 1 for g in range(64))
     selftest = verify._selftest_fields(warped4.manifold)
-    wanted = [(verify.CHECKS[base], arg) for base, arg in map(verify.parse_check, ("reeb", "closed-form-c", "main:0", "main:1"))]
+    wanted = [("reeb", verify.CHECKS["reeb"], None), ("closed-form-c", verify.CHECKS["closed-form-c"], None)]
+    wanted += [(f"main:{r}", verify.CHECKS["main"], r) for r in (0, 1)]
     grouped = verify._grid_pass(warped4, two, wanted, selftest)
     evaluate_per_node(monkeypatch)
     per_node = verify._grid_pass(warped4, _fresh(two), wanted, selftest)

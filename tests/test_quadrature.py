@@ -211,8 +211,8 @@ def test_a_grid_pass_weights_by_the_volume_density(catalog, doubled):
     for s in catalog.values():
         grid = verify._grid(s)
         grid = quad.refined(s.manifold, grid) if doubled else grid
-        integrals = verify._grid_pass(s, grid, [(verify.CHECKS["closed-form-c"], None)])
-        assert integrals["volume"] == quad.total_volume(s.manifold, grid), s.name
+        integrals = verify._grid_pass(s, grid, [("closed-form-c", verify.CHECKS["closed-form-c"], None)])
+        assert integrals["closed-form-c", "volume"] == quad.total_volume(s.manifold, grid), s.name
 
 
 def test_nonfinite_sample_raises(flat):

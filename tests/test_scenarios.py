@@ -1,8 +1,13 @@
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from folsub import cli
 from folsub import foliation as fln
 from folsub import scenarios as scn
 from folsub import verify
@@ -169,6 +174,63 @@ def test_a_frame_of_the_wrong_shape_is_refused(broken, warped4):
     # and so does the pointwise battery, whose random D-fields call the closures themselves
     with pytest.raises((ConstructionError, ValueError)):
         verify.run_checks(replace(warped4, fol=broken(warped4.fol)), ["pointwise"])
+
+
+def _perturbed(out: list, how: str, i: int, m: int) -> list:
+    """A frame's vectors, or the metric's rows, ``out`` perturbed by ``how``; a ragged perturbation cuts vector ``i``."""
+    return {
+        "drop a vector": lambda: out[:-1],
+        "add a vector": lambda: [*out, [0.0] * m],
+        "short vectors": lambda: [v[:-1] for v in out],
+        "long vectors": lambda: [[*v, 0.0] for v in out],
+        "ragged rows": lambda: [v[:-1] if j == i % len(out) else v for j, v in enumerate(out)],
+        "smaller square": lambda: [v[:-1] for v in out[:-1]],
+        "larger square": lambda: [*([*v, 0.0] for v in out), [0.0] * m + [1.0]],
+    }[how]()
+
+
+FRAME_PERTURBATIONS = [
+    "drop a vector", "add a vector", "short vectors", "long vectors", "ragged rows", "smaller square", "larger square"
+]
+NORMAL_PERTURBATIONS = ["short vectors", "long vectors", "ragged rows"]  # the normal is one vector
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_no_closure_of_the_wrong_shape_escapes_a_run(catalog, data):
+    # A closure of a catalog scenario perturbed, or n moved by one: either the
+    # foliation refuses n itself, or the run exits 2 with no report.  The
+    # metric is a closure on the chart backend only; an invariant frame is
+    # orthonormal by construction.
+    s = catalog[data.draw(st.sampled_from(sorted(catalog)), label="scenario")]
+    m = s.manifold.dim
+    closures = ["leaf_frame", "normal", "frame_Dperp", "n"] + (["metric"] if hasattr(s.manifold, "metric") else [])
+    closure = data.draw(st.sampled_from(closures), label="closure")
+    if closure == "n":
+        try:
+            fol = replace(s.fol, n=s.n + data.draw(st.sampled_from([-1, 1]), label="n moved by"))
+        except ValueError:
+            return
+    else:
+        how = data.draw(st.sampled_from(NORMAL_PERTURBATIONS if closure == "normal" else FRAME_PERTURBATIONS), label="how")
+        i = data.draw(st.integers(0, m - 1), label="i")
+        if closure == "normal" and how == "ragged rows":
+            broken = lambda out: [[c] if j == i else c for j, c in enumerate(out)]
+        elif closure == "normal":
+            broken = lambda out: _perturbed([out], how, i, m)[0]
+        else:
+            broken = lambda out: _perturbed(out, how, i, m)
+        if closure == "metric":
+            metric = s.manifold.metric
+            fol = replace(s.fol, manifold=replace(s.manifold, metric=lambda c: broken(metric(c))))
+        else:
+            given_closure = getattr(s.fol, closure)
+            fol = replace(s.fol, **{closure: lambda c: broken(given_closure(c))})
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "r.json"
+        config = cli.RunConfig(scenario=s.name, checks=["reeb", "main:0", "pointwise"], output=str(out))
+        assert cli.run(config, scenario=replace(s, fol=fol)) == (2, [])
+        assert not out.exists()
 
 
 def test_a_leaf_frame_count_that_disagrees_with_n_names_the_closure(warped4):

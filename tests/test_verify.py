@@ -282,10 +282,21 @@ def test_curvature_trace_kernel_and_leaf_integrand_match_the_code_they_replaced(
 
 
 def test_closed_form_overflow_raises_evaluation_error(warped4):
-    with pytest.raises(EvaluationError):
+    # The overflows are on purpose: silenced as cli.run silences them, they must still raise.
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(EvaluationError):
         verify.verify_closed_form_einstein(2, 1e308, warped4.volume)  # both sides overflow to inf
-    with pytest.raises(EvaluationError):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(EvaluationError):
         verify.verify_closed_form_einstein(4, 1e200, 1.0)  # the closed form's power overflows
+
+
+def test_a_grid_over_a_manifold_of_another_dimension_is_refused(warped3, warped4):
+    for s, other in ((warped4, warped3), (warped3, warped4)):
+        grid = grid_for(other.manifold, other.default_grid)
+        message = f"^a grid of {other.manifold.dim}-dimensional nodes is not over {s.name}, of dimension {s.manifold.dim}$"
+        with pytest.raises(ConfigError, match=message):
+            verify.verify_reeb(s, grid)
+        with pytest.raises(ConfigError, match=message):
+            verify.verify_grid_checks(s, ["leaf:0"], grid)  # the leaf pass reads the grid's counts
 
 
 def test_divergence_identities_hold_at_every_grid_node(warped4, tilted):
@@ -455,7 +466,8 @@ def test_divergence_split_builds_one_geometry(warped4, monkeypatch):
 def test_nonfinite_residual_raises_instead_of_passing():
     # sin of theta amplitudes near 1e160 loses every digit: the Codazzi
     # residual is NaN at every point, and max() would have dropped it
-    steep = scn.build_tilted_torus(theta=scn.sine_profile(1e160))
+    with np.errstate(over="ignore", invalid="ignore"):
+        steep = scn.build_tilted_torus(theta=scn.sine_profile(1e160))
     with np.errstate(all="ignore"), pytest.raises(EvaluationError, match="codazzi residual is not finite"):
         verify.check_codazzi(steep, samples=5)
     with np.errstate(all="ignore"), pytest.raises(EvaluationError, match="non-finite sigma_2 sample of sigma2-image"):
