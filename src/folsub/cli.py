@@ -142,9 +142,8 @@ def _build_scenario(spec):
         if not isinstance(name, (str, type(None))):
             raise ConfigError(f"builder argument 'name' must be a string, not {name!r}")
         m, a = _int_arg(spec, "m", 4), _profile(spec, "a", {"const": 2.0, "cos1": 1.0})
-        if m == 3 and "b" in spec:  # the 3-torus has no second leaf axis to warp
-            raise ConfigError("builder argument 'b' applies to warped_torus with m = 4 only, not m = 3")
-        kwargs = dict(m=m, a=a, b=_profile(spec, "b", {"const": 2.0, "sin1": 1.0}), name=name)
+        b = _profile(spec, "b", {}) if "b" in spec else None  # the builder's own 2 + sin z when not given
+        kwargs = dict(m=m, a=a, b=b, name=name)
     elif kind == "tilted_torus":
         amplitude = spec.get("theta_amplitude", 0.3)
         if not _number(amplitude):

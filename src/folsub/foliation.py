@@ -7,9 +7,12 @@ complement, and D's frame is the leaf frame followed by N.  All operations
 below are built from one shared evaluation context (:class:`Geometry`)
 holding the frames, the projector, the shape operator with its symmetric
 functions and Newton transformations, the leaf curvature vector Z, and the
-projected curvature tensor at a batch of points.  The context is created
-per call: evaluators are pure functions of (scenario data, point) and safe
-to use concurrently.
+projected curvature tensor at a batch of points.  A context computes each
+quantity on its first read and keeps it; every quantity is a pure function
+of (scenario data, point), so a context can outlive the call that made it:
+a grid's plan keeps the one on its representatives for the later checks on
+that grid (``verify.grid_plan``), and two threads reading one context may
+each compute a quantity, to the same values.
 
 Each user closure is evaluated once on the coordinate seeds and stacked into
 a tensor jet; every quantity after that is an array contraction on those

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -34,7 +35,7 @@ from .errors import ConfigError, ConstructionError
 from .foliation import FoliationStructure, Geometry, distinct_nodes
 from .foliation import integrability_residual  # unused here; perfbench/tracing.py patches this name
 from .manifolds import ChartManifold, InvariantFrameManifold
-from .quadrature import grid_for, total_volume
+from .quadrature import QuadratureGrid, grid_for, leaf_grid, total_volume
 
 ADMISSIBLE_TOL = 1e-8
 CURV_INVARIANT_TOL = 1e-9
@@ -107,6 +108,13 @@ class Scenario:
     """A built example: its foliation, measured flags and residuals, fixtures, and default grid.
 
     ``leaf`` is the closed leaf the ``leaf:r`` checks integrate over, or None.
+    ``grid`` and ``leaf_grid`` are the quadrature grids the checks run on
+    when given none: ``default_grid`` over M, and its counts on the leaf's
+    axes over the leaf (the single node on an invariant-frame leaf; None
+    without a leaf).  Each is built on its first read and kept, so every
+    default-grid check on the scenario reads one grid object and shares its
+    plan (``verify.grid_plan``).  They are not fields: a scenario made by
+    ``dataclasses.replace`` builds its own.
     """
 
     name: str
@@ -125,6 +133,16 @@ class Scenario:
     @property
     def n(self) -> int:
         return self.fol.n
+
+    @cached_property
+    def grid(self) -> QuadratureGrid:
+        return grid_for(self.manifold, self.default_grid)
+
+    @cached_property
+    def leaf_grid(self) -> QuadratureGrid | None:
+        if self.leaf is None:
+            return None
+        return leaf_grid(self.manifold, self.leaf, tuple(self.default_grid[ax] for ax in self.leaf.axes))
 
 
 # -- numerical flag measurement ------------------------------------------------
@@ -319,17 +337,22 @@ def build_flat_torus(m: int = 3, n: int = 1) -> Scenario:
 def build_warped_torus(
     m: int = 4,
     a: Periodic1D = TWO_PLUS_COS,
-    b: Periodic1D = TWO_PLUS_SIN,
+    b: Periodic1D | None = None,
     name: str | None = None,
 ) -> Scenario:
     """Warped torus with z-dependent leaf scales; the primary admissible testbed.
 
     m = 4: metric dx^2 + a(z)^2 dy1^2 + b(z)^2 dy2^2 + dz^2, leaves the
-    (y1, y2)-tori.  m = 3 drops the y2 factor.  The orthogonal complement is
-    the flat x-circle, so it is harmonic, and the normal z-lines are geodesic.
+    (y1, y2)-tori, with b = 2 + sin z unless given.  m = 3 drops the y2
+    factor, so it takes no ``b``: one given raises ``ValueError``.  The
+    orthogonal complement is the flat x-circle, so it is harmonic, and the
+    normal z-lines are geodesic.
     """
     if m not in (3, 4):
         raise ValueError("warped torus is implemented for m in {3, 4}")
+    if m == 3 and b is not None:
+        raise ValueError("warp b is for m = 4 only, not m = 3, which has no second leaf axis to warp")
+    b = TWO_PLUS_SIN if b is None else b
     name = name or f"warped_torus_{m}"
     warps = (a, b)[: m - 2]
     n, zi = m - 2, m - 1

@@ -56,10 +56,13 @@ geometry's metric on the axes integrated over, with the count of nodes they
 stand for; the reduction's sums have the bits of an evaluation on every
 node.  Only the self-test's divergences are evaluated per node, from each
 field's values and the diagonal of its derivative.  A grid carries the plan
-of its passes (:func:`grid_plan`): one node grouping per foliation, and the
-calibration floor, computed once per grid object, so the checks of one grid
-share them across calls.  The sampled checks draw seeded random points and
-build one ``Geometry`` on them (``_sampled``), at order 1 for the
+of its passes (:func:`grid_plan`): one node grouping per foliation, the
+calibration floor, and the representatives' ``Geometry`` when they fit in
+one chunk, computed once per grid object, so the checks of one grid share
+them across calls.  A check given no grid runs on the scenario's own
+(``Scenario.grid``, ``Scenario.leaf_grid``), so every default-grid check on
+one scenario shares one plan.  The sampled checks draw seeded random points
+and build one ``Geometry`` on them (``_sampled``), at order 1 for the
 first-order identities (``div-split``, ``leafdiv-normal``).  Time that
 reports share is charged to the first of them, so a run's wall times add up
 to at most its own.
@@ -187,13 +190,15 @@ def _check_order(r: int, n: int, what: str) -> None:
 
 
 def _grid(scenario, grid=None) -> QuadratureGrid:
-    """``grid`` as a quadrature grid: kept as is, built from per-axis counts, or the default when None.
+    """``grid`` as a quadrature grid: kept as is, built from per-axis counts, or the scenario's own (``Scenario.grid``) when None.
 
     A quadrature grid whose nodes are not points of the scenario's manifold
     raises :class:`ConfigError` naming both dimensions.
     """
+    if grid is None:
+        return scenario.grid
     if not isinstance(grid, QuadratureGrid):
-        return grid_for(scenario.manifold, scenario.default_grid if grid is None else grid)
+        return grid_for(scenario.manifold, grid)
     dim, m = grid.nodes.shape[-1], scenario.manifold.dim
     if dim != m:
         raise ConfigError(f"a grid of {dim}-dimensional nodes is not over {scenario.name}, of dimension {m}")
@@ -416,7 +421,10 @@ class GridPlan:
     summed as the copies of its nodes (:class:`quadrature.Grouped`).  None
     of them depends on ``quadrature.CHUNK`` or on the order a pass builds
     ``Geometry`` at.  ``floor`` is the calibration floor once a pass over M
-    has measured it.
+    has measured it.  ``geometry`` maps an order to the ``Geometry`` a pass
+    built at it on all the representatives, when they were all new in one
+    chunk, so a later pass reads it, and the quantities it computed, instead
+    of building its own; when they span chunks it holds none.
     """
 
     fol: FoliationStructure
@@ -424,18 +432,21 @@ class GridPlan:
     group: np.ndarray
     count: np.ndarray
     floor: float | None = None
+    geometry: dict = field(default_factory=dict)
 
 
 def grid_plan(fol: FoliationStructure, grid: QuadratureGrid) -> GridPlan:
     """The plan ``grid`` holds for ``fol``, grouping the grid's nodes when it holds none.
 
-    The plan lives in ``grid.plans`` and dies with the grid.  Its groups are
-    pure functions of the foliation and the grid's read-only nodes and
-    weights, so every pass that reads them, under any chunk size, sees what
-    it would compute itself.  No lock guards ``grid.plans``, so plans are
-    not shared across threads: nothing in the program runs threads, and
-    two threads that reach a fresh grid together each group its nodes and
-    measure its floor, to the same values.
+    The plan lives in ``grid.plans`` and dies with the grid.  Its groups,
+    and the geometry it keeps, are pure functions of the foliation and the
+    grid's read-only nodes and weights, so every pass that reads them, under
+    any chunk size, sees what it would compute itself.  No lock guards
+    ``grid.plans`` or a plan's geometry: nothing in the program runs
+    threads.  Two threads that reach a fresh grid together each group its
+    nodes, measure its floor and build its geometry, to the same values;
+    two that reach a planned grid share its held ``Geometry``, whose
+    quantities either may compute first, to the same values.
     """
     for plan in grid.plans:
         if plan.fol is fol:
@@ -466,9 +477,9 @@ def verify_grid_checks(scenario, checks, grid=None, tolerance=None) -> list[Veri
     M.  ``tolerance``, when given, replaces every finite tolerance of the
     call.
 
-    The node groups and, once measured, the floor come from the grid's plan
-    (:func:`grid_plan`).  The time the reports share, the grid passes, is
-    charged once, to the first report.
+    The node groups and, once measured, the floor and the representatives'
+    geometry come from the grid's plan (:func:`grid_plan`).  The time the
+    reports share, the grid passes, is charged once, to the first report.
     """
     t0 = time.perf_counter()
     parsed = [parse_check(name, scenario.n) for name in checks]
@@ -481,18 +492,18 @@ def verify_grid_checks(scenario, checks, grid=None, tolerance=None) -> list[Veri
     over_m, on_leaf = ([w for w in wanted.values() if w[1].on_leaf is leaf] for leaf in (False, True))
     got, floor = {}, None
     if over_m:
-        grid = _grid(scenario, grid)
+        mgrid = _grid(scenario, grid)
         calibrate = any(check.integrand is None or tolerance is None and check.calibrated for _, check, _ in over_m)
-        plan = grid_plan(scenario.fol, grid)
+        plan = grid_plan(scenario.fol, mgrid)
         fields = _selftest_fields(scenario.manifold) if calibrate and plan.floor is None else None
-        got = _grid_pass(scenario, grid, over_m, fields)
+        got = _grid_pass(scenario, mgrid, over_m, fields)
         if fields is not None:  # the floor: the worst |integral of Div X| of the self-test's fields
             plan.floor = max((abs(v) for (fid, _), v in got.items() if fid == SELFTEST_KEY), default=0.0)
         floor = plan.floor if calibrate else None
     if on_leaf:
         if scenario.leaf is None:
             raise UnsupportedLeafError(f"scenario {scenario.name} declares no closed leaves")
-        lgrid = _leaf_grid(scenario, scenario.leaf, grid)
+        lgrid = _leaf_grid(scenario, grid)
         got.update(_grid_pass(scenario, lgrid, on_leaf, leaf=scenario.leaf))
     reports = []
     for fid, (base, arg) in zip(ids, parsed):
@@ -503,7 +514,7 @@ def verify_grid_checks(scenario, checks, grid=None, tolerance=None) -> list[Veri
         reports.append(make_report(
             fid, residual,
             tolerance if tolerance is not None and math.isfinite(check.tol) else _tolerance(check, floor),
-            t0, scenario, lgrid if check.on_leaf else grid, terms=terms,
+            t0, scenario, lgrid if check.on_leaf else mgrid, terms=terms,
             preconditions_ok=all(getattr(scenario.flags, flag) for flag in check.flags),
             requires_admissible=check.admissible, **meta,
         ))
@@ -511,18 +522,21 @@ def verify_grid_checks(scenario, checks, grid=None, tolerance=None) -> list[Veri
     return reports
 
 
-def _leaf_grid(scenario, leaf, grid) -> QuadratureGrid:
-    """The grid over ``leaf`` that a run grid sets: the counts of ``grid`` (a quadrature grid, per-axis counts, or None for the default) on the leaf's axes.
+def _leaf_grid(scenario, grid) -> QuadratureGrid:
+    """The grid over the scenario's closed leaf that a run grid sets: the counts of ``grid`` (a quadrature grid or per-axis counts) on the leaf's axes.
 
-    Counts that are not one positive count per axis of M raise
-    ``ValueError``, as in :func:`quadrature.grid_for`, and a quadrature grid
-    over a manifold of another dimension :class:`ConfigError` (:func:`_grid`);
-    an invariant-frame leaf, which has no axes, is one node whatever the counts.
+    Without a run grid it is the scenario's own (``Scenario.leaf_grid``),
+    and so is an invariant-frame leaf's, which has no axes: one node
+    whatever the counts.  Counts that are not one positive count per axis
+    of M raise ``ValueError``, as in :func:`quadrature.grid_for`, and a
+    quadrature grid over a manifold of another dimension
+    :class:`ConfigError` (:func:`_grid`).
     """
-    if not leaf.axes:
-        return leaf_grid(scenario.manifold, leaf)
+    leaf = scenario.leaf
+    if grid is None or not leaf.axes:
+        return scenario.leaf_grid
     counts = _grid(scenario, grid).axes if isinstance(grid, QuadratureGrid) else grid
-    counts = quadrature._counts(scenario.default_grid if counts is None else counts, scenario.manifold.dim)
+    counts = quadrature._counts(counts, scenario.manifold.dim)
     return leaf_grid(scenario.manifold, leaf, tuple(counts[ax] for ax in leaf.axes))
 
 
@@ -550,7 +564,11 @@ def _grid_pass(scenario, grid: QuadratureGrid, wanted, fields=None, leaf=None) -
     whole grid.  Each chunk builds one ``Geometry`` on the representatives
     (first nodes) that are new to it, at order 2 over a leaf, whose
     integrand differentiates the shape operator, and order 1 (values only)
-    over M, and none when it has no new one.  Each sample is weighted by the
+    over M, and none when it has no new one.  When one chunk holds every
+    representative, the plan keeps that geometry under its order and a
+    later pass reads it instead of building one, with every quantity an
+    earlier integrand computed on it; when they span chunks, each builds
+    its own and the plan keeps none.  Each sample is weighted by the
     volume density of that geometry's metric, sqrt(det g) over the axes
     integrated over (all of them, or the leaf's; 1 on the invariant
     backend's orthonormal frame), and reaches the reduction once, in the
@@ -578,9 +596,17 @@ def _grid_pass(scenario, grid: QuadratureGrid, wanted, fields=None, leaf=None) -
     diagonal = np.arange(man.dim)
     start = 0
 
-    def representatives(pts):
-        """The representatives' per-node arrays (density, Γ^k_{kj}) and weighted samples; their extrema folded."""
-        geom = Geometry(fol, pts, order=order)
+    def representatives(pts, every):
+        """The representatives' per-node arrays (density, Γ^k_{kj}) and weighted samples; their extrema folded.
+
+        ``every``: ``pts`` are all the grid's representatives, whose
+        ``Geometry`` the plan keeps.
+        """
+        geom = plan.geometry.get(order) if every else None
+        if geom is None:
+            geom = Geometry(fol, pts, order=order)
+            if every:
+                plan.geometry[order] = geom
         density = np.sqrt(np.linalg.det(geom.g.value[..., axes, :][..., axes]))
         node = {"density": density}
         if fields is not None:
@@ -599,7 +625,7 @@ def _grid_pass(scenario, grid: QuadratureGrid, wanted, fields=None, leaf=None) -
         nonlocal start
         stop = start + pts.shape[0]
         lo, hi = np.searchsorted(plan.first, (start, stop))
-        node, samples = representatives(pts[plan.first[lo:hi] - start]) if hi > lo else ({}, {})
+        node, samples = representatives(pts[plan.first[lo:hi] - start], hi - lo == plan.first.size) if hi > lo else ({}, {})
         out = {}
         if fields is not None:
             node = held.scatter(node, plan.group[start:stop], lo, hi)

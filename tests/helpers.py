@@ -49,7 +49,7 @@ from itertools import combinations
 
 import numpy as np
 
-from folsub import jets, verify
+from folsub import jets, quadrature, verify
 from folsub.distribution import projector_jets
 from folsub.errors import DomainError, LinearSolveError
 from folsub.foliation import FoliationStructure, Geometry, _leaf_input
@@ -424,6 +424,16 @@ def evaluate_per_node(monkeypatch):
 
     for module in (scenarios, verify):
         monkeypatch.setattr(module, "distinct_nodes", every_node_its_own_group)
+
+
+def fresh_grid(grid):
+    """A new grid object with the nodes, weights and axes of ``grid``.
+
+    It holds no plan, so its first pass groups the nodes, measures the floor
+    and builds its geometry itself; ``fresh_grid(scenario.grid)`` is a
+    default grid that no earlier check has read.
+    """
+    return quadrature.QuadratureGrid(grid.nodes, grid.weights, grid.axes)
 
 
 def record_geometry_points(monkeypatch) -> list:

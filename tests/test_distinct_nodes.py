@@ -26,7 +26,7 @@ from folsub.errors import EvaluationError
 from folsub.foliation import FoliationStructure, distinct_nodes
 from folsub.jets import Jet
 from folsub.manifolds import ChartManifold
-from helpers import evaluate_per_node, fingerprint_groups, per_node_selftest_floor, record_geometry_points
+from helpers import evaluate_per_node, fingerprint_groups, fresh_grid, per_node_selftest_floor, record_geometry_points
 
 CATALOG = scenarios.catalog_names()
 CHUNKS = (4096, 512, 32, 1)
@@ -47,11 +47,6 @@ def _bits(report) -> tuple:
         repr(sorted(report.grid.items())),
         {key: repr(value) for key, value in report.terms.items()},
     )
-
-
-def _fresh(grid):
-    """A new grid object with the nodes of ``grid``: it holds no plan, so its first pass groups the nodes itself."""
-    return quadrature.QuadratureGrid(grid.nodes, grid.weights, grid.axes)
 
 
 # -- the grouping, against the closures' output bytes ------------------------------------
@@ -108,7 +103,7 @@ def _reports_equal_the_per_node_evaluation(fol, points, monkeypatch):
     grouped = [_bits(rep) for rep in verify.verify_grid_checks(s, _all_grid_checks(s), grid)]
     with monkeypatch.context() as m:
         evaluate_per_node(m)
-        assert [_bits(rep) for rep in verify.verify_grid_checks(s, _all_grid_checks(s), _fresh(grid))] == grouped
+        assert [_bits(rep) for rep in verify.verify_grid_checks(s, _all_grid_checks(s), fresh_grid(grid))] == grouped
 
 
 def test_nodes_differing_only_in_the_sign_of_a_zero_are_distinct(monkeypatch):
@@ -266,7 +261,7 @@ def test_a_nonfinite_sample_names_the_first_bad_node_in_grid_order(where, warped
             if per_node:
                 evaluate_per_node(m)
             with pytest.raises(EvaluationError, match=match) as info:
-                verify.verify_grid_checks(warped4, checks, _fresh(grid), tolerance=1e-7)
+                verify.verify_grid_checks(warped4, checks, fresh_grid(grid), tolerance=1e-7)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert messages[0].endswith(f"at point {grid.nodes[5]!r}")
@@ -281,7 +276,7 @@ def test_a_nonfinite_sample_names_the_first_bad_node_in_grid_order(where, warped
 )
 def test_grid_checks_equal_the_per_node_evaluation(name, refine, catalog, conformal, monkeypatch):
     scenario = conformal if name == "conformal_torus" else catalog[name]
-    grid = verify._grid(scenario)
+    grid = fresh_grid(scenario.grid)
     if refine:
         grid = quadrature.refined(scenario.manifold, grid)
     checks = _all_grid_checks(scenario)
@@ -292,7 +287,7 @@ def test_grid_checks_equal_the_per_node_evaluation(name, refine, catalog, confor
     with monkeypatch.context() as m:
         evaluate_per_node(m)
         points = record_geometry_points(m)
-        per_node = [_bits(rep) for rep in verify.verify_grid_checks(scenario, checks, _fresh(grid))]
+        per_node = [_bits(rep) for rep in verify.verify_grid_checks(scenario, checks, fresh_grid(grid))]
     assert sum(points) == grid.count  # the oracle reached the pass
     assert grouped == per_node
     floor = grouped[0][2]
@@ -305,9 +300,9 @@ def test_nodes_repeating_across_chunks_but_not_within_one_share_one_geometry(war
     # the first repeats the first.
     grid = verify._grid(warped4)
     checks = _all_grid_checks(warped4)
-    whole = [_bits(rep) for rep in verify.verify_grid_checks(warped4, checks, _fresh(grid))]
+    whole = [_bits(rep) for rep in verify.verify_grid_checks(warped4, checks, fresh_grid(grid))]
     monkeypatch.setattr(quadrature, "CHUNK", 32)
-    fresh = _fresh(grid)
+    fresh = fresh_grid(grid)
     with monkeypatch.context() as m:
         points = record_geometry_points(m)
         chunked = [_bits(rep) for rep in verify.verify_grid_checks(warped4, checks, fresh)]
@@ -317,7 +312,7 @@ def test_nodes_repeating_across_chunks_but_not_within_one_share_one_geometry(war
     assert chunked == whole
     with monkeypatch.context() as m:
         evaluate_per_node(m)
-        assert [_bits(rep) for rep in verify.verify_grid_checks(warped4, checks, _fresh(grid))] == chunked
+        assert [_bits(rep) for rep in verify.verify_grid_checks(warped4, checks, fresh_grid(grid))] == chunked
 
 
 @pytest.mark.parametrize("name, axes", [("warped_torus_4", (2, 2, 4, 32)), ("conformal_torus", (2, 2, 4, 8))])
@@ -327,7 +322,7 @@ def test_reports_are_the_same_under_any_chunk_size(name, axes, catalog, conforma
     reports = []
     for chunk in CHUNKS:
         monkeypatch.setattr(quadrature, "CHUNK", chunk)
-        grid_reports = verify.verify_grid_checks(s, _all_grid_checks(s), _fresh(grid))
+        grid_reports = verify.verify_grid_checks(s, _all_grid_checks(s), fresh_grid(grid))
         leaf_reports = verify.verify_grid_checks(s, [f"leaf:{r}" for r in range(s.n)])
         reports.append([_bits(rep) for rep in grid_reports + leaf_reports])
     assert all(other == reports[0] for other in reports[1:])
@@ -418,7 +413,8 @@ def test_leaf_integrals_equal_the_per_node_evaluation(catalog, conformal, monkey
     with monkeypatch.context() as m:
         evaluate_per_node(m)
         points = record_geometry_points(m)
-        assert [_bits(verify.verify_leaf(s, r)) for s, r in cases] == grouped
+        # each case on a copy of its scenario, whose leaf grid no check has read yet
+        assert [_bits(verify.verify_leaf(replace(s), r)) for s, r in cases] == grouped
     leaf_nodes = [quadrature.leaf_grid(s.manifold, s.leaf, tuple(s.default_grid[ax] for ax in s.leaf.axes)).count for s, _ in cases]
     assert points == leaf_nodes  # one pass per case, every node its own Geometry point
 

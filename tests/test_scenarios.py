@@ -90,6 +90,13 @@ def test_warp_positivity_enforced():
         scn.build_warped_torus(5)
 
 
+def test_a_warp_b_on_the_3_torus_is_refused(warped3):
+    # The 3-torus has one warped leaf axis: a b is an error, not ignored.
+    with pytest.raises(ValueError, match="m = 4 only"):
+        scn.build_warped_torus(3, b=scn.fourier_profile(const=-5.0))
+    assert scn.build_warped_torus(3).residuals == warped3.residuals
+
+
 def test_tilted_reduces_to_warped_at_zero_amplitude(warped4):
     s0 = scn.build_tilted_torus(theta=scn.sine_profile(0.0))
     pts = s0.manifold.random_points(RNG, 50)

@@ -155,7 +155,8 @@ def test_the_leaf_checks_of_a_run_share_one_leaf_pass(warped4, tilted, monkeypat
 
         with monkeypatch.context() as m:
             m.setattr(foliation.Geometry, "__init__", counting_init)
-            reports = verify.run_checks(s, checks, tolerance=1e-7)
+            # on a copy, whose leaf grid holds no geometry yet
+            reports = verify.run_checks(dataclasses.replace(s), checks, tolerance=1e-7)
         lgrid = quadrature.leaf_grid(s.manifold, s.leaf, tuple(s.default_grid[ax] for ax in s.leaf.axes))
         assert builds.count(2) == -(-lgrid.count // quadrature.CHUNK)  # one Geometry(order=2) per leaf chunk
         leaf_reports = [reports[0], reports[2], reports[3]]
@@ -388,7 +389,7 @@ def test_leaf_checks_alone_build_no_grid_over_m_and_run_no_self_test(warped4, he
     # On the 2**20-node run grid, the leaf:r checks integrate over 8 x 8 leaf nodes only.
     from folsub import foliation
 
-    for s, grid in ((warped4, [8, 8, 8, 2048]), (heisenberg, None)):
+    for s, grid in ((warped4, [8, 8, 8, 2048]), (dataclasses.replace(heisenberg), None)):  # a copy: no check read its leaf grid
         calls, real_init = [], foliation.Geometry.__init__
 
         def counting_init(self, fol, points, order=2):
