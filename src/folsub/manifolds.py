@@ -239,11 +239,14 @@ def traced_divergence(gamma_kk: np.ndarray, value: np.ndarray, diag: np.ndarray)
 
     ``value[..., k]`` is X^k and ``diag[..., k]`` is ∂_k X^k, all the field
     this reads, and ``gamma_kk[..., k, j]`` is Γ^k_{kj}, with the batch
-    axes or without them.  The diagonal is set on a zero matrix and traced
-    with ``np.einsum("...kk->...")``, so it sums in the order a trace of the
-    whole :func:`differential` would, bit for bit.
+    axes or without them.  The diagonal entries are summed in index order
+    from 0.0, the operations ``np.einsum("...kk->...")`` does to trace the
+    whole :func:`differential`, so every entry has its bits, signed zeros
+    included, with no m×m matrix built.  Summing them as a vector
+    (``np.sum``) may pair them otherwise and move the last bits.
     """
-    d = np.arange(value.shape[-1])
-    nabla = np.zeros(value.shape + (d.size,))
-    nabla[..., d, d] = diag + np.einsum("...kj,...j->...k", gamma_kk, value)
-    return np.einsum("...kk->...", nabla)
+    d = diag + np.einsum("...kj,...j->...k", gamma_kk, value)
+    out = 0.0
+    for k in range(d.shape[-1]):
+        out = out + d[..., k]
+    return out

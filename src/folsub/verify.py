@@ -26,7 +26,12 @@ polynomials (:func:`random_trig_scalar`); :func:`trig_scalars` evaluates
 each sine factor once per distinct coordinate value of its axis, with the
 first derivatives its caller reads: every one for the divergence split, and
 for the self-test only ∂_k X^k, all that a traced divergence reads
-(:func:`manifolds.traced_divergence`).
+(:func:`manifolds.traced_divergence`).  On a block that is a box, the
+C-order product of its axes' distinct values as every chunk of the
+catalog's product grids is, a mode is the broadcast product of its factor
+tables; any other block, such as the divergence split's random points,
+gathers each table to its points.  Both routes multiply the same factors
+in the same order at every point, so they give the same bits.
 
 ``CHECKS`` is the one table of checks, one :class:`Check` per check in the
 catalog battery's order: the argument a name takes after a colon, when the
@@ -234,29 +239,48 @@ def trig_scalars(scalars, xs, columns) -> list:
     ``xs[i]`` holds the points' coordinate values on axis i, for points on
     any batch, and ``columns[c]`` the axes whose derivative the caller reads
     of scalar c.  Each axis's distinct coordinate values are found once per
-    call; every sine factor is evaluated on those values only and gathered
-    back to the points, and so is its derivative, only when its axis is
-    among those read.  Scalar c comes back as ``(value, grad)``: ``grad``
-    maps each axis of ``columns[c]`` that a mode's factor touches to that
-    column, and ``value`` is a float when no mode is non-constant, an array
-    otherwise.  Each column is the product a mode's factors give it, and the
-    modes are summed in order, so every entry has the bits that scalar
-    ``jets.sin`` lifts and ``Jet`` products give it at order 1; a column no
-    mode touches is identically zero.
+    call; every sine factor is evaluated on those values only, and so is
+    its derivative, only when its axis is among those read.  Scalar c comes
+    back as ``(value, grad)``, laid out like ``xs[i]``: ``grad`` maps each
+    axis of ``columns[c]`` that a mode's factor touches to that column, and
+    ``value`` is a float when no mode is non-constant, an array otherwise.
+
+    A factor's table reaches the points by one of two routes.  When the
+    points are exactly the C-order product of every axis's distinct values
+    on one batch axis, a box (:func:`_box`), the table is laid along its
+    own axis and each product is formed by broadcasting, every partial
+    product only on the axes its factors have touched so far (sum
+    factorization); a chunk of a product grid is a box when it spans whole
+    slabs of its trailing axes, as every chunk of the catalog's default
+    grids and of the doubled ``warped_torus_4`` grid does.  On any other
+    block (random points, a chunk that cuts a slab) the table is gathered
+    to every point.  Each column is the product a mode's factors give it, in axis
+    order, and the modes are summed in order, so both routes do the same
+    operations on the same operands at every point: every entry has the
+    bits that scalar ``jets.sin`` lifts and ``Jet`` products give it at
+    order 1, and a column no mode touches is identically zero.
     """
-    tables = {}
+    tables, laid = {}, {}
 
     def table(axis):
-        """The distinct values of ``axis``, ascending, and each point's index among them.
+        """The distinct values of ``axis``, ascending.
 
-        The distinct values are taken from one sort: ``np.unique`` without an
-        inverse would hash them instead, and import ``numpy.ma`` to do it.
+        They are taken from one sort: ``np.unique`` without an inverse would
+        hash them instead, and import ``numpy.ma`` to do it.
         """
         if axis not in tables:
             x = np.sort(xs[axis], axis=None)
-            u = x[np.concatenate(([True], x[1:] != x[:-1]))]
-            tables[axis] = u, np.searchsorted(u, xs[axis])
+            tables[axis] = x[np.concatenate(([True], x[1:] != x[:-1]))]
         return tables[axis]
+
+    # Only a non-constant mode reads a table, so the invariant backend's constant scalars sort nothing.
+    box = _box(xs, table) if any(f for s in scalars if not isinstance(s, float) for _, f in s) else None
+
+    def place(axis, vals):
+        """``vals``, given on the distinct values of ``axis``, laid along that axis of the box, or gathered to the points."""
+        if axis not in laid:
+            laid[axis] = np.searchsorted(table(axis), xs[axis]) if box is None else _line(axis, len(xs))
+        return vals[laid[axis]] if box is None else vals.reshape(laid[axis])
 
     out = []
     for scalar, read in zip(scalars, columns, strict=True):
@@ -270,19 +294,61 @@ def trig_scalars(scalars, xs, columns) -> list:
                 continue
             v, g = None, {}
             for i, rate, phase in factors:
-                u, inv = table(i)
-                arg = u * rate + phase
-                scale = amp if v is None else 1.0  # the first factor carries the amplitude
-                sv = (np.sin(arg) * scale)[inv]
+                arg = table(i) * rate + phase
+                # The first factor carries the amplitude; the others' scale 1.0 is exact and left out.
+                sv = place(i, np.sin(arg) * amp if v is None else np.sin(arg))
                 g = {j: sv * gj for j, gj in g.items()}
                 if i in read:
-                    sd = (np.cos(arg) * rate * scale)[inv]
+                    sd = place(i, np.cos(arg) * rate * amp if v is None else np.cos(arg) * rate)
                     g[i] = sd if v is None else v * sd
                 v = sv if v is None else v * sv
             value = value + v
             for j, col in g.items():
                 grad[j] = grad[j] + col if j in grad else col
+        if box is not None:
+            value, grad = _unboxed(value, box), {j: _unboxed(col, box) for j, col in grad.items()}
         out.append((value, grad))
+    return out
+
+
+def _box(xs, table) -> tuple | None:
+    """The shape of the box the points ``xs`` form, one count per axis, or None.
+
+    The points form a box when they lie on one batch axis and are exactly
+    the C-order product of each axis's distinct values ``table(axis)``,
+    ascending, the last axis fastest.  Tables are found axis by axis and the
+    search stops once their product outgrows the points, so a block of
+    distinct random points sorts no axis beyond the first two.
+    """
+    if xs[0].ndim != 1:
+        return None
+    shape = []
+    for axis in range(len(xs)):
+        shape.append(table(axis).size)
+        if math.prod(shape) > xs[0].size:
+            return None
+    if math.prod(shape) != xs[0].size:
+        return None
+    for axis, x in enumerate(xs):
+        if not (x.reshape(shape) == table(axis).reshape(_line(axis, len(xs)))).all():
+            return None
+    return tuple(shape)
+
+
+def _line(axis: int, m: int) -> tuple:
+    """The shape that lays a 1-D array along ``axis`` of an m-axis box, of length 1 on the others."""
+    return tuple(-1 if a == axis else 1 for a in range(m))
+
+
+def _unboxed(a, shape: tuple):
+    """A float, or an array on the box ``shape`` (of length 1 on the axes it does not vary on), on the box's points."""
+    if isinstance(a, float):
+        return a
+    size = math.prod(shape)
+    if a.size == size:
+        return a.reshape(size)
+    out = np.empty(size)
+    out.reshape(shape)[...] = a
     return out
 
 
@@ -338,7 +404,10 @@ def _selftest_fields(manifold):
     all a traced divergence reads (:func:`manifolds.traced_divergence`).
     The components are random trig scalars, all evaluated by one
     :func:`trig_scalars` call per block, which derives component k of each
-    field along axis k only.
+    field along axis k only, by broadcasting when the block is a box (a
+    chunk of a product grid) and by gathering otherwise, to the same bits.
+    Each component is written straight into its slot of one array holding
+    every field's values and diagonals, allocated once per block.
     """
     rng = np.random.default_rng(SELFTEST_SEED)
     m = manifold.dim
@@ -346,8 +415,7 @@ def _selftest_fields(manifold):
     own_axis = [(c % m,) for c in range(len(scalars))]
 
     def fields(points):
-        value = np.zeros((SELFTEST_FIELDS,) + points.shape[:-1] + (m,))
-        diag = np.zeros_like(value)
+        value, diag = np.zeros((2, SELFTEST_FIELDS) + points.shape[:-1] + (m,))
         for c, (v, grad) in enumerate(trig_scalars(scalars, np.moveaxis(points, -1, 0), own_axis)):
             f, k = divmod(c, m)
             value[f, ..., k] = v

@@ -30,7 +30,10 @@ full jets (:func:`reference_trig_jets`,
 :func:`reference_selftest_divergences`), every gradient column of every
 field stacked into one jet and its ∇ traced, for the values and diagonal
 derivatives that ``verify._selftest_fields`` hands
-``manifolds.traced_divergence``; and the point operations that nothing in
+``manifolds.traced_divergence``; and the trace of a zero m×m matrix with
+that diagonal set (:func:`reference_traced_divergence`), for the index-order
+sum of the diagonal in ``manifolds.traced_divergence``; and the point
+operations that nothing in
 the program calls: the commutator-definition route to the projected
 curvature (:func:`curvature_P_fields`, :func:`curvature_P`) and the induced
 connection (:func:`nabla_P`), for ``distribution.curvature_P_tensor``, the
@@ -598,10 +601,20 @@ def reference_selftest_divergences(manifold, points, gamma_kk) -> list:
     out = []
     for f in range(verify.SELFTEST_FIELDS):
         W = jets.stack(comps[f * m : (f + 1) * m], coords)
-        nabla = np.zeros(W.value.shape + (m,))
-        nabla[..., d, d] = W.grad[..., d, d] + np.einsum("...kj,...j->...k", gamma_kk, W.value)
-        out.append(np.einsum("...kk->...", nabla))
+        out.append(reference_traced_divergence(gamma_kk, W.value, W.grad[..., d, d]))
     return out
+
+
+def reference_traced_divergence(gamma_kk, value, diag) -> np.ndarray:
+    """∂_k X^k + Γ^k_{kj} X^j set on the diagonal of a zero m×m matrix and traced by ``np.einsum("...kk->...")``.
+
+    The trace of the whole ∇X that ``manifolds.traced_divergence`` replaced
+    by summing the diagonal in index order; the arguments are its own.
+    """
+    d = np.arange(value.shape[-1])
+    nabla = np.zeros(value.shape + (d.size,))
+    nabla[..., d, d] = diag + np.einsum("...kj,...j->...k", gamma_kk, value)
+    return np.einsum("...kk->...", nabla)
 
 
 # -- the point operations and fields the tests hold the live path to ---------------

@@ -17,6 +17,16 @@ from the value and diagonal arrays of ``verify._selftest_fields``, must have
 the bytes of its path through full jets (``helpers.reference_trig_jets``,
 ``jets.stack`` and the trace, in
 ``helpers.reference_selftest_divergences``).
+
+The evaluator lays its tables on a block by broadcasting when the block is a
+box, the C-order product of its axes' distinct values, and by gathering
+otherwise.  Every chunk of the catalog's default grids and of the doubled
+``warped_torus_4`` grid must take the broadcast route, a shuffled copy the
+gather route with the same bytes, and the doubled ``tilted_torus_4`` grid's
+chunks the gather route; degenerate and random product grids keep the bytes
+of the full jets.  The index-order sum of the diagonal must give the bytes of
+the trace (``helpers.reference_traced_divergence``) on signed zeros and
+subnormals.
 """
 
 import numpy as np
@@ -26,11 +36,12 @@ from hypothesis import strategies as st
 
 from conftest import build_conformal_torus
 from folsub import foliation, jets, quadrature, verify
-from folsub.manifolds import differential, divergence_jets, traced_divergence
+from folsub.manifolds import InvariantFrameManifold, differential, divergence_jets, traced_divergence
 from folsub.scenarios import catalog_names
 from helpers import (
     reference_distribution_field,
     reference_selftest_divergences,
+    reference_traced_divergence,
     reference_trig_jets,
     reference_trig_scalar,
 )
@@ -261,3 +272,124 @@ def test_selftest_divergences_have_the_bytes_of_the_full_jets_for_any_draw(seed,
     with pytest.MonkeyPatch.context() as m:
         m.setattr(verify, "SELFTEST_SEED", seed)
         _assert_selftest_matches_the_full_jets(man, pts)
+
+
+def _routes(monkeypatch) -> list:
+    """The box each ``trig_scalars`` call lays its factors on from here on: its shape, or None for the gather route."""
+    found, box = [], verify._box
+    monkeypatch.setattr(verify, "_box", lambda xs, table: found.append(box(xs, table)) or found[-1])
+    return found
+
+
+def _chunks(grid):
+    return [grid.nodes[start : start + quadrature.CHUNK] for start in range(0, grid.count, quadrature.CHUNK)]
+
+
+def _unshuffled(a, perm):
+    """``a``, evaluated on the points ``pts[perm]``, back in the order of ``pts``."""
+    if isinstance(a, float):
+        return a
+    out = np.empty_like(a)
+    out[..., perm] = a
+    return out
+
+
+def _product_chunks(catalog):
+    """Every chunk of each catalog chart scenario's default grid and of the doubled ``warped_torus_4`` grid."""
+    for s in catalog.values():
+        if not isinstance(s.manifold, InvariantFrameManifold):
+            yield from ((s.manifold, pts) for pts in _chunks(s.grid))
+    warped = catalog["warped_torus_4"]
+    doubled = quadrature.refined(warped.manifold, warped.grid)
+    assert doubled.axes == (8, 8, 8, 64) and doubled.count == 8 * quadrature.CHUNK
+    yield from ((warped.manifold, pts) for pts in _chunks(doubled))
+
+
+def test_product_grid_chunks_are_boxes_and_shuffled_ones_are_gathered_to_the_same_bytes(catalog, monkeypatch):
+    routes = _routes(monkeypatch)
+    rng = np.random.default_rng(61)
+    blocks = 0
+    for man, pts in _product_chunks(catalog):
+        blocks += 1
+        scalars = _draws(man, verify.random_trig_scalar)
+        columns = _every_column(scalars, man.dim)
+        fields = verify._selftest_fields(man)
+        got, got_fields = verify.trig_scalars(scalars, _axes(pts), columns), fields(pts)
+        assert routes[-2] is not None and routes[-1] == routes[-2] and np.prod(routes[-1]) == len(pts)
+        perm = rng.permutation(len(pts))
+        shuffled, shuffled_fields = verify.trig_scalars(scalars, _axes(pts[perm]), columns), fields(pts[perm])
+        assert routes[-2:] == [None, None]
+        for (value, grad), (sv, sgrad) in zip(got, shuffled, strict=True):
+            assert type(value) is type(sv) and set(grad) == set(sgrad)
+            for a, b in [(value, sv), *((grad[j], sgrad[j]) for j in grad)]:
+                assert repr(a) == repr(b) if isinstance(a, float) else a.tobytes() == _unshuffled(b, perm).tobytes()
+        for a, b in zip(got_fields, shuffled_fields, strict=True):
+            for x, y in zip(a, b, strict=True):  # values and diagonals, (K, m)
+                assert x.tobytes() == _unshuffled(y.T, perm).T.tobytes()
+    assert blocks == 5 + 8
+
+
+def test_the_doubled_tilted_grids_chunks_cut_its_axis_lines_and_are_gathered(tilted, monkeypatch):
+    man = tilted.manifold
+    doubled = quadrature.refined(man, tilted.grid)
+    assert doubled.axes == (8, 8, 8, 96)
+    routes = _routes(monkeypatch)
+    fields = verify._selftest_fields(man)
+    for pts in _chunks(doubled):
+        fields(pts)
+    assert routes == [None] * 12
+
+
+DEGENERATE = {3: [(1, 1, 1), (1, 5, 1), (3, 1, 2)], 4: [(1, 1, 1, 1), (2, 1, 1, 3), (1, 4, 1, 1), (1, 1, 6, 1)]}
+
+
+@pytest.mark.parametrize("name", GRID_SCENARIOS)
+def test_degenerate_product_grids_are_boxes_that_keep_the_bytes(name, scenarios, monkeypatch):
+    # A 1-node grid and axes with a single node: boxes with axes of length 1.
+    man = scenarios[name].manifold
+    routes = _routes(monkeypatch)
+    for counts in DEGENERATE[man.dim]:
+        _assert_selftest_matches_the_full_jets(man, quadrature.grid_for(man, counts).nodes)
+        assert routes[-1] == counts
+    assert None not in routes
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    name=st.sampled_from(GRID_SCENARIOS),
+    counts=st.lists(st.integers(1, 6), min_size=4, max_size=4),
+)
+def test_random_product_grids_are_boxes_that_keep_the_bytes(seed, name, counts, scenarios):
+    man = scenarios[name].manifold
+    counts = tuple(counts[: man.dim])
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(verify, "SELFTEST_SEED", seed)
+        routes = _routes(m)
+        _assert_selftest_matches_the_full_jets(man, quadrature.grid_for(man, counts).nodes)
+    assert routes and all(r == counts for r in routes)
+
+
+# Signed zeros, the smallest subnormal, a subnormal near the normal range and
+# ones: products and sums of them give -0.0, +0.0 and subnormal diagonals,
+# terms and divergences.
+SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 2.0**-1030, -(2.0**-1030), 1.0, -1.0, 0.5])
+
+
+@pytest.mark.parametrize("m", (1, 2, 3, 4, 5, 16))
+def test_the_index_order_trace_keeps_signed_zeros_and_subnormals(m):
+    rng = np.random.default_rng(67 + m)
+    size = 512
+    gamma, value, diag = (rng.choice(SPECIAL, shape) for shape in ((size, m, m), (size, m), (size, m)))
+    for a in (gamma, value, diag):  # the second half of the points from the zeros and subnormals alone
+        a[size // 2 :] = rng.choice(SPECIAL[:6], a[size // 2 :].shape)
+    tiny = np.finfo(float).tiny
+    for a in (diag, gamma * value[:, None, :]):  # the diagonal and the terms of Γ^k_{kj} X^j
+        assert np.any((a == 0) & np.signbit(a)) and np.any((a != 0) & (np.abs(a) < tiny))
+    for G in (gamma, gamma[0]):  # with the batch axis, and without it as the invariant backend holds Γ
+        got, want = traced_divergence(G, value, diag), reference_traced_divergence(G, value, diag)
+        assert got.shape == want.shape == (size,) and got.tobytes() == want.tobytes()
+        assert np.any((want != 0) & (np.abs(want) < tiny))
+    for k in range(size):  # one point, no batch axis at all
+        got, want = traced_divergence(gamma[k], value[k], diag[k]), reference_traced_divergence(gamma[k], value[k], diag[k])
+        assert np.shape(got) == np.shape(want) == () and np.asarray(got).tobytes() == np.asarray(want).tobytes()
