@@ -1,6 +1,8 @@
 """Batch runner: validate a run config, build its scenario and write the reports.
 
-Check names and the code that runs them live in :mod:`folsub.verify`.
+Check names and the code that runs them live in :mod:`folsub.verify`, and so
+does the run-grid rule: a ``grid`` is handed to :func:`verify.run_checks`
+as given, which refuses a malformed one before any check runs.
 Configs and structured reports are plain JSON, so runs diff cleanly in CI.
 Exit status separates three situations: 0 when no check failed (hypothesis
 violations exit 0 with a warning count), 1 when a formula failed on a
@@ -15,7 +17,6 @@ import argparse
 import contextlib
 import dataclasses
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -26,9 +27,7 @@ import numpy as np
 from . import scenarios as scn
 from . import verify
 from .errors import ConfigError, ConstructionError, EvaluationError, LinearSolveError, UnsupportedLeafError
-from .manifolds import InvariantFrameManifold
-from .quadrature import CHUNK
-from .verify import VerificationReport
+from .verify import MAX_SAMPLES, VerificationReport
 
 DEFAULT_CHECKS = ["divergence-selftest", "reeb", "main:0", "pointwise", "codazzi"]
 
@@ -44,14 +43,6 @@ BUILDER_KEYS = {
 # The flat torus's default grid has 4**m nodes, and every geometry array
 # grows with m**4 per node, so larger inline flat tori are refused.
 FLAT_TORUS_MAX_DIM = 6
-
-# The pointwise checks evaluate all their samples in one batch, so a run may
-# ask for at most one quadrature chunk of them.
-MAX_SAMPLES = CHUNK
-
-# 32 times the largest grid the convergence gates use (the doubled
-# warped_torus_4 grid, 32768 nodes); the node array alone is built in full.
-MAX_GRID_NODES = 2**20
 
 
 @dataclass
@@ -75,12 +66,6 @@ class RunConfig:
             raise ConfigError(f"output {self.output!r} must be a file path")
         if self.format not in ("table", "structured"):
             raise ConfigError(f"unknown report format {self.format!r}")
-        if self.grid is not None and not (
-            isinstance(self.grid, (list, tuple)) and all(_positive(k, int) for k in self.grid)
-        ):
-            raise ConfigError(f"grid {self.grid!r} needs a positive integer node count per axis")
-        if self.grid is not None and math.prod(self.grid) > MAX_GRID_NODES:
-            raise ConfigError(f"grid {self.grid!r} has more than {MAX_GRID_NODES} nodes")
         if not _positive(self.samples, int) or self.samples > MAX_SAMPLES:
             raise ConfigError(f"samples {self.samples!r} must be a positive integer <= {MAX_SAMPLES}")
         if self.tolerance is not None and not _positive(self.tolerance, (int, float)):
@@ -206,9 +191,6 @@ def run(config: RunConfig, verbose: bool = False, scenario=None) -> tuple[int, l
         with np.errstate(all="ignore"):
             if scenario is None:
                 scenario = _build_scenario(config.scenario)
-            chart = not isinstance(scenario.manifold, InvariantFrameManifold)
-            if chart and config.grid is not None and len(config.grid) != scenario.manifold.dim:
-                raise ConfigError(f"grid {config.grid} needs {scenario.manifold.dim} node counts for {scenario.name}")
             reports = verify.run_checks(scenario, config.checks, config.grid, config.tolerance, config.samples)
     except (ConfigError, ConstructionError, EvaluationError, LinearSolveError, UnsupportedLeafError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -273,7 +255,7 @@ def list_scenarios(structured: bool = False) -> str:
 
 
 def parsed(text: str, parse):
-    """``parse(text)``, or ``text`` when it does not parse: :class:`RunConfig` refuses it with its own message."""
+    """``parse(text)``, or ``text`` when it does not parse: :class:`RunConfig`, or the run-grid rule of a run, refuses it with its own message."""
     try:
         return parse(text)
     except ValueError:

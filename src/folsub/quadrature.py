@@ -105,17 +105,20 @@ def grid_for(manifold, axes=None) -> QuadratureGrid:
     """Product grid for a chart backend; single weighted node for invariant ones, whatever ``axes``."""
     if isinstance(manifold, InvariantFrameManifold):
         return _single_node(manifold, manifold.volume)
-    if axes is None:
-        raise ValueError("chart backends need per-axis node counts")
     return _product_grid(manifold, dict(enumerate(_counts(axes, manifold.dim))), {})
 
 
 def _counts(axes, k: int) -> tuple[int, ...]:
-    """``axes`` as ``k`` positive node counts; raises ``ValueError`` otherwise."""
-    axes = tuple(int(a) for a in axes)
-    if len(axes) != k or any(a < 1 for a in axes):
+    """``axes`` as ``k`` node counts, integers >= 1 (:func:`is_int`), never rounded; raises ``ValueError`` otherwise, None included."""
+    axes = () if axes is None else tuple(axes)
+    if len(axes) != k or not all(is_int(a) and a >= 1 for a in axes):
         raise ValueError("need a positive node count per axis")
-    return axes
+    return tuple(map(int, axes))
+
+
+def is_int(a) -> bool:
+    """``a`` is an integer, numpy's included, and not a bool."""
+    return isinstance(a, (int, np.integer)) and not isinstance(a, bool)
 
 
 def refined(manifold, grid: QuadratureGrid) -> QuadratureGrid:
@@ -129,8 +132,6 @@ def leaf_grid(manifold, leaf, axes=None) -> QuadratureGrid:
         if leaf.volume is None:
             raise UnsupportedLeafError("invariant-frame leaf needs a declared volume")
         return _single_node(manifold, leaf.volume)
-    if axes is None:
-        raise ValueError("chart leaves need per-axis node counts")
     return _product_grid(manifold, dict(zip(leaf.axes, _counts(axes, len(leaf.axes)))), leaf.fixed)
 
 

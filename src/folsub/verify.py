@@ -66,7 +66,8 @@ calibration floor, and the representatives' ``Geometry`` when they fit in
 one chunk, computed once per grid object, so the checks of one grid share
 them across calls.  A check given no grid runs on the scenario's own
 (``Scenario.grid``, ``Scenario.leaf_grid``), so every default-grid check on
-one scenario shares one plan.  The sampled checks draw seeded random points
+one scenario shares one plan; any run grid given meets the one run-grid
+rule (:func:`_run_grid`) before anything is evaluated on it.  The sampled checks draw seeded random points
 and build one ``Geometry`` on them (``_sampled``), at order 1 for the
 first-order identities (``div-split``, ``leafdiv-normal``).  Time that
 reports share is charged to the first of them, so a run's wall times add up
@@ -99,6 +100,12 @@ ALGEBRAIC_TOL = 1e-11
 TRIG_MODES = 2  # modes of each random test scalar
 SELFTEST_SEED, SELFTEST_FIELDS = 1123, 3  # the calibration's random fields
 SELFTEST_KEY = "divergence-selftest"  # the check its divergences are keyed under in a grid pass
+# The pointwise checks evaluate all their samples in one batch, so a check
+# draws at most one quadrature chunk of them.
+MAX_SAMPLES = quadrature.CHUNK
+# 32 times the largest grid the convergence gates use (the doubled
+# warped_torus_4 grid, 32768 nodes); the node array alone is built in full.
+MAX_GRID_NODES = 2**20
 
 
 @dataclass
@@ -195,18 +202,37 @@ def _check_order(r: int, n: int, what: str) -> None:
 
 
 def _grid(scenario, grid=None) -> QuadratureGrid:
-    """``grid`` as a quadrature grid: kept as is, built from per-axis counts, or the scenario's own (``Scenario.grid``) when None.
+    """``grid`` as a quadrature grid: kept as is, built from node counts, or the scenario's own (``Scenario.grid``) when None.
 
-    A quadrature grid whose nodes are not points of the scenario's manifold
-    raises :class:`ConfigError` naming both dimensions.
+    Any other grid meets the run-grid rule (:func:`_run_grid`) first.
     """
+    grid = _run_grid(scenario, grid)
     if grid is None:
         return scenario.grid
-    if not isinstance(grid, QuadratureGrid):
-        return grid_for(scenario.manifold, grid)
-    dim, m = grid.nodes.shape[-1], scenario.manifold.dim
-    if dim != m:
-        raise ConfigError(f"a grid of {dim}-dimensional nodes is not over {scenario.name}, of dimension {m}")
+    return grid if isinstance(grid, QuadratureGrid) else grid_for(scenario.manifold, grid)
+
+
+def _run_grid(scenario, grid):
+    """``grid`` as given, once it meets the one run-grid rule: None, a quadrature grid over the scenario's manifold, or node counts.
+
+    Node counts must be a list or tuple of integers >= 1 (a bool is no
+    count), one per axis of a chart's manifold, with at most
+    ``MAX_GRID_NODES`` nodes in all; an invariant-frame manifold integrates
+    on one node, so it takes any number of them.  Anything else raises
+    :class:`ConfigError` naming the grid, before anything is evaluated on it.
+    """
+    m = scenario.manifold.dim
+    if isinstance(grid, QuadratureGrid) and grid.nodes.shape[-1] != m:
+        raise ConfigError(f"a grid of {grid.nodes.shape[-1]}-dimensional nodes is not over {scenario.name}, of dimension {m}")
+    if grid is None or isinstance(grid, QuadratureGrid):
+        return grid
+    if not isinstance(grid, (list, tuple)) or not all(map(quadrature.is_int, grid)):
+        raise ConfigError(f"grid {grid!r} needs a positive integer node count per axis")
+    axes = len(grid) if isinstance(scenario.manifold, InvariantFrameManifold) else m
+    if min(grid, default=1) < 1 or len(grid) != axes:
+        raise ConfigError(f"grid {grid!r} on {scenario.name}: need a positive node count per axis, {axes} in all")
+    if math.prod(map(int, grid)) > MAX_GRID_NODES:
+        raise ConfigError(f"grid {grid!r} has more than {MAX_GRID_NODES} nodes")
     return grid
 
 
@@ -591,20 +617,17 @@ def verify_grid_checks(scenario, checks, grid=None, tolerance=None) -> list[Veri
 
 
 def _leaf_grid(scenario, grid) -> QuadratureGrid:
-    """The grid over the scenario's closed leaf that a run grid sets: the counts of ``grid`` (a quadrature grid or per-axis counts) on the leaf's axes.
+    """The grid over the scenario's closed leaf that a run grid sets: the counts of ``grid`` (a quadrature grid or node counts) on the leaf's axes.
 
     Without a run grid it is the scenario's own (``Scenario.leaf_grid``),
     and so is an invariant-frame leaf's, which has no axes: one node
-    whatever the counts.  Counts that are not one positive count per axis
-    of M raise ``ValueError``, as in :func:`quadrature.grid_for`, and a
-    quadrature grid over a manifold of another dimension
-    :class:`ConfigError` (:func:`_grid`).
+    whatever the counts.  The grid, and a quadrature grid's counts, meet
+    the run-grid rule (:func:`_run_grid`) first.
     """
-    leaf = scenario.leaf
-    if grid is None or not leaf.axes:
+    leaf, grid = scenario.leaf, _run_grid(scenario, grid)
+    counts = _run_grid(scenario, grid.axes) if isinstance(grid, QuadratureGrid) else grid
+    if counts is None or not leaf.axes:
         return scenario.leaf_grid
-    counts = _grid(scenario, grid).axes if isinstance(grid, QuadratureGrid) else grid
-    counts = quadrature._counts(counts, scenario.manifold.dim)
     return leaf_grid(scenario.manifold, leaf, tuple(counts[ax] for ax in leaf.axes))
 
 
@@ -862,8 +885,11 @@ def umbilical_reduction_residual(n: int, r, H, ric_nn, ric_zn) -> np.ndarray:
 def verify_umbilical_reduction(samples: int = 1000, seed: int = 4242) -> VerificationReport:
     """Randomized umbilical-substitution check plus the exact binomial identity.
 
-    The samples are drawn one at a time and evaluated in one batch per leaf dimension.
+    The samples are drawn one at a time and evaluated in one batch per leaf
+    dimension; a count below 1 raises :class:`ConfigError`.
     """
+    if not (quadrature.is_int(samples) and samples >= 1):
+        raise ConfigError(f"samples {samples!r} must be a positive integer")
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     by_n: dict[int, list] = {}
@@ -896,8 +922,11 @@ def _sampled(scenario, samples: int, seed: int, *checks, order: int = 2, require
 
     Each check is ``(formula_id, tolerance, residuals)``; its residual is the largest absolute
     value in the list ``residuals(geom)``, by ``np.max``, which keeps a NaN for
-    :func:`make_report` to reject.  Each report's wall time is that of its own part.
+    :func:`make_report` to reject.  Each report's wall time is that of its own part.  A
+    count outside 1..``MAX_SAMPLES`` raises :class:`ConfigError` before anything is drawn.
     """
+    if not (quadrature.is_int(samples) and 1 <= samples <= MAX_SAMPLES):
+        raise ConfigError(f"samples {samples!r} must be a positive integer <= {MAX_SAMPLES}")
     t0 = time.perf_counter()
     geom = Geometry(scenario.fol, scenario.manifold.random_points(np.random.default_rng(seed), samples), order=order)
     reports = []
@@ -1078,14 +1107,17 @@ def battery(scenario) -> list[str]:
 def run_checks(scenario, checks, grid=None, tolerance=None, samples: int = 50) -> list[VerificationReport]:
     """The reports of the checks named in ``checks``, in that order (``pointwise`` gives 3 + 2n).
 
-    Every name is parsed before anything runs.  The grid checks, ``leaf:r``
-    among them, come from one :func:`verify_grid_checks` call on ``grid``
-    (a quadrature grid or per-axis counts), made where the first of them
-    comes.  Every other check runs its record's ``run``, or, on a scenario
+    Every name is parsed, and ``grid`` (a quadrature grid or node counts)
+    checked by the run-grid rule (:func:`_run_grid`), before anything
+    runs, so a malformed grid raises :class:`ConfigError` even in a run of
+    sampled checks alone.  The grid checks, ``leaf:r`` among them, come from
+    one :func:`verify_grid_checks` call on ``grid``, made where the first of
+    them comes.  Every other check runs its record's ``run``, or, on a scenario
     whose leaf dimension is below its ``min_n``, reports
     "precondition-violation" with residual 0 and the reason.
     """
     parsed = [parse_check(name, scenario.n) for name in checks]
+    grid = _run_grid(scenario, grid)
     grid_names = [name for name, (base, _) in zip(checks, parsed) if CHECKS[base].grid]
     grid_reports, reports = None, []
     for base, arg in parsed:

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import importlib.util
 import io
@@ -356,6 +357,13 @@ def _write_config(tmp_path, payload):
         ["--config", lambda tmp: _write_config(
             tmp, {"scenario": {"builder": "tilted_torus", "theta_amplitude": 1e160}, "checks": ["sigma2-image"]}
         )],
+        ["--scenario", "flat_torus", "--checks", "codazzi", "--grid", "0,4,4"],
+        ["--scenario", "flat_torus", "--checks", "codazzi", "--grid", "4,4"],
+        ["--config", lambda tmp: _write_config(tmp, {"scenario": {"builder": "flat_torus", "m": 7}})],
+        ["--config", lambda tmp: _write_config(tmp, {"scenario": {"builder": "flat_torus", "m": 0}})],
+        ["--config", lambda tmp: _write_config(tmp, {"scenario": {"builder": "flat_torus", "n": True}})],
+        ["--config", lambda tmp: _write_config(tmp, {"scenario": {"builder": "warped_torus", "name": 5}})],
+        ["--config", lambda tmp: _write_config(tmp, {"scenario": {"builder": "tilted_torus", "theta_amplitude": "x"}})],
     ],
     ids=[
         "grid-too-short",
@@ -393,6 +401,13 @@ def _write_config(tmp_path, payload):
         "codazzi-residual-not-finite",
         "warp-b-given-for-m-3",
         "sigma2-image-samples-not-finite",
+        "grid-zero-count-sampled-checks-only",
+        "grid-too-short-sampled-checks-only",
+        "flat-torus-m-over-its-limit",
+        "flat-torus-m-zero",
+        "flat-torus-n-a-bool",
+        "warped-torus-name-not-a-string",
+        "tilted-torus-amplitude-not-a-number",
     ],
 )
 def test_main_entry_rejects_bad_input_with_exit_2(args, tmp_path, capsys):
@@ -403,6 +418,54 @@ def test_main_entry_rejects_bad_input_with_exit_2(args, tmp_path, capsys):
     assert err.startswith("error:") and "Traceback" not in err
     assert err.count("\n") == 1, err
     assert not (tmp_path / "r.json").exists()
+
+
+CLI_SOURCE = Path(cli.__file__).read_text()
+
+
+def _grid_rule_in(source: str) -> list[str]:
+    """What of a run-grid rule the module ``source`` holds: imports of ``manifolds``, reads of ``.manifold.dim``, ``MAX_GRID_NODES``.
+
+    The body of ``list_scenarios`` is not scanned: the listing prints each
+    scenario's dimension, and checks no grid against it.
+    """
+    tree = ast.parse(source)
+    listing = next(top for top in tree.body if getattr(top, "name", None) == "list_scenarios")
+    skipped = set(map(id, ast.walk(listing)))
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in skipped:
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = getattr(node, "module", None) or ""
+            names = {*module.split("."), *(part for alias in node.names for part in alias.name.split("."))}
+            found += [name for name in ("manifolds", "MAX_GRID_NODES") if name in names]
+        elif isinstance(node, ast.Attribute) and node.attr == "dim" and getattr(node.value, "attr", None) == "manifold":
+            found.append(".manifold.dim")
+        elif "MAX_GRID_NODES" in (getattr(node, "id", None), getattr(node, "attr", None)):
+            found.append("MAX_GRID_NODES")
+    return found
+
+
+def test_the_cli_holds_no_grid_rule():
+    # verify owns the run-grid rule (verify._run_grid): the CLI hands a grid on as given.
+    assert _grid_rule_in(CLI_SOURCE) == []
+    assert not hasattr(cli, "MAX_GRID_NODES") and cli.MAX_SAMPLES is verify.MAX_SAMPLES
+
+
+def test_the_grid_rule_scan_finds_planted_rules():
+    run_line = "            reports = verify.run_checks("
+    plants = {
+        "from .errors import": ("from .manifolds import InvariantFrameManifold\nfrom .errors import", ["manifolds"]),
+        "from . import verify\n": ("from . import manifolds, verify\n", ["manifolds"]),
+        "import argparse\n": ("import argparse\nimport folsub.manifolds\n", ["manifolds"]),
+        run_line: (f"            assert len(config.grid) == scenario.manifold.dim\n{run_line}", [".manifold.dim"]),
+        "FLAT_TORUS_MAX_DIM = 6\n": ("FLAT_TORUS_MAX_DIM = 6\nMAX_GRID_NODES = 2**20\n", ["MAX_GRID_NODES"]),
+        "from .verify import MAX_SAMPLES,": ("from .verify import MAX_GRID_NODES, MAX_SAMPLES,", ["MAX_GRID_NODES"]),
+    }
+    for old, (new, found) in plants.items():
+        planted = CLI_SOURCE.replace(old, new, 1)
+        assert planted != CLI_SOURCE and _grid_rule_in(planted) == found, old
 
 
 def test_an_invariant_frame_scenario_ignores_any_grid(tmp_path):

@@ -315,6 +315,36 @@ def test_nodes_repeating_across_chunks_but_not_within_one_share_one_geometry(war
         assert [_bits(rep) for rep in verify.verify_grid_checks(warped4, checks, fresh_grid(grid))] == chunked
 
 
+def test_a_chunk_of_new_and_held_representatives_keeps_the_bits(warped4, monkeypatch):
+    # Under CHUNK = 24 the default grid's 32 z-values, the only coordinate
+    # the closures read, span two chunks: chunk 1 holds the new
+    # representatives 24..31 next to held ones 0..15, so each of its nodes
+    # reads its density and connection slice from this chunk's geometry or
+    # from the held rows (_Held.scatter's mixed branch).
+    checks = ["reeb", "main:0", "main:1"]
+    whole = [_bits(rep) for rep in verify.verify_grid_checks(warped4, checks, fresh_grid(warped4.grid))]
+    monkeypatch.setattr(quadrature, "CHUNK", 24)
+    mixed, real_scatter = [], verify._Held.scatter
+
+    def recording_scatter(self, new, ids, lo, hi):
+        mixed.append(bool((ids < lo).any() and (ids >= lo).any()))
+        return real_scatter(self, new, ids, lo, hi)
+
+    fresh = fresh_grid(warped4.grid)
+    with monkeypatch.context() as m:
+        m.setattr(verify._Held, "scatter", recording_scatter)
+        chunked = [_bits(rep) for rep in verify.verify_grid_checks(warped4, checks, fresh)]
+    plan = verify.grid_plan(warped4.fol, fresh)
+    ids = plan.group[24:48]
+    assert np.searchsorted(plan.first, (24, 48)).tolist() == [24, 32]
+    assert ids[ids < 24].tolist() == list(range(16)) and ids[ids >= 24].tolist() == list(range(24, 32))
+    assert mixed[:2] == [False, True] and mixed.count(True) == 1
+    assert chunked == whole
+    with monkeypatch.context() as m:
+        evaluate_per_node(m)
+        assert [_bits(rep) for rep in verify.verify_grid_checks(warped4, checks, fresh_grid(warped4.grid))] == chunked
+
+
 @pytest.mark.parametrize("name, axes", [("warped_torus_4", (2, 2, 4, 32)), ("conformal_torus", (2, 2, 4, 8))])
 def test_reports_are_the_same_under_any_chunk_size(name, axes, catalog, conformal, monkeypatch):
     s = conformal if name == "conformal_torus" else catalog[name]

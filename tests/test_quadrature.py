@@ -41,6 +41,27 @@ def test_grid_validation(warped4):
         quad.grid_for(warped4.manifold, (4, 4, 0, 4))
 
 
+@pytest.mark.parametrize(
+    "count",
+    [2.7, 2.0, True, np.float64(2.0), np.bool_(True), "2", None],
+    ids=["2.7", "2.0", "bool", "numpy-float", "numpy-bool", "string", "None"],
+)
+def test_a_node_count_that_is_not_an_integer_is_refused_not_rounded(count, warped3, warped4):
+    # A count is never rounded: 2.7 nodes are not taken for 2.
+    with pytest.raises(ValueError, match="need a positive node count per axis"):
+        quad.grid_for(warped3.manifold, (count, 4, 32))
+    with pytest.raises(ValueError, match="need a positive node count per axis"):
+        quad.leaf_grid(warped4.manifold, warped4.leaf, (8, count))
+
+
+def test_numpy_integer_counts_build_the_grid_of_python_ones(warped3, warped4):
+    grid = quad.grid_for(warped3.manifold, (np.int64(2), np.int32(4), 32))
+    assert grid.axes == (2, 4, 32) and all(type(k) is int for k in grid.axes)
+    assert np.array_equal(grid.nodes, quad.grid_for(warped3.manifold, (2, 4, 32)).nodes)
+    lgrid = quad.leaf_grid(warped4.manifold, warped4.leaf, (np.int64(8), 8))
+    assert lgrid.axes == (8, 8) and np.array_equal(lgrid.nodes, quad.leaf_grid(warped4.manifold, warped4.leaf, (8, 8)).nodes)
+
+
 def test_sigma1_total_vanishes_on_warped(warped4):
     # the reduced 1-d integrand is the exact derivative -(ab)'
     grid = quad.grid_for(warped4.manifold, warped4.default_grid)

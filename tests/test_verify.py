@@ -141,6 +141,89 @@ def test_a_run_grid_needs_one_positive_count_per_axis(warped4, grid):
             verify.run_checks(warped4, [check], grid, tolerance=1e-7)
 
 
+MALFORMED_RUN_GRIDS = {
+    "not-an-integer": (2.5, 4, 4, 32),
+    "one-axis-short": [4, 4, 32],
+    "zero-count": [4, 4, 4, 0],
+    "a-bool": (True, 4, 4, 32),
+    "a-string": "4,4,4,32",
+    "over-the-node-cap": (1024, 1024, 1024, 1024),
+}
+# Every entry point that takes a run grid, on each kind of run: grid checks,
+# leaf checks alone, sampled checks alone.
+GRID_ENTRY_POINTS = {
+    "verify_reeb": lambda s, grid: verify.verify_reeb(s, grid),
+    "verify_grid_checks": lambda s, grid: verify.verify_grid_checks(s, ["reeb", "main:0", "leaf:0"], grid),
+    "verify_grid_checks-leaf": lambda s, grid: verify.verify_grid_checks(s, ["leaf:1"], grid, tolerance=1e-7),
+    "run_checks": lambda s, grid: verify.run_checks(s, ["main:0", "sigma2-image"], grid),
+    "run_checks-leaf": lambda s, grid: verify.run_checks(s, ["leaf:0"], grid),
+    "run_checks-sampled": lambda s, grid: verify.run_checks(s, ["codazzi", "umbilical"], grid, samples=5),
+}
+
+
+@pytest.mark.parametrize("entry", GRID_ENTRY_POINTS.values(), ids=GRID_ENTRY_POINTS)
+@pytest.mark.parametrize("grid", MALFORMED_RUN_GRIDS.values(), ids=MALFORMED_RUN_GRIDS)
+def test_every_entry_point_refuses_a_malformed_run_grid_before_building_geometry(entry, grid, warped4, monkeypatch):
+    from folsub import foliation
+
+    def no_geometry(*args, **kwargs):
+        raise AssertionError("a Geometry was built on a malformed run grid")
+
+    monkeypatch.setattr(foliation.Geometry, "__init__", no_geometry)
+    with pytest.raises(ConfigError, match=r"^grid .*(needs a positive integer node count|need a positive node count|has more than)"):
+        entry(warped4, grid)
+
+
+def test_the_run_grid_rule_is_verifys_one_rule(warped4, heisenberg):
+    # A count is never rounded: 2.5 nodes are not taken for 2.
+    with pytest.raises(ConfigError, match=r"grid \(2\.5, 4, 32\) needs a positive integer node count per axis"):
+        verify.verify_reeb(scn.build("warped_torus_3"), (2.5, 4, 32))
+    # the cap is verify's: one node over it is refused, the cap itself is not
+    with pytest.raises(ConfigError, match=f"has more than {verify.MAX_GRID_NODES} nodes"):
+        verify.run_checks(warped4, ["codazzi"], [1, 1, 1, verify.MAX_GRID_NODES + 1])
+    assert verify.run_checks(warped4, [], [1, 1, 1, verify.MAX_GRID_NODES]) == []
+    # an invariant frame integrates on one node, so it takes any well-formed counts, and no malformed ones
+    strip = lambda rep: (repr(rep.residual), rep.grid)
+    alone = [strip(rep) for rep in verify.run_checks(heisenberg, ["reeb", "leaf:0"], tolerance=1e-7)]
+    for grid in ([], [4, 4, 4], (np.int64(2),)):
+        assert [strip(rep) for rep in verify.run_checks(heisenberg, ["reeb", "leaf:0"], grid, tolerance=1e-7)] == alone
+    for grid in ([4, 0], (4.0,), "4"):
+        with pytest.raises(ConfigError, match="^grid "):
+            verify.run_checks(heisenberg, ["codazzi"], grid)
+
+
+SAMPLED_CHECKS = {
+    "check_divergence_split": lambda s, k: verify.check_divergence_split(s, k),
+    "check_leaf_divergence_of_normal": lambda s, k: verify.check_leaf_divergence_of_normal(s, k),
+    "check_newton_div_agreement": lambda s, k: verify.check_newton_div_agreement(s, 0, k),
+    "check_adapted_identity": lambda s, k: verify.check_adapted_identity(s, k),
+    "check_newton_z_divergence": lambda s, k: verify.check_newton_z_divergence(s, 0, k),
+    "check_codazzi": lambda s, k: verify.check_codazzi(s, k),
+    "check_trace_identities": lambda s, k: verify.check_trace_identities(s, k),
+}
+
+
+@pytest.mark.parametrize("samples", [0, -1, verify.MAX_SAMPLES + 1, 2.5, True])
+@pytest.mark.parametrize("check", SAMPLED_CHECKS.values(), ids=SAMPLED_CHECKS)
+def test_a_sampled_check_refuses_a_sample_count_before_drawing(check, samples, warped4, monkeypatch):
+    from folsub import manifolds
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("points were drawn for a sample count outside 1..MAX_SAMPLES")
+
+    monkeypatch.setattr(manifolds.ChartManifold, "random_points", no_draw)
+    with pytest.raises(ConfigError, match=f"samples {samples!r} must be a positive integer <= {verify.MAX_SAMPLES}"):
+        check(warped4, samples)
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_the_umbilical_check_refuses_a_count_below_one(samples):
+    # A count below 1 draws nothing, and nothing drawn is no pass.
+    with pytest.raises(ConfigError, match=f"samples {samples} must be a positive integer"):
+        verify.verify_umbilical_reduction(samples=samples)
+    assert verify.verify_umbilical_reduction(samples=1).verdict == "pass"
+
+
 def test_the_leaf_checks_of_a_run_share_one_leaf_pass(warped4, tilted, monkeypatch):
     from folsub import foliation
 
